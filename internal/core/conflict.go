@@ -57,17 +57,18 @@ func (st *chipState) netFootprint(net int) []int {
 }
 
 // conflictGraph is the live conflict graph pass 1 maintains between
-// waves: one vertex per violating, not-yet-unfixable net, with its
-// severity ratio and static instance footprint. Instead of rebuilding
-// from an O(nets × terms) sweep at every barrier, the graph is mutated in
-// place from the violation tracker's change set: satisfied vertices drop,
-// new violators join, and touched vertices refresh their severity. The
+// waves: one vertex per violating net not in unfixable, with its severity
+// ratio and static instance footprint. Instead of rebuilding from an
+// O(nets × terms) sweep at every barrier, the graph is mutated in place
+// from the violation tracker's change set: satisfied vertices drop, new
+// violators join, and touched vertices refresh their severity. The
 // rebuild-vs-incremental equivalence is fuzzed (FuzzConflictGraphUpdate)
 // and the coloring consumed downstream is a pure function of the vertex
 // set, so wave schedules stay bit-stable.
 type conflictGraph struct {
-	st    *chipState
-	nodes map[int]conflictNode
+	st        *chipState
+	nodes     map[int]conflictNode
+	unfixable map[int]bool // nets pass 1 gave up on; never vertices
 
 	// dropped/added count vertex removals and insertions across updates —
 	// deterministic bookkeeping surfaced through RefineStats.
@@ -75,9 +76,10 @@ type conflictGraph struct {
 }
 
 // newConflictGraph builds the graph from the tracker's violating set,
-// excluding unfixable nets. It must observe a flushed tracker.
+// excluding unfixable nets; the graph keeps unfixable as its own set. It
+// must observe a flushed tracker.
 func newConflictGraph(st *chipState, tr *violTracker, unfixable map[int]bool) *conflictGraph {
-	g := &conflictGraph{st: st, nodes: make(map[int]conflictNode)}
+	g := &conflictGraph{st: st, nodes: make(map[int]conflictNode), unfixable: unfixable}
 	for net, v := range tr.viol {
 		if !v || unfixable[net] {
 			continue
@@ -88,22 +90,23 @@ func newConflictGraph(st *chipState, tr *violTracker, unfixable map[int]bool) *c
 }
 
 // update applies one barrier's change set: every net whose tracked LSK or
-// violation membership changed (tr.flush's return), plus any net newly
-// marked unfixable, is re-derived against the flushed tracker — dropped
-// when satisfied or unfixable, inserted or severity-refreshed otherwise.
-// The result is identical to rebuilding from scratch because only changed
-// nets can differ from their existing vertices (footprints are static and
-// ratios are pure functions of the tracked LSK).
-func (g *conflictGraph) update(tr *violTracker, changed []int, unfixable map[int]bool) {
+// violation membership changed (tr.flush's return) is re-derived against
+// the flushed tracker — dropped when satisfied or unfixable, inserted or
+// severity-refreshed otherwise. The result is identical to rebuilding
+// from scratch because only changed nets can differ from their existing
+// vertices (footprints are static and ratios are pure functions of the
+// tracked LSK).
+func (g *conflictGraph) update(tr *violTracker, changed []int) {
 	for _, net := range changed {
-		g.refresh(tr, net, unfixable)
+		g.refresh(tr, net)
 	}
 }
 
-// refresh re-derives one net's vertex from the flushed tracker.
-func (g *conflictGraph) refresh(tr *violTracker, net int, unfixable map[int]bool) {
+// refresh re-derives one net's vertex from the flushed tracker and the
+// unfixable set — call it directly for a net newly marked unfixable.
+func (g *conflictGraph) refresh(tr *violTracker, net int) {
 	old, present := g.nodes[net]
-	if !tr.viol[net] || unfixable[net] {
+	if !tr.viol[net] || g.unfixable[net] {
 		if present {
 			delete(g.nodes, net)
 			g.dropped++

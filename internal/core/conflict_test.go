@@ -186,8 +186,8 @@ func FuzzConflictGraphUpdate(f *testing.F) {
 				// must drop it from the graph explicitly.
 				net := int(b) % n
 				unfixable[net] = true
-				g.update(tr, tr.flush(), unfixable)
-				g.refresh(tr, net, unfixable)
+				g.update(tr, tr.flush())
+				g.refresh(tr, net)
 			} else {
 				// Mutate one segment's coupling in one instance — the shape
 				// of a repair or relaxation touching that instance.
@@ -197,7 +197,7 @@ func FuzzConflictGraphUpdate(f *testing.F) {
 				}
 				in.k[int(c)%len(in.k)] = float64(a^c) / 37.0
 				tr.touchInst(in)
-				g.update(tr, tr.flush(), unfixable)
+				g.update(tr, tr.flush())
 			}
 			check(step)
 		}

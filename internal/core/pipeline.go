@@ -52,12 +52,6 @@ type chipState struct {
 	terms  [][]segTerm // per net: its instance memberships
 	lskb   []float64   // per net LSK budget
 	routed *route.Result
-
-	// barrierRecompute switches refinement's between-wave bookkeeping to
-	// the historical full resweep + graph rebuild. Only the oracle /
-	// equivalence tests and the barrier-cost benchmark set it; the
-	// production pipeline always runs the incremental tracker.
-	barrierRecompute bool
 }
 
 // routeNetsFor converts a design's netlist into router requests.

@@ -33,38 +33,22 @@ type refineStats struct {
 // Both passes run on the engine's worker pool. The wave schedule, the
 // per-net repair loops, and the serial acceptance order are all pure
 // functions of the chip state, so the outcome is byte-identical at any
-// worker count (DESIGN.md §7); refineSerial is the pool-free reference the
-// determinism tests compare against.
+// worker count (DESIGN.md §7); the serial reference is the same pool at
+// one worker.
 //
 // Between-wave bookkeeping is incremental (DESIGN.md §10): a violation
 // tracker maintains per-net LSK and the violating set across barriers,
 // refreshing only the nets incident to touched instances, and the
 // conflict graph is mutated in place instead of rebuilt. Both are
 // bit-identical to the from-scratch recomputation (the oracle tests pin
-// this), so the incremental paths run unconditionally — barrierRecompute
-// below exists only for the oracle/equivalence tests and the barrier-cost
-// benchmark, never for production opt-out.
+// this).
 func (st *chipState) refine(ctx context.Context) (refineStats, error) {
-	return st.refineWith(ctx, engineWaves{st.r.eng})
-}
-
-// refineSerial runs the same wave algorithm one task at a time on a single
-// standalone worker, with no pool involvement.
-func (st *chipState) refineSerial(ctx context.Context) (refineStats, error) {
-	w, err := st.r.eng.NewWorker()
-	if err != nil {
-		return refineStats{}, err
-	}
-	return st.refineWith(ctx, serialWaves{w})
-}
-
-func (st *chipState) refineWith(ctx context.Context, exec waveExec) (refineStats, error) {
 	var stats refineStats
 	tr := st.newViolTracker()
-	if err := st.refinePass1(ctx, exec, tr, &stats); err != nil {
+	if err := st.refinePass1(ctx, tr, newConflictGraph(st, tr, make(map[int]bool)), &stats); err != nil {
 		return stats, err
 	}
-	if err := st.refinePass2(ctx, exec, tr, &stats); err != nil {
+	if err := st.refinePass2(ctx, tr, &stats); err != nil {
 		return stats, err
 	}
 	stats.Refreshed = tr.refreshes

@@ -2,25 +2,12 @@ package core
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 )
 
-// refineBenchJSON enables the machine-readable refinement bench smoke:
-//
-//	go test ./internal/core -run TestRefineBenchJSON -benchjson BENCH_refine.json
-//
-// It runs the Phase III pass benchmarks through testing.Benchmark
-// (honoring -benchtime) and writes their ns/op to the given file, the
-// same trajectory-tracking scheme as internal/sino's BENCH_sino.json.
-var refineBenchJSON = flag.String("benchjson", "", "write refinement pass benchmark ns/op to this JSON file")
-
 // refineBenchWorkers are the pool sizes benchmarked: serial and a
-// representative parallel bound (fixed, so BENCH_refine.json keys are
-// machine-independent; on a single-core host the arms coincide).
+// representative parallel bound.
 var refineBenchWorkers = []int{1, 4}
 
 // benchRefineState builds the shared fixture: a scaled ibm01 with real
@@ -35,14 +22,9 @@ func benchRefineState(b *testing.B, workers int) (*Runner, *chipState, []instSna
 	return r, st, snapshotState(st)
 }
 
-// benchRefinePass1 measures pass 1 end to end. The recompute arm flips
-// st.barrierRecompute, swapping the incremental tracker/graph updates for
-// the historical full resweep + rebuild at every wave barrier — the
-// barrier-cost dimension BENCH_refine.json tracks (pass1 vs
-// pass1-recompute is exactly the Amdahl tail the tracker removed).
-func benchRefinePass1(b *testing.B, workers int, recompute bool) {
-	r, st, snaps := benchRefineState(b, workers)
-	st.barrierRecompute = recompute
+// benchRefinePass1 measures pass 1 end to end.
+func benchRefinePass1(b *testing.B, workers int) {
+	_, st, snaps := benchRefineState(b, workers)
 	var last refineStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,7 +33,7 @@ func benchRefinePass1(b *testing.B, workers int, recompute bool) {
 		tr := st.newViolTracker()
 		b.StartTimer()
 		var stats refineStats
-		if err := st.refinePass1(context.Background(), engineWaves{r.eng}, tr, &stats); err != nil {
+		if _, err := runPass1(context.Background(), st, tr, &stats); err != nil {
 			b.Fatal(err)
 		}
 		last = stats
@@ -61,15 +43,11 @@ func benchRefinePass1(b *testing.B, workers int, recompute bool) {
 	b.ReportMetric(float64(last.Refreshed), "refreshes")
 }
 
-func benchRefinePass1Body(b *testing.B, workers int) { benchRefinePass1(b, workers, false) }
-
-func benchRefinePass1Recompute(b *testing.B, workers int) { benchRefinePass1(b, workers, true) }
-
-func benchRefinePass2Body(b *testing.B, workers int) {
-	r, st, _ := benchRefineState(b, workers)
+func benchRefinePass2(b *testing.B, workers int) {
+	_, st, _ := benchRefineState(b, workers)
 	tr := st.newViolTracker()
 	var stats refineStats
-	if err := st.refinePass1(context.Background(), engineWaves{r.eng}, tr, &stats); err != nil {
+	if _, err := runPass1(context.Background(), st, tr, &stats); err != nil {
 		b.Fatal(err)
 	}
 	snaps := snapshotState(st) // pass 2 starts from the repaired state
@@ -78,10 +56,10 @@ func benchRefinePass2Body(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		restoreState(st, snaps)
-		tr.rebuild() // pass 2 mutates the tracker; resweep outside the timer
+		tr = st.newViolTracker() // pass 2 mutates the tracker; resweep outside the timer
 		b.StartTimer()
 		var stats refineStats
-		if err := st.refinePass2(context.Background(), engineWaves{r.eng}, tr, &stats); err != nil {
+		if err := st.refinePass2(context.Background(), tr, &stats); err != nil {
 			b.Fatal(err)
 		}
 		last = stats
@@ -93,9 +71,8 @@ func benchRefinePass2Body(b *testing.B, workers int) {
 // pass1 pays between repair waves, with the solver out of the picture. The
 // incremental arm touches a wave-sized batch of nets and flushes the
 // tracker into the live graph (O(batch footprint)); the recompute arm is
-// the historical full resweep plus graph rebuild (O(nets × terms)). This
-// is the barrier-cost dimension BENCH_refine.json exists to track: the
-// end-to-end pass1 families bury it under solve time.
+// the full resweep plus graph rebuild (O(nets × terms)) the tracker
+// replaced. The end-to-end pass1 family buries this cost under solve time.
 func benchRefineBarrier(b *testing.B, workers int, recompute bool) {
 	_, st, _ := benchRefineState(b, workers)
 	tr := st.newViolTracker()
@@ -111,13 +88,13 @@ func benchRefineBarrier(b *testing.B, workers int, recompute bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if recompute {
-			tr.rebuild()
+			tr = st.newViolTracker()
 			g = newConflictGraph(st, tr, unfixable)
 		} else {
 			for _, in := range batch {
 				tr.touchInst(in)
 			}
-			g.update(tr, tr.flush(), unfixable)
+			g.update(tr, tr.flush())
 		}
 	}
 }
@@ -126,17 +103,15 @@ func benchRefineBarrierBody(b *testing.B, workers int) { benchRefineBarrier(b, w
 
 func benchRefineBarrierRecompute(b *testing.B, workers int) { benchRefineBarrier(b, workers, true) }
 
-// refineBenchFamilies maps family names to bodies — shared by
-// BenchmarkRefine and the -benchjson smoke.
+// refineBenchFamilies maps BenchmarkRefine's family names to bodies.
 var refineBenchFamilies = []struct {
 	name string
 	body func(b *testing.B, workers int)
 }{
-	{"pass1", benchRefinePass1Body},
-	{"pass1-recompute", benchRefinePass1Recompute},
+	{"pass1", benchRefinePass1},
 	{"barrier", benchRefineBarrierBody},
 	{"barrier-recompute", benchRefineBarrierRecompute},
-	{"pass2", benchRefinePass2Body},
+	{"pass2", benchRefinePass2},
 }
 
 // BenchmarkRefine measures Phase III's two passes on the engine across
@@ -153,29 +128,4 @@ func BenchmarkRefine(b *testing.B) {
 			})
 		}
 	}
-}
-
-func TestRefineBenchJSON(t *testing.T) {
-	if *refineBenchJSON == "" {
-		t.Skip("bench smoke disabled; enable with -benchjson <path>")
-	}
-	report := struct {
-		Unit       string           `json:"unit"`
-		Benchmarks map[string]int64 `json:"benchmarks"`
-	}{Unit: "ns/op", Benchmarks: map[string]int64{}}
-	for _, fam := range refineBenchFamilies {
-		for _, w := range refineBenchWorkers {
-			fam, w := fam, w
-			res := testing.Benchmark(func(b *testing.B) { fam.body(b, w) })
-			report.Benchmarks[fmt.Sprintf("%s/workers%d", fam.name, w)] = res.NsPerOp()
-		}
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*refineBenchJSON, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d benchmark entries to %s", len(report.Benchmarks), *refineBenchJSON)
 }

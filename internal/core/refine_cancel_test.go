@@ -4,29 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"repro/internal/engine"
 )
-
-// cancelWaves wraps a waveExec and cancels the run's context immediately
-// before delegating wave call number `at` (counting every wave across both
-// passes). The wrapped executor then observes the cancelled context at its
-// next task-dispatch check, so cancellation lands exactly at a wave
-// boundary — the granularity the refinement loop promises.
-type cancelWaves struct {
-	inner  waveExec
-	cancel context.CancelFunc
-	at     int
-	calls  int
-}
-
-func (x *cancelWaves) wave(ctx context.Context, tasks []func(*engine.Worker) error) error {
-	if x.calls == x.at {
-		x.cancel()
-	}
-	x.calls++
-	return x.inner.wave(ctx, tasks)
-}
 
 // TestRefineCancelBeforeFirstWave: cancellation before any wave runs must
 // propagate context.Canceled and leave the chip state untouched, bit for
@@ -34,11 +12,14 @@ func (x *cancelWaves) wave(ctx context.Context, tasks []func(*engine.Worker) err
 func TestRefineCancelBeforeFirstWave(t *testing.T) {
 	r, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
 	snaps := snapshotState(st)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := cancelAtWave(r.eng, 0)
 	defer cancel()
-	_, err := st.refineWith(ctx, &cancelWaves{inner: engineWaves{r.eng}, cancel: cancel})
+	_, err := st.refine(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ctx.waves() != 1 {
+		t.Fatalf("refinement started %d waves, want exactly the cancelled first one", ctx.waves())
 	}
 	for i, in := range st.orderd {
 		if !instEqualsSnap(in, &snaps[i]) {
@@ -66,10 +47,9 @@ func TestRefineCancelMidRun(t *testing.T) {
 	}
 
 	r, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := cancelAtWave(r.eng, 1)
 	defer cancel()
-	cw := &cancelWaves{inner: engineWaves{r.eng}, cancel: cancel, at: 1}
-	if _, err := st.refineWith(ctx, cw); !errors.Is(err, context.Canceled) {
+	if _, err := st.refine(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for i, in := range st.orderd {
@@ -94,7 +74,7 @@ func TestRefinePass2CancelDuringSpeculation(t *testing.T) {
 	r, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
 	var stats refineStats
 	tr := st.newViolTracker()
-	if err := st.refinePass1(context.Background(), engineWaves{r.eng}, tr, &stats); err != nil {
+	if _, err := runPass1(context.Background(), st, tr, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if left := len(st.violating()); left != 0 {
@@ -102,13 +82,12 @@ func TestRefinePass2CancelDuringSpeculation(t *testing.T) {
 	}
 	snaps := snapshotState(st)
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := cancelAtWave(r.eng, 0)
 	defer cancel()
-	cw := &cancelWaves{inner: engineWaves{r.eng}, cancel: cancel}
-	if err := st.refinePass2(ctx, cw, tr, &stats); !errors.Is(err, context.Canceled) {
+	if err := st.refinePass2(ctx, tr, &stats); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if cw.calls == 0 {
+	if ctx.waves() == 0 {
 		t.Fatal("pass 2 never reached its speculation wave; fixture drifted")
 	}
 	for i, in := range st.orderd {

@@ -14,53 +14,18 @@ import (
 // against a frozen snapshot, then accepts serially in density order.
 // Every parallel section mutates only task-private state and every
 // decision happens at a barrier over deterministic inputs, so the outcome
-// is byte-identical at any worker count; serialWaves replays the identical
-// schedule without the pool.
+// is byte-identical at any worker count, one included.
 
-// waveExec runs one wave — a batch of mutually independent tasks — to
-// completion before returning.
-type waveExec interface {
-	wave(ctx context.Context, tasks []func(*engine.Worker) error) error
-}
-
-// engineWaves executes waves on the engine's bounded pool.
-type engineWaves struct{ e *engine.Engine }
-
-func (x engineWaves) wave(ctx context.Context, tasks []func(*engine.Worker) error) error {
-	return x.e.RunOn(ctx, tasks)
-}
-
-// serialWaves executes waves one task at a time on a single standalone
-// worker — the serial reference schedule. Tasks in a wave touch disjoint
-// instance sets and the solver is deterministic, so the pooled and serial
-// executors produce byte-identical chip state.
-type serialWaves struct{ w *engine.Worker }
-
-func (x serialWaves) wave(ctx context.Context, tasks []func(*engine.Worker) error) error {
-	for _, t := range tasks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := t(x.w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// refinePass1 eliminates crosstalk violations in conflict-graph waves.
-// Each wave repairs a maximal independent set of the most severe violators
-// concurrently; at the barrier, only the nets incident to the repaired
-// instances have their violation state refreshed (violTracker) and the
-// conflict graph is updated in place from that change set, so later waves
-// see the repaired state exactly as a serial execution would — bit for
-// bit, at a fraction of the O(nets × terms) sweep the recompute arm
-// (st.barrierRecompute, oracle/bench only) still performs. Nets whose
-// repair loop ends without meeting the budget are marked unfixable and
-// dropped from the graph.
-func (st *chipState) refinePass1(ctx context.Context, exec waveExec, tr *violTracker, stats *refineStats) error {
-	unfixable := make(map[int]bool)
-	g := newConflictGraph(st, tr, unfixable)
+// refinePass1 eliminates crosstalk violations in conflict-graph waves,
+// starting from g, the live graph over tr's violators. Each wave repairs a
+// maximal independent set of the most severe violators concurrently; at
+// the barrier, only the nets incident to the repaired instances have their
+// violation state refreshed (violTracker) and g is updated in place from
+// that change set, so later waves see the repaired state exactly as a
+// serial execution would — bit for bit, without an O(nets × terms)
+// resweep. Nets whose repair loop ends without meeting the budget are
+// marked unfixable in g and dropped from it.
+func (st *chipState) refinePass1(ctx context.Context, tr *violTracker, g *conflictGraph, stats *refineStats) error {
 	maxWaves := 4*tr.count() + 16
 	for wave := 0; wave < maxWaves; wave++ {
 		nodes := g.snapshot()
@@ -94,7 +59,7 @@ func (st *chipState) refinePass1(ctx context.Context, exec waveExec, tr *violTra
 		}
 		wsp := st.r.trace.Start(st.r.lane, "refine", "repair wave").
 			Arg("wave", int64(wave)).Arg("nets", int64(len(batch))).Arg("colors", int64(len(classes)))
-		err := exec.wave(ctx, tasks)
+		err := st.r.eng.RunOn(ctx, tasks)
 		wsp.End()
 		if err != nil {
 			return err
@@ -102,7 +67,7 @@ func (st *chipState) refinePass1(ctx context.Context, exec waveExec, tr *violTra
 		for i := range batch {
 			stats.resolves += results[i].resolves
 			if !results[i].fixed {
-				unfixable[batch[i].net] = true
+				g.unfixable[batch[i].net] = true
 			}
 		}
 
@@ -114,27 +79,18 @@ func (st *chipState) refinePass1(ctx context.Context, exec waveExec, tr *violTra
 		// batch-net footprints — keeps the dirty set proportional to the
 		// wave's actual mutations.
 		bsp := st.r.trace.Start(st.r.lane, "refine", "barrier update").Arg("wave", int64(wave))
-		if st.barrierRecompute {
-			// Oracle/bench arm: full O(nets × terms) resweep and graph
-			// rebuild — the behavior every wave barrier had before the
-			// incremental tracker. Never taken by the default pipeline.
-			tr.rebuild()
-			g = newConflictGraph(st, tr, unfixable)
-		} else {
-			for i := range batch {
-				for _, in := range results[i].touched {
-					tr.touchInst(in)
-				}
+		for i := range batch {
+			for _, in := range results[i].touched {
+				tr.touchInst(in)
 			}
-			changed := tr.flush()
-			g.update(tr, changed, unfixable)
-			for i := range batch {
-				// A net can turn unfixable without its tracked LSK moving
-				// (its repair loop stalled), so it may be absent from the
-				// change set — drop it from the graph explicitly.
-				if unfixable[batch[i].net] {
-					g.refresh(tr, batch[i].net, unfixable)
-				}
+		}
+		g.update(tr, tr.flush())
+		for i := range batch {
+			// A net can turn unfixable without its tracked LSK moving (its
+			// repair loop stalled), so it may be absent from the change set
+			// — drop it from the graph explicitly.
+			if g.unfixable[batch[i].net] {
+				g.refresh(tr, batch[i].net)
 			}
 		}
 		bsp.End()
@@ -153,7 +109,7 @@ func (st *chipState) refinePass1(ctx context.Context, exec waveExec, tr *violTra
 // state live, so a plan whose slack an earlier acceptance consumed is
 // simply reverted — "until no reduction on the slacks is possible without
 // causing crosstalk violations" within one bounded sweep.
-func (st *chipState) refinePass2(ctx context.Context, exec waveExec, tr *violTracker, stats *refineStats) error {
+func (st *chipState) refinePass2(ctx context.Context, tr *violTracker, stats *refineStats) error {
 	if tr.count() > 0 {
 		// Acceptance requires a violation-free chip, so with unfixable nets
 		// left over from pass 1 every plan would be speculated and then
@@ -184,7 +140,7 @@ func (st *chipState) refinePass2(ctx context.Context, exec waveExec, tr *violTra
 		}
 	}
 	ssp := st.r.trace.Start(st.r.lane, "refine", "pass 2: speculate").Arg("candidates", int64(len(cands)))
-	err := exec.wave(ctx, tasks)
+	err := st.r.eng.RunOn(ctx, tasks)
 	ssp.End()
 	if err != nil {
 		return err

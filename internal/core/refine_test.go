@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/ibm"
 	"repro/internal/sino"
 )
@@ -49,6 +50,55 @@ func solvedState(t testing.TB, d *Design, p Params) (*Runner, *chipState) {
 	}
 	return r, st
 }
+
+// runPass1 runs refinement pass 1 from a fresh conflict graph over tr and
+// returns the live graph it leaves behind.
+func runPass1(ctx context.Context, st *chipState, tr *violTracker, stats *refineStats) (*conflictGraph, error) {
+	g := newConflictGraph(st, tr, make(map[int]bool))
+	return g, st.refinePass1(ctx, tr, g, stats)
+}
+
+// poolWorker returns worker 0 of e's pool, captured by a one-task RunOn,
+// so tests can call worker-level code (Worker.Do, repairNet,
+// speculateRelax) directly. It shares worker 0's model clone and
+// evaluator: use it only while e runs no batch.
+func poolWorker(t testing.TB, e *engine.Engine) *engine.Worker {
+	t.Helper()
+	var w *engine.Worker
+	err := e.RunOn(context.Background(), []func(*engine.Worker) error{
+		func(x *engine.Worker) error { w = x; return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// waveCancelCtx cancels itself as the engine starts its at-th wave after
+// the context was made (RunOn counts the wave before dispatching, and
+// checks Err before each task), so that wave runs no task: cancellation
+// lands exactly at a wave boundary, the granularity refinement promises.
+type waveCancelCtx struct {
+	context.Context
+	cancel   context.CancelFunc
+	eng      *engine.Engine
+	base, at uint64
+}
+
+func cancelAtWave(e *engine.Engine, at uint64) (*waveCancelCtx, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &waveCancelCtx{Context: ctx, cancel: cancel, eng: e, base: e.Stats().Waves, at: at}, cancel
+}
+
+func (c *waveCancelCtx) Err() error {
+	if c.waves() > c.at {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// waves counts the waves started since the context was made.
+func (c *waveCancelCtx) waves() uint64 { return c.eng.Stats().Waves - c.base }
 
 // instSnap is one instance's refinement-mutable state (bounds, solution,
 // couplings), for snapshot/restore around refinement passes.
@@ -144,13 +194,13 @@ func TestRefineEliminatesViolations(t *testing.T) {
 }
 
 func TestRefinePass1TightensBounds(t *testing.T) {
-	r, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
+	_, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
 	before := len(st.violating())
 	if before == 0 {
 		t.Fatal("fixture produced no violations to repair")
 	}
 	var stats refineStats
-	if err := st.refinePass1(context.Background(), engineWaves{r.eng}, st.newViolTracker(), &stats); err != nil {
+	if _, err := runPass1(context.Background(), st, st.newViolTracker(), &stats); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.violating()) >= before {
@@ -168,17 +218,17 @@ func TestRefinePass2NeverCreatesViolations(t *testing.T) {
 	// Figure 2 pass 2's acceptance rule: a relaxation is kept only when no
 	// net anywhere violates. The fixture is one pass 1 fully repairs, so
 	// this asserts the precondition instead of skipping past it.
-	r, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
+	_, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
 	var stats refineStats
 	tr := st.newViolTracker()
-	if err := st.refinePass1(context.Background(), engineWaves{r.eng}, tr, &stats); err != nil {
+	if _, err := runPass1(context.Background(), st, tr, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if left := len(st.violating()); left != 0 {
 		t.Fatalf("pass 1 left %d violations on a fixture it is known to fully repair", left)
 	}
 	shieldsBefore := st.shieldCount()
-	if err := st.refinePass2(context.Background(), engineWaves{r.eng}, tr, &stats); err != nil {
+	if err := st.refinePass2(context.Background(), tr, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(st.violating()); got != 0 {
@@ -194,14 +244,14 @@ func TestRefinePass2RevertRestoresState(t *testing.T) {
 	// would re-create violations (or fail to remove shields) must leave the
 	// chip state untouched, bit for bit. On this fixture pass 2 is known to
 	// revert several relaxations, so the branch genuinely executes.
-	r, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
+	_, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
 	var stats refineStats
 	tr := st.newViolTracker()
-	if err := st.refinePass1(context.Background(), engineWaves{r.eng}, tr, &stats); err != nil {
+	if _, err := runPass1(context.Background(), st, tr, &stats); err != nil {
 		t.Fatal(err)
 	}
 	snaps := snapshotState(st)
-	if err := st.refinePass2(context.Background(), engineWaves{r.eng}, tr, &stats); err != nil {
+	if err := st.refinePass2(context.Background(), tr, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Reverted == 0 {
@@ -233,16 +283,13 @@ func TestAcceptOrRevertOnViolatingRelaxation(t *testing.T) {
 	r, st := ibmRefineFixture(t, 16, 0.5, 1, Params{})
 	var stats refineStats
 	tr := st.newViolTracker()
-	if err := st.refinePass1(context.Background(), engineWaves{r.eng}, tr, &stats); err != nil {
+	if _, err := runPass1(context.Background(), st, tr, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.violating()) != 0 {
 		t.Fatal("pass 1 left violations; fixture drifted")
 	}
-	w, err := r.eng.NewWorker()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := poolWorker(t, r.eng)
 	tested := false
 	for _, in := range st.orderd {
 		if in.sol == nil || in.sol.NumShields() == 0 {
@@ -261,7 +308,7 @@ func TestAcceptOrRevertOnViolatingRelaxation(t *testing.T) {
 			// one the violation check rejects; the restore invalidates the
 			// tracker's accepted-state bookkeeping, so resweep it.
 			restoreState(st, snaps)
-			tr.rebuild()
+			tr = st.newViolTracker()
 			continue
 		}
 		for i, inst := range st.orderd {
@@ -318,17 +365,21 @@ func TestRefineUnfixableAccounting(t *testing.T) {
 }
 
 func TestRefineSerialMatchesParallel(t *testing.T) {
-	// The serial reference (one standalone worker, no pool) and the pooled
-	// wave execution must produce bit-identical chip state and identical
-	// stats: the engine is a throughput knob, never an algorithmic input.
+	// The serial reference (the pool at one worker, one task at a time) and
+	// the pooled wave execution at several workers must produce bit-identical
+	// chip state and identical stats: the engine is a throughput knob, never
+	// an algorithmic input.
 	for _, seed := range []int64{1, 3} {
 		_, sts := ibmRefineFixture(t, 16, 0.5, seed, Params{Workers: 1})
-		serStats, err := sts.refineSerial(context.Background())
+		serStats, err := sts.refine(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
+		if serStats.Waves == 0 {
+			t.Fatalf("seed %d: no repair waves; the fixture lost its refinement pressure", seed)
+		}
 		serSnaps := snapshotState(sts)
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{2, 4} {
 			_, stp := ibmRefineFixture(t, 16, 0.5, seed, Params{Workers: workers})
 			parStats, err := stp.refine(context.Background())
 			if err != nil {

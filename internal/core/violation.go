@@ -117,21 +117,3 @@ func (t *violTracker) violating() []int {
 	}
 	return out
 }
-
-// rebuild re-seeds the tracker with a full sweep — the recompute arm the
-// barrier-cost benchmark measures and the oracle tests diff against. The
-// default pipeline never calls it.
-func (t *violTracker) rebuild() {
-	for _, net := range t.dirty {
-		t.dirtyMark[net] = false
-	}
-	t.dirty = t.dirty[:0]
-	t.n = 0
-	for i := range t.st.terms {
-		t.lsk[i] = t.st.lskOf(i)
-		t.viol[i] = t.lsk[i] > t.st.lskb[i]*(1+1e-9)
-		if t.viol[i] {
-			t.n++
-		}
-	}
-}

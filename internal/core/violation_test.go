@@ -45,10 +45,7 @@ func TestViolTrackerOracleRandomEdits(t *testing.T) {
 			tr := st.newViolTracker()
 			checkTrackerOracle(t, st, tr)
 
-			w, err := r.eng.NewWorker()
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := poolWorker(t, r.eng)
 			rng := rand.New(rand.NewSource(seed * 7919))
 			pending := 0
 			for step := 0; step < 60; step++ {
@@ -96,50 +93,60 @@ func TestViolTrackerOracleRandomEdits(t *testing.T) {
 				tr.flush()
 				checkTrackerOracle(t, st, tr)
 			}
-
-			// rebuild must land on the identical state.
-			tr.rebuild()
-			checkTrackerOracle(t, st, tr)
 		}
 	}
 }
 
-// TestRefineIncrementalMatchesRecompute is the whole-pass oracle: running
-// refinement with incremental barriers (the production path) and with
-// st.barrierRecompute (the historical full resweep + graph rebuild) must
-// produce bit-identical chip states and identical counters — the
-// incremental bookkeeping is a pure optimization, not an approximation.
-func TestRefineIncrementalMatchesRecompute(t *testing.T) {
+// TestRepairNetTouchesEveryMutation pins what the incremental barrier
+// trusts repairNet for: its touched set holds every instance the repair
+// mutated (bounds, solution, or couplings), so refreshing the nets of the
+// touched instances refreshes every net whose LSK can have moved. The
+// tracker oracle and FuzzConflictGraphUpdate pin the rest given a correct
+// touched set. A full pass 1 must then leave the tracker and the live
+// conflict graph equal to their from-scratch rebuilds.
+func TestRepairNetTouchesEveryMutation(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
-		_, stInc := ibmRefineFixture(t, 16, 0.5, seed, Params{})
-		_, stRec := ibmRefineFixture(t, 16, 0.5, seed, Params{})
-		stRec.barrierRecompute = true
-
-		statsInc, err := stInc.refine(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		statsRec, err := stRec.refine(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		snaps := snapshotState(stRec)
-		for i, in := range stInc.orderd {
-			if !instEqualsSnap(in, &snaps[i]) {
-				t.Fatalf("seed %d: instance %d differs between incremental and recompute arms", seed, i)
+		r, st := ibmRefineFixture(t, 16, 0.5, seed, Params{})
+		tr := st.newViolTracker()
+		wave := colorConflicts(newConflictGraph(st, tr, nil).snapshot())[0]
+		w := poolWorker(t, r.eng)
+		mutated := 0
+		for _, nd := range wave {
+			snaps := snapshotState(st)
+			_, _, touched, err := st.repairNet(context.Background(), nd.net, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inTouched := make(map[*regionInst]bool, len(touched))
+			for _, in := range touched {
+				inTouched[in] = true
+			}
+			for i, in := range st.orderd {
+				if instEqualsSnap(in, &snaps[i]) {
+					continue
+				}
+				mutated++
+				if !inTouched[in] {
+					t.Fatalf("seed %d net %d: repair mutated instance %d (region %d horz %v) but left it out of touched",
+						seed, nd.net, i, in.key.region, in.key.horz)
+				}
 			}
 		}
-		if got, want := stInc.violating(), stRec.violating(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: violating sets differ: %v vs %v", seed, got, want)
+		if mutated == 0 {
+			t.Fatalf("seed %d: the first wave mutated nothing; fixture drifted", seed)
 		}
-		// The incremental-only counters are meaningless in the recompute
-		// arm; everything else must agree exactly.
-		statsInc.Refreshed, statsRec.Refreshed = 0, 0
-		statsInc.GraphDropped, statsRec.GraphDropped = 0, 0
-		statsInc.GraphAdded, statsRec.GraphAdded = 0, 0
-		if statsInc != statsRec {
-			t.Fatalf("seed %d: stats differ: %+v vs %+v", seed, statsInc, statsRec)
+
+		_, st = ibmRefineFixture(t, 16, 0.5, seed, Params{})
+		tr = st.newViolTracker()
+		var stats refineStats
+		g, err := runPass1(context.Background(), st, tr, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTrackerOracle(t, st, tr)
+		rebuilt := newConflictGraph(st, st.newViolTracker(), g.unfixable)
+		if got, want := g.snapshot(), rebuilt.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: live graph after pass 1 %+v, rebuilt %+v", seed, got, want)
 		}
 	}
 }

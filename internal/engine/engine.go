@@ -85,12 +85,6 @@ type Result struct {
 	Err   error
 }
 
-// Progress is a snapshot handed to the OnProgress hook.
-type Progress struct {
-	Done  int // jobs finished in this Run call
-	Total int // jobs submitted to this Run call
-}
-
 // Config tunes a new engine.
 type Config struct {
 	// Workers bounds the pool; <= 0 selects runtime.GOMAXPROCS(0).
@@ -107,10 +101,6 @@ type Config struct {
 	// engines (and across batch-scheduler cells of one technology) is
 	// allowed when their models match.
 	Cache *keff.PairCache
-
-	// OnProgress, when non-nil, is called after every completed job with
-	// the Run call's progress. Calls are serialized.
-	OnProgress func(Progress)
 
 	// Trace, when enabled, records batch-, wave-, and job-level spans: one
 	// span per Run/RunTasks/RunOn call on the engine's control lane, and
@@ -163,9 +153,8 @@ func (s Stats) Sub(prev Stats) Stats {
 // a flow, which keeps worker models and the coupling cache warm across
 // phases.
 type Engine struct {
-	workers    int
-	cache      atomic.Pointer[keff.PairCache] // published by New or the first model-resolving Run
-	onProgress func(Progress)
+	workers int
+	cache   atomic.Pointer[keff.PairCache] // published by New or the first model-resolving Run
 
 	trace    *obs.Tracer
 	ctlLane  obs.Lane   // batch-level spans (Run/RunTasks/RunOn calls)
@@ -197,7 +186,7 @@ func New(cfg Config) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{workers: w, onProgress: cfg.OnProgress, trace: cfg.Trace}
+	e := &Engine{workers: w, trace: cfg.Trace}
 	if e.trace.Enabled() {
 		e.ctlLane = e.trace.Lane("engine")
 		e.jobLanes = make([]obs.Lane, w)
@@ -261,8 +250,7 @@ func (e *Engine) Cache() *keff.PairCache { return e.cache.Load() }
 // EvalStats sums the pooled per-worker incremental evaluators' counters
 // (binds, loads, edits, rollbacks — see sino.EvalStats). It acquires the
 // run lock so the counters are read quiescent: call it between batches,
-// not from inside a running task. Standalone NewWorker evaluators are not
-// included.
+// not from inside a running task.
 func (e *Engine) EvalStats() sino.EvalStats {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
@@ -351,20 +339,15 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		return results, ctx.Err()
 	}
 	if e.models == nil {
-		proto := jobs[0].Inst.Model
+		proto := firstModel(jobs)
 		if proto == nil {
-			return nil, fmt.Errorf("engine: no model configured and job 0 carries none")
+			return nil, fmt.Errorf("engine: no model configured and no job carries one")
 		}
 		e.initModels(proto)
 	}
 
-	var (
-		done     int // guarded by progress, so callbacks see monotonic counts
-		progress sync.Mutex
-	)
-	total := len(jobs)
-	bsp := e.trace.Start(e.ctlLane, "engine", "solve batch").Arg("jobs", int64(total))
-	e.drain(total, func(w, i int) {
+	bsp := e.trace.Start(e.ctlLane, "engine", "solve batch").Arg("jobs", int64(len(jobs)))
+	e.drain(len(jobs), func(w, i int) {
 		if ctx.Err() != nil {
 			results[i] = Result{Err: ctx.Err()} // drain remaining with the ctx error
 			return
@@ -372,15 +355,21 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		jsp := e.trace.Start(e.workerLane(w), "job", jobs[i].Mode.String()).Arg("job", int64(i))
 		results[i] = e.solveJob(&jobs[i], e.models[w], e.eval(w))
 		jsp.End()
-		if e.onProgress != nil {
-			progress.Lock()
-			done++
-			e.onProgress(Progress{Done: done, Total: total})
-			progress.Unlock()
-		}
 	})
 	bsp.End()
 	return results, ctx.Err()
+}
+
+// firstModel returns the model of the first job that has an instance
+// carrying one — the prototype an engine without Config.Model adopts.
+// Jobs without an instance fail individually in solveJob.
+func firstModel(jobs []Job) *keff.Model {
+	for i := range jobs {
+		if jobs[i].Inst != nil && jobs[i].Inst.Model != nil {
+			return jobs[i].Inst.Model
+		}
+	}
+	return nil
 }
 
 // Worker is one pool worker's private solve context: a model clone, a
@@ -401,21 +390,6 @@ type Worker struct {
 // through Do is bit-identical to the same job solved through Run.
 func (w *Worker) Do(job Job) Result {
 	return w.e.solveJob(&job, w.model, w.ev)
-}
-
-// NewWorker returns a standalone worker outside the pool: a private clone
-// of the engine's prototype model, a fresh evaluator, and the shared
-// cache. It backs serial reference executions of batch algorithms (e.g.
-// Phase III's serial refinement path, which the determinism tests compare
-// the pooled path against). The engine must have a configured model —
-// either Config.Model or a prior Run that adopted a job's model.
-func (e *Engine) NewWorker() (*Worker, error) {
-	e.runMu.Lock()
-	defer e.runMu.Unlock()
-	if e.models == nil {
-		return nil, fmt.Errorf("engine: NewWorker requires a configured model (set Config.Model or Run a batch first)")
-	}
-	return &Worker{e: e, model: e.models[0].Clone(), ev: sino.NewEval()}, nil
 }
 
 // RunOn executes tasks on the bounded pool, handing each the executing
@@ -461,25 +435,18 @@ func (e *Engine) RunOn(ctx context.Context, tasks []func(*Worker) error) error {
 
 // RunTasks executes arbitrary function jobs on the engine's bounded pool —
 // the generic counterpart of Run for workloads that are not SINO instances
-// (Phase I routing shards, batch table builds). Tasks must not share
-// mutable state with each other. RunTasks returns the first task error in
-// submission order, or the context's error on cancellation (unstarted
-// tasks are skipped); it implements route.Pool.
+// (Phase I seeding chunks, shard drains, reconcile components, extraction
+// chunks). Tasks must not share mutable state with each other. RunTasks
+// returns the first task error in submission order, or the context's error
+// on cancellation (unstarted tasks are skipped); it implements route.Pool.
 //
-// Panics in a task are converted to errors, matching Run's contract that a
-// poisoned work item cannot take down the pool.
-func (e *Engine) RunTasks(ctx context.Context, tasks []func() error) error {
-	return e.RunTasksLabeled(ctx, "task", nil, tasks)
-}
-
-// RunTasksLabeled is RunTasks with tracing labels: each task's span is
-// named labels[i] (falling back to cat when labels is nil or empty at i)
-// under category cat, so domain layers can name their work units — Phase I
-// labels its routing shards this way (route.LabeledPool). Labels are
-// display-only: execution, error contract, and determinism are exactly
-// RunTasks'. Callers should build labels only when the tracer is enabled;
-// a nil labels slice is the untraced fast path.
-func (e *Engine) RunTasksLabeled(ctx context.Context, cat string, labels []string, tasks []func() error) error {
+// Each task's span is named labels[i] (falling back to cat when labels is
+// nil or empty at i) under category cat. Labels are display-only; callers
+// should build them only when the tracer is enabled — a nil labels slice
+// is the untraced fast path. Panics in a task are converted to errors,
+// matching Run's contract that a poisoned work item cannot take down the
+// pool.
+func (e *Engine) RunTasks(ctx context.Context, cat string, labels []string, tasks []func() error) error {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 

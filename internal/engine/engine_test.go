@@ -135,6 +135,23 @@ func TestPerJobErrorPropagation(t *testing.T) {
 	if e := FirstError(nil); e != nil {
 		t.Errorf("FirstError(nil) = %v", e)
 	}
+
+	// Without Config.Model the engine adopts the first model any job
+	// carries; a leading job with no instance fails alone.
+	jobs = makeJobs(3, ModeSolve)
+	jobs[0] = Job{Mode: ModeSolve}
+	res, err = New(Config{Workers: 2}).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if (r.Err != nil) != (i == 0) {
+			t.Errorf("instance-less first job: job %d err = %v", i, r.Err)
+		}
+	}
+	if _, err := New(Config{Workers: 2}).Run(context.Background(), []Job{{Mode: ModeSolve}}); err == nil || !strings.Contains(err.Error(), "no model configured") {
+		t.Errorf("no job carries a model: err = %v, want the no-model error", err)
+	}
 }
 
 func TestContextCancellation(t *testing.T) {
@@ -155,18 +172,14 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestStatsAndProgress(t *testing.T) {
-	var last Progress
-	e := New(Config{Workers: 4, OnProgress: func(p Progress) { last = p }})
+func TestStats(t *testing.T) {
+	e := New(Config{Workers: 4})
 	res, err := e.Run(context.Background(), makeJobs(15, ModeSolve))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ferr := FirstError(res); ferr != nil {
 		t.Fatal(ferr)
-	}
-	if last.Done != 15 || last.Total != 15 {
-		t.Errorf("final progress = %+v, want 15/15", last)
 	}
 	st := e.Stats()
 	if st.Jobs != 15 || st.Errors != 0 {
@@ -325,7 +338,7 @@ func TestRunTasks(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = func() error { counter.Add(1); return nil }
 	}
-	if err := e.RunTasks(context.Background(), tasks); err != nil {
+	if err := e.RunTasks(context.Background(), "task", nil, tasks); err != nil {
 		t.Fatal(err)
 	}
 	if counter.Load() != 50 {
@@ -343,7 +356,7 @@ func TestRunTasksFirstErrorInSubmissionOrder(t *testing.T) {
 		func() error { return errors.New("boom-1") },
 		func() error { return errors.New("boom-2") },
 	}
-	err := e.RunTasks(context.Background(), tasks)
+	err := e.RunTasks(context.Background(), "task", nil, tasks)
 	if err == nil || !strings.Contains(err.Error(), "task 1") || !strings.Contains(err.Error(), "boom-1") {
 		t.Errorf("err = %v, want task 1 boom-1", err)
 	}
@@ -354,7 +367,7 @@ func TestRunTasksFirstErrorInSubmissionOrder(t *testing.T) {
 
 func TestRunTasksPanicBecomesError(t *testing.T) {
 	e := New(Config{Workers: 2})
-	err := e.RunTasks(context.Background(), []func() error{
+	err := e.RunTasks(context.Background(), "task", nil, []func() error{
 		func() error { panic("poisoned") },
 	})
 	if err == nil || !strings.Contains(err.Error(), "poisoned") {
@@ -397,14 +410,37 @@ func TestRunOnMatchesRun(t *testing.T) {
 	}
 }
 
+func TestNewWorkerMatchesRun(t *testing.T) {
+	// One task solving every job in turn reuses a single worker's model
+	// clone and pooled evaluator across solves — still bit-identical.
+	jobs := makeJobs(8, ModeSolve)
+	want, err := New(Config{Workers: 4}).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workers: 4, Model: jobs[0].Inst.Model})
+	got := make([]Result, len(jobs))
+	err = e.RunOn(context.Background(), []func(*Worker) error{func(w *Worker) error {
+		for i := range jobs {
+			got[i] = w.Do(jobs[i])
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !solutionsEqual(want[i], got[i]) {
+			t.Errorf("single-task worker: job %d diverged from Run", i)
+		}
+	}
+}
+
 func TestRunOnRequiresModel(t *testing.T) {
 	e := New(Config{Workers: 2}) // no model, no prior Run
 	err := e.RunOn(context.Background(), []func(*Worker) error{func(*Worker) error { return nil }})
 	if err == nil || !strings.Contains(err.Error(), "model") {
 		t.Errorf("err = %v, want configured-model error", err)
-	}
-	if _, err := e.NewWorker(); err == nil {
-		t.Error("NewWorker without a model: want error")
 	}
 }
 
@@ -443,24 +479,6 @@ func TestRunOnCancelledContext(t *testing.T) {
 	}
 }
 
-func TestNewWorkerMatchesRun(t *testing.T) {
-	jobs := makeJobs(8, ModeSolve)
-	want, err := New(Config{Workers: 4}).Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(Config{Workers: 4, Model: jobs[0].Inst.Model})
-	w, err := e.NewWorker()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if got := w.Do(jobs[i]); !solutionsEqual(want[i], got) {
-			t.Errorf("standalone worker job %d diverged from Run", i)
-		}
-	}
-}
-
 func TestRunTasksCancelledContext(t *testing.T) {
 	e := New(Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -470,7 +488,7 @@ func TestRunTasksCancelledContext(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = func() error { ran.Add(1); return nil }
 	}
-	if err := e.RunTasks(ctx, tasks); err == nil {
+	if err := e.RunTasks(ctx, "task", nil, tasks); err == nil {
 		t.Error("cancelled context: want error")
 	}
 	if ran.Load() != 0 {

@@ -108,6 +108,13 @@ func renderAll(t *testing.T, workers int) string {
 // totals) are zeroed; everything else must be byte-identical.
 func gsinoFingerprint(t *testing.T, seed int64, workers int, trace *obs.Tracer) string {
 	t.Helper()
+	return fingerprint(gsinoOutcome(t, seed, workers, trace))
+}
+
+// gsinoOutcome runs the full GSINO pipeline on a refinement-heavy scaled
+// ibm01 at the given worker count.
+func gsinoOutcome(t *testing.T, seed int64, workers int, trace *obs.Tracer) *core.Outcome {
+	t.Helper()
 	profile, err := ibm.ProfileByName("ibm01")
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +132,11 @@ func gsinoFingerprint(t *testing.T, seed int64, workers int, trace *obs.Tracer) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return o
+}
+
+// fingerprint renders o as gsinoFingerprint describes.
+func fingerprint(o *core.Outcome) string {
 	o.Runtime = 0
 	o.Phases = obs.PhaseTimes{}
 	o.Engine = engine.Stats{}  // scheduling-dependent throughput counters only
@@ -143,13 +155,24 @@ func gsinoFingerprint(t *testing.T, seed int64, workers int, trace *obs.Tracer) 
 // TestRefineWorkerInvariance pins Phase III's parallel refinement to the
 // engine's determinism contract: the full GSINO pipeline — conflict-graph
 // repair waves and speculative pass 2 included — must produce identical
-// reports and outcome fields at every worker count, on several seeds with
-// real refinement pressure.
+// refinement counters, reports and outcome fields at every worker count,
+// on several seeds with real refinement pressure. One worker is the
+// serial reference: the same pool, one task at a time.
 func TestRefineWorkerInvariance(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		seq := gsinoFingerprint(t, seed, 1, nil)
-		for _, workers := range []int{4, 8} {
-			if par := gsinoFingerprint(t, seed, workers, nil); par != seq {
+		ref := gsinoOutcome(t, seed, 1, nil)
+		if ref.Refine.Waves == 0 {
+			t.Fatalf("seed %d: no repair waves; the fixture lost its refinement pressure", seed)
+		}
+		refRefine, refResolves, refUnfixable := ref.Refine, ref.Refinements, ref.Unfixable
+		seq := fingerprint(ref)
+		for _, workers := range []int{2, 4, 8} {
+			o := gsinoOutcome(t, seed, workers, nil)
+			if o.Refine != refRefine || o.Refinements != refResolves || o.Unfixable != refUnfixable {
+				t.Errorf("seed %d workers %d: refine stats %+v (resolves %d, unfixable %d), 1 worker %+v (resolves %d, unfixable %d)",
+					seed, workers, o.Refine, o.Refinements, o.Unfixable, refRefine, refResolves, refUnfixable)
+			}
+			if par := fingerprint(o); par != seq {
 				t.Errorf("seed %d: GSINO outcome with %d workers differs from 1 worker:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
 					seed, workers, seq, workers, par)
 			}

@@ -11,10 +11,9 @@ import (
 )
 
 // cancelPool wraps a Pool and cancels the run's context immediately before
-// delegating task batch number `at`. It deliberately implements only the
-// plain Pool interface, so every router fan-out (seeding chunks, shard
-// drains, reconcile components, extraction) reaches it through the same
-// RunTasks door and the batch count is predictable.
+// delegating task batch number `at`. Every router fan-out (seeding chunks,
+// shard drains, reconcile components, extraction) reaches it through the
+// one RunTasks door, so the batch count is predictable.
 type cancelPool struct {
 	inner  Pool
 	cancel context.CancelFunc
@@ -22,12 +21,12 @@ type cancelPool struct {
 	calls  int
 }
 
-func (p *cancelPool) RunTasks(ctx context.Context, tasks []func() error) error {
+func (p *cancelPool) RunTasks(ctx context.Context, cat string, labels []string, tasks []func() error) error {
 	if p.calls == p.at {
 		p.cancel()
 	}
 	p.calls++
-	return p.inner.RunTasks(ctx, tasks)
+	return p.inner.RunTasks(ctx, cat, labels, tasks)
 }
 
 // TestNewRouterOnCancelMidSeeding: cancelling while the chunked per-net

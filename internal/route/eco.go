@@ -212,6 +212,7 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 	}
 	cfg = cfg.withDefaults()
 	scfg = scfg.withDefaults(g.Cols, g.Rows)
+	pool = orSerial(pool, scfg.Trace, scfg.Lane)
 	if prev.cfg != cfg {
 		return nil, nil, es, fmt.Errorf("route: drain state router config mismatch")
 	}
@@ -370,33 +371,12 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 	}
 	ssp.End()
 
-	if pool == nil || len(views) <= 1 {
-		for vi, v := range views {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, es, err
-			}
-			gi := dirtyGIs[vi]
-			dsp := scfg.Trace.Start(scfg.Lane, "route", "shard drain").Arg("shard", int64(gi)).Arg("nets", int64(len(groups[gi])))
-			v.drain()
-			dsp.End()
-		}
-	} else {
-		var labels []string
-		if scfg.Trace.Enabled() {
-			labels = make([]string, len(views))
-			for vi := range views {
-				gi := dirtyGIs[vi]
-				labels[vi] = fmt.Sprintf("eco shard %d (%d nets)", gi, len(groups[gi]))
-			}
-		}
-		tasks := make([]func() error, len(views))
-		for i := range views {
-			v := views[i]
-			tasks[i] = func() error { v.drain(); return nil }
-		}
-		if err := runLabeled(ctx, pool, "shard", labels, tasks); err != nil {
-			return nil, nil, es, err
-		}
+	err = drainViews(ctx, pool, scfg.Trace, "shard", views, func(vi int) string {
+		gi := dirtyGIs[vi]
+		return fmt.Sprintf("eco shard %d (%d nets)", gi, len(groups[gi]))
+	})
+	if err != nil {
+		return nil, nil, es, err
 	}
 
 	// Merge in group order — live views for invalidated groups, captured

@@ -268,7 +268,7 @@ func NewRouter(g *grid.Grid, cfg Config, nets []Net) (*Router, error) {
 const seedChunk = 256
 
 // NewRouterOn prepares the deletion state with per-net construction
-// fanned out over pool (nil routes everything serially). Construction
+// fanned out over pool (nil constructs serially). Construction
 // splits into two parts:
 //
 //   - Pure per-net work — pin dedup, bounding box, RSMT length estimate,
@@ -294,7 +294,7 @@ func NewRouterOn(ctx context.Context, g *grid.Grid, cfg Config, nets []Net, pool
 	for i := range nets {
 		r.inPins[i] = nets[i].Pins
 	}
-	err := mapChunks(ctx, pool, "seed", len(nets), seedChunk, func(_, lo, hi int) error {
+	err := mapChunks(ctx, orSerial(pool, nil, 0), "seed", len(nets), seedChunk, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			r.nets[i] = r.makeNetState(nets[i])
 		}

@@ -221,7 +221,7 @@ const extractChunk = 256
 // result matches sequential extract byte for byte at any worker count.
 func (r *Router) extractParallel(ctx context.Context, pool Pool) (*Result, error) {
 	n := len(r.nets)
-	if pool == nil || n <= extractChunk {
+	if n <= extractChunk {
 		return r.extract(), nil
 	}
 	res := &Result{

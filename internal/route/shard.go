@@ -9,71 +9,87 @@ import (
 	"repro/internal/obs"
 )
 
-// Pool runs a batch of independent tasks, possibly concurrently, returning
-// the first task error (or the context's error on cancellation). The
-// concurrent region-solve engine (internal/engine) implements Pool; the
-// router depends only on this interface so it stays engine-agnostic.
+// Pool runs a batch of independent tasks, possibly concurrently. It is a
+// barrier: it returns once every task has finished, with the first task
+// error in submission order, or the context's error on cancellation
+// (unstarted tasks are skipped). cat and labels name the tasks' trace
+// spans — task i is labels[i], or cat when labels is nil or labels[i] is
+// empty — and are display-only. The concurrent region-solve engine
+// (internal/engine) implements Pool; the router depends only on this
+// interface so it stays engine-agnostic. Every entry point replaces a nil
+// Pool with serialPool.
 type Pool interface {
-	RunTasks(ctx context.Context, tasks []func() error) error
+	RunTasks(ctx context.Context, cat string, labels []string, tasks []func() error) error
 }
 
-// LabeledPool is an optional Pool extension: pools that attach a display
-// name to each task's trace span implement it (the engine does). The
-// router uses it, when available and tracing is on, to name its shard
-// drains and extraction chunks in the exported trace; execution semantics
-// are identical to RunTasks.
-type LabeledPool interface {
-	RunTasksLabeled(ctx context.Context, cat string, labels []string, tasks []func() error) error
+// serialPool runs tasks one at a time, in submission order, on the
+// caller's goroutine, checking ctx before each. Each task's span goes on
+// lane under the engine's naming, so a serial trace shows the same
+// taxonomy as a pooled one.
+type serialPool struct {
+	trace *obs.Tracer
+	lane  obs.Lane
 }
 
-// runLabeled dispatches tasks through the pool's labeled path when one
-// exists, else plain RunTasks. labels may be nil (the untraced fast path).
-func runLabeled(ctx context.Context, pool Pool, cat string, labels []string, tasks []func() error) error {
-	if lp, ok := pool.(LabeledPool); ok {
-		return lp.RunTasksLabeled(ctx, cat, labels, tasks)
-	}
-	return pool.RunTasks(ctx, tasks)
-}
-
-// ChunkedPool is an optional Pool extension: pools with a native
-// fixed-size chunked map over an index space implement it (the engine
-// does — engine.MapChunks). Semantics match mapChunks below.
-type ChunkedPool interface {
-	MapChunks(ctx context.Context, cat string, n, chunk int, body func(c, lo, hi int) error) error
-}
-
-// mapChunks fans body out over [0, n) in fixed-size chunks: natively on a
-// ChunkedPool, as a task batch on any other pool, and serially in chunk
-// order when pool is nil. Chunk boundaries are a pure function of
-// (n, chunk), never of the pool or worker count, so every execution hands
-// body identical ranges — the router's parallel per-net loops (seeding,
-// tree extraction) write only range-disjoint slots and therefore produce
-// identical bytes on every path.
-func mapChunks(ctx context.Context, pool Pool, cat string, n, chunk int, body func(c, lo, hi int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if pool == nil {
-		for c, lo := 0, 0; lo < n; c, lo = c+1, lo+chunk {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := body(c, lo, min(lo+chunk, n)); err != nil {
-				return err
-			}
+func (p serialPool) RunTasks(ctx context.Context, cat string, labels []string, tasks []func() error) error {
+	for i, task := range tasks {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return nil
+		name := cat
+		if i < len(labels) && labels[i] != "" {
+			name = labels[i]
+		}
+		sp := p.trace.Start(p.lane, cat, name).Arg("task", int64(i))
+		err := task()
+		sp.End()
+		if err != nil {
+			return err
+		}
 	}
-	if cp, ok := pool.(ChunkedPool); ok {
-		return cp.MapChunks(ctx, cat, n, chunk, body)
+	return ctx.Err()
+}
+
+// orSerial returns pool, or a serialPool tracing onto lane when pool is
+// nil.
+func orSerial(pool Pool, trace *obs.Tracer, lane obs.Lane) Pool {
+	if pool == nil {
+		return serialPool{trace: trace, lane: lane}
 	}
-	nChunks := (n + chunk - 1) / chunk
-	tasks := make([]func() error, nChunks)
-	for c := 0; c < nChunks; c++ {
-		c, lo := c, c*chunk
+	return pool
+}
+
+// mapChunks fans body out over [0, n) in fixed-size chunks, one pool task
+// per chunk. Chunk boundaries are a pure function of (n, chunk), never of
+// the pool or worker count, so every execution hands body identical
+// ranges — the router's parallel per-net loops (seeding, tree extraction)
+// write only range-disjoint slots and therefore produce identical bytes
+// on every pool.
+func mapChunks(ctx context.Context, pool Pool, cat string, n, chunk int, body func(c, lo, hi int) error) error {
+	tasks := make([]func() error, (n+chunk-1)/chunk)
+	for c := range tasks {
+		lo := c * chunk
 		tasks[c] = func() error { return body(c, lo, min(lo+chunk, n)) }
 	}
-	return runLabeled(ctx, pool, cat, nil, tasks)
+	return pool.RunTasks(ctx, cat, nil, tasks)
+}
+
+// drainViews drains every view to its fixpoint as one pool batch, task i
+// labelled label(i) when tracing. Views write only their private deltas
+// and read the base, which no drain writes, so the drains are independent.
+func drainViews(ctx context.Context, pool Pool, trace *obs.Tracer, cat string, views []*view, label func(i int) string) error {
+	var labels []string
+	if trace.Enabled() {
+		labels = make([]string, len(views))
+		for i := range views {
+			labels[i] = label(i)
+		}
+	}
+	tasks := make([]func() error, len(views))
+	for i, v := range views {
+		tasks[i] = func() error { v.drain(); return nil }
+	}
+	return pool.RunTasks(ctx, cat, labels, tasks)
 }
 
 // ShardConfig tunes RunSharded's tile decomposition. The configuration is
@@ -90,11 +106,11 @@ type ShardConfig struct {
 	// 2, negative disables reconciliation.
 	MaxReconcileRounds int
 
-	// Trace, when enabled, records Phase I spans: one per shard drain
-	// (named, on the executing worker's lane when the pool supports
-	// labels), plus the serial sections ROADMAP's Amdahl pass watches —
-	// heap split, delta merge, each reconciliation round, and tree
-	// extraction — on Lane. Tracing never changes the routing result.
+	// Trace, when enabled, records Phase I spans: one per pool task (shard
+	// drain, reconcile component, extraction chunk), named and on the
+	// executing worker's lane, plus the serial sections — heap split, delta
+	// merge, each reconciliation round, and tree extraction — on Lane.
+	// Tracing never changes the routing result.
 	Trace *obs.Tracer
 
 	// Lane is the caller's trace lane for the serial-section spans
@@ -141,7 +157,7 @@ func (c ShardConfig) Resolved(cols, rows int) ShardConfig { return c.withDefault
 //
 // Every step is either embarrassingly parallel over private state or
 // sequential in a fixed order, so the Result is byte-identical whether the
-// pool runs one worker or many. A nil pool drains the groups serially.
+// pool runs one worker or many. A nil pool runs everything serially.
 func (r *Router) RunSharded(ctx context.Context, pool Pool, cfg ShardConfig) (*Result, error) {
 	res, _, err := r.runSharded(ctx, pool, cfg, false)
 	return res, err
@@ -157,6 +173,7 @@ func (r *Router) RunShardedState(ctx context.Context, pool Pool, cfg ShardConfig
 
 func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, capture bool) (*Result, *DrainState, error) {
 	cfg = cfg.withDefaults(r.g.Cols, r.g.Rows)
+	pool = orSerial(pool, cfg.Trace, cfg.Lane)
 	groups, tileIDs := r.partition(cfg)
 
 	stats := RunStats{Shards: len(groups), SeedChunks: r.seedChunks}
@@ -190,31 +207,11 @@ func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, cap
 	}
 	ssp.End()
 
-	if pool == nil || len(views) == 1 {
-		for gi, v := range views {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			dsp := cfg.Trace.Start(cfg.Lane, "route", "shard drain").Arg("shard", int64(gi)).Arg("nets", int64(len(groups[gi])))
-			v.drain()
-			dsp.End()
-		}
-	} else {
-		var labels []string
-		if cfg.Trace.Enabled() {
-			labels = make([]string, len(views))
-			for gi := range views {
-				labels[gi] = fmt.Sprintf("shard %d (%d nets)", gi, len(groups[gi]))
-			}
-		}
-		tasks := make([]func() error, len(views))
-		for i := range views {
-			v := views[i]
-			tasks[i] = func() error { v.drain(); return nil }
-		}
-		if err := runLabeled(ctx, pool, "shard", labels, tasks); err != nil {
-			return nil, nil, err
-		}
+	err := drainViews(ctx, pool, cfg.Trace, "shard", views, func(gi int) string {
+		return fmt.Sprintf("shard %d (%d nets)", gi, len(groups[gi]))
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Deterministic merge: tile order, then window scan order within each.
@@ -348,29 +345,11 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 	for _, v := range cviews {
 		heap.Init(&v.pq)
 	}
-	if pool == nil || len(cviews) == 1 {
-		for _, v := range cviews {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			v.drain()
-		}
-	} else {
-		var labels []string
-		if cfg.Trace.Enabled() {
-			labels = make([]string, len(cviews))
-			for ci := range cviews {
-				labels[ci] = fmt.Sprintf("reconcile %d comp %d (%d nets)", round, ci, len(comps[ci]))
-			}
-		}
-		tasks := make([]func() error, len(cviews))
-		for i := range cviews {
-			v := cviews[i]
-			tasks[i] = func() error { v.drain(); return nil }
-		}
-		if err := runLabeled(ctx, pool, "reconcile", labels, tasks); err != nil {
-			return err
-		}
+	err := drainViews(ctx, pool, cfg.Trace, "reconcile", cviews, func(ci int) string {
+		return fmt.Sprintf("reconcile %d comp %d (%d nets)", round, ci, len(comps[ci]))
+	})
+	if err != nil {
+		return err
 	}
 	for _, v := range cviews {
 		v.merge()

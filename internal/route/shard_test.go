@@ -1,15 +1,19 @@
 package route
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/obs"
 )
 
 // randomNets builds a deterministic pseudo-random net list on a cols×rows
@@ -239,5 +243,76 @@ func TestRunShardedContextCancel(t *testing.T) {
 	cancel()
 	if _, err := r.RunSharded(ctx, engine.New(engine.Config{Workers: 2}), ShardConfig{}); err == nil {
 		t.Error("cancelled context: want error")
+	}
+}
+
+// poolSpanNames returns the sorted names of the shard-drain and
+// reconcile-component task spans in tr.
+func poolSpanNames(t *testing.T, tr *obs.Tracer) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct{ Name, Cat, Ph string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range f.TraceEvents {
+		if e.Ph == "X" && (e.Cat == "shard" || e.Cat == "reconcile") {
+			names = append(names, e.Name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// TestSerialPoolTraceTaxonomy: a nil pool runs the very task batches the
+// engine would, one at a time, so a traced nil-pool RunSharded plus
+// RunShardedResume records the engine path's shard and reconcile task
+// spans — same names, same count.
+func TestSerialPoolTraceTaxonomy(t *testing.T) {
+	g, nets := twoClusterOverflow(t)
+	edited := append([]Net(nil), nets...)
+	edited[0] = Net{ID: 0, Pins: []geom.Point{{X: 0, Y: 1}, {X: 6, Y: 1}}}
+	run := func(tr *obs.Tracer, pool Pool) []string {
+		scfg := ShardConfig{MaxReconcileRounds: 3, Trace: tr, Lane: tr.Lane("caller")}
+		r, err := NewRouter(g, Config{}, nets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ds, err := r.RunShardedState(context.Background(), pool, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Shards < 2 || res.Stats.ReconcileRounds == 0 {
+			t.Fatalf("fixture drifted: %+v", res.Stats)
+		}
+		res, _, _, err = RunShardedResume(context.Background(), g, Config{}, edited, pool, scfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ReconcileRounds == 0 {
+			t.Fatalf("resume fixture drifted: %+v", res.Stats)
+		}
+		return poolSpanNames(t, tr)
+	}
+	serial := run(obs.New(), nil)
+	tr := obs.New()
+	pooled := run(tr, engine.New(engine.Config{Workers: 2, Trace: tr}))
+	if !reflect.DeepEqual(serial, pooled) {
+		t.Errorf("nil-pool task spans %q, engine %q", serial, pooled)
+	}
+	for _, want := range []string{"shard 0 ", "eco shard ", "reconcile 0 comp 0 "} {
+		found := false
+		for _, name := range serial {
+			found = found || strings.HasPrefix(name, want)
+		}
+		if !found {
+			t.Errorf("no nil-pool task span starting %q in %q", want, serial)
+		}
 	}
 }

@@ -2,10 +2,7 @@ package sched
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -173,75 +170,4 @@ func BenchmarkECO(b *testing.B) {
 			runBatchStore(b, ecoCells(d, &delta), 1, store)
 		}
 	})
-}
-
-// batchBenchJSON enables the machine-readable batch bench smoke:
-//
-//	go test ./internal/sched -run TestBatchBenchJSON -benchjson BENCH_batch.json
-//
-// It runs the batched evaluation grid through testing.Benchmark (honoring
-// -benchtime) at the serial and batched settings and writes their ns/op,
-// so CI and EXPERIMENTS.md track cross-chip batching's perf trajectory
-// without scraping bench output.
-var batchBenchJSON = flag.String("benchjson", "", "write batch scheduler benchmark ns/op to this JSON file")
-
-// batchReport is the BENCH_batch.json schema.
-type batchReport struct {
-	Unit       string           `json:"unit"` // always "ns/op"
-	Benchmarks map[string]int64 `json:"benchmarks"`
-}
-
-func TestBatchBenchJSON(t *testing.T) {
-	if *batchBenchJSON == "" {
-		t.Skip("bench smoke disabled; enable with -benchjson <path>")
-	}
-	cells := benchCells(t)
-	report := batchReport{Unit: "ns/op", Benchmarks: map[string]int64{}}
-	for _, jobs := range []int{1, 4} {
-		jobs := jobs
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runBatch(b, cells, jobs)
-			}
-		})
-		report.Benchmarks[fmt.Sprintf("grid12/jobs%d", jobs)] = res.NsPerOp()
-		res = testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				runBatchStore(b, cells, jobs, artifact.NewStore(0))
-			}
-		})
-		report.Benchmarks[fmt.Sprintf("grid12-cached/jobs%d", jobs)] = res.NsPerOp()
-	}
-
-	ecoBase := ibmDesign(t, "ibm01", 0.3, 16)
-	delta := benchECODelta()
-	edited, err := delta.Apply(ecoBase.Nets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ed := &core.Design{Name: ecoBase.Name, Nets: edited, Grid: ecoBase.Grid, Rate: ecoBase.Rate}
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runBatch(b, evalGrid(ed), 1)
-		}
-	})
-	report.Benchmarks["eco/fullrun"] = res.NsPerOp()
-	res = testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			store := artifact.NewStore(0)
-			runBatchStore(b, evalGrid(ecoBase), 1, store)
-			b.StartTimer()
-			runBatchStore(b, ecoCells(ecoBase, &delta), 1, store)
-		}
-	})
-	report.Benchmarks["eco/resume"] = res.NsPerOp()
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*batchBenchJSON, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d benchmark entries to %s", len(report.Benchmarks), *batchBenchJSON)
 }
