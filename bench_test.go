@@ -144,7 +144,8 @@ func BenchmarkShieldEstimate(b *testing.B) {
 
 // BenchmarkSINOSolver measures the per-region SINO heuristic across
 // instance sizes — the inner loop of Phases II and III — on a pooled
-// evaluator, the way engine workers invoke it. The oneshot variant keeps
+// evaluator, as engine workers reuse theirs, but without a shared cache,
+// so every pair coupling is computed directly. The oneshot variant keeps
 // the cold-start cost (fresh evaluator per call) visible.
 func BenchmarkSINOSolver(b *testing.B) {
 	for _, n := range []int{10, 30, 60, 120} {

@@ -24,6 +24,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/ibm"
+	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
@@ -48,9 +49,29 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
 
+	if *ecoFull && *ecoPath == "" {
+		log.Fatal("-ecofull requires -eco")
+	}
+	// Read every input and open every output before the first flow runs,
+	// so a bad path or delta fails with nothing printed.
+	var delta artifact.Delta
+	if *ecoPath != "" {
+		data, err := os.ReadFile(*ecoPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if delta, err = artifact.ParseDelta(data); err != nil {
+			log.Fatal(err)
+		}
+	}
 	var tracer *obs.Tracer
+	var traceFile *os.File
 	if *tracePath != "" {
-		tracer = obs.New()
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		tracer, traceFile = obs.New(), f
 	}
 	if *pprofAddr != "" {
 		addr, err := obs.StartPprof(*pprofAddr)
@@ -73,6 +94,15 @@ func main() {
 		Nets: ckt.Nets,
 		Grid: ckt.Grid,
 		Rate: *rate,
+	}
+	// Applying the delta here checks it against the design (net IDs in
+	// range, no net edited twice) before any flow runs; -ecofull routes the
+	// result, and the incremental runner applies the delta again itself.
+	var edited *netlist.Netlist
+	if *ecoPath != "" {
+		if edited, err = delta.Apply(design.Nets); err != nil {
+			log.Fatal(err)
+		}
 	}
 	params := core.Params{VThreshold: *vth, CongestionBudgeting: *congBudget, Workers: *workers, Trace: tracer}
 	if *artifacts {
@@ -102,31 +132,16 @@ func main() {
 	}
 
 	if *ecoPath != "" {
-		data, err := os.ReadFile(*ecoPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		delta, err := artifact.ParseDelta(data)
-		if err != nil {
-			log.Fatal(err)
-		}
 		var ecoRunner *core.Runner
 		if *ecoFull {
 			// From-scratch reference arm: same edited design, no resume.
-			edited, err := delta.Apply(design.Nets)
-			if err != nil {
-				log.Fatal(err)
-			}
 			editedDesign := &core.Design{Name: design.Name, Nets: edited, Grid: design.Grid, Rate: design.Rate}
 			ecoRunner, err = core.NewRunner(editedDesign, params)
-			if err != nil {
-				log.Fatal(err)
-			}
 		} else {
 			ecoRunner, err = core.NewECORunner(design, delta, params)
-			if err != nil {
-				log.Fatal(err)
-			}
+		}
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("eco: %d removed, %d moved, %d added\n",
 			len(delta.Remove), len(delta.Move), len(delta.Add))
@@ -137,7 +152,11 @@ func main() {
 	}
 
 	if tracer != nil {
-		if err := tracer.WriteFile(*tracePath); err != nil {
+		err := tracer.WriteJSON(traceFile)
+		if cerr := traceFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wrote trace to %s", *tracePath)

@@ -50,9 +50,24 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
 
+	// Open every output before the first cell runs, so a bad path fails
+	// with nothing printed.
+	var csvFile *os.File
+	if *csvPath != "" {
+		f, err := os.Create(*csvPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		csvFile = f
+	}
 	var tracer *obs.Tracer
+	var traceFile *os.File
 	if *tracePath != "" {
-		tracer = obs.New()
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		tracer, traceFile = obs.New(), f
 	}
 	if *pprofAddr != "" {
 		addr, err := obs.StartPprof(*pprofAddr)
@@ -155,23 +170,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
+	if csvFile != nil {
+		if err := set.CSV(csvFile); err != nil {
+			csvFile.Close()
 			log.Fatal(err)
 		}
-		if err := set.CSV(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := csvFile.Close(); err != nil {
 			log.Fatal(err)
 		}
 		console.Printf("wrote %s\n", *csvPath)
 	}
 
 	if tracer != nil {
-		if err := tracer.WriteFile(*tracePath); err != nil {
+		err := tracer.WriteJSON(traceFile)
+		if cerr := traceFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			log.Fatal(err)
 		}
 		console.Printf("wrote trace to %s\n", *tracePath)

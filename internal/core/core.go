@@ -208,11 +208,11 @@ type Outcome struct {
 	// the same attribution reason as Artifact.
 	ECO route.ECOStats
 
-	// Cache introspects the pair-coupling cache at flow end: tier
-	// occupancy and lookup totals. Under the batch scheduler the cache is
-	// shared per technology, so occupancy reflects all cells so far and
-	// the lookup counters are schedule-dependent — reporting only, never
-	// part of the determinism fingerprint.
+	// Cache introspects the pair-coupling cache at flow end: table
+	// occupancy and the evaluations it bypassed. Under the batch scheduler
+	// the cache is shared per technology, so both reflect all cells so far
+	// and are schedule-dependent — reporting only, never part of the
+	// determinism fingerprint.
 	Cache keff.CacheInfo
 
 	Runtime time.Duration

@@ -14,13 +14,14 @@
 //     worker count cannot change any individual outcome.
 //   - Each worker owns a private clone of the coupling model (keff.Model
 //     memoizes lazily and is not safe for concurrent use) and all workers
-//     share one sharded keff.PairCache, whose entries are pure functions of
+//     share one keff.PairCache, whose entries are pure functions of
 //     geometry — a racy double-compute stores the same bits.
 //
 // Beyond SINO instances, the engine runs arbitrary function jobs on the
 // same bounded pool via RunTasks — Phase I's sharded iterative-deletion
 // router drains its tile groups this way (see internal/route), so all
-// three GSINO phases share one worker budget.
+// three GSINO phases share one worker budget. An engine built without a
+// model is only that task pool: Run and RunOn need Config.Model.
 //
 // The engine also owns the run counters the CLI tools report: instances
 // solved, generic tasks executed, tracks and shields in the returned
@@ -29,6 +30,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -90,16 +92,15 @@ type Config struct {
 	// Workers bounds the pool; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 
-	// Model is the prototype coupling model, cloned once per worker. Nil
-	// defers to the first job's instance model at first Run.
+	// Model is the prototype coupling model, cloned once per worker. Run
+	// and RunOn require it; without one the engine serves RunTasks only.
 	Model *keff.Model
 
-	// Cache is the shared pair-coupling cache. Nil allocates a fresh one
-	// sized for the engine's model configuration — from Model when set,
-	// otherwise from the model the first Run resolves from its jobs. A
-	// cache is only valid for one model configuration; reuse across
-	// engines (and across batch-scheduler cells of one technology) is
-	// allowed when their models match.
+	// Cache is the shared pair-coupling cache, used only with Model. Nil
+	// allocates a fresh one sized for Model. A cache is only valid for one
+	// model configuration; reuse across engines (and across
+	// batch-scheduler cells of one technology) is allowed when their
+	// models match.
 	Cache *keff.PairCache
 
 	// Trace, when enabled, records batch-, wave-, and job-level spans: one
@@ -154,15 +155,15 @@ func (s Stats) Sub(prev Stats) Stats {
 // phases.
 type Engine struct {
 	workers int
-	cache   atomic.Pointer[keff.PairCache] // published by New or the first model-resolving Run
+	cache   *keff.PairCache // nil without a model
 
 	trace    *obs.Tracer
 	ctlLane  obs.Lane   // batch-level spans (Run/RunTasks/RunOn calls)
 	jobLanes []obs.Lane // per-worker job/task spans; nil when untraced
 
 	runMu  sync.Mutex    // serializes Run calls
-	models []*keff.Model // one per worker, created at first Run
-	evals  []*sino.Eval  // one per worker, lazily built, reused across calls
+	models []*keff.Model // one per worker; nil without a model
+	evals  []*sino.Eval  // one per worker, reused across calls
 
 	jobs    atomic.Uint64
 	tasks   atomic.Uint64
@@ -171,16 +172,20 @@ type Engine struct {
 	tracks  atomic.Uint64
 	shields atomic.Uint64
 
-	// cacheBase holds the cache counters at construction, so engines
-	// sharing a cache report only their own traffic.
+	// cacheBase holds the cache counters at construction, so an engine
+	// does not report traffic from before it existed. Engines that run
+	// concurrently on one cache (sched cells of one technology) still see
+	// each other's lookups in their counters.
 	cacheBaseHits, cacheBaseMiss uint64
 }
 
-// New builds an engine from cfg. When neither Cache nor Model is given, the
-// cache is not allocated until the first Run resolves a model from its jobs
-// — sizing the dense tier for a default configuration and then serving a
-// model with a different background return would silently push every lookup
-// to the locked overflow tier.
+// errNoModel is Run's and RunOn's error on an engine built without
+// Config.Model.
+var errNoModel = errors.New("engine: no model configured (Run and RunOn need Config.Model)")
+
+// New builds an engine from cfg: with a Model, a region-solve pool with one
+// model clone and pooled evaluator per worker and a shared cache; without
+// one, a RunTasks pool.
 func New(cfg Config) *Engine {
 	w := cfg.Workers
 	if w <= 0 {
@@ -194,40 +199,23 @@ func New(cfg Config) *Engine {
 			e.jobLanes[i] = e.trace.Lane(fmt.Sprintf("engine worker %d", i))
 		}
 	}
-	if cfg.Cache != nil {
-		e.cacheBaseHits, e.cacheBaseMiss = cfg.Cache.Stats()
-		e.cache.Store(cfg.Cache)
+	if cfg.Model == nil {
+		return e
 	}
-	if cfg.Model != nil {
-		e.initModels(cfg.Model)
+	e.cache = cfg.Cache
+	if e.cache == nil {
+		e.cache = keff.NewPairCacheFor(cfg.Model)
+	}
+	e.cacheBaseHits, e.cacheBaseMiss = e.cache.Stats()
+	// Each worker's evaluator buffers persist across every Run and RunOn
+	// batch it serves; slot w is touched by one drain goroutine per batch.
+	e.models = make([]*keff.Model, w)
+	e.evals = make([]*sino.Eval, w)
+	for i := range e.models {
+		e.models[i] = cfg.Model.Clone()
+		e.evals[i] = sino.NewEval()
 	}
 	return e
-}
-
-// initModels clones the prototype once per worker and, when no cache was
-// injected, sizes one from the now-resolved model configuration. A freshly
-// sized cache has zero counters, so the stats base stays zero.
-func (e *Engine) initModels(proto *keff.Model) {
-	if e.cache.Load() == nil {
-		e.cache.Store(keff.NewPairCacheFor(proto))
-	}
-	e.models = make([]*keff.Model, e.workers)
-	for i := range e.models {
-		e.models[i] = proto.Clone()
-	}
-	e.evals = make([]*sino.Eval, e.workers)
-}
-
-// eval returns worker w's pooled incremental evaluator, allocating it on
-// first use. Its buffers (and, for cache-less instances, its coupling
-// memo) persist across every Run and RunOn batch the worker serves. Only
-// valid while holding runMu with models initialized; slot w is touched by
-// exactly one drain goroutine per batch.
-func (e *Engine) eval(w int) *sino.Eval {
-	if e.evals[w] == nil {
-		e.evals[w] = sino.NewEval()
-	}
-	return e.evals[w]
 }
 
 // workerLane returns worker w's trace lane (the main lane when untraced,
@@ -243,9 +231,8 @@ func (e *Engine) workerLane(w int) obs.Lane {
 func (e *Engine) Workers() int { return e.workers }
 
 // Cache returns the shared pair-coupling cache, or nil when the engine was
-// built without a model or injected cache and has not yet run a solve batch
-// (the cache is sized from the first resolved model).
-func (e *Engine) Cache() *keff.PairCache { return e.cache.Load() }
+// built without a model.
+func (e *Engine) Cache() *keff.PairCache { return e.cache }
 
 // EvalStats sums the pooled per-worker incremental evaluators' counters
 // (binds, loads, edits, rollbacks — see sino.EvalStats). It acquires the
@@ -256,9 +243,7 @@ func (e *Engine) EvalStats() sino.EvalStats {
 	defer e.runMu.Unlock()
 	var s sino.EvalStats
 	for _, ev := range e.evals {
-		if ev != nil {
-			s = s.Add(ev.Stats())
-		}
+		s = s.Add(ev.Stats())
 	}
 	return s
 }
@@ -266,8 +251,8 @@ func (e *Engine) EvalStats() sino.EvalStats {
 // Stats returns a snapshot of the cumulative counters.
 func (e *Engine) Stats() Stats {
 	var hits, miss uint64
-	if c := e.cache.Load(); c != nil {
-		hits, miss = c.Stats()
+	if e.cache != nil {
+		hits, miss = e.cache.Stats()
 	}
 	return Stats{
 		Workers:   e.workers,
@@ -328,8 +313,8 @@ func firstTaskError(errs []error) error {
 // Run solves every job and returns results positionally: results[i] is
 // jobs[i]'s outcome. Per-job failures land in Result.Err and do not stop
 // the batch; FirstError collects them. Run itself returns an error only
-// when ctx is cancelled, in which case unstarted jobs carry ctx.Err() in
-// their Result.Err.
+// when the engine has no model or ctx is cancelled; on cancellation,
+// unstarted jobs carry ctx.Err() in their Result.Err.
 func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
@@ -339,11 +324,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		return results, ctx.Err()
 	}
 	if e.models == nil {
-		proto := firstModel(jobs)
-		if proto == nil {
-			return nil, fmt.Errorf("engine: no model configured and no job carries one")
-		}
-		e.initModels(proto)
+		return nil, errNoModel
 	}
 
 	bsp := e.trace.Start(e.ctlLane, "engine", "solve batch").Arg("jobs", int64(len(jobs)))
@@ -353,23 +334,11 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 			return
 		}
 		jsp := e.trace.Start(e.workerLane(w), "job", jobs[i].Mode.String()).Arg("job", int64(i))
-		results[i] = e.solveJob(&jobs[i], e.models[w], e.eval(w))
+		results[i] = e.solveJob(&jobs[i], e.models[w], e.evals[w])
 		jsp.End()
 	})
 	bsp.End()
 	return results, ctx.Err()
-}
-
-// firstModel returns the model of the first job that has an instance
-// carrying one — the prototype an engine without Config.Model adopts.
-// Jobs without an instance fail individually in solveJob.
-func firstModel(jobs []Job) *keff.Model {
-	for i := range jobs {
-		if jobs[i].Inst != nil && jobs[i].Inst.Model != nil {
-			return jobs[i].Inst.Model
-		}
-	}
-	return nil
 }
 
 // Worker is one pool worker's private solve context: a model clone, a
@@ -408,7 +377,7 @@ func (e *Engine) RunOn(ctx context.Context, tasks []func(*Worker) error) error {
 		return ctx.Err()
 	}
 	if e.models == nil {
-		return fmt.Errorf("engine: RunOn requires a configured model (set Config.Model or Run a batch first)")
+		return errNoModel
 	}
 	e.waves.Add(1)
 	errs := make([]error, len(tasks))
@@ -419,7 +388,7 @@ func (e *Engine) RunOn(ctx context.Context, tasks []func(*Worker) error) error {
 			return // drain remaining indices without running them
 		}
 		if workers[w] == nil {
-			workers[w] = &Worker{e: e, model: e.models[w], ev: e.eval(w)}
+			workers[w] = &Worker{e: e, model: e.models[w], ev: e.evals[w]}
 		}
 		wk := workers[w]
 		tsp := e.trace.Start(e.workerLane(w), "wave", "wave task").Arg("task", int64(i))
@@ -510,7 +479,7 @@ func (e *Engine) solveJob(job *Job, model *keff.Model, ev *sino.Eval) (res Resul
 	// never races with the caller's view of the instance.
 	inst := *job.Inst
 	inst.Model = model
-	inst.Cache = e.cache.Load()
+	inst.Cache = e.cache
 
 	switch job.Mode {
 	case ModeSolve:

@@ -34,6 +34,11 @@ func makeJobs(n int, mode Mode) []Job {
 	return jobs
 }
 
+// newFor builds an engine over the model the jobs share.
+func newFor(workers int, jobs []Job) *Engine {
+	return New(Config{Workers: workers, Model: jobs[0].Inst.Model})
+}
+
 // solutionsEqual compares two results track by track.
 func solutionsEqual(a, b Result) bool {
 	if (a.Err != nil) != (b.Err != nil) {
@@ -61,12 +66,14 @@ func solutionsEqual(a, b Result) bool {
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, mode := range []Mode{ModeSolve, ModeNetOrder} {
 		t.Run(mode.String(), func(t *testing.T) {
-			seq, err := New(Config{Workers: 1}).Run(context.Background(), makeJobs(40, mode))
+			jobs := makeJobs(40, mode)
+			seq, err := newFor(1, jobs).Run(context.Background(), jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, 8} {
-				par, err := New(Config{Workers: workers}).Run(context.Background(), makeJobs(40, mode))
+				jobs := makeJobs(40, mode)
+				par, err := newFor(workers, jobs).Run(context.Background(), jobs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +89,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 func TestRepairMode(t *testing.T) {
 	jobs := makeJobs(10, ModeSolve)
-	base, err := New(Config{Workers: 4}).Run(context.Background(), jobs)
+	base, err := newFor(4, jobs).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,7 @@ func TestRepairMode(t *testing.T) {
 			Prev: base[i].Sol,
 		}
 	}
-	res, err := New(Config{Workers: 4}).Run(context.Background(), repairs)
+	res, err := newFor(4, repairs).Run(context.Background(), repairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestPerJobErrorPropagation(t *testing.T) {
 	jobs := makeJobs(6, ModeSolve)
 	jobs[2].Inst.Segs[0].Kth = -1                       // sino.Solve panics on invalid instances
 	jobs[4] = Job{Mode: ModeRepair, Inst: jobs[4].Inst} // missing Prev
-	res, err := New(Config{Workers: 3}).Run(context.Background(), jobs)
+	res, err := newFor(3, jobs).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +143,11 @@ func TestPerJobErrorPropagation(t *testing.T) {
 		t.Errorf("FirstError(nil) = %v", e)
 	}
 
-	// Without Config.Model the engine adopts the first model any job
-	// carries; a leading job with no instance fails alone.
+	// Under a configured model, a leading job with no instance fails alone.
 	jobs = makeJobs(3, ModeSolve)
+	e := New(Config{Workers: 2, Model: jobs[1].Inst.Model})
 	jobs[0] = Job{Mode: ModeSolve}
-	res, err = New(Config{Workers: 2}).Run(context.Background(), jobs)
+	res, err = e.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +156,21 @@ func TestPerJobErrorPropagation(t *testing.T) {
 			t.Errorf("instance-less first job: job %d err = %v", i, r.Err)
 		}
 	}
-	if _, err := New(Config{Workers: 2}).Run(context.Background(), []Job{{Mode: ModeSolve}}); err == nil || !strings.Contains(err.Error(), "no model configured") {
-		t.Errorf("no job carries a model: err = %v, want the no-model error", err)
+
+	// Without Config.Model, Run fails as a whole — even when the jobs
+	// carry models, and even when the first has no instance at all.
+	for _, jobs := range [][]Job{makeJobs(3, ModeSolve), {{Mode: ModeSolve}}} {
+		if _, err := New(Config{Workers: 2}).Run(context.Background(), jobs); !errors.Is(err, errNoModel) {
+			t.Errorf("Run without a model: err = %v, want %v", err, errNoModel)
+		}
 	}
 }
 
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before submission
-	res, err := New(Config{Workers: 2}).Run(ctx, makeJobs(20, ModeSolve))
+	jobs := makeJobs(20, ModeSolve)
+	res, err := newFor(2, jobs).Run(ctx, jobs)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -173,8 +186,9 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	e := New(Config{Workers: 4})
-	res, err := e.Run(context.Background(), makeJobs(15, ModeSolve))
+	jobs := makeJobs(15, ModeSolve)
+	e := newFor(4, jobs)
+	res, err := e.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +222,13 @@ func TestStats(t *testing.T) {
 
 // makeJobsFor is makeJobs with a caller-supplied model: wide unshielded
 // instances whose mid-track return distances reach the model's background
-// return, stressing the cache's dense-tier bounds.
+// return, stressing the cache table's bounds.
 func makeJobsFor(n int, model *keff.Model) []Job {
 	sens := netlist.NewHashSensitivity(7, 0.6, 200)
 	jobs := make([]Job, n)
 	for i := range jobs {
 		// At most 28 tracks: every pair separation stays within the
-		// model-sized dense tier's separation bound for bg=14 (27).
+		// model-sized table's separation bound for bg=14 (27).
 		size := 20 + (i*5)%8
 		segs := make([]sino.Seg, size)
 		for s := range segs {
@@ -231,22 +245,15 @@ func makeJobsFor(n int, model *keff.Model) []Job {
 	return jobs
 }
 
-// TestAutoCacheSizedFromResolvedModel is the regression test for the
-// nil-model construction path: an engine built with neither Model nor Cache
-// used to allocate a default-sized cache immediately and keep it after the
-// first job's model defined the real configuration. With a non-default
-// background return (here 14 > the default sizing's 12), every geometry
-// whose return distance exceeded the default bound fell to the locked
-// overflow tier forever. The cache must instead be sized from the resolved
-// model: all traffic lands in the dense tier.
-func TestAutoCacheSizedFromResolvedModel(t *testing.T) {
+// TestCacheSizedFromConfigModel checks that the engine sizes its cache from
+// Config.Model. With a non-default background return (here 14 > the
+// default sizing's 12), a default-sized table would bypass every geometry
+// whose return distance exceeds 12; a model-sized one serves all of them.
+func TestCacheSizedFromConfigModel(t *testing.T) {
 	model := keff.NewModel(tech.Default())
-	model.BackgroundReturn = 14 // non-default, still within dense sizing caps
+	model.BackgroundReturn = 14 // non-default, still within table sizing caps
 
-	e := New(Config{Workers: 2}) // no Model, no Cache: sizing must defer
-	if e.Cache() != nil {
-		t.Fatal("engine allocated a cache before any model was resolved")
-	}
+	e := New(Config{Workers: 2, Model: model})
 	res, err := e.Run(context.Background(), makeJobsFor(6, model))
 	if err != nil {
 		t.Fatal(err)
@@ -254,48 +261,49 @@ func TestAutoCacheSizedFromResolvedModel(t *testing.T) {
 	if err := FirstError(res); err != nil {
 		t.Fatal(err)
 	}
-	c := e.Cache()
-	if c == nil {
-		t.Fatal("no cache after a model-resolving Run")
+	got, want := e.Cache().Info(), keff.NewPairCacheFor(model).Info()
+	if got.SepBound != want.SepBound || got.RetBound != want.RetBound {
+		t.Errorf("cache bounds = (%d, %d), want model-sized (%d, %d)", got.SepBound, got.RetBound, want.SepBound, want.RetBound)
 	}
-	wantSep, wantRet := keff.NewPairCacheFor(model).DenseBounds()
-	if sep, ret := c.DenseBounds(); sep != wantSep || ret != wantRet {
-		t.Errorf("auto cache dense bounds = (%d, %d), want model-sized (%d, %d)", sep, ret, wantSep, wantRet)
+	if got.Dense == 0 {
+		t.Error("no geometries cached after solving wide instances")
 	}
-	if c.DenseLen() == 0 {
-		t.Error("no dense-tier entries after solving wide instances")
-	}
-	if n := c.OverflowLen(); n != 0 {
-		t.Errorf("%d geometries fell to the locked overflow tier; model-sized dense tier should cover all of them", n)
+	if got.Overflow != 0 {
+		t.Errorf("%d evaluations bypassed the table; a model-sized cache should serve all of them", got.Overflow)
 	}
 	if st := e.Stats(); st.CacheHits == 0 {
 		t.Errorf("no cache hits recorded: %+v", st)
 	}
 
-	// The old behavior (default-sized cache, return bound 12) demonstrably
-	// overflows on the same workload — this guards the test's own power.
-	undersized := keff.NewPairCache()
-	e2 := New(Config{Workers: 2, Cache: undersized})
-	res, err = e2.Run(context.Background(), makeJobsFor(6, model))
+	// An injected default-sized cache serves the same workload with
+	// identical solutions, computing the far-return geometries directly —
+	// this also guards the test's own power.
+	undersized := keff.NewPairCacheFor(keff.NewModel(tech.Default()))
+	res2, err := New(Config{Workers: 2, Model: model, Cache: undersized}).Run(context.Background(), makeJobsFor(6, model))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := FirstError(res); err != nil {
-		t.Fatal(err)
+	for i := range res {
+		if !solutionsEqual(res[i], res2[i]) {
+			t.Errorf("job %d: undersized cache changed the solution", i)
+		}
 	}
-	if undersized.OverflowLen() == 0 {
-		t.Error("default-sized cache did not overflow on bg=14 geometry; workload no longer exercises the bug")
+	if undersized.Info().Overflow == 0 {
+		t.Error("default-sized cache bypassed nothing on bg=14 geometry; workload no longer exercises the bypass")
 	}
 }
 
 func TestCacheIsolationBetweenEngines(t *testing.T) {
-	shared := keff.NewPairCache()
-	e1 := New(Config{Workers: 2, Cache: shared})
-	if _, err := e1.Run(context.Background(), makeJobs(8, ModeSolve)); err != nil {
+	jobs := makeJobs(8, ModeSolve)
+	model := jobs[0].Inst.Model
+	shared := keff.NewPairCacheFor(model)
+	e1 := New(Config{Workers: 2, Model: model, Cache: shared})
+	if _, err := e1.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	// A second engine on the same cache must report only its own traffic.
-	e2 := New(Config{Workers: 2, Cache: shared})
+	// A second engine on the same cache must not report the first's
+	// earlier traffic.
+	e2 := New(Config{Workers: 2, Model: model, Cache: shared})
 	if got := e2.Stats(); got.CacheHits != 0 || got.CacheMiss != 0 {
 		t.Errorf("fresh engine inherited cache traffic: %+v", got)
 	}
@@ -380,7 +388,7 @@ func TestRunOnMatchesRun(t *testing.T) {
 	// same job solved through Run — Phase III's parallel refinement relies
 	// on this to keep the wave schedule worker-invariant.
 	jobs := makeJobs(20, ModeSolve)
-	want, err := New(Config{Workers: 4}).Run(context.Background(), jobs)
+	want, err := newFor(4, jobs).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +422,7 @@ func TestNewWorkerMatchesRun(t *testing.T) {
 	// One task solving every job in turn reuses a single worker's model
 	// clone and pooled evaluator across solves — still bit-identical.
 	jobs := makeJobs(8, ModeSolve)
-	want, err := New(Config{Workers: 4}).Run(context.Background(), jobs)
+	want, err := newFor(4, jobs).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,10 +445,10 @@ func TestNewWorkerMatchesRun(t *testing.T) {
 }
 
 func TestRunOnRequiresModel(t *testing.T) {
-	e := New(Config{Workers: 2}) // no model, no prior Run
+	e := New(Config{Workers: 2}) // a RunTasks pool
 	err := e.RunOn(context.Background(), []func(*Worker) error{func(*Worker) error { return nil }})
-	if err == nil || !strings.Contains(err.Error(), "model") {
-		t.Errorf("err = %v, want configured-model error", err)
+	if !errors.Is(err, errNoModel) {
+		t.Errorf("err = %v, want %v", err, errNoModel)
 	}
 }
 

@@ -2,35 +2,17 @@ package keff
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
-// pairKey is the relative geometry of one pair-coupling evaluation. The
-// coupling K_ij depends only on track-pitch distances — between the two
-// wires and from each wire to its left/right return conductors — so two
-// evaluations with equal pairKeys yield the same value under the same model
-// configuration, regardless of which instance or absolute positions they
-// came from.
-type pairKey struct {
-	D      int32 // tj − ti
-	IL, IR int32 // wire i's distance to its left/right return
-	JL, JR int32 // wire j's distance to its left/right return
-}
-
-// Dense-table sizing caps. The background-return model bounds every return
-// distance by bg pitches and every cached separation by the pair cutoff, so
+// Table sizing caps. The background-return model bounds every return
+// distance by bg pitches and every summed separation by the pair cutoff, so
 // for default configurations the whole geometry space fits a flat array.
 const (
-	maxDenseSep    = 64      // largest separation D the dense table covers
-	maxDenseReturn = 16      // largest return distance the dense table covers
-	maxDenseSlots  = 2 << 20 // hard cap on dense slots (16 MiB)
+	maxDenseSep    = 64      // largest separation D the table covers
+	maxDenseReturn = 16      // largest return distance the table covers
+	maxDenseSlots  = 2 << 20 // hard cap on slots (16 MiB)
 )
-
-// pairShards is the shard count of the overflow map. Power of two so the
-// shard pick is a mask; 64 keeps contention negligible at any realistic
-// worker count.
-const pairShards = 64
 
 // PairCache is a concurrency-safe, read-mostly memo of pair-coupling
 // evaluations. Region instances across a full chip share a small set of
@@ -38,78 +20,54 @@ const pairShards = 64
 // post-shield patterns Phase III converges to), so a single cache shared by
 // every engine worker eliminates most PairCoupling arithmetic after warm-up.
 //
-// Two tiers back the cache. Geometries within the background-return bounds
-// — all of them, for default model configurations — hit a dense lock-free
-// table of atomic slots: a hit costs an index computation and one atomic
-// load, far below the coupling formula itself. Geometries outside the dense
-// bounds (huge or disabled background return) fall back to sharded
-// RWMutex-guarded maps. Both tiers store the exact computed float64, so
-// cached results are bit-identical to direct ones; a racy double-compute
-// stores the same bits.
+// The coupling K_ij depends only on track-pitch distances — the separation
+// D = tj − ti and each wire's distance to its left/right return conductors —
+// so the cache is one flat table of atomic slots indexed by those five
+// distances: a hit costs an index computation and one atomic load, far
+// below the coupling formula itself. A geometry outside the table's bounds
+// (a cache sized for a smaller background return, or a partner beyond the
+// pair cutoff) is computed directly and only counted. Slots store the exact
+// computed float64, so cached results are bit-identical to direct ones; a
+// racy double-compute stores the same bits.
 //
 // Cached values are a pure function of the relative geometry AND the model
 // configuration (Technology, RefLength, BackgroundReturn): a PairCache must
 // not be shared between models with different configurations.
 type PairCache struct {
-	dMax int // dense bound on D (separations 1..dMax)
-	sMax int // dense bound on each return distance (1..sMax)
+	dMax int // bound on |D| (separations 1..dMax)
+	sMax int // bound on each return distance (1..sMax)
 
 	// dense[slot] is 0 when empty, else Float64bits(k) with the sign bit
 	// forced on as the presence flag (couplings are never negative).
 	dense []atomic.Uint64
 
-	shards [pairShards]pairShard // overflow for out-of-bounds geometries
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-type pairShard struct {
-	mu sync.RWMutex
-	m  map[pairKey]float64
-}
-
-// NewPairCache returns an empty cache sized for the default model
-// configuration (background return of 12 pitches).
-func NewPairCache() *PairCache {
-	return newPairCache(12, 4*12)
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	entries  atomic.Uint64 // filled slots
+	overflow atomic.Uint64 // evaluations outside the table
 }
 
 // NewPairCacheFor returns an empty cache sized to cover m's geometry: every
-// evaluation m can produce lands in the dense tier when the model's
+// evaluation within m's pair cutoff lands in the table when the model's
 // background return is bounded.
 func NewPairCacheFor(m *Model) *PairCache {
-	return newPairCache(m.backgroundReturn(), m.PairCutoff())
-}
-
-func newPairCache(bg, cutoff int) *PairCache {
-	c := &PairCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[pairKey]float64)
-	}
-	s := min(bg, maxDenseReturn)
-	d := min(cutoff, maxDenseSep)
-	if s < 1 || d < 1 {
-		return c
-	}
+	// Every model has bg >= 1 and a cutoff of at least 4, and the shrink
+	// below leaves at least 16 separations, so the table is never empty.
+	s := min(m.backgroundReturn(), maxDenseReturn)
+	d := min(m.PairCutoff(), maxDenseSep)
 	if s4 := s * s * s * s; d > maxDenseSlots/(2*s4) {
 		d = maxDenseSlots / (2 * s4) // shrink the separation range before memory
 	}
-	if d < 1 {
-		return c
-	}
-	c.sMax, c.dMax = s, d
 	// Two halves: positive and negative separations. Orientations cache
 	// separately (the formula is not bit-symmetric under operand swap), and
 	// negative-D lookups come from single-pair callers like the solver's
-	// sidePull, which must not fall to the locked overflow tier.
-	c.dense = make([]atomic.Uint64, 2*d*s*s*s*s)
-	return c
+	// sidePull.
+	return &PairCache{dMax: d, sMax: s, dense: make([]atomic.Uint64, 2*d*s*s*s*s)}
 }
 
-// denseSlot maps a key to its dense index, or -1 when out of bounds.
-func (c *PairCache) denseSlot(k pairKey) int {
-	d, il, ir, jl, jr := int(k.D), int(k.IL), int(k.IR), int(k.JL), int(k.JR)
+// slot maps a relative geometry to its table index, or -1 when out of
+// bounds.
+func (c *PairCache) slot(d, il, ir, jl, jr int) int {
 	neg := d < 0
 	if neg {
 		d = -d
@@ -129,10 +87,10 @@ func (c *PairCache) denseSlot(k pairKey) int {
 
 const presenceBit = 1 << 63
 
-// lookStats batches hit/miss counting so the hot path pays one atomic add
-// per solver call instead of one per pair.
+// lookStats batches the cache counters so the hot path pays one atomic add
+// per counter per solver call instead of one per pair.
 type lookStats struct {
-	hits, misses uint64
+	hits, misses, fills, overflow uint64
 }
 
 func (c *PairCache) flush(ls *lookStats) {
@@ -142,123 +100,62 @@ func (c *PairCache) flush(ls *lookStats) {
 	if ls.misses > 0 {
 		c.misses.Add(ls.misses)
 	}
+	if ls.fills > 0 {
+		c.entries.Add(ls.fills)
+	}
+	if ls.overflow > 0 {
+		c.overflow.Add(ls.overflow)
+	}
+	*ls = lookStats{}
 }
 
-func (c *PairCache) lookup(k pairKey, ls *lookStats) (float64, bool) {
-	if slot := c.denseSlot(k); slot >= 0 {
-		if b := c.dense[slot].Load(); b != 0 {
-			ls.hits++
-			return math.Float64frombits(b &^ presenceBit), true
-		}
-		ls.misses++
-		return 0, false
+// pair is pairCouplingAt behind the table: a hit returns the stored bits, a
+// miss computes and stores them, and an out-of-bounds geometry is computed
+// directly.
+func (c *PairCache) pair(m *Model, ls *lookStats, ti, tj int, si, sj [2]int) float64 {
+	slot := c.slot(tj-ti, ti-si[0], si[1]-ti, tj-sj[0], sj[1]-tj)
+	if slot < 0 {
+		ls.overflow++
+		return m.pairCouplingAt(ti, tj, si, sj)
 	}
-	s := c.shard(k)
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
-	if ok {
+	if b := c.dense[slot].Load(); b != 0 {
 		ls.hits++
-	} else {
-		ls.misses++
+		return math.Float64frombits(b &^ presenceBit)
 	}
-	return v, ok
-}
-
-func (c *PairCache) store(k pairKey, v float64) {
-	if slot := c.denseSlot(k); slot >= 0 {
-		c.dense[slot].Store(math.Float64bits(v) | presenceBit)
-		return
+	ls.misses++
+	v := m.pairCouplingAt(ti, tj, si, sj)
+	// Count the fill only for the writer that found the slot empty, so
+	// racing fills of one geometry count it once.
+	if c.dense[slot].Swap(math.Float64bits(v)|presenceBit) == 0 {
+		ls.fills++
 	}
-	s := c.shard(k)
-	s.mu.Lock()
-	s.m[k] = v
-	s.mu.Unlock()
+	return v
 }
 
-// shard maps an overflow key to its shard by mixing the distance fields.
-func (c *PairCache) shard(k pairKey) *pairShard {
-	h := uint64(uint32(k.D))*0x9e3779b1 ^ uint64(uint32(k.IL))*0x85ebca77 ^
-		uint64(uint32(k.IR))*0xc2b2ae3d ^ uint64(uint32(k.JL))*0x27d4eb2f ^
-		uint64(uint32(k.JR))*0x165667b1
-	return &c.shards[h&(pairShards-1)]
-}
-
-// Stats returns the cumulative lookup counters.
+// Stats returns the cumulative lookup counters. Out-of-bounds evaluations
+// count as neither.
 func (c *PairCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *PairCache) HitRate() float64 {
-	h, m := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
-// Len returns the number of distinct geometries cached across both tiers.
-func (c *PairCache) Len() int {
-	return c.DenseLen() + c.OverflowLen()
-}
-
-// DenseLen returns the number of geometries cached in the lock-free dense
-// tier. With a cache correctly sized for its model (NewPairCacheFor),
-// every in-cutoff geometry lands here.
-func (c *PairCache) DenseLen() int {
-	n := 0
-	for i := range c.dense {
-		if c.dense[i].Load() != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// OverflowLen returns the number of geometries that fell to the locked
-// overflow maps — geometries outside the dense tier's bounds. A nonzero
-// overflow under a bounded background return indicates the cache was sized
-// for a different model configuration.
-func (c *PairCache) OverflowLen() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// DenseBounds returns the dense tier's coverage: the largest track
-// separation and the largest per-side return distance it caches without
-// falling to the overflow tier. Both are 0 when the dense tier is disabled.
-func (c *PairCache) DenseBounds() (sep, ret int) {
-	return c.dMax, c.sMax
-}
-
 // CacheInfo is a point-in-time introspection snapshot of a PairCache —
-// tier occupancy, dense-tier coverage, and cumulative lookup counters —
+// table occupancy and coverage, and the evaluations it could not serve —
 // the unified metrics snapshot (internal/obs) reports per flow.
 type CacheInfo struct {
-	Dense, Overflow    int    // geometries resident per tier
-	SepBound, RetBound int    // dense-tier coverage (DenseBounds)
-	Hits, Misses       uint64 // cumulative lookups (Stats)
+	Dense              int // geometries resident in the table
+	Overflow           int // evaluations outside the table, computed directly
+	SepBound, RetBound int // table coverage: largest |D| and return distance
 }
 
-// Info gathers a CacheInfo snapshot. Safe on a nil cache (all zeros), so
-// callers introspecting a lazily-allocated engine cache need no guard.
-// Occupancy is a scan of both tiers — cheap relative to a solve batch, but
-// not something to call per job.
+// Info gathers a CacheInfo snapshot in O(1): occupancy is counted as slots
+// fill, not scanned.
 func (c *PairCache) Info() CacheInfo {
-	if c == nil {
-		return CacheInfo{}
+	return CacheInfo{
+		Dense:    int(c.entries.Load()),
+		Overflow: int(c.overflow.Load()),
+		SepBound: c.dMax,
+		RetBound: c.sMax,
 	}
-	info := CacheInfo{Dense: c.DenseLen(), Overflow: c.OverflowLen()}
-	info.SepBound, info.RetBound = c.DenseBounds()
-	info.Hits, info.Misses = c.Stats()
-	return info
 }
 
 // Clone returns an independent copy of the model: same configuration,
@@ -272,54 +169,6 @@ func (m *Model) Clone() *Model {
 		BackgroundReturn: m.BackgroundReturn,
 		mu:               append([]float64(nil), m.mu...),
 	}
-}
-
-// Warm precomputes the partial-inductance memo out to maxDist track pitches,
-// so subsequent evaluations up to that separation are read-only.
-func (m *Model) Warm(maxDist int) {
-	if maxDist >= 0 {
-		m.mutualAt(maxDist)
-	}
-}
-
-// pairCouplingCached is pairCouplingAt behind the cache; a nil cache
-// computes directly.
-func (m *Model) pairCouplingCached(c *PairCache, ls *lookStats, ti, tj int, si, sj [2]int) float64 {
-	if c == nil {
-		return m.pairCouplingAt(ti, tj, si, sj)
-	}
-	key := pairKey{
-		D:  int32(tj - ti),
-		IL: int32(ti - si[0]), IR: int32(si[1] - ti),
-		JL: int32(tj - sj[0]), JR: int32(sj[1] - tj),
-	}
-	if v, ok := c.lookup(key, ls); ok {
-		return v
-	}
-	v := m.pairCouplingAt(ti, tj, si, sj)
-	c.store(key, v)
-	return v
-}
-
-// PairCouplingCached is PairCoupling backed by a shared cache; a nil cache
-// is equivalent to PairCoupling. Orientations are cached separately — the
-// formula's floating-point summation order differs under operand swap, and
-// cached results must be bit-identical to direct ones.
-func (m *Model) PairCouplingCached(c *PairCache, l Layout, ti, tj int) float64 {
-	tr := l.Tracks
-	// Reuse PairCoupling's validation panics for bad inputs.
-	if ti == tj || ti < 0 || tj < 0 || ti >= len(tr) || tj >= len(tr) ||
-		tr[ti].Kind != SignalTrack || tr[tj].Kind != SignalTrack {
-		return m.PairCoupling(l, ti, tj)
-	}
-	il, ir := m.shieldNeighbors(tr, ti)
-	jl, jr := m.shieldNeighbors(tr, tj)
-	var ls lookStats
-	v := m.pairCouplingCached(c, &ls, ti, tj, [2]int{il, ir}, [2]int{jl, jr})
-	if c != nil {
-		c.flush(&ls)
-	}
-	return v
 }
 
 // AllTotalsCached is AllTotals backed by a shared cache; a nil cache is

@@ -22,7 +22,7 @@ func denseLayout(n int, shieldAt ...int) Layout {
 
 func TestCachedTotalsMatchUncached(t *testing.T) {
 	m := NewModel(tech.Default())
-	c := NewPairCache()
+	c := NewPairCacheFor(m)
 	for _, l := range []Layout{
 		denseLayout(8),
 		denseLayout(12, 3, 7),
@@ -46,26 +46,8 @@ func TestCachedTotalsMatchUncached(t *testing.T) {
 	if h, _ := c.Stats(); h == 0 {
 		t.Error("second pass produced no cache hits")
 	}
-	if c.Len() == 0 {
+	if c.Info().Dense == 0 {
 		t.Error("cache stored no geometries")
-	}
-}
-
-func TestPairCouplingCachedMatchesPairCoupling(t *testing.T) {
-	m := NewModel(tech.Default())
-	c := NewPairCache()
-	l := denseLayout(10, 4)
-	for ti := 0; ti < 10; ti++ {
-		for tj := 0; tj < 10; tj++ {
-			if ti == tj || l.Tracks[ti].Kind != SignalTrack || l.Tracks[tj].Kind != SignalTrack {
-				continue
-			}
-			want := m.PairCoupling(l, ti, tj)
-			got := m.PairCouplingCached(c, l, ti, tj)
-			if got != want {
-				t.Errorf("(%d,%d): cached %g != direct %g", ti, tj, got, want)
-			}
-		}
 	}
 }
 
@@ -83,43 +65,69 @@ func TestCloneIsIndependentAndEquivalent(t *testing.T) {
 	}
 	// Growing the clone's memo must not touch the original.
 	before := len(m.mu)
-	clone.Warm(before + 50)
+	clone.mutualAt(before + 50)
 	if len(m.mu) != before {
 		t.Errorf("warming the clone grew the original's memo: %d -> %d", before, len(m.mu))
 	}
 }
 
+// TestPairCacheConcurrentUse races workers filling empty caches: in each
+// round all start together on the same sequence of layouts, so they miss
+// on the same geometries at once. Totals must stay bit-identical, and the
+// O(1) occupancy count must equal the number of distinct geometries the
+// layouts contain — a racy double fill of one slot counts once.
 func TestPairCacheConcurrentUse(t *testing.T) {
 	proto := NewModel(tech.Default())
-	proto.Warm(64)
-	c := NewPairCache()
-	l := denseLayout(40, 10, 30)
-	want := proto.AllTotals(l, allSensitive)
-
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := proto.Clone()
-			for rep := 0; rep < 20; rep++ {
-				got := m.AllTotalsCached(c, l, allSensitive)
-				for i := range got {
-					if math.Abs(got[i]-want[i]) != 0 {
-						errs <- "concurrent cached totals diverged"
-						return
-					}
+	proto.mutualAt(64)
+	layouts := []Layout{denseLayout(40, 10, 30), denseLayout(48), denseLayout(33, 0, 7, 8, 20)}
+	want := make([][]float64, len(layouts))
+	geoms := make(map[[5]int]bool)
+	for li, l := range layouts {
+		want[li] = proto.AllTotals(l, allSensitive)
+		sh := proto.shieldTable(l.Tracks)
+		for i := range l.Tracks {
+			for j := i + 1; j < len(l.Tracks) && j-i <= proto.PairCutoff(); j++ {
+				if l.Tracks[i].Kind == SignalTrack && l.Tracks[j].Kind == SignalTrack {
+					geoms[[5]int{j - i, i - sh[i][0], sh[i][1] - i, j - sh[j][0], sh[j][1] - j}] = true
 				}
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if c.HitRate() == 0 {
-		t.Error("hit rate is zero after repeated identical evaluations")
+
+	for round := 0; round < 10; round++ {
+		c := NewPairCacheFor(proto)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		errs := make(chan string, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m := proto.Clone()
+				<-start
+				for rep := 0; rep < 20; rep++ {
+					li := rep % len(layouts)
+					got := m.AllTotalsCached(c, layouts[li], allSensitive)
+					for i := range got {
+						if math.Abs(got[i]-want[li][i]) != 0 {
+							errs <- "concurrent cached totals diverged"
+							return
+						}
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
+		if h, _ := c.Stats(); h == 0 {
+			t.Error("no hits after repeated identical evaluations")
+		}
+		if info := c.Info(); info.Dense != len(geoms) || info.Overflow != 0 {
+			t.Fatalf("round %d: Info() = %+v, want %d distinct geometries and no overflow", round, info, len(geoms))
+		}
 	}
 }

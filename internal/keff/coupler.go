@@ -1,42 +1,24 @@
 package keff
 
 // This file is the single-worker evaluation front end of the coupling
-// model: a Coupler bundles a Model with whichever memoization applies (the
-// shared concurrency-safe PairCache, or a private open-addressed memo when
-// no shared cache exists) and batches cache statistics per caller
-// operation. The incremental SINO evaluator (internal/sino) keeps one
-// Coupler per worker; AllTotalsCached is a thin wrapper over the same code
-// path, so cached, memoized, and direct evaluations are bit-identical by
-// construction.
-
-// memoSlots is the fixed size of a Coupler's private memo: 8192 entries
-// (128 KiB) covers the few hundred to few thousand distinct relative
-// geometries one instance's edit history visits, with room to spare.
-const memoSlots = 1 << 13
-
-// memoEntry is one private-memo slot; key 0 marks an empty slot (a valid
-// packed key is never 0 because return distances are at least 1).
-type memoEntry struct {
-	key uint64
-	val float64
-}
+// model: a Coupler bundles a Model with the shared PairCache, when there is
+// one, and batches cache statistics per caller operation. The incremental
+// SINO evaluator (internal/sino) keeps one Coupler per worker;
+// AllTotalsCached is a thin wrapper over the same code path, so cached and
+// direct evaluations are bit-identical by construction.
 
 // Coupler evaluates pair couplings for one worker. It is not safe for
 // concurrent use (it wraps a Model, which memoizes lazily); concurrent
 // solvers give each worker its own Coupler, sharing at most the PairCache.
 //
-// Lookup order: the shared PairCache when one was supplied, else the
-// private memo when enabled, else direct computation. All three return the
-// exact same float64 bits for the same relative geometry — couplings are
-// pure functions of geometry, and both tiers store the computed value
-// verbatim — so the choice is invisible to callers.
+// A Coupler with a PairCache looks each pair up in it; one without computes
+// directly. Both return the exact same float64 bits for the same relative
+// geometry — couplings are pure functions of geometry, and the cache stores
+// the computed value verbatim — so the choice is invisible to callers.
 type Coupler struct {
 	m  *Model
 	c  *PairCache
 	ls lookStats
-
-	memo    []memoEntry
-	memoLen int
 }
 
 // NewCoupler returns a Coupler over m, using the shared cache c when
@@ -49,87 +31,26 @@ func NewCoupler(m *Model, c *PairCache) *Coupler {
 func (cp *Coupler) Model() *Model { return cp.m }
 
 // SharedCache returns the shared PairCache, or nil when the Coupler
-// computes directly or through its private memo.
+// computes directly.
 func (cp *Coupler) SharedCache() *PairCache { return cp.c }
 
-// EnableMemo switches a cache-less Coupler to a private open-addressed
-// memo of pair couplings. The memo costs a fixed 128 KiB, needs no locks
-// or atomics, and persists across instances solved by the same worker; it
-// is ignored while a shared cache is present. Repeated calls are no-ops.
-func (cp *Coupler) EnableMemo() {
-	if cp.memo == nil {
-		cp.memo = make([]memoEntry, memoSlots)
-	}
-}
-
-// Flush pushes batched hit/miss counters to the shared cache. Callers
+// Flush pushes batched cache counters to the shared cache. Callers
 // batching many Pair evaluations (one solver operation, one totals pass)
 // flush once at the end instead of paying an atomic add per pair.
 func (cp *Coupler) Flush() {
 	if cp.c != nil {
 		cp.c.flush(&cp.ls)
-		cp.ls = lookStats{}
 	}
-}
-
-// packPairKey packs the relative geometry of one evaluation into a nonzero
-// uint64, or reports false when a field exceeds its range (huge separations
-// under a disabled background-return cap fall back to direct computation).
-func packPairKey(d, il, ir, jl, jr int) (uint64, bool) {
-	if d <= -(1<<14) || d >= 1<<14 {
-		return 0, false
-	}
-	if il < 1 || ir < 1 || jl < 1 || jr < 1 ||
-		il >= 1<<12 || ir >= 1<<12 || jl >= 1<<12 || jr >= 1<<12 {
-		return 0, false
-	}
-	return uint64(d+1<<14) | uint64(il)<<15 | uint64(ir)<<27 | uint64(jl)<<39 | uint64(jr)<<51, true
-}
-
-// memoHash is the splitmix64 finalizer, enough to spread the packed
-// geometry fields across the table.
-func memoHash(key uint64) uint64 {
-	key ^= key >> 30
-	key *= 0xbf58476d1ce4e5b9
-	key ^= key >> 27
-	key *= 0x94d049bb133111eb
-	key ^= key >> 31
-	return key
 }
 
 // Pair returns K_ij for signal tracks at positions ti and tj given each
 // wire's left/right return conductors (as produced by ShieldTableInto or
-// shieldNeighbors) — the memoized equivalent of pairCouplingAt.
+// shieldNeighbors) — pairCouplingAt behind the shared cache, if any.
 func (cp *Coupler) Pair(ti, tj int, si, sj [2]int) float64 {
-	if cp.c != nil {
-		return cp.m.pairCouplingCached(cp.c, &cp.ls, ti, tj, si, sj)
-	}
-	if cp.memo == nil {
+	if cp.c == nil {
 		return cp.m.pairCouplingAt(ti, tj, si, sj)
 	}
-	key, ok := packPairKey(tj-ti, ti-si[0], si[1]-ti, tj-sj[0], sj[1]-tj)
-	if !ok {
-		return cp.m.pairCouplingAt(ti, tj, si, sj)
-	}
-	h := memoHash(key) & (memoSlots - 1)
-	for {
-		e := &cp.memo[h]
-		if e.key == key {
-			return e.val
-		}
-		if e.key == 0 {
-			break
-		}
-		h = (h + 1) & (memoSlots - 1)
-	}
-	v := cp.m.pairCouplingAt(ti, tj, si, sj)
-	// Leave a quarter of the table empty so probe chains stay short; a
-	// full-enough memo simply stops learning new geometries.
-	if cp.memoLen < memoSlots*3/4 {
-		cp.memo[h] = memoEntry{key: key, val: v}
-		cp.memoLen++
-	}
-	return v
+	return cp.c.pair(cp.m, &cp.ls, ti, tj, si, sj)
 }
 
 // TrackTotal returns the total coupling K of the signal track at position

@@ -47,34 +47,86 @@ func TestTrackTotalMatchesAllTotals(t *testing.T) {
 	}
 }
 
-// TestCouplerMemoBitIdentical checks that the private memo returns the
-// exact bits of direct computation, including after heavy reuse.
-func TestCouplerMemoBitIdentical(t *testing.T) {
-	m := NewModel(tech.Default())
-	rng := rand.New(rand.NewSource(5))
-	memo := NewCoupler(m, nil)
-	memo.EnableMemo()
+// couplerVsDirect evaluates every ordered signal pair of l through a
+// Coupler over cache and directly, twice, failing on any bit difference.
+// It returns the number of evaluations and how many of them fell outside
+// the table — the geometries whose separation or return distances exceed
+// cache's bounds.
+func couplerVsDirect(t *testing.T, m *Model, cache *PairCache, l Layout) (evals, outside int) {
+	t.Helper()
+	cached := NewCoupler(m, cache)
 	direct := NewCoupler(m.Clone(), nil)
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(40)
-		l := randomLayout(n, 0.3, rng)
-		shields := m.ShieldTableInto(l.Tracks, nil)
-		for k := 0; k < 8; k++ {
-			ti, tj := rng.Intn(n), rng.Intn(n)
-			if ti == tj || l.Tracks[ti].Kind != SignalTrack || l.Tracks[tj].Kind != SignalTrack {
-				continue
-			}
-			got := memo.Pair(ti, tj, shields[ti], shields[tj])
-			want := direct.Pair(ti, tj, shields[ti], shields[tj])
-			if got != want {
-				t.Fatalf("memoized pair (%d,%d) = %v, direct = %v", ti, tj, got, want)
+	info := cache.Info()
+	inRet := func(d int) bool { return d >= 1 && d <= info.RetBound }
+	shields := m.ShieldTableInto(l.Tracks, nil)
+	for pass := 0; pass < 2; pass++ {
+		for ti := range l.Tracks {
+			for tj := range l.Tracks {
+				if ti == tj || l.Tracks[ti].Kind != SignalTrack || l.Tracks[tj].Kind != SignalTrack {
+					continue
+				}
+				si, sj := shields[ti], shields[tj]
+				evals++
+				got := cached.Pair(ti, tj, si, sj)
+				if want := direct.Pair(ti, tj, si, sj); got != want {
+					t.Fatalf("pass %d: cached pair (%d,%d) = %v, direct = %v", pass, ti, tj, got, want)
+				}
+				d := tj - ti
+				if d < 0 {
+					d = -d
+				}
+				if d > info.SepBound || !inRet(ti-si[0]) || !inRet(si[1]-ti) || !inRet(tj-sj[0]) || !inRet(sj[1]-tj) {
+					outside++
+				}
 			}
 		}
 	}
+	cached.Flush()
+	return evals, outside
 }
 
-// TestCouplerSharedCacheBitIdentical checks the shared-cache tier the same
-// way, and that Flush accounts the batched lookups.
+// TestCouplerCacheBeyondCutoff covers sidePull's case: a single-pair caller
+// evaluating partners beyond the pair cutoff, in both operand orders. Those
+// geometries lie outside the table; they must come back as direct bits and
+// be counted as overflow, one per evaluation, while in-bounds pairs are
+// served by the table.
+func TestCouplerCacheBeyondCutoff(t *testing.T) {
+	m := NewModel(tech.Default())
+	cache := NewPairCacheFor(m)
+	l := randomLayout(130, 0.1, rand.New(rand.NewSource(21)))
+	evals, outside := couplerVsDirect(t, m, cache, l)
+	if outside == 0 {
+		t.Fatalf("layout has no pairs beyond the table's separation bound %d", cache.Info().SepBound)
+	}
+	if got := cache.Info().Overflow; got != outside {
+		t.Errorf("Info().Overflow = %d, want %d evaluations outside the table", got, outside)
+	}
+	// Bypassed evaluations are neither hits nor misses.
+	if h, miss := cache.Stats(); h == 0 || miss == 0 || h+miss != uint64(evals-outside) {
+		t.Errorf("hits %d + misses %d, want both nonzero and summing to the %d in-table evaluations", h, miss, evals-outside)
+	}
+}
+
+// TestPairCacheServesLargerBackgroundReturn serves a model whose
+// background return (14) exceeds the table's return bound (12): the
+// far-return geometries bypass the table with direct bits and are counted.
+func TestPairCacheServesLargerBackgroundReturn(t *testing.T) {
+	cache := NewPairCacheFor(NewModel(tech.Default()))
+	m := NewModel(tech.Default())
+	m.BackgroundReturn = 14
+	// Sparse shields leave returns out to the background cap of 14.
+	l := denseLayout(40, 33)
+	_, outside := couplerVsDirect(t, m, cache, l)
+	if outside == 0 {
+		t.Fatal("no evaluation exceeded the default table's bounds; the layout no longer exercises the bypass")
+	}
+	if got := cache.Info().Overflow; got != outside {
+		t.Errorf("Info().Overflow = %d, want %d bypassed evaluations", got, outside)
+	}
+}
+
+// TestCouplerSharedCacheBitIdentical checks that a Coupler over a shared
+// cache returns direct bits, and that Flush accounts the batched lookups.
 func TestCouplerSharedCacheBitIdentical(t *testing.T) {
 	m := NewModel(tech.Default())
 	cache := NewPairCacheFor(m)

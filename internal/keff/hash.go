@@ -6,11 +6,10 @@ import (
 )
 
 // Hash is a streaming 128-bit content hasher for deriving deterministic
-// cache keys from structured inputs — the pair-coupling cache keys pairs by
-// quantized geometry, and internal/artifact keys whole routing problems
-// (netlist, grid, router config) with it. It is not cryptographic: the goal
-// is a stable, platform-independent fingerprint with enough state that
-// accidental collisions between real inputs are vanishingly unlikely.
+// cache keys from structured inputs — internal/artifact keys whole routing
+// problems (netlist, grid, router config) with it. It is not cryptographic:
+// the goal is a stable, platform-independent fingerprint with enough state
+// that accidental collisions between real inputs are vanishingly unlikely.
 //
 // The construction runs two independent 64-bit lanes over the word stream,
 // each multiplying the input word by an odd constant and dispersing it with

@@ -16,8 +16,8 @@
 // Concurrency contract (what internal/engine builds on): a Model memoizes
 // partial inductances lazily and is NOT safe for concurrent use — clone one
 // per worker with Model.Clone. A PairCache stores pure functions of track
-// geometry behind lock-free/sharded structures and IS safe to share across
-// workers and engines; cached and uncached runs are bit-identical.
+// geometry in one lock-free table and IS safe to share across workers and
+// engines; cached and uncached runs are bit-identical.
 package keff
 
 import (

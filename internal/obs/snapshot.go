@@ -10,7 +10,7 @@ import (
 // the tables print, the per-phase wall-clock split, and every throughput
 // counter the layers below already keep — engine activity, Phase I shard
 // decomposition, Phase III wave decomposition, evaluator-pool traffic,
-// pair-cache tier occupancy, and (under the batch scheduler) warm-start
+// pair-cache occupancy, and (under the batch scheduler) warm-start
 // carryover. It deliberately mirrors those layers' stat structs with plain
 // fields instead of importing them: obs is imported *by* engine, route,
 // core, and sched, so it must stay a leaf. core.Outcome.Snapshot and
@@ -112,10 +112,10 @@ type RefineStats struct {
 	GraphDropped, GraphAdded int
 }
 
-// CacheStats mirrors keff.CacheInfo: pair-cache tier occupancy and
-// coverage at snapshot time. Under the batch scheduler the cache is shared
-// per technology, so these describe the shared structure, not one cell's
-// private traffic.
+// CacheStats mirrors keff.CacheInfo: pair-cache table occupancy and
+// coverage, and the evaluations that fell outside the table, at snapshot
+// time. Under the batch scheduler the cache is shared per technology, so
+// these describe the shared structure, not one cell's private traffic.
 type CacheStats struct {
 	Dense, Overflow    int
 	SepBound, RetBound int
@@ -205,8 +205,8 @@ func (s *Snapshot) Detail(prefix string) string {
 	fmt.Fprintf(&b, "%seval pool: %d binds, %d loads, %d incremental edits, %d rollbacks\n",
 		prefix, v.Binds, v.Loads, v.Edits, v.Rollbacks)
 	k := s.Cache
-	fmt.Fprintf(&b, "%spair cache: %d dense + %d overflow geometries (sep <= %d, ret <= %d)\n",
-		prefix, k.Dense, k.Overflow, k.SepBound, k.RetBound)
+	fmt.Fprintf(&b, "%spair cache: %d geometries (sep <= %d, ret <= %d), %d evaluations outside the table\n",
+		prefix, k.Dense, k.SepBound, k.RetBound, k.Overflow)
 	r := s.Route
 	fmt.Fprintf(&b, "%sphase I: %d routing shards (largest %d nets), seeding in %d chunks, %d nets reconciled in %d rounds (%d components, largest %d)\n",
 		prefix, r.Shards, r.LargestShard, r.SeedChunks,

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -212,19 +211,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// WriteFile exports the trace to path (see WriteJSON).
-func (t *Tracer) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

@@ -244,7 +244,7 @@ func techKey(p core.Params) tech.Technology {
 
 // buildCaches allocates one shared pair-coupling cache per distinct
 // technology in the batch, each sized for that technology's model so every
-// in-bounds geometry lands in the dense lock-free tier.
+// geometry within its pair cutoff lands in the table.
 func buildCaches(cells []Cell) map[tech.Technology]*keff.PairCache {
 	caches := make(map[tech.Technology]*keff.PairCache)
 	for i := range cells {

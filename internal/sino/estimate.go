@@ -98,7 +98,7 @@ func GenerateFitSamples(cfg FitConfig) []FitSample {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	model := keff.NewModel(t)
 	// One evaluator solves every realization: all instances share the model,
-	// so its buffers and coupling memo stay warm across the whole sweep.
+	// so its buffers stay warm across the whole sweep.
 	ev := NewEval()
 
 	var out []FitSample

@@ -36,9 +36,8 @@ import (
 //	if !e.Feasible() { e.RemoveShield(3) }
 //
 // An Eval is reusable across instances (Bind resets it) and is designed to
-// be pooled one per solver worker: its buffers, and a private coupling
-// memo for cache-less instances, persist across solves. It is not safe
-// for concurrent use. The bound instance's Model must not be reconfigured
+// be pooled one per solver worker: its buffers persist across solves. It
+// is not safe for concurrent use. The bound instance's Model must not be reconfigured
 // while the evaluator holds it.
 type Eval struct {
 	in     *Instance
@@ -101,31 +100,17 @@ func (e *Eval) Stats() EvalStats { return e.stats }
 // NewEval returns an empty evaluator; Bind attaches it to an instance.
 func NewEval() *Eval { return &Eval{} }
 
-// memoMinSegs is the instance size from which even a one-shot solve
-// amortizes zeroing the private coupling memo (128 KiB); smaller one-shot
-// instances skip it, evaluator reuse enables it regardless.
-const memoMinSegs = 16
-
 // Bind attaches the evaluator to an instance: it snapshots the pairwise
 // sensitivity relation into a bitset (the relation is consulted thousands
-// of times per solve on the same pairs) and keeps the coupling front end
-// warm — the keff.Coupler, and with it the private pair-coupling memo,
-// carries over whenever the instance shares the previous one's Model and
-// Cache, which is exactly the engine's per-worker situation.
+// of times per solve on the same pairs) and keeps the keff.Coupler
+// whenever the instance shares the previous one's Model and Cache, which
+// is exactly the engine's per-worker situation.
 func (e *Eval) Bind(in *Instance) {
 	n := len(in.Segs)
 	e.in = in
 	e.stats.Binds++
 	if e.cp == nil || e.cp.Model() != in.Model || e.cp.SharedCache() != in.Cache {
 		e.cp = keff.NewCoupler(in.Model, in.Cache)
-		if in.Cache == nil && n >= memoMinSegs {
-			e.cp.EnableMemo()
-		}
-	} else if in.Cache == nil {
-		// The evaluator is being reused against the same model with no
-		// shared cache — the pooled situation where the private memo
-		// always pays for itself, whatever the instance size.
-		e.cp.EnableMemo()
 	}
 	e.sens.reset(n)
 	for i := 0; i < n; i++ {

@@ -148,15 +148,14 @@ func runEditScript(t *testing.T, in *Instance, n int, rate float64, seed int64) 
 // TestSolveWithPooledEvaluatorMatchesFresh solves a stream of different
 // instances through one pooled evaluator (the engine-worker pattern) and
 // requires byte-identical solutions and reports versus one-shot solves —
-// the guard against cross-instance contamination of the reused buffers
-// and the private coupling memo.
+// the guard against cross-instance contamination of the reused buffers.
 func TestSolveWithPooledEvaluatorMatchesFresh(t *testing.T) {
 	model := keff.NewModel(tech.Default())
 	ev := NewEval()
 	for seed := int64(0); seed < 8; seed++ {
 		n := 4 + int(seed)*4
 		in := testInstance(n, 0.4, 0.6, seed)
-		in.Model = model // shared model: the memo persists across solves
+		in.Model = model // shared model: the coupler persists across solves
 		pooledSol, pooledChk := SolveWith(ev, in)
 		freshSol, freshChk := Solve(in)
 		if !reflect.DeepEqual(pooledSol, freshSol) {

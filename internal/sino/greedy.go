@@ -15,8 +15,8 @@ func Solve(in *Instance) (*Solution, *Check) {
 }
 
 // SolveWith is Solve running on a caller-supplied evaluator, whose buffers
-// and coupling memo it reuses — the form solver pools use (the engine keeps
-// one evaluator per worker). The evaluator is left bound to in.
+// it reuses — the form solver pools use (the engine keeps one evaluator per
+// worker). The evaluator is left bound to in.
 func SolveWith(e *Eval, in *Instance) (*Solution, *Check) {
 	if err := in.Validate(); err != nil {
 		panic(err.Error())
