@@ -52,8 +52,13 @@ func main() {
 	if *ecoFull && *ecoPath == "" {
 		log.Fatal("-ecofull requires -eco")
 	}
-	// Read every input and open every output before the first flow runs,
-	// so a bad path or delta fails with nothing printed.
+	// Check every flag, read every input and open every output before the
+	// circuit is generated, so a bad flow name, path or delta fails with
+	// nothing printed.
+	flowList, err := parseFlows(*flows)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var delta artifact.Delta
 	if *ecoPath != "" {
 		data, err := os.ReadFile(*ecoPath)
@@ -127,7 +132,7 @@ func main() {
 		profile.Name, len(ckt.Nets.Nets), ckt.Grid.Cols, ckt.Grid.Rows, ckt.Grid.HC, ckt.Grid.VC,
 		*rate*100, ckt.Scale)
 	printColumns()
-	if err := runFlows(runner, *flows, *verbose, *notime); err != nil {
+	if err := runFlows(runner, flowList, *verbose, *notime); err != nil {
 		log.Fatal(err)
 	}
 
@@ -146,7 +151,7 @@ func main() {
 		fmt.Printf("eco: %d removed, %d moved, %d added\n",
 			len(delta.Remove), len(delta.Move), len(delta.Add))
 		printColumns()
-		if err := runFlows(ecoRunner, *flows, *verbose, *notime); err != nil {
+		if err := runFlows(ecoRunner, flowList, *verbose, *notime); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -168,13 +173,27 @@ func printColumns() {
 		"flow", "violations", "viol%", "avgWL(um)", "area(um x um)", "area+%", "shields", "runtime")
 }
 
-// runFlows runs the comma-separated flow list on one runner and prints a
-// table row per flow. Area overhead is relative to the runner's own ID+NO
-// row, so the base and ECO blocks are each self-contained.
-func runFlows(runner *core.Runner, flows string, verbose, notime bool) error {
+// parseFlows splits the comma-separated -flows list, rejecting any name
+// that is not one of core's flows.
+func parseFlows(list string) ([]core.Flow, error) {
+	var flows []core.Flow
+	for _, name := range strings.Split(list, ",") {
+		switch f := core.Flow(strings.TrimSpace(name)); f {
+		case core.FlowIDNO, core.FlowISINO, core.FlowGSINO:
+			flows = append(flows, f)
+		default:
+			return nil, fmt.Errorf("unknown flow %q (want %s, %s or %s)", f, core.FlowIDNO, core.FlowISINO, core.FlowGSINO)
+		}
+	}
+	return flows, nil
+}
+
+// runFlows runs the flows on one runner and prints a table row per flow.
+// Area overhead is relative to the runner's own ID+NO row, so the base and
+// ECO blocks are each self-contained.
+func runFlows(runner *core.Runner, flows []core.Flow, verbose, notime bool) error {
 	var base *core.Outcome
-	for _, name := range strings.Split(flows, ",") {
-		f := core.Flow(strings.TrimSpace(name))
+	for _, f := range flows {
 		out, err := runner.Run(f)
 		if err != nil {
 			return err

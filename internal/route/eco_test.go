@@ -1,6 +1,7 @@
 package route
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -41,8 +42,9 @@ func mutateNets(seed int64, base []Net, cols, rows int) []Net {
 // TestECOResumeEquivalence is the ECO determinism contract: resuming an
 // edited netlist from a DrainState must be byte-identical — trees, usage,
 // and stats — to routing the edited netlist from scratch, at any worker
-// count, across seeds and edit scripts. A second edit chained off the
-// resume's own DrainState must hold too.
+// count, across seeds and edit scripts. The DrainState the resume returns
+// must encode to the same bytes as a from-scratch capture, and a second
+// edit chained off it must hold too.
 func TestECOResumeEquivalence(t *testing.T) {
 	g, err := grid.New(16, 16, 100, 100, 3, 3)
 	if err != nil {
@@ -50,26 +52,23 @@ func TestECOResumeEquivalence(t *testing.T) {
 	}
 	cfg := Config{ShieldAware: true}
 	scfg := ShardConfig{}
+	fromScratch := func(nets []Net) (*Result, *DrainState) {
+		r, err := NewRouter(g, cfg, nets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ds, err := r.RunShardedState(context.Background(), nil, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, ds
+	}
+	chainReused := 0 // nets the chained resumes kept from their snapshot
 	for seed := int64(1); seed <= 3; seed++ {
 		base := randomNets(seed, 80, 16, 16)
-		r0, err := NewRouter(g, cfg, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ds, err := r0.RunShardedState(context.Background(), nil, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
+		_, ds := fromScratch(base)
 		edited := mutateNets(seed, base, 16, 16)
-		refR, err := NewRouter(g, cfg, edited)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := refR.RunSharded(context.Background(), nil, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref, refDS := fromScratch(edited)
 
 		var ds1 *DrainState
 		for _, workers := range []int{0, 1, 4} {
@@ -85,24 +84,32 @@ func TestECOResumeEquivalence(t *testing.T) {
 			if es.EditedNets == 0 || es.TilesInvalid == 0 {
 				t.Fatalf("seed %d: edit script produced no invalidation: %+v", seed, es)
 			}
+			drainStatesEqual(t, refDS, dsr)
 			ds1 = dsr
 		}
 
 		// Chain a second delta off the resume's own snapshot.
 		edited2 := mutateNets(seed+100, edited, 16, 16)
-		ref2R, err := NewRouter(g, cfg, edited2)
+		ref2, ref2DS := fromScratch(edited2)
+		res2, ds2, es2, err := RunShardedResume(context.Background(), g, cfg, edited2, engine.New(engine.Config{Workers: 4}), scfg, ds1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref2, err := ref2R.RunSharded(context.Background(), nil, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res2, _, _, err := RunShardedResume(context.Background(), g, cfg, edited2, engine.New(engine.Config{Workers: 4}), scfg, ds1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chainReused += es2.NetsReused
 		resultsEqual(t, ref2, res2, true)
+		drainStatesEqual(t, ref2DS, ds2)
+	}
+	if chainReused == 0 {
+		t.Fatal("no chained resume reused a tile; the reuse branch went untested")
+	}
+}
+
+// drainStatesEqual compares two drain states by their wire encodings,
+// which cover every field a resume reads.
+func drainStatesEqual(t *testing.T, want, got *DrainState) {
+	t.Helper()
+	if !bytes.Equal(want.AppendWire(nil), got.AppendWire(nil)) {
+		t.Fatal("drain state encodings differ")
 	}
 }
 

@@ -39,7 +39,6 @@
 package route
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -207,11 +206,10 @@ type Router struct {
 	// seedChunks records how construction was chunked (RunStats.SeedChunks).
 	seedChunks int
 
-	// Per-region expected utilization per direction: segment count and
-	// sensitivity-rate sums feeding Formula (3).
-	nnsH, nnsV     []float64
-	sumSH, sumSV   []float64
-	sumS2H, sumS2V []float64
+	// base is the expected utilization over the whole grid. Only the
+	// sequential phases (seeding, delta merges, reconciliation rip-up)
+	// write it; during a drain all updates go to the view's own window.
+	base window
 
 	pq edgeHeap
 }
@@ -268,60 +266,69 @@ func NewRouter(g *grid.Grid, cfg Config, nets []Net) (*Router, error) {
 const seedChunk = 256
 
 // NewRouterOn prepares the deletion state with per-net construction
-// fanned out over pool (nil constructs serially). Construction
-// splits into two parts:
-//
-//   - Pure per-net work — pin dedup, bounding box, RSMT length estimate,
-//     spine BFS, edge-liveness arrays — reads only the immutable grid and
-//     writes a disjoint slot of the net table, so it runs chunked on the
-//     pool (this is the bulk of seeding cost: Steiner topology + BFS per
-//     net).
-//   - Order-dependent work — expected-utilization seeding and each net's
-//     initial edge weights, where net i's weights read the base state
-//     left by nets 0..i — stays serial in net order.
-//
-// The split makes the constructed Router byte-identical to serial
-// construction at any worker count.
+// fanned out over pool (nil constructs serially). The Router is
+// byte-identical at any worker count (see seed).
 func NewRouterOn(ctx context.Context, g *grid.Grid, cfg Config, nets []Net, pool Pool) (*Router, error) {
 	if g == nil {
 		return nil, fmt.Errorf("route: nil grid")
 	}
-	cfg = cfg.withDefaults()
-	r := newRouter(g, cfg, len(nets))
 	if err := validateNets(g, nets); err != nil {
 		return nil, err
+	}
+	r := newRouter(g, cfg.withDefaults(), nets)
+	if err := r.seed(ctx, orSerial(pool, nil, 0), func(i int) netState { return r.makeNetState(nets[i]) }, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// newRouter allocates the deletion state for nets on g, with the base
+// utilization zeroed and the canonical seeding chunk count.
+func newRouter(g *grid.Grid, cfg Config, nets []Net) *Router {
+	r := &Router{
+		g: g, cfg: cfg,
+		nets:       make([]netState, len(nets)),
+		inPins:     make([][]geom.Point, len(nets)),
+		seedChunks: (len(nets) + seedChunk - 1) / seedChunk,
+		base:       newWindow(g.Bounds()),
 	}
 	for i := range nets {
 		r.inPins[i] = nets[i].Pins
 	}
-	err := mapChunks(ctx, orSerial(pool, nil, 0), "seed", len(nets), seedChunk, func(_, lo, hi int) error {
+	return r
+}
+
+// seed constructs every net's state — the one seeding path of a fresh
+// router and an ECO resume. It splits into two parts:
+//
+//   - Pure per-net work: build(i) returns net i's state (a fresh
+//     connection graph, or one restored from a snapshot). It reads only
+//     immutable inputs and writes a disjoint slot, so it runs chunked on
+//     the pool (the bulk of seeding cost: Steiner topology + BFS per net).
+//   - Order-dependent work, serial in ascending net order: every net's
+//     expected utilization goes into the base, and the nets push selects
+//     (nil: all) put their edges on the heap with initial weights. Net i's
+//     weights read the base state left by nets 0..i.
+//
+// The split makes the seeded Router byte-identical to serial construction
+// at any worker count.
+func (r *Router) seed(ctx context.Context, pool Pool, build func(i int) netState, push []bool) error {
+	err := mapChunks(ctx, pool, "seed", len(r.nets), seedChunk, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			r.nets[i] = r.makeNetState(nets[i])
+			r.nets[i] = build(i)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := range r.nets {
-		r.seedNet(i)
+		r.bumpNet(i)
+		if push == nil || push[i] {
+			r.pushNet(&r.pq, i)
+		}
 	}
-	heap.Init(&r.pq)
-	return r, nil
-}
-
-// newRouter allocates the shared deletion state for n nets on g, with the
-// base utilization arrays zeroed and the canonical seeding chunk count.
-func newRouter(g *grid.Grid, cfg Config, n int) *Router {
-	return &Router{
-		g: g, cfg: cfg,
-		nets:       make([]netState, n),
-		inPins:     make([][]geom.Point, n),
-		seedChunks: (n + seedChunk - 1) / seedChunk,
-		nnsH:       make([]float64, g.NumRegions()), nnsV: make([]float64, g.NumRegions()),
-		sumSH: make([]float64, g.NumRegions()), sumSV: make([]float64, g.NumRegions()),
-		sumS2H: make([]float64, g.NumRegions()), sumS2V: make([]float64, g.NumRegions()),
-	}
+	return nil
 }
 
 // validateNets checks every net's pins and rate against the grid — shared
@@ -370,61 +377,56 @@ func (r *Router) makeNetState(net Net) netState {
 	}
 	ns.rsmtUM = steiner.LengthMicron(pinRegions, r.g.CellW, r.g.CellH)
 	ns.buildSpine(pinRegions)
-
-	for i := range ns.aliveH {
-		ns.aliveH[i] = true
-	}
-	for i := range ns.aliveV {
-		ns.aliveV[i] = true
-	}
-	ns.nAlive = len(ns.aliveH) + len(ns.aliveV)
+	ns.resetEdges()
 	return ns
 }
 
-// seedNet adds net idx's expected utilization to the base arrays and
-// pushes its edges with initial base weights — the order-dependent tail
-// of construction. Net idx's weights read the base state seeded by nets
-// 0..idx, so callers must invoke seedNet in ascending net order.
-func (r *Router) seedNet(idx int) {
-	r.bumpNet(idx)
-	r.pushNet(idx)
+// resetEdges makes every edge alive and unfrozen — the full connection
+// graph a net starts deletion from.
+func (ns *netState) resetEdges() {
+	for i := range ns.aliveH {
+		ns.aliveH[i] = true
+		ns.frozenH[i] = false
+	}
+	for i := range ns.aliveV {
+		ns.aliveV[i] = true
+		ns.frozenV[i] = false
+	}
+	ns.nAlive = len(ns.aliveH) + len(ns.aliveV)
 }
 
 // bumpNet adds net idx's full-connection-graph expected utilization to the
-// base arrays — the float-addition half of seedNet. The ECO resume replays
-// exactly this for every net (bit-identical prefix sums) while pushing
-// heap keys only for nets it will actually re-drain.
+// base. The ECO resume replays exactly this for every net (bit-identical
+// prefix sums) while pushing heap keys only for nets it will re-drain.
 func (r *Router) bumpNet(idx int) {
 	ns := &r.nets[idx]
 	bbox := ns.bbox
 	for y := bbox.MinY; y <= bbox.MaxY; y++ {
 		for x := bbox.MinX; x < bbox.MaxX; x++ {
-			r.bumpH(x, y, ns.rate, +0.5)
-			r.bumpH(x+1, y, ns.rate, +0.5)
+			r.base.bumpEdge(x, y, true, ns.rate, +0.5)
 		}
 	}
 	for y := bbox.MinY; y < bbox.MaxY; y++ {
 		for x := bbox.MinX; x <= bbox.MaxX; x++ {
-			r.bumpV(x, y, ns.rate, +0.5)
-			r.bumpV(x, y+1, ns.rate, +0.5)
+			r.base.bumpEdge(x, y, false, ns.rate, +0.5)
 		}
 	}
 }
 
-// pushNet computes net idx's initial edge weights against the current base
-// state and appends them to the global heap slice.
-func (r *Router) pushNet(idx int) {
+// pushNet computes every edge weight of net idx against the current base
+// state and appends the edges to pq.
+func (r *Router) pushNet(pq *edgeHeap, idx int) {
 	ns := &r.nets[idx]
 	bbox := ns.bbox
 	for y := bbox.MinY; y <= bbox.MaxY; y++ {
 		for x := bbox.MinX; x < bbox.MaxX; x++ {
-			r.pq = append(r.pq, item{net: int32(idx), edge: int32(ns.hEdge(x, y)), horz: true,
+			*pq = append(*pq, item{net: int32(idx), edge: int32(ns.hEdge(x, y)), horz: true,
 				key: r.edgeWeight(idx, x, y, true, nil)})
 		}
 	}
 	for y := bbox.MinY; y < bbox.MaxY; y++ {
 		for x := bbox.MinX; x <= bbox.MaxX; x++ {
-			r.pq = append(r.pq, item{net: int32(idx), edge: int32(ns.vEdge(x, y)), horz: false,
+			*pq = append(*pq, item{net: int32(idx), edge: int32(ns.vEdge(x, y)), horz: false,
 				key: r.edgeWeight(idx, x, y, false, nil)})
 		}
 	}
@@ -498,24 +500,6 @@ func (n *netState) spineFactor(a, b int) float64 {
 	return 1 + 2*d/n.spineNorm
 }
 
-// bumpH adjusts the expected horizontal utilization sums of region (x,y)
-// in the router's base arrays. Only the sequential phases (net seeding,
-// delta merges, reconciliation bookkeeping) write the base; during a
-// sharded drain all updates go to the draining view's private deltas.
-func (r *Router) bumpH(x, y int, rate, delta float64) {
-	i := y*r.g.Cols + x
-	r.nnsH[i] += delta
-	r.sumSH[i] += delta * rate
-	r.sumS2H[i] += delta * rate * rate
-}
-
-func (r *Router) bumpV(x, y int, rate, delta float64) {
-	i := y*r.g.Cols + x
-	r.nnsV[i] += delta
-	r.sumSV[i] += delta * rate
-	r.sumS2V[i] += delta * rate * rate
-}
-
 // regionHU returns the expected horizontal utilization of region (x,y) —
 // the frozen base plus v's private deltas when v is non-nil — including
 // the shield estimate when shield-aware, minus the contribution
@@ -525,12 +509,12 @@ func (r *Router) bumpV(x, y int, rate, delta float64) {
 // deletion cancels out of HU−own).
 func (r *Router) regionHU(x, y int, ownNns, ownRate float64, v *view) float64 {
 	i := y*r.g.Cols + x
-	nns, ss, s2 := r.nnsH[i], r.sumSH[i], r.sumS2H[i]
+	nns, ss, s2 := r.base.nnsH[i], r.base.sumSH[i], r.base.sumS2H[i]
 	if v != nil {
 		w := v.widx(x, y)
-		nns += v.dNnsH[w]
-		ss += v.dSumSH[w]
-		s2 += v.dSumS2H[w]
+		nns += v.nnsH[w]
+		ss += v.sumSH[w]
+		s2 += v.sumS2H[w]
 	}
 	nns -= ownNns
 	if nns < 0 {
@@ -545,12 +529,12 @@ func (r *Router) regionHU(x, y int, ownNns, ownRate float64, v *view) float64 {
 
 func (r *Router) regionVU(x, y int, ownNns, ownRate float64, v *view) float64 {
 	i := y*r.g.Cols + x
-	nns, ss, s2 := r.nnsV[i], r.sumSV[i], r.sumS2V[i]
+	nns, ss, s2 := r.base.nnsV[i], r.base.sumSV[i], r.base.sumS2V[i]
 	if v != nil {
 		w := v.widx(x, y)
-		nns += v.dNnsV[w]
-		ss += v.dSumSV[w]
-		s2 += v.dSumS2V[w]
+		nns += v.nnsV[w]
+		ss += v.sumSV[w]
+		s2 += v.sumS2V[w]
 	}
 	nns -= ownNns
 	if nns < 0 {

@@ -1,13 +1,13 @@
 package route
 
 import (
-	"cmp"
 	"container/heap"
 	"context"
+	"iter"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/orderutil"
 )
 
 // weightSlack is the tolerance for treating a recomputed edge weight as
@@ -15,9 +15,79 @@ import (
 // recomputed weight sits within the slack of its key is the true maximum.
 const weightSlack = 1e-6
 
-// view is one deletion context's window onto the utilization state: the
-// router's frozen base arrays plus a private set of delta arrays covering
-// the window rectangle, and the heap of edges it is responsible for.
+// window is a grid rectangle plus the expected utilization over it: per
+// direction, the segment count and the sensitivity-rate sums feeding
+// Formula (3), stored row-major over the rectangle. The router's base
+// state is a window over the whole grid; a drain's private deltas and an
+// ECO tile's captured deltas are windows over the tile group's rectangle.
+type window struct {
+	rect geom.Rect
+	cols int // rect width
+
+	nnsH, sumSH, sumS2H []float64
+	nnsV, sumSV, sumS2V []float64
+}
+
+func newWindow(rect geom.Rect) window {
+	n := rect.Cells()
+	return window{
+		rect: rect, cols: rect.Width(),
+		nnsH: make([]float64, n), sumSH: make([]float64, n), sumS2H: make([]float64, n),
+		nnsV: make([]float64, n), sumSV: make([]float64, n), sumS2V: make([]float64, n),
+	}
+}
+
+// arrays lists the six arrays in wire order.
+func (w *window) arrays() [6]*[]float64 {
+	return [6]*[]float64{&w.nnsH, &w.sumSH, &w.sumS2H, &w.nnsV, &w.sumSV, &w.sumS2V}
+}
+
+// widx maps a global region coordinate into the window's arrays.
+func (w *window) widx(x, y int) int { return (y-w.rect.MinY)*w.cols + (x - w.rect.MinX) }
+
+// bumpH adjusts the expected horizontal utilization sums of region (x,y).
+func (w *window) bumpH(x, y int, rate, delta float64) {
+	i := w.widx(x, y)
+	w.nnsH[i] += delta
+	w.sumSH[i] += delta * rate
+	w.sumS2H[i] += delta * rate * rate
+}
+
+func (w *window) bumpV(x, y int, rate, delta float64) {
+	i := w.widx(x, y)
+	w.nnsV[i] += delta
+	w.sumSV[i] += delta * rate
+	w.sumS2V[i] += delta * rate * rate
+}
+
+// bumpEdge adjusts both end regions of the edge anchored at (x,y).
+func (w *window) bumpEdge(x, y int, horz bool, rate, delta float64) {
+	if horz {
+		w.bumpH(x, y, rate, delta)
+		w.bumpH(x+1, y, rate, delta)
+	} else {
+		w.bumpV(x, y, rate, delta)
+		w.bumpV(x, y+1, rate, delta)
+	}
+}
+
+// merge adds w's values into base, which must contain w's rectangle.
+// Sequential only: callers merge windows in a fixed order, so every base
+// slot receives its additions in a reproducible order.
+func (w *window) merge(base *window) {
+	src, dst := w.arrays(), base.arrays()
+	for k := range src {
+		s, d := *src[k], *dst[k]
+		for y := w.rect.MinY; y <= w.rect.MaxY; y++ {
+			for x := w.rect.MinX; x <= w.rect.MaxX; x++ {
+				d[base.widx(x, y)] += s[w.widx(x, y)]
+			}
+		}
+	}
+}
+
+// view is one deletion context: the router's frozen base plus a private
+// delta window, and the heap of edges it is responsible for.
 //
 // Sequential Run uses a single view spanning the whole grid. RunSharded
 // gives every tile group its own view, so concurrent drains never write
@@ -25,60 +95,12 @@ const weightSlack = 1e-6
 // only its own deltas, which is exactly the frozen-foreign-state semantics
 // the determinism argument in shard.go builds on.
 type view struct {
-	r     *Router
-	win   geom.Rect
-	wcols int
-
-	dNnsH, dSumSH, dSumS2H []float64
-	dNnsV, dSumSV, dSumS2V []float64
-
+	window
+	r  *Router
 	pq edgeHeap
 }
 
-func newView(r *Router, win geom.Rect) *view {
-	n := win.Cells()
-	return &view{
-		r: r, win: win, wcols: win.Width(),
-		dNnsH: make([]float64, n), dSumSH: make([]float64, n), dSumS2H: make([]float64, n),
-		dNnsV: make([]float64, n), dSumSV: make([]float64, n), dSumS2V: make([]float64, n),
-	}
-}
-
-// widx maps a global region coordinate into the view's window arrays.
-func (v *view) widx(x, y int) int { return (y-v.win.MinY)*v.wcols + (x - v.win.MinX) }
-
-// bumpH adjusts the view's private horizontal utilization deltas.
-func (v *view) bumpH(x, y int, rate, delta float64) {
-	w := v.widx(x, y)
-	v.dNnsH[w] += delta
-	v.dSumSH[w] += delta * rate
-	v.dSumS2H[w] += delta * rate * rate
-}
-
-func (v *view) bumpV(x, y int, rate, delta float64) {
-	w := v.widx(x, y)
-	v.dNnsV[w] += delta
-	v.dSumSV[w] += delta * rate
-	v.dSumS2V[w] += delta * rate * rate
-}
-
-// merge folds the view's deltas into the router's base arrays. Sequential
-// only: callers serialize merges in a fixed order so the float additions
-// are reproducible.
-func (v *view) merge() {
-	r := v.r
-	for y := v.win.MinY; y <= v.win.MaxY; y++ {
-		for x := v.win.MinX; x <= v.win.MaxX; x++ {
-			i, w := y*r.g.Cols+x, v.widx(x, y)
-			r.nnsH[i] += v.dNnsH[w]
-			r.sumSH[i] += v.dSumSH[w]
-			r.sumS2H[i] += v.dSumS2H[w]
-			r.nnsV[i] += v.dNnsV[w]
-			r.sumSV[i] += v.dSumSV[w]
-			r.sumS2V[i] += v.dSumS2V[w]
-		}
-	}
-}
+func newView(r *Router, rect geom.Rect) *view { return &view{window: newWindow(rect), r: r} }
 
 // Run executes the iterative deletion to the fixpoint and extracts each
 // net's Steiner tree. It is the sequential reference algorithm: one heap,
@@ -86,10 +108,10 @@ func (v *view) merge() {
 // Run or RunSharded, once.
 func (r *Router) Run() *Result {
 	v := newView(r, r.g.Bounds())
-	v.pq = r.pq
-	r.pq = nil
+	v.pq, r.pq = r.pq, nil
+	heap.Init(&v.pq)
 	v.drain()
-	v.merge()
+	v.merge(&r.base)
 	res := r.extract()
 	res.Stats = RunStats{Shards: 1, LargestShard: len(r.nets), SeedChunks: r.seedChunks}
 	return res
@@ -125,13 +147,7 @@ func (v *view) drain() {
 		// Delete the edge and release its expected utilization.
 		alive[it.edge] = false
 		ns.nAlive--
-		if it.horz {
-			v.bumpH(x, y, ns.rate, -0.5)
-			v.bumpH(x+1, y, ns.rate, -0.5)
-		} else {
-			v.bumpV(x, y, ns.rate, -0.5)
-			v.bumpV(x, y+1, ns.rate, -0.5)
-		}
+		v.bumpEdge(x, y, it.horz, ns.rate, -0.5)
 	}
 }
 
@@ -248,59 +264,74 @@ func (r *Router) extractParallel(ctx context.Context, pool Pool) (*Result, error
 
 // extractRange builds trees[lo:hi] and accumulates their exact usage.
 func (r *Router) extractRange(trees []Tree, usage *grid.Usage, lo, hi int) {
+	var h, v, regions []int // scratch, reused across the range's nets
 	for ni := lo; ni < hi; ni++ {
 		ns := &r.nets[ni]
-		tree := Tree{Net: ns.id}
-		hTouched := make(map[geom.Point]bool)
-		vTouched := make(map[geom.Point]bool)
-		for e, alive := range ns.aliveH {
-			if !alive {
-				continue
-			}
-			x, y := r.edgeOrigin(ns, e, true)
-			tree.Edges = append(tree.Edges, Edge{
-				From: geom.Point{X: x, Y: y}, To: geom.Point{X: x + 1, Y: y},
-			})
-			hTouched[geom.Point{X: x, Y: y}] = true
-			hTouched[geom.Point{X: x + 1, Y: y}] = true
+		h, v = r.trackRegions(ns, h[:0], v[:0])
+		for _, i := range h {
+			usage.H[i]++
 		}
-		for e, alive := range ns.aliveV {
-			if !alive {
-				continue
-			}
-			x, y := r.edgeOrigin(ns, e, false)
-			tree.Edges = append(tree.Edges, Edge{
-				From: geom.Point{X: x, Y: y}, To: geom.Point{X: x, Y: y + 1},
-			})
-			vTouched[geom.Point{X: x, Y: y}] = true
-			vTouched[geom.Point{X: x, Y: y + 1}] = true
+		for _, i := range v {
+			usage.V[i]++
 		}
-		regionSet := make(map[geom.Point]bool, len(hTouched)+len(vTouched))
-		for p := range hTouched { //detcheck:allow maporder each key hits a distinct usage slot exactly once with +1.0, so the float adds commute bit-exactly
-			regionSet[p] = true
-			usage.H[r.g.Index(p)]++
-		}
-		for p := range vTouched { //detcheck:allow maporder each key hits a distinct usage slot exactly once with +1.0, so the float adds commute bit-exactly
-			regionSet[p] = true
-			usage.V[r.g.Index(p)]++
-		}
-		// Pin regions are part of the route even when edgeless.
-		for v, isPin := range ns.pinMask {
+		// A tree's regions are its track regions plus its pin regions (part
+		// of the route even when edgeless), in scan order: downstream
+		// consumers iterate Regions, so their order reaches reports.
+		regions = append(append(regions[:0], h...), v...)
+		for pv, isPin := range ns.pinMask {
 			if isPin {
-				p := geom.Point{X: ns.bbox.MinX + v%ns.w, Y: ns.bbox.MinY + v/ns.w}
-				regionSet[p] = true
+				regions = append(regions, r.g.Index(geom.Point{X: ns.bbox.MinX + pv%ns.w, Y: ns.bbox.MinY + pv/ns.w}))
 			}
 		}
-		// Emit regions in scan order: downstream consumers iterate Regions,
-		// and map order would leak nondeterminism into reports.
-		tree.Regions = orderutil.SortedKeysFunc(regionSet, func(a, b geom.Point) int {
-			if a.Y != b.Y {
-				return cmp.Compare(a.Y, b.Y)
-			}
-			return cmp.Compare(a.X, b.X)
-		})
+		slices.Sort(regions)
+		regions = slices.Compact(regions)
+		tree := Tree{Net: ns.id, Edges: slices.Collect(r.aliveEdges(ns)), Regions: make([]geom.Point, len(regions))}
+		for k, i := range regions {
+			tree.Regions[k] = r.g.At(i)
+		}
 		trees[ni] = tree
 	}
+}
+
+// aliveEdges yields net ns's surviving edges: horizontal ones first, each
+// direction in local index order.
+func (r *Router) aliveEdges(ns *netState) iter.Seq[Edge] {
+	return func(yield func(Edge) bool) {
+		for e, alive := range ns.aliveH {
+			if alive {
+				x, y := r.edgeOrigin(ns, e, true)
+				if !yield(Edge{From: geom.Point{X: x, Y: y}, To: geom.Point{X: x + 1, Y: y}}) {
+					return
+				}
+			}
+		}
+		for e, alive := range ns.aliveV {
+			if alive {
+				x, y := r.edgeOrigin(ns, e, false)
+				if !yield(Edge{From: geom.Point{X: x, Y: y}, To: geom.Point{X: x, Y: y + 1}}) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// trackRegions appends to h and v the grid indices of the regions where
+// net ns holds a horizontal (h) and a vertical (v) track — both ends of
+// every surviving edge — and returns each sorted ascending and
+// de-duplicated. Ascending index order is the (y, x) scan order.
+func (r *Router) trackRegions(ns *netState, h, v []int) ([]int, []int) {
+	for e := range r.aliveEdges(ns) {
+		i, j := r.g.Index(e.From), r.g.Index(e.To)
+		if e.Horizontal() {
+			h = append(h, i, j)
+		} else {
+			v = append(v, i, j)
+		}
+	}
+	slices.Sort(h)
+	slices.Sort(v)
+	return slices.Compact(h), slices.Compact(v)
 }
 
 // TouchesDirection reports per-direction track occupancy of a tree: the

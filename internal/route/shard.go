@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -174,29 +175,53 @@ func (r *Router) RunShardedState(ctx context.Context, pool Pool, cfg ShardConfig
 func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, capture bool) (*Result, *DrainState, error) {
 	cfg = cfg.withDefaults(r.g.Cols, r.g.Rows)
 	pool = orSerial(pool, cfg.Trace, cfg.Lane)
-	groups, tileIDs := r.partition(cfg)
+	groups, tileIDs, wins := r.partition(cfg)
+	tiles, err := r.drainTiles(ctx, pool, cfg, groups, tileIDs, wins, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	var ds *DrainState
+	if capture {
+		ds = r.drainState(cfg, tiles, nil, nil)
+	}
+	res, err := r.finishSharded(ctx, pool, cfg, groups)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, ds, nil
+}
 
-	stats := RunStats{Shards: len(groups), SeedChunks: r.seedChunks}
-	views := make([]*view, len(groups))
-	owner := make([]int32, len(r.nets)) // net index -> group index
-	for gi, nets := range groups {
-		if len(nets) > stats.LargestShard {
-			stats.LargestShard = len(nets)
+// drainTiles is the one Phase I tile driver, shared by the from-scratch
+// run and the ECO resume. Group gi either replays clean[gi], a tile
+// captured by an earlier run, or drains live: a fresh view over wins[gi]
+// takes its members' items from the seeded heap. The live views drain as
+// one pool batch; then every group's window merges into the base in group
+// order — a replayed tile through the same window.merge as a live one —
+// so the float-addition order into the base is fixed. clean is nil for a
+// from-scratch run; a resume passes one entry per group (nil where the
+// group re-drains) and its drain spans are named "eco shard". The returned
+// tiles, one per group, are what a DrainState captures.
+func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, groups [][]int, tileIDs []int, wins []geom.Rect, clean []*tileSnap) ([]tileSnap, error) {
+	tiles := make([]tileSnap, len(groups))
+	var views []*view
+	var live []int                      // view index -> group index
+	owner := make([]int32, len(r.nets)) // net index -> view index
+	for gi, members := range groups {
+		if clean != nil && clean[gi] != nil {
+			tiles[gi] = *clean[gi]
+			continue
 		}
-		win := r.nets[nets[0]].bbox
-		for _, ni := range nets[1:] {
-			win = unionRect(win, r.nets[ni].bbox)
+		for _, ni := range members {
+			owner[ni] = int32(len(views))
 		}
-		views[gi] = newView(r, win)
-		for _, ni := range nets {
-			owner[ni] = int32(gi)
-		}
+		views = append(views, newView(r, wins[gi]))
+		live = append(live, gi)
 	}
 
-	// Split the seeded heap across the groups and restore heap order. The
-	// total order on items (see edgeHeap.Less) makes each group's pop
+	// Split the seeded heap across the live views and restore heap order.
+	// The total order on items (see edgeHeap.Less) makes each view's pop
 	// sequence independent of how the global slice was interleaved.
-	ssp := cfg.Trace.Start(cfg.Lane, "route", "heap split").Arg("shards", int64(len(groups)))
+	ssp := cfg.Trace.Start(cfg.Lane, "route", "heap split").Arg("shards", int64(len(views)))
 	for _, it := range r.pq {
 		v := views[owner[it.net]]
 		v.pq = append(v.pq, it)
@@ -207,37 +232,62 @@ func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, cap
 	}
 	ssp.End()
 
-	err := drainViews(ctx, pool, cfg.Trace, "shard", views, func(gi int) string {
-		return fmt.Sprintf("shard %d (%d nets)", gi, len(groups[gi]))
+	name := "shard"
+	if clean != nil {
+		name = "eco shard"
+	}
+	err := drainViews(ctx, pool, cfg.Trace, "shard", views, func(vi int) string {
+		gi := live[vi]
+		return fmt.Sprintf("%s %d (%d nets)", name, gi, len(groups[gi]))
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	// Deterministic merge: tile order, then window scan order within each.
-	msp := cfg.Trace.Start(cfg.Lane, "route", "delta merge").Arg("shards", int64(len(views)))
-	for _, v := range views {
-		v.merge()
+	// Deterministic merge: group order, then window scan order within each.
+	msp := cfg.Trace.Start(cfg.Lane, "route", "delta merge").Arg("shards", int64(len(groups)))
+	for vi, gi := range live {
+		tiles[gi] = tileSnap{tile: tileIDs[gi], members: groups[gi], window: views[vi].window}
+	}
+	for gi := range tiles {
+		tiles[gi].merge(&r.base)
 	}
 	msp.End()
+	return tiles, nil
+}
 
-	var ds *DrainState
-	if capture {
-		ds = r.captureDrainState(cfg, groups, tileIDs, views)
+// drainState captures the resumable snapshot right after drainTiles'
+// merge: the tiles it returned and every net's deletion state. A resume
+// passes prev and its re-drain flags; nets that did not re-drain keep
+// prev's (immutable) snapshot entries. cfg must be the resolved
+// ShardConfig of the run.
+func (r *Router) drainState(cfg ShardConfig, tiles []tileSnap, prev *DrainState, redrain []bool) *DrainState {
+	ds := &DrainState{
+		cfg:  r.cfg,
+		cols: r.g.Cols, rows: r.g.Rows,
+		tileCols: cfg.TileCols, tileRows: cfg.TileRows,
+		snaps: make([]netSnap, len(r.nets)),
+		tiles: tiles,
 	}
-
-	res, err := r.finishSharded(ctx, pool, cfg, &stats)
-	if err != nil {
-		return nil, nil, err
+	for i := range r.nets {
+		if prev != nil && !redrain[i] {
+			ds.snaps[i] = prev.snaps[i]
+		} else {
+			ds.snaps[i] = netSnap{ns: r.nets[i].clone(), pins: r.inPins[i]}
+		}
 	}
-	return res, ds, nil
+	return ds
 }
 
 // finishSharded runs the tail every sharded execution shares — bounded
 // boundary reconciliation, then parallel tree extraction — against the
 // merged global state. The ECO resume path reaches the same code, so a
 // resumed run reconciles and extracts exactly like a from-scratch one.
-func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, stats *RunStats) (*Result, error) {
+func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, groups [][]int) (*Result, error) {
+	stats := RunStats{Shards: len(groups), SeedChunks: r.seedChunks}
+	for _, members := range groups {
+		stats.LargestShard = max(stats.LargestShard, len(members))
+	}
 	for round := 0; round < cfg.MaxReconcileRounds; round++ {
 		ripped := r.overflowNets()
 		if len(ripped) == 0 {
@@ -249,7 +299,7 @@ func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, 
 		stats.ReconcileRounds++
 		stats.Reconciled += len(ripped)
 		rsp := cfg.Trace.Start(cfg.Lane, "route", "reconcile").Arg("round", int64(round)).Arg("nets", int64(len(ripped)))
-		err := r.reconcileRound(ctx, pool, cfg, round, ripped, stats)
+		err := r.reconcileRound(ctx, pool, cfg, round, ripped, &stats)
 		rsp.End()
 		if err != nil {
 			return nil, err
@@ -262,14 +312,15 @@ func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, 
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = *stats
+	res.Stats = stats
 	return res, nil
 }
 
 // partition groups net indices by the tile containing their bounding-box
 // center. Groups are emitted in tile scan order with their nets in input
-// order, paired with their tile indices; empty tiles are dropped.
-func (r *Router) partition(cfg ShardConfig) ([][]int, []int) {
+// order, paired with their tile indices and windows (the union of their
+// members' bounding boxes); empty tiles are dropped.
+func (r *Router) partition(cfg ShardConfig) ([][]int, []int, []geom.Rect) {
 	bboxes := make([]geom.Rect, len(r.nets))
 	for i := range r.nets {
 		bboxes[i] = r.nets[i].bbox
@@ -280,7 +331,7 @@ func (r *Router) partition(cfg ShardConfig) ([][]int, []int) {
 // partitionRects is partition over bare bounding boxes — the single
 // implementation, shared with the ECO resume path, which must classify
 // tiles before any net state exists.
-func partitionRects(bboxes []geom.Rect, cfg ShardConfig, cols, rows int) (groups [][]int, tileIDs []int) {
+func partitionRects(bboxes []geom.Rect, cfg ShardConfig, cols, rows int) (groups [][]int, tileIDs []int, wins []geom.Rect) {
 	tileW := (cols + cfg.TileCols - 1) / cfg.TileCols
 	tileH := (rows + cfg.TileRows - 1) / cfg.TileRows
 	tiles := make([][]int, cfg.TileCols*cfg.TileRows)
@@ -298,12 +349,18 @@ func partitionRects(bboxes []geom.Rect, cfg ShardConfig, cols, rows int) (groups
 		tiles[t] = append(tiles[t], ni)
 	}
 	for t, nets := range tiles {
-		if len(nets) > 0 {
-			groups = append(groups, nets)
-			tileIDs = append(tileIDs, t)
+		if len(nets) == 0 {
+			continue
 		}
+		win := bboxes[nets[0]]
+		for _, ni := range nets[1:] {
+			win = unionRect(win, bboxes[ni])
+		}
+		groups = append(groups, nets)
+		tileIDs = append(tileIDs, t)
+		wins = append(wins, win)
 	}
-	return groups, tileIDs
+	return groups, tileIDs, wins
 }
 
 // reconcileRound rips up and re-routes one round's overflowed nets,
@@ -352,7 +409,7 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 		return err
 	}
 	for _, v := range cviews {
-		v.merge()
+		v.merge(&r.base)
 	}
 	return nil
 }
@@ -377,7 +434,7 @@ func (r *Router) components(nets []int) [][]int {
 	}
 	for i := 0; i < len(nets); i++ {
 		for j := i + 1; j < len(nets); j++ {
-			if !rectsOverlap(r.nets[nets[i]].bbox, r.nets[nets[j]].bbox) {
+			if !r.nets[nets[i]].bbox.Intersects(r.nets[nets[j]].bbox) {
 				continue
 			}
 			ri, rj := find(i), find(j)
@@ -404,129 +461,45 @@ func (r *Router) components(nets []int) [][]int {
 	return out
 }
 
-func rectsOverlap(a, b geom.Rect) bool {
-	return a.MinX <= b.MaxX && b.MinX <= a.MaxX && a.MinY <= b.MaxY && b.MinY <= a.MaxY
-}
-
 // overflowNets returns, in ascending net order, the nets whose trees hold a
 // track in a region whose exact usage exceeds capacity in that direction.
 // These are the candidates boundary reconciliation re-routes.
 func (r *Router) overflowNets() []int {
 	useH := make([]int, r.g.NumRegions())
 	useV := make([]int, r.g.NumRegions())
-	touched := make([][2][]int, len(r.nets)) // per net: [H regions, V regions]
+	tracks := make([][2][]int, len(r.nets)) // per net: [H regions, V regions]
 	for ni := range r.nets {
-		ns := &r.nets[ni]
-		hSeen := make(map[int]bool)
-		vSeen := make(map[int]bool)
-		mark := func(seen map[int]bool, out *[]int, x, y int) {
-			i := y*r.g.Cols + x
-			if !seen[i] {
-				seen[i] = true
-				*out = append(*out, i)
-			}
-		}
-		for e, alive := range ns.aliveH {
-			if !alive {
-				continue
-			}
-			x, y := r.edgeOrigin(ns, e, true)
-			mark(hSeen, &touched[ni][0], x, y)
-			mark(hSeen, &touched[ni][0], x+1, y)
-		}
-		for e, alive := range ns.aliveV {
-			if !alive {
-				continue
-			}
-			x, y := r.edgeOrigin(ns, e, false)
-			mark(vSeen, &touched[ni][1], x, y)
-			mark(vSeen, &touched[ni][1], x, y+1)
-		}
-		for _, i := range touched[ni][0] {
+		h, v := r.trackRegions(&r.nets[ni], nil, nil)
+		tracks[ni] = [2][]int{h, v}
+		for _, i := range h {
 			useH[i]++
 		}
-		for _, i := range touched[ni][1] {
+		for _, i := range v {
 			useV[i]++
 		}
 	}
 	var out []int
-	for ni := range r.nets {
-		hot := false
-		for _, i := range touched[ni][0] {
-			if useH[i] > r.g.HC {
-				hot = true
-				break
-			}
-		}
-		if !hot {
-			for _, i := range touched[ni][1] {
-				if useV[i] > r.g.VC {
-					hot = true
-					break
-				}
-			}
-		}
-		if hot {
+	for ni, t := range tracks {
+		if slices.ContainsFunc(t[0], func(i int) bool { return useH[i] > r.g.HC }) ||
+			slices.ContainsFunc(t[1], func(i int) bool { return useV[i] > r.g.VC }) {
 			out = append(out, ni)
 		}
 	}
 	return out
 }
 
-// reseed rips up net ni — its base utilization contribution reverts from
-// the current surviving graph to the full connection graph, its deletion
-// state resets, and its edges are pushed onto pq with fresh base weights —
-// exactly the state addNet would have left it in.
+// reseed rips up net ni — its surviving edges release their utilization
+// from the base, every edge resets, and bumpNet and pushNet leave it
+// exactly as seeding did: the full connection graph's utilization in the
+// base and its edges on pq with fresh base weights.
 func (r *Router) reseed(ni int, pq *edgeHeap) {
 	ns := &r.nets[ni]
-	for e, alive := range ns.aliveH {
-		if alive {
-			x, y := r.edgeOrigin(ns, e, true)
-			r.bumpH(x, y, ns.rate, -0.5)
-			r.bumpH(x+1, y, ns.rate, -0.5)
-		}
+	for e := range r.aliveEdges(ns) {
+		r.base.bumpEdge(e.From.X, e.From.Y, e.Horizontal(), ns.rate, -0.5)
 	}
-	for e, alive := range ns.aliveV {
-		if alive {
-			x, y := r.edgeOrigin(ns, e, false)
-			r.bumpV(x, y, ns.rate, -0.5)
-			r.bumpV(x, y+1, ns.rate, -0.5)
-		}
-	}
-	for i := range ns.aliveH {
-		ns.aliveH[i] = true
-		ns.frozenH[i] = false
-	}
-	for i := range ns.aliveV {
-		ns.aliveV[i] = true
-		ns.frozenV[i] = false
-	}
-	ns.nAlive = len(ns.aliveH) + len(ns.aliveV)
-	b := ns.bbox
-	for y := b.MinY; y <= b.MaxY; y++ {
-		for x := b.MinX; x < b.MaxX; x++ {
-			r.bumpH(x, y, ns.rate, +0.5)
-			r.bumpH(x+1, y, ns.rate, +0.5)
-		}
-	}
-	for y := b.MinY; y < b.MaxY; y++ {
-		for x := b.MinX; x <= b.MaxX; x++ {
-			r.bumpV(x, y, ns.rate, +0.5)
-			r.bumpV(x, y+1, ns.rate, +0.5)
-		}
-	}
-	for y := b.MinY; y <= b.MaxY; y++ {
-		for x := b.MinX; x < b.MaxX; x++ {
-			*pq = append(*pq, item{net: int32(ni), edge: int32(ns.hEdge(x, y)), horz: true,
-				key: r.edgeWeight(ni, x, y, true, nil)})
-		}
-	}
-	for y := b.MinY; y < b.MaxY; y++ {
-		for x := b.MinX; x <= b.MaxX; x++ {
-			*pq = append(*pq, item{net: int32(ni), edge: int32(ns.vEdge(x, y)), horz: false,
-				key: r.edgeWeight(ni, x, y, false, nil)})
-		}
-	}
+	ns.resetEdges()
+	r.bumpNet(ni)
+	r.pushNet(pq, ni)
 }
 
 func unionRect(a, b geom.Rect) geom.Rect {

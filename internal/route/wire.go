@@ -14,15 +14,17 @@ package route
 // fabricates a structurally invalid state. Every length is bounds-checked
 // against the remaining input before allocation, and every decoded
 // DrainState invariant the resume path relies on for indexing — bbox
-// inside the grid, mask lengths matching the bbox dimensions, tile
-// windows matching their delta arrays, member indices inside the net
-// slice — is re-validated, so malformed input surfaces as an error, not
-// as memory corruption three phases later.
+// inside the grid and equal to the pins' bounding box, mask lengths
+// matching the bbox dimensions, pin mask and count matching the pins,
+// tile windows matching their delta arrays, member indices inside the
+// net slice — is re-validated, so malformed input surfaces as an error,
+// not as memory corruption three phases later.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -372,13 +374,10 @@ func (ds *DrainState) AppendWire(buf []byte) []byte {
 		for _, m := range t.members {
 			buf = wireI(buf, m)
 		}
-		buf = wireRect(buf, t.win)
-		buf = wireF64s(buf, t.dNnsH)
-		buf = wireF64s(buf, t.dSumSH)
-		buf = wireF64s(buf, t.dSumS2H)
-		buf = wireF64s(buf, t.dNnsV)
-		buf = wireF64s(buf, t.dSumSV)
-		buf = wireF64s(buf, t.dSumS2V)
+		buf = wireRect(buf, t.rect)
+		for _, a := range t.arrays() {
+			buf = wireF64s(buf, *a)
+		}
 	}
 	return buf
 }
@@ -457,23 +456,27 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 			r.fail("net %d: mask lengths inconsistent with %dx%d bbox", ns.id, ns.w, ns.h)
 			break
 		}
-		if ns.npins < 1 || ns.npins > ns.w*ns.h {
-			r.fail("net %d: %d pins in a %d-vertex bbox", ns.id, ns.npins, ns.w*ns.h)
-			break
-		}
 		if ns.nAlive < 0 || ns.nAlive > len(ns.aliveH)+len(ns.aliveV) {
 			r.fail("net %d: %d alive edges of %d", ns.id, ns.nAlive, len(ns.aliveH)+len(ns.aliveV))
 			break
 		}
-		if len(s.pins) == 0 {
-			r.fail("net %d: no pins", ns.id)
+		if len(s.pins) == 0 || geom.RectFromPoints(s.pins) != ns.bbox {
+			r.fail("net %d: bbox %v is not the bounding box of its %d pins", ns.id, ns.bbox, len(s.pins))
 			break
 		}
+		// A resume re-drains a restored net's pin connectivity against its
+		// mask and count, so both must be exactly those of its pins.
+		mask := make([]bool, len(ns.pinMask))
+		npins := 0
 		for _, p := range s.pins {
-			if !ns.bbox.Contains(p) {
-				r.fail("net %d: pin (%d,%d) outside bbox", ns.id, p.X, p.Y)
-				break
+			if v := ns.vertex(p.X, p.Y); !mask[v] {
+				mask[v] = true
+				npins++
 			}
+		}
+		if !slices.Equal(mask, ns.pinMask) || ns.npins != npins {
+			r.fail("net %d: pin mask or count %d disagrees with its %d distinct pins", ns.id, ns.npins, npins)
+			break
 		}
 	}
 
@@ -487,13 +490,10 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 		for j := 0; j < nm && r.err == nil; j++ {
 			t.members[j] = r.int("tile member")
 		}
-		t.win = r.rect("tile window")
-		t.dNnsH = r.f64s("tile deltas")
-		t.dSumSH = r.f64s("tile deltas")
-		t.dSumS2H = r.f64s("tile deltas")
-		t.dNnsV = r.f64s("tile deltas")
-		t.dSumSV = r.f64s("tile deltas")
-		t.dSumS2V = r.f64s("tile deltas")
+		t.rect = r.rect("tile window")
+		for _, a := range t.arrays() {
+			*a = r.f64s("tile deltas")
+		}
 		if r.err != nil {
 			break
 		}
@@ -507,15 +507,15 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 				break
 			}
 		}
-		checkWireRect(r, t.win, ds.cols, ds.rows, "tile window")
+		checkWireRect(r, t.rect, ds.cols, ds.rows, "tile window")
 		if r.err != nil {
 			break
 		}
-		n := t.win.Cells()
-		if len(t.dNnsH) != n || len(t.dSumSH) != n || len(t.dSumS2H) != n ||
-			len(t.dNnsV) != n || len(t.dSumSV) != n || len(t.dSumS2V) != n {
-			r.fail("tile %d: delta arrays inconsistent with %d-cell window", t.tile, n)
-			break
+		t.cols = t.rect.Width() // derived, not on the wire
+		for _, a := range t.arrays() {
+			if len(*a) != t.rect.Cells() {
+				r.fail("tile %d: delta arrays inconsistent with %d-cell window", t.tile, t.rect.Cells())
+			}
 		}
 	}
 	if r.err != nil {

@@ -1,19 +1,22 @@
 package route
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/geom"
 	"repro/internal/grid"
 )
 
 // wireFixture routes a random netlist and returns the result plus its
 // drain state — a realistic encoding subject with multi-pin nets, partial
 // deletion masks, and several populated tiles.
-func wireFixture(t *testing.T, seed int64, dim, nNets int) (*grid.Grid, []Net, *Result, *DrainState) {
+func wireFixture(t testing.TB, seed int64, dim, nNets int) (*grid.Grid, []Net, *Result, *DrainState) {
 	t.Helper()
 	g, err := grid.New(dim, dim, 100, 100, 3, 3)
 	if err != nil {
@@ -140,3 +143,98 @@ func TestWireDecodeRobustness(t *testing.T) {
 // for the robustness sweep.
 func DecodeResultBytes(data []byte) error { _, _, err := DecodeResult(data); return err }
 func DecodeDrainBytes(data []byte) error  { _, _, err := DecodeDrainState(data); return err }
+
+// TestDecodeRejectsPinMismatch: a net snapshot's bounding box, pin mask
+// and pin count must be exactly those of its pin list. A resume restores
+// the snapshot and re-drains the net against them: a mask without the
+// pins it counts would send the connectivity search to vertex -1.
+func TestDecodeRejectsPinMismatch(t *testing.T) {
+	_, _, _, ds := wireFixture(t, 4, 8, 16)
+	k := slices.IndexFunc(ds.snaps, func(s netSnap) bool {
+		return s.ns.npins >= 2 && len(s.ns.pinMask) >= 3 && slices.Contains(s.ns.pinMask, false)
+	})
+	if k < 0 {
+		t.Fatal("fixture has no multi-pin net; it drifted")
+	}
+	if _, _, err := DecodeDrainState(ds.AppendWire(nil)); err != nil {
+		t.Fatalf("unmutated fixture: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *netSnap)
+	}{
+		{"all-false mask", func(s *netSnap) { s.ns.npins, s.ns.pinMask = 3, make([]bool, len(s.ns.pinMask)) }},
+		{"count too high", func(s *netSnap) { s.ns.npins++ }},
+		{"extra mask bit", func(s *netSnap) {
+			s.ns.pinMask[slices.Index(s.ns.pinMask, false)] = true
+			s.ns.npins++
+		}},
+		{"bbox wider than pins", func(s *netSnap) { s.pins = s.pins[:1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mut := *ds
+			mut.snaps = slices.Clone(ds.snaps)
+			mut.snaps[k].ns.pinMask = slices.Clone(ds.snaps[k].ns.pinMask)
+			tc.mutate(&mut.snaps[k])
+			if _, _, err := DecodeDrainState(mut.AppendWire(nil)); err == nil {
+				t.Fatal("decoded without error")
+			}
+		})
+	}
+}
+
+// FuzzDecodeResult: DecodeResult never panics, and whatever it accepts
+// re-encodes to bytes that decode and re-encode to themselves.
+func FuzzDecodeResult(f *testing.F) {
+	for _, seed := range []int64{1, 4} {
+		_, _, res, _ := wireFixture(f, seed, 8, 16)
+		f.Add(res.AppendWire(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, _, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		enc := res.AppendWire(nil)
+		again, rest, err := DecodeResult(enc)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("re-encoding does not decode: %v (%d bytes left)", err, len(rest))
+		}
+		if !bytes.Equal(again.AppendWire(nil), enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
+}
+
+// FuzzDecodeDrainState: DecodeDrainState never panics, whatever it
+// accepts re-encodes to a fixed point, and an accepted state is safe to
+// resume from — resuming it on the serial pool, against the fixture
+// netlist with one net moved to span the grid (so every tile re-drains
+// from restored net state), returns or errors but never panics.
+func FuzzDecodeDrainState(f *testing.F) {
+	g, nets, _, ds := wireFixture(f, 4, 8, 16)
+	cfg := Config{ShieldAware: true}
+	_, chained, _, err := RunShardedResume(context.Background(), g, cfg, mutateNets(4, nets, 8, 8), nil, ShardConfig{}, ds)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ds.AppendWire(nil))
+	f.Add(chained.AppendWire(nil))
+	moved := slices.Clone(nets)
+	moved[0] = Net{ID: 0, Pins: []geom.Point{{X: 0, Y: 0}, {X: 7, Y: 7}}, Rate: nets[0].Rate}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds, _, err := DecodeDrainState(data)
+		if err != nil {
+			return
+		}
+		enc := ds.AppendWire(nil)
+		again, rest, err := DecodeDrainState(enc)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("re-encoding does not decode: %v (%d bytes left)", err, len(rest))
+		}
+		if !bytes.Equal(again.AppendWire(nil), enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+		RunShardedResume(context.Background(), g, cfg, moved, nil, ShardConfig{}, ds)
+	})
+}
