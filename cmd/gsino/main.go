@@ -24,7 +24,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/ibm"
-	"repro/internal/netlist"
 	"repro/internal/obs"
 )
 
@@ -101,11 +100,12 @@ func main() {
 		Rate: *rate,
 	}
 	// Applying the delta here checks it against the design (net IDs in
-	// range, no net edited twice) before any flow runs; -ecofull routes the
-	// result, and the incremental runner applies the delta again itself.
-	var edited *netlist.Netlist
+	// range, no net edited twice, every pin on the chip) before any flow
+	// runs; -ecofull routes the result, and the incremental runner applies
+	// the delta again itself.
+	var edited *core.Design
 	if *ecoPath != "" {
-		if edited, err = delta.Apply(design.Nets); err != nil {
+		if edited, err = core.ApplyDelta(design, delta); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -140,8 +140,7 @@ func main() {
 		var ecoRunner *core.Runner
 		if *ecoFull {
 			// From-scratch reference arm: same edited design, no resume.
-			editedDesign := &core.Design{Name: design.Name, Nets: edited, Grid: design.Grid, Rate: design.Rate}
-			ecoRunner, err = core.NewRunner(editedDesign, params)
+			ecoRunner, err = core.NewRunner(edited, params)
 		} else {
 			ecoRunner, err = core.NewECORunner(design, delta, params)
 		}
@@ -212,10 +211,9 @@ func runFlows(runner *core.Runner, flows []core.Flow, verbose, notime bool) erro
 		fmt.Printf("%-7s %10d %7.2f%% %10.1f %14s %9s %8d %9s\n",
 			out.Flow, out.Violations, out.ViolationPct, float64(out.AvgWL),
 			out.Area.String(), areaPct, out.Shields, runtime)
-		snap := out.Snapshot()
-		obs.PublishSnapshot(snap)
+		obs.PublishSnapshot(out)
 		if verbose {
-			fmt.Print(snap.Detail("        "))
+			fmt.Print(out.Detail("        "))
 		}
 		if f == core.FlowGSINO && out.Unfixable > 0 {
 			fmt.Printf("        (GSINO: %d violations unfixable at the K floor)\n", out.Unfixable)

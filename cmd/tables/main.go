@@ -126,9 +126,8 @@ func main() {
 			if r.Err != nil {
 				return // reported once by FirstError below
 			}
-			snap := r.Snapshot(len(cells))
-			obs.PublishSnapshot(snap)
-			console.Printf("%s\n", snap.Summary())
+			obs.PublishSnapshot(r)
+			console.Printf("%s\n", r.Summary(len(cells)))
 			set.Add(r.Outcome)
 		},
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/route"
 )
 
-func testGrid(t *testing.T, cols, rows int) *grid.Grid {
+func testGrid(t testing.TB, cols, rows int) *grid.Grid {
 	t.Helper()
 	g, err := grid.New(cols, rows, 100, 100, 8, 8)
 	if err != nil {
@@ -324,6 +325,53 @@ func TestParseDelta(t *testing.T) {
 	if _, err := ParseDelta([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// FuzzParseDelta: ParseDelta never panics; an accepted delta is
+// normalized (removes ascending, moves by ID, add names strictly
+// ascending); and applying it to a base netlist either errors or returns a
+// netlist that validates and holds the base nets plus the adds.
+func FuzzParseDelta(f *testing.F) {
+	for _, seed := range []string{
+		`{"move":[{"id":0,"pins":[[120,80],[440,360]]}],"remove":[1],"add":[{"name":"eco0","pins":[[60,60],[220,300]]}]}`,
+		`{"remove":[3,1,3],"move":[{"id":2,"pins":[[0,0]]},{"id":0,"pins":[[5,5],[9,9]]}]}`,
+		`{"add":[{"name":"b","pins":[[1,2]]},{"name":"a","pins":[[3,4],[5,6]]}]}`,
+		`{"move":[{"id":-1,"pins":[[1,2,3]]}]}`,
+		`{"add":[{"name":"a","pins":[]}]}`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	base := baseNetlist(4)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ParseDelta(data)
+		if err != nil {
+			return
+		}
+		if !sort.IntsAreSorted(d.Remove) {
+			t.Fatalf("removes not ascending: %v", d.Remove)
+		}
+		for i := 1; i < len(d.Move); i++ {
+			if d.Move[i-1].ID > d.Move[i].ID {
+				t.Fatalf("moves not ordered by ID: %d before %d", d.Move[i-1].ID, d.Move[i].ID)
+			}
+		}
+		for i := 1; i < len(d.Add); i++ {
+			if d.Add[i-1].Name >= d.Add[i].Name {
+				t.Fatalf("add names not strictly ascending: %q before %q", d.Add[i-1].Name, d.Add[i].Name)
+			}
+		}
+		out, err := d.Apply(base)
+		if err != nil {
+			return
+		}
+		if err := out.Validate(); err != nil {
+			t.Fatalf("applied delta does not validate: %v", err)
+		}
+		if want := len(base.Nets) + len(d.Add); len(out.Nets) != want {
+			t.Fatalf("applied delta has %d nets, want %d", len(out.Nets), want)
+		}
+	})
 }
 
 // TestParseDeltaAddOrderInvariance: adds are assigned IDs positionally by

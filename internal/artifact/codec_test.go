@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/crc64"
@@ -14,7 +15,7 @@ import (
 
 // sealedFixture routes the test netlist with a captured drain state and
 // seals it — the full payload shape the disk tier persists.
-func sealedFixture(t *testing.T) *Artifact {
+func sealedFixture(t testing.TB) *Artifact {
 	t.Helper()
 	g := testGrid(t, 8, 8)
 	nets := testNets()
@@ -178,4 +179,35 @@ func TestFingerprintMismatchedUsageLengths(t *testing.T) {
 	if !reflect.DeepEqual(dec.res.Usage, short.Usage) {
 		t.Fatal("mismatched-length usage did not round-trip")
 	}
+}
+
+// FuzzDecode: Decode never panics, and whatever it accepts re-encodes to
+// exactly the input bytes. Seeds are the fixture's encodings with and
+// without a drain state.
+func FuzzDecode(f *testing.F) {
+	a := sealedFixture(f)
+	res, err := a.Result()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, art := range []*Artifact{a, Seal(a.Key(), res, nil)} {
+		data, err := Encode(art)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		art, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := Encode(art)
+		if err != nil {
+			t.Fatalf("decoded artifact does not encode: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatal("re-encoding differs from the accepted input")
+		}
+	})
 }

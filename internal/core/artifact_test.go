@@ -181,12 +181,11 @@ func TestECORunnerMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			edited, err := delta.Apply(base.Nets)
+			edited, err := ApplyDelta(base, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refR, err := NewRunner(&Design{Name: base.Name, Nets: edited, Grid: base.Grid, Rate: base.Rate},
-				Params{Workers: workers})
+			refR, err := NewRunner(edited, Params{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,11 +223,11 @@ func TestECORunnerColdStore(t *testing.T) {
 	if eo.ECO.EditedNets != 0 {
 		t.Errorf("cold store: ECO accounting %+v, want zero (from-scratch route)", eo.ECO)
 	}
-	edited, err := delta.Apply(base.Nets)
+	edited, err := ApplyDelta(base, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refR, err := NewRunner(&Design{Name: base.Name, Nets: edited, Grid: base.Grid, Rate: base.Rate}, Params{})
+	refR, err := NewRunner(edited, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,4 +236,39 @@ func TestECORunnerColdStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameReport(t, "cold eco vs scratch", eo, ro)
+}
+
+// TestApplyDeltaRejectsOffChipPins: a moved or added pin off the chip
+// fails ApplyDelta and NewECORunner; pins on the chip boundary are
+// accepted, and the edited design keeps the base's name, grid and rate.
+func TestApplyDeltaRejectsOffChipPins(t *testing.T) {
+	base := smallDesign(t, 20, 0.4, 4)
+	w, h := base.Grid.ChipW(), base.Grid.ChipH()
+	pins := func(x, y geom.Micron) []netlist.Pin {
+		return []netlist.Pin{{Loc: geom.MicronPoint{X: x, Y: y}}, {Loc: geom.MicronPoint{X: 0, Y: 0}}}
+	}
+	for name, d := range map[string]artifact.Delta{
+		"move far right": {Move: []artifact.Move{{ID: 0, Pins: pins(1e300, 0)}}},
+		"move below":     {Move: []artifact.Move{{ID: 0, Pins: pins(10, -1)}}},
+		"add above":      {Add: []netlist.Net{{Name: "eco0", Pins: pins(10, h+1)}}},
+	} {
+		if _, err := ApplyDelta(base, d); err == nil {
+			t.Errorf("%s: off-chip pin accepted", name)
+		}
+		if _, err := NewECORunner(base, d, Params{}); err == nil {
+			t.Errorf("%s: NewECORunner accepted an off-chip pin", name)
+		}
+	}
+	edge := artifact.Delta{
+		Move: []artifact.Move{{ID: 0, Pins: pins(w, h)}},
+		Add:  []netlist.Net{{Name: "eco0", Pins: pins(0, h)}},
+	}
+	d, err := ApplyDelta(base, edge)
+	if err != nil {
+		t.Fatalf("pins on the chip boundary rejected: %v", err)
+	}
+	if d.Name != base.Name || d.Grid != base.Grid || d.Rate != base.Rate || len(d.Nets.Nets) != len(base.Nets.Nets)+1 {
+		t.Errorf("edited design = %s/%p/%v with %d nets, want %s/%p/%v with %d",
+			d.Name, d.Grid, d.Rate, len(d.Nets.Nets), base.Name, base.Grid, base.Rate, len(base.Nets.Nets)+1)
+	}
 }

@@ -23,6 +23,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/artifact"
@@ -262,6 +263,54 @@ func (o *Outcome) WLOverheadPct(base *Outcome) float64 {
 	return float64(o.TotalWL-base.TotalWL) / float64(base.TotalWL) * 100
 }
 
+// Detail renders the multi-line stats block behind gsino -v, each line
+// prefixed (the CLI indents under its table row). The artifact, ECO and
+// Phase III lines appear only when that machinery ran. Timings appear only
+// here and in sched.Result.Summary — never in the deterministic tables or
+// CSV.
+func (o *Outcome) Detail(prefix string) string {
+	var b strings.Builder
+	p := o.Phases
+	fmt.Fprintf(&b, "%sphases: route %s, order %s, refine %s (total %s)\n",
+		prefix, p.Route.Round(time.Millisecond), p.Order.Round(time.Millisecond),
+		p.Refine.Round(time.Millisecond), o.Runtime.Round(time.Millisecond))
+	c := o.Congestion
+	fmt.Fprintf(&b, "%sdensity avg H/V %.2f/%.2f, max %.2f/%.2f, overflowed regions %d/%d, segs %d\n",
+		prefix, c.AvgHDensity, c.AvgVDensity, c.MaxH, c.MaxV, c.OverflowedH, c.OverflowedV, o.SegTracks)
+	e := o.Engine
+	fmt.Fprintf(&b, "%sengine: %d workers, %d instances solved (%d tracks), %d tasks in %d waves, coupling cache %.1f%% hit\n",
+		prefix, e.Workers, e.Jobs, e.Tracks, e.Tasks, e.Waves, e.HitRate()*100)
+	v := o.Eval
+	fmt.Fprintf(&b, "%seval pool: %d binds, %d loads, %d incremental edits, %d rollbacks\n",
+		prefix, v.Binds, v.Loads, v.Edits, v.Rollbacks)
+	k := o.Cache
+	fmt.Fprintf(&b, "%spair cache: %d geometries (sep <= %d, ret <= %d), %d evaluations outside the table\n",
+		prefix, k.Dense, k.SepBound, k.RetBound, k.Overflow)
+	r := o.Route
+	fmt.Fprintf(&b, "%sphase I: %d routing shards (largest %d nets), seeding in %d chunks, %d nets reconciled in %d rounds (%d components, largest %d)\n",
+		prefix, r.Shards, r.LargestShard, r.SeedChunks,
+		r.Reconciled, r.ReconcileRounds, r.ReconcileComponents, r.LargestComponent)
+	if a := o.Artifact; a.Hits+a.Misses > 0 {
+		fmt.Fprintf(&b, "%sartifacts: %d hits, %d misses, %d evictions\n",
+			prefix, a.Hits, a.Misses, a.Evictions)
+	}
+	if d := o.Artifact.Disk; d.Total() > 0 {
+		fmt.Fprintf(&b, "%sartifact disk: %d hits, %d misses, %d corrupt, %d writes (%d write errors)\n",
+			prefix, d.Hits, d.Misses, d.Corrupt, d.Writes, d.WriteErrors)
+	}
+	if eco := o.ECO; eco.EditedNets > 0 || eco.TilesInvalid+eco.TilesReused > 0 {
+		fmt.Fprintf(&b, "%seco: %d nets edited, %d/%d tiles invalidated, %d nets re-routed (%d reused)\n",
+			prefix, eco.EditedNets, eco.TilesInvalid, eco.TilesInvalid+eco.TilesReused, eco.NetsRerouted, eco.NetsReused)
+	}
+	if p3 := o.Refine; p3.Waves > 0 || o.Refinements > 0 || p3.Relaxed > 0 {
+		fmt.Fprintf(&b, "%sphase III: %d repair waves (largest %d nets, %d colors max), %d re-solves; pass 2: %d relaxed, %d accepted, %d reverted\n",
+			prefix, p3.Waves, p3.MaxWave, p3.MaxColors, o.Refinements, p3.Relaxed, p3.Accepted, p3.Reverted)
+		fmt.Fprintf(&b, "%sbarriers: %d net refreshes, conflict graph -%d/+%d vertices between waves\n",
+			prefix, p3.Refreshed, p3.GraphDropped, p3.GraphAdded)
+	}
+	return b.String()
+}
+
 // Runner executes flows over one design.
 type Runner struct {
 	params Params
@@ -278,7 +327,7 @@ type Runner struct {
 	// eco, when set (NewECORunner), lets routeAll resume from the base
 	// design's warm artifact instead of routing the edited design from
 	// scratch; ecoLast holds the most recent resume's accounting until the
-	// flow's finishStats collects it.
+	// flow collects it into its Outcome.
 	eco     *ecoResume
 	ecoLast route.ECOStats
 }
@@ -323,21 +372,51 @@ func NewRunner(d *Design, p Params) (*Runner, error) {
 	}, nil
 }
 
-// NewECORunner prepares a runner for the edited design delta(base): it
-// applies the netlist delta (same name, grid, and rate — an ECO changes
-// nets, not the floorplan) and, when p.Artifacts holds the base design's
-// routed artifact, Phase I resumes incrementally from it — re-draining
-// only the tiles the edit invalidates — instead of routing from scratch.
-// The flow results are byte-identical either way; only the work differs.
-func NewECORunner(base *Design, delta artifact.Delta, p Params) (*Runner, error) {
+// ApplyDelta returns the edited design delta(base): same name, grid and
+// rate — an ECO changes nets, not the floorplan. Every moved or added pin
+// must lie on the chip, [0, ChipW] × [0, ChipH]: the router would clamp an
+// off-chip pin into an edge region, but budgets and intra-region spans use
+// the raw microns.
+func ApplyDelta(base *Design, delta artifact.Delta) (*Design, error) {
 	if base == nil || base.Nets == nil || base.Grid == nil {
 		return nil, fmt.Errorf("core: incomplete base design")
+	}
+	w, h := base.Grid.ChipW(), base.Grid.ChipH()
+	onChip := func(pins []netlist.Pin) error {
+		for _, p := range pins {
+			if !(p.Loc.X >= 0 && p.Loc.X <= w && p.Loc.Y >= 0 && p.Loc.Y <= h) {
+				return fmt.Errorf("pin (%g, %g) is off the %g x %g um chip", p.Loc.X, p.Loc.Y, w, h)
+			}
+		}
+		return nil
+	}
+	for _, m := range delta.Move {
+		if err := onChip(m.Pins); err != nil {
+			return nil, fmt.Errorf("core: delta move of net %d: %w", m.ID, err)
+		}
+	}
+	for _, a := range delta.Add {
+		if err := onChip(a.Pins); err != nil {
+			return nil, fmt.Errorf("core: delta add %q: %w", a.Name, err)
+		}
 	}
 	edited, err := delta.Apply(base.Nets)
 	if err != nil {
 		return nil, err
 	}
-	d := &Design{Name: base.Name, Nets: edited, Grid: base.Grid, Rate: base.Rate}
+	return &Design{Name: base.Name, Nets: edited, Grid: base.Grid, Rate: base.Rate}, nil
+}
+
+// NewECORunner prepares a runner for the edited design ApplyDelta(base,
+// delta) and, when p.Artifacts holds the base design's routed artifact,
+// Phase I resumes incrementally from it — re-draining only the tiles the
+// edit invalidates — instead of routing from scratch. The flow results are
+// byte-identical either way; only the work differs.
+func NewECORunner(base *Design, delta artifact.Delta, p Params) (*Runner, error) {
+	d, err := ApplyDelta(base, delta)
+	if err != nil {
+		return nil, err
+	}
 	r, err := NewRunner(d, p)
 	if err != nil {
 		return nil, err
@@ -358,13 +437,8 @@ func (r *Runner) Run(f Flow) (*Outcome, error) {
 // the region-solve engine between instances and aborts the flow.
 func (r *Runner) RunContext(ctx context.Context, f Flow) (*Outcome, error) {
 	switch f {
-	case FlowIDNO:
-		return r.runIDNO(ctx)
-	case FlowISINO:
-		return r.runISINO(ctx)
-	case FlowGSINO:
-		return r.runGSINO(ctx)
-	default:
-		return nil, fmt.Errorf("core: unknown flow %q", f)
+	case FlowIDNO, FlowISINO, FlowGSINO:
+		return r.run(ctx, f)
 	}
+	return nil, fmt.Errorf("core: unknown flow %q", f)
 }

@@ -2,12 +2,17 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/ibm"
 	"repro/internal/netlist"
+	"repro/internal/obs"
+	"repro/internal/route"
 )
 
 // smallDesign builds a compact random design for flow tests.
@@ -182,6 +187,47 @@ func TestOverheadHelpers(t *testing.T) {
 	zero := &Outcome{}
 	if o.AreaOverheadPct(zero) != 0 || o.WLOverheadPct(zero) != 0 {
 		t.Error("overhead vs zero base should be 0")
+	}
+}
+
+// TestOutcomeDetail sanity-checks the gsino -v renderer: every line is
+// prefixed, the headline counters and phase split appear, re-solves come
+// from Refinements, and the disk and Phase III lines appear only when that
+// machinery ran.
+func TestOutcomeDetail(t *testing.T) {
+	ms := time.Millisecond
+	o := &Outcome{
+		SegTracks: 4022,
+		Runtime:   37 * ms,
+		Phases:    obs.PhaseTimes{Route: 13 * ms, Order: 17 * ms, Refine: 4 * ms},
+		Engine:    engine.Stats{Workers: 4, Jobs: 344, Tracks: 8580, Tasks: 55, Waves: 7, CacheHits: 75, CacheMiss: 25},
+		Route:     route.RunStats{Shards: 40, LargestShard: 38},
+	}
+	d := o.Detail("  ")
+	for _, absent := range []string{"phase III", "artifact disk"} {
+		if strings.Contains(d, absent) {
+			t.Errorf("Detail shows %q with nothing to report:\n%s", absent, d)
+		}
+	}
+	o.Refinements = 184
+	o.Refine = RefineStats{Waves: 6, MaxWave: 2, MaxColors: 7, Relaxed: 2, Accepted: 1, Reverted: 1}
+	o.Artifact.Disk.Hits = 1
+	d = o.Detail("  ")
+	for _, want := range []string{
+		"phases: route 13ms, order 17ms, refine 4ms (total 37ms)",
+		"engine: 4 workers, 344 instances solved (8580 tracks), 55 tasks in 7 waves, coupling cache 75.0% hit",
+		"phase I: 40 routing shards (largest 38 nets)",
+		"artifact disk: 1 hits, 0 misses",
+		"phase III: 6 repair waves (largest 2 nets, 7 colors max), 184 re-solves",
+	} {
+		if !strings.Contains(d, want) {
+			t.Errorf("Detail missing %q in:\n%s", want, d)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimRight(d, "\n"), "\n") {
+		if !strings.HasPrefix(line, "  ") {
+			t.Errorf("Detail line not prefixed: %q", line)
+		}
 	}
 }
 

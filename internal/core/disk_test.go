@@ -9,9 +9,11 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/route"
 )
 
 // diskParams builds Params whose store is layered over dir, returning the
@@ -180,12 +182,11 @@ func TestECORunnerResumesFromDiskBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edited, err := delta.Apply(base.Nets)
+		edited, err := ApplyDelta(base, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refR, err := NewRunner(&Design{Name: base.Name, Nets: edited, Grid: base.Grid, Rate: base.Rate},
-			Params{Workers: workers})
+		refR, err := NewRunner(edited, Params{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,5 +207,88 @@ func TestECORunnerResumesFromDiskBase(t *testing.T) {
 		if es := ecoStore.Stats(); es.Disk.Hits == 0 {
 			t.Errorf("workers %d: ECO runner never read the warm directory: %+v", workers, es.Disk)
 		}
+	}
+}
+
+// TestForgedArtifactRejected: a file that passes every codec check — the
+// checksum, version, fingerprint and key all hold, because the forged
+// result was sealed under the real key — but whose trees do not fit the
+// design must fail the flow with an error naming the key. Unchecked, each
+// forgery reaches buildState, which indexes the trees on the runner
+// goroutine, outside the engine's panic recovery.
+func TestForgedArtifactRejected(t *testing.T) {
+	d := smallDesign(t, 80, 0.4, 7)
+	dir := t.TempDir()
+	p, _ := diskParams(t, dir, 1)
+	r, err := NewRunner(d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(FlowGSINO); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.art"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want one artifact file, got %v (%v)", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	spread := -1 // a net whose empty tree buildState would still index
+	for i := range d.Nets.Nets {
+		if d.Nets.Nets[i].PinSpread() > 0 {
+			spread = i
+			break
+		}
+	}
+	if spread < 0 {
+		t.Fatal("fixture has no net with a pin spread")
+	}
+	forgeries := map[string]func(t *testing.T, res *route.Result){
+		"dropped tree": func(t *testing.T, res *route.Result) { res.Trees = res.Trees[:len(res.Trees)-1] },
+		"edge off grid": func(t *testing.T, res *route.Result) {
+			for i := range res.Trees {
+				if es := res.Trees[i].Edges; len(es) > 0 {
+					es[0].From.X += 500
+					es[0].To.X += 500
+					return
+				}
+			}
+			t.Fatal("no tree has an edge")
+		},
+		"empty tree": func(t *testing.T, res *route.Result) {
+			res.Trees[spread].Edges, res.Trees[spread].Regions = nil, nil
+		},
+	}
+	for name, forge := range forgeries {
+		t.Run(name, func(t *testing.T) {
+			art, err := artifact.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := art.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			forge(t, res)
+			forgedDir := t.TempDir()
+			disk, err := artifact.NewDiskStore(forgedDir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := disk.Save(artifact.Seal(art.Key(), res, art.Drain())); err != nil {
+				t.Fatal(err)
+			}
+			fp, _ := diskParams(t, forgedDir, 1)
+			fr, err := NewRunner(d, fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = fr.Run(FlowGSINO)
+			if err == nil || !strings.Contains(err.Error(), art.Key().String()) {
+				t.Fatalf("forged artifact: err = %v, want an error naming key %s", err, art.Key())
+			}
+		})
 	}
 }

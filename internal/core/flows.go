@@ -5,155 +5,89 @@ import (
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/route"
-	"repro/internal/sino"
 )
 
-// Each flow times its phases individually (Outcome.Phases) in addition to
-// the total Runtime, and brackets them with tracer spans on the runner's
-// lane. Both are observational: timings and spans never feed back into any
-// algorithm and stay off the deterministic tables and CSV (timings live on
-// stderr only — the PR 5 contract).
-
-// finishStats closes out the bookkeeping every flow shares: engine,
-// evaluator, and artifact-store counters accumulated since the flow
-// started, a cache introspection snapshot, and the ECO accounting of a
-// resumed Phase I (consumed so it never bleeds into the next flow).
-func (r *Runner) finishStats(o *Outcome, engBase engineBase, start time.Time) {
-	o.Engine = r.eng.Stats().Sub(engBase.stats)
-	o.Eval = r.eng.EvalStats().Sub(engBase.eval)
-	o.Cache = r.eng.Cache().Info()
+// run executes one flow. The paper's three flows (§4) share every step
+// and differ in four choices, all selected by the flow name:
+//
+//   - GSINO routes with shield-aware weights (Phase I) and locally refines
+//     (Phase III), first eliminating the detour-induced violations, then
+//     clawing back congestion;
+//   - iSINO budgets each net over its routed tree length, since it has no
+//     refinement phase to clean up the Manhattan budget's optimism;
+//   - ID+NO runs net ordering only in each region — the conventional
+//     baseline, blind to inductive crosstalk, whose violations Table 1
+//     counts;
+//   - GSINO redistributes budgets by congestion when
+//     Params.CongestionBudgeting is set.
+//
+// ID+NO and iSINO route identically, so their wirelengths match; iSINO's
+// shields inflate the routing area (Table 3's iSINO column).
+//
+// Each phase is timed (Outcome.Phases) and bracketed by a tracer span on
+// the runner's lane. Both are observational: timings and spans never feed
+// back into any algorithm and stay off the deterministic tables and CSV.
+func (r *Runner) run(ctx context.Context, f Flow) (*Outcome, error) {
+	start := time.Now()
+	engBase, evalBase := r.eng.Stats(), r.eng.EvalStats()
+	var artBase artifact.Stats
 	if r.params.Artifacts != nil {
-		o.Artifact = r.params.Artifacts.Stats().Sub(engBase.art)
+		artBase = r.params.Artifacts.Stats()
 	}
-	o.ECO = r.ecoLast
-	r.ecoLast = route.ECOStats{}
-	o.Runtime = time.Since(start)
-}
-
-type engineBase struct {
-	stats engine.Stats
-	eval  sino.EvalStats
-	art   artifact.Stats
-}
-
-func (r *Runner) engineBase() engineBase {
-	b := engineBase{stats: r.eng.Stats(), eval: r.eng.EvalStats()}
-	if r.params.Artifacts != nil {
-		b.art = r.params.Artifacts.Stats()
-	}
-	return b
-}
-
-// runIDNO is the conventional baseline: wirelength/congestion-driven ID
-// routing (no shield reservation), then net ordering only in each region.
-// It is blind to inductive crosstalk — the flow whose violations Table 1
-// counts.
-func (r *Runner) runIDNO(ctx context.Context) (*Outcome, error) {
-	start := time.Now()
-	base := r.engineBase()
-	fsp := r.trace.Start(r.lane, "flow", "flow ID+NO")
+	fsp := r.trace.Start(r.lane, "flow", "flow "+string(f))
 	defer fsp.End()
 
 	psp := r.trace.Start(r.lane, "phase", "phase I: route")
-	res, err := r.routeAll(ctx, false)
+	res, err := r.routeAll(ctx, f == FlowGSINO)
 	psp.End()
-	routeDur := time.Since(start)
+	phases := obs.PhaseTimes{Route: time.Since(start)}
 	if err != nil {
 		return nil, err
 	}
 
 	tOrder := time.Now()
 	psp = r.trace.Start(r.lane, "phase", "phase II: order")
-	st := r.buildState(res, budgetManhattan)
-	err = st.solveAll(ctx, true)
-	psp.End()
-	if err != nil {
-		return nil, err
+	mode := budgetManhattan
+	if f == FlowISINO {
+		mode = budgetTreeLength
 	}
-	o := st.outcome(FlowIDNO)
-	o.Phases = obs.PhaseTimes{Route: routeDur, Order: time.Since(tOrder)}
-	r.finishStats(o, base, start)
-	return o, nil
-}
-
-// runISINO routes exactly like ID+NO, then applies full SINO inside every
-// region with tree-length budgets. Routing is identical, so the wirelength
-// matches ID+NO; the shields inflate the routing area (Table 3's iSINO
-// column).
-func (r *Runner) runISINO(ctx context.Context) (*Outcome, error) {
-	start := time.Now()
-	base := r.engineBase()
-	fsp := r.trace.Start(r.lane, "flow", "flow iSINO")
-	defer fsp.End()
-
-	psp := r.trace.Start(r.lane, "phase", "phase I: route")
-	res, err := r.routeAll(ctx, false)
-	psp.End()
-	routeDur := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-
-	tOrder := time.Now()
-	psp = r.trace.Start(r.lane, "phase", "phase II: order")
-	st := r.buildState(res, budgetTreeLength)
-	err = st.solveAll(ctx, false)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	o := st.outcome(FlowISINO)
-	o.Phases = obs.PhaseTimes{Route: routeDur, Order: time.Since(tOrder)}
-	r.finishStats(o, base, start)
-	return o, nil
-}
-
-// runGSINO is the paper's three-phase algorithm: Phase I budgets crosstalk
-// uniformly over Manhattan distances and routes with shield-aware weights;
-// Phase II solves SINO in every region; Phase III locally refines — first
-// eliminating the (detour-induced) violations, then clawing back congestion.
-func (r *Runner) runGSINO(ctx context.Context) (*Outcome, error) {
-	start := time.Now()
-	base := r.engineBase()
-	fsp := r.trace.Start(r.lane, "flow", "flow GSINO")
-	defer fsp.End()
-
-	psp := r.trace.Start(r.lane, "phase", "phase I: route")
-	res, err := r.routeAll(ctx, true) // Phase I
-	psp.End()
-	routeDur := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-
-	tOrder := time.Now()
-	psp = r.trace.Start(r.lane, "phase", "phase II: order")
-	st := r.buildState(res, budgetManhattan)
-	if r.params.CongestionBudgeting {
+	st := r.buildState(res, mode)
+	if f == FlowGSINO && r.params.CongestionBudgeting {
 		st.redistributeByCongestion()
 	}
-	err = st.solveAll(ctx, false) // Phase II
+	err = st.solveAll(ctx, f == FlowIDNO)
 	psp.End()
-	orderDur := time.Since(tOrder)
+	phases.Order = time.Since(tOrder)
 	if err != nil {
 		return nil, err
 	}
 
-	tRefine := time.Now()
-	psp = r.trace.Start(r.lane, "phase", "phase III: refine")
-	refts, err := st.refine(ctx) // Phase III
-	psp.End()
-	if err != nil {
-		return nil, err
+	var refts refineStats
+	if f == FlowGSINO {
+		tRefine := time.Now()
+		psp = r.trace.Start(r.lane, "phase", "phase III: refine")
+		refts, err = st.refine(ctx)
+		psp.End()
+		phases.Refine = time.Since(tRefine)
+		if err != nil {
+			return nil, err
+		}
 	}
-	o := st.outcome(FlowGSINO)
-	o.Refinements = refts.resolves
-	o.Unfixable = refts.unfixable
-	o.Refine = refts.RefineStats
-	o.Phases = obs.PhaseTimes{Route: routeDur, Order: orderDur, Refine: time.Since(tRefine)}
-	r.finishStats(o, base, start)
+
+	o := st.outcome(f)
+	o.Refinements, o.Unfixable, o.Refine = refts.resolves, refts.unfixable, refts.RefineStats
+	o.Phases = phases
+	o.Engine = r.eng.Stats().Sub(engBase)
+	o.Eval = r.eng.EvalStats().Sub(evalBase)
+	o.Cache = r.eng.Cache().Info()
+	if r.params.Artifacts != nil {
+		o.Artifact = r.params.Artifacts.Stats().Sub(artBase)
+	}
+	// The ECO accounting of a resumed Phase I is consumed so it never
+	// bleeds into the next flow.
+	o.ECO, r.ecoLast = r.ecoLast, route.ECOStats{}
+	o.Runtime = time.Since(start)
 	return o, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"sort"
 
@@ -85,7 +86,9 @@ func (r *Runner) netsForRouting() []route.Net { return routeNetsFor(r.design) }
 // publishes for every later flow, runner, or batch cell with the same
 // problem. An ECO runner additionally probes for its base design's warm
 // artifact and, when present, re-solves only the invalidated tiles
-// (route.RunShardedResume). All three paths return identical bytes.
+// (route.RunShardedResume). All three paths return identical bytes, and
+// whatever the store returns is checked against the design's grid and nets
+// before any later phase indexes it.
 func (r *Runner) routeAll(ctx context.Context, shieldAware bool) (*route.Result, error) {
 	cfg := route.Config{
 		Alpha: r.params.Alpha, Beta: r.params.Beta, Gamma: r.params.Gamma,
@@ -135,7 +138,14 @@ func (r *Runner) routeAll(ctx context.Context, shieldAware bool) (*route.Result,
 	if err != nil {
 		return nil, err
 	}
-	return art.Result()
+	res, err := art.Result()
+	if err != nil {
+		return nil, err
+	}
+	if err := res.Validate(r.design.Grid, nets); err != nil {
+		return nil, fmt.Errorf("core: routing artifact %s: %w", key, err)
+	}
+	return res, nil
 }
 
 // budgetMode selects how per-segment bounds are derived.

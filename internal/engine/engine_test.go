@@ -220,6 +220,16 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestStatsHitRate covers the hit rate's zero-denominator guard.
+func TestStatsHitRate(t *testing.T) {
+	if r := (Stats{}).HitRate(); r != 0 {
+		t.Errorf("empty Stats.HitRate = %v, want 0", r)
+	}
+	if r := (Stats{CacheHits: 3, CacheMiss: 1}).HitRate(); r != 0.75 {
+		t.Errorf("Stats.HitRate = %v, want 0.75", r)
+	}
+}
+
 // makeJobsFor is makeJobs with a caller-supplied model: wide unshielded
 // instances whose mid-track return distances reach the model's background
 // return, stressing the cache table's bounds.

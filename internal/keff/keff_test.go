@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/rlc"
 	"repro/internal/tech"
 )
 
@@ -277,5 +278,40 @@ func TestMutualMemoConsistency(t *testing.T) {
 	}
 	if m.mutualAt(0) != tc.LSelf(1e-3) {
 		t.Error("mutualAt(0) != LSelf")
+	}
+}
+
+// TestNonUniformDriversShiftNoise: a victim held by a weaker driver
+// suffers more noise at the same layout and length — why the paper notes
+// the LSK→voltage table must be rebuilt for each driver/receiver
+// combination (§2.2, future work).
+func TestNonUniformDriversShiftNoise(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs transient simulations")
+	}
+	base := tech.Default()
+	mkBus := func(driverRes float64) *rlc.Bus {
+		return &rlc.Bus{
+			Tech: base,
+			Wires: []rlc.Wire{
+				{Kind: rlc.Signal, Switching: true},
+				{Kind: rlc.Signal, DriverRes: driverRes},
+				{Kind: rlc.Signal, Switching: true},
+			},
+			Length:      2e-3,
+			WallShields: true,
+		}
+	}
+	strong, err := mkBus(15).Simulate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weak, err := mkBus(120).Simulate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if weak.PeakNoise <= strong.PeakNoise {
+		t.Errorf("weak-driver victim noise %g not above strong-driver %g",
+			weak.PeakNoise, strong.PeakNoise)
 	}
 }

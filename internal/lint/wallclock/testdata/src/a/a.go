@@ -29,6 +29,18 @@ func timingDomain(o *outcome) {
 	_ = phases{Route: o.Runtime, Order: orderDur}
 }
 
+// Sanctioned: a store into a declared time-typed local is an assignment
+// into a time.Duration variable, not a read of it.
+func storeIntoDeclaredLocal(o *outcome, refine bool) {
+	var refineDur time.Duration
+	if refine {
+		tRefine := time.Now()
+		work()
+		refineDur = time.Since(tRefine)
+	}
+	_ = phases{Route: o.Runtime, Order: refineDur}
+}
+
 // Violations: the value escapes into output-shaped data.
 func escapes(o *outcome) {
 	// The inner time.Now stays in the timing domain (it only feeds
@@ -44,6 +56,13 @@ func escapes(o *outcome) {
 	d := time.Since(now) // want `wall-clock value from time\.Since escapes`
 	report = append(report, int64(d))
 	_ = report
+}
+
+// Violation: a declared local stored in-domain, then read out of it.
+func storeThenConvert(start time.Time) int64 {
+	var late time.Duration
+	late = time.Since(start) // want `wall-clock value from time\.Since escapes`
+	return int64(late)
 }
 
 func seed() int64 {

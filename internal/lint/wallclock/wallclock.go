@@ -222,6 +222,13 @@ func timeUseOK(pass *analysis.Pass, parents map[ast.Node]ast.Node, use *ast.Iden
 		}
 		return false
 	case *ast.AssignStmt:
+		// An occurrence on the left is a store into the time-typed local,
+		// not a read: whatever it stores is checked at its own source.
+		for _, l := range p.Lhs {
+			if l == use {
+				return true
+			}
+		}
 		for i, r := range p.Rhs {
 			if r == use && i < len(p.Lhs) {
 				return timingTarget(pass, parents, p.Lhs[i])

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,84 +62,45 @@ func TestConsoleNil(t *testing.T) {
 	NewConsole(nil).Printf("also the void\n")
 }
 
-// TestSnapshotFormatters sanity-checks the two shared renderers: the
-// summary line carries the headline numbers and shows batch context only
-// when set; the detail block prefixes every line and includes Phase III
-// only when refinement ran.
-func TestSnapshotFormatters(t *testing.T) {
-	s := Snapshot{
-		Design: "ibm01", Flow: "GSINO", Rate: 0.3,
-		TotalNets: 816, Violations: 2, SegTracks: 4022,
-		Runtime: 37 * time.Millisecond,
-		Phases:  PhaseTimes{Route: 13 * time.Millisecond, Order: 17 * time.Millisecond, Refine: 4 * time.Millisecond},
-		Workers: 4,
-		Engine:  EngineStats{Jobs: 344, Tracks: 8580, Tasks: 55, Waves: 7, CacheHits: 75, CacheMiss: 25},
-		Route:   RouteStats{Shards: 40, LargestShard: 38},
-	}
-	sum := s.Summary()
-	for _, want := range []string{"ibm01", "GSINO", "@30%", "2 violations", "40 route shards", "344 solves", "route 13ms"} {
-		if !strings.Contains(sum, want) {
-			t.Errorf("Summary missing %q in %q", want, sum)
-		}
-	}
-	if strings.Contains(sum, "cell") {
-		t.Errorf("standalone Summary mentions batch context: %q", sum)
-	}
-
-	s.Cell, s.Cells, s.InnerWorkers = 3, 36, 2
-	s.Warm = WarmStats{Hits: 9, Misses: 1}
-	if sum := s.Summary(); !strings.Contains(sum, "[cell 3/36, 2 workers, warm-start hit 90%]") {
-		t.Errorf("batch Summary missing context: %q", sum)
-	}
-
-	if d := s.Detail("  "); strings.Contains(d, "phase III") {
-		t.Errorf("Detail shows Phase III with no refinement:\n%s", d)
-	}
-	s.Refine = RefineStats{Waves: 6, MaxWave: 2, MaxColors: 7, Resolves: 184, Relaxed: 2, Accepted: 1, Reverted: 1}
-	d := s.Detail("  ")
-	for _, want := range []string{"phases: route 13ms", "engine: 4 workers", "phase I: 40 routing shards", "phase III: 6 repair waves", "75.0% hit"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("Detail missing %q in:\n%s", want, d)
-		}
-	}
-	for _, line := range strings.Split(strings.TrimRight(d, "\n"), "\n") {
-		if !strings.HasPrefix(line, "  ") {
-			t.Errorf("Detail line not prefixed: %q", line)
-		}
-	}
-}
-
-// TestHitRates covers the zero-denominator guards.
-func TestHitRates(t *testing.T) {
-	if r := (EngineStats{}).HitRate(); r != 0 {
-		t.Errorf("empty EngineStats.HitRate = %v", r)
-	}
-	if r := (WarmStats{Hits: 3, Misses: 1}).HitRate(); r != 0.75 {
-		t.Errorf("WarmStats.HitRate = %v, want 0.75", r)
-	}
-	if total := (PhaseTimes{Route: 1, Order: 2, Refine: 3}).Total(); total != 6 {
-		t.Errorf("PhaseTimes.Total = %v, want 6", total)
-	}
-}
-
 // TestStartPprof boots the profiling listener on an ephemeral port and
 // fetches an endpoint each subsystem registers: /debug/pprof/ (pprof) and
-// /debug/vars (expvar, where published snapshots appear).
+// /debug/vars (expvar), where a published record must appear as JSON
+// under "obs.snapshots".
 func TestStartPprof(t *testing.T) {
 	addr, err := StartPprof("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("cannot listen: %v", err)
 	}
-	PublishSnapshot(Snapshot{Design: "ibm01", Flow: "GSINO"})
+	type record struct {
+		Design string
+		Phases PhaseTimes
+	}
+	PublishSnapshot(&record{Design: "pprof-probe", Phases: PhaseTimes{Route: 3}})
 	client := &http.Client{Timeout: 5 * time.Second}
 	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
 		resp, err := client.Get(fmt.Sprintf("http://%s%s", addr, path))
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: status %d", path, resp.StatusCode)
 		}
-		resp.Body.Close()
+		if path != "/debug/vars" {
+			continue
+		}
+		var vars struct {
+			Snapshots []record `json:"obs.snapshots"`
+		}
+		if err := json.Unmarshal(body, &vars); err != nil {
+			t.Fatalf("/debug/vars is not JSON: %v", err)
+		}
+		if !slices.Contains(vars.Snapshots, record{Design: "pprof-probe", Phases: PhaseTimes{Route: 3}}) {
+			t.Errorf("published record missing from obs.snapshots: %+v", vars.Snapshots)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 //	gsino -circuit ibm01 -scale 1 -pprof localhost:6060 &
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
 //
-// Snapshots published with PublishSnapshot appear at /debug/vars under
+// Records published with PublishSnapshot appear at /debug/vars under
 // "obs.snapshots". The server lives until the process exits; profiling is
 // an operator tool, not a managed subsystem.
 func StartPprof(addr string) (string, error) {
@@ -31,19 +31,21 @@ func StartPprof(addr string) (string, error) {
 var snapshots struct {
 	once sync.Once
 	mu   sync.Mutex
-	list []Snapshot
+	list []any
 }
 
-// PublishSnapshot appends a finished flow's snapshot to the
-// expvar-published "obs.snapshots" list, so a -pprof listener can watch
-// per-phase progress of a long batch with plain curl. Safe for concurrent
-// use; cheap enough to call unconditionally.
-func PublishSnapshot(s Snapshot) {
+// PublishSnapshot appends a finished flow's stats record (gsino publishes
+// the *core.Outcome, tables the sched.Result) to the expvar-published
+// "obs.snapshots" list, so a -pprof listener can watch per-phase progress
+// of a long batch with plain curl; expvar renders each record with
+// encoding/json. Safe for concurrent use; cheap enough to call
+// unconditionally.
+func PublishSnapshot(s any) {
 	snapshots.once.Do(func() {
 		expvar.Publish("obs.snapshots", expvar.Func(func() any {
 			snapshots.mu.Lock()
 			defer snapshots.mu.Unlock()
-			return append([]Snapshot(nil), snapshots.list...)
+			return append([]any(nil), snapshots.list...)
 		}))
 	})
 	snapshots.mu.Lock()

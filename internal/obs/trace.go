@@ -1,8 +1,7 @@
 // Package obs is the pipeline's observability layer: a span/phase tracer
-// exportable as Chrome trace-event JSON, a unified metrics snapshot with
-// one text formatter shared by the CLI tools, a serialized console for
-// concurrent progress output, and profiling hooks (net/http/pprof +
-// expvar).
+// exportable as Chrome trace-event JSON, the per-phase wall-clock split
+// every flow records, a serialized console for concurrent progress
+// output, and profiling hooks (net/http/pprof + expvar).
 //
 // Everything in this package lives off the result path. The determinism
 // contract of PRs 1–5 — report bytes identical at any worker count — is

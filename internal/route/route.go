@@ -156,6 +156,44 @@ func (r *Result) TotalWirelengthUM(g *grid.Grid) geom.Micron {
 	return wl
 }
 
+// Validate checks that res fits the grid and net list it is used with:
+// one tree per net, carrying that net's id; every edge a unit step inside
+// the grid; every region inside the grid; at least one region on every
+// edgeless tree; and cols×rows entries in both usage arrays. A router
+// builds such results by construction. A decoded artifact's checksum and
+// fingerprint prove only that its bytes are the ones sealed, so a result
+// read back from a store is validated before anything indexes it.
+func (r *Result) Validate(g *grid.Grid, nets []Net) error {
+	if len(r.Trees) != len(nets) {
+		return fmt.Errorf("route: result has %d trees for %d nets", len(r.Trees), len(nets))
+	}
+	b := g.Bounds()
+	for i := range r.Trees {
+		t := &r.Trees[i]
+		if t.Net != nets[i].ID {
+			return fmt.Errorf("route: tree %d carries net %d, want %d", i, t.Net, nets[i].ID)
+		}
+		for _, e := range t.Edges {
+			dx, dy := e.To.X-e.From.X, e.To.Y-e.From.Y
+			if !b.Contains(e.From) || !b.Contains(e.To) || dx*dx+dy*dy != 1 {
+				return fmt.Errorf("route: tree %d edge %v-%v is not a unit step inside the %dx%d grid", i, e.From, e.To, g.Cols, g.Rows)
+			}
+		}
+		if len(t.Edges) == 0 && len(t.Regions) == 0 {
+			return fmt.Errorf("route: tree %d has no edges and no regions", i)
+		}
+		for _, p := range t.Regions {
+			if !b.Contains(p) {
+				return fmt.Errorf("route: tree %d region %v outside the %dx%d grid", i, p, g.Cols, g.Rows)
+			}
+		}
+	}
+	if n := g.NumRegions(); r.Usage == nil || len(r.Usage.H) != n || len(r.Usage.V) != n {
+		return fmt.Errorf("route: usage does not cover the %dx%d grid", g.Cols, g.Rows)
+	}
+	return nil
+}
+
 // netState is the per-net connection graph during deletion.
 type netState struct {
 	id   int

@@ -31,6 +31,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -84,20 +85,22 @@ func (r Result) WarmHitRate() float64 {
 	return float64(r.WarmHits) / float64(r.WarmHits+r.WarmMisses)
 }
 
-// Snapshot builds the unified observability snapshot for this cell: the
-// outcome's metrics plus the batch context (cell position out of total,
-// the inner worker split, and warm-start carryover). Errored cells yield
-// a snapshot with only the batch context filled in.
-func (r Result) Snapshot(total int) obs.Snapshot {
-	var s obs.Snapshot
-	if r.Outcome != nil {
-		s = r.Outcome.Snapshot()
+// Summary renders the one-line digest batch progress streams print per
+// cell: the outcome's headline and phase split, then the cell position
+// out of total, the inner worker share and the warm-start carryover.
+// Timings appear only here and in core.Outcome.Detail — never in the
+// deterministic tables or CSV.
+func (r Result) Summary(total int) string {
+	o := r.Outcome
+	if o == nil {
+		return fmt.Sprintf("cell %d/%d failed: %v", r.Index+1, total, r.Err)
 	}
-	s.Cell = r.Index + 1 // 1-based for display: "cell 3/36"
-	s.Cells = total
-	s.InnerWorkers = r.InnerWorkers
-	s.Warm = obs.WarmStats{Hits: r.WarmHits, Misses: r.WarmMisses}
-	return s
+	ms := time.Millisecond
+	return fmt.Sprintf("ran %s %s @%.0f%% in %s (%d violations, %d route shards, %d solves, %d refine waves; route %s / order %s / refine %s) [cell %d/%d, %d workers, warm-start hit %.0f%%]",
+		o.Design, o.Flow, o.Rate*100, o.Runtime.Round(ms),
+		o.Violations, o.Route.Shards, o.Engine.Jobs, o.Refine.Waves,
+		o.Phases.Route.Round(ms), o.Phases.Order.Round(ms), o.Phases.Refine.Round(ms),
+		r.Index+1, total, r.InnerWorkers, r.WarmHitRate()*100)
 }
 
 // Config tunes a batch run.

@@ -2,19 +2,23 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/ibm"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/route"
 	"repro/internal/tech"
 )
 
@@ -348,15 +352,44 @@ func TestBatchTrace(t *testing.T) {
 		}
 	}
 
-	// Result.Snapshot layers the batch context onto the outcome's numbers.
-	s := results[2].Snapshot(len(cells))
-	if s.Cell != 3 || s.Cells != len(cells) {
-		t.Errorf("Snapshot cell position = %d/%d, want 3/%d", s.Cell, s.Cells, len(cells))
+	// Result.Summary layers the batch context onto the outcome's numbers.
+	sum := results[2].Summary(len(cells))
+	for _, want := range []string{
+		fmt.Sprintf("ran %s %s @30%% in ", d.Name, cells[2].Flow),
+		fmt.Sprintf(" [cell 3/%d, %d workers, warm-start hit ", len(cells), results[2].InnerWorkers),
+	} {
+		if !strings.Contains(sum, want) {
+			t.Errorf("Summary missing %q in %q", want, sum)
+		}
 	}
-	if s.Flow != string(cells[2].Flow) || s.Design != d.Name {
-		t.Errorf("Snapshot identity = %s %s, want %s %s", s.Design, s.Flow, d.Name, cells[2].Flow)
+}
+
+// TestResultSummary pins the per-cell stderr line: the outcome's headline
+// numbers and phase split, then the cell position, worker share and
+// warm-start hit rate (zero, not NaN, when the shared cache saw no
+// lookups); a failed cell reports its error instead.
+func TestResultSummary(t *testing.T) {
+	ms := time.Millisecond
+	r := Result{
+		Index: 2, InnerWorkers: 2, WarmHits: 9, WarmMisses: 1,
+		Outcome: &core.Outcome{
+			Design: "ibm01", Flow: core.FlowGSINO, Rate: 0.3, Violations: 2,
+			Runtime: 37 * ms,
+			Phases:  obs.PhaseTimes{Route: 13 * ms, Order: 17 * ms, Refine: 4 * ms},
+			Engine:  engine.Stats{Jobs: 344},
+			Route:   route.RunStats{Shards: 40},
+			Refine:  core.RefineStats{Waves: 6},
+		},
 	}
-	if s.InnerWorkers != results[2].InnerWorkers {
-		t.Errorf("Snapshot workers = %d, want %d", s.InnerWorkers, results[2].InnerWorkers)
+	want := "ran ibm01 GSINO @30% in 37ms (2 violations, 40 route shards, 344 solves, 6 refine waves; route 13ms / order 17ms / refine 4ms) [cell 3/36, 2 workers, warm-start hit 90%]"
+	if got := r.Summary(36); got != want {
+		t.Errorf("Summary =\n%s\nwant\n%s", got, want)
+	}
+	if rate := (Result{}).WarmHitRate(); rate != 0 {
+		t.Errorf("empty WarmHitRate = %v, want 0", rate)
+	}
+	r.Outcome, r.Err = nil, errors.New("boom")
+	if got := r.Summary(36); got != "cell 3/36 failed: boom" {
+		t.Errorf("failed-cell Summary = %q", got)
 	}
 }

@@ -66,7 +66,7 @@ type Eval struct {
 }
 
 // EvalStats counts an evaluator's cumulative activity — the evaluator-pool
-// observability counters internal/obs snapshots per flow. The counts are a
+// observability counters core.Outcome records per flow. The counts are a
 // pure function of the solve schedule (every op the solvers issue is
 // deterministic per instance), so summed over an engine's worker pool they
 // are invariant under the worker count, like every other surfaced counter.
