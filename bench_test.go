@@ -357,6 +357,7 @@ func BenchmarkIDRouterParallel(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers%d", name, w), func(b *testing.B) {
 				pool := engine.New(engine.Config{Workers: w})
 				var stats route.RunStats
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					router, err := route.NewRouter(ckt.Grid, route.Config{ShieldAware: true}, nets)

@@ -14,6 +14,7 @@ package budget
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/keff"
@@ -48,8 +49,8 @@ func (b *Budgeter) Validate() error {
 	if b.Table == nil {
 		return fmt.Errorf("budget: nil LSK table")
 	}
-	if b.VThreshold <= 0 {
-		return fmt.Errorf("budget: non-positive voltage threshold %g", b.VThreshold)
+	if v := b.VThreshold; !(v > 0) || math.IsInf(v, 1) { // NaN fails v > 0
+		return fmt.Errorf("budget: voltage threshold %g is not finite and positive", b.VThreshold)
 	}
 	return nil
 }

@@ -27,8 +27,10 @@ func TestValidate(t *testing.T) {
 	if err := (&Budgeter{VThreshold: 0.15}).Validate(); err == nil {
 		t.Error("nil table: want error")
 	}
-	if err := (&Budgeter{Table: keff.DefaultTable()}).Validate(); err == nil {
-		t.Error("zero threshold: want error")
+	for _, v := range []float64{0, -0.15, math.NaN(), math.Inf(1)} {
+		if err := (&Budgeter{Table: keff.DefaultTable(), VThreshold: v}).Validate(); err == nil {
+			t.Errorf("threshold %g: want error", v)
+		}
 	}
 }
 

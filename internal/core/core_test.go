@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -62,6 +63,14 @@ func TestRunnerValidation(t *testing.T) {
 	d.Nets.Sensitivity = nil
 	if _, err := NewRunner(d, Params{}); err == nil {
 		t.Error("netlist without sensitivity: want error")
+	}
+	// A NaN threshold used to pass the budgeter's check and panic in the
+	// LSK table lookup of the first GSINO flow.
+	d = smallDesign(t, 10, 0.3, 1)
+	for _, v := range []float64{-0.15, math.NaN(), math.Inf(1)} {
+		if _, err := NewRunner(d, Params{VThreshold: v}); err == nil {
+			t.Errorf("threshold %g: want error", v)
+		}
 	}
 }
 

@@ -107,7 +107,7 @@ func Generate(p Profile, opt Options) (*Circuit, error) {
 	if rate == 0 {
 		rate = 0.30
 	}
-	if rate < 0 || rate > 1 {
+	if !(rate >= 0 && rate <= 1) { // NaN fails too
 		return nil, fmt.Errorf("ibm: sensitivity rate %g outside [0,1]", rate)
 	}
 	nNets := p.Nets / scale

@@ -109,8 +109,10 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateValidation(t *testing.T) {
 	p, _ := ProfileByName("ibm01")
-	if _, err := Generate(p, Options{SensRate: 1.5}); err == nil {
-		t.Error("bad rate: want error")
+	for _, rate := range []float64{1.5, -0.1, math.NaN()} {
+		if _, err := Generate(p, Options{SensRate: rate}); err == nil {
+			t.Errorf("rate %g: want error", rate)
+		}
 	}
 	if _, err := Generate(p, Options{Scale: p.Nets + 1}); err == nil {
 		t.Error("scale leaving no nets: want error")

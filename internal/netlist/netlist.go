@@ -122,7 +122,7 @@ type HashSensitivity struct {
 // NewHashSensitivity returns a sensitivity model over n nets with pairwise
 // probability p.
 func NewHashSensitivity(seed uint64, p float64, n int) *HashSensitivity {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails too
 		panic(fmt.Sprintf("netlist: sensitivity probability %g outside [0,1]", p))
 	}
 	return &HashSensitivity{Seed: seed, P: p, N: n}

@@ -61,12 +61,16 @@ func TestHashSensitivityDeterministic(t *testing.T) {
 }
 
 func TestHashSensitivityBadRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic for rate > 1")
-		}
-	}()
-	NewHashSensitivity(1, 1.5, 10)
+	for _, p := range []float64{1.5, -0.1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rate %g: want panic", p)
+				}
+			}()
+			NewHashSensitivity(1, p, 10)
+		}()
+	}
 }
 
 func TestMatrixSensitivity(t *testing.T) {

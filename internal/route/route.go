@@ -252,44 +252,101 @@ type Router struct {
 	pq edgeHeap
 }
 
-// item is a heap entry (lazy: may be stale).
+// item is a heap entry (lazy: may be stale). edge packs the net-local
+// edge index and its direction as index<<1 | vertical, so ascending
+// packed order is lower index first, horizontal before vertical.
 type item struct {
 	net  int32
 	edge int32
-	horz bool
 	key  float64
 }
 
+func packEdge(e int, horz bool) int32 {
+	if horz {
+		return int32(e) << 1
+	}
+	return int32(e)<<1 | 1
+}
+
+// unpack returns the net-local edge index and direction.
+func (it item) unpack() (int, bool) { return int(it.edge >> 1), it.edge&1 == 0 }
+
+// before orders the max-heap by key, with a total tie-break on the edge
+// identity: lower net, then lower packed edge. The total order makes the
+// pop sequence a pure function of the heap's contents — independent of
+// insertion order, of how the items were split across shard heaps and of
+// the heap's internal layout — which the sharded runner's determinism
+// argument relies on. It needs keys that are not NaN: a NaN compares
+// neither before nor after anything (validateNets keeps NaN rates out).
+func (it item) before(o item) bool {
+	if it.key != o.key {
+		return it.key > o.key
+	}
+	if it.net != o.net {
+		return it.net < o.net
+	}
+	return it.edge < o.edge
+}
+
+// edgeHeap is a binary max-heap of items under before, typed so that a
+// push or pop moves 16-byte values and never boxes them.
 type edgeHeap []item
 
-func (h edgeHeap) Len() int { return len(h) }
-
-// Less orders the max-heap by key, with a total tie-break on the edge
-// identity. The total order makes the pop sequence a pure function of the
-// heap's contents — independent of insertion order and of how the items
-// were split across shard heaps — which the sharded runner's determinism
-// argument relies on.
-func (h edgeHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.key != b.key {
-		return a.key > b.key
+// init establishes heap order over the slice.
+func (h edgeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
 	}
-	if a.net != b.net {
-		return a.net < b.net
-	}
-	if a.edge != b.edge {
-		return a.edge < b.edge
-	}
-	return a.horz && !b.horz
 }
-func (h edgeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *edgeHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *edgeHeap) Pop() interface{} {
+
+func (h *edgeHeap) push(it item) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the first item under before.
+func (h *edgeHeap) pop() item {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	top := old[0]
+	old[0] = old[n]
+	*h = old[:n]
+	if n > 0 {
+		h.down(0, n)
+	}
+	return top
+}
+
+func (h edgeHeap) up(j int) {
+	it := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !it.before(h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = it
+}
+
+func (h edgeHeap) down(i, n int) {
+	it := h[i]
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h[j+1].before(h[j]) {
+			j++
+		}
+		if !h[j].before(it) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = it
 }
 
 // NewRouter prepares the deletion state for the nets on g, constructing
@@ -360,6 +417,13 @@ func (r *Router) seed(ctx context.Context, pool Pool, build func(i int) netState
 	if err != nil {
 		return err
 	}
+	items := 0
+	for i := range r.nets {
+		if push == nil || push[i] {
+			items += r.nets[i].numEdges()
+		}
+	}
+	r.pq = make(edgeHeap, 0, items)
 	for i := range r.nets {
 		r.bumpNet(i)
 		if push == nil || push[i] {
@@ -382,7 +446,9 @@ func validateNets(g *grid.Grid, nets []Net) error {
 				return fmt.Errorf("route: net %d pin region %v outside grid", net.ID, p)
 			}
 		}
-		if net.Rate < 0 || net.Rate > 1 {
+		// Written so that NaN fails too: a NaN rate makes NaN edge weights,
+		// which break the heap's total order (item.before).
+		if !(net.Rate >= 0 && net.Rate <= 1) {
 			return fmt.Errorf("route: net %d sensitivity rate %g outside [0,1]", net.ID, net.Rate)
 		}
 	}
@@ -418,6 +484,10 @@ func (r *Router) makeNetState(net Net) netState {
 	ns.resetEdges()
 	return ns
 }
+
+// numEdges is the edge count of the net's full connection graph — the
+// items pushNet puts on a heap.
+func (ns *netState) numEdges() int { return len(ns.aliveH) + len(ns.aliveV) }
 
 // resetEdges makes every edge alive and unfrozen — the full connection
 // graph a net starts deletion from.
@@ -458,13 +528,13 @@ func (r *Router) pushNet(pq *edgeHeap, idx int) {
 	bbox := ns.bbox
 	for y := bbox.MinY; y <= bbox.MaxY; y++ {
 		for x := bbox.MinX; x < bbox.MaxX; x++ {
-			*pq = append(*pq, item{net: int32(idx), edge: int32(ns.hEdge(x, y)), horz: true,
+			*pq = append(*pq, item{net: int32(idx), edge: packEdge(ns.hEdge(x, y), true),
 				key: r.edgeWeight(idx, x, y, true, nil)})
 		}
 	}
 	for y := bbox.MinY; y < bbox.MaxY; y++ {
 		for x := bbox.MinX; x <= bbox.MaxX; x++ {
-			*pq = append(*pq, item{net: int32(idx), edge: int32(ns.vEdge(x, y)), horz: false,
+			*pq = append(*pq, item{net: int32(idx), edge: packEdge(ns.vEdge(x, y), false),
 				key: r.edgeWeight(idx, x, y, false, nil)})
 		}
 	}

@@ -78,6 +78,7 @@ func BenchmarkReconcile(b *testing.B) {
 		for _, arm := range arms {
 			b.Run(fmt.Sprintf("clusters%d/%s", clusters, arm.name), func(b *testing.B) {
 				var last RunStats
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					r, err := NewRouter(g, Config{}, nets)
 					if err != nil {

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -213,6 +214,7 @@ func TestRouterInputValidation(t *testing.T) {
 		{"no pins", []Net{{ID: 0}}},
 		{"pin outside", []Net{{ID: 0, Pins: []geom.Point{{X: 9, Y: 0}}}}},
 		{"bad rate", []Net{{ID: 0, Pins: []geom.Point{{X: 0, Y: 0}}, Rate: 1.5}}},
+		{"NaN rate", []Net{{ID: 0, Pins: []geom.Point{{X: 0, Y: 0}, {X: 2, Y: 1}}, Rate: math.NaN()}}},
 	}
 	for _, c := range cases {
 		if _, err := NewRouter(g, Config{}, c.nets); err == nil {

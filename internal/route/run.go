@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/heap"
 	"context"
 	"iter"
 	"slices"
@@ -98,6 +97,15 @@ type view struct {
 	window
 	r  *Router
 	pq edgeHeap
+
+	// Bridge-test scratch, reused across pops (see disconnectsPins). A
+	// local vertex is visited by the current test when its mark equals
+	// stamp (the search from the edge's first endpoint) or stamp+1 (from
+	// its second); older marks are stale. qa and qb hold capacity for a
+	// whole bounding box, so the searches never reallocate.
+	mark   []uint32
+	stamp  uint32
+	qa, qb []int32
 }
 
 func newView(r *Router, rect geom.Rect) *view { return &view{window: newWindow(rect), r: r} }
@@ -109,7 +117,7 @@ func newView(r *Router, rect geom.Rect) *view { return &view{window: newWindow(r
 func (r *Router) Run() *Result {
 	v := newView(r, r.g.Bounds())
 	v.pq, r.pq = r.pq, nil
-	heap.Init(&v.pq)
+	v.pq.init()
 	v.drain()
 	v.merge(&r.base)
 	res := r.extract()
@@ -121,33 +129,32 @@ func (r *Router) Run() *Result {
 // deletable edge of the view's nets each step.
 func (v *view) drain() {
 	r := v.r
-	for v.pq.Len() > 0 {
-		it := heap.Pop(&v.pq).(item)
+	for len(v.pq) > 0 {
+		it := v.pq.pop()
 		ns := &r.nets[it.net]
-		var alive, frozen []bool
-		if it.horz {
+		e, horz := it.unpack()
+		alive, frozen := ns.aliveV, ns.frozenV
+		if horz {
 			alive, frozen = ns.aliveH, ns.frozenH
-		} else {
-			alive, frozen = ns.aliveV, ns.frozenV
 		}
-		if !alive[it.edge] || frozen[it.edge] {
+		if !alive[e] || frozen[e] {
 			continue
 		}
-		x, y := r.edgeOrigin(ns, int(it.edge), it.horz)
-		w := r.edgeWeight(int(it.net), x, y, it.horz, v)
+		x, y := r.edgeOrigin(ns, e, horz)
+		w := r.edgeWeight(int(it.net), x, y, horz, v)
 		if w < it.key-weightSlack {
 			it.key = w
-			heap.Push(&v.pq, it)
+			v.pq.push(it)
 			continue
 		}
-		if r.disconnectsPins(ns, int(it.edge), it.horz) {
-			frozen[it.edge] = true
+		if v.disconnectsPins(ns, e, horz) {
+			frozen[e] = true
 			continue
 		}
 		// Delete the edge and release its expected utilization.
-		alive[it.edge] = false
+		alive[e] = false
 		ns.nAlive--
-		v.bumpEdge(x, y, it.horz, ns.rate, -0.5)
+		v.bumpEdge(x, y, horz, ns.rate, -0.5)
 	}
 }
 
@@ -159,62 +166,124 @@ func (r *Router) edgeOrigin(ns *netState, e int, horz bool) (int, int) {
 	return ns.bbox.MinX + e%ns.w, ns.bbox.MinY + e/ns.w
 }
 
-// disconnectsPins reports whether removing edge e would disconnect the
-// net's pin regions in its surviving subgraph. BFS from one pin with the
-// edge masked.
-func (r *Router) disconnectsPins(ns *netState, e int, horz bool) bool {
+// disconnectsPins reports whether deleting the alive edge e would
+// disconnect net ns's pin regions in its surviving subgraph.
+//
+// It needs the precondition that the pins are connected before the
+// deletion. Every net on a heap starts from its full connection graph
+// (makeNetState, restoreFresh, reseed) and drain deletes no edge this test
+// rejects, so the precondition holds at every pop. Then the deletion
+// disconnects the pins exactly when e is a bridge with pins on both sides.
+// Two searches grow from e's endpoints in lockstep, one vertex each per
+// step, with e masked. If they meet, e is no bridge. Otherwise the side
+// whose search runs out first is a whole component, and with p pins on it
+// the deletion disconnects iff 0 < p < npins. The work is proportional to
+// the smaller side, and the scratch is the view's, so a warm view
+// allocates nothing.
+func (v *view) disconnectsPins(ns *netState, e int, horz bool) bool {
 	if ns.npins <= 1 {
 		return false
 	}
-	start := -1
-	for v, isPin := range ns.pinMask {
-		if isPin {
-			start = v
-			break
+	if n := ns.w * ns.h; len(v.mark) < n {
+		v.mark = make([]uint32, n)
+		v.qa, v.qb = make([]int32, 0, n), make([]int32, 0, n)
+	}
+	v.stamp += 2
+	if v.stamp == 0 { // wrapped: every mark may look current
+		clear(v.mark)
+		v.stamp = 2
+	}
+	// Endpoints: a vertical edge's index is its lower vertex's; a
+	// horizontal one skips one index per row.
+	a, b := e, e+ns.w
+	eh, ev := -1, e // the masked edge, per direction
+	if horz {
+		a = e + e/(ns.w-1)
+		b = a + 1
+		eh, ev = e, -1
+	}
+	sa := bridgeSearch{stamp: v.stamp, q: append(v.qa[:0], int32(a))}
+	sb := bridgeSearch{stamp: v.stamp + 1, q: append(v.qb[:0], int32(b))}
+	v.mark[a], v.mark[b] = sa.stamp, sb.stamp
+	if ns.pinMask[a] {
+		sa.pins = 1
+	}
+	if ns.pinMask[b] {
+		sb.pins = 1
+	}
+	for {
+		if sa.head == len(sa.q) {
+			return 0 < sa.pins && sa.pins < ns.npins
+		}
+		if v.expand(ns, &sa, sb.stamp, eh, ev) {
+			return false
+		}
+		if sb.head == len(sb.q) {
+			return 0 < sb.pins && sb.pins < ns.npins
+		}
+		if v.expand(ns, &sb, sa.stamp, eh, ev) {
+			return false
 		}
 	}
-	visited := make([]bool, ns.w*ns.h)
-	queue := make([]int, 0, ns.w*ns.h)
-	visited[start] = true
-	queue = append(queue, start)
-	seen := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		vx, vy := v%ns.w, v/ns.w // local coords
-		// Neighbors through alive, unmasked edges.
-		try := func(nv int, edgeIdx int, edgeHorz bool) {
-			var alive []bool
-			if edgeHorz {
-				alive = ns.aliveH
-			} else {
-				alive = ns.aliveV
-			}
-			if !alive[edgeIdx] || (edgeHorz == horz && edgeIdx == e) {
-				return
-			}
-			if !visited[nv] {
-				visited[nv] = true
-				if ns.pinMask[nv] {
-					seen++
-				}
-				queue = append(queue, nv)
-			}
-		}
-		if vx > 0 {
-			try(v-1, vy*(ns.w-1)+vx-1, true)
-		}
-		if vx < ns.w-1 {
-			try(v+1, vy*(ns.w-1)+vx, true)
-		}
-		if vy > 0 {
-			try(v-ns.w, (vy-1)*ns.w+vx, false)
-		}
-		if vy < ns.h-1 {
-			try(v+ns.w, vy*ns.w+vx, false)
+}
+
+// bridgeSearch is one side of disconnectsPins: its stamp, its queue of
+// visited local vertices with the next to expand at head, and the pin
+// regions among them.
+type bridgeSearch struct {
+	stamp uint32
+	q     []int32
+	head  int
+	pins  int
+}
+
+// expand visits the neighbours of s's next queued vertex through alive
+// edges other than the masked one (horizontal index eh or vertical index
+// ev; -1 masks nothing). It reports whether a neighbour carries other, the
+// opposite search's stamp: the two searches met.
+func (v *view) expand(ns *netState, s *bridgeSearch, other uint32, eh, ev int) bool {
+	u := int(s.q[s.head])
+	s.head++
+	ux, uy := u%ns.w, u/ns.w
+	if ux > 0 {
+		if e := u - uy - 1; e != eh && ns.aliveH[e] && v.visit(ns, s, u-1, other) {
+			return true
 		}
 	}
-	return seen < ns.npins
+	if ux < ns.w-1 {
+		if e := u - uy; e != eh && ns.aliveH[e] && v.visit(ns, s, u+1, other) {
+			return true
+		}
+	}
+	if uy > 0 {
+		if e := u - ns.w; e != ev && ns.aliveV[e] && v.visit(ns, s, u-ns.w, other) {
+			return true
+		}
+	}
+	if uy < ns.h-1 {
+		if e := u; e != ev && ns.aliveV[e] && v.visit(ns, s, u+ns.w, other) {
+			return true
+		}
+	}
+	return false
+}
+
+// visit reaches local vertex nv from search s: it reports true when the
+// opposite search (stamp other) got there first, and otherwise queues nv
+// for s unless s already has.
+func (v *view) visit(ns *netState, s *bridgeSearch, nv int, other uint32) bool {
+	switch v.mark[nv] {
+	case s.stamp:
+		return false
+	case other:
+		return true
+	}
+	v.mark[nv] = s.stamp
+	s.q = append(s.q, int32(nv))
+	if ns.pinMask[nv] {
+		s.pins++
+	}
+	return false
 }
 
 // extract materializes the surviving edges into trees and exact usage.

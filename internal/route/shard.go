@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"slices"
@@ -211,15 +210,20 @@ func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, gro
 			tiles[gi] = *clean[gi]
 			continue
 		}
+		// The seeded heap holds exactly the live groups' nets' edges.
+		items := 0
 		for _, ni := range members {
 			owner[ni] = int32(len(views))
+			items += r.nets[ni].numEdges()
 		}
-		views = append(views, newView(r, wins[gi]))
+		v := newView(r, wins[gi])
+		v.pq = make(edgeHeap, 0, items)
+		views = append(views, v)
 		live = append(live, gi)
 	}
 
 	// Split the seeded heap across the live views and restore heap order.
-	// The total order on items (see edgeHeap.Less) makes each view's pop
+	// The total order on items (see item.before) makes each view's pop
 	// sequence independent of how the global slice was interleaved.
 	ssp := cfg.Trace.Start(cfg.Lane, "route", "heap split").Arg("shards", int64(len(views)))
 	for _, it := range r.pq {
@@ -228,7 +232,7 @@ func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, gro
 	}
 	r.pq = nil
 	for _, v := range views {
-		heap.Init(&v.pq)
+		v.pq.init()
 	}
 	ssp.End()
 
@@ -391,16 +395,19 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 		for _, ni := range members[1:] {
 			win = unionRect(win, r.nets[ni].bbox)
 		}
-		cviews[ci] = newView(r, win)
+		items := 0
 		for _, ni := range members {
 			compOf[ni] = ci
+			items += r.nets[ni].numEdges()
 		}
+		cviews[ci] = newView(r, win)
+		cviews[ci].pq = make(edgeHeap, 0, items)
 	}
 	for _, ni := range ripped {
 		r.reseed(ni, &cviews[compOf[ni]].pq)
 	}
 	for _, v := range cviews {
-		heap.Init(&v.pq)
+		v.pq.init()
 	}
 	err := drainViews(ctx, pool, cfg.Trace, "reconcile", cviews, func(ci int) string {
 		return fmt.Sprintf("reconcile %d comp %d (%d nets)", round, ci, len(comps[ci]))
@@ -417,8 +424,10 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 // components groups the ripped nets into bounding-box-overlap connected
 // components. The grouping is deterministic: components are ordered by
 // their smallest member and members ascend within each (the input is
-// ascending). Pairwise union-find over at most a round's overflow set —
-// quadratic in a count that is already small by construction.
+// ascending). Two cell rectangles intersect exactly when they share a
+// cell, so each net unites with the first ripped net that covered each
+// cell of its bounding box: the cost is the nets' total bounding-box
+// area, not the pair count.
 func (r *Router) components(nets []int) [][]int {
 	parent := make([]int, len(nets))
 	for i := range parent {
@@ -432,17 +441,22 @@ func (r *Router) components(nets []int) [][]int {
 		}
 		return x
 	}
-	for i := 0; i < len(nets); i++ {
-		for j := i + 1; j < len(nets); j++ {
-			if !r.nets[nets[i]].bbox.Intersects(r.nets[nets[j]].bbox) {
-				continue
-			}
-			ri, rj := find(i), find(j)
-			if ri != rj {
-				if rj < ri {
-					ri, rj = rj, ri
+	cover := make([]int32, r.g.NumRegions()) // 1 + first covering position in nets, 0 for none
+	for i, ni := range nets {
+		b := r.nets[ni].bbox
+		for y := b.MinY; y <= b.MaxY; y++ {
+			for c := y*r.g.Cols + b.MinX; c <= y*r.g.Cols+b.MaxX; c++ {
+				if cover[c] == 0 {
+					cover[c] = int32(i + 1)
+					continue
 				}
-				parent[rj] = ri
+				ri, rj := find(int(cover[c]-1)), find(i)
+				if ri != rj {
+					if rj < ri {
+						ri, rj = rj, ri
+					}
+					parent[rj] = ri
+				}
 			}
 		}
 	}
