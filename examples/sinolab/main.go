@@ -47,6 +47,9 @@ func main() {
 		segList[i] = sino.Seg{Net: i, Kth: *kth, Rate: *rate}
 	}
 	in := &sino.Instance{Segs: segList, Sensitive: sens, Model: keff.NewModel(tech.Default())}
+	if err := in.Validate(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("region with %d segments, sensitivity %.0f%%, Kth=%.2f\n\n", *segs, *rate*100, *kth)
 

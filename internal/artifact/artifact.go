@@ -81,9 +81,10 @@ func KeyFor(g *grid.Grid, cfg route.Config, scfg route.ShardConfig, nets []route
 	return Key(h.Sum())
 }
 
-// Fingerprint hashes a Result's full content — trees, exact usage, run
-// stats — into a key. Seal records it; Result() re-verifies it, turning
-// any mutation of a shared artifact into a loud error.
+// Fingerprint hashes a Result's full content — every tree's net and
+// edges, and the run stats — into a key. Seal records it; Result()
+// re-verifies it, turning any mutation of a shared artifact into a loud
+// error.
 func Fingerprint(res *route.Result) Key {
 	h := keff.NewHash()
 	h.Int(len(res.Trees))
@@ -97,24 +98,6 @@ func Fingerprint(res *route.Result) Key {
 			h.Int(e.To.X)
 			h.Int(e.To.Y)
 		}
-		h.Int(len(t.Regions))
-		for _, p := range t.Regions {
-			h.Int(p.X)
-			h.Int(p.Y)
-		}
-	}
-	// H and V are hashed independently, lengths included: a well-formed
-	// result has len(H) == len(V), but Fingerprint also runs on results
-	// decoded from disk, where a corrupt file may disagree — indexing one
-	// slice under the other's range would panic exactly where the code
-	// must instead report a mismatch.
-	h.Int(len(res.Usage.H))
-	for _, u := range res.Usage.H {
-		h.F64(u)
-	}
-	h.Int(len(res.Usage.V))
-	for _, u := range res.Usage.V {
-		h.F64(u)
 	}
 	h.Int(res.Stats.Shards)
 	h.Int(res.Stats.LargestShard)

@@ -91,15 +91,15 @@ func testResult(t *testing.T, g *grid.Grid) *route.Result {
 }
 
 // TestSealDetectsMutation: an artifact whose Result is written after
-// sealing must fail loudly on the next access, for trees, usage, and
-// stats alike.
+// sealing must fail loudly on the next access, for an edge, a tree's
+// edge count, and the stats alike.
 func TestSealDetectsMutation(t *testing.T) {
 	g := testGrid(t, 8, 8)
 	key := KeyFor(g, route.Config{}, route.ShardConfig{}, testNets())
 
 	mutations := map[string]func(*route.Result){
-		"tree":  func(res *route.Result) { res.Trees[0].Regions[0].X++ },
-		"usage": func(res *route.Result) { res.Usage.H[0]++ },
+		"edge":  func(res *route.Result) { res.Trees[0].Edges[0].From.X++ },
+		"edges": func(res *route.Result) { res.Trees[0].Edges = res.Trees[0].Edges[1:] },
 		"stats": func(res *route.Result) { res.Stats.Reconciled++ },
 	}
 	for name, mutate := range mutations {

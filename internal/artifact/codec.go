@@ -17,15 +17,15 @@ package artifact
 // that order — a truncated or bit-flipped file fails the checksum before
 // any payload byte is interpreted, and a version-skewed file is rejected
 // even though its checksum is valid), the payload decoders bounds-check
-// every read (internal/route/wire.go), and the decoded Result must hash
-// to the stored fingerprint before the artifact is resealed. Any failure
-// is an error the caller treats as a cache miss; none is a panic or a
-// silently wrong artifact.
+// every read and allocate O(input) (internal/route/wire.go), and the
+// decoded Result must hash to the stored fingerprint before the artifact
+// is resealed. Any failure is an error the caller treats as a cache miss;
+// none is a panic or a silently wrong artifact.
 //
 // Version discipline: wireVersion bumps whenever the envelope, the route
 // payload encoding, or the Fingerprint field set changes shape. Old files
-// then read as clean misses and are overwritten by fresh seals — a disk
-// cache needs no migration path, only safe rejection.
+// then read as counted corrupt misses and are overwritten by fresh seals —
+// a disk cache needs no migration path, only safe rejection.
 
 import (
 	"bytes"
@@ -37,7 +37,7 @@ import (
 )
 
 // wireVersion is the on-disk format generation.
-const wireVersion = 1
+const wireVersion = 2
 
 // wireMagic opens every artifact file; a wrong magic fails fast with a
 // clearer error than a checksum mismatch.

@@ -6,10 +6,10 @@ import (
 	"encoding/binary"
 	"hash/crc64"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/grid"
 	"repro/internal/route"
 )
 
@@ -132,52 +132,68 @@ func TestCodecRejectsVersionSkew(t *testing.T) {
 // not reach disk — Encode re-verifies the fingerprint first.
 func TestCodecRefusesMutatedEncode(t *testing.T) {
 	a := sealedFixture(t)
-	a.res.Usage.H[0]++
+	a.res.Trees[0].Edges[0].To.Y++
 	if _, err := Encode(a); err == nil {
 		t.Fatal("mutated artifact encoded")
 	}
 }
 
-// TestFingerprintMismatchedUsageLengths: Fingerprint must hash H and V
-// independently rather than indexing V under H's range — a malformed
-// (e.g. corrupt-decoded) result with len(V) < len(H) must produce a
-// fingerprint mismatch, never an out-of-range panic. The mismatched
-// result also survives the full codec path: it encodes, decodes, and
-// reseals consistently, because the lengths themselves are hashed.
-func TestFingerprintMismatchedUsageLengths(t *testing.T) {
-	short := &route.Result{Usage: &grid.Usage{H: []float64{1, 2, 3}, V: []float64{4}}}
-	long := &route.Result{Usage: &grid.Usage{H: []float64{1}, V: []float64{4, 5, 6}}}
-	if Fingerprint(short) == Fingerprint(long) {
-		t.Fatal("mismatched usage shapes collided")
-	}
-	// Same multiset of values, different H/V split: lengths must separate them.
-	ab := &route.Result{Usage: &grid.Usage{H: []float64{1, 2}, V: []float64{3}}}
-	ba := &route.Result{Usage: &grid.Usage{H: []float64{1}, V: []float64{2, 3}}}
-	if Fingerprint(ab) == Fingerprint(ba) {
-		t.Fatal("H/V boundary not hashed")
-	}
-
-	// A sealed-then-truncated artifact fails verification loudly (this
-	// panicked before the fix).
+// TestDecodeAllocatesLinearly: Decode allocates at most 64 bytes per
+// input byte plus 1 MiB, for the fixture encodings, about 512
+// truncations of each, and envelopes with a valid checksum around
+// payloads that claim one tree, or one drain-state net, per remaining
+// byte. Not parallel: TotalAlloc is process-wide.
+func TestDecodeAllocatesLinearly(t *testing.T) {
 	a := sealedFixture(t)
-	a.res.Usage.V = a.res.Usage.V[:len(a.res.Usage.V)-1]
-	if _, err := a.Result(); err == nil {
-		t.Fatal("usage-length mutation went undetected")
-	}
-
-	// And the degenerate mismatched shape round-trips through the codec:
-	// decode re-verifies against a fingerprint that covered the lengths.
-	key := KeyFor(testGrid(t, 8, 8), route.Config{}, route.ShardConfig{}, testNets())
-	data, err := Encode(Seal(key, short, nil))
+	res, err := a.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(data)
+	var inputs [][]byte
+	for _, art := range []*Artifact{a, Seal(a.Key(), res, nil)} {
+		data, err := Encode(art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := len(data); i >= 0; i -= len(data)/512 + 1 {
+			inputs = append(inputs, data[:i])
+		}
+	}
+	envelope := func(payload []byte) []byte {
+		buf := binary.AppendUvarint(append([]byte(nil), wireMagic...), wireVersion)
+		buf = append(append(buf, make([]byte, 32)...), payload...) // key, fingerprint
+		return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
+	}
+	const filler = 1 << 16
+	claim := func(head []byte) []byte { return append(binary.AppendUvarint(head, filler), make([]byte, filler)...) }
+	// A drain state of no nets and no tiles ends in their two zero counts.
+	r, err := route.NewRouter(testGrid(t, 8, 8), route.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dec.res.Usage, short.Usage) {
-		t.Fatal("mismatched-length usage did not round-trip")
+	_, empty, err := r.RunShardedState(context.Background(), nil, route.ShardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := empty.AppendWire(nil)
+	header = header[:len(header)-2]
+	crafted := [][]byte{
+		envelope(claim(nil)),
+		envelope(claim(append(res.AppendWire(nil), append([]byte{1}, header...)...))),
+	}
+	for _, data := range crafted {
+		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "count") {
+			t.Fatalf("crafted envelope rejected for the wrong reason: %v", err)
+		}
+	}
+	for _, data := range append(inputs, crafted...) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Decode(data)
+		runtime.ReadMemStats(&after)
+		if n, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(data))+1<<20; n > limit {
+			t.Errorf("%d input bytes allocated %d bytes, limit %d", len(data), n, limit)
+		}
 	}
 }
 

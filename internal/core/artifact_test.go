@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -271,4 +272,70 @@ func TestApplyDeltaRejectsOffChipPins(t *testing.T) {
 		t.Errorf("edited design = %s/%p/%v with %d nets, want %s/%p/%v with %d",
 			d.Name, d.Grid, d.Rate, len(d.Nets.Nets), base.Name, base.Grid, base.Rate, len(base.Nets.Nets)+1)
 	}
+}
+
+// FuzzECOResume: any delta text either fails to parse or apply with an
+// error, or resumes Phase I to exactly the route of the edited design
+// from scratch — the same result fingerprint and the same drain-state
+// bytes. The resume starts from the base drain state after an artifact
+// encode/decode round trip, so the snapshot fields the decoder derives
+// from pins are in the loop.
+func FuzzECOResume(f *testing.F) {
+	for _, seed := range []string{
+		`{"move":[{"id":0,"pins":[[120,80],[440,360]]}],"remove":[1],"add":[{"name":"eco0","pins":[[60,60],[220,300]]}]}`,
+		`{"remove":[3,5,7]}`,
+		`{"move":[{"id":2,"pins":[[0,0],[800,800]]},{"id":9,"pins":[[410,410]]}]}`,
+		`{"add":[{"name":"a","pins":[[400,400]]},{"name":"b","pins":[[0,0],[790,10],[10,790]]}]}`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	base := smallDesign(f, 40, 0.4, 3)
+	g, cfg, scfg := base.Grid, route.Config{ShieldAware: true}, route.ShardConfig{}
+	ctx := context.Background()
+	fromScratch := func(nets []route.Net) (*route.Result, *route.DrainState, error) {
+		r, err := route.NewRouter(g, cfg, nets)
+		if err != nil {
+			return nil, nil, err
+		}
+		return r.RunShardedState(ctx, nil, scfg)
+	}
+	baseNets := routeNetsFor(base)
+	res, ds, err := fromScratch(baseNets)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := artifact.Encode(artifact.Seal(artifact.KeyFor(g, cfg, scfg, baseNets), res, ds))
+	if err != nil {
+		f.Fatal(err)
+	}
+	art, err := artifact.Decode(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, text []byte) {
+		delta, err := artifact.ParseDelta(text)
+		if err != nil {
+			return
+		}
+		edited, err := ApplyDelta(base, delta)
+		if err != nil {
+			return
+		}
+		nets := routeNetsFor(edited)
+		got, gotDS, _, err := route.RunShardedResume(ctx, g, cfg, nets, nil, scfg, art.Drain())
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		want, wantDS, err := fromScratch(nets)
+		if err != nil {
+			t.Fatalf("from scratch: %v", err)
+		}
+		if artifact.Fingerprint(got) != artifact.Fingerprint(want) {
+			t.Fatal("resumed route differs from the route from scratch")
+		}
+		if !bytes.Equal(gotDS.AppendWire(nil), wantDS.AppendWire(nil)) {
+			t.Fatal("resumed drain state differs from the one from scratch")
+		}
+	})
 }

@@ -52,8 +52,7 @@ const (
 // Params carries the technology and algorithm knobs shared by all flows.
 // The zero value selects the paper's defaults everywhere.
 type Params struct {
-	Tech  *tech.Technology // nil → tech.Default()
-	Table *keff.Table      // nil → keff.DefaultTable()
+	Tech *tech.Technology // nil → tech.Default()
 
 	// VThreshold is the sink crosstalk constraint; 0 → 0.15 V (paper §4).
 	VThreshold float64
@@ -61,16 +60,9 @@ type Params struct {
 	// Alpha, Beta, Gamma are the ID weight constants; zeros → 2, 1, 50.
 	Alpha, Beta, Gamma float64
 
-	// Coeffs are the Formula (3) coefficients; zero → fitted defaults.
-	Coeffs sino.ShieldCoeffs
-
 	// KFloor is the tightest per-segment bound budgeting may issue;
 	// 0 → 0.05.
 	KFloor float64
-
-	// RefineShrink is Phase III pass 1's multiplicative Kth reduction per
-	// added shield allowance; 0 → 0.7.
-	RefineShrink float64
 
 	// CongestionBudgeting enables the §5 future-work budgeting policy in
 	// GSINO: after uniform Phase I partitioning, each net's budget is
@@ -125,23 +117,14 @@ func (p Params) withDefaults() Params {
 	if p.Tech == nil {
 		p.Tech = tech.Default()
 	}
-	if p.Table == nil {
-		p.Table = keff.DefaultTable()
-	}
 	if p.VThreshold == 0 {
 		p.VThreshold = 0.15
 	}
 	if p.Alpha == 0 && p.Beta == 0 && p.Gamma == 0 {
 		p.Alpha, p.Beta, p.Gamma = 2, 1, 50
 	}
-	if p.Coeffs == (sino.ShieldCoeffs{}) {
-		p.Coeffs = sino.DefaultShieldCoeffs()
-	}
 	if p.KFloor == 0 {
 		p.KFloor = 0.05
-	}
-	if p.RefineShrink == 0 {
-		p.RefineShrink = 0.7
 	}
 	return p
 }
@@ -351,7 +334,7 @@ func NewRunner(d *Design, p Params) (*Runner, error) {
 	if err := p.Tech.Validate(); err != nil {
 		return nil, err
 	}
-	b := &budget.Budgeter{Table: p.Table, VThreshold: p.VThreshold, KFloor: p.KFloor}
+	b := &budget.Budgeter{Table: keff.DefaultTable(), VThreshold: p.VThreshold, KFloor: p.KFloor}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}

@@ -9,10 +9,12 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/artifact"
+	"repro/internal/geom"
 	"repro/internal/route"
 )
 
@@ -235,15 +237,15 @@ func TestForgedArtifactRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spread := -1 // a net whose empty tree buildState would still index
-	for i := range d.Nets.Nets {
-		if d.Nets.Nets[i].PinSpread() > 0 {
+	spread := -1 // a net whose pins span regions, so its tree needs edges
+	for i, n := range routeNetsFor(d) {
+		if slices.ContainsFunc(n.Pins, func(p geom.Point) bool { return p != n.Pins[0] }) {
 			spread = i
 			break
 		}
 	}
 	if spread < 0 {
-		t.Fatal("fixture has no net with a pin spread")
+		t.Fatal("fixture has no net whose pins span regions")
 	}
 	forgeries := map[string]func(t *testing.T, res *route.Result){
 		"dropped tree": func(t *testing.T, res *route.Result) { res.Trees = res.Trees[:len(res.Trees)-1] },
@@ -258,7 +260,7 @@ func TestForgedArtifactRejected(t *testing.T) {
 			t.Fatal("no tree has an edge")
 		},
 		"empty tree": func(t *testing.T, res *route.Result) {
-			res.Trees[spread].Edges, res.Trees[spread].Regions = nil, nil
+			res.Trees[spread].Edges = nil
 		},
 	}
 	for name, forge := range forgeries {

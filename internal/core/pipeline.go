@@ -93,7 +93,6 @@ func (r *Runner) routeAll(ctx context.Context, shieldAware bool) (*route.Result,
 	cfg := route.Config{
 		Alpha: r.params.Alpha, Beta: r.params.Beta, Gamma: r.params.Gamma,
 		ShieldAware: shieldAware,
-		Coeffs:      r.params.Coeffs,
 	}
 	scfg := route.ShardConfig{Trace: r.trace, Lane: r.lane}
 	store := r.params.Artifacts
@@ -285,7 +284,7 @@ func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 				continue // coincident pins carry no coupling length
 			}
 			st.wl[i] = span
-			p := tree.Regions[0]
+			p := g.RegionOf(nets[i].Pins[0].Loc)
 			st.addSeg(st.inst(instKey{g.Index(p), true}), i, span, r.budgeter.ForLength(i, span))
 			continue
 		}

@@ -67,6 +67,10 @@ func (st *chipState) density(in *regionInst) float64 {
 	return float64(tracks) / float64(st.r.design.Grid.VC)
 }
 
+// refineShrink is Phase III pass 1's multiplicative Kth reduction per
+// added shield allowance.
+const refineShrink = 0.7
+
 // repairNet runs one violating net's tighten-and-resolve loop to
 // completion on w: repeatedly pull the segment bound in the net's least
 // congested tightenable region toward its fair share of the needed
@@ -85,7 +89,6 @@ func (st *chipState) repairNet(ctx context.Context, net int, w *engine.Worker) (
 	if kFloor <= 0 {
 		kFloor = 0.05
 	}
-	shrink := st.r.params.RefineShrink
 
 	tried := make(map[*regionInst]int)
 	seen := make(map[*regionInst]bool)
@@ -97,7 +100,7 @@ func (st *chipState) repairNet(ctx context.Context, net int, w *engine.Worker) (
 		if lsk <= st.lskb[net]*(1+1e-9) {
 			return true, resolves, touched, nil
 		}
-		ratio := st.lskb[net] / lsk * shrink
+		ratio := st.lskb[net] / lsk * refineShrink
 		t := st.leastCongestedTightenable(net, kFloor, tried)
 		if t == nil {
 			break // every segment at the floor or exhausted
@@ -105,7 +108,7 @@ func (st *chipState) repairNet(ctx context.Context, net int, w *engine.Worker) (
 		in := t.inst
 		target := in.k[t.seg] * ratio
 		if cur := in.segs[t.seg].Kth; target >= cur {
-			target = cur * shrink
+			target = cur * refineShrink
 		}
 		if target < kFloor {
 			target = kFloor

@@ -31,8 +31,8 @@ const (
 // racy double-compute stores the same bits.
 //
 // Cached values are a pure function of the relative geometry AND the model
-// configuration (Technology, RefLength, BackgroundReturn): a PairCache must
-// not be shared between models with different configurations.
+// configuration (Technology, BackgroundReturn): a PairCache must not be
+// shared between models with different configurations.
 type PairCache struct {
 	dMax int // bound on |D| (separations 1..dMax)
 	sMax int // bound on each return distance (1..sMax)
@@ -165,7 +165,6 @@ func (c *PairCache) Info() CacheInfo {
 func (m *Model) Clone() *Model {
 	return &Model{
 		Tech:             m.Tech,
-		RefLength:        m.RefLength,
 		BackgroundReturn: m.BackgroundReturn,
 		mu:               append([]float64(nil), m.mu...),
 	}

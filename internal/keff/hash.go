@@ -56,9 +56,6 @@ func (h *Hash) U64(x uint64) {
 	h.b = mix64(bits.RotateLeft64(h.b, 29) ^ (x * hashMulB))
 }
 
-// I64 absorbs a signed word.
-func (h *Hash) I64(x int64) { h.U64(uint64(x)) }
-
 // Int absorbs an int.
 func (h *Hash) Int(x int) { h.U64(uint64(int64(x))) }
 

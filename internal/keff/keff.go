@@ -61,12 +61,6 @@ type Layout struct {
 type Model struct {
 	Tech *tech.Technology
 
-	// RefLength is the wire length (meters) used in the partial-inductance
-	// formulas. K varies only logarithmically with length, so a fixed
-	// reference keeps the model a pure function of the layout; 0 selects
-	// 1 mm.
-	RefLength float64
-
 	// BackgroundReturn is the distance, in track pitches, of the implicit
 	// return path provided by the chip's power distribution (standard-cell
 	// power rails run under the global layers at roughly this pitch). When
@@ -79,17 +73,15 @@ type Model struct {
 	mu []float64 // mu[d] = partial mutual at d track pitches; mu[0] = Lself
 }
 
-// NewModel returns a Model over t with the default reference length.
+// NewModel returns a Model over t.
 func NewModel(t *tech.Technology) *Model {
 	return &Model{Tech: t}
 }
 
-func (m *Model) refLength() float64 {
-	if m.RefLength > 0 {
-		return m.RefLength
-	}
-	return 1e-3
-}
+// refLength is the wire length (meters) used in the partial-inductance
+// formulas. K varies only logarithmically with length, so a fixed
+// reference keeps the model a pure function of the layout.
+const refLength = 1e-3
 
 // backgroundReturn returns the effective background-return distance in
 // pitches, or a huge value when disabled.
@@ -127,9 +119,9 @@ func (m *Model) mutualAt(d int) float64 {
 		i := len(m.mu)
 		var v float64
 		if i == 0 {
-			v = m.Tech.LSelf(m.refLength())
+			v = m.Tech.LSelf(refLength)
 		} else {
-			v = m.Tech.LMutual(float64(i)*m.Tech.Pitch(), m.refLength())
+			v = m.Tech.LMutual(float64(i)*m.Tech.Pitch(), refLength)
 		}
 		m.mu = append(m.mu, v)
 	}

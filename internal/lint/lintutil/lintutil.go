@@ -25,19 +25,6 @@ func CalleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// IsPkgFunc reports whether obj is the package-level function
-// pkgPath.name.
-func IsPkgFunc(obj types.Object, pkgPath, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // FuncPkg returns the defining package path and name of obj when it is
 // a function (package-level or method).
 func FuncPkg(obj types.Object) (pkgPath, name string, ok bool) {

@@ -18,7 +18,7 @@ func directFieldWrite(a *artifact.Artifact) {
 
 func sliceElementWrite(a *artifact.Artifact) {
 	res, _ := a.Result()
-	res.Usage.H[0] = 1.5 // want `write through sealed artifact data`
+	res.Trees[0].Edges[0] = route.Edge{} // want `write through sealed artifact data`
 }
 
 func derivedAliasWrite(a *artifact.Artifact) {
@@ -43,9 +43,9 @@ func incDecWrite(a *artifact.Artifact) {
 	res.Stats.Reconciled++ // want `write through sealed artifact data`
 }
 
-func copyIntoSealed(a *artifact.Artifact, fresh []float64) {
+func copyIntoSealed(a *artifact.Artifact, fresh []route.Edge) {
 	res, _ := a.Result()
-	copy(res.Usage.V, fresh) // want `write through sealed artifact data`
+	copy(res.Trees[0].Edges, fresh) // want `write through sealed artifact data`
 }
 
 func appendRebindsSealedField(a *artifact.Artifact) {
@@ -66,12 +66,12 @@ func readsAreFine(a *artifact.Artifact) int {
 	return n + stats.Shards
 }
 
-func cloneThenMutate(a *artifact.Artifact) []float64 {
+func cloneThenMutate(a *artifact.Artifact) []route.Edge {
 	res, _ := a.Result()
-	h := make([]float64, len(res.Usage.H))
-	copy(h, res.Usage.H)
-	h[0] = 2.0
-	return h
+	edges := make([]route.Edge, len(res.Trees[0].Edges))
+	copy(edges, res.Trees[0].Edges)
+	edges[0] = route.Edge{}
+	return edges
 }
 
 func allowedWrite(a *artifact.Artifact) {

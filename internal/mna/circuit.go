@@ -89,9 +89,6 @@ func (c *Circuit) NamedNode(name string) Node {
 	return n
 }
 
-// NumNodes returns the number of nodes including ground.
-func (c *Circuit) NumNodes() int { return c.nodes }
-
 func (c *Circuit) checkNode(n Node, elem string) {
 	if n < 0 || int(n) >= c.nodes {
 		panic(fmt.Sprintf("mna: %s references unknown node %d (have %d nodes)", elem, n, c.nodes))

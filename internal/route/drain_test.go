@@ -160,7 +160,6 @@ func TestBridgeTestMatchesBFS(t *testing.T) {
 			changed = !v.disconnectsPins(ns, c.e, c.horz)
 			if changed {
 				alive[c.e] = false
-				ns.nAlive--
 			} else {
 				frozen[c.e] = true
 			}

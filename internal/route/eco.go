@@ -148,7 +148,7 @@ func tileClean(pt *tileSnap, members []int, win geom.Rect, edited []bool, dirty 
 // RunShardedResume routes nets on g by resuming from prev, a DrainState
 // captured by RunShardedState under the same grid, router config, and
 // tiling. Only tile groups the edit invalidates are re-drained; everything
-// else replays from the snapshot. The Result (trees, usage, stats) is
+// else replays from the snapshot. The Result (trees and stats) is
 // byte-identical to a from-scratch RunSharded of the edited netlist at any
 // worker count, and a fresh DrainState for the edited netlist is captured
 // so ECO deltas chain.

@@ -40,8 +40,8 @@ func mutateNets(seed int64, base []Net, cols, rows int) []Net {
 }
 
 // TestECOResumeEquivalence is the ECO determinism contract: resuming an
-// edited netlist from a DrainState must be byte-identical — trees, usage,
-// and stats — to routing the edited netlist from scratch, at any worker
+// edited netlist from a DrainState must be byte-identical — trees and
+// stats — to routing the edited netlist from scratch, at any worker
 // count, across seeds and edit scripts. The DrainState the resume returns
 // must encode to the same bytes as a from-scratch capture, and a second
 // edit chained off it must hold too.

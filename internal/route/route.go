@@ -41,6 +41,7 @@ package route
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -94,13 +95,11 @@ type Edge struct {
 // Horizontal reports whether the edge crosses between horizontal neighbors.
 func (e Edge) Horizontal() bool { return e.From.Y == e.To.Y }
 
-// Tree is a net's final route: a Steiner tree over its pin regions.
-// Regions lists every region the tree touches (pin regions included even
-// for single-region nets, which have no edges).
+// Tree is a net's final route: a Steiner tree over its pin regions. A
+// net whose pins share one region routes without edges.
 type Tree struct {
-	Net     int
-	Edges   []Edge
-	Regions []geom.Point
+	Net   int
+	Edges []Edge
 }
 
 // WirelengthUM returns the physical tree length: edges span region centers.
@@ -119,9 +118,6 @@ func (t *Tree) WirelengthUM(g *grid.Grid) geom.Micron {
 // Result is the routing outcome for all nets.
 type Result struct {
 	Trees []Tree
-	// Usage is the exact per-region track demand of the routed nets
-	// (one track per net per region per direction used; no shields).
-	Usage *grid.Usage
 	// Stats describes how the run decomposed the problem (see RunStats).
 	Stats RunStats
 }
@@ -130,7 +126,7 @@ type Result struct {
 // a single shard; RunSharded reports the tile decomposition and the
 // boundary-reconciliation work. Every field is a pure function of the
 // input — never of the pool or worker count — so stats participate in the
-// byte-equality determinism contract alongside trees and usage.
+// byte-equality determinism contract alongside the trees.
 type RunStats struct {
 	Shards          int // tile groups drained independently
 	LargestShard    int // nets in the most populated group
@@ -147,19 +143,10 @@ type RunStats struct {
 	LargestComponent    int
 }
 
-// TotalWirelengthUM sums tree wirelengths.
-func (r *Result) TotalWirelengthUM(g *grid.Grid) geom.Micron {
-	var wl geom.Micron
-	for i := range r.Trees {
-		wl += r.Trees[i].WirelengthUM(g)
-	}
-	return wl
-}
-
 // Validate checks that res fits the grid and net list it is used with:
 // one tree per net, carrying that net's id; every edge a unit step inside
-// the grid; every region inside the grid; at least one region on every
-// edgeless tree; and cols×rows entries in both usage arrays. A router
+// the grid; and no edgeless tree for a net whose pins span regions, since
+// Phase II places an edgeless net in its first pin's region. A router
 // builds such results by construction. A decoded artifact's checksum and
 // fingerprint prove only that its bytes are the ones sealed, so a result
 // read back from a store is validated before anything indexes it.
@@ -179,22 +166,16 @@ func (r *Result) Validate(g *grid.Grid, nets []Net) error {
 				return fmt.Errorf("route: tree %d edge %v-%v is not a unit step inside the %dx%d grid", i, e.From, e.To, g.Cols, g.Rows)
 			}
 		}
-		if len(t.Edges) == 0 && len(t.Regions) == 0 {
-			return fmt.Errorf("route: tree %d has no edges and no regions", i)
+		if pins := nets[i].Pins; len(t.Edges) == 0 && slices.ContainsFunc(pins, func(p geom.Point) bool { return p != pins[0] }) {
+			return fmt.Errorf("route: tree %d has no edges but its net's pins span regions", i)
 		}
-		for _, p := range t.Regions {
-			if !b.Contains(p) {
-				return fmt.Errorf("route: tree %d region %v outside the %dx%d grid", i, p, g.Cols, g.Rows)
-			}
-		}
-	}
-	if n := g.NumRegions(); r.Usage == nil || len(r.Usage.H) != n || len(r.Usage.V) != n {
-		return fmt.Errorf("route: usage does not cover the %dx%d grid", g.Cols, g.Rows)
 	}
 	return nil
 }
 
-// netState is the per-net connection graph during deletion.
+// netState is the per-net connection graph during deletion. Its pins
+// determine bbox, w, h, pinMask, npins and spineNorm (setPins), so a
+// DrainState stores only the rest.
 type netState struct {
 	id   int
 	bbox geom.Rect
@@ -205,7 +186,6 @@ type netState struct {
 
 	aliveH []bool // local horizontal edges: (w-1)*h
 	aliveV []bool // local vertical edges: w*(h-1)
-	nAlive int
 
 	frozenH []bool
 	frozenV []bool
@@ -408,13 +388,17 @@ func newRouter(g *grid.Grid, cfg Config, nets []Net) *Router {
 // The split makes the seeded Router byte-identical to serial construction
 // at any worker count.
 func (r *Router) seed(ctx context.Context, pool Pool, build func(i int) netState, push []bool) error {
-	err := mapChunks(ctx, pool, "seed", len(r.nets), seedChunk, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			r.nets[i] = build(i)
+	tasks := make([]func() error, r.seedChunks)
+	for c := range tasks {
+		lo, hi := c*seedChunk, min((c+1)*seedChunk, len(r.nets))
+		tasks[c] = func() error {
+			for i := lo; i < hi; i++ {
+				r.nets[i] = build(i)
+			}
+			return nil
 		}
-		return nil
-	})
-	if err != nil {
+	}
+	if err := pool.RunTasks(ctx, "seed", nil, tasks); err != nil {
 		return err
 	}
 	items := 0
@@ -459,30 +443,37 @@ func validateNets(g *grid.Grid, nets []Net) error {
 // of seeding. It reads only the immutable grid, so disjoint nets can be
 // constructed concurrently.
 func (r *Router) makeNetState(net Net) netState {
-	bbox := geom.RectFromPoints(net.Pins)
-	w, h := bbox.Width(), bbox.Height()
-	ns := netState{
-		id: net.ID, bbox: bbox, w: w, h: h,
-		pinMask: make([]bool, w*h),
-		aliveH:  make([]bool, (w-1)*h),
-		aliveV:  make([]bool, w*(h-1)),
-		frozenH: make([]bool, (w-1)*h),
-		frozenV: make([]bool, w*(h-1)),
-		rate:    net.Rate,
-	}
-	pinRegions := make([]geom.Point, 0, len(net.Pins))
-	for _, p := range net.Pins {
-		v := ns.vertex(p.X, p.Y)
-		if !ns.pinMask[v] {
-			ns.pinMask[v] = true
-			ns.npins++
-			pinRegions = append(pinRegions, p)
-		}
-	}
+	ns := netState{id: net.ID, rate: net.Rate}
+	pinRegions := ns.setPins(net.Pins)
+	w, h := ns.w, ns.h
+	ns.aliveH, ns.frozenH = make([]bool, (w-1)*h), make([]bool, (w-1)*h)
+	ns.aliveV, ns.frozenV = make([]bool, w*(h-1)), make([]bool, w*(h-1))
 	ns.rsmtUM = steiner.LengthMicron(pinRegions, r.g.CellW, r.g.CellH)
 	ns.buildSpine(pinRegions)
 	ns.resetEdges()
 	return ns
+}
+
+// setPins sets the fields of ns that its non-empty pin list determines —
+// the bounding box and its dimensions, the pin mask and count, and
+// spineNorm — and returns the distinct pin regions in first-seen order.
+// It allocates a mask over the whole bounding box, so a decoder calls it
+// only after input it has read bounds that box.
+func (ns *netState) setPins(pins []geom.Point) []geom.Point {
+	ns.bbox = geom.RectFromPoints(pins)
+	ns.w, ns.h = ns.bbox.Width(), ns.bbox.Height()
+	ns.pinMask = make([]bool, ns.w*ns.h)
+	ns.npins = 0
+	distinct := make([]geom.Point, 0, len(pins))
+	for _, p := range pins {
+		if v := ns.vertex(p.X, p.Y); !ns.pinMask[v] {
+			ns.pinMask[v] = true
+			ns.npins++
+			distinct = append(distinct, p)
+		}
+	}
+	ns.spineNorm = max(float64(ns.w+ns.h)/2, 1)
+	return distinct
 }
 
 // numEdges is the edge count of the net's full connection graph — the
@@ -500,7 +491,6 @@ func (ns *netState) resetEdges() {
 		ns.aliveV[i] = true
 		ns.frozenV[i] = false
 	}
-	ns.nAlive = len(ns.aliveH) + len(ns.aliveV)
 }
 
 // bumpNet adds net idx's full-connection-graph expected utilization to the
@@ -594,10 +584,6 @@ func (n *netState) buildSpine(pins []geom.Point) {
 				queue = append(queue, nv)
 			}
 		}
-	}
-	n.spineNorm = float64(n.w+n.h) / 2
-	if n.spineNorm < 1 {
-		n.spineNorm = 1
 	}
 }
 

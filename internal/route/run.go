@@ -1,12 +1,10 @@
 package route
 
 import (
-	"context"
 	"iter"
 	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 )
 
 // weightSlack is the tolerance for treating a recomputed edge weight as
@@ -153,7 +151,6 @@ func (v *view) drain() {
 		}
 		// Delete the edge and release its expected utilization.
 		alive[e] = false
-		ns.nAlive--
 		v.bumpEdge(x, y, horz, ns.rate, -0.5)
 	}
 }
@@ -286,80 +283,32 @@ func (v *view) visit(ns *netState, s *bridgeSearch, nv int, other uint32) bool {
 	return false
 }
 
-// extract materializes the surviving edges into trees and exact usage.
+// extract materializes every net's surviving edges into its tree, in one
+// serial pass. The trees share one backing array, each capped at its own
+// edges.
 func (r *Router) extract() *Result {
-	res := &Result{
-		Trees: make([]Tree, len(r.nets)),
-		Usage: grid.NewUsage(r.g),
+	n := 0
+	for i := range r.nets {
+		n += countTrue(r.nets[i].aliveH) + countTrue(r.nets[i].aliveV)
 	}
-	r.extractRange(res.Trees, res.Usage, 0, len(r.nets))
+	edges := make([]Edge, 0, n)
+	res := &Result{Trees: make([]Tree, len(r.nets))}
+	for i := range r.nets {
+		lo := len(edges)
+		edges = slices.AppendSeq(edges, r.aliveEdges(&r.nets[i]))
+		res.Trees[i] = Tree{Net: r.nets[i].id, Edges: edges[lo:len(edges):len(edges)]}
+	}
 	return res
 }
 
-// extractChunk is the net count each parallel extraction task handles.
-const extractChunk = 256
-
-// extractParallel materializes trees and usage with the per-net work
-// fanned out over the pool via mapChunks. Chunk boundaries are a pure
-// function of the net count, tree slots are disjoint, and per-chunk
-// usage tallies hold integer counts, so the summed usage is exact and the
-// result matches sequential extract byte for byte at any worker count.
-func (r *Router) extractParallel(ctx context.Context, pool Pool) (*Result, error) {
-	n := len(r.nets)
-	if n <= extractChunk {
-		return r.extract(), nil
-	}
-	res := &Result{
-		Trees: make([]Tree, n),
-		Usage: grid.NewUsage(r.g),
-	}
-	usages := make([]*grid.Usage, (n+extractChunk-1)/extractChunk)
-	err := mapChunks(ctx, pool, "extract", n, extractChunk, func(c, lo, hi int) error {
-		usages[c] = grid.NewUsage(r.g)
-		r.extractRange(res.Trees, usages[c], lo, hi)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, u := range usages {
-		for i := range u.H {
-			res.Usage.H[i] += u.H[i]
-			res.Usage.V[i] += u.V[i]
+func countTrue(b []bool) int {
+	n := 0
+	for _, v := range b {
+		if v {
+			n++
 		}
 	}
-	return res, nil
-}
-
-// extractRange builds trees[lo:hi] and accumulates their exact usage.
-func (r *Router) extractRange(trees []Tree, usage *grid.Usage, lo, hi int) {
-	var h, v, regions []int // scratch, reused across the range's nets
-	for ni := lo; ni < hi; ni++ {
-		ns := &r.nets[ni]
-		h, v = r.trackRegions(ns, h[:0], v[:0])
-		for _, i := range h {
-			usage.H[i]++
-		}
-		for _, i := range v {
-			usage.V[i]++
-		}
-		// A tree's regions are its track regions plus its pin regions (part
-		// of the route even when edgeless), in scan order: downstream
-		// consumers iterate Regions, so their order reaches reports.
-		regions = append(append(regions[:0], h...), v...)
-		for pv, isPin := range ns.pinMask {
-			if isPin {
-				regions = append(regions, r.g.Index(geom.Point{X: ns.bbox.MinX + pv%ns.w, Y: ns.bbox.MinY + pv/ns.w}))
-			}
-		}
-		slices.Sort(regions)
-		regions = slices.Compact(regions)
-		tree := Tree{Net: ns.id, Edges: slices.Collect(r.aliveEdges(ns)), Regions: make([]geom.Point, len(regions))}
-		for k, i := range regions {
-			tree.Regions[k] = r.g.At(i)
-		}
-		trees[ni] = tree
-	}
+	return n
 }
 
 // aliveEdges yields net ns's surviving edges: horizontal ones first, each
@@ -385,11 +334,11 @@ func (r *Router) aliveEdges(ns *netState) iter.Seq[Edge] {
 	}
 }
 
-// trackRegions appends to h and v the grid indices of the regions where
-// net ns holds a horizontal (h) and a vertical (v) track — both ends of
-// every surviving edge — and returns each sorted ascending and
-// de-duplicated. Ascending index order is the (y, x) scan order.
-func (r *Router) trackRegions(ns *netState, h, v []int) ([]int, []int) {
+// trackRegions returns the grid indices of the regions where net ns holds
+// a horizontal (h) and a vertical (v) track — both ends of every surviving
+// edge — each sorted ascending and de-duplicated. Ascending index order is
+// the (y, x) scan order.
+func (r *Router) trackRegions(ns *netState) (h, v []int) {
 	for e := range r.aliveEdges(ns) {
 		i, j := r.g.Index(e.From), r.g.Index(e.To)
 		if e.Horizontal() {
@@ -401,91 +350,4 @@ func (r *Router) trackRegions(ns *netState, h, v []int) ([]int, []int) {
 	slices.Sort(h)
 	slices.Sort(v)
 	return slices.Compact(h), slices.Compact(v)
-}
-
-// TouchesDirection reports per-direction track occupancy of a tree: the
-// regions where the net holds a horizontal (resp. vertical) track.
-func (t *Tree) TouchesDirection() (h, v map[geom.Point]bool) {
-	h = make(map[geom.Point]bool)
-	v = make(map[geom.Point]bool)
-	for _, e := range t.Edges {
-		if e.Horizontal() {
-			h[e.From] = true
-			h[e.To] = true
-		} else {
-			v[e.From] = true
-			v[e.To] = true
-		}
-	}
-	return h, v
-}
-
-// Connected verifies the tree spans all its pin regions (used by tests).
-func (t *Tree) Connected(pins []geom.Point) bool {
-	if len(pins) <= 1 {
-		return true
-	}
-	adj := make(map[geom.Point][]geom.Point)
-	for _, e := range t.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	visited := map[geom.Point]bool{pins[0]: true}
-	queue := []geom.Point{pins[0]}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, q := range adj[p] {
-			if !visited[q] {
-				visited[q] = true
-				queue = append(queue, q)
-			}
-		}
-	}
-	for _, p := range pins {
-		if !visited[p] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsTree verifies the edge set is acyclic and connected over its touched
-// regions (used by tests).
-func (t *Tree) IsTree() bool {
-	if len(t.Edges) == 0 {
-		return true
-	}
-	verts := make(map[geom.Point]bool)
-	for _, e := range t.Edges {
-		verts[e.From] = true
-		verts[e.To] = true
-	}
-	// A connected graph with V vertices and V-1 edges is a tree.
-	if len(t.Edges) != len(verts)-1 {
-		return false
-	}
-	adj := make(map[geom.Point][]geom.Point)
-	for _, e := range t.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	var start geom.Point
-	for p := range verts { //detcheck:allow maporder picks an arbitrary BFS start vertex; the connectivity verdict is the same from any start
-		start = p
-		break
-	}
-	visited := map[geom.Point]bool{start: true}
-	queue := []geom.Point{start}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, q := range adj[p] {
-			if !visited[q] {
-				visited[q] = true
-				queue = append(queue, q)
-			}
-		}
-	}
-	return len(visited) == len(verts)
 }

@@ -59,21 +59,6 @@ func orSerial(pool Pool, trace *obs.Tracer, lane obs.Lane) Pool {
 	return pool
 }
 
-// mapChunks fans body out over [0, n) in fixed-size chunks, one pool task
-// per chunk. Chunk boundaries are a pure function of (n, chunk), never of
-// the pool or worker count, so every execution hands body identical
-// ranges — the router's parallel per-net loops (seeding, tree extraction)
-// write only range-disjoint slots and therefore produce identical bytes
-// on every pool.
-func mapChunks(ctx context.Context, pool Pool, cat string, n, chunk int, body func(c, lo, hi int) error) error {
-	tasks := make([]func() error, (n+chunk-1)/chunk)
-	for c := range tasks {
-		lo := c * chunk
-		tasks[c] = func() error { return body(c, lo, min(lo+chunk, n)) }
-	}
-	return pool.RunTasks(ctx, cat, nil, tasks)
-}
-
 // drainViews drains every view to its fixpoint as one pool batch, task i
 // labelled label(i) when tracing. Views write only their private deltas
 // and read the base, which no drain writes, so the drains are independent.
@@ -106,10 +91,10 @@ type ShardConfig struct {
 	// 2, negative disables reconciliation.
 	MaxReconcileRounds int
 
-	// Trace, when enabled, records Phase I spans: one per pool task (shard
-	// drain, reconcile component, extraction chunk), named and on the
-	// executing worker's lane, plus the serial sections — heap split, delta
-	// merge, each reconciliation round, and tree extraction — on Lane.
+	// Trace, when enabled, records Phase I spans: one per pool task (seed
+	// chunk, shard drain, reconcile component), named and on the executing
+	// worker's lane, plus the serial sections — heap split, delta merge,
+	// each reconciliation round, and tree extraction — on Lane.
 	// Tracing never changes the routing result.
 	Trace *obs.Tracer
 
@@ -284,8 +269,8 @@ func (r *Router) drainState(cfg ShardConfig, tiles []tileSnap, prev *DrainState,
 }
 
 // finishSharded runs the tail every sharded execution shares — bounded
-// boundary reconciliation, then parallel tree extraction — against the
-// merged global state. The ECO resume path reaches the same code, so a
+// boundary reconciliation, then tree extraction — against the merged
+// global state. The ECO resume path reaches the same code, so a
 // resumed run reconciles and extracts exactly like a from-scratch one.
 func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, groups [][]int) (*Result, error) {
 	stats := RunStats{Shards: len(groups), SeedChunks: r.seedChunks}
@@ -311,11 +296,8 @@ func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, 
 	}
 
 	xsp := cfg.Trace.Start(cfg.Lane, "route", "tree extraction")
-	res, err := r.extractParallel(ctx, pool)
+	res := r.extract()
 	xsp.End()
-	if err != nil {
-		return nil, err
-	}
 	res.Stats = stats
 	return res, nil
 }
@@ -483,7 +465,7 @@ func (r *Router) overflowNets() []int {
 	useV := make([]int, r.g.NumRegions())
 	tracks := make([][2][]int, len(r.nets)) // per net: [H regions, V regions]
 	for ni := range r.nets {
-		h, v := r.trackRegions(&r.nets[ni], nil, nil)
+		h, v := r.trackRegions(&r.nets[ni])
 		tracks[ni] = [2][]int{h, v}
 		for _, i := range h {
 			useH[i]++

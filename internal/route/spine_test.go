@@ -125,10 +125,10 @@ func TestGridUsageWithinTreeBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := r.Run()
-	for i := range res.Usage.H {
-		if res.Usage.H[i] > 2 || res.Usage.V[i] > 2 {
-			t.Fatalf("region %d usage (%g,%g) exceeds net count", i, res.Usage.H[i], res.Usage.V[i])
+	u := treeUsage(g, r.Run())
+	for i := range u.H {
+		if u.H[i] > 2 || u.V[i] > 2 {
+			t.Fatalf("region %d usage (%g,%g) exceeds net count", i, u.H[i], u.V[i])
 		}
 	}
 }

@@ -10,24 +10,24 @@ package route
 //
 // Versioning, checksumming, and fingerprint verification live one layer
 // up, in internal/artifact's envelope (codec.go). This layer's own
-// obligation is narrower but absolute: decoding NEVER panics and never
-// fabricates a structurally invalid state. Every length is bounds-checked
-// against the remaining input before allocation, and every decoded
-// DrainState invariant the resume path relies on for indexing — bbox
-// inside the grid and equal to the pins' bounding box, mask lengths
-// matching the bbox dimensions, pin mask and count matching the pins,
-// tile windows matching their delta arrays, member indices inside the
-// net slice — is re-validated, so malformed input surfaces as an error,
-// not as memory corruption three phases later.
+// obligation is narrower but absolute: decoding NEVER panics, never
+// fabricates a structurally invalid state, and allocates O(input). Every
+// count is checked against the least input its elements could occupy
+// before allocation. A net snapshot carries no field its pins determine:
+// the decoder reads every array first, checks each length against the
+// pins' bounding box (inside the grid), and only then derives the box,
+// pin mask, pin count and spine norm (netState.setPins), so the mask it
+// allocates is no larger than the spine array it read. Tile windows must
+// match their delta arrays and member indices must lie inside the net
+// slice, so malformed input surfaces as an error, not as memory
+// corruption three phases later.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 )
 
 // ---- append helpers ----
@@ -142,14 +142,14 @@ func (r *wireReader) int(what string) int {
 }
 
 // count reads a length prefix and rejects any count the remaining input
-// cannot possibly hold (every element encodes to at least one byte), so a
-// corrupted length can never drive a giant allocation.
-func (r *wireReader) count(what string) int {
+// cannot possibly hold, given that every element encodes to at least
+// size bytes, so a corrupted length can never drive a giant allocation.
+func (r *wireReader) count(what string, size int) int {
 	v := r.uvarint(what)
 	if r.err != nil {
 		return 0
 	}
-	if v > uint64(len(r.data)) {
+	if v > uint64(len(r.data)/size) {
 		r.fail("%s count %d exceeds %d remaining bytes", what, v, len(r.data))
 		return 0
 	}
@@ -222,7 +222,7 @@ func (r *wireReader) f64s(what string) []float64 {
 }
 
 func (r *wireReader) i32s(what string) []int32 {
-	n := r.count(what)
+	n := r.count(what, 1)
 	out := make([]int32, n)
 	for i := range out {
 		v := r.int(what)
@@ -246,7 +246,7 @@ func (r *wireReader) rect(what string) geom.Rect {
 }
 
 func (r *wireReader) points(what string) []geom.Point {
-	n := r.count(what)
+	n := r.count(what, 2)
 	out := make([]geom.Point, n)
 	for i := range out {
 		out[i] = geom.Point{X: r.int(what), Y: r.int(what)}
@@ -257,7 +257,7 @@ func (r *wireReader) points(what string) []geom.Point {
 // ---- Result ----
 
 // AppendWire appends res's wire encoding to buf and returns the extended
-// slice. Usage must be non-nil (every sealed artifact's is).
+// slice: each tree's net and edges, then the run stats.
 func (res *Result) AppendWire(buf []byte) []byte {
 	buf = wireU(buf, uint64(len(res.Trees)))
 	for i := range res.Trees {
@@ -270,10 +270,7 @@ func (res *Result) AppendWire(buf []byte) []byte {
 			buf = wireI(buf, e.To.X)
 			buf = wireI(buf, e.To.Y)
 		}
-		buf = wirePoints(buf, t.Regions)
 	}
-	buf = wireF64s(buf, res.Usage.H)
-	buf = wireF64s(buf, res.Usage.V)
 	st := &res.Stats
 	buf = wireI(buf, st.Shards)
 	buf = wireI(buf, st.LargestShard)
@@ -290,12 +287,12 @@ func (res *Result) AppendWire(buf []byte) []byte {
 // caller's fingerprint check.
 func DecodeResult(data []byte) (*Result, []byte, error) {
 	r := &wireReader{data: data}
-	nt := r.count("tree")
+	nt := r.count("tree", 2) // net, edge count
 	trees := make([]Tree, nt)
 	for i := 0; i < nt && r.err == nil; i++ {
 		t := &trees[i]
 		t.Net = r.int("tree net")
-		ne := r.count("edge")
+		ne := r.count("edge", 4)
 		t.Edges = make([]Edge, ne)
 		for j := 0; j < ne && r.err == nil; j++ {
 			t.Edges[j] = Edge{
@@ -303,9 +300,7 @@ func DecodeResult(data []byte) (*Result, []byte, error) {
 				To:   geom.Point{X: r.int("edge"), Y: r.int("edge")},
 			}
 		}
-		t.Regions = r.points("region")
 	}
-	usage := &grid.Usage{H: r.f64s("usage H"), V: r.f64s("usage V")}
 	stats := RunStats{
 		Shards:              r.int("stats"),
 		LargestShard:        r.int("stats"),
@@ -318,7 +313,7 @@ func DecodeResult(data []byte) (*Result, []byte, error) {
 	if r.err != nil {
 		return nil, nil, r.err
 	}
-	return &Result{Trees: trees, Usage: usage, Stats: stats}, r.data, nil
+	return &Result{Trees: trees, Stats: stats}, r.data, nil
 }
 
 // ---- DrainState ----
@@ -352,19 +347,14 @@ func (ds *DrainState) AppendWire(buf []byte) []byte {
 		s := &ds.snaps[i]
 		ns := &s.ns
 		buf = wireI(buf, ns.id)
-		buf = wireRect(buf, ns.bbox)
-		buf = wireI(buf, ns.npins)
-		buf = wireI(buf, ns.nAlive)
-		buf = wireBools(buf, ns.pinMask)
+		buf = wireF(buf, ns.rate)
+		buf = wirePoints(buf, s.pins)
 		buf = wireBools(buf, ns.aliveH)
 		buf = wireBools(buf, ns.aliveV)
 		buf = wireBools(buf, ns.frozenH)
 		buf = wireBools(buf, ns.frozenV)
 		buf = wireF(buf, float64(ns.rsmtUM))
-		buf = wireF(buf, ns.rate)
-		buf = wireF(buf, ns.spineNorm)
 		buf = wireI32s(buf, ns.spineDist)
-		buf = wirePoints(buf, s.pins)
 	}
 	buf = wireU(buf, uint64(len(ds.tiles)))
 	for i := range ds.tiles {
@@ -423,69 +413,48 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 		}
 	}
 
-	nsn := r.count("net snapshot")
+	nsn := r.count("net snapshot", 23) // id, rate, pin count, four masks, rsmt, spine
 	ds.snaps = make([]netSnap, nsn)
 	for i := 0; i < nsn && r.err == nil; i++ {
 		s := &ds.snaps[i]
 		ns := &s.ns
 		ns.id = r.int("net id")
-		ns.bbox = r.rect("net bbox")
-		ns.npins = r.int("net npins")
-		ns.nAlive = r.int("net nAlive")
-		ns.pinMask = r.bools("pin mask")
+		ns.rate = r.f64("net rate")
+		s.pins = r.points("net pin")
 		ns.aliveH = r.bools("aliveH")
 		ns.aliveV = r.bools("aliveV")
 		ns.frozenH = r.bools("frozenH")
 		ns.frozenV = r.bools("frozenV")
 		ns.rsmtUM = geom.Micron(r.f64("net rsmt"))
-		ns.rate = r.f64("net rate")
-		ns.spineNorm = r.f64("net spineNorm")
 		ns.spineDist = r.i32s("spine dist")
-		s.pins = r.points("net pin")
 		if r.err != nil {
 			break
 		}
-		checkWireRect(r, ns.bbox, ds.cols, ds.rows, "net")
+		if len(s.pins) == 0 {
+			r.fail("net %d has no pins", ns.id)
+			break
+		}
+		box := geom.RectFromPoints(s.pins)
+		checkWireRect(r, box, ds.cols, ds.rows, "net")
 		if r.err != nil {
 			break
 		}
-		ns.w, ns.h = ns.bbox.Width(), ns.bbox.Height()
-		if len(ns.pinMask) != ns.w*ns.h || len(ns.spineDist) != ns.w*ns.h ||
-			len(ns.aliveH) != (ns.w-1)*ns.h || len(ns.aliveV) != ns.w*(ns.h-1) ||
+		w, h := box.Width(), box.Height()
+		if len(ns.spineDist) != w*h ||
+			len(ns.aliveH) != (w-1)*h || len(ns.aliveV) != w*(h-1) ||
 			len(ns.frozenH) != len(ns.aliveH) || len(ns.frozenV) != len(ns.aliveV) {
-			r.fail("net %d: mask lengths inconsistent with %dx%d bbox", ns.id, ns.w, ns.h)
+			r.fail("net %d: array lengths inconsistent with its pins' %dx%d box", ns.id, w, h)
 			break
 		}
-		if ns.nAlive < 0 || ns.nAlive > len(ns.aliveH)+len(ns.aliveV) {
-			r.fail("net %d: %d alive edges of %d", ns.id, ns.nAlive, len(ns.aliveH)+len(ns.aliveV))
-			break
-		}
-		if len(s.pins) == 0 || geom.RectFromPoints(s.pins) != ns.bbox {
-			r.fail("net %d: bbox %v is not the bounding box of its %d pins", ns.id, ns.bbox, len(s.pins))
-			break
-		}
-		// A resume re-drains a restored net's pin connectivity against its
-		// mask and count, so both must be exactly those of its pins.
-		mask := make([]bool, len(ns.pinMask))
-		npins := 0
-		for _, p := range s.pins {
-			if v := ns.vertex(p.X, p.Y); !mask[v] {
-				mask[v] = true
-				npins++
-			}
-		}
-		if !slices.Equal(mask, ns.pinMask) || ns.npins != npins {
-			r.fail("net %d: pin mask or count %d disagrees with its %d distinct pins", ns.id, ns.npins, npins)
-			break
-		}
+		ns.setPins(s.pins)
 	}
 
-	ntl := r.count("tile snapshot")
+	ntl := r.count("tile snapshot", 12) // id, member count, window, six arrays
 	ds.tiles = make([]tileSnap, ntl)
 	for i := 0; i < ntl && r.err == nil; i++ {
 		t := &ds.tiles[i]
 		t.tile = r.int("tile id")
-		nm := r.count("tile member")
+		nm := r.count("tile member", 1)
 		t.members = make([]int, nm)
 		for j := 0; j < nm && r.err == nil; j++ {
 			t.members[j] = r.int("tile member")

@@ -3,8 +3,9 @@ package route
 import (
 	"bytes"
 	"context"
-	"math"
+	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -34,8 +35,7 @@ func wireFixture(t testing.TB, seed int64, dim, nNets int) (*grid.Grid, []Net, *
 	return g, nets, res, ds
 }
 
-// TestResultWireRoundTrip: encode/decode reproduces the Result exactly,
-// floats bit for bit.
+// TestResultWireRoundTrip: encode/decode reproduces the Result exactly.
 func TestResultWireRoundTrip(t *testing.T) {
 	_, _, res, _ := wireFixture(t, 1, 16, 80)
 	buf := res.AppendWire(nil)
@@ -48,12 +48,6 @@ func TestResultWireRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(dec, res) {
 		t.Fatal("decoded result differs from original")
-	}
-	for i := range res.Usage.H {
-		if math.Float64bits(dec.Usage.H[i]) != math.Float64bits(res.Usage.H[i]) ||
-			math.Float64bits(dec.Usage.V[i]) != math.Float64bits(res.Usage.V[i]) {
-			t.Fatalf("usage region %d not bit-identical", i)
-		}
 	}
 }
 
@@ -76,7 +70,7 @@ func TestDrainWireRoundTrip(t *testing.T) {
 
 // TestDecodedDrainResumesIdentically is the point of the wire format: an
 // ECO resume from a decoded DrainState must be byte-identical to a resume
-// from the original in-memory one — trees, usage, stats, and the chained
+// from the original in-memory one — trees, stats, and the chained
 // snapshot — at multiple worker counts. This is what makes a disk-loaded
 // artifact a legitimate ECO base in another process.
 func TestDecodedDrainResumesIdentically(t *testing.T) {
@@ -144,43 +138,82 @@ func TestWireDecodeRobustness(t *testing.T) {
 func DecodeResultBytes(data []byte) error { _, _, err := DecodeResult(data); return err }
 func DecodeDrainBytes(data []byte) error  { _, _, err := DecodeDrainState(data); return err }
 
-// TestDecodeRejectsPinMismatch: a net snapshot's bounding box, pin mask
-// and pin count must be exactly those of its pin list. A resume restores
-// the snapshot and re-drains the net against them: a mask without the
-// pins it counts would send the connectivity search to vertex -1.
+// TestDecodersAllocateLinearly: a decode allocates at most 64 bytes per
+// input byte plus 1 MiB, for the fixture encodings, about 512 truncations
+// of each, and crafted inputs that claim far more than they hold — counts
+// of one element per remaining byte, and a net whose pins span a
+// 2^20 x 2^20 grid with no arrays behind them, whose pin mask alone
+// would take a terabyte. Not parallel: TotalAlloc is process-wide.
+func TestDecodersAllocateLinearly(t *testing.T) {
+	_, _, res, ds := wireFixture(t, 4, 8, 16)
+	type input struct {
+		name    string
+		decode  func([]byte) error
+		data    []byte
+		crafted bool
+	}
+	var inputs []input
+	for _, fx := range []input{
+		{name: "result", decode: DecodeResultBytes, data: res.AppendWire(nil)},
+		{name: "drain", decode: DecodeDrainBytes, data: ds.AppendWire(nil)},
+	} {
+		for i := len(fx.data); i >= 0; i -= len(fx.data)/512 + 1 {
+			inputs = append(inputs, input{fmt.Sprintf("%s[:%d]", fx.name, i), fx.decode, fx.data[:i], false})
+		}
+	}
+
+	const filler = 1 << 16
+	claim := func(head []byte) []byte { return append(wireU(head, filler), make([]byte, filler)...) }
+	// A state with no nets and no tiles ends in their two zero counts.
+	header := (&DrainState{cfg: ds.cfg, cols: 8, rows: 8, tileCols: 1, tileRows: 1}).AppendWire(nil)
+	header = header[: len(header)-2 : len(header)-2]
+	corner := geom.Point{X: maxWireDim - 1, Y: maxWireDim - 1}
+	bigGrid := &DrainState{cfg: ds.cfg, cols: maxWireDim, rows: maxWireDim, tileCols: 1, tileRows: 1,
+		snaps: []netSnap{{ns: netState{rate: 0.3}, pins: []geom.Point{{}, corner}}}}
+	inputs = append(inputs,
+		input{"tree count", DecodeResultBytes, claim(nil), true},
+		input{"net count", DecodeDrainBytes, claim(header), true},
+		input{"tile count", DecodeDrainBytes, claim(wireU(header, 0)), true},
+		input{"pin box", DecodeDrainBytes, bigGrid.AppendWire(nil), true},
+	)
+
+	for _, in := range inputs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := in.decode(in.data)
+		runtime.ReadMemStats(&after)
+		if n, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(in.data))+1<<20; n > limit {
+			t.Errorf("%s: %d input bytes allocated %d bytes, limit %d", in.name, len(in.data), n, limit)
+		}
+		if in.crafted && err == nil {
+			t.Errorf("%s: crafted input decoded without error", in.name)
+		}
+	}
+}
+
+// TestDecodeRejectsPinMismatch: a net snapshot's arrays must be sized for
+// the bounding box of its pin list. A resume restores the snapshot and
+// re-drains the net over that box: arrays sized for a wider one would
+// send the connectivity search outside the pin mask.
 func TestDecodeRejectsPinMismatch(t *testing.T) {
 	_, _, _, ds := wireFixture(t, 4, 8, 16)
 	k := slices.IndexFunc(ds.snaps, func(s netSnap) bool {
-		return s.ns.npins >= 2 && len(s.ns.pinMask) >= 3 && slices.Contains(s.ns.pinMask, false)
+		return geom.RectFromPoints(s.pins[:1]) != s.ns.bbox
 	})
 	if k < 0 {
-		t.Fatal("fixture has no multi-pin net; it drifted")
+		t.Fatal("fixture has no multi-region net; it drifted")
 	}
 	if _, _, err := DecodeDrainState(ds.AppendWire(nil)); err != nil {
 		t.Fatalf("unmutated fixture: %v", err)
 	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(s *netSnap)
-	}{
-		{"all-false mask", func(s *netSnap) { s.ns.npins, s.ns.pinMask = 3, make([]bool, len(s.ns.pinMask)) }},
-		{"count too high", func(s *netSnap) { s.ns.npins++ }},
-		{"extra mask bit", func(s *netSnap) {
-			s.ns.pinMask[slices.Index(s.ns.pinMask, false)] = true
-			s.ns.npins++
-		}},
-		{"bbox wider than pins", func(s *netSnap) { s.pins = s.pins[:1] }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mut := *ds
-			mut.snaps = slices.Clone(ds.snaps)
-			mut.snaps[k].ns.pinMask = slices.Clone(ds.snaps[k].ns.pinMask)
-			tc.mutate(&mut.snaps[k])
-			if _, _, err := DecodeDrainState(mut.AppendWire(nil)); err == nil {
-				t.Fatal("decoded without error")
-			}
-		})
-	}
+	t.Run("bbox wider than pins", func(t *testing.T) {
+		mut := *ds
+		mut.snaps = slices.Clone(ds.snaps)
+		mut.snaps[k].pins = mut.snaps[k].pins[:1]
+		if _, _, err := DecodeDrainState(mut.AppendWire(nil)); err == nil {
+			t.Fatal("decoded without error")
+		}
+	})
 }
 
 // FuzzDecodeResult: DecodeResult never panics, and whatever it accepts

@@ -16,6 +16,7 @@ package sino
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/keff"
 )
@@ -53,10 +54,11 @@ func (in *Instance) Validate() error {
 		return fmt.Errorf("sino: instance has no coupling model")
 	}
 	for i, s := range in.Segs {
-		if s.Kth <= 0 {
-			return fmt.Errorf("sino: segment %d (net %d) has non-positive Kth %g", i, s.Net, s.Kth)
+		// Both checks are written so that NaN fails them.
+		if !(s.Kth > 0) || math.IsInf(s.Kth, 1) {
+			return fmt.Errorf("sino: segment %d (net %d) has Kth %g, want finite and positive", i, s.Net, s.Kth)
 		}
-		if s.Rate < 0 || s.Rate > 1 {
+		if !(s.Rate >= 0 && s.Rate <= 1) {
 			return fmt.Errorf("sino: segment %d (net %d) has sensitivity rate %g outside [0,1]", i, s.Net, s.Rate)
 		}
 	}

@@ -1,6 +1,7 @@
 package sino
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -237,6 +238,9 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 		{"no model", Instance{Sensitive: sens, Segs: []Seg{{Net: 0, Kth: 1}}}},
 		{"bad kth", Instance{Sensitive: sens, Model: model, Segs: []Seg{{Net: 0, Kth: 0}}}},
 		{"bad rate", Instance{Sensitive: sens, Model: model, Segs: []Seg{{Net: 0, Kth: 1, Rate: 2}}}},
+		{"NaN kth", Instance{Sensitive: sens, Model: model, Segs: []Seg{{Net: 0, Kth: math.NaN()}}}},
+		{"+Inf kth", Instance{Sensitive: sens, Model: model, Segs: []Seg{{Net: 0, Kth: math.Inf(1)}}}},
+		{"NaN rate", Instance{Sensitive: sens, Model: model, Segs: []Seg{{Net: 0, Kth: 1, Rate: math.NaN()}}}},
 	}
 	for _, c := range cases {
 		if err := c.in.Validate(); err == nil {
