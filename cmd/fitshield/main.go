@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 
 	"repro/internal/sino"
 )
@@ -22,6 +23,16 @@ func main() {
 	kth := flag.Float64("kth", 0.7, "fixed inductive bound during fitting")
 	anneal := flag.Bool("anneal", false, "solve instances by simulated annealing (slower, tighter)")
 	flag.Parse()
+
+	// FitConfig would swap a non-positive value for its default, which the
+	// header would misreport, and a bound that is not finite panics in the
+	// solver.
+	if !(*kth > 0) || math.IsInf(*kth, 1) {
+		log.Fatalf("-kth %g: want a finite, positive bound", *kth)
+	}
+	if *reps < 1 {
+		log.Fatalf("-reps %d: want at least 1", *reps)
+	}
 
 	obs := sino.GenerateFitSamples(sino.FitConfig{
 		Seed:      *seed,

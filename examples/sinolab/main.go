@@ -26,6 +26,9 @@ func main() {
 	kth := flag.Float64("kth", 0.6, "inductive bound for every segment")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
+	if *segs < 0 {
+		log.Fatalf("-segs %d: want a non-negative count", *segs)
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	pairs := make(map[[2]int]bool)

@@ -39,7 +39,8 @@ type regionInst struct {
 	nets []int         // global net id per segment
 
 	sol *sino.Solution
-	k   []float64 // per-segment total coupling under sol
+	k   []float64      // per-segment total coupling under sol
+	rel *sino.Relation // sensitivity snapshot, taken at the first repair
 }
 
 // chipState is a routed, SINO-solved chip.
@@ -347,19 +348,26 @@ func (st *chipState) addSeg(in *regionInst, net int, l geom.Micron, kth float64)
 
 // instFor wraps a segment list into a solver instance — the single
 // construction site for every solve the chip issues (Phase II batches,
-// refinement repairs, pass-2 speculation).
-func (st *chipState) instFor(segs []sino.Seg) *sino.Instance {
-	return &sino.Instance{Segs: segs, Sensitive: st.r.sens.Sensitive, Model: st.r.model}
+// refinement repairs, pass-2 speculation). rel, when non-nil, is the
+// sensitivity snapshot of segments with the same nets in the same order.
+func (st *chipState) instFor(segs []sino.Seg, rel *sino.Relation) *sino.Instance {
+	return &sino.Instance{Segs: segs, Sensitive: st.r.sens.Sensitive, Model: st.r.model, Rel: rel}
 }
 
 // job builds the engine job for one instance. The worker pool swaps in its
-// own model clone and the shared coupling cache.
+// own model clone and the shared coupling cache. A repair starts from the
+// totals the instance holds and from its sensitivity snapshot, taken at
+// its first repair (Phase III re-solves an instance many times; Phase II
+// binds it once) on the repairing worker, which has sole use of the
+// instance (conflict.go).
 func (st *chipState) job(in *regionInst, mode engine.Mode) engine.Job {
-	j := engine.Job{Inst: st.instFor(in.segs), Mode: mode}
-	if mode == engine.ModeRepair {
-		j.Prev = in.sol
+	if mode != engine.ModeRepair {
+		return engine.Job{Inst: st.instFor(in.segs, in.rel), Mode: mode}
 	}
-	return j
+	if in.rel == nil {
+		in.rel = sino.NewRelation(in.segs, st.r.sens.Sensitive)
+	}
+	return engine.Job{Inst: st.instFor(in.segs, in.rel), Mode: mode, Prev: in.sol, K: in.k}
 }
 
 // apply merges one engine result back into the instance.

@@ -197,7 +197,7 @@ func (st *chipState) speculateRelax(tr *violTracker, in *regionInst, w *engine.W
 	for i := range segs {
 		segs[i].Kth = kth[i]
 	}
-	res := w.Do(engine.Job{Inst: st.instFor(segs), Mode: engine.ModeSolve})
+	res := w.Do(engine.Job{Inst: st.instFor(segs, in.rel), Mode: engine.ModeSolve})
 	if res.Err != nil {
 		return p, res.Err
 	}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/engine"
@@ -189,6 +192,53 @@ func TestRefineEliminatesViolations(t *testing.T) {
 		}
 		if stats.Waves == 0 || stats.MaxWave == 0 {
 			t.Errorf("seed %d: refine repaired without waves: %+v", seed, stats)
+		}
+	}
+}
+
+// checkHeldTotals requires every instance's totals to equal a fresh
+// TotalK of its solution, bit for bit. Repairs start from the held totals
+// instead of summing them (sino.RepairWith), so a stale total would
+// change what a repair does.
+func checkHeldTotals(t *testing.T, st *chipState, when string) {
+	t.Helper()
+	for _, in := range st.orderd {
+		want := st.instFor(in.segs, nil).TotalK(in.sol)
+		if len(in.k) != len(want) {
+			t.Fatalf("%s: instance %d holds %d totals for %d segments", when, in.ord, len(in.k), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(in.k[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: instance %d segment %d holds total %v, its solution gives %v", when, in.ord, i, in.k[i], want[i])
+			}
+		}
+	}
+}
+
+// TestHeldTotalsMatchSolutions checks the held totals after Phase II and
+// after every refinement wave of both passes: refinement restarts from
+// the same Phase II state once per wave count w and is cancelled as wave
+// w+1 starts (cancelAtWave), which leaves the state of w waves.
+func TestHeldTotalsMatchSolutions(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		r, st := ibmRefineFixture(t, 16, 0.5, seed, Params{})
+		checkHeldTotals(t, st, fmt.Sprintf("seed %d, phase II", seed))
+		snaps := snapshotState(st)
+		for waves := uint64(0); ; waves++ {
+			restoreState(st, snaps)
+			ctx, cancel := cancelAtWave(r.eng, waves)
+			_, err := st.refine(ctx)
+			cancel()
+			checkHeldTotals(t, st, fmt.Sprintf("seed %d, %d waves", seed, waves))
+			if err == nil {
+				if waves < 2 {
+					t.Fatalf("seed %d: refinement ran %d waves, too few to test", seed, waves)
+				}
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -53,7 +53,8 @@ const (
 	ModeNetOrder
 	// ModeRepair improves an existing solution by shield insertion only
 	// (sino.Repair) — Phase III pass 1's cheap re-solve. Job.Prev is
-	// repaired in place and returned as the result solution.
+	// repaired in place, starting from its totals Job.K, and returned as
+	// the result solution.
 	ModeRepair
 )
 
@@ -78,6 +79,7 @@ type Job struct {
 	Inst *sino.Instance
 	Mode Mode
 	Prev *sino.Solution // ModeRepair only: the solution to improve in place
+	K    []float64      // ModeRepair only: Prev's per-segment totals, the Check.K that produced it
 }
 
 // Result is one job's outcome. Sol and Check are nil when Err is set.
@@ -492,7 +494,10 @@ func (e *Engine) solveJob(job *Job, model *keff.Model, ev *sino.Eval) (res Resul
 		if job.Prev == nil {
 			return Result{Err: fmt.Errorf("engine: repair job has no previous solution")}
 		}
-		chk := sino.RepairWith(ev, &inst, job.Prev)
+		if len(job.K) != len(inst.Segs) {
+			return Result{Err: fmt.Errorf("engine: repair job has %d totals for %d segments", len(job.K), len(inst.Segs))}
+		}
+		chk := sino.RepairWith(ev, &inst, job.Prev, job.K)
 		return Result{Sol: job.Prev, Check: chk}
 	default:
 		return Result{Err: fmt.Errorf("engine: unknown mode %d", int(job.Mode))}

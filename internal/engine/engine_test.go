@@ -102,6 +102,7 @@ func TestRepairMode(t *testing.T) {
 			Inst: &sino.Instance{Segs: segs, Sensitive: jobs[i].Inst.Sensitive, Model: jobs[i].Inst.Model},
 			Mode: ModeRepair,
 			Prev: base[i].Sol,
+			K:    base[i].Check.K,
 		}
 	}
 	res, err := newFor(4, repairs).Run(context.Background(), repairs)
@@ -118,6 +119,50 @@ func TestRepairMode(t *testing.T) {
 		if len(res[i].Check.K) != len(repairs[i].Inst.Segs) {
 			t.Errorf("repair job %d: Check.K has %d entries, want %d",
 				i, len(res[i].Check.K), len(repairs[i].Inst.Segs))
+		}
+	}
+}
+
+// TestRepairJobNeedsTotals pins the repair job's totals contract: a
+// repair with no totals, or totals for another segment count, is refused
+// with an error of its own before the solver runs, not by a recovered
+// panic, and leaves the solution untouched.
+func TestRepairJobNeedsTotals(t *testing.T) {
+	jobs := makeJobs(2, ModeSolve)
+	base, err := newFor(2, jobs).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := FirstError(base); err != nil {
+		t.Fatal(err)
+	}
+	k := base[0].Check.K
+	for _, c := range []struct {
+		name string
+		k    []float64
+	}{
+		{"missing", nil},
+		{"short", k[:len(k)-1]},
+		{"too long", append(append([]float64(nil), k...), 0)},
+	} {
+		prev := base[0].Sol.Clone()
+		e := newFor(2, jobs)
+		res, err := e.Run(context.Background(), []Job{{Inst: jobs[0].Inst, Mode: ModeRepair, Prev: prev, K: c.k}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Err == nil {
+			t.Errorf("%s totals: repair job accepted", c.name)
+			continue
+		}
+		if strings.Contains(res[0].Err.Error(), "panicked") {
+			t.Errorf("%s totals: refused by a panic: %v", c.name, res[0].Err)
+		}
+		if !solutionsEqual(Result{Sol: prev, Check: base[0].Check}, base[0]) {
+			t.Errorf("%s totals: refused repair modified the solution", c.name)
+		}
+		if st := e.Stats(); st.Jobs != 1 || st.Errors != 1 {
+			t.Errorf("%s totals: stats %+v, want 1 job and 1 error", c.name, st)
 		}
 	}
 }

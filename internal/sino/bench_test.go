@@ -10,8 +10,10 @@ import (
 )
 
 // benchSizes are the kernel-level instance sizes: small enough that one
-// region solve is microseconds, the regime Phases II and III live in.
-var benchSizes = []int{8, 16, 32}
+// region solve is microseconds, the regime Phases II and III live in. 64
+// is past the average instance of a dense full-chip run (about 55
+// segments on ibm01 at scale 4, rate 0.5).
+var benchSizes = []int{8, 16, 32, 64}
 
 // benchInstance builds a deterministic instance for kernel benchmarks. A
 // loose-ish bound keeps the solver in its typical regime: a handful of
@@ -62,10 +64,11 @@ func benchSolveBody(b *testing.B, n int, shared bool) {
 }
 
 // benchRepairBody measures the shield-insertion-only re-solve used by
-// Phase III pass 1: an existing solution whose bounds tightened a little.
+// Phase III pass 1: an existing solution whose bounds tightened a little,
+// repaired from the totals its solve reported, as the engine does.
 func benchRepairBody(b *testing.B, n int, shared bool) {
 	in := benchInstance(n, 0.4, 0.55, shared)
-	seed, _ := Solve(in)
+	seed, chk := Solve(in)
 	// Tighten every bound the way refinement does, so Repair has real
 	// insertion work on each iteration.
 	tight := &Instance{Segs: append([]Seg(nil), in.Segs...), Sensitive: in.Sensitive, Model: in.Model, Cache: in.Cache}
@@ -77,7 +80,7 @@ func benchRepairBody(b *testing.B, n int, shared bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := seed.Clone()
-		RepairWith(ev, tight, s)
+		RepairWith(ev, tight, s, chk.K)
 	}
 }
 

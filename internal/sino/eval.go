@@ -72,7 +72,7 @@ type Eval struct {
 // are invariant under the worker count, like every other surfaced counter.
 type EvalStats struct {
 	Binds     uint64 // instances attached (Bind)
-	Loads     uint64 // full solution loads — each an O(n·cutoff) rebuild
+	Loads     uint64 // solution loads — an O(n·cutoff) rebuild, or O(n) from held totals
 	Edits     uint64 // incremental ops: inserts, removes, swaps (O(window) each)
 	Rollbacks uint64 // one-level undo restores (O(n) integer rebuild)
 }
@@ -102,23 +102,20 @@ func NewEval() *Eval { return &Eval{} }
 
 // Bind attaches the evaluator to an instance: it snapshots the pairwise
 // sensitivity relation into a bitset (the relation is consulted thousands
-// of times per solve on the same pairs) and keeps the keff.Coupler
-// whenever the instance shares the previous one's Model and Cache, which
-// is exactly the engine's per-worker situation.
+// of times per solve on the same pairs), copying Instance.Rel when the
+// caller took the snapshot already, and keeps the keff.Coupler whenever
+// the instance shares the previous one's Model and Cache, which is
+// exactly the engine's per-worker situation.
 func (e *Eval) Bind(in *Instance) {
-	n := len(in.Segs)
 	e.in = in
 	e.stats.Binds++
 	if e.cp == nil || e.cp.Model() != in.Model || e.cp.SharedCache() != in.Cache {
 		e.cp = keff.NewCoupler(in.Model, in.Cache)
 	}
-	e.sens.reset(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if in.Sensitive(in.Segs[i].Net, in.Segs[j].Net) {
-				e.sens.set(i, j)
-			}
-		}
+	if in.Rel != nil {
+		e.sens.copyFrom(&in.Rel.bits)
+	} else {
+		e.sens.fill(in.Segs, in.Sensitive)
 	}
 	if e.sensFn == nil {
 		e.sensFn = func(a, b int) bool { return e.sens.get(a, b) }
@@ -132,7 +129,12 @@ func (e *Eval) Bind(in *Instance) {
 // quantity from scratch. It reports structural problems (missing,
 // duplicated, or unknown segments); on error the evaluator must be
 // Loaded again before use.
-func (e *Eval) Load(s *Solution) error {
+func (e *Eval) Load(s *Solution) error { return e.load(s, nil) }
+
+// load is Load taking s's per-segment totals from k when non-nil (see
+// RepairWith) instead of summing them; the over-bound count is recounted
+// against the bound instance's bounds either way.
+func (e *Eval) load(s *Solution, k []float64) error {
 	n := len(e.in.Segs)
 	e.stats.Loads++
 	e.tracks = append(e.tracks[:0], s.Tracks...)
@@ -166,17 +168,23 @@ func (e *Eval) Load(s *Solution) error {
 	e.shields = e.in.Model.ShieldTableInto(lt, e.shields)
 	e.capPairs = e.capCount()
 
-	e.kt = growFloats(e.kt, len(lt))
-	e.cp.AllTotalsInto(lt, e.shields, e.sensFn, e.kt)
-	e.cp.Flush()
 	e.k = growFloats(e.k, n)
-	e.nOver = 0
-	for t, v := range e.tracks {
-		if v != Shield {
-			e.k[v] = e.kt[t]
-			if e.kt[t] > e.in.Segs[v].Kth {
-				e.nOver++
+	if k != nil {
+		copy(e.k, k)
+	} else {
+		e.kt = growFloats(e.kt, len(lt))
+		e.cp.AllTotalsInto(lt, e.shields, e.sensFn, e.kt)
+		e.cp.Flush()
+		for t, v := range e.tracks {
+			if v != Shield {
+				e.k[v] = e.kt[t]
 			}
+		}
+	}
+	e.nOver = 0
+	for i, ki := range e.k {
+		if ki > e.in.Segs[i].Kth {
+			e.nOver++
 		}
 	}
 	return nil
@@ -292,6 +300,84 @@ func (e *Eval) rollback() {
 // insertAt inserts track value v (segment index or Shield) at position at.
 func (e *Eval) insertAt(at, v int) {
 	e.stats.Edits++
+	e.splice(at, v)
+	if v == Shield {
+		e.nShields++
+	}
+	e.refreshAround(at)
+}
+
+// removeAt removes the track at position at and returns its value.
+func (e *Eval) removeAt(at int) int {
+	e.stats.Edits++
+	v := e.cut(at)
+	if v == Shield {
+		e.nShields--
+	} else {
+		e.pos[v] = -1
+	}
+	e.refreshAround(at)
+	return v
+}
+
+// tryRemoveShield removes the shield at position at if the solution stays
+// feasible, and reports whether it did. The evaluator must be feasible on
+// entry, so the probe only has to find one violation the removal creates:
+//
+//   - the shield's two neighbours becoming a sensitive adjacency, the one
+//     capacitive pair the removal can create, checked before any coupling
+//     is evaluated;
+//   - a total over its bound, summed per track (Coupler.TrackTotal, the
+//     full pass's bits) inside AffectedRange, nearest the cut first
+//     because the largest changes sit there. Totals outside the window
+//     keep their bits, so they stay within bounds.
+//
+// A rejected probe restores the integer state and never touches the
+// totals; an accepted one commits the window's. The verdict and the
+// committed totals are those of removeAt followed by Feasible, and the
+// probe counts as that sequence does: one edit, plus one rollback when
+// rejected.
+func (e *Eval) tryRemoveShield(at int) bool {
+	e.stats.Edits++
+	if at > 0 && at+1 < len(e.tracks) {
+		l, r := e.tracks[at-1], e.tracks[at+1]
+		if l != Shield && r != Shield && e.sens.get(l, r) {
+			e.stats.Rollbacks++
+			return false
+		}
+	}
+	e.cut(at)
+	lo, hi := e.in.Model.AffectedRange(e.layout, at)
+	e.kt = growFloats(e.kt, len(e.tracks))
+	for d := 0; at-1-d >= lo || at+d <= hi; d++ {
+		for _, p := range [2]int{at - 1 - d, at + d} {
+			if p < lo || p > hi || e.tracks[p] == Shield {
+				continue
+			}
+			k := e.cp.TrackTotal(e.layout.Tracks, e.shields, p, e.sensFn)
+			if k > e.in.Segs[e.tracks[p]].Kth {
+				e.cp.Flush()
+				e.splice(at, Shield)
+				e.stats.Rollbacks++
+				return false
+			}
+			e.kt[p] = k
+		}
+	}
+	e.cp.Flush()
+	for p := lo; p <= hi; p++ {
+		if v := e.tracks[p]; v != Shield {
+			e.k[v] = e.kt[p]
+		}
+	}
+	e.nShields--
+	return true
+}
+
+// splice inserts track value v at position at into the integer state:
+// track array, layout mirror, position index and shield table. Totals
+// and counters are the caller's.
+func (e *Eval) splice(at, v int) {
 	e.tracks = append(e.tracks, 0)
 	copy(e.tracks[at+1:], e.tracks[at:])
 	e.tracks[at] = v
@@ -299,41 +385,35 @@ func (e *Eval) insertAt(at, v int) {
 	copy(lt[at+1:], lt[at:])
 	if v == Shield {
 		lt[at] = keff.ShieldOf()
-		e.nShields++
 	} else {
 		lt[at] = keff.SignalOf(v)
-		e.pos[v] = at
 	}
 	e.layout.Tracks = lt
-	for t := at + 1; t < len(e.tracks); t++ {
-		if s := e.tracks[t]; s != Shield {
-			e.pos[s] = t
-		}
-	}
-	e.refreshAround(at, at)
+	e.reindex(at)
 }
 
-// removeAt removes the track at position at and returns its value.
-func (e *Eval) removeAt(at int) int {
-	e.stats.Edits++
+// cut removes the track at position at from the integer state, the
+// inverse of splice, and returns its value.
+func (e *Eval) cut(at int) int {
 	v := e.tracks[at]
 	copy(e.tracks[at:], e.tracks[at+1:])
 	e.tracks = e.tracks[:len(e.tracks)-1]
 	lt := e.layout.Tracks
 	copy(lt[at:], lt[at+1:])
 	e.layout.Tracks = lt[:len(lt)-1]
-	if v == Shield {
-		e.nShields--
-	} else {
-		e.pos[v] = -1
-	}
-	for t := at; t < len(e.tracks); t++ {
+	e.reindex(at)
+	return v
+}
+
+// reindex refreshes the position index from position from on and
+// rebuilds the shield table, after a splice or cut at from.
+func (e *Eval) reindex(from int) {
+	for t := from; t < len(e.tracks); t++ {
 		if s := e.tracks[t]; s != Shield {
 			e.pos[s] = t
 		}
 	}
-	e.refreshAround(at, at)
-	return v
+	e.shields = e.in.Model.ShieldTableInto(e.layout.Tracks, e.shields)
 }
 
 // swapAny exchanges the tracks at two arbitrary positions.
@@ -368,14 +448,11 @@ func (e *Eval) exchange(a, b int) {
 	e.shields = e.in.Model.ShieldTableInto(lt, e.shields)
 }
 
-// refreshAround rebuilds the derived state after an insert/remove edit
-// spanning positions [atLo, atHi] and recomputes the affected window.
-func (e *Eval) refreshAround(atLo, atHi int) {
-	e.shields = e.in.Model.ShieldTableInto(e.layout.Tracks, e.shields)
+// refreshAround recounts the capacitive pairs after an insert/remove edit
+// at position at and recomputes the affected window.
+func (e *Eval) refreshAround(at int) {
 	e.capPairs = e.capCount()
-	lo, _ := e.in.Model.AffectedRange(e.layout, atLo)
-	_, hi := e.in.Model.AffectedRange(e.layout, atHi)
-	e.recompute(lo, hi)
+	e.recompute(e.in.Model.AffectedRange(e.layout, at))
 }
 
 // recompute refreshes the totals of every signal track in [lo, hi].
@@ -495,6 +572,25 @@ func (e *Eval) sidePull(pos int) (left, right float64) {
 type triBits struct {
 	stride int // words per row
 	bits   []uint64
+}
+
+// fill sizes the bitset for segs and marks their sensitive pairs.
+func (t *triBits) fill(segs []Seg, sensitive func(a, b int) bool) {
+	n := len(segs)
+	t.reset(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if sensitive(segs[i].Net, segs[j].Net) {
+				t.set(i, j)
+			}
+		}
+	}
+}
+
+// copyFrom makes t a copy of src, reusing storage.
+func (t *triBits) copyFrom(src *triBits) {
+	t.stride = src.stride
+	t.bits = append(t.bits[:0], src.bits...)
 }
 
 // reset sizes the bitset for n elements and clears it, reusing storage.

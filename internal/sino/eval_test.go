@@ -171,7 +171,7 @@ func TestSolveWithPooledEvaluatorMatchesFresh(t *testing.T) {
 		for i := range tight.Segs {
 			tight.Segs[i].Kth *= 0.7
 		}
-		rChk := RepairWith(ev, tight, rs)
+		rChk := RepairWith(ev, tight, rs, pooledChk.K)
 		fChk := Repair(tight, fs)
 		if !reflect.DeepEqual(rs, fs) || !reflect.DeepEqual(rChk, fChk) {
 			t.Fatalf("seed %d: pooled repair differs", seed)

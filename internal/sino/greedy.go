@@ -1,6 +1,7 @@
 package sino
 
 import (
+	"fmt"
 	"sort"
 )
 
@@ -169,20 +170,30 @@ func (e *Eval) repairK() {
 // Repair improves an existing solution in place toward feasibility by
 // shield insertion only, without reordering or polish — the cheap re-solve
 // used by Phase III refinement, where bounds change a little at a time and
-// the existing ordering is worth keeping.
+// the existing ordering is worth keeping. A structurally invalid solution
+// is returned unrepaired with its Verify report — there is no meaningful
+// repair for a broken track assignment.
 func Repair(in *Instance, s *Solution) *Check {
-	return RepairWith(NewEval(), in, s)
+	c := in.Verify(s)
+	if c.Structural != nil {
+		return c
+	}
+	return RepairWith(NewEval(), in, s, c.K)
 }
 
-// RepairWith is Repair on a caller-supplied evaluator (see SolveWith). A
-// structurally invalid solution is returned unrepaired with its Verify
-// report — there is no meaningful repair for a broken track assignment.
-func RepairWith(e *Eval, in *Instance, s *Solution) *Check {
+// RepairWith is Repair on a caller-supplied evaluator (see SolveWith),
+// given k, s's per-segment totals: the Check.K of the solve or repair
+// that produced s. Totals do not depend on the bounds, so a check taken
+// under other Kth values serves, and the load skips its totals pass.
+func RepairWith(e *Eval, in *Instance, s *Solution, k []float64) *Check {
 	if err := in.Validate(); err != nil {
 		panic(err.Error())
 	}
+	if len(k) != len(in.Segs) {
+		panic(fmt.Sprintf("sino: repair given %d totals for %d segments", len(k), len(in.Segs)))
+	}
 	e.Bind(in)
-	if err := e.Load(s); err != nil {
+	if err := e.load(s, k); err != nil {
 		return in.Verify(s)
 	}
 	e.repairK()
@@ -190,10 +201,9 @@ func RepairWith(e *Eval, in *Instance, s *Solution) *Check {
 	return e.Check()
 }
 
-// polish removes shields that are no longer needed. Each removal probe is
-// a windowed evaluator update judged by the maintained feasibility
-// counters, with an O(n) integer rollback when the shield turns out to be
-// load-bearing — replacing the full O(n²) Verify per probe; passes are
+// polish removes shields that are no longer needed. Each removal probe
+// (tryRemoveShield) stops at the first violation it finds, and most
+// probes find one: the shield turns out to be load-bearing. Passes are
 // bounded because the first catches almost every removable shield.
 func (e *Eval) polish() {
 	if !e.Feasible() {
@@ -202,15 +212,8 @@ func (e *Eval) polish() {
 	for pass := 0; pass < 2; pass++ {
 		removed := false
 		for t := len(e.tracks) - 1; t >= 0; t-- {
-			if e.tracks[t] != Shield {
-				continue
-			}
-			e.mark()
-			e.removeAt(t)
-			if e.Feasible() {
+			if e.tracks[t] == Shield && e.tryRemoveShield(t) {
 				removed = true
-			} else {
-				e.rollback()
 			}
 		}
 		if !removed {

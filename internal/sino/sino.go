@@ -43,6 +43,27 @@ type Instance struct {
 	// yields bit-identical couplings, just faster. The engine package wires
 	// one shared cache into every worker's instances.
 	Cache *keff.PairCache
+
+	// Rel optionally snapshots Sensitive over Segs (NewRelation), for a
+	// caller that solves the same segments many times: Bind copies it
+	// instead of consulting Sensitive for every pair. It must describe
+	// Segs' nets in Segs' order; nil snapshots at Bind.
+	Rel *Relation
+}
+
+// Relation is an instance's pairwise sensitivity by segment index, taken
+// once. It depends only on the segments' nets, so it stays valid while
+// their bounds change.
+type Relation struct {
+	n    int
+	bits triBits
+}
+
+// NewRelation snapshots sensitive (by net identifiers) over segs.
+func NewRelation(segs []Seg, sensitive func(a, b int) bool) *Relation {
+	r := &Relation{n: len(segs)}
+	r.bits.fill(segs, sensitive)
+	return r
 }
 
 // Validate reports the first structural problem with the instance.
@@ -52,6 +73,9 @@ func (in *Instance) Validate() error {
 	}
 	if in.Model == nil {
 		return fmt.Errorf("sino: instance has no coupling model")
+	}
+	if in.Rel != nil && in.Rel.n != len(in.Segs) {
+		return fmt.Errorf("sino: sensitivity relation covers %d segments, instance has %d", in.Rel.n, len(in.Segs))
 	}
 	for i, s := range in.Segs {
 		// Both checks are written so that NaN fails them.
