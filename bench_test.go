@@ -150,7 +150,7 @@ func BenchmarkShieldEstimate(b *testing.B) {
 func BenchmarkSINOSolver(b *testing.B) {
 	for _, n := range []int{10, 30, 60, 120} {
 		model := keff.NewModel(tech.Default())
-		sens := netlist.NewHashSensitivity(5, 0.3, n)
+		sens := netlist.NewHashSensitivity(5, 0.3)
 		segs := make([]sino.Seg, n)
 		for i := range segs {
 			segs[i] = sino.Seg{Net: i, Kth: 0.7, Rate: 0.3}

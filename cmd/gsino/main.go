@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
@@ -53,7 +54,11 @@ func main() {
 	}
 	// Check every flag, read every input and open every output before the
 	// circuit is generated, so a bad flow name, path or delta fails with
-	// nothing printed.
+	// nothing printed. core.Params would run a zero -vth at its 0.15 V
+	// default, so the threshold is checked here.
+	if !(*vth > 0) || math.IsInf(*vth, 1) { // NaN fails *vth > 0
+		log.Fatalf("-vth %g is not a finite positive voltage", *vth)
+	}
 	flowList, err := parseFlows(*flows)
 	if err != nil {
 		log.Fatal(err)

@@ -28,6 +28,11 @@ func main() {
 	entries := flag.Int("entries", 100, "number of table entries")
 	flag.Parse()
 
+	// keff.BuildConfig would build a zero size at its 100-entry default,
+	// so the flag is checked here.
+	if *entries < 2 {
+		log.Fatalf("-entries %d: a table needs at least 2 entries", *entries)
+	}
 	cfg := keff.BuildConfig{Tech: tech.Default(), Entries: *entries}
 	switch {
 	case *samples || *fit:

@@ -45,7 +45,7 @@ func main() {
 	// Every net is sensitive to a random 30% of the others.
 	nl := &netlist.Netlist{
 		Nets:        nets,
-		Sensitivity: netlist.NewHashSensitivity(7, 0.30, len(nets)),
+		Sensitivity: netlist.NewHashSensitivity(7, 0.30),
 	}
 
 	design := &core.Design{Name: "quickstart", Nets: nl, Grid: g, Rate: 0.30}

@@ -30,7 +30,7 @@ import (
 
 // keyVersion is folded into every key so a change to the hashed-field set
 // can never collide with keys from an older layout.
-const keyVersion = 1
+const keyVersion = 2
 
 // Key addresses one routing artifact: a 128-bit content hash of the
 // routing problem.
@@ -40,10 +40,13 @@ type Key [2]uint64
 func (k Key) String() string { return fmt.Sprintf("%016x%016x", k[0], k[1]) }
 
 // KeyFor derives the content key of a routing problem. It hashes the grid
-// scalars, the resolved router config (weights, shield-awareness, Formula
-// (3) coefficients), the resolved tile decomposition, and every net's ID,
-// rate, and raw pin list. Trace configuration is observational and
-// excluded. Two problems with equal keys route byte-identically.
+// scalars, the resolved router config (weights and shield-awareness), the
+// resolved tile decomposition, and every net's ID, rate, and raw pin list.
+// The Formula (3) coefficients (sino.DefaultShieldCoeffs) are a constant
+// of the router and are not hashed: a change to them must bump keyVersion,
+// and TestKeyVersionPinsShieldCoeffs fails until it does. Trace
+// configuration is observational and excluded. Two problems with equal
+// keys route byte-identically.
 func KeyFor(g *grid.Grid, cfg route.Config, scfg route.ShardConfig, nets []route.Net) Key {
 	cfg = cfg.Resolved()
 	scfg = scfg.Resolved(g.Cols, g.Rows)
@@ -59,12 +62,6 @@ func KeyFor(g *grid.Grid, cfg route.Config, scfg route.ShardConfig, nets []route
 	h.F64(cfg.Beta)
 	h.F64(cfg.Gamma)
 	h.Bool(cfg.ShieldAware)
-	h.F64(cfg.Coeffs.A1)
-	h.F64(cfg.Coeffs.A2)
-	h.F64(cfg.Coeffs.A3)
-	h.F64(cfg.Coeffs.A4)
-	h.F64(cfg.Coeffs.A5)
-	h.F64(cfg.Coeffs.A6)
 	h.Int(scfg.TileCols)
 	h.Int(scfg.TileRows)
 	h.Int(scfg.MaxReconcileRounds)

@@ -37,7 +37,7 @@ import (
 )
 
 // wireVersion is the on-disk format generation.
-const wireVersion = 2
+const wireVersion = 3
 
 // wireMagic opens every artifact file; a wrong magic fails fast with a
 // clearer error than a checksum mismatch.

@@ -25,11 +25,6 @@ type Delta struct {
 	Move   []Move
 }
 
-// Empty reports whether the delta edits nothing.
-func (d *Delta) Empty() bool {
-	return len(d.Add) == 0 && len(d.Remove) == 0 && len(d.Move) == 0
-}
-
 // Apply returns the edited netlist. Removed nets collapse to an inert
 // single-pin stub at their driver rather than vanishing: netlist IDs must
 // stay contiguous (every downstream index is positional), and a one-pin

@@ -87,9 +87,6 @@ func NewDiskStore(dir string, trace *obs.Tracer) (*DiskStore, error) {
 	return d, nil
 }
 
-// Dir returns the cache directory.
-func (d *DiskStore) Dir() string { return d.dir }
-
 func (d *DiskStore) path(key Key) string { return filepath.Join(d.dir, key.String()+".art") }
 
 // Load returns the verified artifact for key, or nil on any miss — absent

@@ -245,7 +245,8 @@ func TestStorePeekDiskFallthrough(t *testing.T) {
 // TestDiskStoreSaveRejectsMutation: a mutated artifact never reaches disk
 // and the failure is counted, not silent.
 func TestDiskStoreSaveRejectsMutation(t *testing.T) {
-	d, err := NewDiskStore(t.TempDir(), nil)
+	dir := t.TempDir()
+	d, err := NewDiskStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestDiskStoreSaveRejectsMutation(t *testing.T) {
 	if st := d.Stats(); st.WriteErrors != 1 || st.Writes != 0 {
 		t.Fatalf("stats = %+v, want 1 write error", st)
 	}
-	if files := artFiles(t, d.Dir()); len(files) != 0 {
+	if files := artFiles(t, dir); len(files) != 0 {
 		t.Fatalf("cache files appeared: %v", files)
 	}
 }

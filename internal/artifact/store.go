@@ -221,18 +221,6 @@ func (s *Store) Peek(key Key) *Artifact {
 	return art
 }
 
-// Drop removes key from the store, reporting whether it was present.
-func (s *Store) Drop(key Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if ok {
-		s.lru.Remove(el)
-		delete(s.entries, key)
-	}
-	return ok
-}
-
 // Len returns the number of cached artifacts.
 func (s *Store) Len() int {
 	s.mu.Lock()

@@ -94,9 +94,6 @@ func (b *Budgeter) Clamp(k float64) float64 {
 	return k
 }
 
-// clampK applies the floor and ceiling.
-func (b *Budgeter) clampK(k float64) float64 { return b.Clamp(k) }
-
 // UniformNet returns the Phase I bound for every segment of the net: the
 // LSK budget divided by the largest source→sink Manhattan distance — the
 // "minimum of those bounds determined for individual paths", since segments
@@ -107,7 +104,7 @@ func (b *Budgeter) UniformNet(n *netlist.Net) float64 {
 		// All pins in one region neighborhood: essentially unconstrained.
 		return b.kCeil()
 	}
-	return b.clampK(b.LSKBudget(n.ID) / float64(le))
+	return b.Clamp(b.LSKBudget(n.ID) / float64(le))
 }
 
 // ForLength returns the bound for a net segment when the relevant path
@@ -117,5 +114,5 @@ func (b *Budgeter) ForLength(net int, lengthUM geom.Micron) float64 {
 	if lengthUM <= 0 {
 		return b.kCeil()
 	}
-	return b.clampK(b.LSKBudget(net) / float64(lengthUM))
+	return b.Clamp(b.LSKBudget(net) / float64(lengthUM))
 }

@@ -98,12 +98,13 @@ type Params struct {
 	// warm-directory runs across process boundaries.
 	Artifacts *artifact.Store
 
-	// Trace, when enabled, records phase and span events for the whole
+	// Trace, when non-nil, records phase and span events for the whole
 	// flow — Phase I shards and reconciliation, Phase II engine batches,
 	// Phase III waves and pass-2 speculation — exportable as Chrome
-	// trace-event JSON (obs.Tracer.WriteJSON). Tracing is observational
-	// only: results are byte-identical with it on, off, or nil, at any
-	// worker count (DESIGN.md §9), and a nil tracer costs nothing.
+	// trace-event JSON (obs.Tracer.WriteJSON). Nil is the untraced state
+	// and costs nothing. Tracing is observational only: results are
+	// byte-identical with and without a tracer, at any worker count
+	// (DESIGN.md §9).
 	Trace *obs.Tracer
 
 	// TraceLane, when nonzero, is the pre-allocated lane the runner's
@@ -407,9 +408,6 @@ func NewECORunner(base *Design, delta artifact.Delta, p Params) (*Runner, error)
 	r.eco = &ecoResume{baseNets: routeNetsFor(base)}
 	return r, nil
 }
-
-// Engine exposes the runner's region-solve engine (progress hooks, stats).
-func (r *Runner) Engine() *engine.Engine { return r.eng }
 
 // Run executes the named flow.
 func (r *Runner) Run(f Flow) (*Outcome, error) {

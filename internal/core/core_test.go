@@ -39,7 +39,7 @@ func smallDesign(t testing.TB, nNets int, rate float64, seed int64) *Design {
 	}
 	return &Design{
 		Name: "test",
-		Nets: &netlist.Netlist{Nets: nets, Sensitivity: netlist.NewHashSensitivity(uint64(seed), rate, nNets)},
+		Nets: &netlist.Netlist{Nets: nets, Sensitivity: netlist.NewHashSensitivity(uint64(seed), rate)},
 		Grid: g,
 		Rate: rate,
 	}

@@ -28,7 +28,7 @@ func Example() {
 	}
 	design := &core.Design{
 		Name: "example",
-		Nets: &netlist.Netlist{Nets: nets, Sensitivity: netlist.NewHashSensitivity(3, 0.4, len(nets))},
+		Nets: &netlist.Netlist{Nets: nets, Sensitivity: netlist.NewHashSensitivity(3, 0.4)},
 		Grid: g,
 		Rate: 0.4,
 	}

@@ -119,7 +119,7 @@ func snapshotState(st *chipState) []instSnap {
 			s.kth[j] = in.segs[j].Kth
 		}
 		if in.sol != nil {
-			s.sol = in.sol.Clone()
+			s.sol = &sino.Solution{Tracks: append([]int(nil), in.sol.Tracks...)}
 		}
 		snaps[i] = s
 	}
@@ -132,7 +132,7 @@ func restoreState(st *chipState, snaps []instSnap) {
 			in.segs[j].Kth = snaps[i].kth[j]
 		}
 		if snaps[i].sol != nil {
-			in.sol = snaps[i].sol.Clone()
+			in.sol = &sino.Solution{Tracks: append([]int(nil), snaps[i].sol.Tracks...)}
 		} else {
 			in.sol = nil
 		}

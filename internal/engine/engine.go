@@ -110,7 +110,7 @@ type Config struct {
 	// one span per job or task on the executing worker's lane, so the
 	// exported trace shows exactly how work packed onto the pool. Tracing
 	// is purely observational — it never changes a result byte — and a nil
-	// or disabled tracer costs no allocations on the per-job path
+	// tracer costs no allocations on the per-job path
 	// (TestDisabledJobSpanZeroAlloc).
 	Trace *obs.Tracer
 }
@@ -228,9 +228,6 @@ func (e *Engine) workerLane(w int) obs.Lane {
 	}
 	return e.jobLanes[w]
 }
-
-// Workers returns the pool bound.
-func (e *Engine) Workers() int { return e.workers }
 
 // Cache returns the shared pair-coupling cache, or nil when the engine was
 // built without a model.

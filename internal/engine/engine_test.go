@@ -18,7 +18,7 @@ import (
 // model and sensitivity relation, like a Phase II batch.
 func makeJobs(n int, mode Mode) []Job {
 	model := keff.NewModel(tech.Default())
-	sens := netlist.NewHashSensitivity(7, 0.4, 200)
+	sens := netlist.NewHashSensitivity(7, 0.4)
 	jobs := make([]Job, n)
 	for i := range jobs {
 		size := 4 + (i*7)%24
@@ -145,7 +145,7 @@ func TestRepairJobNeedsTotals(t *testing.T) {
 		{"short", k[:len(k)-1]},
 		{"too long", append(append([]float64(nil), k...), 0)},
 	} {
-		prev := base[0].Sol.Clone()
+		prev := &sino.Solution{Tracks: append([]int(nil), base[0].Sol.Tracks...)}
 		e := newFor(2, jobs)
 		res, err := e.Run(context.Background(), []Job{{Inst: jobs[0].Inst, Mode: ModeRepair, Prev: prev, K: c.k}})
 		if err != nil {
@@ -279,7 +279,7 @@ func TestStatsHitRate(t *testing.T) {
 // instances whose mid-track return distances reach the model's background
 // return, stressing the cache table's bounds.
 func makeJobsFor(n int, model *keff.Model) []Job {
-	sens := netlist.NewHashSensitivity(7, 0.6, 200)
+	sens := netlist.NewHashSensitivity(7, 0.6)
 	jobs := make([]Job, n)
 	for i := range jobs {
 		// At most 28 tracks: every pair separation stays within the
@@ -381,7 +381,7 @@ func TestModeString(t *testing.T) {
 
 func ExampleEngine() {
 	model := keff.NewModel(tech.Default())
-	sens := netlist.NewHashSensitivity(1, 0.5, 8)
+	sens := netlist.NewHashSensitivity(1, 0.5)
 	segs := make([]sino.Seg, 8)
 	for i := range segs {
 		segs[i] = sino.Seg{Net: i, Kth: 0.6, Rate: 0.5}

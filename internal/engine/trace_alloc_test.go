@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 // TestDisabledJobSpanZeroAlloc guards the Phase II inner loop: the exact
 // span sequence Run records around every solveJob — worker-lane lookup,
@@ -13,22 +9,13 @@ import (
 // contract obs pins with TestDisabledSpanZeroAlloc: observability off the
 // hot path costs zero.
 func TestDisabledJobSpanZeroAlloc(t *testing.T) {
-	disabled := obs.New()
-	disabled.SetEnabled(false)
-	for _, tc := range []struct {
-		name string
-		eng  *Engine
-	}{
-		{"nil tracer", New(Config{Workers: 2})},
-		{"disabled tracer", New(Config{Workers: 2, Trace: disabled})},
-	} {
-		allocs := testing.AllocsPerRun(1000, func() {
-			jsp := tc.eng.trace.Start(tc.eng.workerLane(0), "job", ModeSolve.String()).Arg("job", 7)
-			jsp.End()
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs per job span, want 0", tc.name, allocs)
-		}
+	e := New(Config{Workers: 2})
+	allocs := testing.AllocsPerRun(1000, func() {
+		jsp := e.trace.Start(e.workerLane(0), "job", ModeSolve.String()).Arg("job", 7)
+		jsp.End()
+	})
+	if allocs != 0 {
+		t.Errorf("nil tracer: %v allocs per job span, want 0", allocs)
 	}
 }
 

@@ -21,9 +21,6 @@ func (p Point) Manhattan(q Point) int {
 	return abs(p.X-q.X) + abs(p.Y-q.Y)
 }
 
-// Add returns p translated by (dx, dy).
-func (p Point) Add(dx, dy int) Point { return Point{p.X + dx, p.Y + dy} }
-
 // Rect is an inclusive axis-aligned rectangle of grid cells:
 // it contains every Point q with MinX <= q.X <= MaxX and MinY <= q.Y <= MaxY.
 type Rect struct {
@@ -71,24 +68,6 @@ func (r Rect) Cells() int { return r.Width() * r.Height() }
 // HalfPerimeter returns (Width-1)+(Height-1), the half-perimeter span of r in
 // grid edges. A degenerate single-cell rectangle has half-perimeter 0.
 func (r Rect) HalfPerimeter() int { return (r.Width() - 1) + (r.Height() - 1) }
-
-// Expand grows r by d cells on every side, clamped to the bounds rectangle.
-func (r Rect) Expand(d int, bounds Rect) Rect {
-	out := Rect{r.MinX - d, r.MinY - d, r.MaxX + d, r.MaxY + d}
-	if out.MinX < bounds.MinX {
-		out.MinX = bounds.MinX
-	}
-	if out.MinY < bounds.MinY {
-		out.MinY = bounds.MinY
-	}
-	if out.MaxX > bounds.MaxX {
-		out.MaxX = bounds.MaxX
-	}
-	if out.MaxY > bounds.MaxY {
-		out.MaxY = bounds.MaxY
-	}
-	return out
-}
 
 // Intersects reports whether r and s share at least one cell.
 func (r Rect) Intersects(s Rect) bool {

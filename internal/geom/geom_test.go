@@ -73,19 +73,6 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectExpand(t *testing.T) {
-	bounds := Rect{0, 0, 9, 9}
-	r := Rect{2, 2, 3, 3}
-	e := r.Expand(2, bounds)
-	if e != (Rect{0, 0, 5, 5}) {
-		t.Errorf("Expand = %v", e)
-	}
-	e = Rect{8, 8, 9, 9}.Expand(5, bounds)
-	if e != (Rect{3, 3, 9, 9}) {
-		t.Errorf("Expand clamped = %v", e)
-	}
-}
-
 func TestRectIntersects(t *testing.T) {
 	a := Rect{0, 0, 2, 2}
 	if !a.Intersects(Rect{2, 2, 4, 4}) {
@@ -121,9 +108,6 @@ func TestMicronPoint(t *testing.T) {
 
 func TestPointHelpers(t *testing.T) {
 	p := Point{1, 2}
-	if p.Add(2, -1) != (Point{3, 1}) {
-		t.Errorf("Add = %v", p.Add(2, -1))
-	}
 	if p.String() != "(1,2)" {
 		t.Errorf("String = %q", p.String())
 	}

@@ -48,14 +48,6 @@ func (g *Grid) Index(p geom.Point) int {
 	return p.Y*g.Cols + p.X
 }
 
-// At maps a dense index back to a region coordinate.
-func (g *Grid) At(i int) geom.Point {
-	if i < 0 || i >= g.NumRegions() {
-		panic(fmt.Sprintf("grid: index %d outside %d regions", i, g.NumRegions()))
-	}
-	return geom.Point{X: i % g.Cols, Y: i / g.Cols}
-}
-
 // RegionOf maps a physical placement location to the region containing it.
 // Locations on or beyond the chip boundary clamp to the edge regions.
 func (g *Grid) RegionOf(p geom.MicronPoint) geom.Point {
@@ -93,49 +85,11 @@ func NewUsage(g *Grid) *Usage {
 	return &Usage{H: make([]float64, g.NumRegions()), V: make([]float64, g.NumRegions())}
 }
 
-// Clone deep-copies the usage.
-func (u *Usage) Clone() *Usage {
-	return &Usage{H: append([]float64(nil), u.H...), V: append([]float64(nil), u.V...)}
-}
-
 // HDensity returns HU/HC for region index i.
 func (g *Grid) HDensity(u *Usage, i int) float64 { return u.H[i] / float64(g.HC) }
 
 // VDensity returns VU/VC for region index i.
 func (g *Grid) VDensity(u *Usage, i int) float64 { return u.V[i] / float64(g.VC) }
-
-// HOverflowRel returns the relative horizontal overflow of region i:
-// max(0, HU−HC)/HC — the HOFR term of the ID weight function.
-func (g *Grid) HOverflowRel(u *Usage, i int) float64 {
-	over := u.H[i] - float64(g.HC)
-	if over <= 0 {
-		return 0
-	}
-	return over / float64(g.HC)
-}
-
-// VOverflowRel returns the relative vertical overflow of region i.
-func (g *Grid) VOverflowRel(u *Usage, i int) float64 {
-	over := u.V[i] - float64(g.VC)
-	if over <= 0 {
-		return 0
-	}
-	return over / float64(g.VC)
-}
-
-// MaxDensity returns the largest of all regions' H and V densities.
-func (g *Grid) MaxDensity(u *Usage) float64 {
-	max := 0.0
-	for i := range u.H {
-		if d := g.HDensity(u, i); d > max {
-			max = d
-		}
-		if d := g.VDensity(u, i); d > max {
-			max = d
-		}
-	}
-	return max
-}
 
 // Area is a chip extent in microns.
 type Area struct {

@@ -38,13 +38,17 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestIndexRoundTrip(t *testing.T) {
+	// Index is a bijection from the grid's regions onto [0, NumRegions).
 	g := mustGrid(t, 7, 5, 100, 120, 8, 9)
-	f := func(xr, yr uint8) bool {
-		p := geom.Point{X: int(xr) % 7, Y: int(yr) % 5}
-		return g.At(g.Index(p)) == p
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	seen := make([]bool, g.NumRegions())
+	for y := 0; y < g.Rows; y++ {
+		for x := 0; x < g.Cols; x++ {
+			i := g.Index(geom.Point{X: x, Y: y})
+			if i < 0 || i >= len(seen) || seen[i] {
+				t.Fatalf("Index(%d,%d) = %d: out of range or repeated", x, y, i)
+			}
+			seen[i] = true
+		}
 	}
 }
 
@@ -76,17 +80,14 @@ func TestDensityAndOverflow(t *testing.T) {
 	if d := g.HDensity(u, 0); d != 0.5 {
 		t.Errorf("HDensity = %g", d)
 	}
-	if o := g.HOverflowRel(u, 0); o != 0 {
-		t.Errorf("no overflow expected, got %g", o)
+	if d := g.HDensity(u, 1); d != 1.5 {
+		t.Errorf("overflowed HDensity = %g, want 1.5", d)
 	}
-	if o := g.HOverflowRel(u, 1); o != 0.5 {
-		t.Errorf("HOverflowRel = %g, want 0.5", o)
+	if d := g.VDensity(u, 2); d != 1.5 {
+		t.Errorf("overflowed VDensity = %g, want 1.5", d)
 	}
-	if o := g.VOverflowRel(u, 2); o != 0.5 {
-		t.Errorf("VOverflowRel = %g, want 0.5", o)
-	}
-	if m := g.MaxDensity(u); m != 1.5 {
-		t.Errorf("MaxDensity = %g, want 1.5", m)
+	if d := g.VDensity(u, 0); d != 0 {
+		t.Errorf("empty VDensity = %g, want 0", d)
 	}
 }
 
@@ -163,17 +164,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestUsageClone(t *testing.T) {
-	g := mustGrid(t, 2, 2, 100, 100, 5, 5)
-	u := NewUsage(g)
-	u.H[0] = 3
-	c := u.Clone()
-	c.H[0] = 9
-	if u.H[0] != 3 {
-		t.Error("Clone shares storage")
-	}
-}
-
 func TestAreaString(t *testing.T) {
 	a := Area{W: 1533.4, H: 1824.2}
 	if a.String() != "1533 x 1824" {
@@ -188,8 +178,7 @@ func TestPanicsOnBadIndex(t *testing.T) {
 	g := mustGrid(t, 2, 2, 100, 100, 5, 5)
 	for _, f := range []func(){
 		func() { g.Index(geom.Point{X: 5, Y: 0}) },
-		func() { g.At(-1) },
-		func() { g.At(4) },
+		func() { g.Index(geom.Point{X: 0, Y: -1}) },
 	} {
 		func() {
 			defer func() {

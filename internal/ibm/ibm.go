@@ -73,16 +73,19 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("ibm: unknown circuit %q (have ibm01..ibm06)", name)
 }
 
-// Options controls generation.
+// Options controls generation. Generate takes every field as given: no
+// zero value stands for a default.
 type Options struct {
 	Seed int64
 
 	// Scale divides the net count and the track capacities, preserving
-	// densities and experiment shape while shrinking runtime; 0 or 1 is
-	// full scale.
+	// densities and experiment shape while shrinking runtime; 1 is full
+	// scale, and a Scale below 1 is an error.
 	Scale int
 
-	// SensRate is the pairwise sensitivity probability; 0 selects 0.30.
+	// SensRate is the pairwise sensitivity probability in [0, 1]; 0 makes
+	// no pair of nets sensitive. The paper's experiments use 0.30 and
+	// 0.50.
 	SensRate float64
 }
 
@@ -99,13 +102,9 @@ func Generate(p Profile, opt Options) (*Circuit, error) {
 	if p.Nets <= 0 || p.Cols <= 0 || p.Rows <= 0 || p.ChipW <= 0 || p.ChipH <= 0 {
 		return nil, fmt.Errorf("ibm: malformed profile %+v", p)
 	}
-	scale := opt.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	rate := opt.SensRate
-	if rate == 0 {
-		rate = 0.30
+	scale, rate := opt.Scale, opt.SensRate
+	if scale < 1 {
+		return nil, fmt.Errorf("ibm: scale %d below 1", scale)
 	}
 	if !(rate >= 0 && rate <= 1) { // NaN fails too
 		return nil, fmt.Errorf("ibm: sensitivity rate %g outside [0,1]", rate)
@@ -150,7 +149,7 @@ func Generate(p Profile, opt Options) (*Circuit, error) {
 	}
 	nl := &netlist.Netlist{
 		Nets:        nets,
-		Sensitivity: netlist.NewHashSensitivity(uint64(opt.Seed)+0x5151, rate, nNets),
+		Sensitivity: netlist.NewHashSensitivity(uint64(opt.Seed)+0x5151, rate),
 	}
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("ibm: generated netlist invalid: %w", err)

@@ -69,11 +69,11 @@ func TestGenerateBasics(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	p, _ := ProfileByName("ibm02")
-	a, err := Generate(p, Options{Seed: 9, Scale: 32})
+	a, err := Generate(p, Options{Seed: 9, Scale: 32, SensRate: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(p, Options{Seed: 9, Scale: 32})
+	b, err := Generate(p, Options{Seed: 9, Scale: 32, SensRate: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c, err := Generate(p, Options{Seed: 10, Scale: 32})
+	c, err := Generate(p, Options{Seed: 10, Scale: 32, SensRate: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateValidation(t *testing.T) {
 	p, _ := ProfileByName("ibm01")
 	for _, rate := range []float64{1.5, -0.1, math.NaN()} {
-		if _, err := Generate(p, Options{SensRate: rate}); err == nil {
+		if _, err := Generate(p, Options{Scale: 16, SensRate: rate}); err == nil {
 			t.Errorf("rate %g: want error", rate)
 		}
 	}
@@ -122,9 +122,46 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// TestGenerateTakesOptionsAsGiven: no option value stands for a default.
+// A scale below 1 is an error rather than full scale, and rate 0 is a
+// circuit without sensitive pairs rather than the 30% one.
+func TestGenerateTakesOptionsAsGiven(t *testing.T) {
+	p, _ := ProfileByName("ibm01")
+	for _, scale := range []int{0, -1} {
+		if _, err := Generate(p, Options{Seed: 1, Scale: scale, SensRate: 0.3}); err == nil {
+			t.Errorf("scale %d: want error", scale)
+		}
+	}
+	sensitivePairs := func(rate float64) int {
+		ckt, err := Generate(p, Options{Seed: 1, Scale: 32, SensRate: rate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, sens := len(ckt.Nets.Nets), ckt.Nets.Sensitivity
+		count := 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if sens.Sensitive(i, j) {
+					count++
+				}
+			}
+		}
+		if got := sens.Rate(0); got != rate {
+			t.Errorf("rate %g: Sensitivity.Rate = %g", rate, got)
+		}
+		return count
+	}
+	if n := sensitivePairs(0); n != 0 {
+		t.Errorf("rate 0: %d sensitive pairs, want none", n)
+	}
+	if n := sensitivePairs(0.3); n == 0 {
+		t.Error("rate 0.3: no sensitive pair, so rate 0 cannot be told from it")
+	}
+}
+
 func TestPinStatistics(t *testing.T) {
 	p, _ := ProfileByName("ibm01")
-	ckt, err := Generate(p, Options{Seed: 3, Scale: 4})
+	ckt, err := Generate(p, Options{Seed: 3, Scale: 4, SensRate: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +205,7 @@ func TestReflectStaysInRange(t *testing.T) {
 
 func TestLaplaceSymmetricZeroMean(t *testing.T) {
 	p, _ := ProfileByName("ibm01")
-	ckt, err := Generate(p, Options{Seed: 2, Scale: 8})
+	ckt, err := Generate(p, Options{Seed: 2, Scale: 8, SensRate: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

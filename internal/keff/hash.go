@@ -71,23 +71,6 @@ func (h *Hash) Bool(x bool) {
 	}
 }
 
-// Str absorbs a string, length-prefixed so concatenations cannot alias.
-func (h *Hash) Str(s string) {
-	h.U64(uint64(len(s)))
-	var w uint64
-	var k uint
-	for i := 0; i < len(s); i++ {
-		w |= uint64(s[i]) << (8 * k)
-		if k++; k == 8 {
-			h.U64(w)
-			w, k = 0, 0
-		}
-	}
-	if k > 0 {
-		h.U64(w)
-	}
-}
-
 // Sum finalizes without consuming the hasher: more words may be absorbed
 // after, and Sum called again.
 func (h *Hash) Sum() [2]uint64 {

@@ -8,7 +8,7 @@ func TestHashDeterministic(t *testing.T) {
 		h.Int(42)
 		h.F64(3.25)
 		h.Bool(true)
-		h.Str("ibm01")
+		h.U64(1 << 63)
 		return h.Sum()
 	}
 	if feed() != feed() {
@@ -52,22 +52,6 @@ func TestHashFloatBitExact(t *testing.T) {
 	}
 	if sum(1.0) == sum(1.0+1e-15) {
 		t.Fatal("last-ulp difference must change the hash")
-	}
-}
-
-func TestHashStrAliasing(t *testing.T) {
-	sum := func(parts ...string) [2]uint64 {
-		h := NewHash()
-		for _, p := range parts {
-			h.Str(p)
-		}
-		return h.Sum()
-	}
-	if sum("ab", "c") == sum("a", "bc") {
-		t.Fatal("length prefix failed: concatenations alias")
-	}
-	if sum("longer-than-eight-bytes") == sum("longer-than-eight-bytez") {
-		t.Fatal("tail byte of a long string did not change the hash")
 	}
 }
 

@@ -10,8 +10,10 @@
 //     count as shields), and K_ij is the normalized loop-to-loop mutual.
 //
 //   - The length-scaled Keff model (LSK, §2.2): LSK_i = Σ_r l_r·K_i^r summed
-//     over the regions r the net crosses, mapped to a crosstalk voltage by a
-//     100-entry lookup table built from transient simulations.
+//     over the regions r the net crosses, tied to a crosstalk voltage by a
+//     100-entry lookup table built from transient simulations. This package
+//     provides the table, read from voltage to LSK bound (Table.LSKFor);
+//     internal/core sums each routed net's LSK.
 //
 // Concurrency contract (what internal/engine builds on): a Model memoizes
 // partial inductances lazily and is NOT safe for concurrent use — clone one
@@ -265,21 +267,4 @@ func (m *Model) AllTotals(l Layout, sensitive func(a, b int) bool) []float64 {
 // sweep per direction, applying the background-return cap.
 func (m *Model) shieldTable(tr []Track) [][2]int {
 	return m.ShieldTableInto(tr, nil)
-}
-
-// LSKTerm is one region's contribution to a net's LSK value.
-type LSKTerm struct {
-	LengthUM float64 // l_r: the net's length inside the region, microns
-	K        float64 // K_i^r: the net's total coupling inside the region
-}
-
-// LSK computes the length-scaled Keff value LSK = Σ l_r·K_r (paper Eq. 1).
-// Lengths are in microns; the result's unit is micron·K, matching the
-// lookup table.
-func LSK(terms []LSKTerm) float64 {
-	s := 0.0
-	for _, t := range terms {
-		s += t.LengthUM * t.K
-	}
-	return s
 }

@@ -173,16 +173,6 @@ func TestMoreAggressorsMoreTotalCoupling(t *testing.T) {
 	}
 }
 
-func TestLSKSums(t *testing.T) {
-	terms := []LSKTerm{{LengthUM: 100, K: 0.5}, {LengthUM: 200, K: 0.25}, {LengthUM: 50, K: 0}}
-	if got := LSK(terms); math.Abs(got-100) > 1e-12 {
-		t.Errorf("LSK = %g, want 100", got)
-	}
-	if got := LSK(nil); got != 0 {
-		t.Errorf("LSK(nil) = %g, want 0", got)
-	}
-}
-
 func TestShieldTableSweep(t *testing.T) {
 	m := model()
 	l := layoutOf("SNNSQN")

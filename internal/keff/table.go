@@ -42,15 +42,6 @@ func NewTable(lsk, v []float64) (*Table, error) {
 // Len returns the number of entries.
 func (t *Table) Len() int { return len(t.LSK) }
 
-// Voltage returns the crosstalk voltage predicted for an LSK value.
-func (t *Table) Voltage(lsk float64) float64 {
-	v := interp(t.LSK, t.V, lsk)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // LSKFor returns the LSK value that produces crosstalk voltage v — the
 // inverse lookup used by crosstalk budgeting (Phase I).
 func (t *Table) LSKFor(v float64) float64 {

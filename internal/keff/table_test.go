@@ -32,11 +32,13 @@ func TestNewTableValidation(t *testing.T) {
 }
 
 func TestTableLookupRoundTrip(t *testing.T) {
+	// The default table samples the linear fit, so LSKFor must invert it
+	// anywhere in the band, between entries as well as on them.
 	tab := DefaultTable()
 	f := func(raw uint16) bool {
 		v := 0.10 + 0.10*float64(raw)/65535
 		lsk := tab.LSKFor(v)
-		back := tab.Voltage(lsk)
+		back := defaultIntercept + defaultSlope*lsk
 		return math.Abs(back-v) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -71,15 +73,15 @@ func TestTableExtrapolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := tab.Voltage(400); math.Abs(v-0.25) > 1e-12 {
-		t.Errorf("extrapolated Voltage(400) = %g, want 0.25", v)
+	if l := tab.LSKFor(0.25); math.Abs(l-400) > 1e-9 {
+		t.Errorf("extrapolated LSKFor(0.25) = %g, want 400", l)
 	}
-	if v := tab.Voltage(50); math.Abs(v-0.075) > 1e-12 {
-		t.Errorf("extrapolated Voltage(50) = %g, want 0.075", v)
+	if l := tab.LSKFor(0.075); math.Abs(l-50) > 1e-9 {
+		t.Errorf("extrapolated LSKFor(0.075) = %g, want 50", l)
 	}
-	// Voltage never negative even far below range.
-	if v := tab.Voltage(-1e9); v != 0 {
-		t.Errorf("Voltage(-1e9) = %g, want clamp to 0", v)
+	// LSKFor never negative even far below range.
+	if l := tab.LSKFor(-1e9); l != 0 {
+		t.Errorf("LSKFor(-1e9) = %g, want clamp to 0", l)
 	}
 	if l := tab.LSKFor(0.175); math.Abs(l-250) > 1e-9 {
 		t.Errorf("LSKFor(0.175) = %g, want 250", l)

@@ -1,8 +1,8 @@
 // Package mna is a compact circuit simulator based on Modified Nodal
 // Analysis, supporting exactly the element set needed to reproduce the
 // paper's SPICE experiments: resistors, grounded and coupling capacitors,
-// inductors with mutual coupling, and independent voltage/current sources
-// with arbitrary waveforms. Transient analysis uses the trapezoidal rule
+// inductors with mutual coupling, and independent voltage sources with
+// arbitrary waveforms. Transient analysis uses the trapezoidal rule
 // with a fixed timestep, so the system matrix is factored once per run.
 //
 // It replaces the SPICE dependency of Ma & He (DAC'02) §2.2, where the
@@ -48,44 +48,26 @@ type vsource struct {
 	idx  int
 }
 
-type isource struct {
-	a, b Node // current flows from a to b through the source
-	w    Waveform
-}
-
 // Circuit is a netlist under construction. The zero value is not usable; use
 // NewCircuit.
 type Circuit struct {
 	nodes     int // count including ground
-	names     map[string]Node
 	resistors []resistor
 	caps      []capacitor
 	inductors []inductor
 	mutuals   []mutual
 	vsrcs     []vsource
-	isrcs     []isource
 }
 
 // NewCircuit returns an empty circuit containing only the ground node.
 func NewCircuit() *Circuit {
-	return &Circuit{nodes: 1, names: make(map[string]Node)}
+	return &Circuit{nodes: 1}
 }
 
 // NewNode allocates and returns a fresh node.
 func (c *Circuit) NewNode() Node {
 	n := Node(c.nodes)
 	c.nodes++
-	return n
-}
-
-// NamedNode returns the node registered under name, allocating it on first
-// use. Names are a convenience for debugging probe points.
-func (c *Circuit) NamedNode(name string) Node {
-	if n, ok := c.names[name]; ok {
-		return n
-	}
-	n := c.NewNode()
-	c.names[name] = n
 	return n
 }
 
@@ -161,17 +143,6 @@ func (c *Circuit) VSource(a, b Node, w Waveform) {
 	c.vsrcs = append(c.vsrcs, vsource{a: a, b: b, w: w})
 }
 
-// ISource connects an independent current source pushing w amperes from a
-// into b.
-func (c *Circuit) ISource(a, b Node, w Waveform) {
-	c.checkNode(a, "isource")
-	c.checkNode(b, "isource")
-	if w == nil {
-		panic("mna: nil waveform")
-	}
-	c.isrcs = append(c.isrcs, isource{a: a, b: b, w: w})
-}
-
 // Stats summarizes circuit size, for logging and tests.
 type Stats struct {
 	Nodes      int
@@ -180,7 +151,6 @@ type Stats struct {
 	Inductors  int
 	Mutuals    int
 	VSources   int
-	ISources   int
 }
 
 // Stats returns element counts.
@@ -192,6 +162,5 @@ func (c *Circuit) Stats() Stats {
 		Inductors:  len(c.inductors),
 		Mutuals:    len(c.mutuals),
 		VSources:   len(c.vsrcs),
-		ISources:   len(c.isrcs),
 	}
 }

@@ -23,24 +23,8 @@ func NewDense(n int) *Dense {
 	return &Dense{n: n, data: make([]float64, n*n)}
 }
 
-// N returns the matrix dimension.
-func (m *Dense) N() int { return m.n }
-
-// At returns element (i, j).
-func (m *Dense) At(i, j int) float64 { return m.data[i*m.n+j] }
-
-// Set assigns element (i, j).
-func (m *Dense) Set(i, j int, v float64) { m.data[i*m.n+j] = v }
-
 // Add accumulates v into element (i, j). This is the stamping primitive.
 func (m *Dense) Add(i, j int, v float64) { m.data[i*m.n+j] += v }
-
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	c := NewDense(m.n)
-	copy(c.data, m.data)
-	return c
-}
 
 // LU holds an LU factorization with partial pivoting: PA = LU, stored packed
 // in a single matrix (unit lower triangle implicit).

@@ -8,12 +8,15 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// last returns the final sample of a probe trace.
+func last(v []float64) float64 { return v[len(v)-1] }
+
 func TestDenseFactorSolve(t *testing.T) {
 	m := NewDense(3)
 	vals := [][]float64{{4, -2, 1}, {-2, 4, -2}, {1, -2, 4}}
 	for i := range vals {
 		for j := range vals[i] {
-			m.Set(i, j, vals[i][j])
+			m.Add(i, j, vals[i][j])
 		}
 	}
 	lu, err := m.Factor()
@@ -37,10 +40,10 @@ func TestDenseFactorSolve(t *testing.T) {
 
 func TestDenseSingular(t *testing.T) {
 	m := NewDense(2)
-	m.Set(0, 0, 1)
-	m.Set(0, 1, 2)
-	m.Set(1, 0, 2)
-	m.Set(1, 1, 4)
+	m.Add(0, 0, 1)
+	m.Add(0, 1, 2)
+	m.Add(1, 0, 2)
+	m.Add(1, 1, 4)
 	if _, err := m.Factor(); err == nil {
 		t.Fatal("Factor of singular matrix: want error, got nil")
 	}
@@ -53,16 +56,20 @@ func TestDenseSolveRandomProperty(t *testing.T) {
 		rng := newRand(seed)
 		n := 2 + int(rng()*8)
 		m := NewDense(n)
-		for i := 0; i < n; i++ {
+		a := make([][]float64, n)
+		for i := range a {
+			a[i] = make([]float64, n)
 			sum := 0.0
 			for j := 0; j < n; j++ {
 				if i != j {
-					v := rng()*2 - 1
-					m.Set(i, j, v)
-					sum += math.Abs(v)
+					a[i][j] = rng()*2 - 1
+					sum += math.Abs(a[i][j])
 				}
 			}
-			m.Set(i, i, sum+1+rng())
+			a[i][i] = sum + 1 + rng()
+			for j, v := range a[i] {
+				m.Add(i, j, v)
+			}
 		}
 		b := make([]float64, n)
 		for i := range b {
@@ -77,7 +84,7 @@ func TestDenseSolveRandomProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s := 0.0
 			for j := 0; j < n; j++ {
-				s += m.At(i, j) * x[j]
+				s += a[i][j] * x[j]
 			}
 			if !almostEqual(s, b[i], 1e-7) {
 				return false
@@ -112,31 +119,6 @@ func TestWaveforms(t *testing.T) {
 			t.Errorf("Ramp.At(%g) = %g, want %g", c.t, got, c.want)
 		}
 	}
-	if got := (DC(2.5)).At(123); got != 2.5 {
-		t.Errorf("DC.At = %g, want 2.5", got)
-	}
-	p, err := NewPWL([]float64{0, 1, 3}, []float64{0, 2, 0})
-	if err != nil {
-		t.Fatalf("NewPWL: %v", err)
-	}
-	if got := p.At(2); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("PWL.At(2) = %g, want 1", got)
-	}
-	if got := p.At(-1); got != 0 {
-		t.Errorf("PWL.At(-1) = %g, want 0", got)
-	}
-	if got := p.At(9); got != 0 {
-		t.Errorf("PWL.At(9) = %g, want 0", got)
-	}
-	if _, err := NewPWL([]float64{0, 0}, []float64{1, 2}); err == nil {
-		t.Error("NewPWL with duplicate times: want error")
-	}
-	if _, err := NewPWL([]float64{1, 0}, []float64{1, 2}); err == nil {
-		t.Error("NewPWL with unsorted times: want error")
-	}
-	if _, err := NewPWL([]float64{0}, []float64{}); err == nil {
-		t.Error("NewPWL with mismatched lengths: want error")
-	}
 }
 
 // TestRCStepResponse checks the canonical first-order response:
@@ -165,7 +147,7 @@ func TestRCStepResponse(t *testing.T) {
 			t.Fatalf("t=%g: v=%g, want %g", tm, res.V[0][k], want)
 		}
 	}
-	if final := res.Final(0); !almostEqual(final, V, 1e-3) {
+	if final := last(res.V[0]); !almostEqual(final, V, 1e-3) {
 		t.Errorf("final value %g, want %g", final, V)
 	}
 }
@@ -262,46 +244,9 @@ func TestChargeBalanceRC(t *testing.T) {
 		i1 := (res.V[0][k] - res.V[1][k]) / R
 		q += (i0 + i1) / 2 * h
 	}
-	wantQ := C * res.Final(1)
+	wantQ := C * last(res.V[1])
 	if !almostEqual(q, wantQ, 0.02*wantQ) {
 		t.Errorf("delivered charge %g, want %g", q, wantQ)
-	}
-}
-
-func TestDCOperatingPoint(t *testing.T) {
-	// Voltage divider: 10 V across 1k + 3k; middle node at 7.5 V.
-	c := NewCircuit()
-	top := c.NewNode()
-	mid := c.NewNode()
-	c.VSource(top, Ground, DC(10))
-	c.Resistor(top, mid, 1000)
-	c.Resistor(mid, Ground, 3000)
-	v, err := c.DC(0)
-	if err != nil {
-		t.Fatalf("DC: %v", err)
-	}
-	if !almostEqual(v[mid], 7.5, 1e-9) {
-		t.Errorf("divider mid = %g, want 7.5", v[mid])
-	}
-	if v[Ground] != 0 {
-		t.Errorf("ground = %g, want 0", v[Ground])
-	}
-}
-
-func TestDCInductorShort(t *testing.T) {
-	// An inductor in DC is a short: both terminals equal.
-	c := NewCircuit()
-	a := c.NewNode()
-	b := c.NewNode()
-	c.VSource(a, Ground, DC(5))
-	c.Inductor(a, b, 1e-9)
-	c.Resistor(b, Ground, 100)
-	v, err := c.DC(0)
-	if err != nil {
-		t.Fatalf("DC: %v", err)
-	}
-	if !almostEqual(v[b], 5, 1e-9) {
-		t.Errorf("inductor far end = %g, want 5", v[b])
 	}
 }
 
@@ -309,7 +254,7 @@ func TestTransientArgumentValidation(t *testing.T) {
 	c := NewCircuit()
 	n := c.NewNode()
 	c.Resistor(n, Ground, 1)
-	c.VSource(n, Ground, DC(1))
+	c.VSource(n, Ground, Ramp{V1: 1})
 	if _, err := c.Transient(-1, 10, n); err == nil {
 		t.Error("negative timestep: want error")
 	}
@@ -344,30 +289,6 @@ func TestCircuitPanicsOnBadElements(t *testing.T) {
 	mustPanic("k out of range", func() { c.Mutual(l1, l2, 1.0) })
 }
 
-func TestISourceIntoRC(t *testing.T) {
-	// A DC current source into a grounded resistor: v = I·R, reached after
-	// the parallel capacitor charges.
-	c := NewCircuit()
-	n := c.NewNode()
-	c.ISource(Ground, n, DC(1e-3)) // 1 mA into the node
-	c.Resistor(n, Ground, 1000)
-	c.Capacitor(n, Ground, 1e-12)
-	res, err := c.Transient(1e-11, 2000, n)
-	if err != nil {
-		t.Fatalf("Transient: %v", err)
-	}
-	if v := res.Final(0); !almostEqual(v, 1.0, 1e-3) {
-		t.Errorf("final node voltage %g, want 1.0 (I·R)", v)
-	}
-	dc, err := c.DC(0)
-	if err != nil {
-		t.Fatalf("DC: %v", err)
-	}
-	if !almostEqual(dc[n], 1.0, 1e-6) {
-		t.Errorf("DC node voltage %g, want 1.0", dc[n])
-	}
-}
-
 func TestResultPeakHelpers(t *testing.T) {
 	r := &Result{
 		Times: []float64{0, 1, 2, 3},
@@ -376,21 +297,6 @@ func TestResultPeakHelpers(t *testing.T) {
 	peak, at := r.PeakAbs(0)
 	if peak != 5 || at != 1 {
 		t.Errorf("PeakAbs = (%g, %g), want (5, 1)", peak, at)
-	}
-	if f := r.Final(0); f != 1 {
-		t.Errorf("Final = %g", f)
-	}
-}
-
-func TestNamedNodes(t *testing.T) {
-	c := NewCircuit()
-	a := c.NamedNode("vin")
-	b := c.NamedNode("vin")
-	if a != b {
-		t.Errorf("NamedNode not stable: %d vs %d", a, b)
-	}
-	if c.NamedNode("other") == a {
-		t.Error("distinct names share a node")
 	}
 }
 
@@ -403,10 +309,9 @@ func TestStats(t *testing.T) {
 	l1 := c.Inductor(a, b, 1e-9)
 	l2 := c.Inductor(b, Ground, 1e-9)
 	c.Mutual(l1, l2, 0.3)
-	c.VSource(a, Ground, DC(1))
-	c.ISource(a, b, DC(1e-3))
+	c.VSource(a, Ground, Ramp{V1: 1})
 	s := c.Stats()
-	want := Stats{Nodes: 3, Resistors: 1, Capacitors: 1, Inductors: 2, Mutuals: 1, VSources: 1, ISources: 1}
+	want := Stats{Nodes: 3, Resistors: 1, Capacitors: 1, Inductors: 2, Mutuals: 1, VSources: 1}
 	if s != want {
 		t.Errorf("Stats = %+v, want %+v", s, want)
 	}

@@ -23,12 +23,6 @@ func (r *Result) PeakAbs(probe int) (peak, at float64) {
 	return peak, at
 }
 
-// Final returns the last sample of the probe.
-func (r *Result) Final(probe int) float64 {
-	s := r.V[probe]
-	return s[len(s)-1]
-}
-
 // system is the assembled MNA problem: x = [node voltages 1..n-1, inductor
 // currents, vsource currents].
 type system struct {
@@ -209,15 +203,6 @@ func (c *Circuit) Transient(h float64, steps int, probes ...Node) (*Result, erro
 		for i, v := range c.vsrcs {
 			rhs[s.vsBase+i] = v.w.At(t)
 		}
-		for _, is := range c.isrcs {
-			iv := is.w.At(t)
-			if ia := vi(is.a); ia >= 0 {
-				rhs[ia] -= iv
-			}
-			if ib := vi(is.b); ib >= 0 {
-				rhs[ib] += iv
-			}
-		}
 
 		prev := append([]float64(nil), x...)
 		lu.Solve(x, rhs)
@@ -238,77 +223,4 @@ func (c *Circuit) Transient(h float64, steps int, probes ...Node) (*Result, erro
 		record(t)
 	}
 	return res, nil
-}
-
-// DC solves the DC operating point with all waveforms evaluated at time t,
-// capacitors open and inductors short. It returns the node voltages indexed
-// by Node (entry 0, ground, is 0).
-func (c *Circuit) DC(t float64) ([]float64, error) {
-	s := c.buildSystem()
-	if s.n == 0 {
-		return nil, fmt.Errorf("mna: empty circuit")
-	}
-	a := NewDense(s.n)
-	rhs := make([]float64, s.n)
-	for _, r := range c.resistors {
-		stampConductance(a, r.a, r.b, r.g)
-	}
-	// Capacitors: open — no stamp. But a node connected only through
-	// capacitors would be floating; add a negligible leak to ground so the DC
-	// system stays non-singular without affecting results.
-	for _, cp := range c.caps {
-		stampConductance(a, cp.a, cp.b, 1e-12)
-		if ia := vi(cp.a); ia >= 0 {
-			a.Add(ia, ia, 1e-12)
-		}
-		if ib := vi(cp.b); ib >= 0 {
-			a.Add(ib, ib, 1e-12)
-		}
-	}
-	// Inductors: short — branch equation v_a − v_b = 0 with current unknown.
-	for i, l := range c.inductors {
-		ia, ib := vi(l.a), vi(l.b)
-		row := s.indBase + i
-		if ia >= 0 {
-			a.Add(ia, row, 1)
-			a.Add(row, ia, 1)
-		}
-		if ib >= 0 {
-			a.Add(ib, row, -1)
-			a.Add(row, ib, -1)
-		}
-	}
-	for i, v := range c.vsrcs {
-		ia, ib := vi(v.a), vi(v.b)
-		row := s.vsBase + i
-		if ia >= 0 {
-			a.Add(ia, row, 1)
-			a.Add(row, ia, 1)
-		}
-		if ib >= 0 {
-			a.Add(ib, row, -1)
-			a.Add(row, ib, -1)
-		}
-		rhs[row] = v.w.At(t)
-	}
-	for _, is := range c.isrcs {
-		iv := is.w.At(t)
-		if ia := vi(is.a); ia >= 0 {
-			rhs[ia] -= iv
-		}
-		if ib := vi(is.b); ib >= 0 {
-			rhs[ib] += iv
-		}
-	}
-	lu, err := a.Factor()
-	if err != nil {
-		return nil, fmt.Errorf("mna: dc assembly: %w", err)
-	}
-	x := make([]float64, s.n)
-	lu.Solve(x, rhs)
-	out := make([]float64, c.nodes)
-	for n := 1; n < c.nodes; n++ {
-		out[n] = x[n-1]
-	}
-	return out, nil
 }

@@ -1,21 +1,10 @@
 package mna
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Waveform is a time-dependent source value.
 type Waveform interface {
-	// At returns the source value (volts or amperes) at time t seconds.
+	// At returns the source value in volts at time t seconds.
 	At(t float64) float64
 }
-
-// DC is a constant waveform.
-type DC float64
-
-// At returns the constant value regardless of t.
-func (d DC) At(float64) float64 { return float64(d) }
 
 // Ramp rises linearly from V0 to V1 between Start and Start+Rise and holds V1
 // afterwards. Before Start it holds V0. A zero Rise is a step.
@@ -34,43 +23,4 @@ func (r Ramp) At(t float64) float64 {
 	default:
 		return r.V0 + (r.V1-r.V0)*(t-r.Start)/r.Rise
 	}
-}
-
-// PWL is a piecewise-linear waveform through (T[i], V[i]) breakpoints.
-// Outside the breakpoint range it holds the first/last value.
-type PWL struct {
-	T, V []float64
-}
-
-// NewPWL validates and returns a piecewise-linear waveform. The time points
-// must be strictly increasing and len(T) == len(V) >= 1.
-func NewPWL(t, v []float64) (*PWL, error) {
-	if len(t) != len(v) || len(t) == 0 {
-		return nil, fmt.Errorf("mna: PWL needs equal non-empty T and V, got %d and %d", len(t), len(v))
-	}
-	if !sort.Float64sAreSorted(t) {
-		return nil, fmt.Errorf("mna: PWL time points must be sorted")
-	}
-	for i := 1; i < len(t); i++ {
-		if t[i] == t[i-1] {
-			return nil, fmt.Errorf("mna: PWL time points must be strictly increasing (duplicate %g)", t[i])
-		}
-	}
-	return &PWL{T: append([]float64(nil), t...), V: append([]float64(nil), v...)}, nil
-}
-
-// At evaluates the waveform at time t by linear interpolation.
-func (p *PWL) At(t float64) float64 {
-	n := len(p.T)
-	if t <= p.T[0] {
-		return p.V[0]
-	}
-	if t >= p.T[n-1] {
-		return p.V[n-1]
-	}
-	i := sort.SearchFloat64s(p.T, t)
-	// p.T[i-1] < t <= p.T[i]
-	t0, t1 := p.T[i-1], p.T[i]
-	v0, v1 := p.V[i-1], p.V[i]
-	return v0 + (v1-v0)*(t-t0)/(t1-t0)
 }

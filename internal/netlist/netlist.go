@@ -116,16 +116,14 @@ type Sensitivity interface {
 type HashSensitivity struct {
 	Seed uint64
 	P    float64 // pairwise sensitivity probability in [0, 1]
-	N    int     // number of nets (for Rate's denominator semantics)
 }
 
-// NewHashSensitivity returns a sensitivity model over n nets with pairwise
-// probability p.
-func NewHashSensitivity(seed uint64, p float64, n int) *HashSensitivity {
+// NewHashSensitivity returns a sensitivity model with pairwise probability p.
+func NewHashSensitivity(seed uint64, p float64) *HashSensitivity {
 	if !(p >= 0 && p <= 1) { // NaN fails too
 		panic(fmt.Sprintf("netlist: sensitivity probability %g outside [0,1]", p))
 	}
-	return &HashSensitivity{Seed: seed, P: p, N: n}
+	return &HashSensitivity{Seed: seed, P: p}
 }
 
 // Sensitive reports whether nets i and j are mutually sensitive.
@@ -148,68 +146,9 @@ func (h *HashSensitivity) Sensitive(i, j int) bool {
 // For the uniform random model this is the pairwise probability.
 func (h *HashSensitivity) Rate(int) float64 { return h.P }
 
-// ExactRate counts the realized sensitivity rate of net i over all nets —
-// O(N); used by tests to confirm the hash model concentrates around P.
-func (h *HashSensitivity) ExactRate(i int) float64 {
-	if h.N <= 1 {
-		return 0
-	}
-	c := 0
-	for j := 0; j < h.N; j++ {
-		if h.Sensitive(i, j) {
-			c++
-		}
-	}
-	return float64(c) / float64(h.N)
-}
-
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// MatrixSensitivity stores an explicit symmetric relation; used for small
-// hand-built test cases and for non-uniform designs.
-type MatrixSensitivity struct {
-	n     int
-	pairs map[[2]int]bool
-	rates []float64
-}
-
-// NewMatrixSensitivity returns an empty explicit relation over n nets.
-func NewMatrixSensitivity(n int) *MatrixSensitivity {
-	return &MatrixSensitivity{n: n, pairs: make(map[[2]int]bool), rates: make([]float64, n)}
-}
-
-// Set marks nets i and j as mutually sensitive.
-func (m *MatrixSensitivity) Set(i, j int) {
-	if i == j {
-		panic("netlist: a net cannot be sensitive to itself")
-	}
-	if i > j {
-		i, j = j, i
-	}
-	if !m.pairs[[2]int{i, j}] {
-		m.pairs[[2]int{i, j}] = true
-		if m.n > 1 {
-			m.rates[i] += 1 / float64(m.n)
-			m.rates[j] += 1 / float64(m.n)
-		}
-	}
-}
-
-// Sensitive reports whether nets i and j are mutually sensitive.
-func (m *MatrixSensitivity) Sensitive(i, j int) bool {
-	if i == j {
-		return false
-	}
-	if i > j {
-		i, j = j, i
-	}
-	return m.pairs[[2]int{i, j}]
-}
-
-// Rate returns the realized sensitivity rate of net i.
-func (m *MatrixSensitivity) Rate(i int) float64 { return m.rates[i] }

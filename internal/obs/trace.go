@@ -5,11 +5,11 @@
 //
 // Everything in this package lives off the result path. The determinism
 // contract of PRs 1–5 — report bytes identical at any worker count — is
-// extended to observability: a nil or disabled *Tracer costs no
-// allocations on hot paths (guarded by TestDisabledSpanZeroAlloc and the
-// engine's inner-loop guard), and enabling tracing never changes a result
-// byte, because spans only *read* timestamps and counters that already
-// exist; they never feed back into any algorithm. See DESIGN.md §9.
+// extended to observability: a nil *Tracer, the one untraced state, costs
+// no allocations on hot paths (guarded by TestDisabledSpanZeroAlloc and
+// the engine's inner-loop guard), and tracing never changes a result byte,
+// because spans only *read* timestamps and counters that already exist;
+// they never feed back into any algorithm. See DESIGN.md §9.
 package obs
 
 import (
@@ -18,7 +18,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -35,13 +34,12 @@ type Lane int32
 const maxSpanArgs = 4
 
 // Tracer records phase/span events. The zero value is not usable — call
-// New — but a nil *Tracer is: every method no-ops, which is how the
-// pipeline runs untraced. A Tracer is safe for concurrent use; recording
-// is a short critical section appending to an in-memory event buffer, and
+// New — but a nil *Tracer is: every method no-ops, and nil is the one
+// untraced state. A Tracer is safe for concurrent use; recording is a
+// short critical section appending to an in-memory event buffer, and
 // nothing is written anywhere until WriteJSON.
 type Tracer struct {
-	start   time.Time
-	enabled atomic.Bool
+	start time.Time
 
 	mu     sync.Mutex
 	lanes  []string // Lane -> display name; index is the exported tid
@@ -57,29 +55,19 @@ type event struct {
 	argv      [maxSpanArgs]int64
 }
 
-// New returns an enabled tracer whose clock starts now. Lane 0 ("main") is
-// pre-allocated.
+// New returns a recording tracer whose clock starts now. Lane 0 ("main")
+// is pre-allocated.
 func New() *Tracer {
-	t := &Tracer{start: time.Now(), lanes: []string{"main"}}
-	t.enabled.Store(true)
-	return t
+	return &Tracer{start: time.Now(), lanes: []string{"main"}}
 }
 
-// Enabled reports whether spans started now would record. It is the
-// hot-path gate: nil receivers report false.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled flips recording on or off. Spans started while disabled
-// record nothing even if they end after re-enabling. No-op on nil.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
+// Enabled reports whether t records, that is whether it is non-nil. It is
+// the hot-path gate for work done only to name or annotate spans.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // Lane allocates a new timeline with a display name (exported as the
 // Chrome thread name). Safe for concurrent use; returns the main lane on a
-// nil or disabled tracer.
+// nil tracer.
 func (t *Tracer) Lane(name string) Lane {
 	if !t.Enabled() {
 		return 0
@@ -104,11 +92,11 @@ type Span struct {
 	argv      [maxSpanArgs]int64
 }
 
-// Start opens a span on the given lane. On a nil or disabled tracer it
-// returns the inert zero Span without reading the clock. The name should
-// be a constant or pre-built string: Start is called on solver hot paths,
-// where formatting would allocate even when the result is discarded —
-// gate any fmt.Sprintf naming behind Enabled.
+// Start opens a span on the given lane. On a nil tracer it returns the
+// inert zero Span without reading the clock. The name should be a
+// constant or pre-built string: Start is called on solver hot paths, where
+// formatting would allocate even when the result is discarded — gate any
+// fmt.Sprintf naming behind Enabled.
 func (t *Tracer) Start(lane Lane, cat, name string) Span {
 	if !t.Enabled() {
 		return Span{}

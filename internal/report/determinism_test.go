@@ -49,7 +49,7 @@ func pipelineDesign(t *testing.T, nNets int, rate float64, seed int64) *core.Des
 	}
 	return &core.Design{
 		Name: "det",
-		Nets: &netlist.Netlist{Nets: nets, Sensitivity: netlist.NewHashSensitivity(uint64(seed), rate, nNets)},
+		Nets: &netlist.Netlist{Nets: nets, Sensitivity: netlist.NewHashSensitivity(uint64(seed), rate)},
 		Grid: g,
 		Rate: rate,
 	}
@@ -182,20 +182,18 @@ func TestRefineWorkerInvariance(t *testing.T) {
 
 // TestTraceInvariance pins observability to its off-the-result-path
 // contract (DESIGN.md §9): the full GSINO pipeline must produce
-// byte-identical reports and outcome fields with a nil tracer, a disabled
-// tracer, and an enabled tracer, at one worker and at several — and the
-// enabled run must actually have recorded a valid trace with all three
-// phase spans.
+// byte-identical reports and outcome fields with a nil tracer and an
+// enabled tracer, at one worker and at several — and the enabled run must
+// actually have recorded a valid trace with all three phase spans.
 func TestTraceInvariance(t *testing.T) {
 	const seed = 2
 	base := gsinoFingerprint(t, seed, 1, nil)
 	for _, workers := range []int{1, 4} {
-		disabled := obs.New()
-		disabled.SetEnabled(false)
-		if got := gsinoFingerprint(t, seed, workers, disabled); got != base {
-			t.Errorf("workers=%d: disabled tracer changed the outcome:\n--- nil ---\n%s\n--- disabled ---\n%s", workers, base, got)
+		if workers > 1 {
+			if got := gsinoFingerprint(t, seed, workers, nil); got != base {
+				t.Errorf("workers=%d: untraced outcome differs from one worker:\n--- 1 ---\n%s\n--- %d ---\n%s", workers, base, workers, got)
+			}
 		}
-
 		enabled := obs.New()
 		if got := gsinoFingerprint(t, seed, workers, enabled); got != base {
 			t.Errorf("workers=%d: enabled tracer changed the outcome:\n--- nil ---\n%s\n--- enabled ---\n%s", workers, base, got)

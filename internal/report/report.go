@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -280,22 +279,6 @@ func (s *Set) CSV(w io.Writer) error {
 				float64(o.AvgWL), float64(o.TotalWL), float64(o.Area.W), float64(o.Area.H),
 				o.Shields, o.SegTracks)
 		}
-	}
-	return ew.err
-}
-
-// Summary renders a one-line digest per cell and returns the first write
-// error.
-func (s *Set) Summary(w io.Writer) error {
-	ew := &errWriter{w: w}
-	for _, k := range s.keys() {
-		var parts []string
-		for _, f := range []core.Flow{core.FlowIDNO, core.FlowISINO, core.FlowGSINO} {
-			if o := s.Get(k.Circuit, k.Rate, f); o != nil {
-				parts = append(parts, fmt.Sprintf("%s: %d viol, %.0fum, %s", f, o.Violations, float64(o.AvgWL), o.Area))
-			}
-		}
-		fmt.Fprintf(ew, "%s @%.0f%%: %s\n", k.Circuit, k.Rate*100, strings.Join(parts, " | "))
 	}
 	return ew.err
 }

@@ -46,12 +46,11 @@ func TestAddAndGet(t *testing.T) {
 
 func TestTablesRender(t *testing.T) {
 	s := populated()
-	var b1, b2, b3, d, sum strings.Builder
+	var b1, b2, b3, d strings.Builder
 	s.Table1(&b1)
 	s.Table2(&b2)
 	s.Table3(&b3)
 	s.Deltas(&d)
-	s.Summary(&sum)
 
 	if !strings.Contains(b1.String(), "ibm01") || !strings.Contains(b1.String(), "15.00%") {
 		t.Errorf("Table1 missing measured data:\n%s", b1.String())
@@ -67,9 +66,6 @@ func TestTablesRender(t *testing.T) {
 	}
 	if !strings.Contains(d.String(), "ibm01") {
 		t.Errorf("Deltas missing circuit:\n%s", d.String())
-	}
-	if !strings.Contains(sum.String(), "GSINO") {
-		t.Errorf("Summary missing flows:\n%s", sum.String())
 	}
 }
 
@@ -125,12 +121,11 @@ var errDiskFull = errors.New("disk full")
 func TestWriterErrorsSurface(t *testing.T) {
 	s := populated()
 	renderers := map[string]func(io.Writer) error{
-		"Table1":  s.Table1,
-		"Table2":  s.Table2,
-		"Table3":  s.Table3,
-		"Deltas":  s.Deltas,
-		"CSV":     s.CSV,
-		"Summary": s.Summary,
+		"Table1": s.Table1,
+		"Table2": s.Table2,
+		"Table3": s.Table3,
+		"Deltas": s.Deltas,
+		"CSV":    s.CSV,
 	}
 	for name, render := range renderers {
 		if err := render(&failingWriter{n: 30}); !errors.Is(err, errDiskFull) {

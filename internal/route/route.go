@@ -63,20 +63,18 @@ type Config struct {
 	Alpha, Beta, Gamma float64
 
 	// ShieldAware includes the Formula (3) shield estimate in track
-	// utilization (the GSINO router). Baselines set it false.
+	// utilization (the GSINO router), with the fitted coefficients in
+	// shieldCoeffs. Baselines set it false.
 	ShieldAware bool
-
-	// Coeffs are the Formula (3) coefficients; zero value selects the
-	// fitted defaults.
-	Coeffs sino.ShieldCoeffs
 }
+
+// shieldCoeffs are the Formula (3) coefficients every shield-aware router
+// estimates with.
+var shieldCoeffs = sino.DefaultShieldCoeffs()
 
 func (c Config) withDefaults() Config {
 	if c.Alpha == 0 && c.Beta == 0 && c.Gamma == 0 {
 		c.Alpha, c.Beta, c.Gamma = 2, 1, 50
-	}
-	if c.Coeffs == (sino.ShieldCoeffs{}) {
-		c.Coeffs = sino.DefaultShieldCoeffs()
 	}
 	return c
 }
@@ -616,7 +614,7 @@ func (r *Router) regionHU(x, y int, ownNns, ownRate float64, v *view) float64 {
 	}
 	hu := nns
 	if r.cfg.ShieldAware {
-		hu += r.cfg.Coeffs.Estimate(nns, ss-ownNns*ownRate, s2-ownNns*ownRate*ownRate)
+		hu += shieldCoeffs.Estimate(nns, ss-ownNns*ownRate, s2-ownNns*ownRate*ownRate)
 	}
 	return hu
 }
@@ -636,7 +634,7 @@ func (r *Router) regionVU(x, y int, ownNns, ownRate float64, v *view) float64 {
 	}
 	vu := nns
 	if r.cfg.ShieldAware {
-		vu += r.cfg.Coeffs.Estimate(nns, ss-ownNns*ownRate, s2-ownNns*ownRate*ownRate)
+		vu += shieldCoeffs.Estimate(nns, ss-ownNns*ownRate, s2-ownNns*ownRate*ownRate)
 	}
 	return vu
 }

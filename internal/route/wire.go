@@ -332,12 +332,6 @@ func (ds *DrainState) AppendWire(buf []byte) []byte {
 	buf = wireF(buf, c.Beta)
 	buf = wireF(buf, c.Gamma)
 	buf = wireBool(buf, c.ShieldAware)
-	buf = wireF(buf, c.Coeffs.A1)
-	buf = wireF(buf, c.Coeffs.A2)
-	buf = wireF(buf, c.Coeffs.A3)
-	buf = wireF(buf, c.Coeffs.A4)
-	buf = wireF(buf, c.Coeffs.A5)
-	buf = wireF(buf, c.Coeffs.A6)
 	buf = wireI(buf, ds.cols)
 	buf = wireI(buf, ds.rows)
 	buf = wireI(buf, ds.tileCols)
@@ -394,12 +388,6 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 	c.Beta = r.f64("cfg")
 	c.Gamma = r.f64("cfg")
 	c.ShieldAware = r.bool("cfg")
-	c.Coeffs.A1 = r.f64("cfg")
-	c.Coeffs.A2 = r.f64("cfg")
-	c.Coeffs.A3 = r.f64("cfg")
-	c.Coeffs.A4 = r.f64("cfg")
-	c.Coeffs.A5 = r.f64("cfg")
-	c.Coeffs.A6 = r.f64("cfg")
 	ds.cols = r.int("grid dims")
 	ds.rows = r.int("grid dims")
 	ds.tileCols = r.int("tiling")

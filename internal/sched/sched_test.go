@@ -55,7 +55,7 @@ func randomDesign(tb testing.TB, nNets int, rate float64, seed int64) *core.Desi
 	}
 	return &core.Design{
 		Name: "sched-rand",
-		Nets: &netlist.Netlist{Nets: nets, Sensitivity: netlist.NewHashSensitivity(uint64(seed), rate, nNets)},
+		Nets: &netlist.Netlist{Nets: nets, Sensitivity: netlist.NewHashSensitivity(uint64(seed), rate)},
 		Grid: g,
 		Rate: rate,
 	}

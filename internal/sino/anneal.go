@@ -8,10 +8,15 @@ import (
 // AnnealOptions tunes the simulated-annealing solver.
 type AnnealOptions struct {
 	Seed       int64
-	Iterations int     // move attempts; 0 selects 400·n
-	T0         float64 // initial temperature; 0 selects 4
-	Cooling    float64 // geometric factor per epoch; 0 selects 0.95
+	Iterations int // move attempts; 0 selects 400·n
 }
+
+// The annealing schedule: the walk starts at temperature annealT0 and
+// cools geometrically by annealCooling once per epoch.
+const (
+	annealT0      = 4.0
+	annealCooling = 0.95
+)
 
 // Anneal refines a SINO solution by simulated annealing over the joint
 // ordering/shielding space: swap tracks, relocate tracks, insert or remove
@@ -35,12 +40,6 @@ func AnnealWith(e *Eval, in *Instance, opts AnnealOptions) (*Solution, *Check) {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 400 * max(n, 1)
 	}
-	if opts.T0 <= 0 {
-		opts.T0 = 4
-	}
-	if opts.Cooling <= 0 {
-		opts.Cooling = 0.95
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	best, bestChk := SolveWith(e, in)
@@ -52,7 +51,7 @@ func AnnealWith(e *Eval, in *Instance, opts AnnealOptions) (*Solution, *Check) {
 	bestCost := e.annealCost()
 	curCost := bestCost
 
-	temp := opts.T0
+	temp := annealT0
 	epoch := max(opts.Iterations/30, 1)
 	for it := 0; it < opts.Iterations; it++ {
 		if !e.mutate(rng) {
@@ -68,7 +67,7 @@ func AnnealWith(e *Eval, in *Instance, opts AnnealOptions) (*Solution, *Check) {
 			e.rollback()
 		}
 		if (it+1)%epoch == 0 {
-			temp *= opts.Cooling
+			temp *= annealCooling
 		}
 	}
 	return best, in.Verify(best)
@@ -138,11 +137,4 @@ func (e *Eval) mutate(rng *rand.Rand) bool {
 		e.removeAt(at)
 	}
 	return true
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

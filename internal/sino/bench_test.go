@@ -79,7 +79,7 @@ func benchRepairBody(b *testing.B, n int, shared bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := seed.Clone()
+		s := cloneSolution(seed)
 		RepairWith(ev, tight, s, chk.K)
 	}
 }
@@ -91,7 +91,7 @@ func benchRepairBody(b *testing.B, n int, shared bool) {
 func benchPolishBody(b *testing.B, n int, shared bool) {
 	in := benchInstance(n, 0.4, 0.55, shared)
 	sol, _ := Solve(in)
-	padded := sol.Clone()
+	padded := cloneSolution(sol)
 	for i := 0; i < 1+n/4; i++ {
 		at := (i*7 + 3) % (len(padded.Tracks) + 1)
 		padded.Tracks = append(padded.Tracks, 0)

@@ -14,26 +14,26 @@ import (
 //
 // The point is asymptotic: keff pair couplings are summed only within
 // Model.PairCutoff, and an edit at track t perturbs totals only inside
-// Model.AffectedRange around t (see its window argument), so InsertShield,
-// RemoveShield, and SwapAdjacent cost O(window·cutoff) cached pair
-// lookups instead of the O(n²) from-scratch Verify the solver previously
-// ran per probe. Bit-identity is the contract that makes the rewiring
-// safe: after every operation, K(i) equals the i-th entry of a fresh
-// Instance.TotalK of the current solution exactly (same pair values, same
-// accumulation order — Coupler.TrackTotal documents why), so every
-// comparison the greedy solver, polish pass, and annealer make is
-// unchanged, and so are their outputs. Instance.Verify stays as the
-// independent brute-force oracle; TestEvalMatchesVerifyOnEditScripts
+// Model.AffectedRange around t (see its window argument), so a shield
+// insertion or removal, a swap or a relocation costs O(window·cutoff)
+// cached pair lookups instead of the O(n²) from-scratch Verify the solver
+// previously ran per probe. Bit-identity is the contract that makes the
+// rewiring safe: after every operation, segment i's total equals the i-th
+// entry of a fresh Instance.TotalK of the current solution exactly (same
+// pair values, same accumulation order — Coupler.TrackTotal documents
+// why), so every comparison the greedy solver, polish pass, and annealer
+// make is unchanged, and so are their outputs. Instance.Verify stays as
+// the independent brute-force oracle; TestEvalMatchesVerifyOnEditScripts
 // replays random edit scripts against it.
 
-// Eval is an incremental evaluator of SINO solutions. Typical use binds an
-// instance, loads a solution, and applies single-track edits:
+// Eval is an incremental evaluator of SINO solutions. Callers create one
+// and hand it to the solvers, which bind an instance, load a solution and
+// apply single-track edits to it: shield insertions and removals, swaps
+// and relocations.
 //
 //	e := sino.NewEval()
-//	e.Bind(in)
-//	e.Load(sol)
-//	e.InsertShield(3)
-//	if !e.Feasible() { e.RemoveShield(3) }
+//	sol, chk := sino.SolveWith(e, in)
+//	chk = sino.RepairWith(e, tighter, sol, chk.K)
 //
 // An Eval is reusable across instances (Bind resets it) and is designed to
 // be pooled one per solver worker: its buffers persist across solves. It
@@ -190,42 +190,8 @@ func (e *Eval) load(s *Solution, k []float64) error {
 	return nil
 }
 
-// InsertShield inserts a shield track at position at ∈ [0, NumTracks()].
+// InsertShield inserts a shield track at position at ∈ [0, len(tracks)].
 func (e *Eval) InsertShield(at int) { e.insertAt(at, Shield) }
-
-// RemoveShield removes the shield track at position at.
-func (e *Eval) RemoveShield(at int) {
-	if e.tracks[at] != Shield {
-		panic("sino: RemoveShield at a signal track")
-	}
-	e.removeAt(at)
-}
-
-// SwapAdjacent exchanges the tracks at positions t and t+1. The adjacent-
-// sensitive-pair count updates in O(1): only the three adjacencies
-// touching the pair can change, and the swapped pair's own adjacency is
-// invariant.
-func (e *Eval) SwapAdjacent(t int) {
-	e.stats.Edits++
-	e.capPairs += capSwapDelta(e.tracks, t, e.sens.get)
-	e.exchange(t, t+1)
-	lo, _ := e.in.Model.AffectedRange(e.layout, t)
-	_, hi := e.in.Model.AffectedRange(e.layout, t+1)
-	e.recompute(lo, hi)
-}
-
-// K returns segment i's total inductive coupling under the current
-// solution — bit-identical to Instance.TotalK of the same solution.
-func (e *Eval) K(i int) float64 { return e.k[i] }
-
-// CapPairs returns the number of adjacent sensitive pairs.
-func (e *Eval) CapPairs() int { return e.capPairs }
-
-// NumTracks returns the current track count.
-func (e *Eval) NumTracks() int { return len(e.tracks) }
-
-// NumShields returns the current shield count.
-func (e *Eval) NumShields() int { return e.nShields }
 
 // Feasible reports whether the current solution satisfies all SINO
 // constraints, equal to Instance.Verify(...).Feasible() on it.
@@ -425,17 +391,6 @@ func (e *Eval) swapAny(a, b int) {
 	if a > b {
 		a, b = b, a
 	}
-	e.exchange(a, b)
-	e.capPairs = e.capCount()
-	lo, _ := e.in.Model.AffectedRange(e.layout, a)
-	_, hi := e.in.Model.AffectedRange(e.layout, b)
-	e.recompute(lo, hi)
-}
-
-// exchange swaps two track slots and refreshes the derived arrays, leaving
-// the capacitive count to the caller (SwapAdjacent has an O(1) delta,
-// swapAny recounts).
-func (e *Eval) exchange(a, b int) {
 	e.tracks[a], e.tracks[b] = e.tracks[b], e.tracks[a]
 	lt := e.layout.Tracks
 	lt[a], lt[b] = lt[b], lt[a]
@@ -446,6 +401,10 @@ func (e *Eval) exchange(a, b int) {
 		e.pos[v] = b
 	}
 	e.shields = e.in.Model.ShieldTableInto(lt, e.shields)
+	e.capPairs = e.capCount()
+	lo, _ := e.in.Model.AffectedRange(e.layout, a)
+	_, hi := e.in.Model.AffectedRange(e.layout, b)
+	e.recompute(lo, hi)
 }
 
 // refreshAround recounts the capacitive pairs after an insert/remove edit

@@ -25,6 +25,11 @@ func randomSolution(n int, shieldFrac float64, rng *rand.Rand) *Solution {
 	return s
 }
 
+// cloneSolution deep-copies s.
+func cloneSolution(s *Solution) *Solution {
+	return &Solution{Tracks: append([]int(nil), s.Tracks...)}
+}
+
 // assertEvalMatchesVerify compares every maintained quantity against the
 // brute-force oracle, requiring exact bits on the coupling totals.
 func assertEvalMatchesVerify(t *testing.T, in *Instance, e *Eval, ctx string) {
@@ -35,20 +40,20 @@ func assertEvalMatchesVerify(t *testing.T, in *Instance, e *Eval, ctx string) {
 		t.Fatalf("%s: evaluator produced structurally invalid solution: %v", ctx, chk.Structural)
 	}
 	for i := range in.Segs {
-		if math.Float64bits(e.K(i)) != math.Float64bits(chk.K[i]) {
+		if math.Float64bits(e.k[i]) != math.Float64bits(chk.K[i]) {
 			t.Fatalf("%s: segment %d total K mismatch: evaluator %v (bits %x), Verify %v (bits %x)",
-				ctx, i, e.K(i), math.Float64bits(e.K(i)), chk.K[i], math.Float64bits(chk.K[i]))
+				ctx, i, e.k[i], math.Float64bits(e.k[i]), chk.K[i], math.Float64bits(chk.K[i]))
 		}
 	}
-	if e.CapPairs() != len(chk.CapPairs) {
-		t.Fatalf("%s: cap-pair count mismatch: evaluator %d, Verify %d", ctx, e.CapPairs(), len(chk.CapPairs))
+	if e.capPairs != len(chk.CapPairs) {
+		t.Fatalf("%s: cap-pair count mismatch: evaluator %d, Verify %d", ctx, e.capPairs, len(chk.CapPairs))
 	}
 	if e.Feasible() != chk.Feasible() {
 		t.Fatalf("%s: feasibility mismatch: evaluator %v, Verify %v", ctx, e.Feasible(), chk.Feasible())
 	}
-	if e.NumShields() != cur.NumShields() || e.NumTracks() != cur.NumTracks() {
+	if e.nShields != cur.NumShields() || len(e.tracks) != cur.NumTracks() {
 		t.Fatalf("%s: track accounting mismatch: %d/%d tracks, %d/%d shields",
-			ctx, e.NumTracks(), cur.NumTracks(), e.NumShields(), cur.NumShields())
+			ctx, len(e.tracks), cur.NumTracks(), e.nShields, cur.NumShields())
 	}
 	if got := e.Check(); !reflect.DeepEqual(got, chk) {
 		t.Fatalf("%s: Check mismatch:\nevaluator %+v\nVerify    %+v", ctx, got, chk)
@@ -98,12 +103,12 @@ func runEditScript(t *testing.T, in *Instance, n int, rate float64, seed int64) 
 		steps = 15
 	}
 	for step := 0; step < steps; step++ {
-		nt := e.NumTracks()
+		nt := len(e.tracks)
 		switch rng.Intn(6) {
 		case 0:
 			e.InsertShield(rng.Intn(nt + 1))
 		case 1:
-			if e.NumShields() == 0 {
+			if e.nShields == 0 {
 				continue
 			}
 			var shields []int
@@ -112,12 +117,13 @@ func runEditScript(t *testing.T, in *Instance, n int, rate float64, seed int64) 
 					shields = append(shields, p)
 				}
 			}
-			e.RemoveShield(shields[rng.Intn(len(shields))])
+			e.removeAt(shields[rng.Intn(len(shields))])
 		case 2:
 			if nt < 2 {
 				continue
 			}
-			e.SwapAdjacent(rng.Intn(nt - 1))
+			at := rng.Intn(nt - 1)
+			e.swapAny(at, at+1)
 		case 3:
 			if nt < 2 {
 				continue
@@ -128,13 +134,14 @@ func runEditScript(t *testing.T, in *Instance, n int, rate float64, seed int64) 
 				continue
 			}
 			v := e.removeAt(rng.Intn(nt))
-			e.insertAt(rng.Intn(e.NumTracks()+1), v)
+			e.insertAt(rng.Intn(len(e.tracks)+1), v)
 		case 5: // probe and roll back, like a polish trial
 			before := e.Solution()
 			e.mark()
 			e.InsertShield(rng.Intn(nt + 1))
-			if e.NumTracks() >= 2 {
-				e.SwapAdjacent(rng.Intn(e.NumTracks() - 1))
+			if len(e.tracks) >= 2 {
+				at := rng.Intn(len(e.tracks) - 1)
+				e.swapAny(at, at+1)
 			}
 			e.rollback()
 			if !reflect.DeepEqual(e.Solution(), before) {
@@ -165,8 +172,8 @@ func TestSolveWithPooledEvaluatorMatchesFresh(t *testing.T) {
 			t.Fatalf("seed %d: pooled check differs", seed)
 		}
 
-		rs := pooledSol.Clone()
-		fs := freshSol.Clone()
+		rs := cloneSolution(pooledSol)
+		fs := cloneSolution(freshSol)
 		tight := &Instance{Segs: append([]Seg(nil), in.Segs...), Sensitive: in.Sensitive, Model: model}
 		for i := range tight.Segs {
 			tight.Segs[i].Kth *= 0.7

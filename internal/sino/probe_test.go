@@ -158,7 +158,7 @@ func TestProbeScansWholeWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.polishReference()
-	if ref.NumShields() != 1 {
+	if ref.nShields != 1 {
 		t.Fatal("the reference polish removed the shield: the fixture no longer breaks A's bound")
 	}
 	comparePolish(t, in, s, "far bound")
@@ -184,8 +184,8 @@ func comparePolish(t *testing.T, in *Instance, s *Solution, name string) {
 		t.Fatalf("%s: tracks differ:\nprobe     %v\nreference %v", name, got.tracks, ref.tracks)
 	}
 	for i := range in.Segs {
-		if math.Float64bits(got.K(i)) != math.Float64bits(ref.K(i)) {
-			t.Fatalf("%s: segment %d total %v, reference %v", name, i, got.K(i), ref.K(i))
+		if math.Float64bits(got.k[i]) != math.Float64bits(ref.k[i]) {
+			t.Fatalf("%s: segment %d total %v, reference %v", name, i, got.k[i], ref.k[i])
 		}
 	}
 	if got.capPairs != ref.capPairs || got.nShields != ref.nShields || got.nOver != ref.nOver {
@@ -240,7 +240,7 @@ func TestRelationMatchesSensitive(t *testing.T) {
 			}
 			return &c
 		}
-		ws, gs := wantSol.Clone(), gotSol.Clone()
+		ws, gs := cloneSolution(wantSol), cloneSolution(gotSol)
 		wantRep := RepairWith(ev, tight(in), ws, wantChk.K)
 		gotRep := RepairWith(ev, tight(&snap), gs, gotChk.K)
 		if !reflect.DeepEqual(gs, ws) || !reflect.DeepEqual(gotRep, wantRep) {
@@ -262,7 +262,7 @@ func TestRepairWithHeldTotalsMatchesRepair(t *testing.T) {
 		for i := range tight.Segs {
 			tight.Segs[i].Kth *= 0.6
 		}
-		ws, gs := sol.Clone(), sol.Clone()
+		ws, gs := cloneSolution(sol), cloneSolution(sol)
 		want := Repair(&tight, ws)
 		got := RepairWith(ev, &tight, gs, chk.K)
 		if !reflect.DeepEqual(gs, ws) || !reflect.DeepEqual(got, want) {

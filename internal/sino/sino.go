@@ -101,11 +101,6 @@ type Solution struct {
 	Tracks []int
 }
 
-// Clone deep-copies the solution.
-func (s *Solution) Clone() *Solution {
-	return &Solution{Tracks: append([]int(nil), s.Tracks...)}
-}
-
 // NumShields counts shield tracks.
 func (s *Solution) NumShields() int {
 	n := 0

@@ -159,11 +159,18 @@ func TestNetOrderReducesCapPairs(t *testing.T) {
 }
 
 func TestSolutionClone(t *testing.T) {
-	s := &Solution{Tracks: []int{0, Shield, 1}}
-	c := s.Clone()
+	// Eval.Solution hands out a copy: editing it must not reach the
+	// evaluator's track array.
+	in := testInstance(2, 0, 1, 1)
+	e := NewEval()
+	e.Bind(in)
+	if err := e.Load(&Solution{Tracks: []int{0, Shield, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	c := e.Solution()
 	c.Tracks[0] = 99
-	if s.Tracks[0] == 99 {
-		t.Error("Clone shares backing array")
+	if e.tracks[0] == 99 {
+		t.Error("Solution shares the evaluator's backing array")
 	}
 }
 

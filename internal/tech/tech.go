@@ -37,7 +37,6 @@ type Technology struct {
 
 	// Supply and timing.
 	Vdd       float64 // supply voltage, V
-	ClockHz   float64 // clock frequency, Hz
 	RiseTime  float64 // aggressor driver rise time, s
 	DriverRes float64 // uniform driver output resistance, Ω
 	LoadCap   float64 // uniform receiver (sink) load capacitance, F
@@ -69,7 +68,6 @@ func Default() *Technology {
 	return &Technology{
 		Name:          "ITRS-0.10um",
 		Vdd:           1.05,
-		ClockHz:       3e9,
 		RiseTime:      60e-12, // ~18% of the 333 ps cycle, a typical global-driver edge
 		DriverRes:     30,
 		LoadCap:       30e-15,
@@ -88,8 +86,6 @@ func (t *Technology) Validate() error {
 	switch {
 	case t.Vdd <= 0:
 		return fmt.Errorf("tech %q: Vdd must be positive, got %g", t.Name, t.Vdd)
-	case t.ClockHz <= 0:
-		return fmt.Errorf("tech %q: ClockHz must be positive, got %g", t.Name, t.ClockHz)
 	case t.RiseTime <= 0:
 		return fmt.Errorf("tech %q: RiseTime must be positive, got %g", t.Name, t.RiseTime)
 	case t.DriverRes <= 0:
@@ -192,6 +188,3 @@ func (t *Technology) CouplingCoefficient(d, l float64) float64 {
 	}
 	return k
 }
-
-// CycleTime returns one clock period in seconds.
-func (t *Technology) CycleTime() float64 { return 1 / t.ClockHz }
