@@ -136,7 +136,7 @@ func BenchmarkLSKFidelity(b *testing.B) {
 func BenchmarkShieldEstimate(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		obs := sino.GenerateFitSamples(sino.FitConfig{Seed: 7, Reps: 3, MaxSegs: 16})
+		obs := sino.GenerateFitSamples(sino.FitConfig{Seed: 7, Reps: 3})
 		mean, _ = sino.EvaluateFit(sino.DefaultShieldCoeffs(), obs)
 	}
 	b.ReportMetric(mean*100, "meanerr%")

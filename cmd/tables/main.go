@@ -5,9 +5,9 @@
 //
 // The circuits × rates × flows grid runs on the cross-chip batch scheduler
 // (internal/sched): -jobs cells run concurrently, all sharing one
-// per-technology coupling cache, and -workers engine workers split evenly
-// between them. Tables and CSV are byte-identical at every -jobs/-workers
-// setting; -jobs 1 is the serial path.
+// coupling cache, and -workers engine workers split evenly between them.
+// Tables and CSV are byte-identical at every -jobs/-workers setting;
+// -jobs 1 is the serial path.
 //
 // Usage:
 //
@@ -22,7 +22,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"strings"
@@ -77,25 +76,9 @@ func main() {
 		log.Printf("pprof listening on http://%s/debug/pprof/", addr)
 	}
 
-	var cells []sched.Cell
-	for _, name := range strings.Split(*circuits, ",") {
-		name = strings.TrimSpace(name)
-		profile, err := ibm.ProfileByName(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, rate := range []float64{0.3, 0.5} {
-			ckt, err := ibm.Generate(profile, ibm.Options{Seed: *seed, Scale: *scale, SensRate: rate})
-			if err != nil {
-				log.Fatal(err)
-			}
-			// One design shared by the three flows of this (circuit, rate):
-			// flows are read-only on it, so concurrent cells can share.
-			design := &core.Design{Name: profile.Name, Nets: ckt.Nets, Grid: ckt.Grid, Rate: rate}
-			for _, f := range []core.Flow{core.FlowIDNO, core.FlowISINO, core.FlowGSINO} {
-				cells = append(cells, sched.Cell{Design: design, Flow: f, Params: core.Params{}})
-			}
-		}
+	cells, err := buildCells(*circuits, *scale, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// All progress lines go through one Console: OnStart fires concurrently
@@ -152,20 +135,7 @@ func main() {
 		}
 	}
 
-	fmt.Println()
-	if err := set.Table1(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	if err := set.Table2(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	if err := set.Table3(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	if err := set.Deltas(os.Stdout); err != nil {
+	if err := set.Tables(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
@@ -190,4 +160,31 @@ func main() {
 		}
 		console.Printf("wrote trace to %s\n", *tracePath)
 	}
+}
+
+// buildCells returns the batch for a comma-separated circuit list: each
+// circuit at sensitivity rates 30% and 50%, each (circuit, rate) under the
+// ID+NO, iSINO and GSINO flows.
+func buildCells(circuits string, scale int, seed int64) ([]sched.Cell, error) {
+	var cells []sched.Cell
+	for _, name := range strings.Split(circuits, ",") {
+		name = strings.TrimSpace(name)
+		profile, err := ibm.ProfileByName(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, rate := range []float64{0.3, 0.5} {
+			ckt, err := ibm.Generate(profile, ibm.Options{Seed: seed, Scale: scale, SensRate: rate})
+			if err != nil {
+				return nil, err
+			}
+			// One design shared by the three flows of this (circuit, rate):
+			// flows are read-only on it, so concurrent cells can share.
+			design := &core.Design{Name: profile.Name, Nets: ckt.Nets, Grid: ckt.Grid, Rate: rate}
+			for _, f := range []core.Flow{core.FlowIDNO, core.FlowISINO, core.FlowGSINO} {
+				cells = append(cells, sched.Cell{Design: design, Flow: f, Params: core.Params{}})
+			}
+		}
+	}
+	return cells, nil
 }

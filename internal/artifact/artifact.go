@@ -1,11 +1,11 @@
 // Package artifact is the content-addressed store for Phase I routing
 // artifacts. A routing run is a pure function of (grid geometry, resolved
-// router config, resolved tile decomposition, net list); the package
-// derives a deterministic 128-bit key from exactly those inputs (KeyFor),
-// maps it to an immutable sealed artifact — the route.Result plus the
-// resumable DrainState — and shares the artifacts across runners through
-// an in-process LRU (Store), the same way the per-technology
-// keff.PairCache is shared by the batch scheduler.
+// router config, net list) — the grid fixes the tile decomposition — and
+// the package derives a deterministic 128-bit key from exactly those
+// inputs (KeyFor), maps it to an immutable sealed artifact — the
+// route.Result plus the resumable DrainState — and shares the artifacts
+// across runners through an in-process LRU (Store), the same way the
+// batch scheduler shares one keff.PairCache.
 //
 // Validity argument: routeAll's output depends on the design only through
 // the KeyFor inputs, and on nothing else — not the worker count, not
@@ -30,7 +30,7 @@ import (
 
 // keyVersion is folded into every key so a change to the hashed-field set
 // can never collide with keys from an older layout.
-const keyVersion = 2
+const keyVersion = 3
 
 // Key addresses one routing artifact: a 128-bit content hash of the
 // routing problem.
@@ -40,16 +40,16 @@ type Key [2]uint64
 func (k Key) String() string { return fmt.Sprintf("%016x%016x", k[0], k[1]) }
 
 // KeyFor derives the content key of a routing problem. It hashes the grid
-// scalars, the resolved router config (weights and shield-awareness), the
-// resolved tile decomposition, and every net's ID, rate, and raw pin list.
-// The Formula (3) coefficients (sino.DefaultShieldCoeffs) are a constant
-// of the router and are not hashed: a change to them must bump keyVersion,
-// and TestKeyVersionPinsShieldCoeffs fails until it does. Trace
-// configuration is observational and excluded. Two problems with equal
-// keys route byte-identically.
-func KeyFor(g *grid.Grid, cfg route.Config, scfg route.ShardConfig, nets []route.Net) Key {
+// scalars, the resolved router config (weights and shield-awareness), and
+// every net's ID, rate, and raw pin list. The Formula (3) coefficients
+// (sino.DefaultShieldCoeffs), the tile grid and the reconciliation bound
+// are constants of the router and are not hashed: a change to any of them
+// must bump keyVersion (TestKeyVersionPinsShieldCoeffs enforces it for the
+// coefficients). The shard config carries only trace settings, which are
+// observational and excluded. Two problems with equal keys route
+// byte-identically.
+func KeyFor(g *grid.Grid, cfg route.Config, _ route.ShardConfig, nets []route.Net) Key {
 	cfg = cfg.Resolved()
-	scfg = scfg.Resolved(g.Cols, g.Rows)
 	h := keff.NewHash()
 	h.Int(keyVersion)
 	h.Int(g.Cols)
@@ -62,9 +62,6 @@ func KeyFor(g *grid.Grid, cfg route.Config, scfg route.ShardConfig, nets []route
 	h.F64(cfg.Beta)
 	h.F64(cfg.Gamma)
 	h.Bool(cfg.ShieldAware)
-	h.Int(scfg.TileCols)
-	h.Int(scfg.TileRows)
-	h.Int(scfg.MaxReconcileRounds)
 	h.Int(len(nets))
 	for i := range nets {
 		h.Int(nets[i].ID)
@@ -107,8 +104,7 @@ func Fingerprint(res *route.Result) Key {
 }
 
 // Artifact is one sealed routing outcome: the Result, the resumable
-// DrainState (may be nil when the producer did not capture one), and the
-// fingerprint taken at Seal time.
+// DrainState, and the fingerprint taken at Seal time.
 type Artifact struct {
 	key   Key
 	res   *route.Result
@@ -116,8 +112,10 @@ type Artifact struct {
 	sum   Key
 }
 
-// Seal freezes a routing result under its problem key. From here on the
-// Result is shared and must never be written; Result() enforces that.
+// Seal freezes a routing result and the drain state captured with it
+// (route.Router.RunShardedState or route.RunShardedResume; never nil)
+// under its problem key. From here on the Result is shared and must never
+// be written; Result() enforces that.
 func Seal(key Key, res *route.Result, drain *route.DrainState) *Artifact {
 	return &Artifact{key: key, res: res, drain: drain, sum: Fingerprint(res)}
 }
@@ -136,7 +134,7 @@ func (a *Artifact) Result() (*route.Result, error) {
 	return a.res, nil
 }
 
-// Drain returns the artifact's resumable drain state, or nil when none
-// was captured. DrainState is immutable by construction (resumes clone
-// what they touch), so no fingerprint check is needed.
+// Drain returns the artifact's resumable drain state. DrainState is
+// immutable by construction (resumes clone what they touch), so no
+// fingerprint check is needed.
 func (a *Artifact) Drain() *route.DrainState { return a.drain }

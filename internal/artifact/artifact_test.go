@@ -13,6 +13,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/route"
 	"repro/internal/sino"
 )
@@ -34,7 +35,7 @@ func testNets() []route.Net {
 }
 
 // TestKeySensitivity: the key must react to every hashed input — grid
-// geometry, router config, tiling, net definitions — and to nothing
+// geometry, router config, net definitions — and to nothing
 // observational.
 func TestKeySensitivity(t *testing.T) {
 	g := testGrid(t, 8, 8)
@@ -49,17 +50,24 @@ func TestKeySensitivity(t *testing.T) {
 	if KeyFor(g, route.Config{Alpha: 2, Beta: 1, Gamma: 50}, route.ShardConfig{}, nets) != base {
 		t.Fatal("resolved-default config keyed differently from zero config")
 	}
-	// An explicit tiling equal to the resolved default must too.
-	if KeyFor(g, route.Config{}, route.ShardConfig{TileCols: 8, TileRows: 8, MaxReconcileRounds: 2}, nets) != base {
-		t.Fatal("resolved-default tiling keyed differently from zero tiling")
+	if KeyFor(g, route.Config{}, route.ShardConfig{Trace: obs.New()}, nets) != base {
+		t.Fatal("tracing changed the key")
+	}
+	cells, err := grid.New(8, 8, 250, 40, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity, err := grid.New(8, 8, 100, 100, 8, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	diffs := map[string]Key{
 		"grid":        KeyFor(testGrid(t, 10, 8), route.Config{}, route.ShardConfig{}, nets),
 		"shieldAware": KeyFor(g, route.Config{ShieldAware: true}, route.ShardConfig{}, nets),
+		"cells":       KeyFor(cells, route.Config{}, route.ShardConfig{}, nets),
+		"capacity":    KeyFor(capacity, route.Config{}, route.ShardConfig{}, nets),
 		"alpha":       KeyFor(g, route.Config{Alpha: 3, Beta: 1, Gamma: 50}, route.ShardConfig{}, nets),
-		"tiling":      KeyFor(g, route.Config{}, route.ShardConfig{TileCols: 4, TileRows: 4}, nets),
-		"rounds":      KeyFor(g, route.Config{}, route.ShardConfig{MaxReconcileRounds: 3}, nets),
 	}
 	moved := testNets()
 	moved[0].Pins[1] = geom.Point{X: 3, Y: 3}
@@ -83,7 +91,7 @@ func TestKeySensitivity(t *testing.T) {
 // cache would serve routes taken under the old estimate.
 func TestKeyVersionPinsShieldCoeffs(t *testing.T) {
 	pinned := map[int]sino.ShieldCoeffs{
-		2: {A1: -0.51642, A2: 6.0243, A3: 0.66728, A4: -3.891, A5: 0.037444, A6: -0.15031},
+		3: {A1: -0.51642, A2: 6.0243, A3: 0.66728, A4: -3.891, A5: 0.037444, A6: -0.15031},
 	}
 	if c, ok := pinned[keyVersion]; !ok || c != sino.DefaultShieldCoeffs() {
 		t.Fatalf("keyVersion %d does not pin the default shield coefficients %+v: bump keyVersion and pin them here",
@@ -91,17 +99,18 @@ func TestKeyVersionPinsShieldCoeffs(t *testing.T) {
 	}
 }
 
-func testResult(t *testing.T, g *grid.Grid) *route.Result {
+// testResult routes the test netlist on g, capturing its drain state.
+func testResult(t *testing.T, g *grid.Grid) (*route.Result, *route.DrainState) {
 	t.Helper()
 	r, err := route.NewRouter(g, route.Config{}, testNets())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunSharded(context.Background(), nil, route.ShardConfig{})
+	res, ds, err := r.RunShardedState(context.Background(), nil, route.ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, ds
 }
 
 // TestSealDetectsMutation: an artifact whose Result is written after
@@ -117,8 +126,8 @@ func TestSealDetectsMutation(t *testing.T) {
 		"stats": func(res *route.Result) { res.Stats.Reconciled++ },
 	}
 	for name, mutate := range mutations {
-		res := testResult(t, g)
-		a := Seal(key, res, nil)
+		res, ds := testResult(t, g)
+		a := Seal(key, res, ds)
 		if got, err := a.Result(); err != nil || got != res {
 			t.Fatalf("%s: clean access failed: %v", name, err)
 		}
@@ -133,7 +142,7 @@ func TestSealDetectsMutation(t *testing.T) {
 // used artifacts and counting the evictions.
 func TestStoreLRU(t *testing.T) {
 	g := testGrid(t, 8, 8)
-	res := testResult(t, g)
+	res, ds := testResult(t, g)
 	s := NewStore(2)
 	keys := make([]Key, 3)
 	for i := range keys {
@@ -143,7 +152,7 @@ func TestStoreLRU(t *testing.T) {
 	}
 	put := func(k Key) {
 		_, _, err := s.Do(context.Background(), k, func(context.Context) (*Artifact, error) {
-			return Seal(k, res, nil), nil
+			return Seal(k, res, ds), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +182,7 @@ func TestStoreLRU(t *testing.T) {
 // totals come out schedule-invariant (1 miss, N−1 hits).
 func TestStoreSingleFlight(t *testing.T) {
 	g := testGrid(t, 8, 8)
-	res := testResult(t, g)
+	res, ds := testResult(t, g)
 	key := KeyFor(g, route.Config{}, route.ShardConfig{}, testNets())
 	s := NewStore(0)
 
@@ -187,7 +196,7 @@ func TestStoreSingleFlight(t *testing.T) {
 			defer wg.Done()
 			a, _, err := s.Do(context.Background(), key, func(context.Context) (*Artifact, error) {
 				computes.Add(1)
-				return Seal(key, res, nil), nil
+				return Seal(key, res, ds), nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -215,7 +224,7 @@ func TestStoreSingleFlight(t *testing.T) {
 // retries as the new leader rather than inheriting the failure.
 func TestStoreLeaderError(t *testing.T) {
 	g := testGrid(t, 8, 8)
-	res := testResult(t, g)
+	res, ds := testResult(t, g)
 	key := KeyFor(g, route.Config{}, route.ShardConfig{}, testNets())
 	s := NewStore(0)
 
@@ -229,7 +238,7 @@ func TestStoreLeaderError(t *testing.T) {
 		t.Fatal("failed computation was published")
 	}
 	a, cached, err := s.Do(context.Background(), key, func(context.Context) (*Artifact, error) {
-		return Seal(key, res, nil), nil
+		return Seal(key, res, ds), nil
 	})
 	if err != nil || cached || a == nil {
 		t.Fatalf("retry after failure: art=%v cached=%v err=%v", a, cached, err)
@@ -237,7 +246,7 @@ func TestStoreLeaderError(t *testing.T) {
 	// Sealing under the wrong key is caught at publish time.
 	wrong := KeyFor(g, route.Config{ShieldAware: true}, route.ShardConfig{}, testNets())
 	if _, _, err := s.Do(context.Background(), wrong, func(context.Context) (*Artifact, error) {
-		return Seal(key, res, nil), nil
+		return Seal(key, res, ds), nil
 	}); err == nil {
 		t.Fatal("key/seal mismatch accepted")
 	}

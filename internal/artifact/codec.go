@@ -9,8 +9,7 @@ package artifact
 //	..      16    problem key (2 × uint64 LE)
 //	..      16    sealed fingerprint (2 × uint64 LE)
 //	..      var   route.Result payload (route wire encoding)
-//	..      1     drain-present flag (0 or 1)
-//	..      var   route.DrainState payload, when present
+//	..      var   route.DrainState payload
 //	end-8   8     CRC-64/ECMA over every preceding byte (uint64 LE)
 //
 // Decode trusts nothing: magic, checksum, and version gate the parse (in
@@ -37,7 +36,7 @@ import (
 )
 
 // wireVersion is the on-disk format generation.
-const wireVersion = 3
+const wireVersion = 4
 
 // wireMagic opens every artifact file; a wrong magic fails fast with a
 // clearer error than a checksum mismatch.
@@ -46,9 +45,9 @@ var wireMagic = []byte("GSINOART")
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // wireMinLen is the smallest structurally possible envelope: magic,
-// one-byte version, key, fingerprint, drain flag, checksum (the minimum
-// Result payload is larger, but this bound is only a fast reject).
-const wireMinLen = len("GSINOART") + 1 + 16 + 16 + 1 + 8
+// one-byte version, key, fingerprint, checksum (the minimum payloads are
+// larger, but this bound is only a fast reject).
+const wireMinLen = len("GSINOART") + 1 + 16 + 16 + 8
 
 // Encode renders the artifact in the versioned wire format. It verifies
 // the seal first — a mutated artifact must never reach disk, where it
@@ -67,12 +66,7 @@ func Encode(a *Artifact) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, a.sum[0])
 	buf = binary.LittleEndian.AppendUint64(buf, a.sum[1])
 	buf = a.res.AppendWire(buf)
-	if a.drain != nil {
-		buf = append(buf, 1)
-		buf = a.drain.AppendWire(buf)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = a.drain.AppendWire(buf)
 	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable)), nil
 }
 
@@ -116,21 +110,9 @@ func Decode(data []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact %s: %w", key, err)
 	}
-	if len(rest) < 1 {
-		return nil, fmt.Errorf("artifact %s: missing drain flag", key)
-	}
-	flag := rest[0]
-	rest = rest[1:]
-	var drain *route.DrainState
-	switch flag {
-	case 0:
-	case 1:
-		drain, rest, err = route.DecodeDrainState(rest)
-		if err != nil {
-			return nil, fmt.Errorf("artifact %s: %w", key, err)
-		}
-	default:
-		return nil, fmt.Errorf("artifact %s: drain flag %d", key, flag)
+	drain, rest, err := route.DecodeDrainState(rest)
+	if err != nil {
+		return nil, fmt.Errorf("artifact %s: %w", key, err)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("artifact %s: %d trailing bytes", key, len(rest))

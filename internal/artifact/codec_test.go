@@ -56,26 +56,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	if _, err := b.Result(); err != nil {
 		t.Fatalf("decoded artifact failed seal verification: %v", err)
 	}
-	if b.Drain() == nil {
-		t.Fatal("drain state lost in round trip")
-	}
-
-	// A drainless artifact round-trips too (ECO-less producers).
-	res, err := a.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, err := Encode(Seal(a.Key(), res, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Decode(data2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Drain() != nil {
-		t.Fatal("nil drain became non-nil")
-	}
 }
 
 // TestCodecRejectsCorruption: every truncation and every bit flip of a
@@ -139,8 +119,8 @@ func TestCodecRefusesMutatedEncode(t *testing.T) {
 }
 
 // TestDecodeAllocatesLinearly: Decode allocates at most 64 bytes per
-// input byte plus 1 MiB, for the fixture encodings, about 512
-// truncations of each, and envelopes with a valid checksum around
+// input byte plus 1 MiB, for the fixture encoding, about 512
+// truncations of it, and envelopes with a valid checksum around
 // payloads that claim one tree, or one drain-state net, per remaining
 // byte. Not parallel: TotalAlloc is process-wide.
 func TestDecodeAllocatesLinearly(t *testing.T) {
@@ -149,15 +129,13 @@ func TestDecodeAllocatesLinearly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, err := Encode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var inputs [][]byte
-	for _, art := range []*Artifact{a, Seal(a.Key(), res, nil)} {
-		data, err := Encode(art)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := len(data); i >= 0; i -= len(data)/512 + 1 {
-			inputs = append(inputs, data[:i])
-		}
+	for i := len(data); i >= 0; i -= len(data)/512 + 1 {
+		inputs = append(inputs, data[:i])
 	}
 	envelope := func(payload []byte) []byte {
 		buf := binary.AppendUvarint(append([]byte(nil), wireMagic...), wireVersion)
@@ -179,7 +157,7 @@ func TestDecodeAllocatesLinearly(t *testing.T) {
 	header = header[:len(header)-2]
 	crafted := [][]byte{
 		envelope(claim(nil)),
-		envelope(claim(append(res.AppendWire(nil), append([]byte{1}, header...)...))),
+		envelope(claim(append(res.AppendWire(nil), header...))),
 	}
 	for _, data := range crafted {
 		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "count") {
@@ -198,15 +176,20 @@ func TestDecodeAllocatesLinearly(t *testing.T) {
 }
 
 // FuzzDecode: Decode never panics, and whatever it accepts re-encodes to
-// exactly the input bytes. Seeds are the fixture's encodings with and
-// without a drain state.
+// exactly the input bytes. Seeds are the encodings of the fixture and of
+// an empty netlist's route.
 func FuzzDecode(f *testing.F) {
-	a := sealedFixture(f)
-	res, err := a.Result()
+	g := testGrid(f, 8, 8)
+	r, err := route.NewRouter(g, route.Config{}, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, art := range []*Artifact{a, Seal(a.Key(), res, nil)} {
+	res, ds, err := r.RunShardedState(context.Background(), nil, route.ShardConfig{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty := Seal(KeyFor(g, route.Config{}, route.ShardConfig{}, nil), res, ds)
+	for _, art := range []*Artifact{sealedFixture(f), empty} {
 		data, err := Encode(art)
 		if err != nil {
 			f.Fatal(err)

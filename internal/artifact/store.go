@@ -70,10 +70,10 @@ type flight struct {
 	err  error
 }
 
-// NewStore returns a store bounded to capacity artifacts (0 selects the
-// default, negative is unbounded).
+// NewStore returns a store bounded to capacity artifacts; a capacity
+// below 1 selects the default.
 func NewStore(capacity int) *Store {
-	if capacity == 0 {
+	if capacity < 1 {
 		capacity = defaultCapacity
 	}
 	return &Store{
@@ -185,7 +185,7 @@ func (s *Store) insertLocked(key Key, art *Artifact) {
 		return
 	}
 	s.entries[key] = s.lru.PushFront(&entry{key: key, art: art})
-	for s.capacity > 0 && s.lru.Len() > s.capacity {
+	for s.lru.Len() > s.capacity {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
 		delete(s.entries, oldest.Value.(*entry).key)

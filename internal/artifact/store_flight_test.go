@@ -25,7 +25,7 @@ import (
 // resident.
 func TestStoreEvictionSingleFlightInterleaving(t *testing.T) {
 	g := testGrid(t, 8, 8)
-	res := testResult(t, g)
+	res, ds := testResult(t, g)
 	keys := [2]Key{}
 	for i := range keys {
 		nets := testNets()
@@ -46,7 +46,7 @@ func TestStoreEvictionSingleFlightInterleaving(t *testing.T) {
 				key := keys[ki]
 				a, _, err := s.Do(context.Background(), key, func(context.Context) (*Artifact, error) {
 					computes[ki].Add(1)
-					return Seal(key, res, nil), nil
+					return Seal(key, res, ds), nil
 				})
 				if err != nil {
 					t.Error(err)
@@ -101,7 +101,7 @@ func TestStoreEvictionSingleFlightInterleaving(t *testing.T) {
 // later caller can become a leader again.
 func TestStoreLeaderFailureWaiterRace(t *testing.T) {
 	g := testGrid(t, 8, 8)
-	res := testResult(t, g)
+	res, ds := testResult(t, g)
 	key := KeyFor(g, route.Config{}, route.ShardConfig{}, testNets())
 	s := NewStore(0)
 
@@ -119,7 +119,7 @@ func TestStoreLeaderFailureWaiterRace(t *testing.T) {
 				if calls.Add(1) <= failures {
 					return nil, boom
 				}
-				return Seal(key, res, nil), nil
+				return Seal(key, res, ds), nil
 			})
 			if err != nil {
 				if !errors.Is(err, boom) {

@@ -26,13 +26,8 @@ type Budgeter struct {
 	Table *keff.Table
 
 	// VThreshold is the uniform sink constraint; the paper uses 0.15 V
-	// (≈15% of Vdd). Per-sink overrides are supported via NetThreshold.
+	// (≈15% of Vdd).
 	VThreshold float64
-
-	// NetThreshold optionally overrides the constraint per net (non-uniform
-	// constraints, which the paper's implementation "can handle"). Nil means
-	// uniform.
-	NetThreshold func(net int) float64
 
 	// KFloor clamps bounds from below: no layout can push K_i under the
 	// dense-shielding floor, so demanding less is unsatisfiable. Zero
@@ -69,16 +64,10 @@ func (b *Budgeter) kCeil() float64 {
 	return 4
 }
 
-// LSKBudget returns the LSK value whose predicted noise equals net i's
-// threshold.
-func (b *Budgeter) LSKBudget(net int) float64 {
-	v := b.VThreshold
-	if b.NetThreshold != nil {
-		if o := b.NetThreshold(net); o > 0 {
-			v = o
-		}
-	}
-	return b.Table.LSKFor(v)
+// LSKBudget returns the LSK value whose predicted noise equals the
+// threshold — every net's budget, since the sink constraint is uniform.
+func (b *Budgeter) LSKBudget() float64 {
+	return b.Table.LSKFor(b.VThreshold)
 }
 
 // Clamp bounds a K value into the achievable [floor, ceiling] band. Exposed
@@ -104,15 +93,15 @@ func (b *Budgeter) UniformNet(n *netlist.Net) float64 {
 		// All pins in one region neighborhood: essentially unconstrained.
 		return b.kCeil()
 	}
-	return b.Clamp(b.LSKBudget(n.ID) / float64(le))
+	return b.Clamp(b.LSKBudget() / float64(le))
 }
 
 // ForLength returns the bound for a net segment when the relevant path
 // length is already known (tree-aware budgeting and Phase III
 // re-budgeting).
-func (b *Budgeter) ForLength(net int, lengthUM geom.Micron) float64 {
+func (b *Budgeter) ForLength(lengthUM geom.Micron) float64 {
 	if lengthUM <= 0 {
 		return b.kCeil()
 	}
-	return b.Clamp(b.LSKBudget(net) / float64(lengthUM))
+	return b.Clamp(b.LSKBudget() / float64(lengthUM))
 }

@@ -37,7 +37,7 @@ func TestValidate(t *testing.T) {
 func TestLSKBudgetMatchesTable(t *testing.T) {
 	b := testBudgeter()
 	want := keff.DefaultTable().LSKFor(0.15)
-	if got := b.LSKBudget(0); math.Abs(got-want) > 1e-9 {
+	if got := b.LSKBudget(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("LSKBudget = %g, want %g", got, want)
 	}
 }
@@ -50,7 +50,7 @@ func TestUniformNetScalesInverselyWithDistance(t *testing.T) {
 		t.Errorf("longer net got looser bound: %g vs %g", long, short)
 	}
 	// Exact relation where no clamp applies: Kth = LSKb / Le.
-	lskb := b.LSKBudget(0)
+	lskb := b.LSKBudget()
 	if want := lskb / 2000; math.Abs(long-want) > 1e-9 && long != b.kCeil() && long != b.kFloor() {
 		t.Errorf("Kth(2000um) = %g, want %g", long, want)
 	}
@@ -74,29 +74,12 @@ func TestBoundsClamped(t *testing.T) {
 
 func TestForLength(t *testing.T) {
 	b := testBudgeter()
-	lskb := b.LSKBudget(0)
-	if got := b.ForLength(0, geom.Micron(lskb)); math.Abs(got-1) > 1e-9 {
+	lskb := b.LSKBudget()
+	if got := b.ForLength(geom.Micron(lskb)); math.Abs(got-1) > 1e-9 {
 		t.Errorf("ForLength(budget um) = %g, want 1", got)
 	}
-	if got := b.ForLength(0, 0); got != b.kCeil() {
+	if got := b.ForLength(0); got != b.kCeil() {
 		t.Errorf("ForLength(0) = %g, want ceiling", got)
-	}
-}
-
-func TestNonUniformThresholds(t *testing.T) {
-	// Paper §3.1: "our algorithm ... can handle non-uniform crosstalk
-	// constraints". Nets with a looser voltage threshold get looser bounds.
-	b := testBudgeter()
-	b.NetThreshold = func(net int) float64 {
-		if net == 1 {
-			return 0.19
-		}
-		return 0 // default
-	}
-	strict := b.ForLength(0, 3000)
-	loose := b.ForLength(1, 3000)
-	if loose <= strict {
-		t.Errorf("0.19V net bound %g not looser than 0.15V bound %g", loose, strict)
 	}
 }
 

@@ -34,10 +34,11 @@ func TestCongestionRedistributionPreservesTotals(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := smallDesign(t, tc.nNets, 0.5, tc.seed)
-			r, err := NewRunner(d, Params{KFloor: tc.kFloor, CongestionBudgeting: true})
+			r, err := NewRunner(d, Params{CongestionBudgeting: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			r.budgeter.KFloor = tc.kFloor
 			res, err := r.routeAll(context.Background(), true)
 			if err != nil {
 				t.Fatal(err)

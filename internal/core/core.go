@@ -49,20 +49,16 @@ const (
 	FlowGSINO Flow = "GSINO"
 )
 
-// Params carries the technology and algorithm knobs shared by all flows.
-// The zero value selects the paper's defaults everywhere.
+// Params carries the algorithm knobs shared by all flows. The zero value
+// selects the paper's defaults everywhere. Every flow runs the default
+// technology (tech.Default).
 type Params struct {
-	Tech *tech.Technology // nil → tech.Default()
-
 	// VThreshold is the sink crosstalk constraint; 0 → 0.15 V (paper §4).
 	VThreshold float64
 
-	// Alpha, Beta, Gamma are the ID weight constants; zeros → 2, 1, 50.
+	// Alpha, Beta, Gamma are the ID weight constants; zeros → 2, 1, 50
+	// (route.Config resolves them).
 	Alpha, Beta, Gamma float64
-
-	// KFloor is the tightest per-segment bound budgeting may issue;
-	// 0 → 0.05.
-	KFloor float64
 
 	// CongestionBudgeting enables the §5 future-work budgeting policy in
 	// GSINO: after uniform Phase I partitioning, each net's budget is
@@ -76,13 +72,11 @@ type Params struct {
 	Workers int
 
 	// Cache optionally injects a shared pair-coupling cache into the
-	// runner's engine; nil builds a private one sized for the model. Cache
-	// entries are pure functions of relative track geometry under one model
-	// configuration, so a cache may be shared by every runner of one
-	// technology — the batch scheduler (internal/sched) does exactly that,
-	// letting later cells start warm — and sharing never changes a result
-	// byte. The cache must have been sized for the model this runner derives
-	// from Tech (keff.NewPairCacheFor); see DESIGN.md §8.
+	// runner's engine; nil builds a private one. Cache entries are pure
+	// functions of relative track geometry under the default technology,
+	// so a cache may be shared by every runner — the batch scheduler
+	// (internal/sched) does exactly that, letting later cells start warm —
+	// and sharing never changes a result byte; see DESIGN.md §8.
 	Cache *keff.PairCache
 
 	// Artifacts optionally injects a shared routing-artifact store: Phase I
@@ -112,22 +106,6 @@ type Params struct {
 	// a cell's spans nest under its cell span); zero allocates a lane
 	// named after the design.
 	TraceLane obs.Lane
-}
-
-func (p Params) withDefaults() Params {
-	if p.Tech == nil {
-		p.Tech = tech.Default()
-	}
-	if p.VThreshold == 0 {
-		p.VThreshold = 0.15
-	}
-	if p.Alpha == 0 && p.Beta == 0 && p.Gamma == 0 {
-		p.Alpha, p.Beta, p.Gamma = 2, 1, 50
-	}
-	if p.KFloor == 0 {
-		p.KFloor = 0.05
-	}
-	return p
 }
 
 // Design is the routing problem: a placed netlist on a region grid.
@@ -195,7 +173,7 @@ type Outcome struct {
 
 	// Cache introspects the pair-coupling cache at flow end: table
 	// occupancy and the evaluations it bypassed. Under the batch scheduler
-	// the cache is shared per technology, so both reflect all cells so far
+	// the cache is shared by the batch, so both reflect all cells so far
 	// and are schedule-dependent — reporting only, never part of the
 	// determinism fingerprint.
 	Cache keff.CacheInfo
@@ -331,15 +309,14 @@ func NewRunner(d *Design, p Params) (*Runner, error) {
 	if err := d.Nets.Validate(); err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
-	if err := p.Tech.Validate(); err != nil {
-		return nil, err
+	if p.VThreshold == 0 {
+		p.VThreshold = 0.15
 	}
-	b := &budget.Budgeter{Table: keff.DefaultTable(), VThreshold: p.VThreshold, KFloor: p.KFloor}
+	b := &budget.Budgeter{Table: keff.DefaultTable(), VThreshold: p.VThreshold}
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	model := keff.NewModel(p.Tech)
+	model := keff.NewModel(tech.Default())
 	lane := p.TraceLane
 	if lane == 0 && p.Trace.Enabled() {
 		lane = p.Trace.Lane("flow " + d.Name)

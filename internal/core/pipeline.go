@@ -113,7 +113,7 @@ func (r *Runner) routeAll(ctx context.Context, shieldAware bool) (*route.Result,
 	art, _, err := store.Do(ctx, key, func(ctx context.Context) (*artifact.Artifact, error) {
 		if r.eco != nil {
 			baseKey := artifact.KeyFor(r.design.Grid, cfg, scfg, r.eco.baseNets)
-			if base := store.Peek(baseKey); base != nil && base.Drain() != nil {
+			if base := store.Peek(baseKey); base != nil {
 				res, ds, es, err := route.RunShardedResume(ctx, r.design.Grid, cfg, nets, r.eng, scfg, base.Drain())
 				if err != nil {
 					return nil, err
@@ -255,14 +255,14 @@ func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 	for i := range nets {
 		tree := &res.Trees[i]
 		st.wl[i] = tree.WirelengthUM(g)
-		st.lskb[i] = r.budgeter.LSKBudget(i)
+		st.lskb[i] = r.budgeter.LSKBudget()
 
 		var kth float64
 		switch mode {
 		case budgetManhattan:
 			kth = r.budgeter.UniformNet(&nets[i])
 		case budgetTreeLength:
-			kth = r.budgeter.ForLength(i, st.wl[i])
+			kth = r.budgeter.ForLength(st.wl[i])
 		}
 
 		// Per-region incidence counts: half of each incident edge's length
@@ -286,7 +286,7 @@ func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 			}
 			st.wl[i] = span
 			p := g.RegionOf(nets[i].Pins[0].Loc)
-			st.addSeg(st.inst(instKey{g.Index(p), true}), i, span, r.budgeter.ForLength(i, span))
+			st.addSeg(st.inst(instKey{g.Index(p), true}), i, span, r.budgeter.ForLength(span))
 			continue
 		}
 		// Iterate incidence maps in sorted region order: segment order within

@@ -85,10 +85,7 @@ const refineShrink = 0.7
 // instance sets repair concurrently without observing each other; touched
 // is task-private until the barrier.
 func (st *chipState) repairNet(ctx context.Context, net int, w *engine.Worker) (fixed bool, resolves int, touched []*regionInst, err error) {
-	kFloor := st.r.budgeter.KFloor
-	if kFloor <= 0 {
-		kFloor = 0.05
-	}
+	kFloor := st.r.budgeter.Clamp(0)
 
 	tried := make(map[*regionInst]int)
 	seen := make(map[*regionInst]bool)

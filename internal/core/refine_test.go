@@ -381,8 +381,8 @@ func TestRefineUnfixableAccounting(t *testing.T) {
 	// Outcome.Unfixable must equal the nets still violating in the final
 	// report: pass 1 computes it as len(violating()) at its end, and pass 2
 	// can never change the violating set (acceptance requires zero
-	// violations). KFloor 0.2 under a 0.06 V threshold makes some budgets
-	// unreachable, so the unfixable path genuinely executes.
+	// violations). A 0.05 V threshold makes some budgets unreachable at the
+	// default floor, so the unfixable path genuinely executes.
 	profile, err := ibm.ProfileByName("ibm01")
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +394,7 @@ func TestRefineUnfixableAccounting(t *testing.T) {
 	d := &Design{Name: "ibm01", Nets: ckt.Nets, Grid: ckt.Grid, Rate: 0.5}
 	for name, p := range map[string]Params{
 		"repairable": {},
-		"unfixable":  {VThreshold: 0.06, KFloor: 0.2},
+		"unfixable":  {VThreshold: 0.05},
 	} {
 		r, err := NewRunner(d, p)
 		if err != nil {

@@ -99,10 +99,9 @@ type Config struct {
 	Model *keff.Model
 
 	// Cache is the shared pair-coupling cache, used only with Model. Nil
-	// allocates a fresh one sized for Model. A cache is only valid for one
-	// model configuration; reuse across engines (and across
-	// batch-scheduler cells of one technology) is allowed when their
-	// models match.
+	// allocates a fresh one. A cache is only valid for one technology;
+	// reuse across engines (and across batch-scheduler cells) is allowed
+	// when their models share it.
 	Cache *keff.PairCache
 
 	// Trace, when enabled, records batch-, wave-, and job-level spans: one

@@ -275,79 +275,6 @@ func TestStatsHitRate(t *testing.T) {
 	}
 }
 
-// makeJobsFor is makeJobs with a caller-supplied model: wide unshielded
-// instances whose mid-track return distances reach the model's background
-// return, stressing the cache table's bounds.
-func makeJobsFor(n int, model *keff.Model) []Job {
-	sens := netlist.NewHashSensitivity(7, 0.6)
-	jobs := make([]Job, n)
-	for i := range jobs {
-		// At most 28 tracks: every pair separation stays within the
-		// model-sized table's separation bound for bg=14 (27).
-		size := 20 + (i*5)%8
-		segs := make([]sino.Seg, size)
-		for s := range segs {
-			// Loose bounds keep the solver from inserting shields, so
-			// lookups exercise return distances all the way out to the
-			// background cap.
-			segs[s] = sino.Seg{Net: (i*31 + s) % 200, Kth: 4, Rate: 0.6}
-		}
-		jobs[i] = Job{
-			Inst: &sino.Instance{Segs: segs, Sensitive: sens.Sensitive, Model: model},
-			Mode: ModeSolve,
-		}
-	}
-	return jobs
-}
-
-// TestCacheSizedFromConfigModel checks that the engine sizes its cache from
-// Config.Model. With a non-default background return (here 14 > the
-// default sizing's 12), a default-sized table would bypass every geometry
-// whose return distance exceeds 12; a model-sized one serves all of them.
-func TestCacheSizedFromConfigModel(t *testing.T) {
-	model := keff.NewModel(tech.Default())
-	model.BackgroundReturn = 14 // non-default, still within table sizing caps
-
-	e := New(Config{Workers: 2, Model: model})
-	res, err := e.Run(context.Background(), makeJobsFor(6, model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := FirstError(res); err != nil {
-		t.Fatal(err)
-	}
-	got, want := e.Cache().Info(), keff.NewPairCacheFor(model).Info()
-	if got.SepBound != want.SepBound || got.RetBound != want.RetBound {
-		t.Errorf("cache bounds = (%d, %d), want model-sized (%d, %d)", got.SepBound, got.RetBound, want.SepBound, want.RetBound)
-	}
-	if got.Dense == 0 {
-		t.Error("no geometries cached after solving wide instances")
-	}
-	if got.Overflow != 0 {
-		t.Errorf("%d evaluations bypassed the table; a model-sized cache should serve all of them", got.Overflow)
-	}
-	if st := e.Stats(); st.CacheHits == 0 {
-		t.Errorf("no cache hits recorded: %+v", st)
-	}
-
-	// An injected default-sized cache serves the same workload with
-	// identical solutions, computing the far-return geometries directly —
-	// this also guards the test's own power.
-	undersized := keff.NewPairCacheFor(keff.NewModel(tech.Default()))
-	res2, err := New(Config{Workers: 2, Model: model, Cache: undersized}).Run(context.Background(), makeJobsFor(6, model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if !solutionsEqual(res[i], res2[i]) {
-			t.Errorf("job %d: undersized cache changed the solution", i)
-		}
-	}
-	if undersized.Info().Overflow == 0 {
-		t.Error("default-sized cache bypassed nothing on bg=14 geometry; workload no longer exercises the bypass")
-	}
-}
-
 func TestCacheIsolationBetweenEngines(t *testing.T) {
 	jobs := makeJobs(8, ModeSolve)
 	model := jobs[0].Inst.Model

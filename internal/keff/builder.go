@@ -29,11 +29,11 @@ type BuildConfig struct {
 
 	// Entries is the table size; 0 selects 100, the size used in the paper.
 	Entries int
-
-	// VLo, VHi bound the table's voltage column; zero values select the
-	// paper's 0.10–0.20 V (10–20% of Vdd = 1.05 V).
-	VLo, VHi float64
 }
+
+// The table's voltage column spans the paper's 0.10–0.20 V (10–20% of
+// Vdd = 1.05 V).
+const vLo, vHi = 0.10, 0.20
 
 func (c *BuildConfig) defaults() {
 	if len(c.Lengths) == 0 {
@@ -57,12 +57,6 @@ func (c *BuildConfig) defaults() {
 	}
 	if c.Entries <= 0 {
 		c.Entries = 100
-	}
-	if c.VLo <= 0 {
-		c.VLo = 0.10
-	}
-	if c.VHi <= c.VLo {
-		c.VHi = 0.20
 	}
 }
 
@@ -138,12 +132,7 @@ func CollectSamples(cfg BuildConfig) ([]Sample, error) {
 		sens := patternSensitivity(p)
 		k := model.TotalCoupling(layout, trackIndexInLayout(layout, victim), sens)
 		for _, length := range cfg.Lengths {
-			bus := &rlc.Bus{
-				Tech:        cfg.Tech,
-				Wires:       wires,
-				Length:      length,
-				WallShields: true,
-			}
+			bus := &rlc.Bus{Tech: cfg.Tech, Wires: wires, Length: length}
 			res, err := bus.Simulate(victim)
 			if err != nil {
 				return nil, fmt.Errorf("keff: pattern %q length %g: %w", p, length, err)
@@ -221,7 +210,7 @@ func ranks(samples []Sample, key func(Sample) float64) []float64 {
 }
 
 // BuildTable collects samples, fits the linear noise(LSK) relationship, and
-// emits an Entries-row table spanning [VLo, VHi].
+// emits an Entries-row table spanning [vLo, vHi].
 func BuildTable(cfg BuildConfig) (*Table, error) {
 	cfg.defaults()
 	samples, err := CollectSamples(cfg)
@@ -235,13 +224,13 @@ func BuildTable(cfg BuildConfig) (*Table, error) {
 	lsk := make([]float64, cfg.Entries)
 	v := make([]float64, cfg.Entries)
 	for i := 0; i < cfg.Entries; i++ {
-		vi := cfg.VLo + (cfg.VHi-cfg.VLo)*float64(i)/float64(cfg.Entries-1)
+		vi := vLo + (vHi-vLo)*float64(i)/float64(cfg.Entries-1)
 		v[i] = vi
 		lsk[i] = (vi - intercept) / slope
 	}
 	if lsk[0] <= 0 {
-		return nil, fmt.Errorf("keff: fitted table starts at non-positive LSK %g (intercept %g exceeds VLo %g)",
-			lsk[0], intercept, cfg.VLo)
+		return nil, fmt.Errorf("keff: fitted table starts at non-positive LSK %g (intercept %g exceeds %g V)",
+			lsk[0], intercept, vLo)
 	}
 	return NewTable(lsk, v)
 }

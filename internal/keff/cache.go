@@ -5,14 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Table sizing caps. The background-return model bounds every return
-// distance by bg pitches and every summed separation by the pair cutoff, so
-// for default configurations the whole geometry space fits a flat array.
-const (
-	maxDenseSep    = 64      // largest separation D the table covers
-	maxDenseReturn = 16      // largest return distance the table covers
-	maxDenseSlots  = 2 << 20 // hard cap on slots (16 MiB)
-)
+// The table covers every geometry a layout's shield table can produce:
+// separations up to the pair cutoff and return distances up to the
+// background return, in both orientations (2 · 48 · 12⁴ slots, 15 MiB).
+const denseSlots = 2 * pairCutoff * backgroundReturn * backgroundReturn * backgroundReturn * backgroundReturn
 
 // PairCache is a concurrency-safe, read-mostly memo of pair-coupling
 // evaluations. Region instances across a full chip share a small set of
@@ -24,19 +20,15 @@ const (
 // D = tj − ti and each wire's distance to its left/right return conductors —
 // so the cache is one flat table of atomic slots indexed by those five
 // distances: a hit costs an index computation and one atomic load, far
-// below the coupling formula itself. A geometry outside the table's bounds
-// (a cache sized for a smaller background return, or a partner beyond the
-// pair cutoff) is computed directly and only counted. Slots store the exact
-// computed float64, so cached results are bit-identical to direct ones; a
-// racy double-compute stores the same bits.
+// below the coupling formula itself. A partner beyond the pair cutoff lies
+// outside the table and is computed directly and only counted. Slots store
+// the exact computed float64, so cached results are bit-identical to
+// direct ones; a racy double-compute stores the same bits.
 //
-// Cached values are a pure function of the relative geometry AND the model
-// configuration (Technology, BackgroundReturn): a PairCache must not be
-// shared between models with different configurations.
+// Cached values are a pure function of the relative geometry AND the
+// model's Technology: a PairCache must not be shared between models over
+// different technologies.
 type PairCache struct {
-	dMax int // bound on |D| (separations 1..dMax)
-	sMax int // bound on each return distance (1..sMax)
-
 	// dense[slot] is 0 when empty, else Float64bits(k) with the sign bit
 	// forced on as the presence flag (couplings are never negative).
 	dense []atomic.Uint64
@@ -47,40 +39,31 @@ type PairCache struct {
 	overflow atomic.Uint64 // evaluations outside the table
 }
 
-// NewPairCacheFor returns an empty cache sized to cover m's geometry: every
-// evaluation within m's pair cutoff lands in the table when the model's
-// background return is bounded.
+// NewPairCacheFor returns an empty cache covering m's geometry: every
+// evaluation within the pair cutoff lands in the table.
 func NewPairCacheFor(m *Model) *PairCache {
-	// Every model has bg >= 1 and a cutoff of at least 4, and the shrink
-	// below leaves at least 16 separations, so the table is never empty.
-	s := min(m.backgroundReturn(), maxDenseReturn)
-	d := min(m.PairCutoff(), maxDenseSep)
-	if s4 := s * s * s * s; d > maxDenseSlots/(2*s4) {
-		d = maxDenseSlots / (2 * s4) // shrink the separation range before memory
-	}
 	// Two halves: positive and negative separations. Orientations cache
 	// separately (the formula is not bit-symmetric under operand swap), and
 	// negative-D lookups come from single-pair callers like the solver's
 	// sidePull.
-	return &PairCache{dMax: d, sMax: s, dense: make([]atomic.Uint64, 2*d*s*s*s*s)}
+	return &PairCache{dense: make([]atomic.Uint64, denseSlots)}
 }
 
-// slot maps a relative geometry to its table index, or -1 when out of
-// bounds.
+// slot maps a relative geometry to its table index, or -1 when the
+// separation lies beyond the pair cutoff. Return distances come from a
+// shield table, which bounds each to [1, backgroundReturn].
 func (c *PairCache) slot(d, il, ir, jl, jr int) int {
 	neg := d < 0
 	if neg {
 		d = -d
 	}
-	if d < 1 || d > c.dMax ||
-		il < 1 || il > c.sMax || ir < 1 || ir > c.sMax ||
-		jl < 1 || jl > c.sMax || jr < 1 || jr > c.sMax {
+	if d < 1 || d > pairCutoff {
 		return -1
 	}
-	s := c.sMax
-	slot := ((((jr-1)*s+(jl-1))*s+(ir-1))*s+(il-1))*c.dMax + (d - 1)
+	const s = backgroundReturn
+	slot := ((((jr-1)*s+(jl-1))*s+(ir-1))*s+(il-1))*pairCutoff + (d - 1)
 	if neg {
-		slot += len(c.dense) / 2
+		slot += denseSlots / 2
 	}
 	return slot
 }
@@ -153,8 +136,8 @@ func (c *PairCache) Info() CacheInfo {
 	return CacheInfo{
 		Dense:    int(c.entries.Load()),
 		Overflow: int(c.overflow.Load()),
-		SepBound: c.dMax,
-		RetBound: c.sMax,
+		SepBound: pairCutoff,
+		RetBound: backgroundReturn,
 	}
 }
 
@@ -163,11 +146,7 @@ func (c *PairCache) Info() CacheInfo {
 // concurrent use (mutualAt grows the memo lazily); concurrent solvers give
 // each worker its own clone and share a PairCache instead.
 func (m *Model) Clone() *Model {
-	return &Model{
-		Tech:             m.Tech,
-		BackgroundReturn: m.BackgroundReturn,
-		mu:               append([]float64(nil), m.mu...),
-	}
+	return &Model{Tech: m.Tech, mu: append([]float64(nil), m.mu...)}
 }
 
 // AllTotalsCached is AllTotals backed by a shared cache; a nil cache is

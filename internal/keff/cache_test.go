@@ -86,7 +86,7 @@ func TestPairCacheConcurrentUse(t *testing.T) {
 		want[li] = proto.AllTotals(l, allSensitive)
 		sh := proto.shieldTable(l.Tracks)
 		for i := range l.Tracks {
-			for j := i + 1; j < len(l.Tracks) && j-i <= proto.PairCutoff(); j++ {
+			for j := i + 1; j < len(l.Tracks) && j-i <= pairCutoff; j++ {
 				if l.Tracks[i].Kind == SignalTrack && l.Tracks[j].Kind == SignalTrack {
 					geoms[[5]int{j - i, i - sh[i][0], sh[i][1] - i, j - sh[j][0], sh[j][1] - j}] = true
 				}

@@ -60,17 +60,9 @@ func (cp *Coupler) Pair(ti, tj int, si, sj [2]int) float64 {
 // same position, so the result is bit-identical to AllTotalsCached(...)[ti]
 // — the property the incremental evaluator's windowed updates rest on.
 func (cp *Coupler) TrackTotal(tr []Track, shields [][2]int, ti int, sensitive func(a, b int) bool) float64 {
-	cutoff := cp.m.PairCutoff()
-	lo := ti - cutoff
-	if lo < 0 {
-		lo = 0
-	}
-	hi := ti + cutoff
-	if hi >= len(tr) || hi < 0 { // overflow guard for huge cutoffs
-		hi = len(tr) - 1
-	}
 	sum := 0.0
-	for q := lo; q <= hi; q++ {
+	hi := min(ti+pairCutoff, len(tr)-1)
+	for q := max(ti-pairCutoff, 0); q <= hi; q++ {
 		if q == ti || tr[q].Kind != SignalTrack || !sensitive(tr[ti].Net, tr[q].Net) {
 			continue
 		}
@@ -91,15 +83,11 @@ func (cp *Coupler) AllTotalsInto(tr []Track, shields [][2]int, sensitive func(a,
 	for i := range out {
 		out[i] = 0
 	}
-	cutoff := cp.m.PairCutoff()
 	for i := range tr {
 		if tr[i].Kind != SignalTrack {
 			continue
 		}
-		jMax := i + cutoff
-		if jMax >= len(tr) || jMax < 0 { // overflow guard for huge cutoffs
-			jMax = len(tr) - 1
-		}
+		jMax := min(i+pairCutoff, len(tr)-1)
 		for j := i + 1; j <= jMax; j++ {
 			if tr[j].Kind != SignalTrack {
 				continue
@@ -123,23 +111,16 @@ func (m *Model) ShieldTableInto(tr []Track, out [][2]int) [][2]int {
 		out = make([][2]int, n)
 	}
 	out = out[:n]
-	bg := m.backgroundReturn()
 	last := -1
 	for i := 0; i < n; i++ {
-		out[i][0] = last
-		if lo := i - bg; out[i][0] < lo {
-			out[i][0] = lo
-		}
+		out[i][0] = max(last, i-backgroundReturn)
 		if tr[i].Kind == ShieldTrack {
 			last = i
 		}
 	}
 	next := n
 	for i := n - 1; i >= 0; i-- {
-		out[i][1] = next
-		if hi := i + bg; out[i][1] > hi {
-			out[i][1] = hi
-		}
+		out[i][1] = min(next, i+backgroundReturn)
 		if tr[i].Kind == ShieldTrack {
 			next = i
 		}
@@ -151,7 +132,7 @@ func (m *Model) ShieldTableInto(tr []Track, out [][2]int) [][2]int {
 // total couplings can change when one track is inserted, removed, or
 // swapped at position at — the window an incremental evaluator must
 // recompute after an edit. A total at position p is a sum of pair
-// couplings with partners at most PairCutoff away (plus one, for pairs
+// couplings with partners at most the pair cutoff away (plus one, for pairs
 // entering or leaving the cutoff as the edit shifts separations), and a
 // summed pair changes only if
 //
@@ -160,7 +141,7 @@ func (m *Model) ShieldTableInto(tr []Track, out [][2]int) [][2]int {
 //  2. an endpoint's return path changed — a shield appearing, disappearing,
 //     or moving re-routes return currents only for wires whose
 //     shieldNeighbors search reaches the edit point, which the
-//     background-return cap bounds by bg pitches.
+//     background-return cap bounds by bg = 12 pitches.
 //
 // The farthest affected total is therefore a position p whose partner q
 // sits bg inside the edit (case 2) with p a full cutoff beyond q:
@@ -168,18 +149,6 @@ func (m *Model) ShieldTableInto(tr []Track, out [][2]int) [][2]int {
 // before and after the edit: every pair they sum has unchanged separation
 // and unchanged returns.
 func (m *Model) AffectedRange(l Layout, at int) (lo, hi int) {
-	n := len(l.Tracks)
-	cutoff := m.PairCutoff()
-	if cutoff >= 1<<29 { // cap disabled: every pair couples, whole layout
-		return 0, n - 1
-	}
-	span := cutoff + m.backgroundReturn() + 1
-	lo, hi = at-span, at+span
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n-1 {
-		hi = n - 1
-	}
-	return lo, hi
+	const span = pairCutoff + backgroundReturn + 1
+	return max(at-span, 0), min(at+span, len(l.Tracks)-1)
 }

@@ -50,14 +50,12 @@ func TestTrackTotalMatchesAllTotals(t *testing.T) {
 // couplerVsDirect evaluates every ordered signal pair of l through a
 // Coupler over cache and directly, twice, failing on any bit difference.
 // It returns the number of evaluations and how many of them fell outside
-// the table — the geometries whose separation or return distances exceed
-// cache's bounds.
+// the table — the geometries whose separation exceeds the pair cutoff.
 func couplerVsDirect(t *testing.T, m *Model, cache *PairCache, l Layout) (evals, outside int) {
 	t.Helper()
 	cached := NewCoupler(m, cache)
 	direct := NewCoupler(m.Clone(), nil)
-	info := cache.Info()
-	inRet := func(d int) bool { return d >= 1 && d <= info.RetBound }
+	sepBound := cache.Info().SepBound
 	shields := m.ShieldTableInto(l.Tracks, nil)
 	for pass := 0; pass < 2; pass++ {
 		for ti := range l.Tracks {
@@ -75,7 +73,7 @@ func couplerVsDirect(t *testing.T, m *Model, cache *PairCache, l Layout) (evals,
 				if d < 0 {
 					d = -d
 				}
-				if d > info.SepBound || !inRet(ti-si[0]) || !inRet(si[1]-ti) || !inRet(tj-sj[0]) || !inRet(sj[1]-tj) {
+				if d > sepBound {
 					outside++
 				}
 			}
@@ -104,24 +102,6 @@ func TestCouplerCacheBeyondCutoff(t *testing.T) {
 	// Bypassed evaluations are neither hits nor misses.
 	if h, miss := cache.Stats(); h == 0 || miss == 0 || h+miss != uint64(evals-outside) {
 		t.Errorf("hits %d + misses %d, want both nonzero and summing to the %d in-table evaluations", h, miss, evals-outside)
-	}
-}
-
-// TestPairCacheServesLargerBackgroundReturn serves a model whose
-// background return (14) exceeds the table's return bound (12): the
-// far-return geometries bypass the table with direct bits and are counted.
-func TestPairCacheServesLargerBackgroundReturn(t *testing.T) {
-	cache := NewPairCacheFor(NewModel(tech.Default()))
-	m := NewModel(tech.Default())
-	m.BackgroundReturn = 14
-	// Sparse shields leave returns out to the background cap of 14.
-	l := denseLayout(40, 33)
-	_, outside := couplerVsDirect(t, m, cache, l)
-	if outside == 0 {
-		t.Fatal("no evaluation exceeded the default table's bounds; the layout no longer exercises the bypass")
-	}
-	if got := cache.Info().Overflow; got != outside {
-		t.Errorf("Info().Overflow = %d, want %d bypassed evaluations", got, outside)
 	}
 }
 
@@ -172,14 +152,14 @@ func TestShieldTableIntoMatchesNeighbors(t *testing.T) {
 
 // TestAffectedRangeIsSound verifies the window claim: totals outside
 // AffectedRange are bit-identical across a single-track insertion or
-// removal at the edit point.
+// removal at the edit point. Layouts of 260 tracks or more are wider than
+// the ±61-track window at every edit point.
 func TestAffectedRangeIsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, bg := range []int{2, 4, 12} {
-		m := NewModel(tech.Default())
-		m.BackgroundReturn = bg
+	m := NewModel(tech.Default())
+	for _, minTracks := range []int{1, 260} {
 		for trial := 0; trial < 40; trial++ {
-			n := 1 + rng.Intn(120)
+			n := minTracks + rng.Intn(120)
 			l := randomLayout(n, 0.25, rng)
 			before := m.AllTotals(l, allPairsSensitive)
 
@@ -197,6 +177,9 @@ func TestAffectedRangeIsSound(t *testing.T) {
 			after := m.AllTotals(edited, allPairsSensitive)
 
 			lo, hi := m.AffectedRange(edited, at)
+			if minTracks >= 260 && lo == 0 && hi == n {
+				t.Fatalf("%d tracks: window [%d,%d] covers the whole layout", n+1, lo, hi)
+			}
 			for p := range edited.Tracks {
 				if p >= lo && p <= hi {
 					continue
@@ -206,8 +189,8 @@ func TestAffectedRangeIsSound(t *testing.T) {
 					old = p - 1
 				}
 				if after[p] != before[old] {
-					t.Fatalf("bg=%d trial=%d: position %d outside window [%d,%d] changed: %v -> %v",
-						bg, trial, p, lo, hi, before[old], after[p])
+					t.Fatalf("n=%d trial=%d: position %d outside window [%d,%d] changed: %v -> %v",
+						n, trial, p, lo, hi, before[old], after[p])
 				}
 			}
 		}

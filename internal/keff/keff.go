@@ -63,15 +63,6 @@ type Layout struct {
 type Model struct {
 	Tech *tech.Technology
 
-	// BackgroundReturn is the distance, in track pitches, of the implicit
-	// return path provided by the chip's power distribution (standard-cell
-	// power rails run under the global layers at roughly this pitch). When
-	// no explicit shield or region wall is nearer, return currents close
-	// through this background grid, which caps loop sizes — and with them
-	// the coupling between far-apart tracks. 0 selects 12 pitches;
-	// negative disables the cap (walls and shields only).
-	BackgroundReturn int
-
 	mu []float64 // mu[d] = partial mutual at d track pitches; mu[0] = Lself
 }
 
@@ -85,31 +76,19 @@ func NewModel(t *tech.Technology) *Model {
 // reference keeps the model a pure function of the layout.
 const refLength = 1e-3
 
-// backgroundReturn returns the effective background-return distance in
-// pitches, or a huge value when disabled.
-func (m *Model) backgroundReturn() int {
-	switch {
-	case m.BackgroundReturn > 0:
-		return m.BackgroundReturn
-	case m.BackgroundReturn < 0:
-		return 1 << 30
-	default:
-		return 12
-	}
-}
+// backgroundReturn is the distance, in track pitches, of the implicit
+// return path provided by the chip's power distribution (standard-cell
+// power rails run under the global layers at roughly this pitch). When no
+// explicit shield or region wall is nearer, return currents close through
+// this background grid, which caps loop sizes — and with them the coupling
+// between far-apart tracks.
+const backgroundReturn = 12
 
-// PairCutoff returns the track separation beyond which PairCoupling is
-// negligible under the background-return model: loops larger than the
-// background grid pitch cannot form, so tracks more than a few loop
-// diameters apart are effectively decoupled. AllTotals and TotalCoupling
-// skip pairs beyond the cutoff.
-func (m *Model) PairCutoff() int {
-	bg := m.backgroundReturn()
-	if bg >= 1<<29 {
-		return 1 << 30 // cap disabled: consider all pairs
-	}
-	return 4 * bg
-}
+// pairCutoff is the track separation beyond which PairCoupling is
+// negligible: loops larger than the background grid pitch cannot form, so
+// tracks more than a few loop diameters apart are effectively decoupled.
+// AllTotals and TotalCoupling skip pairs beyond the cutoff.
+const pairCutoff = 4 * backgroundReturn
 
 // mutualAt returns the partial mutual inductance between two parallel wires
 // d track pitches apart (d = 0 returns the self-inductance), memoized.
@@ -135,7 +114,6 @@ func (m *Model) mutualAt(d int) float64 {
 // at -1 and len(tracks), or the virtual background-return rail when nothing
 // nearer exists.
 func (m *Model) shieldNeighbors(tracks []Track, i int) (left, right int) {
-	bg := m.backgroundReturn()
 	left, right = -1, len(tracks)
 	for p := i - 1; p >= 0; p-- {
 		if tracks[p].Kind == ShieldTrack {
@@ -149,13 +127,7 @@ func (m *Model) shieldNeighbors(tracks []Track, i int) (left, right int) {
 			break
 		}
 	}
-	if i-left > bg {
-		left = i - bg
-	}
-	if right-i > bg {
-		right = i + bg
-	}
-	return left, right
+	return max(left, i-backgroundReturn), min(right, i+backgroundReturn)
 }
 
 // PairCoupling returns K_ij between the signal tracks at positions ti and tj
@@ -238,13 +210,12 @@ func (m *Model) TotalCoupling(l Layout, ti int, sensitive func(a, b int) bool) f
 	if tr[ti].Kind != SignalTrack {
 		panic("keff: TotalCoupling requires a signal track")
 	}
-	cutoff := m.PairCutoff()
 	sum := 0.0
 	for tj := range tr {
 		if tj == ti || tr[tj].Kind != SignalTrack {
 			continue
 		}
-		if d := tj - ti; d > cutoff || -d > cutoff {
+		if d := tj - ti; d > pairCutoff || -d > pairCutoff {
 			continue
 		}
 		if !sensitive(tr[ti].Net, tr[tj].Net) {

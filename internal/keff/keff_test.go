@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/rlc"
 	"repro/internal/tech"
 )
 
@@ -207,20 +206,18 @@ func TestPanicsOnMisuse(t *testing.T) {
 
 func TestBackgroundReturnCapsCoupling(t *testing.T) {
 	// In a wide unshielded stack, a pair near the middle couples through
-	// the background power grid, not the distant walls: disabling the
-	// background return must increase (or keep) the coupling, and the
-	// coupling of far-apart pairs must collapse when it is on.
+	// the background power grid, not the distant walls: returning through
+	// the walls must give at least the capped coupling, and the coupling
+	// of far-apart pairs must collapse under the cap.
 	wide := layoutOf(strings.Repeat("N", 60))
-	capped := model() // default: 12-pitch background return
-	uncapped := NewModel(tech.Default())
-	uncapped.BackgroundReturn = -1
-
-	kCap := capped.PairCoupling(wide, 29, 31)
-	kFree := uncapped.PairCoupling(wide, 29, 31)
+	m := model()
+	walls := [2]int{-1, len(wide.Tracks)}
+	kCap := m.PairCoupling(wide, 29, 31)
+	kFree := m.pairCouplingAt(29, 31, walls, walls)
 	if kCap > kFree*1.01 {
 		t.Errorf("background return increased near-pair coupling: %g > %g", kCap, kFree)
 	}
-	farCap := capped.PairCoupling(wide, 5, 55)
+	farCap := m.PairCoupling(wide, 5, 55)
 	if farCap > 0.05 {
 		t.Errorf("far pair coupling %g with background return, want near zero", farCap)
 	}
@@ -237,18 +234,17 @@ func TestBackgroundReturnSaturatesTotals(t *testing.T) {
 	}
 }
 
+// TestPairCutoff: TotalCoupling sums partners up to 48 tracks away (four
+// background-return pitches) and no farther.
 func TestPairCutoff(t *testing.T) {
 	m := model()
-	if m.PairCutoff() != 48 {
-		t.Errorf("default cutoff = %d, want 48 (4x background)", m.PairCutoff())
+	l := layoutOf(strings.Repeat("N", 50))
+	only := func(j int) func(a, b int) bool { return func(a, b int) bool { return a == j || b == j } }
+	if k := m.TotalCoupling(l, 0, only(48)); k == 0 {
+		t.Error("partner 48 tracks away did not couple")
 	}
-	m.BackgroundReturn = -1
-	if m.PairCutoff() < 1<<29 {
-		t.Errorf("disabled background should disable the cutoff, got %d", m.PairCutoff())
-	}
-	m.BackgroundReturn = 6
-	if m.PairCutoff() != 24 {
-		t.Errorf("cutoff = %d, want 24", m.PairCutoff())
+	if k := m.TotalCoupling(l, 0, only(49)); k != 0 {
+		t.Errorf("partner 49 tracks away coupled %g, want 0 beyond the cutoff", k)
 	}
 }
 
@@ -268,40 +264,5 @@ func TestMutualMemoConsistency(t *testing.T) {
 	}
 	if m.mutualAt(0) != tc.LSelf(1e-3) {
 		t.Error("mutualAt(0) != LSelf")
-	}
-}
-
-// TestNonUniformDriversShiftNoise: a victim held by a weaker driver
-// suffers more noise at the same layout and length — why the paper notes
-// the LSK→voltage table must be rebuilt for each driver/receiver
-// combination (§2.2, future work).
-func TestNonUniformDriversShiftNoise(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs transient simulations")
-	}
-	base := tech.Default()
-	mkBus := func(driverRes float64) *rlc.Bus {
-		return &rlc.Bus{
-			Tech: base,
-			Wires: []rlc.Wire{
-				{Kind: rlc.Signal, Switching: true},
-				{Kind: rlc.Signal, DriverRes: driverRes},
-				{Kind: rlc.Signal, Switching: true},
-			},
-			Length:      2e-3,
-			WallShields: true,
-		}
-	}
-	strong, err := mkBus(15).Simulate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weak, err := mkBus(120).Simulate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if weak.PeakNoise <= strong.PeakNoise {
-		t.Errorf("weak-driver victim noise %g not above strong-driver %g",
-			weak.PeakNoise, strong.PeakNoise)
 	}
 }

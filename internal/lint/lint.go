@@ -38,19 +38,20 @@ var Analyzers = []*analysis.Analyzer{
 	floatorder.Analyzer,
 }
 
-// resultPathPkgs are the packages whose output feeds report bytes, CSV,
-// wire payloads, or fingerprints — the determinism contract's blast
-// radius. The order-sensitivity rules run only here; elsewhere
-// (obs, benches, cmd UIs) wall-clock values and map iteration are
-// legitimate.
-var resultPathPkgs = map[string]bool{
-	"repro/internal/core":     true,
-	"repro/internal/route":    true,
-	"repro/internal/sino":     true,
-	"repro/internal/sched":    true,
-	"repro/internal/artifact": true,
-	"repro/internal/report":   true,
-	"repro/internal/engine":   true,
+// onResultPath reports whether a package's output can feed report bytes,
+// CSV, wire payloads, the LSK table, or fingerprints and artifact keys —
+// the determinism contract's blast radius: every package under
+// repro/internal except the observability layer (internal/obs), where
+// wall-clock values and map iteration are legitimate. It is a denylist,
+// so a new internal package is covered by default; commands, examples
+// and benches are UIs and stay out.
+func onResultPath(pkgPath string) bool {
+	const internal = "repro/internal/"
+	if !strings.HasPrefix(pkgPath, internal) {
+		return false
+	}
+	rest := pkgPath[len(internal):]
+	return rest != "obs" && !strings.HasPrefix(rest, "obs/")
 }
 
 // Applies reports whether analyzer a runs on package pkgPath.
@@ -67,7 +68,7 @@ func Applies(a *analysis.Analyzer, pkgPath string) bool {
 		// only the artifact package itself may touch payloads.
 		return pkgPath != sealedmut.ArtifactPkg
 	default:
-		return resultPathPkgs[pkgPath]
+		return onResultPath(pkgPath)
 	}
 }
 

@@ -44,13 +44,17 @@ func TestApplies(t *testing.T) {
 			for _, pkg := range []string{
 				"repro/internal/core", "repro/internal/route", "repro/internal/sino",
 				"repro/internal/sched", "repro/internal/artifact", "repro/internal/report",
-				"repro/internal/engine",
+				"repro/internal/engine", "repro/internal/keff", "repro/internal/budget",
+				"repro/internal/grid", "repro/internal/steiner", "repro/internal/netlist",
+				"repro/internal/ibm", "repro/internal/geom", "repro/internal/tech",
+				"repro/internal/rlc", "repro/internal/mna", "repro/internal/orderutil",
+				"repro/internal/newpkg", // a new internal package is covered by default
 			} {
 				if !lint.Applies(a, pkg) {
 					t.Errorf("%s should run on result-path package %s", a.Name, pkg)
 				}
 			}
-			for _, pkg := range []string{"repro/internal/obs", "repro/internal/keff", "repro/cmd/gsino"} {
+			for _, pkg := range []string{"repro/internal/obs", "repro/cmd/gsino", "repro/examples/fullchip", "repro/bench"} {
 				if lint.Applies(a, pkg) {
 					t.Errorf("%s should not run on off-result-path package %s", a.Name, pkg)
 				}

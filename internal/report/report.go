@@ -260,6 +260,21 @@ func (s *Set) Deltas(w io.Writer) error {
 	return ew.err
 }
 
+// Tables renders what the tables command prints: Tables 1, 2 and 3 and
+// the sensitivity deltas, each after a blank line. It returns the first
+// write error.
+func (s *Set) Tables(w io.Writer) error {
+	for _, table := range []func(io.Writer) error{s.Table1, s.Table2, s.Table3, s.Deltas} {
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+		if err := table(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CSV emits every outcome as comma-separated rows for external analysis and
 // returns the first write error. Every column is a deterministic function
 // of the design and parameters — wall-clock timing is deliberately absent,

@@ -5,11 +5,12 @@
 // Each wire becomes a ladder of lumped RLC π-segments: series resistance and
 // (mutually coupled) partial inductance per segment, grounded capacitance at
 // every node, and sidewall coupling capacitance to neighboring tracks.
-// Shield wires are tied to ground through a via resistance at both ends.
-// Switching wires are driven by a resistive driver with a rising ramp;
-// quiet wires (including the victim) are held low through the same driver
-// resistance. Every signal wire sees the technology's load capacitance at
-// its sink.
+// Shield wires are tied to ground through vias along their length, and a
+// wall shield bounds each side of the bus: the pre-routed P/G wires around
+// every routing region (paper §2.1). Switching wires are driven by a
+// resistive driver with a rising ramp; quiet wires (including the victim)
+// are held low through the same driver resistance. Every signal wire sees
+// the technology's load capacitance at its sink.
 //
 // This package is the stand-in for SPICE in the paper's experimental flow
 // (see DESIGN.md §2, substitution 1).
@@ -36,29 +37,14 @@ const (
 type Wire struct {
 	Kind      WireKind
 	Switching bool // drives a rising ramp during the simulation (aggressor)
-
-	// DriverRes and LoadCap override the technology's uniform driver
-	// resistance and receiver load for this wire when positive — the
-	// non-uniform driver/receiver generalization of the paper's §2.2
-	// future work. Zero selects the technology default.
-	DriverRes float64
-	LoadCap   float64
 }
 
-// Bus describes the coupled-line structure to simulate.
+// Bus describes the coupled-line structure to simulate, between the two
+// wall shields of its routing region.
 type Bus struct {
 	Tech   *tech.Technology
 	Wires  []Wire  // tracks in geometric order, adjacent tracks one pitch apart
 	Length float64 // wire length, meters
-
-	// Segments is the number of lumped segments per wire; 0 selects a
-	// default that resolves the wavelength of the driver edge.
-	Segments int
-
-	// WallShields adds an implicit shield track at each side of the bus,
-	// modeling the pre-routed P/G wires that bound every routing region
-	// (paper §2.1).
-	WallShields bool
 }
 
 // NoiseResult reports the outcome of one noise simulation.
@@ -68,33 +54,20 @@ type NoiseResult struct {
 	Raw       *mna.Result
 }
 
+// segments returns the number of lumped segments per wire: one per
+// quarter millimeter, clamped to [4, 24] — enough to resolve inductive
+// ringing at 3 GHz-class edges without inflating the matrix.
 func (b *Bus) segments() int {
-	if b.Segments > 0 {
-		return b.Segments
-	}
-	// One segment per quarter millimeter, clamped: enough to resolve
-	// inductive ringing at 3 GHz-class edges without inflating the matrix.
-	s := int(math.Ceil(b.Length / 0.25e-3))
-	if s < 4 {
-		s = 4
-	}
-	if s > 24 {
-		s = 24
-	}
-	return s
+	return min(max(int(math.Ceil(b.Length/0.25e-3)), 4), 24)
 }
 
-// effectiveWires returns the track list including implicit wall shields, and
-// the index shift applied to caller wire indices.
-func (b *Bus) effectiveWires() ([]Wire, int) {
-	if !b.WallShields {
-		return b.Wires, 0
-	}
+// wallShielded returns the track list with the region's wall shield on
+// each side; caller wire i is track i+1.
+func (b *Bus) wallShielded() []Wire {
 	ws := make([]Wire, 0, len(b.Wires)+2)
 	ws = append(ws, Wire{Kind: Shield})
 	ws = append(ws, b.Wires...)
-	ws = append(ws, Wire{Kind: Shield})
-	return ws, 1
+	return append(ws, Wire{Kind: Shield})
 }
 
 // Build assembles the MNA circuit and returns it together with the victim's
@@ -104,8 +77,8 @@ func (b *Bus) Build(victim int) (*mna.Circuit, mna.Node, error) {
 		return nil, 0, err
 	}
 	t := b.Tech
-	wires, shift := b.effectiveWires()
-	vIdx := victim + shift
+	wires := b.wallShielded()
+	vIdx := victim + 1
 	nSeg := b.segments()
 	lSeg := b.Length / float64(nSeg)
 
@@ -194,25 +167,15 @@ func (b *Bus) Build(victim int) (*mna.Circuit, mna.Node, error) {
 			for k := 0; k <= nSeg; k++ {
 				c.Resistor(nodes[w][k], mna.Ground, via)
 			}
-			_ = near
-			_ = far
 		case Signal:
-			rd := t.DriverRes
-			if wire.DriverRes > 0 {
-				rd = wire.DriverRes
-			}
-			cl := t.LoadCap
-			if wire.LoadCap > 0 {
-				cl = wire.LoadCap
-			}
 			if wire.Switching {
 				src := c.NewNode()
 				c.VSource(src, mna.Ground, ramp)
-				c.Resistor(src, near, rd)
+				c.Resistor(src, near, t.DriverRes)
 			} else {
-				c.Resistor(near, mna.Ground, rd)
+				c.Resistor(near, mna.Ground, t.DriverRes)
 			}
-			c.Capacitor(far, mna.Ground, cl)
+			c.Capacitor(far, mna.Ground, t.LoadCap)
 		}
 	}
 

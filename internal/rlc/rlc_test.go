@@ -35,13 +35,7 @@ func victimIndex(pattern string) int {
 
 func simulate(t *testing.T, pattern string, lengthM float64) float64 {
 	t.Helper()
-	b := &Bus{
-		Tech:        tech.Default(),
-		Wires:       busOf(pattern),
-		Length:      lengthM,
-		Segments:    8,
-		WallShields: true,
-	}
+	b := &Bus{Tech: tech.Default(), Wires: busOf(pattern), Length: lengthM}
 	res, err := b.Simulate(victimIndex(pattern))
 	if err != nil {
 		t.Fatalf("Simulate(%q): %v", pattern, err)
@@ -152,7 +146,7 @@ func TestDefaultSegmentsClamped(t *testing.T) {
 }
 
 func TestCircuitSize(t *testing.T) {
-	b := &Bus{Tech: tech.Default(), Wires: busOf("AVS"), Length: 1e-3, Segments: 4, WallShields: true}
+	b := &Bus{Tech: tech.Default(), Wires: busOf("AVS"), Length: 0.5e-3} // clamps to 4 segments
 	c, _, err := b.Build(1)
 	if err != nil {
 		t.Fatal(err)

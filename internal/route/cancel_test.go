@@ -105,7 +105,7 @@ func TestRunShardedCancelMidReconcile(t *testing.T) {
 	// Batch 0 is the shard drain; batch 1 is reconcile round 0's component
 	// drain — cancel there.
 	pool := &cancelPool{inner: engine.New(engine.Config{Workers: 2}), cancel: cancel, at: 1}
-	res, err := r.RunSharded(ctx, pool, ShardConfig{MaxReconcileRounds: 3})
+	res, err := r.RunSharded(ctx, pool, ShardConfig{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -128,7 +128,7 @@ func TestTwoClusterReconcileComponents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.RunSharded(context.Background(), pool, ShardConfig{MaxReconcileRounds: 3})
+		res, err := r.RunSharded(context.Background(), pool, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ import (
 // an edit and corrupt the result.
 
 // ECOStats reports how much work an ECO resume avoided. Every field is a
-// pure function of (snapshot, edited netlist, tiling) — never of the pool
+// pure function of (snapshot, edited netlist) — never of the pool
 // — but the totals are reporting-only at higher layers because cache hit
 // patterns are schedule-dependent there.
 type ECOStats struct {
@@ -105,7 +105,7 @@ func snapMatches(s *netSnap, n *Net) bool {
 // (which is discarded after merging), never copied and never written
 // again.
 type tileSnap struct {
-	tile    int   // tile index in the cfg.TileCols×cfg.TileRows grid
+	tile    int   // tile index in the grid's tiling, row-major
 	members []int // net indices, input order
 	window
 }
@@ -116,9 +116,8 @@ type tileSnap struct {
 // number of deltas. Callers treat it as opaque; internal/artifact stores
 // it alongside the sealed Result.
 type DrainState struct {
-	cfg                Config // resolved router config the snapshot was produced under
-	cols, rows         int    // grid dimensions
-	tileCols, tileRows int    // resolved tiling
+	cfg  Config    // resolved router config the snapshot was produced under
+	grid grid.Grid // the grid it was routed on, which fixes the tiling
 
 	snaps []netSnap
 	tiles []tileSnap
@@ -146,9 +145,9 @@ func tileClean(pt *tileSnap, members []int, win geom.Rect, edited []bool, dirty 
 }
 
 // RunShardedResume routes nets on g by resuming from prev, a DrainState
-// captured by RunShardedState under the same grid, router config, and
-// tiling. Only tile groups the edit invalidates are re-drained; everything
-// else replays from the snapshot. The Result (trees and stats) is
+// captured by RunShardedState under the same grid and router config. Only
+// tile groups the edit invalidates are re-drained; everything else
+// replays from the snapshot. The Result (trees and stats) is
 // byte-identical to a from-scratch RunSharded of the edited netlist at any
 // worker count, and a fresh DrainState for the edited netlist is captured
 // so ECO deltas chain.
@@ -161,16 +160,12 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 		return nil, nil, es, fmt.Errorf("route: nil drain state")
 	}
 	cfg = cfg.withDefaults()
-	scfg = scfg.withDefaults(g.Cols, g.Rows)
 	pool = orSerial(pool, scfg.Trace, scfg.Lane)
 	if prev.cfg != cfg {
 		return nil, nil, es, fmt.Errorf("route: drain state router config mismatch")
 	}
-	if prev.cols != g.Cols || prev.rows != g.Rows {
-		return nil, nil, es, fmt.Errorf("route: drain state grid %dx%d, want %dx%d", prev.cols, prev.rows, g.Cols, g.Rows)
-	}
-	if prev.tileCols != scfg.TileCols || prev.tileRows != scfg.TileRows {
-		return nil, nil, es, fmt.Errorf("route: drain state tiling %dx%d, want %dx%d", prev.tileCols, prev.tileRows, scfg.TileCols, scfg.TileRows)
+	if prev.grid != *g {
+		return nil, nil, es, fmt.Errorf("route: drain state grid %+v, want %+v", prev.grid, *g)
 	}
 	if err := validateNets(g, nets); err != nil {
 		return nil, nil, es, err
@@ -203,7 +198,7 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 		dirtyRects = append(dirtyRects, prev.snaps[i].ns.bbox)
 	}
 
-	groups, tileIDs, wins := partitionRects(bboxes, scfg, g.Cols, g.Rows)
+	groups, tileIDs, wins := partitionRects(bboxes, g.Cols, g.Rows)
 	prevTiles := make(map[int]*tileSnap, len(prev.tiles))
 	for ti := range prev.tiles {
 		prevTiles[prev.tiles[ti].tile] = &prev.tiles[ti]
@@ -250,7 +245,7 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 	if err != nil {
 		return nil, nil, es, err
 	}
-	ds := r.drainState(scfg, tiles, prev, redrain)
+	ds := r.drainState(tiles, prev, redrain)
 	res, err := r.finishSharded(ctx, pool, scfg, groups)
 	if err != nil {
 		return nil, nil, es, err

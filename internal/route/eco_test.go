@@ -197,9 +197,10 @@ func TestECOResumeNoEdit(t *testing.T) {
 	}
 }
 
-// TestECOResumeStateMismatch: resuming under a different grid, router
-// config, or tiling than the snapshot's must fail loudly, not silently
-// produce a non-reproducible result.
+// TestECOResumeStateMismatch: resuming under a different grid or router
+// config than the snapshot's must fail loudly, not silently produce a
+// non-reproducible result. A grid of the same dimensions with other cell
+// sizes or capacities is a different routing problem too.
 func TestECOResumeStateMismatch(t *testing.T) {
 	g, err := grid.New(16, 16, 100, 100, 3, 3)
 	if err != nil {
@@ -217,16 +218,35 @@ func TestECOResumeStateMismatch(t *testing.T) {
 	if _, _, _, err := RunShardedResume(context.Background(), g, Config{ShieldAware: false}, nets, nil, ShardConfig{}, ds); err == nil {
 		t.Fatal("config mismatch accepted")
 	}
-	if _, _, _, err := RunShardedResume(context.Background(), g, Config{ShieldAware: true}, nets, nil, ShardConfig{TileCols: 4, TileRows: 4}, ds); err == nil {
-		t.Fatal("tiling mismatch accepted")
-	}
 	g2, err := grid.New(12, 12, 100, 100, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nets12 := randomNets(9, 40, 12, 12)
-	if _, _, _, err := RunShardedResume(context.Background(), g2, Config{ShieldAware: true}, nets12, nil, ShardConfig{TileCols: 8, TileRows: 8}, ds); err == nil {
+	if _, _, _, err := RunShardedResume(context.Background(), g2, Config{ShieldAware: true}, nets12, nil, ShardConfig{}, ds); err == nil {
 		t.Fatal("grid mismatch accepted")
+	}
+
+	wide := randomNets(7, 120, 16, 16)
+	r1, err := NewRouter(g, Config{ShieldAware: true}, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ds1, err := r1.RunShardedState(context.Background(), nil, ShardConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []struct {
+		cellW, cellH geom.Micron
+		hc, vc       int
+	}{{250, 40, 3, 3}, {100, 100, 4, 3}, {100, 100, 3, 2}} {
+		g3, err := grid.New(16, 16, other.cellW, other.cellH, other.hc, other.vc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := RunShardedResume(context.Background(), g3, Config{ShieldAware: true}, wide, nil, ShardConfig{}, ds1); err == nil {
+			t.Fatalf("resume on %+v accepted a drain state routed on %+v", *g3, *g)
+		}
 	}
 }
 

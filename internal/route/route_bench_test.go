@@ -84,7 +84,7 @@ func BenchmarkReconcile(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res, err := r.RunSharded(context.Background(), arm.pool, ShardConfig{MaxReconcileRounds: 3})
+					res, err := r.RunSharded(context.Background(), arm.pool, ShardConfig{})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -77,20 +77,13 @@ func drainViews(ctx context.Context, pool Pool, trace *obs.Tracer, cat string, v
 	return pool.RunTasks(ctx, cat, labels, tasks)
 }
 
-// ShardConfig tunes RunSharded's tile decomposition. The configuration is
-// part of the algorithm definition: two runs with equal ShardConfig produce
-// byte-identical results at any worker count, but different tilings are
-// different (equally valid) deletion schedules.
+// ShardConfig carries RunSharded's observational settings. The tile
+// decomposition is part of the algorithm definition and fixed: nets group
+// by bounding-box center on a min(8, cols)×min(8, rows) tile grid
+// (tiling), and boundary reconciliation runs at most maxReconcileRounds
+// rounds, so two runs on one problem produce byte-identical results at
+// any worker count.
 type ShardConfig struct {
-	// TileCols, TileRows set the tile grid that groups nets by bounding-box
-	// center; 0 selects min(8, grid dimension). A 1×1 tiling degenerates to
-	// exactly the sequential Run algorithm.
-	TileCols, TileRows int
-
-	// MaxReconcileRounds bounds the boundary-reconciliation loop; 0 selects
-	// 2, negative disables reconciliation.
-	MaxReconcileRounds int
-
 	// Trace, when enabled, records Phase I spans: one per pool task (seed
 	// chunk, shard drain, reconcile component), named and on the executing
 	// worker's lane, plus the serial sections — heap split, delta merge,
@@ -103,24 +96,12 @@ type ShardConfig struct {
 	Lane obs.Lane
 }
 
-func (c ShardConfig) withDefaults(cols, rows int) ShardConfig {
-	if c.TileCols <= 0 {
-		c.TileCols = min(8, cols)
-	}
-	if c.TileRows <= 0 {
-		c.TileRows = min(8, rows)
-	}
-	if c.MaxReconcileRounds == 0 {
-		c.MaxReconcileRounds = 2
-	}
-	return c
-}
+// maxReconcileRounds bounds the boundary-reconciliation loop.
+const maxReconcileRounds = 2
 
-// Resolved returns the tiling a run on a cols×rows grid actually uses, with
-// defaults applied. Because the tiling is part of the algorithm definition,
-// content-addressed artifact keys hash the resolved values (Trace and Lane
-// are observational and excluded).
-func (c ShardConfig) Resolved(cols, rows int) ShardConfig { return c.withDefaults(cols, rows) }
+// tiling returns the tile grid RunSharded groups nets on for a cols×rows
+// region grid: min(8, cols)×min(8, rows) tiles.
+func tiling(cols, rows int) (tileCols, tileRows int) { return min(8, cols), min(8, rows) }
 
 // RunSharded executes the iterative deletion sharded across tile groups:
 //
@@ -135,7 +116,7 @@ func (c ShardConfig) Resolved(cols, rows int) ShardConfig { return c.withDefault
 //     graphs shrink.
 //  3. Merge: group deltas fold into the base arrays in tile order, giving
 //     one deterministic global utilization state.
-//  4. Reconcile: for at most MaxReconcileRounds rounds, nets whose trees
+//  4. Reconcile: for at most maxReconcileRounds rounds, nets whose trees
 //     cross a capacity-overflowed region (almost always a tile boundary the
 //     frozen state under-penalized) are ripped up and re-routed
 //     sequentially, in net order, against the now-accurate state.
@@ -157,16 +138,15 @@ func (r *Router) RunShardedState(ctx context.Context, pool Pool, cfg ShardConfig
 }
 
 func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, capture bool) (*Result, *DrainState, error) {
-	cfg = cfg.withDefaults(r.g.Cols, r.g.Rows)
 	pool = orSerial(pool, cfg.Trace, cfg.Lane)
-	groups, tileIDs, wins := r.partition(cfg)
+	groups, tileIDs, wins := r.partition()
 	tiles, err := r.drainTiles(ctx, pool, cfg, groups, tileIDs, wins, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	var ds *DrainState
 	if capture {
-		ds = r.drainState(cfg, tiles, nil, nil)
+		ds = r.drainState(tiles, nil, nil)
 	}
 	res, err := r.finishSharded(ctx, pool, cfg, groups)
 	if err != nil {
@@ -248,13 +228,11 @@ func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, gro
 // drainState captures the resumable snapshot right after drainTiles'
 // merge: the tiles it returned and every net's deletion state. A resume
 // passes prev and its re-drain flags; nets that did not re-drain keep
-// prev's (immutable) snapshot entries. cfg must be the resolved
-// ShardConfig of the run.
-func (r *Router) drainState(cfg ShardConfig, tiles []tileSnap, prev *DrainState, redrain []bool) *DrainState {
+// prev's (immutable) snapshot entries.
+func (r *Router) drainState(tiles []tileSnap, prev *DrainState, redrain []bool) *DrainState {
 	ds := &DrainState{
-		cfg:  r.cfg,
-		cols: r.g.Cols, rows: r.g.Rows,
-		tileCols: cfg.TileCols, tileRows: cfg.TileRows,
+		cfg:   r.cfg,
+		grid:  *r.g,
 		snaps: make([]netSnap, len(r.nets)),
 		tiles: tiles,
 	}
@@ -277,7 +255,7 @@ func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, 
 	for _, members := range groups {
 		stats.LargestShard = max(stats.LargestShard, len(members))
 	}
-	for round := 0; round < cfg.MaxReconcileRounds; round++ {
+	for round := 0; round < maxReconcileRounds; round++ {
 		ripped := r.overflowNets()
 		if len(ripped) == 0 {
 			break
@@ -306,32 +284,27 @@ func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, 
 // center. Groups are emitted in tile scan order with their nets in input
 // order, paired with their tile indices and windows (the union of their
 // members' bounding boxes); empty tiles are dropped.
-func (r *Router) partition(cfg ShardConfig) ([][]int, []int, []geom.Rect) {
+func (r *Router) partition() ([][]int, []int, []geom.Rect) {
 	bboxes := make([]geom.Rect, len(r.nets))
 	for i := range r.nets {
 		bboxes[i] = r.nets[i].bbox
 	}
-	return partitionRects(bboxes, cfg, r.g.Cols, r.g.Rows)
+	return partitionRects(bboxes, r.g.Cols, r.g.Rows)
 }
 
 // partitionRects is partition over bare bounding boxes — the single
 // implementation, shared with the ECO resume path, which must classify
 // tiles before any net state exists.
-func partitionRects(bboxes []geom.Rect, cfg ShardConfig, cols, rows int) (groups [][]int, tileIDs []int, wins []geom.Rect) {
-	tileW := (cols + cfg.TileCols - 1) / cfg.TileCols
-	tileH := (rows + cfg.TileRows - 1) / cfg.TileRows
-	tiles := make([][]int, cfg.TileCols*cfg.TileRows)
+func partitionRects(bboxes []geom.Rect, cols, rows int) (groups [][]int, tileIDs []int, wins []geom.Rect) {
+	tileCols, tileRows := tiling(cols, rows)
+	tileW := (cols + tileCols - 1) / tileCols
+	tileH := (rows + tileRows - 1) / tileRows
+	tiles := make([][]int, tileCols*tileRows)
 	for ni := range bboxes {
 		b := bboxes[ni]
-		tx := ((b.MinX + b.MaxX) / 2) / tileW
-		ty := ((b.MinY + b.MaxY) / 2) / tileH
-		if tx >= cfg.TileCols {
-			tx = cfg.TileCols - 1
-		}
-		if ty >= cfg.TileRows {
-			ty = cfg.TileRows - 1
-		}
-		t := ty*cfg.TileCols + tx
+		tx := min(((b.MinX+b.MaxX)/2)/tileW, tileCols-1)
+		ty := min(((b.MinY+b.MaxY)/2)/tileH, tileRows-1)
+		t := ty*tileCols + tx
 		tiles[t] = append(tiles[t], ni)
 	}
 	for t, nets := range tiles {

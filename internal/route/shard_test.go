@@ -44,16 +44,31 @@ func resultsEqual(t *testing.T, a, b *Result, withStats bool) {
 	}
 }
 
-// TestRunShardedSingleTileMatchesRun pins the degenerate-case contract: a
-// 1×1 tiling holds every net in one group with one heap, which must
-// reproduce the sequential router byte for byte (reconciliation disabled,
-// as Run has none).
+// centredNets builds n pseudo-random nets on a cols×rows grid, each with
+// its pins' mirror images through the grid centre, so every net's
+// bounding box is symmetric about the centre and all nets share the
+// centre's tile.
+func centredNets(seed int64, n, cols, rows int) []Net {
+	nets := randomNets(seed, n, cols, rows)
+	for i := range nets {
+		for _, p := range nets[i].Pins {
+			nets[i].Pins = append(nets[i].Pins, geom.Point{X: cols - 1 - p.X, Y: rows - 1 - p.Y})
+		}
+	}
+	return nets
+}
+
+// TestRunShardedSingleTileMatchesRun pins the degenerate-case contract:
+// when every net's bounding-box centre lies in one tile, that tile holds
+// every net in one group with one heap, which must reproduce the
+// sequential router byte for byte. Capacity is ample, so no
+// reconciliation runs (Run has none).
 func TestRunShardedSingleTileMatchesRun(t *testing.T) {
-	g, err := grid.New(12, 12, 100, 100, 8, 8)
+	g, err := grid.New(12, 12, 100, 100, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets := randomNets(3, 40, 12, 12)
+	nets := centredNets(3, 40, 12, 12)
 	for _, aware := range []bool{false, true} {
 		seqR, err := NewRouter(g, Config{ShieldAware: aware}, nets)
 		if err != nil {
@@ -64,13 +79,12 @@ func TestRunShardedSingleTileMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := shR.RunSharded(context.Background(), nil,
-			ShardConfig{TileCols: 1, TileRows: 1, MaxReconcileRounds: -1})
+		sh, err := shR.RunSharded(context.Background(), nil, ShardConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sh.Stats.Shards != 1 {
-			t.Fatalf("1x1 tiling produced %d shards", sh.Stats.Shards)
+		if sh.Stats.Shards != 1 || sh.Stats.ReconcileRounds != 0 {
+			t.Fatalf("centred nets ran as %d shards with %d reconcile rounds, want 1 and 0", sh.Stats.Shards, sh.Stats.ReconcileRounds)
 		}
 		resultsEqual(t, seq, sh, false)
 	}
@@ -163,12 +177,12 @@ func TestRunShardedReconciliationBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunSharded(context.Background(), nil, ShardConfig{MaxReconcileRounds: 3})
+	res, err := r.RunSharded(context.Background(), nil, ShardConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.ReconcileRounds > 3 {
-		t.Errorf("reconciliation ran %d rounds, bound 3", res.Stats.ReconcileRounds)
+	if res.Stats.ReconcileRounds > maxReconcileRounds {
+		t.Errorf("reconciliation ran %d rounds, bound %d", res.Stats.ReconcileRounds, maxReconcileRounds)
 	}
 	for i, tree := range res.Trees {
 		if !tree.IsTree() || !tree.Connected(nets[i].Pins) {
@@ -227,7 +241,7 @@ func TestSerialPoolTraceTaxonomy(t *testing.T) {
 	edited := append([]Net(nil), nets...)
 	edited[0] = Net{ID: 0, Pins: []geom.Point{{X: 0, Y: 1}, {X: 6, Y: 1}}}
 	run := func(tr *obs.Tracer, pool Pool) []string {
-		scfg := ShardConfig{MaxReconcileRounds: 3, Trace: tr, Lane: tr.Lane("caller")}
+		scfg := ShardConfig{Trace: tr, Lane: tr.Lane("caller")}
 		r, err := NewRouter(g, Config{}, nets)
 		if err != nil {
 			t.Fatal(err)

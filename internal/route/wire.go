@@ -318,9 +318,9 @@ func DecodeResult(data []byte) (*Result, []byte, error) {
 
 // ---- DrainState ----
 
-// maxWireDim bounds decoded grid and tiling dimensions. Real grids are a
-// few hundred regions on a side; the bound exists so corrupted dimensions
-// cannot overflow the index arithmetic the validations below perform.
+// maxWireDim bounds decoded grid dimensions. Real grids are a few hundred
+// regions on a side; the bound exists so corrupted dimensions cannot
+// overflow the index arithmetic the validations below perform.
 const maxWireDim = 1 << 20
 
 // AppendWire appends ds's wire encoding to buf and returns the extended
@@ -332,10 +332,13 @@ func (ds *DrainState) AppendWire(buf []byte) []byte {
 	buf = wireF(buf, c.Beta)
 	buf = wireF(buf, c.Gamma)
 	buf = wireBool(buf, c.ShieldAware)
-	buf = wireI(buf, ds.cols)
-	buf = wireI(buf, ds.rows)
-	buf = wireI(buf, ds.tileCols)
-	buf = wireI(buf, ds.tileRows)
+	g := &ds.grid
+	buf = wireI(buf, g.Cols)
+	buf = wireI(buf, g.Rows)
+	buf = wireF(buf, float64(g.CellW))
+	buf = wireF(buf, float64(g.CellH))
+	buf = wireI(buf, g.HC)
+	buf = wireI(buf, g.VC)
 	buf = wireU(buf, uint64(len(ds.snaps)))
 	for i := range ds.snaps {
 		s := &ds.snaps[i]
@@ -378,7 +381,7 @@ func checkWireRect(r *wireReader, rect geom.Rect, cols, rows int, what string) {
 // it and the unconsumed tail. Beyond stream well-formedness it enforces
 // every structural invariant a resume indexes through — see the file
 // comment — so a successfully decoded state is safe to resume from even
-// if its content is garbage (RunShardedResume's own config/grid/tiling
+// if its content is garbage (RunShardedResume's own config and grid
 // checks then reject states for the wrong problem).
 func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 	r := &wireReader{data: data}
@@ -388,12 +391,15 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 	c.Beta = r.f64("cfg")
 	c.Gamma = r.f64("cfg")
 	c.ShieldAware = r.bool("cfg")
-	ds.cols = r.int("grid dims")
-	ds.rows = r.int("grid dims")
-	ds.tileCols = r.int("tiling")
-	ds.tileRows = r.int("tiling")
+	g := &ds.grid
+	g.Cols = r.int("grid dims")
+	g.Rows = r.int("grid dims")
+	g.CellW = geom.Micron(r.f64("grid cell"))
+	g.CellH = geom.Micron(r.f64("grid cell"))
+	g.HC = r.int("grid capacity")
+	g.VC = r.int("grid capacity")
 	if r.err == nil {
-		for _, d := range []int{ds.cols, ds.rows, ds.tileCols, ds.tileRows} {
+		for _, d := range []int{g.Cols, g.Rows} {
 			if d < 1 || d > maxWireDim {
 				r.fail("dimension %d outside [1, %d]", d, maxWireDim)
 				break
@@ -423,7 +429,7 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 			break
 		}
 		box := geom.RectFromPoints(s.pins)
-		checkWireRect(r, box, ds.cols, ds.rows, "net")
+		checkWireRect(r, box, g.Cols, g.Rows, "net")
 		if r.err != nil {
 			break
 		}
@@ -439,6 +445,7 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 
 	ntl := r.count("tile snapshot", 12) // id, member count, window, six arrays
 	ds.tiles = make([]tileSnap, ntl)
+	tileCols, tileRows := tiling(g.Cols, g.Rows)
 	for i := 0; i < ntl && r.err == nil; i++ {
 		t := &ds.tiles[i]
 		t.tile = r.int("tile id")
@@ -454,8 +461,8 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 		if r.err != nil {
 			break
 		}
-		if t.tile < 0 || t.tile >= ds.tileCols*ds.tileRows {
-			r.fail("tile %d outside %dx%d tiling", t.tile, ds.tileCols, ds.tileRows)
+		if t.tile < 0 || t.tile >= tileCols*tileRows {
+			r.fail("tile %d outside %dx%d tiling", t.tile, tileCols, tileRows)
 			break
 		}
 		for _, m := range t.members {
@@ -464,7 +471,7 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 				break
 			}
 		}
-		checkWireRect(r, t.rect, ds.cols, ds.rows, "tile window")
+		checkWireRect(r, t.rect, g.Cols, g.Rows, "tile window")
 		if r.err != nil {
 			break
 		}

@@ -165,10 +165,12 @@ func TestDecodersAllocateLinearly(t *testing.T) {
 	const filler = 1 << 16
 	claim := func(head []byte) []byte { return append(wireU(head, filler), make([]byte, filler)...) }
 	// A state with no nets and no tiles ends in their two zero counts.
-	header := (&DrainState{cfg: ds.cfg, cols: 8, rows: 8, tileCols: 1, tileRows: 1}).AppendWire(nil)
+	header := (&DrainState{cfg: ds.cfg, grid: ds.grid}).AppendWire(nil)
 	header = header[: len(header)-2 : len(header)-2]
 	corner := geom.Point{X: maxWireDim - 1, Y: maxWireDim - 1}
-	bigGrid := &DrainState{cfg: ds.cfg, cols: maxWireDim, rows: maxWireDim, tileCols: 1, tileRows: 1,
+	huge := ds.grid
+	huge.Cols, huge.Rows = maxWireDim, maxWireDim
+	bigGrid := &DrainState{cfg: ds.cfg, grid: huge,
 		snaps: []netSnap{{ns: netState{rate: 0.3}, pins: []geom.Point{{}, corner}}}}
 	inputs = append(inputs,
 		input{"tree count", DecodeResultBytes, claim(nil), true},

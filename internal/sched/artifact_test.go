@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/core"
-	"repro/internal/geom"
-	"repro/internal/netlist"
 	"repro/internal/report"
 )
 
@@ -59,62 +57,6 @@ func TestBatchArtifactSharing(t *testing.T) {
 		// 2 lookups hit whatever the schedule, by single-flight.
 		if s.Misses != 4 || s.Hits != 2 {
 			t.Errorf("jobs=%d: %d misses, %d hits; want 4 misses, 2 hits", jobs, s.Misses, s.Hits)
-		}
-	}
-}
-
-// TestECOCellMatchesFromScratch: an ECO cell (base design + delta) resumes
-// from the base cells' warm artifacts and still reports exactly what a
-// from-scratch cell on the edited design reports.
-func TestECOCellMatchesFromScratch(t *testing.T) {
-	d := randomDesign(t, 60, 0.4, 8)
-	delta := artifact.Delta{
-		Remove: []int{2},
-		Move: []artifact.Move{{ID: 0, Pins: []netlist.Pin{
-			{Loc: geom.MicronPoint{X: 40, Y: 60}},
-			{Loc: geom.MicronPoint{X: 700, Y: 620}},
-		}}},
-		Add: []netlist.Net{{Pins: []netlist.Pin{
-			{Loc: geom.MicronPoint{X: 150, Y: 500}},
-			{Loc: geom.MicronPoint{X: 420, Y: 200}},
-		}}},
-	}
-	flows := []core.Flow{core.FlowIDNO, core.FlowISINO, core.FlowGSINO}
-	cells := evalGrid(d)
-	for _, f := range flows {
-		cells = append(cells, Cell{Design: d, Flow: f, Delta: &delta})
-	}
-	results, err := Run(context.Background(), cells, Config{Jobs: 1, Artifacts: artifact.NewStore(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
-	if eco := results[3].Outcome.ECO; eco.EditedNets == 0 {
-		t.Errorf("first ECO cell shows no invalidation accounting: %+v — resume did not run", eco)
-	}
-
-	edited, err := delta.Apply(d.Nets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ed := &core.Design{Name: d.Name, Nets: edited, Grid: d.Grid, Rate: d.Rate}
-	refs, err := Run(context.Background(), evalGrid(ed), Config{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := FirstError(refs); err != nil {
-		t.Fatal(err)
-	}
-	for i := range flows {
-		eo, ro := results[3+i].Outcome, refs[i].Outcome
-		if eo.Violations != ro.Violations || eo.TotalWL != ro.TotalWL ||
-			eo.Area != ro.Area || eo.Shields != ro.Shields ||
-			eo.SegTracks != ro.SegTracks || eo.Congestion != ro.Congestion ||
-			eo.Route != ro.Route {
-			t.Errorf("%s: ECO cell outcome differs from from-scratch cell:\neco: %+v\nref: %+v",
-				flows[i], eo, ro)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/keff"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
@@ -43,7 +44,7 @@ func runBatchStore(tb testing.TB, cells []Cell, jobs int, store *artifact.Store)
 // BenchmarkBatch measures the full evaluation grid on the batch scheduler
 // across jobs settings. jobs1 is the serial path; on a multi-core machine
 // the higher settings should approach linear speedup (cells are
-// independent; the shared per-technology cache is read-mostly). The
+// independent; the shared cache is read-mostly). The
 // reported warm-start hit rate of the last cell shows the cross-cell cache
 // carryover.
 func BenchmarkBatch(b *testing.B) {
@@ -65,28 +66,29 @@ func BenchmarkBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchCacheAblation isolates the shared per-technology cache:
-// the same serial batch run once with every cell on one shared cache and
-// once with a private cache per cell. The private arm varies only
-// Technology.Name per cell — the name enters the scheduler's cache key but
-// no physics — so outcomes are identical and the delta is pure cache
+// BenchmarkBatchCacheAblation isolates the shared cache: the same serial
+// batch run once with every cell on the batch's shared cache and once
+// with a fresh private cache per cell (Params.Cache, which a cell keeps
+// over the batch's). Outcomes are identical, so the delta is pure cache
 // carryover.
 func BenchmarkBatchCacheAblation(b *testing.B) {
-	shared := benchCells(b)
-	private := benchCells(b)
-	for i := range private {
-		t := *tech.Default()
-		t.Name = fmt.Sprintf("%s-cell%d", t.Name, i)
-		private[i].Params.Tech = &t
-	}
-	for _, arm := range []struct {
-		name  string
-		cells []Cell
-	}{{"shared", shared}, {"private", private}} {
-		b.Run(arm.name, func(b *testing.B) {
+	for _, private := range []bool{false, true} {
+		name := "shared"
+		if private {
+			name = "private"
+		}
+		b.Run(name, func(b *testing.B) {
 			var results []Result
 			for i := 0; i < b.N; i++ {
-				results = runBatch(b, arm.cells, 1)
+				b.StopTimer()
+				cells := benchCells(b)
+				if private {
+					for c := range cells {
+						cells[c].Params.Cache = keff.NewPairCacheFor(keff.NewModel(tech.Default()))
+					}
+				}
+				b.StartTimer()
+				results = runBatch(b, cells, 1)
 			}
 			b.ReportMetric(results[len(results)-1].WarmHitRate()*100, "warmhit%")
 		})
@@ -133,13 +135,20 @@ func benchECODelta() artifact.Delta {
 	}
 }
 
-// ecoCells builds the three ECO flow cells of one base design + delta.
-func ecoCells(d *core.Design, delta *artifact.Delta) []Cell {
-	var cells []Cell
+// runECO runs the three flows over delta applied to d, each on an ECO
+// runner (core.NewECORunner) that resumes Phase I from store's warm base
+// artifacts, sharing one coupling cache as a batch would.
+func runECO(tb testing.TB, d *core.Design, delta artifact.Delta, store *artifact.Store) {
+	cache := keff.NewPairCacheFor(keff.NewModel(tech.Default()))
 	for _, f := range []core.Flow{core.FlowIDNO, core.FlowISINO, core.FlowGSINO} {
-		cells = append(cells, Cell{Design: d, Flow: f, Delta: delta})
+		r, err := core.NewECORunner(d, delta, core.Params{Cache: cache, Artifacts: store})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := r.Run(f); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	return cells
 }
 
 // BenchmarkECO measures incremental re-solve turnaround: the three flows
@@ -167,7 +176,7 @@ func BenchmarkECO(b *testing.B) {
 			store := artifact.NewStore(0)
 			runBatchStore(b, evalGrid(d), 1, store) // warm base artifacts
 			b.StartTimer()
-			runBatchStore(b, ecoCells(d, &delta), 1, store)
+			runECO(b, d, delta, store)
 		}
 	})
 }

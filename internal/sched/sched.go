@@ -7,12 +7,12 @@
 // the batch embarrassingly parallel one level above the region-solve
 // engine: each cell gets its own core.Runner with a private engine, and the
 // scheduler splits the machine's worker budget between the outer pool and
-// each runner's inner engine. What cells of one technology do share is a
-// single keff.PairCache, injected through core.Params.Cache: its entries
-// are pure functions of relative track geometry under one model
-// configuration, so later cells start with the coupling arithmetic of
-// earlier ones already cached — warm-start hit rates are surfaced per cell
-// in Result — and sharing never changes a result byte (DESIGN.md §8).
+// each runner's inner engine. What the cells do share is a single
+// keff.PairCache, injected through core.Params.Cache: its entries are pure
+// functions of relative track geometry under the one technology every flow
+// runs, so later cells start with the coupling arithmetic of earlier ones
+// already cached — warm-start hit rates are surfaced per cell in Result —
+// and sharing never changes a result byte (DESIGN.md §8).
 //
 // Determinism contract: results are positional (results[i] is cells[i]'s
 // outcome), OnResult fires in strict cell order whatever order cells
@@ -46,13 +46,6 @@ type Cell struct {
 	Design *core.Design
 	Flow   core.Flow
 	Params core.Params
-
-	// Delta, when non-nil, makes this an ECO cell: Design is the BASE
-	// design and the cell runs the flow over Delta applied to it
-	// (core.NewECORunner). With a shared artifact store holding the base
-	// design's routed artifact, Phase I re-solves incrementally; results
-	// are byte-identical to a from-scratch cell on the edited design.
-	Delta *artifact.Delta
 }
 
 // Result is one cell's outcome. Outcome is nil when Err is set. Results
@@ -67,17 +60,18 @@ type Result struct {
 	// cell's runner (the per-cell share of Config.Workers).
 	InnerWorkers int
 
-	// WarmHits and WarmMisses snapshot the cell's shared per-technology
-	// coupling cache at the moment the cell started: nonzero numbers mean
-	// the cell began warm on earlier cells' arithmetic. The traffic the
-	// cell itself generated is in Outcome.Engine (under concurrent cells
-	// that counter also sees neighbors sharing the cache).
+	// WarmHits and WarmMisses snapshot the cell's coupling cache (the
+	// batch's shared one, or its own Params.Cache) at the moment the cell
+	// started: nonzero numbers mean the cell began warm on earlier cells'
+	// arithmetic. The traffic the cell itself generated is in
+	// Outcome.Engine (under concurrent cells that counter also sees
+	// neighbors sharing the cache).
 	WarmHits, WarmMisses uint64
 }
 
-// WarmHitRate returns the shared cache's hit rate at cell start, in [0, 1]
+// WarmHitRate returns the cell's cache hit rate at cell start, in [0, 1]
 // — the carryover a cell inherits from the cells before it. 0 for the
-// first cell of a technology.
+// first cell of a batch.
 func (r Result) WarmHitRate() float64 {
 	if r.WarmHits+r.WarmMisses == 0 {
 		return 0
@@ -167,7 +161,7 @@ func Run(ctx context.Context, cells []Cell, cfg Config) ([]Result, error) {
 		totalWorkers = runtime.GOMAXPROCS(0)
 	}
 	inner := splitWorkers(totalWorkers, jobs)
-	caches := buildCaches(cells)
+	cache := keff.NewPairCacheFor(keff.NewModel(tech.Default()))
 
 	lanes := make([]obs.Lane, jobs)
 	if cfg.Trace.Enabled() {
@@ -210,7 +204,7 @@ func Run(ctx context.Context, cells []Cell, cfg Config) ([]Result, error) {
 					}
 				}
 				csp := cfg.Trace.Start(lane, "sched", name).Arg("cell", int64(i))
-				results[i] = runCell(ctx, i, cells[i], caches[techKey(cells[i].Params)], cfg.Artifacts, inner, cfg.Trace, lane)
+				results[i] = runCell(ctx, i, cells[i], cache, cfg.Artifacts, inner, cfg.Trace, lane)
 				csp.End()
 				inFlight.Add(-1)
 				em.done(i)
@@ -233,45 +227,21 @@ func splitWorkers(total, jobs int) int {
 	return total / jobs
 }
 
-// techKey is the cache-validity key of a cell: the resolved technology by
-// value. core derives its coupling model as keff.NewModel(Params.Tech) —
-// default reference length and background return — so two cells share a
-// cache exactly when their resolved technologies are equal.
-func techKey(p core.Params) tech.Technology {
-	t := p.Tech
-	if t == nil {
-		t = tech.Default()
-	}
-	return *t
-}
-
-// buildCaches allocates one shared pair-coupling cache per distinct
-// technology in the batch, each sized for that technology's model so every
-// geometry within its pair cutoff lands in the table.
-func buildCaches(cells []Cell) map[tech.Technology]*keff.PairCache {
-	caches := make(map[tech.Technology]*keff.PairCache)
-	for i := range cells {
-		k := techKey(cells[i].Params)
-		if caches[k] == nil {
-			t := k
-			caches[k] = keff.NewPairCacheFor(keff.NewModel(&t))
-		}
-	}
-	return caches
-}
-
 // runCell executes one cell on its own runner, wiring in the shared cache,
 // the shared artifact store, the split worker budget, and the runner's
-// trace lane (so the cell's flow spans nest under its cell span).
+// trace lane (so the cell's flow spans nest under its cell span). A cell
+// that sets any of these in its Params keeps its own.
 func runCell(ctx context.Context, i int, c Cell, cache *keff.PairCache, artifacts *artifact.Store, workers int, trace *obs.Tracer, lane obs.Lane) Result {
 	r := Result{Index: i}
 	if c.Design == nil {
 		r.Err = fmt.Errorf("sched: cell %d has no design", i)
 		return r
 	}
-	r.WarmHits, r.WarmMisses = cache.Stats()
 	p := c.Params
-	p.Cache = cache
+	if p.Cache == nil {
+		p.Cache = cache
+	}
+	r.WarmHits, r.WarmMisses = p.Cache.Stats()
 	if p.Artifacts == nil {
 		p.Artifacts = artifacts
 	}
@@ -283,13 +253,7 @@ func runCell(ctx context.Context, i int, c Cell, cache *keff.PairCache, artifact
 		p.Workers = workers
 	}
 	r.InnerWorkers = p.Workers
-	var runner *core.Runner
-	var err error
-	if c.Delta != nil {
-		runner, err = core.NewECORunner(c.Design, *c.Delta, p)
-	} else {
-		runner, err = core.NewRunner(c.Design, p)
-	}
+	runner, err := core.NewRunner(c.Design, p)
 	if err != nil {
 		r.Err = fmt.Errorf("sched: cell %d: %w", i, err)
 		return r

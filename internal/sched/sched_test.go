@@ -15,6 +15,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/ibm"
+	"repro/internal/keff"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -187,18 +188,16 @@ func TestResultStreamingOrder(t *testing.T) {
 	}
 }
 
-// TestSharedCacheCarryover shows the point of the shared per-technology
-// cache: cell N>1 starts with a nonzero hit rate inherited from earlier
-// cells, while a cell of a different technology starts cold on its own
-// cache.
+// TestSharedCacheCarryover shows the point of the batch's shared cache:
+// cell N>1 starts with a nonzero hit rate inherited from earlier cells,
+// while a cell carrying its own Params.Cache keeps it and starts cold.
 func TestSharedCacheCarryover(t *testing.T) {
 	d := randomDesign(t, 60, 0.5, 3)
-	otherTech := tech.Default()
-	otherTech.WireSpacing *= 1.5 // different geometry → different cache
+	own := keff.NewPairCacheFor(keff.NewModel(tech.Default()))
 	cells := []Cell{
 		{Design: d, Flow: core.FlowGSINO},
 		{Design: d, Flow: core.FlowGSINO},
-		{Design: d, Flow: core.FlowGSINO, Params: core.Params{Tech: otherTech}},
+		{Design: d, Flow: core.FlowGSINO, Params: core.Params{Cache: own}},
 	}
 	results, err := Run(context.Background(), cells, Config{Jobs: 1})
 	if err != nil {
@@ -211,13 +210,16 @@ func TestSharedCacheCarryover(t *testing.T) {
 		t.Errorf("first cell started warm: %d hits, %d misses", results[0].WarmHits, results[0].WarmMisses)
 	}
 	if results[1].WarmHits == 0 {
-		t.Error("second cell of the same technology started cold; cache carryover broken")
+		t.Error("second cell started cold; cache carryover broken")
 	}
 	if rate := results[1].WarmHitRate(); rate <= 0 {
 		t.Errorf("second cell warm hit rate = %v, want > 0", rate)
 	}
 	if results[2].WarmHits != 0 || results[2].WarmMisses != 0 {
-		t.Errorf("different-technology cell inherited a cache: %d hits, %d misses", results[2].WarmHits, results[2].WarmMisses)
+		t.Errorf("cell with its own cache inherited the batch's: %d hits, %d misses", results[2].WarmHits, results[2].WarmMisses)
+	}
+	if h, m := own.Stats(); h+m == 0 {
+		t.Error("the cell's own cache saw no traffic; the batch cache replaced it")
 	}
 	// Warm carryover is real work saved: the second cell's own traffic must
 	// hit at a higher rate than the cold first cell's.

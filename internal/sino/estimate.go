@@ -67,46 +67,34 @@ type FitSample struct {
 // FitConfig controls sample generation for coefficient fitting.
 type FitConfig struct {
 	Seed      int64
-	Reps      int              // sensitivity realizations averaged per configuration; 0 selects 8
-	MaxSegs   int              // largest region population; 0 selects 28
-	Kth       float64          // the fixed per-segment bound ("given the fixed Kth", §3.1); 0 selects 0.7
-	Tech      *tech.Technology // nil selects tech.Default()
-	UseAnneal bool             // solve instances with Anneal instead of Solve (slower, tighter)
-
-	// Samples caps the number of configurations (for quick tests); 0 keeps
-	// the full grid.
-	Samples int
+	Reps      int     // sensitivity realizations averaged per configuration; 0 selects 8
+	Kth       float64 // the fixed per-segment bound ("given the fixed Kth", §3.1); 0 selects 0.7
+	UseAnneal bool    // solve instances with Anneal instead of Solve (slower, tighter)
 }
+
+// fitMaxSegs is the largest region population the fit sweeps.
+const fitMaxSegs = 28
 
 // GenerateFitSamples sweeps a grid of region configurations — segment count
 // Nns and uniform sensitivity rate S — solves each realization for minimum
-// area, and returns per-configuration averages.
+// area under the default technology, and returns per-configuration
+// averages.
 func GenerateFitSamples(cfg FitConfig) []FitSample {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 8
 	}
-	if cfg.MaxSegs <= 0 {
-		cfg.MaxSegs = 28
-	}
 	if cfg.Kth <= 0 {
 		cfg.Kth = 0.7
 	}
-	t := cfg.Tech
-	if t == nil {
-		t = tech.Default()
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	model := keff.NewModel(t)
+	model := keff.NewModel(tech.Default())
 	// One evaluator solves every realization: all instances share the model,
 	// so its buffers stay warm across the whole sweep.
 	ev := NewEval()
 
 	var out []FitSample
-	for n := 2; n <= cfg.MaxSegs; n += 2 {
+	for n := 2; n <= fitMaxSegs; n += 2 {
 		for _, s := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8} {
-			if cfg.Samples > 0 && len(out) >= cfg.Samples {
-				return out
-			}
 			rates := make([]float64, n)
 			for i := range rates {
 				rates[i] = s

@@ -42,7 +42,7 @@ func TestFormula3Reproduction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fitting solves hundreds of SINO instances")
 	}
-	obs := GenerateFitSamples(FitConfig{Seed: 42, Reps: 6, MaxSegs: 20})
+	obs := GenerateFitSamples(FitConfig{Seed: 42, Reps: 6})
 	coeffs, err := FitCoeffs(obs)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // up to date under single-track edits.
 //
 // The point is asymptotic: keff pair couplings are summed only within
-// Model.PairCutoff, and an edit at track t perturbs totals only inside
+// the 48-track pair cutoff, and an edit at track t perturbs totals only inside
 // Model.AffectedRange around t (see its window argument), so a shield
 // insertion or removal, a swap or a relocation costs O(window·cutoff)
 // cached pair lookups instead of the O(n²) from-scratch Verify the solver

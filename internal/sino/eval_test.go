@@ -67,21 +67,15 @@ func assertEvalMatchesVerify(t *testing.T, in *Instance, e *Eval, ctx string) {
 // cap-pair count, and feasibility match a fresh brute-force Verify of the
 // same solution.
 func TestEvalMatchesVerifyOnEditScripts(t *testing.T) {
-	sizes := []int{1, 2, 3, 5, 8, 13, 20, 28, 34, 40}
+	// The window spans the small layouts whole; the 260-segment instances
+	// are wider than the ±61-track window, so they exercise the truly
+	// windowed per-track recompute path.
+	sizes := []int{1, 2, 3, 5, 8, 13, 20, 28, 34, 40, 260}
 	rates := []float64{0.1, 0.3, 0.5, 0.8}
-	// bg 0 keeps the default background return (the window spans these
-	// small layouts whole); bg 2 shrinks the cutoff so large instances
-	// exercise the truly windowed per-track recompute path.
-	for _, bg := range []int{0, 2} {
-		for _, n := range sizes {
-			for _, rate := range rates {
-				seed := int64(n)*100 + int64(rate*10)
-				in := testInstance(n, rate, 0.55, seed)
-				if bg > 0 {
-					in.Model.BackgroundReturn = bg
-				}
-				runEditScript(t, in, n, rate, seed)
-			}
+	for _, n := range sizes {
+		for _, rate := range rates {
+			seed := int64(n)*100 + int64(rate*10)
+			runEditScript(t, testInstance(n, rate, 0.55, seed), n, rate, seed)
 		}
 	}
 }

@@ -84,37 +84,26 @@ func boundTo(in *Instance, s *Solution, tight int, slack float64, rng *rand.Rand
 // and requires the same tracks, the same totals bit for bit, the same
 // counters and the same EvalStats. A few exact bounds among loose ones
 // make probes fail near the cut, far from it, on a new sensitive
-// adjacency alone, and not at all; n reaches past the ±61-track window of
-// the default background return, and bg 2–3 shrink the window well
-// inside the layout.
+// adjacency alone, and not at all; n reaches past the ±61-track window,
+// and the 260-segment instances are wider than the window at every cut.
 func TestPolishMatchesReference(t *testing.T) {
-	sizes := []int{1, 2, 3, 5, 8, 13, 21, 34, 55, 70, 89, 130}
-	narrow := []int{34, 70, 130} // sizes at bg 2–3, where the window is narrower
+	sizes := []int{1, 2, 3, 5, 8, 13, 21, 34, 55, 70, 89, 130, 260}
 	if testing.Short() {
-		sizes = []int{1, 2, 5, 21, 70, 130}
+		sizes = []int{1, 2, 5, 21, 70, 130, 260}
 	}
-	for _, bg := range []int{0, 2, 3} {
-		ns := sizes
-		if bg > 0 {
-			ns = narrow
-		}
-		for _, n := range ns {
-			for _, rate := range []float64{0.3, 0.6} {
-				for _, tight := range []int{0, 1, 3, n / 2} {
-					seed := int64(bg*100000+n*100) + int64(rate*10) + int64(tight)*7
-					in := testInstance(n, rate, 1, seed)
-					if bg > 0 {
-						in.Model.BackgroundReturn = bg
-					}
-					in.Cache = keff.NewPairCacheFor(in.Model)
-					rng := rand.New(rand.NewSource(seed))
-					for _, slack := range []float64{0.5, 20} {
-						for rep := 0; rep < 2; rep++ {
-							s := paddedSolution(in, 1+rng.Intn(n/2+2), rng)
-							boundTo(in, s, tight, slack, rng)
-							name := fmt.Sprintf("bg=%d n=%d rate=%g tight=%d slack=%g rep=%d", bg, n, rate, tight, slack, rep)
-							comparePolish(t, in, s, name)
-						}
+	for _, n := range sizes {
+		for _, rate := range []float64{0.3, 0.6} {
+			for _, tight := range []int{0, 1, 3, n / 2} {
+				seed := int64(n*100) + int64(rate*10) + int64(tight)*7
+				in := testInstance(n, rate, 1, seed)
+				in.Cache = keff.NewPairCacheFor(in.Model)
+				rng := rand.New(rand.NewSource(seed))
+				for _, slack := range []float64{0.5, 20} {
+					for rep := 0; rep < 2; rep++ {
+						s := paddedSolution(in, 1+rng.Intn(n/2+2), rng)
+						boundTo(in, s, tight, slack, rng)
+						name := fmt.Sprintf("n=%d rate=%g tight=%d slack=%g rep=%d", n, rate, tight, slack, rep)
+						comparePolish(t, in, s, name)
 					}
 				}
 			}
@@ -123,7 +112,7 @@ func TestPolishMatchesReference(t *testing.T) {
 }
 
 // TestProbeScansWholeWindow pins the probe's scan to AffectedRange, not
-// PairCutoff. Removing a shield moves the return path of wires up to bg
+// the pair cutoff. Removing a shield moves the return path of wires up to bg
 // tracks away, and so their couplings to partners a full cutoff further
 // out. Here the only sensitive pair is B, 2 tracks right of the shield,
 // and A, 48 tracks (the cutoff) right of B. After the cut A sits 49
@@ -147,8 +136,8 @@ func TestProbeScansWholeWindow(t *testing.T) {
 		tracks = append(tracks, f)
 	}
 	s := &Solution{Tracks: append(tracks, n-1)}
-	if c := in.Model.PairCutoff(); c != 48 {
-		t.Fatalf("default pair cutoff %d, want 48", c)
+	if _, hi := in.Model.AffectedRange(keff.Layout{Tracks: make([]keff.Track, 200)}, 0); hi != 61 {
+		t.Fatalf("window reaches %d tracks past a cut, want 61 (cutoff 48 + bg 12 + 1)", hi)
 	}
 	in.Segs[a].Kth = in.TotalK(s)[a]
 
