@@ -235,7 +235,7 @@ func phaseIIJobs(b *testing.B, name string, rate float64) ([]engine.Job, *keff.M
 // BenchmarkEngineParallel measures Phase II throughput on the engine across
 // worker counts. workers1 is the sequential baseline; on a multi-core
 // machine the higher settings should approach linear speedup (the instances
-// are independent and the shared coupling cache is read-mostly).
+// are independent and share only the immutable coupling model).
 func BenchmarkEngineParallel(b *testing.B) {
 	counts := []int{1, 2, 4, 8}
 	if n := runtime.GOMAXPROCS(0); n > 8 {
@@ -256,43 +256,9 @@ func BenchmarkEngineParallel(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				st := e.Stats()
 				b.ReportMetric(float64(len(jobs)), "instances")
-				b.ReportMetric(st.HitRate()*100, "cachehit%")
 			})
 		}
-	}
-}
-
-// BenchmarkEngineCacheAblation isolates the coupling cache: the same Phase
-// II batch solved sequentially with and without a shared PairCache.
-func BenchmarkEngineCacheAblation(b *testing.B) {
-	jobs, model := phaseIIJobs(b, "ibm01", 0.5)
-	for _, cached := range []bool{false, true} {
-		name := "nocache"
-		if cached {
-			name = "cache"
-		}
-		b.Run(name, func(b *testing.B) {
-			// Engine (and cache) construction stays outside the timed loop;
-			// the cached arm measures shared-cache steady state.
-			e := engine.New(engine.Config{Workers: 1, Model: model})
-			m := model.Clone()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if cached {
-					if _, err := e.Run(context.Background(), jobs); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					for j := range jobs {
-						inst := *jobs[j].Inst
-						inst.Model = m
-						sino.Solve(&inst)
-					}
-				}
-			}
-		})
 	}
 }
 

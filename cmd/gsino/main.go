@@ -59,6 +59,9 @@ func main() {
 	if !(*vth > 0) || math.IsInf(*vth, 1) { // NaN fails *vth > 0
 		log.Fatalf("-vth %g is not a finite positive voltage", *vth)
 	}
+	if *workers < 0 {
+		log.Fatalf("-workers %d is negative (0 selects one per CPU)", *workers)
+	}
 	flowList, err := parseFlows(*flows)
 	if err != nil {
 		log.Fatal(err)

@@ -4,8 +4,8 @@
 // numbers next to the published ones.
 //
 // The circuits × rates × flows grid runs on the cross-chip batch scheduler
-// (internal/sched): -jobs cells run concurrently, all sharing one
-// coupling cache, and -workers engine workers split evenly between them.
+// (internal/sched): -jobs cells run concurrently and -workers engine
+// workers split evenly between them.
 // Tables and CSV are byte-identical at every -jobs/-workers setting;
 // -jobs 1 is the serial path.
 //
@@ -49,8 +49,14 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	// Open every output before the first cell runs, so a bad path fails
-	// with nothing printed.
+	// Check the counts and open every output before the first cell runs,
+	// so a bad flag or path fails with nothing printed.
+	if *jobs < 0 {
+		log.Fatalf("-jobs %d is negative (0 selects one per CPU)", *jobs)
+	}
+	if *workers < 0 {
+		log.Fatalf("-workers %d is negative (0 selects one per CPU)", *workers)
+	}
 	var csvFile *os.File
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)

@@ -4,8 +4,8 @@
 // the package derives a deterministic 128-bit key from exactly those
 // inputs (KeyFor), maps it to an immutable sealed artifact — the
 // route.Result plus the resumable DrainState — and shares the artifacts
-// across runners through an in-process LRU (Store), the same way the
-// batch scheduler shares one keff.PairCache.
+// across runners through an in-process LRU (Store), which the batch
+// scheduler hands every cell.
 //
 // Validity argument: routeAll's output depends on the design only through
 // the KeyFor inputs, and on nothing else — not the worker count, not

@@ -18,7 +18,7 @@ const defaultCapacity = 64
 // exists, regardless of which runner gets there first, because the
 // single-flight leader blocks the others — but the attribution of those
 // hits to individual flows depends on scheduling, so higher layers
-// surface them as reporting-only (the keff.PairCache precedent).
+// surface them as reporting-only.
 type Stats struct {
 	Hits      uint64 // lookups served without computing (memory, waiters, or disk)
 	Misses    uint64 // lookups that computed and published a new artifact

@@ -71,21 +71,13 @@ type Params struct {
 	// purely a throughput knob.
 	Workers int
 
-	// Cache optionally injects a shared pair-coupling cache into the
-	// runner's engine; nil builds a private one. Cache entries are pure
-	// functions of relative track geometry under the default technology,
-	// so a cache may be shared by every runner — the batch scheduler
-	// (internal/sched) does exactly that, letting later cells start warm —
-	// and sharing never changes a result byte; see DESIGN.md §8.
-	Cache *keff.PairCache
-
 	// Artifacts optionally injects a shared routing-artifact store: Phase I
 	// consults it by content key (netlist, grid, routing params,
 	// shield-awareness) and skips routing entirely on a hit, so the three
 	// flows of one cell perform at most two routes (shield-aware and not)
 	// — and, under the batch scheduler, later cells reuse earlier cells'
-	// routes outright. nil routes every flow from scratch. Like Cache,
-	// sharing never changes a result byte: a hit returns exactly the bytes
+	// routes outright. nil routes every flow from scratch. Sharing never
+	// changes a result byte: a hit returns exactly the bytes
 	// the miss sealed, and the determinism contract extends to cache-on vs
 	// cache-off vs ECO runs (DESIGN.md §11), and — when the store carries
 	// a persistent tier (artifact.Store.WithDisk) — to cold vs
@@ -143,8 +135,7 @@ type Outcome struct {
 	Refine RefineStats
 
 	// Engine reports the region-solve engine's activity during this flow:
-	// instances solved, generic tasks run, per-solution track totals, and
-	// the coupling-cache hit rate.
+	// instances solved, generic tasks run and per-solution track totals.
 	Engine engine.Stats
 
 	// Route reports how Phase I decomposed into routing shards and how much
@@ -160,7 +151,7 @@ type Outcome struct {
 	// flow: lookups served warm, routes computed and sealed, LRU
 	// evictions. Under a shared store the attribution of hits to flows is
 	// schedule-dependent (whichever runner asks first pays the miss), so
-	// like Cache these are reporting-only and never part of the
+	// these are reporting-only and never part of the
 	// determinism fingerprint; the per-key totals themselves are invariant
 	// (one miss plus uses−1 hits).
 	Artifact artifact.Stats
@@ -171,11 +162,8 @@ type Outcome struct {
 	// the same attribution reason as Artifact.
 	ECO route.ECOStats
 
-	// Cache introspects the pair-coupling cache at flow end: table
-	// occupancy and the evaluations it bypassed. Under the batch scheduler
-	// the cache is shared by the batch, so both reflect all cells so far
-	// and are schedule-dependent — reporting only, never part of the
-	// determinism fingerprint.
+	// Cache reads zero: it described the retired pair table, and remains
+	// for the benchmark harness (keff.CacheInfo).
 	Cache keff.CacheInfo
 
 	Runtime time.Duration
@@ -240,14 +228,11 @@ func (o *Outcome) Detail(prefix string) string {
 	fmt.Fprintf(&b, "%sdensity avg H/V %.2f/%.2f, max %.2f/%.2f, overflowed regions %d/%d, segs %d\n",
 		prefix, c.AvgHDensity, c.AvgVDensity, c.MaxH, c.MaxV, c.OverflowedH, c.OverflowedV, o.SegTracks)
 	e := o.Engine
-	fmt.Fprintf(&b, "%sengine: %d workers, %d instances solved (%d tracks), %d tasks in %d waves, coupling cache %.1f%% hit\n",
-		prefix, e.Workers, e.Jobs, e.Tracks, e.Tasks, e.Waves, e.HitRate()*100)
+	fmt.Fprintf(&b, "%sengine: %d workers, %d instances solved (%d tracks), %d tasks in %d waves\n",
+		prefix, e.Workers, e.Jobs, e.Tracks, e.Tasks, e.Waves)
 	v := o.Eval
 	fmt.Fprintf(&b, "%seval pool: %d binds, %d loads, %d incremental edits, %d rollbacks\n",
 		prefix, v.Binds, v.Loads, v.Edits, v.Rollbacks)
-	k := o.Cache
-	fmt.Fprintf(&b, "%spair cache: %d geometries (sep <= %d, ret <= %d), %d evaluations outside the table\n",
-		prefix, k.Dense, k.SepBound, k.RetBound, k.Overflow)
 	r := o.Route
 	fmt.Fprintf(&b, "%sphase I: %d routing shards (largest %d nets), seeding in %d chunks, %d nets reconciled in %d rounds (%d components, largest %d)\n",
 		prefix, r.Shards, r.LargestShard, r.SeedChunks,
@@ -327,7 +312,7 @@ func NewRunner(d *Design, p Params) (*Runner, error) {
 		model:    model,
 		budgeter: b,
 		sens:     d.Nets.Sensitivity,
-		eng:      engine.New(engine.Config{Workers: p.Workers, Model: model, Cache: p.Cache, Trace: p.Trace}),
+		eng:      engine.New(engine.Config{Workers: p.Workers, Model: model, Trace: p.Trace}),
 		trace:    p.Trace,
 		lane:     lane,
 	}, nil

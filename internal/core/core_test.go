@@ -209,7 +209,7 @@ func TestOutcomeDetail(t *testing.T) {
 		SegTracks: 4022,
 		Runtime:   37 * ms,
 		Phases:    obs.PhaseTimes{Route: 13 * ms, Order: 17 * ms, Refine: 4 * ms},
-		Engine:    engine.Stats{Workers: 4, Jobs: 344, Tracks: 8580, Tasks: 55, Waves: 7, CacheHits: 75, CacheMiss: 25},
+		Engine:    engine.Stats{Workers: 4, Jobs: 344, Tracks: 8580, Tasks: 55, Waves: 7},
 		Route:     route.RunStats{Shards: 40, LargestShard: 38},
 	}
 	d := o.Detail("  ")
@@ -224,7 +224,7 @@ func TestOutcomeDetail(t *testing.T) {
 	d = o.Detail("  ")
 	for _, want := range []string{
 		"phases: route 13ms, order 17ms, refine 4ms (total 37ms)",
-		"engine: 4 workers, 344 instances solved (8580 tracks), 55 tasks in 7 waves, coupling cache 75.0% hit",
+		"engine: 4 workers, 344 instances solved (8580 tracks), 55 tasks in 7 waves\n",
 		"phase I: 40 routing shards (largest 38 nets)",
 		"artifact disk: 1 hits, 0 misses",
 		"phase III: 6 repair waves (largest 2 nets, 7 colors max), 184 re-solves",

@@ -81,7 +81,6 @@ func (r *Runner) run(ctx context.Context, f Flow) (*Outcome, error) {
 	o.Phases = phases
 	o.Engine = r.eng.Stats().Sub(engBase)
 	o.Eval = r.eng.EvalStats().Sub(evalBase)
-	o.Cache = r.eng.Cache().Info()
 	if r.params.Artifacts != nil {
 		o.Artifact = r.params.Artifacts.Stats().Sub(artBase)
 	}

@@ -354,8 +354,7 @@ func (st *chipState) instFor(segs []sino.Seg, rel *sino.Relation) *sino.Instance
 	return &sino.Instance{Segs: segs, Sensitive: st.r.sens.Sensitive, Model: st.r.model, Rel: rel}
 }
 
-// job builds the engine job for one instance. The worker pool swaps in its
-// own model clone and the shared coupling cache. A repair starts from the
+// job builds the engine job for one instance. A repair starts from the
 // totals the instance holds and from its sensitivity snapshot, taken at
 // its first repair (Phase III re-solves an instance many times; Phase II
 // binds it once) on the repairing worker, which has sole use of the

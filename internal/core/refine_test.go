@@ -63,8 +63,8 @@ func runPass1(ctx context.Context, st *chipState, tr *violTracker, stats *refine
 
 // poolWorker returns worker 0 of e's pool, captured by a one-task RunOn,
 // so tests can call worker-level code (Worker.Do, repairNet,
-// speculateRelax) directly. It shares worker 0's model clone and
-// evaluator: use it only while e runs no batch.
+// speculateRelax) directly. It shares worker 0's evaluator: use it only
+// while e runs no batch.
 func poolWorker(t testing.TB, e *engine.Engine) *engine.Worker {
 	t.Helper()
 	var w *engine.Worker

@@ -12,10 +12,8 @@
 //   - Each solver call is deterministic given its instance (the greedy
 //     constructor is seedless; annealing callers pass explicit seeds), so
 //     worker count cannot change any individual outcome.
-//   - Each worker owns a private clone of the coupling model (keff.Model
-//     memoizes lazily and is not safe for concurrent use) and all workers
-//     share one keff.PairCache, whose entries are pure functions of
-//     geometry — a racy double-compute stores the same bits.
+//   - Every worker reads the one coupling model: a keff.Model is immutable
+//     once built, so sharing it cannot change a bit.
 //
 // Beyond SINO instances, the engine runs arbitrary function jobs on the
 // same bounded pool via RunTasks — Phase I's sharded iterative-deletion
@@ -24,8 +22,8 @@
 // model is only that task pool: Run and RunOn need Config.Model.
 //
 // The engine also owns the run counters the CLI tools report: instances
-// solved, generic tasks executed, tracks and shields in the returned
-// solutions, and the coupling cache hit rate.
+// solved, generic tasks executed, and tracks and shields in the returned
+// solutions.
 package engine
 
 import (
@@ -72,9 +70,8 @@ func (m Mode) String() string {
 }
 
 // Job is one region instance to solve. The engine overrides the instance's
-// Model with the executing worker's private clone and its Cache with the
-// engine's shared cache; the job's own fields are otherwise used as-is. A
-// job must not alias mutable state of any other job in the same Run call.
+// Model with its own; the job's other fields are used as-is. A job must
+// not alias mutable state of any other job in the same Run call.
 type Job struct {
 	Inst *sino.Instance
 	Mode Mode
@@ -94,15 +91,9 @@ type Config struct {
 	// Workers bounds the pool; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 
-	// Model is the prototype coupling model, cloned once per worker. Run
-	// and RunOn require it; without one the engine serves RunTasks only.
+	// Model is the coupling model every worker solves with. Run and RunOn
+	// require it; without one the engine serves RunTasks only.
 	Model *keff.Model
-
-	// Cache is the shared pair-coupling cache, used only with Model. Nil
-	// allocates a fresh one. A cache is only valid for one technology;
-	// reuse across engines (and across batch-scheduler cells) is allowed
-	// when their models share it.
-	Cache *keff.PairCache
 
 	// Trace, when enabled, records batch-, wave-, and job-level spans: one
 	// span per Run/RunTasks/RunOn call on the engine's control lane, and
@@ -116,55 +107,46 @@ type Config struct {
 
 // Stats are the engine's cumulative counters since construction.
 type Stats struct {
-	Workers   int    // pool bound
-	Jobs      uint64 // instances solved (all modes, Run and Worker.Do alike)
-	Tasks     uint64 // generic tasks executed via RunTasks and RunOn
-	Waves     uint64 // barrier batches executed via RunOn
-	Errors    uint64 // jobs that returned an error
-	Tracks    uint64 // total tracks across returned solutions
-	Shields   uint64 // total shield tracks across returned solutions
-	CacheHits uint64 // pair-coupling cache hits
-	CacheMiss uint64 // pair-coupling cache misses
-}
+	Workers int    // pool bound
+	Jobs    uint64 // instances solved (all modes, Run and Worker.Do alike)
+	Tasks   uint64 // generic tasks executed via RunTasks and RunOn
+	Waves   uint64 // barrier batches executed via RunOn
+	Errors  uint64 // jobs that returned an error
+	Tracks  uint64 // total tracks across returned solutions
+	Shields uint64 // total shield tracks across returned solutions
 
-// HitRate returns the coupling-cache hit rate in [0, 1].
-func (s Stats) HitRate() float64 {
-	if s.CacheHits+s.CacheMiss == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMiss)
+	// CacheHits and CacheMiss read zero: they counted the retired pair
+	// table's lookups (keff.PairCache), and remain for the benchmark
+	// harness's keff.hit_rate.
+	CacheHits, CacheMiss uint64
 }
 
 // Sub returns the counters accumulated since an earlier snapshot.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
-		Workers:   s.Workers,
-		Jobs:      s.Jobs - prev.Jobs,
-		Tasks:     s.Tasks - prev.Tasks,
-		Waves:     s.Waves - prev.Waves,
-		Errors:    s.Errors - prev.Errors,
-		Tracks:    s.Tracks - prev.Tracks,
-		Shields:   s.Shields - prev.Shields,
-		CacheHits: s.CacheHits - prev.CacheHits,
-		CacheMiss: s.CacheMiss - prev.CacheMiss,
+		Workers: s.Workers,
+		Jobs:    s.Jobs - prev.Jobs,
+		Tasks:   s.Tasks - prev.Tasks,
+		Waves:   s.Waves - prev.Waves,
+		Errors:  s.Errors - prev.Errors,
+		Tracks:  s.Tracks - prev.Tracks,
+		Shields: s.Shields - prev.Shields,
 	}
 }
 
 // Engine is a reusable region-solve pool. Run calls are serialized (the
 // parallelism lives inside a Run); an Engine may be shared by the phases of
-// a flow, which keeps worker models and the coupling cache warm across
-// phases.
+// a flow, which keeps the workers' pooled evaluators warm across phases.
 type Engine struct {
 	workers int
-	cache   *keff.PairCache // nil without a model
+	model   *keff.Model // nil without a model
 
 	trace    *obs.Tracer
 	ctlLane  obs.Lane   // batch-level spans (Run/RunTasks/RunOn calls)
 	jobLanes []obs.Lane // per-worker job/task spans; nil when untraced
 
-	runMu  sync.Mutex    // serializes Run calls
-	models []*keff.Model // one per worker; nil without a model
-	evals  []*sino.Eval  // one per worker, reused across calls
+	runMu sync.Mutex   // serializes Run calls
+	evals []*sino.Eval // one per worker, reused across calls; nil without a model
 
 	jobs    atomic.Uint64
 	tasks   atomic.Uint64
@@ -172,12 +154,6 @@ type Engine struct {
 	errors  atomic.Uint64
 	tracks  atomic.Uint64
 	shields atomic.Uint64
-
-	// cacheBase holds the cache counters at construction, so an engine
-	// does not report traffic from before it existed. Engines that run
-	// concurrently on one cache (sched cells of one technology) still see
-	// each other's lookups in their counters.
-	cacheBaseHits, cacheBaseMiss uint64
 }
 
 // errNoModel is Run's and RunOn's error on an engine built without
@@ -185,8 +161,7 @@ type Engine struct {
 var errNoModel = errors.New("engine: no model configured (Run and RunOn need Config.Model)")
 
 // New builds an engine from cfg: with a Model, a region-solve pool with one
-// model clone and pooled evaluator per worker and a shared cache; without
-// one, a RunTasks pool.
+// pooled evaluator per worker; without one, a RunTasks pool.
 func New(cfg Config) *Engine {
 	w := cfg.Workers
 	if w <= 0 {
@@ -203,17 +178,11 @@ func New(cfg Config) *Engine {
 	if cfg.Model == nil {
 		return e
 	}
-	e.cache = cfg.Cache
-	if e.cache == nil {
-		e.cache = keff.NewPairCacheFor(cfg.Model)
-	}
-	e.cacheBaseHits, e.cacheBaseMiss = e.cache.Stats()
+	e.model = cfg.Model
 	// Each worker's evaluator buffers persist across every Run and RunOn
 	// batch it serves; slot w is touched by one drain goroutine per batch.
-	e.models = make([]*keff.Model, w)
 	e.evals = make([]*sino.Eval, w)
-	for i := range e.models {
-		e.models[i] = cfg.Model.Clone()
+	for i := range e.evals {
 		e.evals[i] = sino.NewEval()
 	}
 	return e
@@ -227,10 +196,6 @@ func (e *Engine) workerLane(w int) obs.Lane {
 	}
 	return e.jobLanes[w]
 }
-
-// Cache returns the shared pair-coupling cache, or nil when the engine was
-// built without a model.
-func (e *Engine) Cache() *keff.PairCache { return e.cache }
 
 // EvalStats sums the pooled per-worker incremental evaluators' counters
 // (binds, loads, edits, rollbacks — see sino.EvalStats). It acquires the
@@ -248,27 +213,21 @@ func (e *Engine) EvalStats() sino.EvalStats {
 
 // Stats returns a snapshot of the cumulative counters.
 func (e *Engine) Stats() Stats {
-	var hits, miss uint64
-	if e.cache != nil {
-		hits, miss = e.cache.Stats()
-	}
 	return Stats{
-		Workers:   e.workers,
-		Jobs:      e.jobs.Load(),
-		Tasks:     e.tasks.Load(),
-		Waves:     e.waves.Load(),
-		Errors:    e.errors.Load(),
-		Tracks:    e.tracks.Load(),
-		Shields:   e.shields.Load(),
-		CacheHits: hits - e.cacheBaseHits,
-		CacheMiss: miss - e.cacheBaseMiss,
+		Workers: e.workers,
+		Jobs:    e.jobs.Load(),
+		Tasks:   e.tasks.Load(),
+		Waves:   e.waves.Load(),
+		Errors:  e.errors.Load(),
+		Tracks:  e.tracks.Load(),
+		Shields: e.shields.Load(),
 	}
 }
 
 // drain is the pool's shared claim loop: up to e.workers goroutines claim
 // indices 0..n-1 from an atomic counter and call body(worker, i); all of a
-// goroutine's claims share its worker id, so per-worker resources (model
-// clones, pooled evaluators, Worker contexts) can be indexed by it. drain
+// goroutine's claims share its worker id, so per-worker resources (pooled
+// evaluators, Worker contexts) can be indexed by it. drain
 // is a barrier — it returns once every index has been claimed and its body
 // returned. Run, RunTasks, and RunOn all execute on this loop; only their
 // per-index bodies differ.
@@ -321,7 +280,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	if len(jobs) == 0 {
 		return results, ctx.Err()
 	}
-	if e.models == nil {
+	if e.model == nil {
 		return nil, errNoModel
 	}
 
@@ -332,31 +291,29 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 			return
 		}
 		jsp := e.trace.Start(e.workerLane(w), "job", jobs[i].Mode.String()).Arg("job", int64(i))
-		results[i] = e.solveJob(&jobs[i], e.models[w], e.evals[w])
+		results[i] = e.solveJob(&jobs[i], e.evals[w])
 		jsp.End()
 	})
 	bsp.End()
 	return results, ctx.Err()
 }
 
-// Worker is one pool worker's private solve context: a model clone, a
-// pooled incremental evaluator, and access to the engine's shared coupling
-// cache. RunOn hands a Worker to each task it schedules; tasks solve
+// Worker is one pool worker's private solve context: its pooled
+// incremental evaluator. RunOn hands a Worker to each task it schedules; tasks solve
 // instances through Do instead of calling Run (the pool is already held
 // for the duration of the batch). A Worker must not be used from more than
 // one goroutine at a time.
 type Worker struct {
-	e     *Engine
-	model *keff.Model
-	ev    *sino.Eval
+	e  *Engine
+	ev *sino.Eval
 }
 
 // Do solves one job with this worker's private resources — the single-job
 // counterpart of Run for use inside RunOn tasks. It has Run's semantics
-// exactly (model/cache swap, panic conversion, counters), so a job solved
+// exactly (model swap, panic conversion, counters), so a job solved
 // through Do is bit-identical to the same job solved through Run.
 func (w *Worker) Do(job Job) Result {
-	return w.e.solveJob(&job, w.model, w.ev)
+	return w.e.solveJob(&job, w.ev)
 }
 
 // RunOn executes tasks on the bounded pool, handing each the executing
@@ -374,7 +331,7 @@ func (e *Engine) RunOn(ctx context.Context, tasks []func(*Worker) error) error {
 	if len(tasks) == 0 {
 		return ctx.Err()
 	}
-	if e.models == nil {
+	if e.model == nil {
 		return errNoModel
 	}
 	e.waves.Add(1)
@@ -386,7 +343,7 @@ func (e *Engine) RunOn(ctx context.Context, tasks []func(*Worker) error) error {
 			return // drain remaining indices without running them
 		}
 		if workers[w] == nil {
-			workers[w] = &Worker{e: e, model: e.models[w], ev: e.evals[w]}
+			workers[w] = &Worker{e: e, ev: e.evals[w]}
 		}
 		wk := workers[w]
 		tsp := e.trace.Start(e.workerLane(w), "wave", "wave task").Arg("task", int64(i))
@@ -457,7 +414,7 @@ func (e *Engine) runTask(task func() error) (err error) {
 
 // solveJob runs one job on one worker, converting solver panics (invalid
 // instances) into per-job errors. ev is the worker's pooled evaluator.
-func (e *Engine) solveJob(job *Job, model *keff.Model, ev *sino.Eval) (res Result) {
+func (e *Engine) solveJob(job *Job, ev *sino.Eval) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("engine: %s job panicked: %v", job.Mode, r)}
@@ -473,11 +430,10 @@ func (e *Engine) solveJob(job *Job, model *keff.Model, ev *sino.Eval) (res Resul
 	if job.Inst == nil {
 		return Result{Err: fmt.Errorf("engine: %s job has no instance", job.Mode)}
 	}
-	// Shallow copy so swapping in the worker's model and the shared cache
-	// never races with the caller's view of the instance.
+	// Shallow copy so swapping in the engine's model never races with the
+	// caller's view of the instance.
 	inst := *job.Inst
-	inst.Model = model
-	inst.Cache = e.cache
+	inst.Model = e.model
 
 	switch job.Mode {
 	case ModeSolve:

@@ -15,11 +15,10 @@
 //     provides the table, read from voltage to LSK bound (Table.LSKFor);
 //     internal/core sums each routed net's LSK.
 //
-// Concurrency contract (what internal/engine builds on): a Model memoizes
-// partial inductances lazily and is NOT safe for concurrent use — clone one
-// per worker with Model.Clone. A PairCache stores pure functions of track
-// geometry in one lock-free table and IS safe to share across workers and
-// engines; cached and uncached runs are bit-identical.
+// A Model is immutable once built: NewModel tabulates everything a pair
+// evaluation reads, so one Model is safe for concurrent use by every
+// worker and engine, and every pair is computed from the same tables by
+// the same code (DESIGN.md §4).
 package keff
 
 import (
@@ -58,17 +57,43 @@ type Layout struct {
 }
 
 // Model computes coupling coefficients for a layout under a technology.
-// It memoizes the distance-indexed partial inductances, so PairCoupling is
-// O(1) after warm-up; a Model is not safe for concurrent use.
+//
+// K_ij factors into terms of each wire alone — its current split and
+// effective loop inductance, functions of its two return distances — and
+// nine partial mutuals between the two wires and their returns, all read
+// from one distance-indexed row. Return distances from a shield table are
+// 1…backgroundReturn, and in-cutoff pairs reach mutuals at most
+// pairCutoff + 2·backgroundReturn pitches apart, so NewModel builds both
+// tables once (about 4 KB); a pair evaluation is then nine row reads and
+// a dozen flops. A Model is immutable and safe for concurrent use.
 type Model struct {
-	Tech *tech.Technology
+	tech *tech.Technology
 
-	mu []float64 // mu[d] = partial mutual at d track pitches; mu[0] = Lself
+	mu    [rowLen]float64 // mu[d] = partial mutual at d track pitches; mu[0] = Lself
+	wires [backgroundReturn * backgroundReturn]wire
 }
 
-// NewModel returns a Model over t.
+// NewModel returns a Model over t, its tables built.
 func NewModel(t *tech.Technology) *Model {
-	return &Model{Tech: t}
+	m := &Model{tech: t}
+	m.mu[0] = t.LSelf(refLength)
+	for d := 1; d < rowLen; d++ {
+		m.mu[d] = m.farMutual(d)
+	}
+	for l := 1; l <= backgroundReturn; l++ {
+		for r := 1; r <= backgroundReturn; r++ {
+			m.wires[(l-1)*backgroundReturn+r-1] = m.wireAt(l, r)
+		}
+	}
+	return m
+}
+
+// Clone returns a copy of the model. A Model is immutable, so a clone is
+// never needed for concurrency; it remains for the benchmark harness,
+// which still gives each of its workers one.
+func (m *Model) Clone() *Model {
+	c := *m
+	return &c
 }
 
 // refLength is the wire length (meters) used in the partial-inductance
@@ -90,23 +115,84 @@ const backgroundReturn = 12
 // AllTotals and TotalCoupling skip pairs beyond the cutoff.
 const pairCutoff = 4 * backgroundReturn
 
+// rowLen covers every mutual an in-cutoff pair with capped returns reads:
+// a wire's return to the far side of its partner's, |d| + 2·12 pitches.
+const rowLen = pairCutoff + 2*backgroundReturn + 1
+
 // mutualAt returns the partial mutual inductance between two parallel wires
-// d track pitches apart (d = 0 returns the self-inductance), memoized.
+// d track pitches apart (d = 0 returns the self-inductance). Distances past
+// the row — sidePull's partners beyond the cutoff, or returns beyond the
+// background rail — are computed by the same formula the row was built
+// with, so they carry the same bits a longer row would.
 func (m *Model) mutualAt(d int) float64 {
 	if d < 0 {
 		d = -d
 	}
-	for len(m.mu) <= d {
-		i := len(m.mu)
-		var v float64
-		if i == 0 {
-			v = m.Tech.LSelf(refLength)
-		} else {
-			v = m.Tech.LMutual(float64(i)*m.Tech.Pitch(), refLength)
-		}
-		m.mu = append(m.mu, v)
+	if uint(d) < rowLen {
+		return m.mu[d]
 	}
-	return m.mu[d]
+	return m.farMutual(d)
+}
+
+// farMutual computes the partial mutual at d > 0 pitches. It stays out of
+// line so that mutualAt, called nine times per pair, inlines.
+//
+//go:noinline
+func (m *Model) farMutual(d int) float64 {
+	return m.tech.LMutual(float64(d)*m.tech.Pitch(), refLength)
+}
+
+// wire holds the terms of K_ij that depend on one wire alone.
+type wire struct {
+	w    [2]float64 // share of the current returning left and right
+	leff float64    // effective loop inductance under that split
+}
+
+// wireAt computes the terms of a wire whose return conductors sit l and r
+// pitches to its left and right. Its current splits inversely to the loop
+// inductances Lloop = 2·(L − M(return)) — the tighter loop carries more —
+// floored at 1e-3·L.
+func (m *Model) wireAt(l, r int) wire {
+	ls := m.mu[0]
+	loop := func(d int) float64 {
+		ll := 2 * (ls - m.mutualAt(d))
+		if ll < 1e-3*ls {
+			ll = 1e-3 * ls
+		}
+		return ll
+	}
+	ll, lr := loop(l), loop(r)
+	w := [2]float64{lr / (ll + lr), ll / (ll + lr)}
+	return wire{w: w, leff: w[0]*ll + w[1]*lr}
+}
+
+// wireTerms returns the tabulated terms of a wire with capped return
+// distances l, r ∈ [1, backgroundReturn], as every shield table yields.
+func (m *Model) wireTerms(l, r int) *wire {
+	return &m.wires[(l-1)*backgroundReturn+r-1]
+}
+
+// pair is K_ij for signal tracks d = tj − ti apart, wire i returning il and
+// ir pitches to its left and right, wire j jl and jr, with their terms wi
+// and wj. It averages the loop-to-loop mutual over the four return
+// combinations (a, b), weighted by both current splits:
+//
+//	Mloop(a, b) = M(w_i,w_j) − M(w_i,s_j^b) − M(s_i^a,w_j) + M(s_i^a,s_j^b)
+//	K_ij = |Σ w_i^a·w_j^b·Mloop(a, b)| / √(Leff_i·Leff_j)
+func (m *Model) pair(d, il, ir, jl, jr int, wi, wj *wire) float64 {
+	md := m.mutualAt(d)
+	mjl, mjr := m.mutualAt(jl-d), m.mutualAt(d+jr) // wire i to j's returns
+	mil, mir := m.mutualAt(d+il), m.mutualAt(ir-d) // i's returns to wire j
+	var mloop float64
+	mloop += wi.w[0] * wj.w[0] * (md - mjl - mil + m.mutualAt(d+il-jl))
+	mloop += wi.w[0] * wj.w[1] * (md - mjr - mil + m.mutualAt(d+il+jr))
+	mloop += wi.w[1] * wj.w[0] * (md - mjl - mir + m.mutualAt(d-ir-jl))
+	mloop += wi.w[1] * wj.w[1] * (md - mjr - mir + m.mutualAt(d-ir+jr))
+	k := math.Abs(mloop) / math.Sqrt(wi.leff*wj.leff)
+	if k >= 1 {
+		k = 0.999999
+	}
+	return k
 }
 
 // shieldNeighbors returns the positions of the nearest return conductor on
@@ -164,38 +250,13 @@ func (m *Model) PairCoupling(l Layout, ti, tj int) float64 {
 	return m.pairCouplingAt(ti, tj, [2]int{il, ir}, [2]int{jl, jr})
 }
 
-// pairCouplingAt computes K_ij given each wire's left/right return shields.
+// pairCouplingAt computes K_ij given each wire's left/right return
+// conductors at any distance (region walls included), building both
+// wires' terms the way NewModel tabulates them.
 func (m *Model) pairCouplingAt(ti, tj int, si, sj [2]int) float64 {
-	ls := m.mutualAt(0)
-	loop := func(w, s int) float64 {
-		ll := 2 * (ls - m.mutualAt(w-s))
-		if ll < 1e-3*ls {
-			ll = 1e-3 * ls
-		}
-		return ll
-	}
-	li := [2]float64{loop(ti, si[0]), loop(ti, si[1])}
-	lj := [2]float64{loop(tj, sj[0]), loop(tj, sj[1])}
-	// Current split: the share through the left return is proportional to
-	// the inductance of the *right* loop (lower-inductance path carries
-	// more).
-	wi := [2]float64{li[1] / (li[0] + li[1]), li[0] / (li[0] + li[1])}
-	wj := [2]float64{lj[1] / (lj[0] + lj[1]), lj[0] / (lj[0] + lj[1])}
-
-	var mloop float64
-	for a := 0; a < 2; a++ {
-		for b := 0; b < 2; b++ {
-			ml := m.mutualAt(ti-tj) - m.mutualAt(ti-sj[b]) - m.mutualAt(si[a]-tj) + m.mutualAt(si[a]-sj[b])
-			mloop += wi[a] * wj[b] * ml
-		}
-	}
-	leffI := wi[0]*li[0] + wi[1]*li[1]
-	leffJ := wj[0]*lj[0] + wj[1]*lj[1]
-	k := math.Abs(mloop) / math.Sqrt(leffI*leffJ)
-	if k >= 1 {
-		k = 0.999999
-	}
-	return k
+	il, ir, jl, jr := ti-si[0], si[1]-ti, tj-sj[0], sj[1]-tj
+	wi, wj := m.wireAt(il, ir), m.wireAt(jl, jr)
+	return m.pair(tj-ti, il, ir, jl, jr, &wi, &wj)
 }
 
 // TotalCoupling returns K_i for the signal track at position ti: the sum of
@@ -231,7 +292,10 @@ func (m *Model) TotalCoupling(l Layout, ti int, sensitive func(a, b int) bool) f
 // beyond the background-return cutoff are skipped, so the cost is
 // O(n·cutoff) in the number of tracks with O(1) work per pair.
 func (m *Model) AllTotals(l Layout, sensitive func(a, b int) bool) []float64 {
-	return m.AllTotalsCached(nil, l, sensitive)
+	tr := l.Tracks
+	out := make([]float64, len(tr))
+	m.AllTotalsInto(tr, m.shieldTable(tr), sensitive, out)
+	return out
 }
 
 // shieldTable precomputes each position's nearest return conductors in one

@@ -3,6 +3,7 @@ package keff
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -264,5 +265,66 @@ func TestMutualMemoConsistency(t *testing.T) {
 	}
 	if m.mutualAt(0) != tc.LSelf(1e-3) {
 		t.Error("mutualAt(0) != LSelf")
+	}
+}
+
+func TestCloneIsIndependentAndEquivalent(t *testing.T) {
+	m := NewModel(tech.Default())
+	l := denseLayout(16, 8)
+	want := m.AllTotals(l, allSensitive)
+
+	clone := m.Clone()
+	if clone == m {
+		t.Fatal("Clone returned its receiver")
+	}
+	got := clone.AllTotals(l, allSensitive)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("track %d: clone %g != original %g", i, got[i], want[i])
+		}
+	}
+	// The clone holds its own tables, not views of the original's.
+	clone.mu[3], clone.wires[0].leff = 0, 0
+	if m.mu[3] == 0 || m.wires[0].leff == 0 {
+		t.Error("writing the clone's tables changed the original's")
+	}
+}
+
+// TestModelConcurrentUse races workers on one shared Model, started
+// together on the same layouts: a Model is immutable after NewModel, so
+// every worker's totals must be the serial run's bits (and the race
+// detector must see no write).
+func TestModelConcurrentUse(t *testing.T) {
+	m := NewModel(tech.Default())
+	layouts := []Layout{denseLayout(40, 10, 30), denseLayout(48), denseLayout(33, 0, 7, 8, 20), denseLayout(130, 64)}
+	want := make([][]float64, len(layouts))
+	for li, l := range layouts {
+		want[li] = m.AllTotals(l, allSensitive)
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan string, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for rep := 0; rep < 20; rep++ {
+				li := rep % len(layouts)
+				got := m.AllTotals(layouts[li], allSensitive)
+				for i := range got {
+					if got[i] != want[li][i] {
+						errs <- "concurrent totals diverged"
+						return
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

@@ -1,75 +1,38 @@
 package keff
 
-// This file is the single-worker evaluation front end of the coupling
-// model: a Coupler bundles a Model with the shared PairCache, when there is
-// one, and batches cache statistics per caller operation. The incremental
-// SINO evaluator (internal/sino) keeps one Coupler per worker;
-// AllTotalsCached is a thin wrapper over the same code path, so cached and
-// direct evaluations are bit-identical by construction.
-
-// Coupler evaluates pair couplings for one worker. It is not safe for
-// concurrent use (it wraps a Model, which memoizes lazily); concurrent
-// solvers give each worker its own Coupler, sharing at most the PairCache.
-//
-// A Coupler with a PairCache looks each pair up in it; one without computes
-// directly. Both return the exact same float64 bits for the same relative
-// geometry — couplings are pure functions of geometry, and the cache stores
-// the computed value verbatim — so the choice is invisible to callers.
-type Coupler struct {
-	m  *Model
-	c  *PairCache
-	ls lookStats
-}
-
-// NewCoupler returns a Coupler over m, using the shared cache c when
-// non-nil.
-func NewCoupler(m *Model, c *PairCache) *Coupler {
-	return &Coupler{m: m, c: c}
-}
-
-// Model returns the underlying coupling model.
-func (cp *Coupler) Model() *Model { return cp.m }
-
-// SharedCache returns the shared PairCache, or nil when the Coupler
-// computes directly.
-func (cp *Coupler) SharedCache() *PairCache { return cp.c }
-
-// Flush pushes batched cache counters to the shared cache. Callers
-// batching many Pair evaluations (one solver operation, one totals pass)
-// flush once at the end instead of paying an atomic add per pair.
-func (cp *Coupler) Flush() {
-	if cp.c != nil {
-		cp.c.flush(&cp.ls)
-	}
-}
+// This file holds the pair-summing entry points the incremental SINO
+// evaluator (internal/sino) runs in its inner loops. Each evaluates pairs
+// from the model's tables (wireTerms, mutualAt) through the one kernel,
+// pair, with the fixed wire's terms read once per row.
 
 // Pair returns K_ij for signal tracks at positions ti and tj given each
-// wire's left/right return conductors (as produced by ShieldTableInto or
-// shieldNeighbors) — pairCouplingAt behind the shared cache, if any.
-func (cp *Coupler) Pair(ti, tj int, si, sj [2]int) float64 {
-	if cp.c == nil {
-		return cp.m.pairCouplingAt(ti, tj, si, sj)
-	}
-	return cp.c.pair(cp.m, &cp.ls, ti, tj, si, sj)
+// wire's left/right return conductors, as ShieldTableInto produces them
+// (return distances within the background return).
+func (m *Model) Pair(ti, tj int, si, sj [2]int) float64 {
+	il, ir, jl, jr := ti-si[0], si[1]-ti, tj-sj[0], sj[1]-tj
+	return m.pair(tj-ti, il, ir, jl, jr, m.wireTerms(il, ir), m.wireTerms(jl, jr))
 }
 
 // TrackTotal returns the total coupling K of the signal track at position
 // ti: the sum of Pair over its sensitive partners within the pair cutoff,
 // taken in ascending track order with the lower position as the first
 // operand. That is exactly the accumulation order AllTotals uses for the
-// same position, so the result is bit-identical to AllTotalsCached(...)[ti]
-// — the property the incremental evaluator's windowed updates rest on.
-func (cp *Coupler) TrackTotal(tr []Track, shields [][2]int, ti int, sensitive func(a, b int) bool) float64 {
+// same position, so the result is bit-identical to AllTotals(...)[ti] —
+// the property the incremental evaluator's windowed updates rest on.
+func (m *Model) TrackTotal(tr []Track, shields [][2]int, ti int, sensitive func(a, b int) bool) float64 {
+	il, ir := ti-shields[ti][0], shields[ti][1]-ti
+	wt := m.wireTerms(il, ir)
 	sum := 0.0
 	hi := min(ti+pairCutoff, len(tr)-1)
 	for q := max(ti-pairCutoff, 0); q <= hi; q++ {
 		if q == ti || tr[q].Kind != SignalTrack || !sensitive(tr[ti].Net, tr[q].Net) {
 			continue
 		}
+		ql, qr := q-shields[q][0], shields[q][1]-q
 		if q < ti {
-			sum += cp.Pair(q, ti, shields[q], shields[ti])
+			sum += m.pair(ti-q, ql, qr, il, ir, m.wireTerms(ql, qr), wt)
 		} else {
-			sum += cp.Pair(ti, q, shields[ti], shields[q])
+			sum += m.pair(q-ti, il, ir, ql, qr, wt, m.wireTerms(ql, qr))
 		}
 	}
 	return sum
@@ -77,25 +40,23 @@ func (cp *Coupler) TrackTotal(tr []Track, shields [][2]int, ti int, sensitive fu
 
 // AllTotalsInto computes every track position's total coupling into out
 // (len(tr), zeroed here), evaluating each pair once — the allocation-free
-// core of AllTotalsCached, for callers that maintain their own shield
-// table and output buffer.
-func (cp *Coupler) AllTotalsInto(tr []Track, shields [][2]int, sensitive func(a, b int) bool, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
+// core of AllTotals, for callers that maintain their own shield table and
+// output buffer.
+func (m *Model) AllTotalsInto(tr []Track, shields [][2]int, sensitive func(a, b int) bool, out []float64) {
+	clear(out)
 	for i := range tr {
 		if tr[i].Kind != SignalTrack {
 			continue
 		}
+		il, ir := i-shields[i][0], shields[i][1]-i
+		wi := m.wireTerms(il, ir)
 		jMax := min(i+pairCutoff, len(tr)-1)
 		for j := i + 1; j <= jMax; j++ {
-			if tr[j].Kind != SignalTrack {
+			if tr[j].Kind != SignalTrack || !sensitive(tr[i].Net, tr[j].Net) {
 				continue
 			}
-			if !sensitive(tr[i].Net, tr[j].Net) {
-				continue
-			}
-			k := cp.Pair(i, j, shields[i], shields[j])
+			jl, jr := j-shields[j][0], shields[j][1]-j
+			k := m.pair(j-i, il, ir, jl, jr, wi, m.wireTerms(jl, jr))
 			out[i] += k
 			out[j] += k
 		}

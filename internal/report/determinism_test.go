@@ -11,7 +11,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/ibm"
-	"repro/internal/keff"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
@@ -104,8 +103,8 @@ func renderAll(t *testing.T, workers int) string {
 // possibly disturb: the report bytes plus the outcome fields the tables
 // omit (refinement counters included — Phase III's wave decomposition is
 // part of the determinism contract). Wall-clock fields (Runtime, Phases)
-// and scheduling-dependent throughput counters (Engine, Cache lookup
-// totals) are zeroed; everything else must be byte-identical.
+// and scheduling-dependent throughput counters (Engine) are zeroed;
+// everything else must be byte-identical.
 func gsinoFingerprint(t *testing.T, seed int64, workers int, trace *obs.Tracer) string {
 	t.Helper()
 	return fingerprint(gsinoOutcome(t, seed, workers, trace))
@@ -139,8 +138,7 @@ func gsinoOutcome(t *testing.T, seed int64, workers int, trace *obs.Tracer) *cor
 func fingerprint(o *core.Outcome) string {
 	o.Runtime = 0
 	o.Phases = obs.PhaseTimes{}
-	o.Engine = engine.Stats{}  // scheduling-dependent throughput counters only
-	o.Cache = keff.CacheInfo{} // lookup totals are schedule-dependent
+	o.Engine = engine.Stats{} // scheduling-dependent throughput counters only
 	set := NewSet()
 	set.Add(o)
 	var b strings.Builder

@@ -9,9 +9,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/keff"
 	"repro/internal/netlist"
-	"repro/internal/tech"
 )
 
 // benchCells builds the benchmark evaluation grid: two circuits × two
@@ -44,9 +42,7 @@ func runBatchStore(tb testing.TB, cells []Cell, jobs int, store *artifact.Store)
 // BenchmarkBatch measures the full evaluation grid on the batch scheduler
 // across jobs settings. jobs1 is the serial path; on a multi-core machine
 // the higher settings should approach linear speedup (cells are
-// independent; the shared cache is read-mostly). The
-// reported warm-start hit rate of the last cell shows the cross-cell cache
-// carryover.
+// independent).
 func BenchmarkBatch(b *testing.B) {
 	counts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n > 4 {
@@ -59,38 +55,7 @@ func BenchmarkBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				results = runBatch(b, cells, jobs)
 			}
-			last := results[len(results)-1]
-			b.ReportMetric(float64(len(cells)), "cells")
-			b.ReportMetric(last.WarmHitRate()*100, "warmhit%")
-		})
-	}
-}
-
-// BenchmarkBatchCacheAblation isolates the shared cache: the same serial
-// batch run once with every cell on the batch's shared cache and once
-// with a fresh private cache per cell (Params.Cache, which a cell keeps
-// over the batch's). Outcomes are identical, so the delta is pure cache
-// carryover.
-func BenchmarkBatchCacheAblation(b *testing.B) {
-	for _, private := range []bool{false, true} {
-		name := "shared"
-		if private {
-			name = "private"
-		}
-		b.Run(name, func(b *testing.B) {
-			var results []Result
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cells := benchCells(b)
-				if private {
-					for c := range cells {
-						cells[c].Params.Cache = keff.NewPairCacheFor(keff.NewModel(tech.Default()))
-					}
-				}
-				b.StartTimer()
-				results = runBatch(b, cells, 1)
-			}
-			b.ReportMetric(results[len(results)-1].WarmHitRate()*100, "warmhit%")
+			b.ReportMetric(float64(len(results)), "cells")
 		})
 	}
 }
@@ -137,11 +102,10 @@ func benchECODelta() artifact.Delta {
 
 // runECO runs the three flows over delta applied to d, each on an ECO
 // runner (core.NewECORunner) that resumes Phase I from store's warm base
-// artifacts, sharing one coupling cache as a batch would.
+// artifacts.
 func runECO(tb testing.TB, d *core.Design, delta artifact.Delta, store *artifact.Store) {
-	cache := keff.NewPairCacheFor(keff.NewModel(tech.Default()))
 	for _, f := range []core.Flow{core.FlowIDNO, core.FlowISINO, core.FlowGSINO} {
-		r, err := core.NewECORunner(d, delta, core.Params{Cache: cache, Artifacts: store})
+		r, err := core.NewECORunner(d, delta, core.Params{Artifacts: store})
 		if err != nil {
 			tb.Fatal(err)
 		}

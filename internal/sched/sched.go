@@ -7,12 +7,8 @@
 // the batch embarrassingly parallel one level above the region-solve
 // engine: each cell gets its own core.Runner with a private engine, and the
 // scheduler splits the machine's worker budget between the outer pool and
-// each runner's inner engine. What the cells do share is a single
-// keff.PairCache, injected through core.Params.Cache: its entries are pure
-// functions of relative track geometry under the one technology every flow
-// runs, so later cells start with the coupling arithmetic of earlier ones
-// already cached — warm-start hit rates are surfaced per cell in Result —
-// and sharing never changes a result byte (DESIGN.md §8).
+// each runner's inner engine. Cells share the artifact store (Config) and
+// nothing else.
 //
 // Determinism contract: results are positional (results[i] is cells[i]'s
 // outcome), OnResult fires in strict cell order whatever order cells
@@ -35,9 +31,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/core"
-	"repro/internal/keff"
 	"repro/internal/obs"
-	"repro/internal/tech"
 )
 
 // Cell is one independent unit of the evaluation grid: one flow over one
@@ -59,29 +53,16 @@ type Result struct {
 	// InnerWorkers is the engine worker count the scheduler assigned this
 	// cell's runner (the per-cell share of Config.Workers).
 	InnerWorkers int
-
-	// WarmHits and WarmMisses snapshot the cell's coupling cache (the
-	// batch's shared one, or its own Params.Cache) at the moment the cell
-	// started: nonzero numbers mean the cell began warm on earlier cells'
-	// arithmetic. The traffic the cell itself generated is in
-	// Outcome.Engine (under concurrent cells that counter also sees
-	// neighbors sharing the cache).
-	WarmHits, WarmMisses uint64
 }
 
-// WarmHitRate returns the cell's cache hit rate at cell start, in [0, 1]
-// — the carryover a cell inherits from the cells before it. 0 for the
-// first cell of a batch.
-func (r Result) WarmHitRate() float64 {
-	if r.WarmHits+r.WarmMisses == 0 {
-		return 0
-	}
-	return float64(r.WarmHits) / float64(r.WarmHits+r.WarmMisses)
-}
+// WarmHitRate reads 0: cells no longer share coupling state, so none
+// starts warm on another's. It remains for the benchmark harness's
+// sched.warm_hit_rate.
+func (r Result) WarmHitRate() float64 { return 0 }
 
 // Summary renders the one-line digest batch progress streams print per
 // cell: the outcome's headline and phase split, then the cell position
-// out of total, the inner worker share and the warm-start carryover.
+// out of total and the inner worker share.
 // Timings appear only here and in core.Outcome.Detail — never in the
 // deterministic tables or CSV.
 func (r Result) Summary(total int) string {
@@ -90,11 +71,11 @@ func (r Result) Summary(total int) string {
 		return fmt.Sprintf("cell %d/%d failed: %v", r.Index+1, total, r.Err)
 	}
 	ms := time.Millisecond
-	return fmt.Sprintf("ran %s %s @%.0f%% in %s (%d violations, %d route shards, %d solves, %d refine waves; route %s / order %s / refine %s) [cell %d/%d, %d workers, warm-start hit %.0f%%]",
+	return fmt.Sprintf("ran %s %s @%.0f%% in %s (%d violations, %d route shards, %d solves, %d refine waves; route %s / order %s / refine %s) [cell %d/%d, %d workers]",
 		o.Design, o.Flow, o.Rate*100, o.Runtime.Round(ms),
 		o.Violations, o.Route.Shards, o.Engine.Jobs, o.Refine.Waves,
 		o.Phases.Route.Round(ms), o.Phases.Order.Round(ms), o.Phases.Refine.Round(ms),
-		r.Index+1, total, r.InnerWorkers, r.WarmHitRate()*100)
+		r.Index+1, total, r.InnerWorkers)
 }
 
 // Config tunes a batch run.
@@ -161,7 +142,6 @@ func Run(ctx context.Context, cells []Cell, cfg Config) ([]Result, error) {
 		totalWorkers = runtime.GOMAXPROCS(0)
 	}
 	inner := splitWorkers(totalWorkers, jobs)
-	cache := keff.NewPairCacheFor(keff.NewModel(tech.Default()))
 
 	lanes := make([]obs.Lane, jobs)
 	if cfg.Trace.Enabled() {
@@ -204,7 +184,7 @@ func Run(ctx context.Context, cells []Cell, cfg Config) ([]Result, error) {
 					}
 				}
 				csp := cfg.Trace.Start(lane, "sched", name).Arg("cell", int64(i))
-				results[i] = runCell(ctx, i, cells[i], cache, cfg.Artifacts, inner, cfg.Trace, lane)
+				results[i] = runCell(ctx, i, cells[i], cfg.Artifacts, inner, cfg.Trace, lane)
 				csp.End()
 				inFlight.Add(-1)
 				em.done(i)
@@ -227,21 +207,17 @@ func splitWorkers(total, jobs int) int {
 	return total / jobs
 }
 
-// runCell executes one cell on its own runner, wiring in the shared cache,
-// the shared artifact store, the split worker budget, and the runner's
-// trace lane (so the cell's flow spans nest under its cell span). A cell
-// that sets any of these in its Params keeps its own.
-func runCell(ctx context.Context, i int, c Cell, cache *keff.PairCache, artifacts *artifact.Store, workers int, trace *obs.Tracer, lane obs.Lane) Result {
+// runCell executes one cell on its own runner, wiring in the shared
+// artifact store, the split worker budget, and the runner's trace lane (so
+// the cell's flow spans nest under its cell span). A cell that sets any of
+// these in its Params keeps its own.
+func runCell(ctx context.Context, i int, c Cell, artifacts *artifact.Store, workers int, trace *obs.Tracer, lane obs.Lane) Result {
 	r := Result{Index: i}
 	if c.Design == nil {
 		r.Err = fmt.Errorf("sched: cell %d has no design", i)
 		return r
 	}
 	p := c.Params
-	if p.Cache == nil {
-		p.Cache = cache
-	}
-	r.WarmHits, r.WarmMisses = p.Cache.Stats()
 	if p.Artifacts == nil {
 		p.Artifacts = artifacts
 	}

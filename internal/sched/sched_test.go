@@ -15,12 +15,10 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/ibm"
-	"repro/internal/keff"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/route"
-	"repro/internal/tech"
 )
 
 // randomDesign builds a compact random design, mirroring the core test
@@ -188,47 +186,6 @@ func TestResultStreamingOrder(t *testing.T) {
 	}
 }
 
-// TestSharedCacheCarryover shows the point of the batch's shared cache:
-// cell N>1 starts with a nonzero hit rate inherited from earlier cells,
-// while a cell carrying its own Params.Cache keeps it and starts cold.
-func TestSharedCacheCarryover(t *testing.T) {
-	d := randomDesign(t, 60, 0.5, 3)
-	own := keff.NewPairCacheFor(keff.NewModel(tech.Default()))
-	cells := []Cell{
-		{Design: d, Flow: core.FlowGSINO},
-		{Design: d, Flow: core.FlowGSINO},
-		{Design: d, Flow: core.FlowGSINO, Params: core.Params{Cache: own}},
-	}
-	results, err := Run(context.Background(), cells, Config{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
-	if results[0].WarmHits != 0 || results[0].WarmMisses != 0 {
-		t.Errorf("first cell started warm: %d hits, %d misses", results[0].WarmHits, results[0].WarmMisses)
-	}
-	if results[1].WarmHits == 0 {
-		t.Error("second cell started cold; cache carryover broken")
-	}
-	if rate := results[1].WarmHitRate(); rate <= 0 {
-		t.Errorf("second cell warm hit rate = %v, want > 0", rate)
-	}
-	if results[2].WarmHits != 0 || results[2].WarmMisses != 0 {
-		t.Errorf("cell with its own cache inherited the batch's: %d hits, %d misses", results[2].WarmHits, results[2].WarmMisses)
-	}
-	if h, m := own.Stats(); h+m == 0 {
-		t.Error("the cell's own cache saw no traffic; the batch cache replaced it")
-	}
-	// Warm carryover is real work saved: the second cell's own traffic must
-	// hit at a higher rate than the cold first cell's.
-	first, second := results[0].Outcome.Engine, results[1].Outcome.Engine
-	if first.HitRate() >= second.HitRate() {
-		t.Errorf("warm cell hit rate %.3f not above cold cell's %.3f", second.HitRate(), first.HitRate())
-	}
-}
-
 // TestPerCellErrors: a failing cell must not stop the batch, and its error
 // must carry the cell index.
 func TestPerCellErrors(t *testing.T) {
@@ -358,7 +315,7 @@ func TestBatchTrace(t *testing.T) {
 	sum := results[2].Summary(len(cells))
 	for _, want := range []string{
 		fmt.Sprintf("ran %s %s @30%% in ", d.Name, cells[2].Flow),
-		fmt.Sprintf(" [cell 3/%d, %d workers, warm-start hit ", len(cells), results[2].InnerWorkers),
+		fmt.Sprintf(" [cell 3/%d, %d workers]", len(cells), results[2].InnerWorkers),
 	} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("Summary missing %q in %q", want, sum)
@@ -367,13 +324,12 @@ func TestBatchTrace(t *testing.T) {
 }
 
 // TestResultSummary pins the per-cell stderr line: the outcome's headline
-// numbers and phase split, then the cell position, worker share and
-// warm-start hit rate (zero, not NaN, when the shared cache saw no
-// lookups); a failed cell reports its error instead.
+// numbers and phase split, then the cell position and worker share; a
+// failed cell reports its error instead.
 func TestResultSummary(t *testing.T) {
 	ms := time.Millisecond
 	r := Result{
-		Index: 2, InnerWorkers: 2, WarmHits: 9, WarmMisses: 1,
+		Index: 2, InnerWorkers: 2,
 		Outcome: &core.Outcome{
 			Design: "ibm01", Flow: core.FlowGSINO, Rate: 0.3, Violations: 2,
 			Runtime: 37 * ms,
@@ -383,12 +339,9 @@ func TestResultSummary(t *testing.T) {
 			Refine:  core.RefineStats{Waves: 6},
 		},
 	}
-	want := "ran ibm01 GSINO @30% in 37ms (2 violations, 40 route shards, 344 solves, 6 refine waves; route 13ms / order 17ms / refine 4ms) [cell 3/36, 2 workers, warm-start hit 90%]"
+	want := "ran ibm01 GSINO @30% in 37ms (2 violations, 40 route shards, 344 solves, 6 refine waves; route 13ms / order 17ms / refine 4ms) [cell 3/36, 2 workers]"
 	if got := r.Summary(36); got != want {
 		t.Errorf("Summary =\n%s\nwant\n%s", got, want)
-	}
-	if rate := (Result{}).WarmHitRate(); rate != 0 {
-		t.Errorf("empty WarmHitRate = %v, want 0", rate)
 	}
 	r.Outcome, r.Err = nil, errors.New("boom")
 	if got := r.Summary(36); got != "cell 3/36 failed: boom" {

@@ -18,7 +18,7 @@ var benchSizes = []int{8, 16, 32, 64}
 // benchInstance builds a deterministic instance for kernel benchmarks. A
 // loose-ish bound keeps the solver in its typical regime: a handful of
 // shield insertions followed by a polish pass that removes some of them.
-func benchInstance(n int, rate, kth float64, shared bool) *Instance {
+func benchInstance(n int, rate, kth float64) *Instance {
 	rng := rand.New(rand.NewSource(int64(n)*1009 + 7))
 	rates := make([]float64, n)
 	for i := range rates {
@@ -33,28 +33,14 @@ func benchInstance(n int, rate, kth float64, shared bool) *Instance {
 		Sensitive: randomSensitivity(n, rates, rng),
 		Model:     keff.NewModel(tech.Default()),
 	}
-	if shared {
-		in.Cache = keff.NewPairCacheFor(in.Model)
-	}
 	return in
-}
-
-func cacheArm(shared bool) string {
-	if shared {
-		return "cache"
-	}
-	return "nocache"
-}
-
-func benchName(prefix string, n int, arm string) string {
-	return fmt.Sprintf("%s%d/%s", prefix, n, arm)
 }
 
 // benchSolveBody measures one full greedy region solve — construct, shield
 // repair, polish — on a pooled evaluator, the way every production call
 // site (engine workers, the fit sweep) invokes it.
-func benchSolveBody(b *testing.B, n int, shared bool) {
-	in := benchInstance(n, 0.4, 0.55, shared)
+func benchSolveBody(b *testing.B, n int) {
+	in := benchInstance(n, 0.4, 0.55)
 	ev := NewEval()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -66,12 +52,12 @@ func benchSolveBody(b *testing.B, n int, shared bool) {
 // benchRepairBody measures the shield-insertion-only re-solve used by
 // Phase III pass 1: an existing solution whose bounds tightened a little,
 // repaired from the totals its solve reported, as the engine does.
-func benchRepairBody(b *testing.B, n int, shared bool) {
-	in := benchInstance(n, 0.4, 0.55, shared)
+func benchRepairBody(b *testing.B, n int) {
+	in := benchInstance(n, 0.4, 0.55)
 	seed, chk := Solve(in)
 	// Tighten every bound the way refinement does, so Repair has real
 	// insertion work on each iteration.
-	tight := &Instance{Segs: append([]Seg(nil), in.Segs...), Sensitive: in.Sensitive, Model: in.Model, Cache: in.Cache}
+	tight := &Instance{Segs: append([]Seg(nil), in.Segs...), Sensitive: in.Sensitive, Model: in.Model}
 	for i := range tight.Segs {
 		tight.Segs[i].Kth *= 0.7
 	}
@@ -88,8 +74,8 @@ func benchRepairBody(b *testing.B, n int, shared bool) {
 // solution padded with redundant shields, reloaded and polished per
 // iteration. Pre-evaluator this was the solver's costliest stage — one
 // full O(n²) verification per removal probe.
-func benchPolishBody(b *testing.B, n int, shared bool) {
-	in := benchInstance(n, 0.4, 0.55, shared)
+func benchPolishBody(b *testing.B, n int) {
+	in := benchInstance(n, 0.4, 0.55)
 	sol, _ := Solve(in)
 	padded := cloneSolution(sol)
 	for i := 0; i < 1+n/4; i++ {
@@ -115,27 +101,21 @@ func benchPolishBody(b *testing.B, n int, shared bool) {
 // entry points run.
 var kernelBenchFamilies = []struct {
 	name string
-	body func(b *testing.B, n int, shared bool)
+	body func(b *testing.B, n int)
 }{
 	{"solve", benchSolveBody},
 	{"repair", benchRepairBody},
 	{"polish", benchPolishBody},
 }
 
-func runKernelFamily(b *testing.B, body func(b *testing.B, n int, shared bool)) {
+func runKernelFamily(b *testing.B, body func(b *testing.B, n int)) {
 	for _, n := range benchSizes {
-		for _, shared := range []bool{false, true} {
-			n, shared := n, shared
-			b.Run(benchName("segs", n, cacheArm(shared)), func(b *testing.B) {
-				body(b, n, shared)
-			})
-		}
+		b.Run(fmt.Sprintf("segs%d", n), func(b *testing.B) { body(b, n) })
 	}
 }
 
 // BenchmarkSINOSolve measures one full greedy region solve at kernel
-// sizes, with and without a shared pair-coupling cache (the engine always
-// supplies one; direct callers usually do not).
+// sizes.
 func BenchmarkSINOSolve(b *testing.B) { runKernelFamily(b, benchSolveBody) }
 
 // BenchmarkSINORepair measures the Phase III pass 1 re-solve.

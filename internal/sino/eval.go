@@ -16,11 +16,11 @@ import (
 // the 48-track pair cutoff, and an edit at track t perturbs totals only inside
 // Model.AffectedRange around t (see its window argument), so a shield
 // insertion or removal, a swap or a relocation costs O(window·cutoff)
-// cached pair lookups instead of the O(n²) from-scratch Verify the solver
+// pair evaluations instead of the O(n²) from-scratch Verify the solver
 // previously ran per probe. Bit-identity is the contract that makes the
 // rewiring safe: after every operation, segment i's total equals the i-th
 // entry of a fresh Instance.TotalK of the current solution exactly (same
-// pair values, same accumulation order — Coupler.TrackTotal documents
+// pair values, same accumulation order — Model.TrackTotal documents
 // why), so every comparison the greedy solver, polish pass, and annealer
 // make is unchanged, and so are their outputs. Instance.Verify stays as
 // the independent brute-force oracle; TestEvalMatchesVerifyOnEditScripts
@@ -37,11 +37,9 @@ import (
 //
 // An Eval is reusable across instances (Bind resets it) and is designed to
 // be pooled one per solver worker: its buffers persist across solves. It
-// is not safe for concurrent use. The bound instance's Model must not be reconfigured
-// while the evaluator holds it.
+// is not safe for concurrent use.
 type Eval struct {
 	in     *Instance
-	cp     *keff.Coupler
 	sens   triBits             // pairwise sensitivity, by segment index
 	sensFn func(a, b int) bool // closure over sens, in keff layout terms
 
@@ -103,15 +101,10 @@ func NewEval() *Eval { return &Eval{} }
 // Bind attaches the evaluator to an instance: it snapshots the pairwise
 // sensitivity relation into a bitset (the relation is consulted thousands
 // of times per solve on the same pairs), copying Instance.Rel when the
-// caller took the snapshot already, and keeps the keff.Coupler whenever
-// the instance shares the previous one's Model and Cache, which is
-// exactly the engine's per-worker situation.
+// caller took the snapshot already.
 func (e *Eval) Bind(in *Instance) {
 	e.in = in
 	e.stats.Binds++
-	if e.cp == nil || e.cp.Model() != in.Model || e.cp.SharedCache() != in.Cache {
-		e.cp = keff.NewCoupler(in.Model, in.Cache)
-	}
 	if in.Rel != nil {
 		e.sens.copyFrom(&in.Rel.bits)
 	} else {
@@ -173,8 +166,7 @@ func (e *Eval) load(s *Solution, k []float64) error {
 		copy(e.k, k)
 	} else {
 		e.kt = growFloats(e.kt, len(lt))
-		e.cp.AllTotalsInto(lt, e.shields, e.sensFn, e.kt)
-		e.cp.Flush()
+		e.in.Model.AllTotalsInto(lt, e.shields, e.sensFn, e.kt)
 		for t, v := range e.tracks {
 			if v != Shield {
 				e.k[v] = e.kt[t]
@@ -293,7 +285,7 @@ func (e *Eval) removeAt(at int) int {
 //   - the shield's two neighbours becoming a sensitive adjacency, the one
 //     capacitive pair the removal can create, checked before any coupling
 //     is evaluated;
-//   - a total over its bound, summed per track (Coupler.TrackTotal, the
+//   - a total over its bound, summed per track (Model.TrackTotal, the
 //     full pass's bits) inside AffectedRange, nearest the cut first
 //     because the largest changes sit there. Totals outside the window
 //     keep their bits, so they stay within bounds.
@@ -320,9 +312,8 @@ func (e *Eval) tryRemoveShield(at int) bool {
 			if p < lo || p > hi || e.tracks[p] == Shield {
 				continue
 			}
-			k := e.cp.TrackTotal(e.layout.Tracks, e.shields, p, e.sensFn)
+			k := e.in.Model.TrackTotal(e.layout.Tracks, e.shields, p, e.sensFn)
 			if k > e.in.Segs[e.tracks[p]].Kth {
-				e.cp.Flush()
 				e.splice(at, Shield)
 				e.stats.Rollbacks++
 				return false
@@ -330,7 +321,6 @@ func (e *Eval) tryRemoveShield(at int) bool {
 			e.kt[p] = k
 		}
 	}
-	e.cp.Flush()
 	for p := lo; p <= hi; p++ {
 		if v := e.tracks[p]; v != Shield {
 			e.k[v] = e.kt[p]
@@ -429,7 +419,7 @@ func (e *Eval) recompute(lo, hi int) {
 	}
 	if 2*(hi-lo+1) >= nt {
 		e.kt = growFloats(e.kt, nt)
-		e.cp.AllTotalsInto(e.layout.Tracks, e.shields, e.sensFn, e.kt)
+		e.in.Model.AllTotalsInto(e.layout.Tracks, e.shields, e.sensFn, e.kt)
 		for t, v := range e.tracks {
 			if v != Shield {
 				e.setK(v, e.kt[t])
@@ -441,10 +431,9 @@ func (e *Eval) recompute(lo, hi int) {
 			if v == Shield {
 				continue
 			}
-			e.setK(v, e.cp.TrackTotal(e.layout.Tracks, e.shields, p, e.sensFn))
+			e.setK(v, e.in.Model.TrackTotal(e.layout.Tracks, e.shields, p, e.sensFn))
 		}
 	}
-	e.cp.Flush()
 }
 
 // setK updates one segment's total and the over-bound counter.
@@ -512,14 +501,13 @@ func (e *Eval) sidePull(pos int) (left, right float64) {
 		if t == pos || other == Shield || !e.sens.get(seg, other) {
 			continue
 		}
-		k := e.cp.Pair(pos, t, e.shields[pos], e.shields[t])
+		k := e.in.Model.Pair(pos, t, e.shields[pos], e.shields[t])
 		if t < pos {
 			left += k
 		} else {
 			right += k
 		}
 	}
-	e.cp.Flush()
 	return left, right
 }
 

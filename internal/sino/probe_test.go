@@ -96,7 +96,6 @@ func TestPolishMatchesReference(t *testing.T) {
 			for _, tight := range []int{0, 1, 3, n / 2} {
 				seed := int64(n*100) + int64(rate*10) + int64(tight)*7
 				in := testInstance(n, rate, 1, seed)
-				in.Cache = keff.NewPairCacheFor(in.Model)
 				rng := rand.New(rand.NewSource(seed))
 				for _, slack := range []float64{0.5, 20} {
 					for rep := 0; rep < 2; rep++ {

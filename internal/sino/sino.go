@@ -38,10 +38,8 @@ type Instance struct {
 	Sensitive func(a, b int) bool // by net identifiers; must be symmetric
 	Model     *keff.Model
 
-	// Cache optionally memoizes pair-coupling evaluations across solves and
-	// instances (see keff.PairCache). Nil computes directly; a non-nil cache
-	// yields bit-identical couplings, just faster. The engine package wires
-	// one shared cache into every worker's instances.
+	// Cache is ignored: couplings come from Model's tables. It remains
+	// for the benchmark harness, which still sets it (keff.PairCache).
 	Cache *keff.PairCache
 
 	// Rel optionally snapshots Sensitive over Segs (NewRelation), for a
@@ -134,7 +132,7 @@ func (in *Instance) Layout(s *Solution) keff.Layout {
 // solution, indexed by segment.
 func (in *Instance) TotalK(s *Solution) []float64 {
 	l := in.Layout(s)
-	byTrack := in.Model.AllTotalsCached(in.Cache, l, in.sensitiveSegs)
+	byTrack := in.Model.AllTotals(l, in.sensitiveSegs)
 	out := make([]float64, len(in.Segs))
 	for t, seg := range s.Tracks {
 		if seg != Shield {
