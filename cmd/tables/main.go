@@ -22,6 +22,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"strings"
@@ -170,11 +171,21 @@ func main() {
 
 // buildCells returns the batch for a comma-separated circuit list: each
 // circuit at sensitivity rates 30% and 50%, each (circuit, rate) under the
-// ID+NO, iSINO and GSINO flows.
+// ID+NO, iSINO and GSINO flows. A circuit named twice is an error, found
+// before any circuit is generated: the tables hold one row per circuit,
+// so its second set of cells would only redo the work.
 func buildCells(circuits string, scale int, seed int64) ([]sched.Cell, error) {
+	names := strings.Split(circuits, ",")
+	seen := make(map[string]bool, len(names))
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		if seen[names[i]] {
+			return nil, fmt.Errorf("circuit %q listed twice in -circuits", names[i])
+		}
+		seen[names[i]] = true
+	}
 	var cells []sched.Cell
-	for _, name := range strings.Split(circuits, ",") {
-		name = strings.TrimSpace(name)
+	for _, name := range names {
 		profile, err := ibm.ProfileByName(name)
 		if err != nil {
 			return nil, err

@@ -58,3 +58,18 @@ func TestGoldenTables(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildCellsRejectsRepeatedCircuit: a circuit named twice, spaces
+// around a name included, is refused before any circuit is generated
+// (report.Set keeps one row per circuit, so the repeat would only redo
+// its six cells).
+func TestBuildCellsRejectsRepeatedCircuit(t *testing.T) {
+	for _, list := range []string{"ibm01,ibm01", "ibm01, ibm02,ibm01 ", "ibm03,bogus, ibm03"} {
+		if cells, err := buildCells(list, 16, 1); err == nil {
+			t.Errorf("-circuits %q: accepted, %d cells", list, len(cells))
+		}
+	}
+	if cells, err := buildCells("ibm01, ibm02", 16, 1); err != nil || len(cells) != 12 {
+		t.Errorf("-circuits \"ibm01, ibm02\": %d cells, err %v; want 12 cells", len(cells), err)
+	}
+}

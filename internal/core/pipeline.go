@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/keff"
 	"repro/internal/orderutil"
 	"repro/internal/route"
 	"repro/internal/sino"
@@ -40,7 +41,7 @@ type regionInst struct {
 
 	sol *sino.Solution
 	k   []float64      // per-segment total coupling under sol
-	rel *sino.Relation // sensitivity snapshot, taken at the first repair
+	rel *keff.Relation // sensitivity snapshot, taken by the Phase II solve
 }
 
 // chipState is a routed, SINO-solved chip.
@@ -350,29 +351,27 @@ func (st *chipState) addSeg(in *regionInst, net int, l geom.Micron, kth float64)
 // construction site for every solve the chip issues (Phase II batches,
 // refinement repairs, pass-2 speculation). rel, when non-nil, is the
 // sensitivity snapshot of segments with the same nets in the same order.
-func (st *chipState) instFor(segs []sino.Seg, rel *sino.Relation) *sino.Instance {
+func (st *chipState) instFor(segs []sino.Seg, rel *keff.Relation) *sino.Instance {
 	return &sino.Instance{Segs: segs, Sensitive: st.r.sens.Sensitive, Model: st.r.model, Rel: rel}
 }
 
-// job builds the engine job for one instance. A repair starts from the
-// totals the instance holds and from its sensitivity snapshot, taken at
-// its first repair (Phase III re-solves an instance many times; Phase II
-// binds it once) on the repairing worker, which has sole use of the
-// instance (conflict.go).
+// job builds the engine job for one instance. Every job passes the
+// instance's sensitivity snapshot, which its Phase II solve took on a
+// worker and apply kept, so no instance is hashed twice; a repair also
+// starts from the totals the instance holds.
 func (st *chipState) job(in *regionInst, mode engine.Mode) engine.Job {
-	if mode != engine.ModeRepair {
-		return engine.Job{Inst: st.instFor(in.segs, in.rel), Mode: mode}
+	j := engine.Job{Inst: st.instFor(in.segs, in.rel), Mode: mode}
+	if mode == engine.ModeRepair {
+		j.Prev, j.K = in.sol, in.k
 	}
-	if in.rel == nil {
-		in.rel = sino.NewRelation(in.segs, st.r.sens.Sensitive)
-	}
-	return engine.Job{Inst: st.instFor(in.segs, in.rel), Mode: mode, Prev: in.sol, K: in.k}
+	return j
 }
 
-// apply merges one engine result back into the instance.
+// apply merges one engine result back into the instance, keeping the
+// relation the solve ran on (nil from the ID+NO solver, which the flow
+// never re-solves).
 func (in *regionInst) apply(res engine.Result) {
-	in.sol = res.Sol
-	in.k = res.Check.K
+	in.sol, in.k, in.rel = res.Sol, res.Check.K, res.Rel
 }
 
 // solveAll runs the per-region solver for every instance — Phase II,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -215,21 +216,23 @@ func checkHeldTotals(t *testing.T, st *chipState, when string) {
 	}
 }
 
-// TestHeldTotalsMatchSolutions checks the held totals after Phase II and
-// after every refinement wave of both passes: refinement restarts from
-// the same Phase II state once per wave count w and is cancelled as wave
-// w+1 starts (cancelAtWave), which leaves the state of w waves.
-func TestHeldTotalsMatchSolutions(t *testing.T) {
+// eachRefineState calls check on the Phase II state of ibm01 (scale 16,
+// rate 0.5, seeds 1 and 2) and on its state after every refinement wave
+// of both passes: refinement restarts from the same Phase II state once
+// per wave count w and is cancelled as wave w+1 starts (cancelAtWave),
+// which leaves the state of w waves.
+func eachRefineState(t *testing.T, check func(st *chipState, when string)) {
+	t.Helper()
 	for _, seed := range []int64{1, 2} {
 		r, st := ibmRefineFixture(t, 16, 0.5, seed, Params{})
-		checkHeldTotals(t, st, fmt.Sprintf("seed %d, phase II", seed))
+		check(st, fmt.Sprintf("seed %d, phase II", seed))
 		snaps := snapshotState(st)
 		for waves := uint64(0); ; waves++ {
 			restoreState(st, snaps)
 			ctx, cancel := cancelAtWave(r.eng, waves)
 			_, err := st.refine(ctx)
 			cancel()
-			checkHeldTotals(t, st, fmt.Sprintf("seed %d, %d waves", seed, waves))
+			check(st, fmt.Sprintf("seed %d, %d waves", seed, waves))
 			if err == nil {
 				if waves < 2 {
 					t.Fatalf("seed %d: refinement ran %d waves, too few to test", seed, waves)
@@ -241,6 +244,30 @@ func TestHeldTotalsMatchSolutions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHeldTotalsMatchSolutions checks the held totals after Phase II and
+// after every refinement wave of both passes.
+func TestHeldTotalsMatchSolutions(t *testing.T) {
+	eachRefineState(t, func(st *chipState, when string) { checkHeldTotals(t, st, when) })
+}
+
+// TestKeptRelationsMatchSnapshots checks the sensitivity relation every
+// instance keeps, after Phase II and after every refinement wave of both
+// passes: its Phase II solve took it, repairs and pass-2 speculations
+// read it, and it stays a snapshot of the instance's segments word for
+// word.
+func TestKeptRelationsMatchSnapshots(t *testing.T) {
+	eachRefineState(t, func(st *chipState, when string) {
+		for _, in := range st.orderd {
+			if in.rel == nil {
+				t.Fatalf("%s: instance %d kept no relation", when, in.ord)
+			}
+			if want := sino.NewRelation(in.segs, st.r.sens.Sensitive); !reflect.DeepEqual(in.rel, want) {
+				t.Fatalf("%s: instance %d keeps a relation unlike its segments' snapshot", when, in.ord)
+			}
+		}
+	})
 }
 
 func TestRefinePass1TightensBounds(t *testing.T) {

@@ -83,7 +83,12 @@ type Job struct {
 type Result struct {
 	Sol   *sino.Solution
 	Check *sino.Check // verification of Sol; Check.K are the per-segment totals
-	Err   error
+	// Rel is the sensitivity relation a solve or repair ran on: the job's
+	// Inst.Rel, or the snapshot the worker took when that was nil. Later
+	// jobs on the same segments may pass it as Inst.Rel; it is nil for
+	// ModeNetOrder.
+	Rel *keff.Relation
+	Err error
 }
 
 // Config tunes a new engine.
@@ -438,7 +443,7 @@ func (e *Engine) solveJob(job *Job, ev *sino.Eval) (res Result) {
 	switch job.Mode {
 	case ModeSolve:
 		sol, chk := sino.SolveWith(ev, &inst)
-		return Result{Sol: sol, Check: chk}
+		return Result{Sol: sol, Check: chk, Rel: ev.Relation()}
 	case ModeNetOrder:
 		sol, chk := sino.NetOrderOnly(&inst)
 		return Result{Sol: sol, Check: chk}
@@ -450,7 +455,7 @@ func (e *Engine) solveJob(job *Job, ev *sino.Eval) (res Result) {
 			return Result{Err: fmt.Errorf("engine: repair job has %d totals for %d segments", len(job.K), len(inst.Segs))}
 		}
 		chk := sino.RepairWith(ev, &inst, job.Prev, job.K)
-		return Result{Sol: job.Prev, Check: chk}
+		return Result{Sol: job.Prev, Check: chk, Rel: ev.Relation()}
 	default:
 		return Result{Err: fmt.Errorf("engine: unknown mode %d", int(job.Mode))}
 	}

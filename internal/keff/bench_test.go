@@ -17,18 +17,11 @@ func BenchmarkAllTotals(b *testing.B) {
 	const n = 60
 	l := denseLayout(n, 7, 19, 31, 43, 55)
 	rng := rand.New(rand.NewSource(1))
-	var rel [n][n]bool
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			rel[i][j] = rng.Float64() < 0.5
-			rel[j][i] = rel[i][j]
-		}
-	}
-	sens := func(a, b int) bool { return rel[a][b] }
+	rel := relOver(n, func(a, b int) bool { return rng.Float64() < 0.5 })
 	pairs := 0
 	for i := range l.Tracks {
 		for j := i + 1; j < n && j-i <= pairCutoff; j++ {
-			if l.Tracks[i].Kind == SignalTrack && l.Tracks[j].Kind == SignalTrack && sens(i, j) {
+			if l.Tracks[i].Kind == SignalTrack && l.Tracks[j].Kind == SignalTrack && rel.Has(i, j) {
 				pairs++
 			}
 		}
@@ -40,7 +33,7 @@ func BenchmarkAllTotals(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.AllTotalsInto(l.Tracks, shields, sens, out)
+		m.AllTotalsInto(l.Tracks, shields, rel, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 	b.ReportMetric(float64(pairs), "pairs")

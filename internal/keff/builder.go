@@ -100,15 +100,19 @@ func parsePattern(p string) (wires []rlc.Wire, layout Layout, victim int, err er
 	return wires, layout, victim, nil
 }
 
-// patternSensitivity returns the sensitivity predicate for a pattern: the
+// patternRelation returns the sensitivity relation of a pattern: the
 // victim is sensitive exactly to the 'A' tracks. Net ids equal pattern
 // positions.
-func patternSensitivity(p string) func(a, b int) bool {
-	isAggr := make([]bool, len(p))
-	for i, r := range p {
-		isAggr[i] = r == 'A'
+func patternRelation(p string) *Relation {
+	rel := NewRelation(len(p))
+	for a := range p {
+		for b := range p {
+			if a != b && p[a] == 'A' {
+				rel.Set(a, b)
+			}
+		}
 	}
-	return func(a, b int) bool { return isAggr[a] || isAggr[b] }
+	return rel
 }
 
 // trackIndexInLayout maps a pattern position to its layout track index
@@ -129,8 +133,7 @@ func CollectSamples(cfg BuildConfig) ([]Sample, error) {
 		if err != nil {
 			return nil, err
 		}
-		sens := patternSensitivity(p)
-		k := model.TotalCoupling(layout, trackIndexInLayout(layout, victim), sens)
+		k := model.TotalCoupling(layout, trackIndexInLayout(layout, victim), patternRelation(p))
 		for _, length := range cfg.Lengths {
 			bus := &rlc.Bus{Tech: cfg.Tech, Wires: wires, Length: length}
 			res, err := bus.Simulate(victim)

@@ -11,7 +11,10 @@ import (
 // K_i in a small track stack, showing the effect of inserting a shield.
 func ExampleModel_TotalCoupling() {
 	m := keff.NewModel(tech.Default())
-	everyone := func(a, b int) bool { return true }
+	everyone := keff.NewRelation(3) // nets 0, 1 and 2, each sensitive to the others
+	everyone.Set(0, 1)
+	everyone.Set(0, 2)
+	everyone.Set(1, 2)
 
 	bare := keff.Layout{Tracks: []keff.Track{
 		keff.SignalOf(0), keff.SignalOf(1), keff.SignalOf(2),

@@ -264,9 +264,9 @@ func (m *Model) pairCouplingAt(ti, tj int, si, sj [2]int) float64 {
 // net on ti (paper §2.2: "the total amount of inductive coupling Ki induced
 // on Ni is Σ K_ij for all signal nets that are sensitive to Ni").
 //
-// sensitive(a, b) must report whether nets a and b are sensitive to each
-// other; it is only consulted for distinct signal tracks.
-func (m *Model) TotalCoupling(l Layout, ti int, sensitive func(a, b int) bool) float64 {
+// rel holds the sensitivity between the layout's nets; every signal
+// track's Net must be below rel.Len().
+func (m *Model) TotalCoupling(l Layout, ti int, rel *Relation) float64 {
 	tr := l.Tracks
 	if tr[ti].Kind != SignalTrack {
 		panic("keff: TotalCoupling requires a signal track")
@@ -279,7 +279,7 @@ func (m *Model) TotalCoupling(l Layout, ti int, sensitive func(a, b int) bool) f
 		if d := tj - ti; d > pairCutoff || -d > pairCutoff {
 			continue
 		}
-		if !sensitive(tr[ti].Net, tr[tj].Net) {
+		if !rel.Has(tr[ti].Net, tr[tj].Net) {
 			continue
 		}
 		sum += m.PairCoupling(l, ti, tj)
@@ -291,10 +291,10 @@ func (m *Model) TotalCoupling(l Layout, ti int, sensitive func(a, b int) bool) f
 // computing each pair once. Shield neighborhoods are precomputed and pairs
 // beyond the background-return cutoff are skipped, so the cost is
 // O(n·cutoff) in the number of tracks with O(1) work per pair.
-func (m *Model) AllTotals(l Layout, sensitive func(a, b int) bool) []float64 {
+func (m *Model) AllTotals(l Layout, rel *Relation) []float64 {
 	tr := l.Tracks
 	out := make([]float64, len(tr))
-	m.AllTotalsInto(tr, m.shieldTable(tr), sensitive, out)
+	m.AllTotalsInto(tr, m.shieldTable(tr), rel, out)
 	return out
 }
 

@@ -131,13 +131,13 @@ func TestTotalCouplingSumsSensitiveOnly(t *testing.T) {
 	m := model()
 	l := layoutOf("NNNN")
 	sens := func(a, b int) bool { return a == 0 || b == 0 } // only net 0 aggressive
-	k0 := m.TotalCoupling(l, 0, sens)
+	k0 := m.TotalCoupling(l, 0, relOf(l, sens))
 	want := m.PairCoupling(l, 0, 1) + m.PairCoupling(l, 0, 2) + m.PairCoupling(l, 0, 3)
 	if math.Abs(k0-want) > 1e-12 {
 		t.Errorf("TotalCoupling = %g, want sum of pairs %g", k0, want)
 	}
 	// Track 1 is sensitive only to net 0.
-	k1 := m.TotalCoupling(l, 1, sens)
+	k1 := m.TotalCoupling(l, 1, relOf(l, sens))
 	if want := m.PairCoupling(l, 1, 0); math.Abs(k1-want) > 1e-12 {
 		t.Errorf("TotalCoupling(1) = %g, want %g", k1, want)
 	}
@@ -147,7 +147,7 @@ func TestAllTotalsMatchesTotalCoupling(t *testing.T) {
 	m := model()
 	l := layoutOf("NNSNQNNSN")
 	sens := func(a, b int) bool { return (a+b)%2 == 1 }
-	all := m.AllTotals(l, sens)
+	all := m.AllTotals(l, relOf(l, sens))
 	for i, tr := range l.Tracks {
 		if tr.Kind != SignalTrack {
 			if all[i] != 0 {
@@ -155,7 +155,7 @@ func TestAllTotalsMatchesTotalCoupling(t *testing.T) {
 			}
 			continue
 		}
-		want := m.TotalCoupling(l, i, sens)
+		want := m.TotalCoupling(l, i, relOf(l, sens))
 		if math.Abs(all[i]-want) > 1e-9 {
 			t.Errorf("AllTotals[%d]=%g, want %g", i, all[i], want)
 		}
@@ -166,8 +166,8 @@ func TestMoreAggressorsMoreTotalCoupling(t *testing.T) {
 	m := model()
 	l2 := layoutOf("NVN") // V = position 1
 	l4 := layoutOf("NNVNN")
-	k2 := m.TotalCoupling(l2, 1, allSensitive)
-	k4 := m.TotalCoupling(l4, 2, allSensitive)
+	k2 := m.TotalCoupling(l2, 1, relOf(l2, allSensitive))
+	k4 := m.TotalCoupling(l4, 2, relOf(l4, allSensitive))
 	if k4 <= k2 {
 		t.Errorf("4 aggressors K=%g, want > 2 aggressors K=%g", k4, k2)
 	}
@@ -202,7 +202,7 @@ func TestPanicsOnMisuse(t *testing.T) {
 	mustPanic("same track", func() { m.PairCoupling(l, 0, 0) })
 	mustPanic("out of range", func() { m.PairCoupling(l, 0, 9) })
 	mustPanic("shield track", func() { m.PairCoupling(l, 0, 1) })
-	mustPanic("total on shield", func() { m.TotalCoupling(l, 1, allSensitive) })
+	mustPanic("total on shield", func() { m.TotalCoupling(l, 1, relOf(l, allSensitive)) })
 }
 
 func TestBackgroundReturnCapsCoupling(t *testing.T) {
@@ -228,8 +228,9 @@ func TestBackgroundReturnSaturatesTotals(t *testing.T) {
 	// K_i must saturate as the stack grows — the property that keeps
 	// violation rates stable across benchmark scales.
 	m := model()
-	k40 := m.TotalCoupling(layoutOf(strings.Repeat("N", 41)), 20, allSensitive)
-	k200 := m.TotalCoupling(layoutOf(strings.Repeat("N", 201)), 100, allSensitive)
+	l40, l200 := layoutOf(strings.Repeat("N", 41)), layoutOf(strings.Repeat("N", 201))
+	k40 := m.TotalCoupling(l40, 20, relOf(l40, allSensitive))
+	k200 := m.TotalCoupling(l200, 100, relOf(l200, allSensitive))
 	if k200 > 1.35*k40 {
 		t.Errorf("K_i grew from %g (40 tracks) to %g (200 tracks); background return should saturate it", k40, k200)
 	}
@@ -241,10 +242,10 @@ func TestPairCutoff(t *testing.T) {
 	m := model()
 	l := layoutOf(strings.Repeat("N", 50))
 	only := func(j int) func(a, b int) bool { return func(a, b int) bool { return a == j || b == j } }
-	if k := m.TotalCoupling(l, 0, only(48)); k == 0 {
+	if k := m.TotalCoupling(l, 0, relOf(l, only(48))); k == 0 {
 		t.Error("partner 48 tracks away did not couple")
 	}
-	if k := m.TotalCoupling(l, 0, only(49)); k != 0 {
+	if k := m.TotalCoupling(l, 0, relOf(l, only(49))); k != 0 {
 		t.Errorf("partner 49 tracks away coupled %g, want 0 beyond the cutoff", k)
 	}
 }
@@ -271,13 +272,13 @@ func TestMutualMemoConsistency(t *testing.T) {
 func TestCloneIsIndependentAndEquivalent(t *testing.T) {
 	m := NewModel(tech.Default())
 	l := denseLayout(16, 8)
-	want := m.AllTotals(l, allSensitive)
+	want := m.AllTotals(l, relOf(l, allSensitive))
 
 	clone := m.Clone()
 	if clone == m {
 		t.Fatal("Clone returned its receiver")
 	}
-	got := clone.AllTotals(l, allSensitive)
+	got := clone.AllTotals(l, relOf(l, allSensitive))
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("track %d: clone %g != original %g", i, got[i], want[i])
@@ -298,8 +299,10 @@ func TestModelConcurrentUse(t *testing.T) {
 	m := NewModel(tech.Default())
 	layouts := []Layout{denseLayout(40, 10, 30), denseLayout(48), denseLayout(33, 0, 7, 8, 20), denseLayout(130, 64)}
 	want := make([][]float64, len(layouts))
+	rels := make([]*Relation, len(layouts))
 	for li, l := range layouts {
-		want[li] = m.AllTotals(l, allSensitive)
+		rels[li] = relOf(l, allSensitive)
+		want[li] = m.AllTotals(l, rels[li])
 	}
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -311,7 +314,7 @@ func TestModelConcurrentUse(t *testing.T) {
 			<-start
 			for rep := 0; rep < 20; rep++ {
 				li := rep % len(layouts)
-				got := m.AllTotals(layouts[li], allSensitive)
+				got := m.AllTotals(layouts[li], rels[li])
 				for i := range got {
 					if got[i] != want[li][i] {
 						errs <- "concurrent totals diverged"

@@ -196,7 +196,8 @@ func TestCachedTotalsMatchUncached(t *testing.T) {
 		shields := m.ShieldTableInto(l.Tracks, nil)
 		for _, sens := range []func(a, b int) bool{allSensitive, half} {
 			want := oracleTotals(o, l.Tracks, shields, sens)
-			got := m.AllTotals(l, sens)
+			rel := relOf(l, sens)
+			got := m.AllTotals(l, rel)
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%d tracks, position %d: AllTotals %v, oracle %v", len(l.Tracks), i, got[i], want[i])
@@ -204,7 +205,7 @@ func TestCachedTotalsMatchUncached(t *testing.T) {
 				if l.Tracks[i].Kind != SignalTrack {
 					continue
 				}
-				if k := m.TrackTotal(l.Tracks, shields, i, sens); math.Float64bits(k) != math.Float64bits(want[i]) {
+				if k := m.TrackTotal(l.Tracks, shields, i, rel); math.Float64bits(k) != math.Float64bits(want[i]) {
 					t.Fatalf("%d tracks, position %d: TrackTotal %v, oracle %v", len(l.Tracks), i, k, want[i])
 				}
 			}

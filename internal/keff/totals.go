@@ -14,18 +14,20 @@ func (m *Model) Pair(ti, tj int, si, sj [2]int) float64 {
 }
 
 // TrackTotal returns the total coupling K of the signal track at position
-// ti: the sum of Pair over its sensitive partners within the pair cutoff,
+// ti: the sum of Pair over its partners in rel within the pair cutoff,
 // taken in ascending track order with the lower position as the first
 // operand. That is exactly the accumulation order AllTotals uses for the
 // same position, so the result is bit-identical to AllTotals(...)[ti] —
 // the property the incremental evaluator's windowed updates rest on.
-func (m *Model) TrackTotal(tr []Track, shields [][2]int, ti int, sensitive func(a, b int) bool) float64 {
+// Every signal track's Net must be below rel.Len().
+func (m *Model) TrackTotal(tr []Track, shields [][2]int, ti int, rel *Relation) float64 {
 	il, ir := ti-shields[ti][0], shields[ti][1]-ti
 	wt := m.wireTerms(il, ir)
+	row := rel.row(tr[ti].Net)
 	sum := 0.0
 	hi := min(ti+pairCutoff, len(tr)-1)
 	for q := max(ti-pairCutoff, 0); q <= hi; q++ {
-		if q == ti || tr[q].Kind != SignalTrack || !sensitive(tr[ti].Net, tr[q].Net) {
+		if q == ti || tr[q].Kind != SignalTrack || !inRow(row, tr[q].Net) {
 			continue
 		}
 		ql, qr := q-shields[q][0], shields[q][1]-q
@@ -41,18 +43,21 @@ func (m *Model) TrackTotal(tr []Track, shields [][2]int, ti int, sensitive func(
 // AllTotalsInto computes every track position's total coupling into out
 // (len(tr), zeroed here), evaluating each pair once — the allocation-free
 // core of AllTotals, for callers that maintain their own shield table and
-// output buffer.
-func (m *Model) AllTotalsInto(tr []Track, shields [][2]int, sensitive func(a, b int) bool, out []float64) {
+// output buffer. The fixed track's row of rel is sliced once per row, so
+// each partner test is a shift and mask. Every signal track's Net must be
+// below rel.Len().
+func (m *Model) AllTotalsInto(tr []Track, shields [][2]int, rel *Relation, out []float64) {
 	clear(out)
 	for i := range tr {
 		if tr[i].Kind != SignalTrack {
 			continue
 		}
+		row := rel.row(tr[i].Net)
 		il, ir := i-shields[i][0], shields[i][1]-i
 		wi := m.wireTerms(il, ir)
 		jMax := min(i+pairCutoff, len(tr)-1)
 		for j := i + 1; j <= jMax; j++ {
-			if tr[j].Kind != SignalTrack || !sensitive(tr[i].Net, tr[j].Net) {
+			if tr[j].Kind != SignalTrack || !inRow(row, tr[j].Net) {
 				continue
 			}
 			jl, jr := j-shields[j][0], shields[j][1]-j

@@ -34,6 +34,32 @@ func denseLayout(n int, shieldAt ...int) Layout {
 
 func allPairsSensitive(a, b int) bool { return a != b }
 
+// relOf snapshots sens over nets 0 … the largest Net on a signal track
+// of l.
+func relOf(l Layout, sens func(a, b int) bool) *Relation {
+	n := 0
+	for _, t := range l.Tracks {
+		if t.Kind == SignalTrack {
+			n = max(n, t.Net+1)
+		}
+	}
+	return relOver(n, sens)
+}
+
+// relOver snapshots sens over nets 0 … n−1, asking in row-major order
+// over a < b.
+func relOver(n int, sens func(a, b int) bool) *Relation {
+	r := NewRelation(n)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if sens(a, b) {
+				r.Set(a, b)
+			}
+		}
+	}
+	return r
+}
+
 // TestTrackTotalMatchesAllTotals pins the bit-identity the incremental
 // evaluator rests on: a single position's TrackTotal equals the same
 // position's entry of the pair-once AllTotals pass, exactly.
@@ -43,13 +69,14 @@ func TestTrackTotalMatchesAllTotals(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 20, 60, 130} {
 		for trial := 0; trial < 4; trial++ {
 			l := randomLayout(n, 0.25, rng)
-			want := m.AllTotals(l, allPairsSensitive)
+			rel := relOf(l, allPairsSensitive)
+			want := m.AllTotals(l, rel)
 			shields := m.ShieldTableInto(l.Tracks, nil)
 			for ti := range l.Tracks {
 				if l.Tracks[ti].Kind != SignalTrack {
 					continue
 				}
-				got := m.TrackTotal(l.Tracks, shields, ti, allPairsSensitive)
+				got := m.TrackTotal(l.Tracks, shields, ti, rel)
 				if got != want[ti] {
 					t.Fatalf("n=%d trial=%d pos=%d: TrackTotal %v != AllTotals %v", n, trial, ti, got, want[ti])
 				}
@@ -87,7 +114,8 @@ func TestAffectedRangeIsSound(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			n := minTracks + rng.Intn(120)
 			l := randomLayout(n, 0.25, rng)
-			before := m.AllTotals(l, allPairsSensitive)
+			rel := relOver(n+1, allPairsSensitive) // net n is the inserted signal
+			before := m.AllTotals(l, rel)
 
 			at := rng.Intn(n + 1)
 			edited := Layout{Tracks: make([]Track, 0, n+1)}
@@ -96,11 +124,11 @@ func TestAffectedRangeIsSound(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				ins = ShieldOf()
 			} else {
-				ins = SignalOf(1000 + trial)
+				ins = SignalOf(n)
 			}
 			edited.Tracks = append(edited.Tracks, ins)
 			edited.Tracks = append(edited.Tracks, l.Tracks[at:]...)
-			after := m.AllTotals(edited, allPairsSensitive)
+			after := m.AllTotals(edited, rel)
 
 			lo, hi := m.AffectedRange(edited, at)
 			if minTracks >= 260 && lo == 0 && hi == n {

@@ -70,12 +70,12 @@ func AnnealWith(e *Eval, in *Instance, opts AnnealOptions) (*Solution, *Check) {
 			temp *= annealCooling
 		}
 	}
-	return best, in.Verify(best)
+	return best, in.verify(best, e.rel)
 }
 
 // annealCost scores the evaluator's current solution: area plus heavy
 // penalties for constraint violations, so feasible small solutions always
-// win. Terms accumulate exactly as the Verify-based scorer did (cap-pair
+// win. Terms accumulate exactly as the verify-based scorer did (cap-pair
 // penalty first, then over-bound segments in ascending order), keeping
 // costs bit-identical.
 func (e *Eval) annealCost() float64 {

@@ -135,22 +135,21 @@ func GenerateFitSamples(cfg FitConfig) []FitSample {
 }
 
 // randomSensitivity draws a symmetric pairwise relation where nets i and j
-// conflict with probability (Si+Sj)/2, stored in a dense triangular bitset
-// (this relation sits in the fit-sample hot loop, where a map lookup per
+// conflict with probability (Si+Sj)/2, stored in a keff.Relation (this
+// relation sits in the fit-sample hot loop, where a map lookup per
 // consultation dominated). The draw order — row-major over i < j — is
 // load-bearing: it fixes the rng stream, so fitted coefficients are
 // unchanged from the map-backed implementation.
 func randomSensitivity(n int, rates []float64, rng *rand.Rand) func(a, b int) bool {
-	var bs triBits
-	bs.reset(n)
+	rel := keff.NewRelation(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < (rates[i]+rates[j])/2 {
-				bs.set(i, j)
+				rel.Set(i, j)
 			}
 		}
 	}
-	return bs.get
+	return rel.Has
 }
 
 // FitCoeffs least-squares fits Formula (3) to the samples by solving the

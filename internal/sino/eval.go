@@ -16,13 +16,13 @@ import (
 // the 48-track pair cutoff, and an edit at track t perturbs totals only inside
 // Model.AffectedRange around t (see its window argument), so a shield
 // insertion or removal, a swap or a relocation costs O(window·cutoff)
-// pair evaluations instead of the O(n²) from-scratch Verify the solver
+// pair evaluations instead of the O(n²) from-scratch verify the solver
 // previously ran per probe. Bit-identity is the contract that makes the
 // rewiring safe: after every operation, segment i's total equals the i-th
 // entry of a fresh Instance.TotalK of the current solution exactly (same
 // pair values, same accumulation order — Model.TrackTotal documents
 // why), so every comparison the greedy solver, polish pass, and annealer
-// make is unchanged, and so are their outputs. Instance.Verify stays as
+// make is unchanged, and so are their outputs. Instance.verify stays as
 // the independent brute-force oracle; TestEvalMatchesVerifyOnEditScripts
 // replays random edit scripts against it.
 
@@ -39,9 +39,8 @@ import (
 // be pooled one per solver worker: its buffers persist across solves. It
 // is not safe for concurrent use.
 type Eval struct {
-	in     *Instance
-	sens   triBits             // pairwise sensitivity, by segment index
-	sensFn func(a, b int) bool // closure over sens, in keff layout terms
+	in  *Instance
+	rel *keff.Relation // pairwise sensitivity by segment index; never written
 
 	tracks  []int       // current track assignment: segment index or Shield
 	layout  keff.Layout // mirror of tracks in keff terms (Net = segment index)
@@ -98,25 +97,24 @@ func (e *Eval) Stats() EvalStats { return e.stats }
 // NewEval returns an empty evaluator; Bind attaches it to an instance.
 func NewEval() *Eval { return &Eval{} }
 
-// Bind attaches the evaluator to an instance: it snapshots the pairwise
-// sensitivity relation into a bitset (the relation is consulted thousands
-// of times per solve on the same pairs), copying Instance.Rel when the
-// caller took the snapshot already.
+// Bind attaches the evaluator to an instance and its sensitivity relation
+// (consulted thousands of times per solve on the same pairs): it points
+// at Instance.Rel when the caller took the snapshot already, and
+// snapshots a fresh relation otherwise (Relation returns it). The
+// evaluator only reads the relation.
 func (e *Eval) Bind(in *Instance) {
 	e.in = in
 	e.stats.Binds++
-	if in.Rel != nil {
-		e.sens.copyFrom(&in.Rel.bits)
-	} else {
-		e.sens.fill(in.Segs, in.Sensitive)
-	}
-	if e.sensFn == nil {
-		e.sensFn = func(a, b int) bool { return e.sens.get(a, b) }
-	}
+	e.rel = in.relation()
 	e.tracks = e.tracks[:0]
 	e.layout.Tracks = e.layout.Tracks[:0]
 	e.capPairs, e.nShields, e.nOver = 0, 0, 0
 }
+
+// Relation returns the sensitivity relation of the bound instance: its
+// Rel, or the snapshot Bind took. The evaluator never reuses its storage,
+// so a caller may keep it for later solves of the same segments.
+func (e *Eval) Relation() *keff.Relation { return e.rel }
 
 // Load resets the evaluator to solution s, rebuilding every maintained
 // quantity from scratch. It reports structural problems (missing,
@@ -166,7 +164,7 @@ func (e *Eval) load(s *Solution, k []float64) error {
 		copy(e.k, k)
 	} else {
 		e.kt = growFloats(e.kt, len(lt))
-		e.in.Model.AllTotalsInto(lt, e.shields, e.sensFn, e.kt)
+		e.in.Model.AllTotalsInto(lt, e.shields, e.rel, e.kt)
 		for t, v := range e.tracks {
 			if v != Shield {
 				e.k[v] = e.kt[t]
@@ -186,7 +184,7 @@ func (e *Eval) load(s *Solution, k []float64) error {
 func (e *Eval) InsertShield(at int) { e.insertAt(at, Shield) }
 
 // Feasible reports whether the current solution satisfies all SINO
-// constraints, equal to Instance.Verify(...).Feasible() on it.
+// constraints, equal to Instance.verify(...).Feasible() on it.
 func (e *Eval) Feasible() bool { return e.capPairs == 0 && e.nOver == 0 }
 
 // Solution returns a copy of the current solution.
@@ -195,7 +193,7 @@ func (e *Eval) Solution() *Solution {
 }
 
 // Check builds the verification report of the current solution, equal
-// field by field to Instance.Verify on it — including the exact K bits —
+// field by field to Instance.verify on it — including the exact K bits —
 // without the from-scratch pair summation.
 func (e *Eval) Check() *Check {
 	c := &Check{WorstSeg: -1}
@@ -205,7 +203,7 @@ func (e *Eval) Check() *Check {
 			prev = -1
 			continue
 		}
-		if prev >= 0 && e.sens.get(e.tracks[prev], v) {
+		if prev >= 0 && e.rel.Has(e.tracks[prev], v) {
 			c.CapPairs = append(c.CapPairs, [2]int{prev, t})
 		}
 		prev = t
@@ -299,7 +297,7 @@ func (e *Eval) tryRemoveShield(at int) bool {
 	e.stats.Edits++
 	if at > 0 && at+1 < len(e.tracks) {
 		l, r := e.tracks[at-1], e.tracks[at+1]
-		if l != Shield && r != Shield && e.sens.get(l, r) {
+		if l != Shield && r != Shield && e.rel.Has(l, r) {
 			e.stats.Rollbacks++
 			return false
 		}
@@ -312,7 +310,7 @@ func (e *Eval) tryRemoveShield(at int) bool {
 			if p < lo || p > hi || e.tracks[p] == Shield {
 				continue
 			}
-			k := e.in.Model.TrackTotal(e.layout.Tracks, e.shields, p, e.sensFn)
+			k := e.in.Model.TrackTotal(e.layout.Tracks, e.shields, p, e.rel)
 			if k > e.in.Segs[e.tracks[p]].Kth {
 				e.splice(at, Shield)
 				e.stats.Rollbacks++
@@ -419,7 +417,7 @@ func (e *Eval) recompute(lo, hi int) {
 	}
 	if 2*(hi-lo+1) >= nt {
 		e.kt = growFloats(e.kt, nt)
-		e.in.Model.AllTotalsInto(e.layout.Tracks, e.shields, e.sensFn, e.kt)
+		e.in.Model.AllTotalsInto(e.layout.Tracks, e.shields, e.rel, e.kt)
 		for t, v := range e.tracks {
 			if v != Shield {
 				e.setK(v, e.kt[t])
@@ -431,7 +429,7 @@ func (e *Eval) recompute(lo, hi int) {
 			if v == Shield {
 				continue
 			}
-			e.setK(v, e.in.Model.TrackTotal(e.layout.Tracks, e.shields, p, e.sensFn))
+			e.setK(v, e.in.Model.TrackTotal(e.layout.Tracks, e.shields, p, e.rel))
 		}
 	}
 }
@@ -450,7 +448,7 @@ func (e *Eval) setK(seg int, nk float64) {
 	e.k[seg] = nk
 }
 
-// capCount recounts adjacent sensitive pairs through the bitset.
+// capCount recounts adjacent sensitive pairs through the relation.
 func (e *Eval) capCount() int {
 	n := 0
 	prev := Shield
@@ -459,7 +457,7 @@ func (e *Eval) capCount() int {
 			prev = Shield
 			continue
 		}
-		if prev != Shield && e.sens.get(prev, v) {
+		if prev != Shield && e.rel.Has(prev, v) {
 			n++
 		}
 		prev = v
@@ -472,7 +470,7 @@ func (e *Eval) capCount() int {
 // Only the adjacencies (t−1,t) and (t+1,t+2) can change: the swapped
 // pair's own adjacency is symmetric in its operands. Region walls act as
 // shields, matching capPairCount.
-func capSwapDelta(tracks []int, t int, sens func(a, b int) bool) int {
+func capSwapDelta(tracks []int, t int, rel *keff.Relation) int {
 	a, b := tracks[t], tracks[t+1]
 	p, q := Shield, Shield
 	if t > 0 {
@@ -482,7 +480,7 @@ func capSwapDelta(tracks []int, t int, sens func(a, b int) bool) int {
 		q = tracks[t+2]
 	}
 	pair := func(x, y int) int {
-		if x != Shield && y != Shield && sens(x, y) {
+		if x != Shield && y != Shield && rel.Has(x, y) {
 			return 1
 		}
 		return 0
@@ -498,7 +496,7 @@ func capSwapDelta(tracks []int, t int, sens func(a, b int) bool) int {
 func (e *Eval) sidePull(pos int) (left, right float64) {
 	seg := e.tracks[pos]
 	for t, other := range e.tracks {
-		if t == pos || other == Shield || !e.sens.get(seg, other) {
+		if t == pos || other == Shield || !e.rel.Has(seg, other) {
 			continue
 		}
 		k := e.in.Model.Pair(pos, t, e.shields[pos], e.shields[t])
@@ -509,60 +507,6 @@ func (e *Eval) sidePull(pos int) (left, right float64) {
 		}
 	}
 	return left, right
-}
-
-// triBits is a dense bitset over unordered pairs drawn from {0..n-1}. It
-// stores both orientations of each pair (a row bitmap per element), so a
-// lookup is one shift-and-mask with no normalization branches and no
-// triangular index arithmetic — it sits in every solver inner loop. The
-// diagonal is never set, so get(a, a) is false by construction.
-type triBits struct {
-	stride int // words per row
-	bits   []uint64
-}
-
-// fill sizes the bitset for segs and marks their sensitive pairs.
-func (t *triBits) fill(segs []Seg, sensitive func(a, b int) bool) {
-	n := len(segs)
-	t.reset(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if sensitive(segs[i].Net, segs[j].Net) {
-				t.set(i, j)
-			}
-		}
-	}
-}
-
-// copyFrom makes t a copy of src, reusing storage.
-func (t *triBits) copyFrom(src *triBits) {
-	t.stride = src.stride
-	t.bits = append(t.bits[:0], src.bits...)
-}
-
-// reset sizes the bitset for n elements and clears it, reusing storage.
-func (t *triBits) reset(n int) {
-	t.stride = (n + 63) / 64
-	words := n * t.stride
-	if cap(t.bits) < words {
-		t.bits = make([]uint64, words)
-		return
-	}
-	t.bits = t.bits[:words]
-	for i := range t.bits {
-		t.bits[i] = 0
-	}
-}
-
-// set marks the pair (i, j), i < j, in both orientations.
-func (t *triBits) set(i, j int) {
-	t.bits[i*t.stride+j>>6] |= 1 << (j & 63)
-	t.bits[j*t.stride+i>>6] |= 1 << (i & 63)
-}
-
-// get reports whether the unordered pair {a, b} is marked; false for a == b.
-func (t *triBits) get(a, b int) bool {
-	return t.bits[a*t.stride+b>>6]&(1<<(b&63)) != 0
 }
 
 // growInts returns s resized to n, reallocating only when needed.

@@ -35,7 +35,7 @@ func cloneSolution(s *Solution) *Solution {
 func assertEvalMatchesVerify(t *testing.T, in *Instance, e *Eval, ctx string) {
 	t.Helper()
 	cur := e.Solution()
-	chk := in.Verify(cur)
+	chk := in.verify(cur, nil)
 	if chk.Structural != nil {
 		t.Fatalf("%s: evaluator produced structurally invalid solution: %v", ctx, chk.Structural)
 	}

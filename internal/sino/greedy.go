@@ -3,6 +3,8 @@ package sino
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/keff"
 )
 
 // Solve runs the production SINO heuristic: greedy ordering that keeps
@@ -23,7 +25,7 @@ func SolveWith(e *Eval, in *Instance) (*Solution, *Check) {
 		panic(err.Error())
 	}
 	e.Bind(in)
-	s := in.construct(true, e.sens.get)
+	s := in.construct(true, e.rel)
 	if err := e.Load(s); err != nil {
 		panic(err.Error()) // unreachable: construct places every segment once
 	}
@@ -41,23 +43,24 @@ func NetOrderOnly(in *Instance) (*Solution, *Check) {
 	if err := in.Validate(); err != nil {
 		panic(err.Error())
 	}
-	s := in.construct(false, in.sensitiveSegs)
-	in.improveOrdering(s)
-	return s, in.Verify(s)
+	rel := in.relation()
+	s := in.construct(false, rel)
+	improveOrdering(s, rel)
+	return s, in.verify(s, rel)
 }
 
 // construct builds an initial sequence. Segments are taken in decreasing
 // conflict-degree order; at each step the highest-degree segment not
 // sensitive to the last placed one is appended. When every remaining
 // segment conflicts, a shield is appended (withShields) or the
-// least-conflicting segment is accepted (ordering-only). sens is the
-// pairwise sensitivity by segment index (the evaluator's bitset when one
-// is bound, in.sensitiveSegs otherwise).
-func (in *Instance) construct(withShields bool, sens func(a, b int) bool) *Solution {
+// least-conflicting segment is accepted (ordering-only). rel is the
+// instance's relation; a segment's conflict degree is its row's popcount.
+func (in *Instance) construct(withShields bool, rel *keff.Relation) *Solution {
 	n := len(in.Segs)
-	deg := in.conflictDegree(sens)
+	deg := make([]int, n)
 	order := make([]int, n)
 	for i := range order {
+		deg[i] = rel.Degree(i)
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
@@ -79,7 +82,7 @@ func (in *Instance) construct(withShields bool, sens func(a, b int) bool) *Solut
 			if placed[cand] {
 				continue
 			}
-			if last == Shield || !sens(last, cand) {
+			if last == Shield || !rel.Has(last, cand) {
 				pick = cand
 				break
 			}
@@ -171,10 +174,10 @@ func (e *Eval) repairK() {
 // shield insertion only, without reordering or polish — the cheap re-solve
 // used by Phase III refinement, where bounds change a little at a time and
 // the existing ordering is worth keeping. A structurally invalid solution
-// is returned unrepaired with its Verify report — there is no meaningful
+// is returned unrepaired with its verify report — there is no meaningful
 // repair for a broken track assignment.
 func Repair(in *Instance, s *Solution) *Check {
-	c := in.Verify(s)
+	c := in.verify(s, nil)
 	if c.Structural != nil {
 		return c
 	}
@@ -194,7 +197,7 @@ func RepairWith(e *Eval, in *Instance, s *Solution, k []float64) *Check {
 	}
 	e.Bind(in)
 	if err := e.load(s, k); err != nil {
-		return in.Verify(s)
+		return in.verify(s, e.rel)
 	}
 	e.repairK()
 	e.store(s)
@@ -223,7 +226,7 @@ func (e *Eval) polish() {
 }
 
 // capPairCount counts adjacent sensitive pairs in O(n), the NO objective.
-func (in *Instance) capPairCount(s *Solution) int {
+func capPairCount(s *Solution, rel *keff.Relation) int {
 	n := 0
 	prev := Shield
 	for _, seg := range s.Tracks {
@@ -231,7 +234,7 @@ func (in *Instance) capPairCount(s *Solution) int {
 			prev = Shield
 			continue
 		}
-		if prev != Shield && in.sensitiveSegs(prev, seg) {
+		if prev != Shield && rel.Has(prev, seg) {
 			n++
 		}
 		prev = seg
@@ -244,12 +247,12 @@ func (in *Instance) capPairCount(s *Solution) int {
 // adjacencies beside the pair, so each probe is the O(1) capSwapDelta
 // instead of an O(n) recount; accepted swaps are exactly those the
 // recounting climber accepted (delta < 0 ⇔ new count < current).
-func (in *Instance) improveOrdering(s *Solution) {
-	current := in.capPairCount(s)
+func improveOrdering(s *Solution, rel *keff.Relation) {
+	current := capPairCount(s, rel)
 	for pass := 0; pass < 4 && current > 0; pass++ {
 		improved := false
 		for t := 0; t+1 < len(s.Tracks); t++ {
-			if d := capSwapDelta(s.Tracks, t, in.sensitiveSegs); d < 0 {
+			if d := capSwapDelta(s.Tracks, t, rel); d < 0 {
 				s.Tracks[t], s.Tracks[t+1] = s.Tracks[t+1], s.Tracks[t]
 				current += d
 				improved = true

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/keff"
@@ -233,6 +234,57 @@ func TestRelationMatchesSensitive(t *testing.T) {
 		gotRep := RepairWith(ev, tight(&snap), gs, gotChk.K)
 		if !reflect.DeepEqual(gs, ws) || !reflect.DeepEqual(gotRep, wantRep) {
 			t.Fatalf("seed %d: repair with a relation differs", seed)
+		}
+	}
+}
+
+// TestSharedRelationNeverWritten: the solvers read Instance.Rel in place
+// and never write it. One relation serves two instances with different
+// bounds. Solving, repairing, annealing, ordering and verifying on it
+// leave its words those of a fresh snapshot. That holds with the calls
+// split over two goroutines (the race detector sees any write), and each
+// evaluator in between binds an instance with no relation, for which Bind
+// must snapshot into fresh storage rather than into the relation it held.
+func TestSharedRelationNeverWritten(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		in := testInstance(10+int(seed)*17, 0.5, 0.6, seed)
+		shared, want := NewRelation(in.Segs, in.Sensitive), NewRelation(in.Segs, in.Sensitive)
+		loose, tight := *in, *in
+		loose.Rel, tight.Rel = shared, shared
+		tight.Segs = append([]Seg(nil), in.Segs...)
+		for i := range tight.Segs {
+			tight.Segs[i].Kth *= 0.5
+		}
+		other := testInstance(len(in.Segs)-3, 0.7, 0.6, seed+100)
+
+		ev := NewEval()
+		ev.Bind(&loose)
+		if ev.Relation() != shared {
+			t.Fatalf("seed %d: Bind did not point at the instance's relation", seed)
+		}
+		ev.Bind(other)
+		if got := ev.Relation(); got == shared || !reflect.DeepEqual(got, NewRelation(other.Segs, other.Sensitive)) {
+			t.Fatalf("seed %d: Bind without a relation did not snapshot a fresh one", seed)
+		}
+
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ev := NewEval()
+				sol, chk := SolveWith(ev, &loose)
+				SolveWith(ev, other)
+				RepairWith(ev, &tight, sol, chk.K)
+				SolveWith(ev, other)
+				AnnealWith(ev, &tight, AnnealOptions{Seed: seed, Iterations: 200})
+				NetOrderOnly(&loose)
+				tight.verify(sol, nil)
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(shared, want) {
+			t.Fatalf("seed %d: a solve wrote the shared relation", seed)
 		}
 	}
 }

@@ -43,25 +43,35 @@ type Instance struct {
 	Cache *keff.PairCache
 
 	// Rel optionally snapshots Sensitive over Segs (NewRelation), for a
-	// caller that solves the same segments many times: Bind copies it
-	// instead of consulting Sensitive for every pair. It must describe
-	// Segs' nets in Segs' order; nil snapshots at Bind.
-	Rel *Relation
+	// caller that solves the same segments many times: the solvers read
+	// it in place of consulting Sensitive for every pair, and never write
+	// it, so one relation may be shared by any number of instances and
+	// goroutines. It must describe Segs' nets in Segs' order; nil
+	// snapshots a fresh relation at Bind.
+	Rel *keff.Relation
 }
 
-// Relation is an instance's pairwise sensitivity by segment index, taken
-// once. It depends only on the segments' nets, so it stays valid while
-// their bounds change.
-type Relation struct {
-	n    int
-	bits triBits
-}
-
-// NewRelation snapshots sensitive (by net identifiers) over segs.
-func NewRelation(segs []Seg, sensitive func(a, b int) bool) *Relation {
-	r := &Relation{n: len(segs)}
-	r.bits.fill(segs, sensitive)
+// NewRelation snapshots sensitive (by net identifiers) over segs: the
+// relation by segment index that Instance.Rel holds. It depends only on
+// the segments' nets, so it stays valid while their bounds change.
+func NewRelation(segs []Seg, sensitive func(a, b int) bool) *keff.Relation {
+	r := keff.NewRelation(len(segs))
+	for i := range segs {
+		for j := i + 1; j < len(segs); j++ {
+			if sensitive(segs[i].Net, segs[j].Net) {
+				r.Set(i, j)
+			}
+		}
+	}
 	return r
+}
+
+// relation returns the instance's snapshot: Rel, or a fresh one.
+func (in *Instance) relation() *keff.Relation {
+	if in.Rel != nil {
+		return in.Rel
+	}
+	return NewRelation(in.Segs, in.Sensitive)
 }
 
 // Validate reports the first structural problem with the instance.
@@ -72,8 +82,8 @@ func (in *Instance) Validate() error {
 	if in.Model == nil {
 		return fmt.Errorf("sino: instance has no coupling model")
 	}
-	if in.Rel != nil && in.Rel.n != len(in.Segs) {
-		return fmt.Errorf("sino: sensitivity relation covers %d segments, instance has %d", in.Rel.n, len(in.Segs))
+	if in.Rel != nil && in.Rel.Len() != len(in.Segs) {
+		return fmt.Errorf("sino: sensitivity relation covers %d segments, instance has %d", in.Rel.Len(), len(in.Segs))
 	}
 	for i, s := range in.Segs {
 		// Both checks are written so that NaN fails them.
@@ -88,7 +98,8 @@ func (in *Instance) Validate() error {
 }
 
 // sensitiveSegs reports whether segments a and b (by segment index) are
-// sensitive to each other.
+// sensitive to each other, asking Sensitive: for callers that test too
+// few pairs to pay for a snapshot.
 func (in *Instance) sensitiveSegs(a, b int) bool {
 	return in.Sensitive(in.Segs[a].Net, in.Segs[b].Net)
 }
@@ -114,8 +125,8 @@ func (s *Solution) NumShields() int {
 func (s *Solution) NumTracks() int { return len(s.Tracks) }
 
 // Layout converts the solution into the keff layout for coupling
-// computation. Track nets are segment indices, not global net ids, so the
-// caller-side sensitivity must be wrapped; Instance.TotalK does this.
+// computation. Track nets are segment indices, not global net ids, the
+// indices an instance's relation is taken over (NewRelation).
 func (in *Instance) Layout(s *Solution) keff.Layout {
 	l := keff.Layout{Tracks: make([]keff.Track, len(s.Tracks))}
 	for t, seg := range s.Tracks {
@@ -130,9 +141,11 @@ func (in *Instance) Layout(s *Solution) keff.Layout {
 
 // TotalK returns each segment's total inductive coupling K_i under the
 // solution, indexed by segment.
-func (in *Instance) TotalK(s *Solution) []float64 {
-	l := in.Layout(s)
-	byTrack := in.Model.AllTotals(l, in.sensitiveSegs)
+func (in *Instance) TotalK(s *Solution) []float64 { return in.totalK(s, in.relation()) }
+
+// totalK is TotalK under the instance's relation rel.
+func (in *Instance) totalK(s *Solution, rel *keff.Relation) []float64 {
+	byTrack := in.Model.AllTotals(in.Layout(s), rel)
 	out := make([]float64, len(in.Segs))
 	for t, seg := range s.Tracks {
 		if seg != Shield {
@@ -167,8 +180,12 @@ func (c *Check) Feasible() bool {
 	return c.Structural == nil && len(c.CapPairs) == 0 && len(c.Over) == 0
 }
 
-// Verify checks s against the instance's constraints.
-func (in *Instance) Verify(s *Solution) *Check {
+// verify checks s against the instance's constraints from scratch under
+// the instance's relation rel, the brute-force oracle the incremental
+// evaluator is held to. A nil rel stands for the instance's own
+// (Instance.Rel, or a snapshot taken once s is known to be structurally
+// valid).
+func (in *Instance) verify(s *Solution, rel *keff.Relation) *Check {
 	c := &Check{WorstSeg: -1}
 	seen := make([]int, len(in.Segs))
 	for _, t := range s.Tracks {
@@ -187,6 +204,9 @@ func (in *Instance) Verify(s *Solution) *Check {
 			return c
 		}
 	}
+	if rel == nil {
+		rel = in.relation()
+	}
 	// Capacitive adjacency.
 	prev := -1 // previous signal track position; reset across shields
 	for t, seg := range s.Tracks {
@@ -194,13 +214,13 @@ func (in *Instance) Verify(s *Solution) *Check {
 			prev = -1
 			continue
 		}
-		if prev >= 0 && in.sensitiveSegs(s.Tracks[prev], seg) {
+		if prev >= 0 && rel.Has(s.Tracks[prev], seg) {
 			c.CapPairs = append(c.CapPairs, [2]int{prev, t})
 		}
 		prev = t
 	}
 	// Inductive bounds.
-	c.K = in.TotalK(s)
+	c.K = in.totalK(s, rel)
 	for i, k := range c.K {
 		kth := in.Segs[i].Kth
 		if k > kth {
@@ -212,20 +232,4 @@ func (in *Instance) Verify(s *Solution) *Check {
 		}
 	}
 	return c
-}
-
-// conflictDegree returns, for each segment, the number of other segments in
-// the instance it is sensitive to, under the given pairwise relation.
-func (in *Instance) conflictDegree(sens func(a, b int) bool) []int {
-	n := len(in.Segs)
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if sens(i, j) {
-				deg[i]++
-				deg[j]++
-			}
-		}
-	}
-	return deg
 }

@@ -91,12 +91,12 @@ func TestVerifyCatchesCapViolation(t *testing.T) {
 	in := testInstance(2, 1, 5, 1)
 	in.Sensitive = func(a, b int) bool { return a != b }
 	bad := &Solution{Tracks: []int{0, 1}}
-	chk := in.Verify(bad)
+	chk := in.verify(bad, nil)
 	if len(chk.CapPairs) != 1 {
 		t.Fatalf("adjacent sensitive pair not detected: %+v", chk.CapPairs)
 	}
 	good := &Solution{Tracks: []int{0, Shield, 1}}
-	if chk := in.Verify(good); len(chk.CapPairs) != 0 {
+	if chk := in.verify(good, nil); len(chk.CapPairs) != 0 {
 		t.Errorf("shield-separated pair flagged: %+v", chk.CapPairs)
 	}
 }
@@ -112,7 +112,7 @@ func TestVerifyCatchesStructuralErrors(t *testing.T) {
 		{"unknown segment", []int{0, 1, 2, 7}},
 	}
 	for _, c := range cases {
-		if chk := in.Verify(&Solution{Tracks: c.tracks}); chk.Structural == nil {
+		if chk := in.verify(&Solution{Tracks: c.tracks}, nil); chk.Structural == nil {
 			t.Errorf("%s: want structural error", c.name)
 		}
 	}
@@ -122,7 +122,7 @@ func TestVerifyKAccounting(t *testing.T) {
 	in := testInstance(4, 1, 1e-9, 1) // absurdly tight bound: everything violates
 	in.Sensitive = func(a, b int) bool { return a != b }
 	sol := &Solution{Tracks: []int{0, Shield, 1, Shield, 2, Shield, 3}}
-	chk := in.Verify(sol)
+	chk := in.verify(sol, nil)
 	if len(chk.Over) != 4 {
 		t.Errorf("with Kth=1e-9 all 4 segments must violate, got %d", len(chk.Over))
 	}
@@ -150,9 +150,9 @@ func TestNetOrderReducesCapPairs(t *testing.T) {
 	for i := range identity.Tracks {
 		identity.Tracks[i] = i
 	}
-	before := in.capPairCount(identity)
+	before := capPairCount(identity, in.relation())
 	sol, _ := NetOrderOnly(in)
-	after := in.capPairCount(sol)
+	after := capPairCount(sol, in.relation())
 	if after > before {
 		t.Errorf("NO increased adjacent sensitive pairs: %d -> %d", before, after)
 	}
@@ -226,7 +226,7 @@ func TestSolveInvariantsProperty(t *testing.T) {
 			return false
 		}
 		// Verification must be deterministic and agree with itself.
-		chk2 := in.Verify(sol)
+		chk2 := in.verify(sol, nil)
 		return chk.Feasible() == chk2.Feasible() && len(chk.Over) == len(chk2.Over)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
