@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,8 +18,22 @@ import (
 // through the same cells and renderer as the command. A behaviour change
 // shows up here as a reviewed diff of testdata; on mismatch the rendered
 // bytes are written beside the golden files as .got.
-func TestGoldenTables(t *testing.T) {
-	cells, err := buildCells("ibm01,ibm02,ibm03,ibm04,ibm05,ibm06", 16, 1)
+func TestGoldenTables(t *testing.T) { checkGolden(t, 16) }
+
+// TestGoldenTablesScale4 pins `tables -scale 4`, the command's default
+// scale, the same way. Its reconciliation rounds rip up thousands of nets,
+// where scale 16's rip up a few hundred.
+func TestGoldenTablesScale4(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale 4 runs all 36 cells in about 10 s")
+	}
+	checkGolden(t, 4)
+}
+
+// checkGolden renders the tables and CSV of all six circuits at scale,
+// seed 1, and byte-diffs them against testdata/scale<scale>.txt and .csv.
+func checkGolden(t *testing.T, scale int) {
+	cells, err := buildCells("ibm01,ibm02,ibm03,ibm04,ibm05,ibm06", scale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +59,9 @@ func TestGoldenTables(t *testing.T) {
 	if err := set.CSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	for name, got := range map[string][]byte{"scale16.txt": stdout.Bytes(), "scale16.csv": csv.Bytes()} {
-		path := filepath.Join("testdata", name)
+	name := fmt.Sprintf("scale%d", scale)
+	for ext, got := range map[string][]byte{".txt": stdout.Bytes(), ".csv": csv.Bytes()} {
+		path := filepath.Join("testdata", name+ext)
 		want, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -1,18 +1,15 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/artifact"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/keff"
-	"repro/internal/orderutil"
 	"repro/internal/route"
 	"repro/internal/sino"
 )
@@ -49,8 +46,7 @@ type chipState struct {
 	r      *Runner
 	trees  []route.Tree
 	wl     []geom.Micron // per net routed wirelength
-	insts  map[instKey]*regionInst
-	orderd []*regionInst // deterministic iteration order
+	orderd []*regionInst // by region, horizontal before vertical
 
 	terms  [][]segTerm // per net: its instance memberships
 	lskb   []float64   // per net LSK budget
@@ -239,7 +235,19 @@ func (st *chipState) redistributeByCongestion() {
 	}
 }
 
-// buildState maps routed trees into per-region SINO instances.
+// buildState maps routed trees into per-region SINO instances. A net holds
+// a track in each region at either end of its tree's edges, per direction,
+// for half of each such edge's length; a net routed inside one region
+// holds a horizontal stub spanning its pins there. Instances are ordered
+// by region, horizontal before vertical; an instance's segments by net;
+// and a net's terms horizontal before vertical, each by region. Segment
+// order feeds solver and refinement tie-breaks and term order LSK sums,
+// so the order is part of every flow's result.
+//
+// Instances live in dense arrays indexed by slot, 2·region for the
+// horizontal instance and 2·region+1 for the vertical: one counting pass
+// sizes every instance exactly, a pass over the nets fills the segments,
+// and a sweep over the instances fills every net's terms.
 func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 	g := r.design.Grid
 	nets := r.design.Nets.Nets
@@ -247,17 +255,89 @@ func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 		r:      r,
 		trees:  res.Trees,
 		wl:     make([]geom.Micron, len(nets)),
-		insts:  make(map[instKey]*regionInst),
 		terms:  make([][]segTerm, len(nets)),
 		lskb:   make([]float64, len(nets)),
 		routed: res,
 	}
+	slot := func(p geom.Point, horz bool) int {
+		if horz {
+			return 2 * g.Index(p)
+		}
+		return 2*g.Index(p) + 1
+	}
+	// stubSlot is the slot of net i's intra-region stub, or -1 when the net
+	// has edges or its pins coincide (no coupling length).
+	stubSlot := func(i int) int {
+		if len(res.Trees[i].Edges) > 0 || nets[i].PinSpread() <= 0 {
+			return -1
+		}
+		return slot(g.RegionOf(nets[i].Pins[0].Loc), true)
+	}
 
+	// Count every instance's segments: one per net holding a track there
+	// (seen holds the last net, plus one, that counted a slot).
+	nslots := 2 * g.NumRegions()
+	count := make([]int32, nslots)
+	seen := make([]int32, nslots)
+	for i := range nets {
+		if s := stubSlot(i); s >= 0 {
+			count[s]++
+		}
+		for _, e := range res.Trees[i].Edges {
+			for _, s := range [2]int{slot(e.From, e.Horizontal()), slot(e.To, e.Horizontal())} {
+				if seen[s] != int32(i+1) {
+					seen[s] = int32(i + 1)
+					count[s]++
+				}
+			}
+		}
+	}
+
+	// Size every instance, in slot order, from shared backing arrays.
+	ninst, nsegs := 0, 0
+	for _, c := range count {
+		if c > 0 {
+			ninst++
+			nsegs += int(c)
+		}
+	}
+	insts := make([]regionInst, ninst)
+	st.orderd = make([]*regionInst, ninst)
+	inst := make([]*regionInst, nslots)
+	segs := make([]sino.Seg, nsegs)
+	lens := make([]geom.Micron, nsegs)
+	netIDs := make([]int, nsegs)
+	k, off := 0, 0
+	for s, c := range count {
+		if c == 0 {
+			continue
+		}
+		end := off + int(c)
+		in := &insts[k]
+		*in = regionInst{key: instKey{region: s / 2, horz: s%2 == 0}, ord: k,
+			segs: segs[off:off:end], lens: lens[off:off:end], nets: netIDs[off:off:end]}
+		st.orderd[k], inst[s] = in, in
+		k, off = k+1, end
+	}
+
+	// Fill the segments in net order. inc counts the net's edge ends in
+	// each slot, touched lists the slots it counted.
+	lskb := r.budgeter.LSKBudget()
+	inc := make([]int32, nslots)
+	var touched []int
 	for i := range nets {
 		tree := &res.Trees[i]
 		st.wl[i] = tree.WirelengthUM(g)
-		st.lskb[i] = r.budgeter.LSKBudget()
-
+		st.lskb[i] = lskb
+		if s := stubSlot(i); s >= 0 {
+			span := nets[i].PinSpread()
+			st.wl[i] = span
+			st.addSeg(inst[s], i, span, r.budgeter.ForLength(span))
+			continue
+		}
+		if len(tree.Edges) == 0 {
+			continue
+		}
 		var kth float64
 		switch mode {
 		case budgetManhattan:
@@ -265,86 +345,55 @@ func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 		case budgetTreeLength:
 			kth = r.budgeter.ForLength(st.wl[i])
 		}
-
-		// Per-region incidence counts: half of each incident edge's length
-		// lies inside the region.
-		hInc := make(map[geom.Point]int)
-		vInc := make(map[geom.Point]int)
+		touched = touched[:0]
 		for _, e := range tree.Edges {
-			if e.Horizontal() {
-				hInc[e.From]++
-				hInc[e.To]++
-			} else {
-				vInc[e.From]++
-				vInc[e.To]++
+			for _, s := range [2]int{slot(e.From, e.Horizontal()), slot(e.To, e.Horizontal())} {
+				if inc[s] == 0 {
+					touched = append(touched, s)
+				}
+				inc[s]++
 			}
 		}
-		if len(tree.Edges) == 0 {
-			// Intra-region net: a short horizontal stub spanning its pins.
-			span := nets[i].PinSpread()
-			if span <= 0 {
-				continue // coincident pins carry no coupling length
+		for _, s := range touched {
+			// Half of each incident edge's length lies inside the region.
+			cell := g.CellW
+			if s%2 == 1 {
+				cell = g.CellH
 			}
-			st.wl[i] = span
-			p := g.RegionOf(nets[i].Pins[0].Loc)
-			st.addSeg(st.inst(instKey{g.Index(p), true}), i, span, r.budgeter.ForLength(span))
-			continue
-		}
-		// Iterate incidence maps in sorted region order: segment order within
-		// an instance feeds solver and refinement tie-breaks, and map
-		// iteration order would make full-chip results vary run to run (and
-		// between worker counts, breaking the engine's determinism contract).
-		for _, p := range sortedPoints(hInc) {
-			l := geom.Micron(float64(hInc[p]) / 2 * float64(g.CellW))
-			st.addSeg(st.inst(instKey{g.Index(p), true}), i, l, kth)
-		}
-		for _, p := range sortedPoints(vInc) {
-			l := geom.Micron(float64(vInc[p]) / 2 * float64(g.CellH))
-			st.addSeg(st.inst(instKey{g.Index(p), false}), i, l, kth)
+			st.addSeg(inst[s], i, geom.Micron(float64(inc[s])/2*float64(cell)), kth)
+			inc[s] = 0
 		}
 	}
 
-	st.orderd = make([]*regionInst, 0, len(st.insts))
-	for _, inst := range st.insts {
-		st.orderd = append(st.orderd, inst)
+	// Every net's terms: sweep the horizontal instances, then the vertical,
+	// each in region order, appending each segment to its net's terms.
+	nterms := make([]int, len(nets))
+	for _, n := range netIDs {
+		nterms[n]++
 	}
-	sort.Slice(st.orderd, func(a, b int) bool {
-		ka, kb := st.orderd[a].key, st.orderd[b].key
-		if ka.region != kb.region {
-			return ka.region < kb.region
+	terms := make([]segTerm, nsegs)
+	off = 0
+	for i, n := range nterms {
+		st.terms[i] = terms[off:off:(off + n)]
+		off += n
+	}
+	for _, horz := range [2]bool{true, false} {
+		for _, in := range st.orderd {
+			if in.key.horz != horz {
+				continue
+			}
+			for j, n := range in.nets {
+				st.terms[n] = append(st.terms[n], segTerm{inst: in, seg: j})
+			}
 		}
-		return ka.horz && !kb.horz
-	})
-	for i, in := range st.orderd {
-		in.ord = i
 	}
 	return st
-}
-
-// sortedPoints returns m's keys in (y, x) order.
-func sortedPoints(m map[geom.Point]int) []geom.Point {
-	return orderutil.SortedKeysFunc(m, func(a, b geom.Point) int {
-		if a.Y != b.Y {
-			return cmp.Compare(a.Y, b.Y)
-		}
-		return cmp.Compare(a.X, b.X)
-	})
-}
-
-func (st *chipState) inst(k instKey) *regionInst {
-	if in, ok := st.insts[k]; ok {
-		return in
-	}
-	in := &regionInst{key: k}
-	st.insts[k] = in
-	return in
 }
 
 func (st *chipState) addSeg(in *regionInst, net int, l geom.Micron, kth float64) {
 	in.segs = append(in.segs, sino.Seg{Net: net, Kth: kth, Rate: st.r.sens.Rate(net)})
 	in.lens = append(in.lens, l)
 	in.nets = append(in.nets, net)
-	st.terms[net] = append(st.terms[net], segTerm{inst: in, seg: len(in.segs) - 1})
 }
 
 // instFor wraps a segment list into a solver instance — the single

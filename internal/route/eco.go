@@ -228,7 +228,7 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 	// invalidated groups restore their pre-drain state, everything else
 	// restores post-drain — a clone, so a resume never writes into the
 	// snapshot (a DrainState may be resumed any number of times). Only
-	// re-draining nets go on the heap.
+	// re-draining nets are seeded.
 	err := r.seed(ctx, pool, func(i int) netState {
 		switch {
 		case edited[i]:

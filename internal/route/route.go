@@ -26,9 +26,9 @@
 // converges to the true usage as graphs shrink to trees, and it only
 // decreases — which makes lazy priority-queue maintenance sound.
 //
-// The router runs in two modes. Run executes the classic single-heap
+// The router runs in two modes. Run executes the classic single-queue
 // sequential deletion. RunSharded partitions the nets into spatial tile
-// groups and drains each group's own heap concurrently on a worker pool
+// groups and drains each group's own queue concurrently on a worker pool
 // (see shard.go): every group routes against the frozen pre-deletion
 // utilization of foreign groups plus its own live updates, the per-group
 // deltas merge back deterministically, and a bounded number of
@@ -227,10 +227,14 @@ type Router struct {
 	// write it; during a drain all updates go to the view's own window.
 	base window
 
-	pq edgeHeap
+	// seeded holds the items seeding pushed, until the drains take them.
+	seeded []item
+
+	// pops counts the items every drain has popped so far (trace only).
+	pops int
 }
 
-// item is a heap entry (lazy: may be stale). edge packs the net-local
+// item is a queue entry (lazy: may be stale). edge packs the net-local
 // edge index and its direction as index<<1 | vertical, so ascending
 // packed order is lower index first, horizontal before vertical.
 type item struct {
@@ -248,84 +252,6 @@ func packEdge(e int, horz bool) int32 {
 
 // unpack returns the net-local edge index and direction.
 func (it item) unpack() (int, bool) { return int(it.edge >> 1), it.edge&1 == 0 }
-
-// before orders the max-heap by key, with a total tie-break on the edge
-// identity: lower net, then lower packed edge. The total order makes the
-// pop sequence a pure function of the heap's contents — independent of
-// insertion order, of how the items were split across shard heaps and of
-// the heap's internal layout — which the sharded runner's determinism
-// argument relies on. It needs keys that are not NaN: a NaN compares
-// neither before nor after anything (validateNets keeps NaN rates out).
-func (it item) before(o item) bool {
-	if it.key != o.key {
-		return it.key > o.key
-	}
-	if it.net != o.net {
-		return it.net < o.net
-	}
-	return it.edge < o.edge
-}
-
-// edgeHeap is a binary max-heap of items under before, typed so that a
-// push or pop moves 16-byte values and never boxes them.
-type edgeHeap []item
-
-// init establishes heap order over the slice.
-func (h edgeHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i, len(h))
-	}
-}
-
-func (h *edgeHeap) push(it item) {
-	*h = append(*h, it)
-	h.up(len(*h) - 1)
-}
-
-// pop removes and returns the first item under before.
-func (h *edgeHeap) pop() item {
-	old := *h
-	n := len(old) - 1
-	top := old[0]
-	old[0] = old[n]
-	*h = old[:n]
-	if n > 0 {
-		h.down(0, n)
-	}
-	return top
-}
-
-func (h edgeHeap) up(j int) {
-	it := h[j]
-	for j > 0 {
-		i := (j - 1) / 2
-		if !it.before(h[i]) {
-			break
-		}
-		h[j] = h[i]
-		j = i
-	}
-	h[j] = it
-}
-
-func (h edgeHeap) down(i, n int) {
-	it := h[i]
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j+1 < n && h[j+1].before(h[j]) {
-			j++
-		}
-		if !h[j].before(it) {
-			break
-		}
-		h[i] = h[j]
-		i = j
-	}
-	h[i] = it
-}
 
 // NewRouter prepares the deletion state for the nets on g, constructing
 // every net's connection graph serially — NewRouterOn with no pool.
@@ -380,7 +306,7 @@ func newRouter(g *grid.Grid, cfg Config, nets []Net) *Router {
 //     the pool (the bulk of seeding cost: Steiner topology + BFS per net).
 //   - Order-dependent work, serial in ascending net order: every net's
 //     expected utilization goes into the base, and the nets push selects
-//     (nil: all) put their edges on the heap with initial weights. Net i's
+//     (nil: all) put their edges in r.seeded with initial weights. Net i's
 //     weights read the base state left by nets 0..i.
 //
 // The split makes the seeded Router byte-identical to serial construction
@@ -405,11 +331,11 @@ func (r *Router) seed(ctx context.Context, pool Pool, build func(i int) netState
 			items += r.nets[i].numEdges()
 		}
 	}
-	r.pq = make(edgeHeap, 0, items)
+	r.seeded = make([]item, 0, items)
 	for i := range r.nets {
 		r.bumpNet(i)
 		if push == nil || push[i] {
-			r.pushNet(&r.pq, i)
+			r.pushNet(&r.seeded, i)
 		}
 	}
 	return nil
@@ -429,7 +355,7 @@ func validateNets(g *grid.Grid, nets []Net) error {
 			}
 		}
 		// Written so that NaN fails too: a NaN rate makes NaN edge weights,
-		// which break the heap's total order (item.before).
+		// which have no place in the drain's total order (item.order).
 		if !(net.Rate >= 0 && net.Rate <= 1) {
 			return fmt.Errorf("route: net %d sensitivity rate %g outside [0,1]", net.ID, net.Rate)
 		}
@@ -475,7 +401,7 @@ func (ns *netState) setPins(pins []geom.Point) []geom.Point {
 }
 
 // numEdges is the edge count of the net's full connection graph — the
-// items pushNet puts on a heap.
+// items pushNet seeds.
 func (ns *netState) numEdges() int { return len(ns.aliveH) + len(ns.aliveV) }
 
 // resetEdges makes every edge alive and unfrozen — the full connection
@@ -493,7 +419,7 @@ func (ns *netState) resetEdges() {
 
 // bumpNet adds net idx's full-connection-graph expected utilization to the
 // base. The ECO resume replays exactly this for every net (bit-identical
-// prefix sums) while pushing heap keys only for nets it will re-drain.
+// prefix sums) while seeding items only for nets it will re-drain.
 func (r *Router) bumpNet(idx int) {
 	ns := &r.nets[idx]
 	bbox := ns.bbox
@@ -510,19 +436,19 @@ func (r *Router) bumpNet(idx int) {
 }
 
 // pushNet computes every edge weight of net idx against the current base
-// state and appends the edges to pq.
-func (r *Router) pushNet(pq *edgeHeap, idx int) {
+// state and appends the edges to items.
+func (r *Router) pushNet(items *[]item, idx int) {
 	ns := &r.nets[idx]
 	bbox := ns.bbox
 	for y := bbox.MinY; y <= bbox.MaxY; y++ {
 		for x := bbox.MinX; x < bbox.MaxX; x++ {
-			*pq = append(*pq, item{net: int32(idx), edge: packEdge(ns.hEdge(x, y), true),
+			*items = append(*items, item{net: int32(idx), edge: packEdge(ns.hEdge(x, y), true),
 				key: r.edgeWeight(idx, x, y, true, nil)})
 		}
 	}
 	for y := bbox.MinY; y < bbox.MaxY; y++ {
 		for x := bbox.MinX; x <= bbox.MaxX; x++ {
-			*pq = append(*pq, item{net: int32(idx), edge: packEdge(ns.vEdge(x, y), false),
+			*items = append(*items, item{net: int32(idx), edge: packEdge(ns.vEdge(x, y), false),
 				key: r.edgeWeight(idx, x, y, false, nil)})
 		}
 	}

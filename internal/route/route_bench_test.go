@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/ibm"
 )
 
 // BenchmarkSeeding measures router construction — the serial head ROADMAP's
@@ -95,4 +97,60 @@ func BenchmarkReconcile(b *testing.B) {
 			})
 		}
 	}
+}
+
+// wideColdNets returns the routing requests of the benchmark's wide-cold
+// design: ibm05 at scale 2, sensitivity rate 0.3, seed 1.
+func wideColdNets(tb testing.TB) (*grid.Grid, []Net) {
+	tb.Helper()
+	profile, err := ibm.ProfileByName("ibm05")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ckt, err := ibm.Generate(profile, ibm.Options{Seed: 1, Scale: 2, SensRate: 0.3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nets := make([]Net, len(ckt.Nets.Nets))
+	for i, n := range ckt.Nets.Nets {
+		pins := make([]geom.Point, len(n.Pins))
+		for j, p := range n.Pins {
+			pins[j] = ckt.Grid.RegionOf(p.Loc)
+		}
+		nets[i] = Net{ID: i, Pins: pins, Rate: ckt.Nets.Sensitivity.Rate(i)}
+	}
+	return ckt.Grid, nets
+}
+
+// BenchmarkDrainWideCold times GSINO's Phase I on the wide-cold design
+// with the serial pool, router seeding excluded: the 56 tile drains, the
+// merge, both reconciliation rounds (the 2,748-net round 0 among them) and
+// tree extraction. It reports the nets reconciled, the items the drains
+// popped per op and the time per pop.
+func BenchmarkDrainWideCold(b *testing.B) {
+	g, nets := wideColdNets(b)
+	var elapsed time.Duration
+	var pops int
+	var last RunStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r, err := NewRouter(g, Config{ShieldAware: true}, nets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		start := time.Now()
+		res, err := r.RunSharded(context.Background(), nil, ShardConfig{})
+		elapsed += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pops += r.pops
+		last = res.Stats
+	}
+	b.ReportMetric(float64(last.Reconciled), "reconciled")
+	b.ReportMetric(float64(pops)/float64(b.N), "pops")
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(pops), "ns/pop")
 }

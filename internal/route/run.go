@@ -84,7 +84,7 @@ func (w *window) merge(base *window) {
 }
 
 // view is one deletion context: the router's frozen base plus a private
-// delta window, and the heap of edges it is responsible for.
+// delta window, and the queue of edges it is responsible for.
 //
 // Sequential Run uses a single view spanning the whole grid. RunSharded
 // gives every tile group its own view, so concurrent drains never write
@@ -93,8 +93,9 @@ func (w *window) merge(base *window) {
 // the determinism argument in shard.go builds on.
 type view struct {
 	window
-	r  *Router
-	pq edgeHeap
+	r    *Router
+	pq   radixQueue
+	pops int // items drain popped
 
 	// Bridge-test scratch, reused across pops (see disconnectsPins). A
 	// local vertex is visited by the current test when its mark equals
@@ -109,13 +110,13 @@ type view struct {
 func newView(r *Router, rect geom.Rect) *view { return &view{window: newWindow(rect), r: r} }
 
 // Run executes the iterative deletion to the fixpoint and extracts each
-// net's Steiner tree. It is the sequential reference algorithm: one heap,
+// net's Steiner tree. It is the sequential reference algorithm: one queue,
 // one view spanning the grid. A Router is single-use — call exactly one of
 // Run or RunSharded, once.
 func (r *Router) Run() *Result {
 	v := newView(r, r.g.Bounds())
-	v.pq, r.pq = r.pq, nil
-	v.pq.init()
+	v.pq.init(r.seeded)
+	r.seeded = nil
 	v.drain()
 	v.merge(&r.base)
 	res := r.extract()
@@ -123,12 +124,15 @@ func (r *Router) Run() *Result {
 	return res
 }
 
-// drain pops the view's heap to its fixpoint, deleting the highest-weight
-// deletable edge of the view's nets each step.
+// drain pops the view's queue to its fixpoint, deleting the highest-weight
+// deletable edge of the view's nets each step. A stale item goes back at
+// its recomputed weight, which is below its key by more than the slack, so
+// it sorts after itself: the radix queue's monotone rule holds.
 func (v *view) drain() {
 	r := v.r
-	for len(v.pq) > 0 {
+	for v.pq.len() > 0 {
 		it := v.pq.pop()
+		v.pops++
 		ns := &r.nets[it.net]
 		e, horz := it.unpack()
 		alive, frozen := ns.aliveV, ns.frozenV
@@ -167,7 +171,7 @@ func (r *Router) edgeOrigin(ns *netState, e int, horz bool) (int, int) {
 // disconnect net ns's pin regions in its surviving subgraph.
 //
 // It needs the precondition that the pins are connected before the
-// deletion. Every net on a heap starts from its full connection graph
+// deletion. Every net in a queue starts from its full connection graph
 // (makeNetState, restoreFresh, reseed) and drain deletes no edge this test
 // rejects, so the precondition holds at every pop. Then the deletion
 // disconnects the pins exactly when e is a bridge with pins on both sides.

@@ -60,8 +60,9 @@ func orSerial(pool Pool, trace *obs.Tracer, lane obs.Lane) Pool {
 }
 
 // drainViews drains every view to its fixpoint as one pool batch, task i
-// labelled label(i) when tracing. Views write only their private deltas
-// and read the base, which no drain writes, so the drains are independent.
+// labelled label(i) when tracing, and adds their pops to their router's
+// count. Views write only their private deltas and read the base, which no
+// drain writes, so the drains are independent.
 func drainViews(ctx context.Context, pool Pool, trace *obs.Tracer, cat string, views []*view, label func(i int) string) error {
 	var labels []string
 	if trace.Enabled() {
@@ -74,7 +75,13 @@ func drainViews(ctx context.Context, pool Pool, trace *obs.Tracer, cat string, v
 	for i, v := range views {
 		tasks[i] = func() error { v.drain(); return nil }
 	}
-	return pool.RunTasks(ctx, cat, labels, tasks)
+	if err := pool.RunTasks(ctx, cat, labels, tasks); err != nil {
+		return err
+	}
+	for _, v := range views {
+		v.r.pops += v.pops
+	}
+	return nil
 }
 
 // ShardConfig carries RunSharded's observational settings. The tile
@@ -86,8 +93,9 @@ func drainViews(ctx context.Context, pool Pool, trace *obs.Tracer, cat string, v
 type ShardConfig struct {
 	// Trace, when enabled, records Phase I spans: one per pool task (seed
 	// chunk, shard drain, reconcile component), named and on the executing
-	// worker's lane, plus the serial sections — heap split, delta merge,
-	// each reconciliation round, and tree extraction — on Lane.
+	// worker's lane, plus the serial sections — queue split, delta merge,
+	// each reconciliation round, and tree extraction — on Lane. The delta
+	// merge and each round carry the items their drains popped.
 	// Tracing never changes the routing result.
 	Trace *obs.Tracer
 
@@ -108,7 +116,7 @@ func tiling(cols, rows int) (tileCols, tileRows int) { return min(8, cols), min(
 //  1. Partition: every net joins the tile containing its bounding-box
 //     center, so each net belongs to exactly one group and group membership
 //     is a pure function of the input (never of the worker count).
-//  2. Parallel drain: each group drains its own heap against the frozen
+//  2. Parallel drain: each group drains its own queue against the frozen
 //     post-seeding base utilization plus the group's private deltas. Foreign
 //     groups' deletions are invisible until the merge, which makes every
 //     group's fixpoint independent of scheduling — and conservatively
@@ -158,7 +166,7 @@ func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, cap
 // drainTiles is the one Phase I tile driver, shared by the from-scratch
 // run and the ECO resume. Group gi either replays clean[gi], a tile
 // captured by an earlier run, or drains live: a fresh view over wins[gi]
-// takes its members' items from the seeded heap. The live views drain as
+// takes its members' items from the seeded ones. The live views drain as
 // one pool batch; then every group's window merges into the base in group
 // order — a replayed tile through the same window.merge as a live one —
 // so the float-addition order into the base is fixed. clean is nil for a
@@ -168,6 +176,7 @@ func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, cap
 func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, groups [][]int, tileIDs []int, wins []geom.Rect, clean []*tileSnap) ([]tileSnap, error) {
 	tiles := make([]tileSnap, len(groups))
 	var views []*view
+	var seeds [][]item                  // per view: its share of the seeded items
 	var live []int                      // view index -> group index
 	owner := make([]int32, len(r.nets)) // net index -> view index
 	for gi, members := range groups {
@@ -175,31 +184,31 @@ func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, gro
 			tiles[gi] = *clean[gi]
 			continue
 		}
-		// The seeded heap holds exactly the live groups' nets' edges.
+		// The seeded items are exactly the live groups' nets' edges.
 		items := 0
 		for _, ni := range members {
 			owner[ni] = int32(len(views))
 			items += r.nets[ni].numEdges()
 		}
-		v := newView(r, wins[gi])
-		v.pq = make(edgeHeap, 0, items)
-		views = append(views, v)
+		views = append(views, newView(r, wins[gi]))
+		seeds = append(seeds, make([]item, 0, items))
 		live = append(live, gi)
 	}
 
-	// Split the seeded heap across the live views and restore heap order.
-	// The total order on items (see item.before) makes each view's pop
-	// sequence independent of how the global slice was interleaved.
-	ssp := cfg.Trace.Start(cfg.Lane, "route", "heap split").Arg("shards", int64(len(views)))
-	for _, it := range r.pq {
-		v := views[owner[it.net]]
-		v.pq = append(v.pq, it)
+	// Split the seeded items across the live views' queues. The total
+	// order on items (see item.order) makes each view's pop sequence
+	// independent of how the global slice was interleaved.
+	ssp := cfg.Trace.Start(cfg.Lane, "route", "queue split").Arg("shards", int64(len(views)))
+	for _, it := range r.seeded {
+		vi := owner[it.net]
+		seeds[vi] = append(seeds[vi], it)
 	}
-	r.pq = nil
-	for _, v := range views {
-		v.pq.init()
+	r.seeded = nil
+	for vi, v := range views {
+		v.pq.init(seeds[vi])
 	}
 	ssp.End()
+	pops := r.pops
 
 	name := "shard"
 	if clean != nil {
@@ -214,7 +223,7 @@ func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, gro
 	}
 
 	// Deterministic merge: group order, then window scan order within each.
-	msp := cfg.Trace.Start(cfg.Lane, "route", "delta merge").Arg("shards", int64(len(groups)))
+	msp := cfg.Trace.Start(cfg.Lane, "route", "delta merge").Arg("shards", int64(len(groups))).Arg("pops", int64(r.pops-pops))
 	for vi, gi := range live {
 		tiles[gi] = tileSnap{tile: tileIDs[gi], members: groups[gi], window: views[vi].window}
 	}
@@ -266,8 +275,9 @@ func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, 
 		stats.ReconcileRounds++
 		stats.Reconciled += len(ripped)
 		rsp := cfg.Trace.Start(cfg.Lane, "route", "reconcile").Arg("round", int64(round)).Arg("nets", int64(len(ripped)))
+		pops := r.pops
 		err := r.reconcileRound(ctx, pool, cfg, round, ripped, &stats)
-		rsp.End()
+		rsp.Arg("pops", int64(r.pops-pops)).End()
 		if err != nil {
 			return nil, err
 		}
@@ -329,7 +339,7 @@ func partitionRects(bboxes []geom.Rect, cols, rows int) (groups [][]int, tileIDs
 // utilization and writes deltas only inside its own bounding box — so
 // independent overflow clusters reconcile concurrently with the same
 // total-order tie-breaks (DESIGN.md §10: the pop sequence of a merged
-// heap restricted to one component equals that component's own pop
+// queue restricted to one component equals that component's own pop
 // sequence, because foreign components never change its weights).
 //
 // Rip-up stays serial in ascending net order: reseed writes the shared
@@ -341,6 +351,7 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 	comps := r.components(ripped)
 	stats.ReconcileComponents += len(comps)
 	cviews := make([]*view, len(comps))
+	seeds := make([][]item, len(comps))
 	compOf := make(map[int]int, len(ripped))
 	for ci, members := range comps {
 		if len(members) > stats.LargestComponent {
@@ -356,13 +367,13 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 			items += r.nets[ni].numEdges()
 		}
 		cviews[ci] = newView(r, win)
-		cviews[ci].pq = make(edgeHeap, 0, items)
+		seeds[ci] = make([]item, 0, items)
 	}
 	for _, ni := range ripped {
-		r.reseed(ni, &cviews[compOf[ni]].pq)
+		r.reseed(ni, &seeds[compOf[ni]])
 	}
-	for _, v := range cviews {
-		v.pq.init()
+	for ci, v := range cviews {
+		v.pq.init(seeds[ci])
 	}
 	err := drainViews(ctx, pool, cfg.Trace, "reconcile", cviews, func(ci int) string {
 		return fmt.Sprintf("reconcile %d comp %d (%d nets)", round, ci, len(comps[ci]))
@@ -460,15 +471,15 @@ func (r *Router) overflowNets() []int {
 // reseed rips up net ni — its surviving edges release their utilization
 // from the base, every edge resets, and bumpNet and pushNet leave it
 // exactly as seeding did: the full connection graph's utilization in the
-// base and its edges on pq with fresh base weights.
-func (r *Router) reseed(ni int, pq *edgeHeap) {
+// base and its edges in items with fresh base weights.
+func (r *Router) reseed(ni int, items *[]item) {
 	ns := &r.nets[ni]
 	for e := range r.aliveEdges(ns) {
 		r.base.bumpEdge(e.From.X, e.From.Y, e.Horizontal(), ns.rate, -0.5)
 	}
 	ns.resetEdges()
 	r.bumpNet(ni)
-	r.pushNet(pq, ni)
+	r.pushNet(items, ni)
 }
 
 func unionRect(a, b geom.Rect) geom.Rect {

@@ -20,7 +20,11 @@ package route
 // allocates is no larger than the spine array it read. Tile windows must
 // match their delta arrays and member indices must lie inside the net
 // slice, so malformed input surfaces as an error, not as memory
-// corruption three phases later.
+// corruption three phases later. A net's RSMT length and every tile delta
+// must be finite: a resumed drain's weights read them as decoded, and a
+// NaN weight has no place in the drain's total order (item.order). The
+// other floats only have to equal the resume's own config, grid and
+// validated nets.
 
 import (
 	"encoding/binary"
@@ -167,6 +171,13 @@ func (r *wireReader) f64(what string) float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data))
 	r.data = r.data[8:]
 	return v
+}
+
+// finite fails unless v is a finite number.
+func (r *wireReader) finite(what string, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		r.fail("%s %g is not finite", what, v)
+	}
 }
 
 func (r *wireReader) bool(what string) bool {
@@ -420,6 +431,7 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 		ns.frozenH = r.bools("frozenH")
 		ns.frozenV = r.bools("frozenV")
 		ns.rsmtUM = geom.Micron(r.f64("net rsmt"))
+		r.finite("net rsmt", float64(ns.rsmtUM))
 		ns.spineDist = r.i32s("spine dist")
 		if r.err != nil {
 			break
@@ -479,6 +491,9 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 		for _, a := range t.arrays() {
 			if len(*a) != t.rect.Cells() {
 				r.fail("tile %d: delta arrays inconsistent with %d-cell window", t.tile, t.rect.Cells())
+			}
+			for _, v := range *a {
+				r.finite("tile delta", v)
 			}
 		}
 	}

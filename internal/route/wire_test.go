@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -216,6 +217,33 @@ func TestDecodeRejectsPinMismatch(t *testing.T) {
 			t.Fatal("decoded without error")
 		}
 	})
+}
+
+// TestDecodeRejectsNonFinite: a net's RSMT length and every tile delta
+// feed a resumed drain's weights, so a NaN or infinite one is a wire
+// error, which the disk tier counts as corrupt and recomputes.
+func TestDecodeRejectsNonFinite(t *testing.T) {
+	_, _, _, ds := wireFixture(t, 4, 8, 16)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprintf("rsmt %g", v), func(t *testing.T) {
+			mut := *ds
+			mut.snaps = slices.Clone(ds.snaps)
+			mut.snaps[len(mut.snaps)-1].ns.rsmtUM = geom.Micron(v)
+			if _, _, err := DecodeDrainState(mut.AppendWire(nil)); err == nil {
+				t.Fatal("decoded without error")
+			}
+		})
+		t.Run(fmt.Sprintf("tile delta %g", v), func(t *testing.T) {
+			mut := *ds
+			mut.tiles = slices.Clone(ds.tiles)
+			last := &mut.tiles[len(mut.tiles)-1]
+			last.sumS2V = slices.Clone(last.sumS2V)
+			last.sumS2V[len(last.sumS2V)-1] = v
+			if _, _, err := DecodeDrainState(mut.AppendWire(nil)); err == nil {
+				t.Fatal("decoded without error")
+			}
+		})
+	}
 }
 
 // FuzzDecodeResult: DecodeResult never panics, and whatever it accepts
