@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/orderutil"
@@ -143,7 +144,9 @@ func (g *conflictGraph) snapshot() []conflictNode {
 // the greedy maximal independent set of the severity order (the most
 // severe violators that can repair concurrently). The classes, and the
 // member order within each class, are a pure function of the node set:
-// permuting the input never changes the output.
+// permuting the input never changes the output. Each class marks the
+// instances its members occupy in a bitset over the instance ids, all
+// classes' bitsets in one array.
 func colorConflicts(nodes []conflictNode) [][]conflictNode {
 	order := append([]conflictNode(nil), nodes...)
 	sort.Slice(order, func(a, b int) bool {
@@ -152,31 +155,32 @@ func colorConflicts(nodes []conflictNode) [][]conflictNode {
 		}
 		return order[a].net < order[b].net
 	})
+	words := 0 // per class
+	for _, nd := range nodes {
+		for _, id := range nd.insts {
+			words = max(words, id/64+1)
+		}
+	}
 	var (
 		classes [][]conflictNode
-		used    []map[int]bool // per class: occupied instance ids
+		used    []uint64 // class c's occupied instance ids: used[c*words:][:words]
 	)
 	for _, nd := range order {
 		c := 0
 		for ; c < len(classes); c++ {
-			conflict := false
-			for _, id := range nd.insts {
-				if used[c][id] {
-					conflict = true
-					break
-				}
-			}
-			if !conflict {
+			set := used[c*words:]
+			if !slices.ContainsFunc(nd.insts, func(id int) bool { return set[id/64]&(1<<(id%64)) != 0 }) {
 				break
 			}
 		}
 		if c == len(classes) {
 			classes = append(classes, nil)
-			used = append(used, make(map[int]bool))
+			used = append(used, make([]uint64, words)...)
 		}
 		classes[c] = append(classes[c], nd)
+		set := used[c*words:]
 		for _, id := range nd.insts {
-			used[c][id] = true
+			set[id/64] |= 1 << (id % 64)
 		}
 	}
 	return classes

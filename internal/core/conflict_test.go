@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -213,6 +214,66 @@ func FuzzConflictGraphUpdate(f *testing.F) {
 		}
 		checkColoring(t, nodes, classes)
 	})
+}
+
+// colorConflictsMap is the coloring colorConflicts replaced, kept verbatim
+// as its oracle: one map of occupied instance ids per class.
+func colorConflictsMap(nodes []conflictNode) [][]conflictNode {
+	order := append([]conflictNode(nil), nodes...)
+	sort.Slice(order, func(a, b int) bool {
+		if order[a].ratio != order[b].ratio {
+			return order[a].ratio > order[b].ratio
+		}
+		return order[a].net < order[b].net
+	})
+	var (
+		classes [][]conflictNode
+		used    []map[int]bool // per class: occupied instance ids
+	)
+	for _, nd := range order {
+		c := 0
+		for ; c < len(classes); c++ {
+			conflict := false
+			for _, id := range nd.insts {
+				if used[c][id] {
+					conflict = true
+					break
+				}
+			}
+			if !conflict {
+				break
+			}
+		}
+		if c == len(classes) {
+			classes = append(classes, nil)
+			used = append(used, make(map[int]bool))
+		}
+		classes[c] = append(classes[c], nd)
+		for _, id := range nd.insts {
+			used[c][id] = true
+		}
+	}
+	return classes
+}
+
+// TestColorConflictsMatchesMapForm pins the bitset coloring to the map
+// form on random node sets: 0 to 300 nets over 1 to 400 instances (ids
+// across several bitset words), footprints with repeated ids, and
+// severity ties that only the net id breaks.
+func TestColorConflictsMatchesMapForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 400; trial++ {
+		nodes := randomNodes(rng, rng.Intn(301), 1+rng.Intn(400), 1+rng.Intn(12))
+		if trial%3 == 0 {
+			for i := range nodes {
+				nodes[i].ratio = float64(1 + rng.Intn(3))
+			}
+		}
+		rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+		if got, want := colorConflicts(nodes), colorConflictsMap(nodes); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %d nodes colored into %d classes, oracle %d", trial, len(nodes), len(got), len(want))
+		}
+	}
 }
 
 func TestColorConflictsSeverityOrder(t *testing.T) {

@@ -1,9 +1,11 @@
 package route
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -267,5 +269,68 @@ func TestComponentsMatchPairwise(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: components %v, pairwise %v", trial, got, want)
 		}
+	}
+}
+
+// TestSplitSharesNeverOverrun: splitItems hands each view exactly its own
+// items, and capped at them, so a full drain of any view never writes the
+// items just past its share — the next view's, or for the last view spare
+// capacity — however its queue reuses its chunks. Each view in turn drains
+// with the chunk past its share poisoned.
+func TestSplitSharesNeverOverrun(t *testing.T) {
+	g, err := grid.New(24, 24, 100, 100, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(g, Config{ShieldAware: true}, randomNets(5, 600, 24, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, _, wins := r.partition()
+	owner := make([]int32, len(r.nets))
+	counts := make([]int, len(groups))
+	for vi, members := range groups {
+		for _, ni := range members {
+			owner[ni] = int32(vi)
+			counts[vi] += r.nets[ni].numEdges()
+		}
+	}
+	n := len(r.seeded)
+	backing := make([]item, n+chunkLen)
+	copy(backing, r.seeded)
+	want := slices.Clone(r.seeded)
+	shares := splitItems(backing[:n], owner, counts)
+
+	var got []item
+	poison := item{net: -1, edge: -1, key: -1}
+	end := 0
+	for vi, share := range shares {
+		for _, it := range share {
+			if int(owner[it.net]) != vi {
+				t.Fatalf("view %d holds an item of net %d, owned by view %d", vi, it.net, owner[it.net])
+			}
+		}
+		got = append(got, share...)
+		end += len(share)
+		past := backing[end:min(end+chunkLen, len(backing))]
+		saved := slices.Clone(past)
+		for i := range past {
+			past[i] = poison
+		}
+		v := newView(r, wins[vi])
+		v.pq.init(share)
+		v.drain()
+		for i, it := range past {
+			if it != poison {
+				t.Fatalf("draining view %d (%d items) wrote %+v at %d past its share", vi, len(share), it, i)
+			}
+		}
+		copy(past, saved)
+	}
+	byEdge := func(a, b item) int { return cmp.Or(cmp.Compare(a.net, b.net), cmp.Compare(a.edge, b.edge)) }
+	slices.SortFunc(got, byEdge)
+	slices.SortFunc(want, byEdge)
+	if !slices.Equal(got, want) {
+		t.Fatal("the shares are not a permutation of the seeded items")
 	}
 }

@@ -229,10 +229,10 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 	// restores post-drain — a clone, so a resume never writes into the
 	// snapshot (a DrainState may be resumed any number of times). Only
 	// re-draining nets are seeded.
-	err := r.seed(ctx, pool, func(i int) netState {
+	err := r.seed(ctx, pool, func(i int, sc *seedScratch) netState {
 		switch {
 		case edited[i]:
-			return r.makeNetState(nets[i])
+			return r.makeNetState(nets[i], sc)
 		case redrain[i]:
 			return prev.snaps[i].restoreFresh()
 		}

@@ -230,6 +230,10 @@ type Router struct {
 	// seeded holds the items seeding pushed, until the drains take them.
 	seeded []item
 
+	// free is the array the tile drains' queues were carved from, once
+	// they have drained; reconciliation rounds carve theirs from it.
+	free []item
+
 	// pops counts the items every drain has popped so far (trace only).
 	pops int
 }
@@ -275,7 +279,7 @@ func NewRouterOn(ctx context.Context, g *grid.Grid, cfg Config, nets []Net, pool
 		return nil, err
 	}
 	r := newRouter(g, cfg.withDefaults(), nets)
-	if err := r.seed(ctx, orSerial(pool, nil, 0), func(i int) netState { return r.makeNetState(nets[i]) }, nil); err != nil {
+	if err := r.seed(ctx, orSerial(pool, nil, 0), func(i int, sc *seedScratch) netState { return r.makeNetState(nets[i], sc) }, nil); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -300,10 +304,11 @@ func newRouter(g *grid.Grid, cfg Config, nets []Net) *Router {
 // seed constructs every net's state — the one seeding path of a fresh
 // router and an ECO resume. It splits into two parts:
 //
-//   - Pure per-net work: build(i) returns net i's state (a fresh
-//     connection graph, or one restored from a snapshot). It reads only
-//     immutable inputs and writes a disjoint slot, so it runs chunked on
-//     the pool (the bulk of seeding cost: Steiner topology + BFS per net).
+//   - Pure per-net work: build(i, sc) returns net i's state (a fresh
+//     connection graph, or one restored from a snapshot), working in sc,
+//     its chunk's scratch. It reads only immutable inputs and writes a
+//     disjoint slot, so it runs chunked on the pool (the bulk of seeding
+//     cost: Steiner estimate + BFS per net).
 //   - Order-dependent work, serial in ascending net order: every net's
 //     expected utilization goes into the base, and the nets push selects
 //     (nil: all) put their edges in r.seeded with initial weights. Net i's
@@ -311,13 +316,14 @@ func newRouter(g *grid.Grid, cfg Config, nets []Net) *Router {
 //
 // The split makes the seeded Router byte-identical to serial construction
 // at any worker count.
-func (r *Router) seed(ctx context.Context, pool Pool, build func(i int) netState, push []bool) error {
+func (r *Router) seed(ctx context.Context, pool Pool, build func(i int, sc *seedScratch) netState, push []bool) error {
 	tasks := make([]func() error, r.seedChunks)
 	for c := range tasks {
 		lo, hi := c*seedChunk, min((c+1)*seedChunk, len(r.nets))
 		tasks[c] = func() error {
+			sc := new(seedScratch)
 			for i := lo; i < hi; i++ {
-				r.nets[i] = build(i)
+				r.nets[i] = build(i, sc)
 			}
 			return nil
 		}
@@ -339,6 +345,14 @@ func (r *Router) seed(ctx context.Context, pool Pool, build func(i int) netState
 		}
 	}
 	return nil
+}
+
+// seedScratch is one seed chunk's working memory, reused by each net it
+// builds: the Steiner estimate's buffers and buildSpine's BFS queue. Only
+// what a net keeps is allocated per net.
+type seedScratch struct {
+	est   steiner.Scratch
+	queue []int32
 }
 
 // validateNets checks every net's pins and rate against the grid — shared
@@ -364,40 +378,37 @@ func validateNets(g *grid.Grid, nets []Net) error {
 }
 
 // makeNetState builds one net's connection graph — the pure per-net part
-// of seeding. It reads only the immutable grid, so disjoint nets can be
-// constructed concurrently.
-func (r *Router) makeNetState(net Net) netState {
+// of seeding — in sc. It reads only the immutable grid, so disjoint nets
+// can be constructed concurrently.
+func (r *Router) makeNetState(net Net, sc *seedScratch) netState {
 	ns := netState{id: net.ID, rate: net.Rate}
-	pinRegions := ns.setPins(net.Pins)
+	ns.setPins(net.Pins)
 	w, h := ns.w, ns.h
 	ns.aliveH, ns.frozenH = make([]bool, (w-1)*h), make([]bool, (w-1)*h)
 	ns.aliveV, ns.frozenV = make([]bool, w*(h-1)), make([]bool, w*(h-1))
-	ns.rsmtUM = steiner.LengthMicron(pinRegions, r.g.CellW, r.g.CellH)
-	ns.buildSpine(pinRegions)
+	length, points, edges := sc.est.Estimate(net.Pins, r.g.CellW, r.g.CellH)
+	ns.rsmtUM = length
+	ns.buildSpine(points, edges, &sc.queue)
 	ns.resetEdges()
 	return ns
 }
 
 // setPins sets the fields of ns that its non-empty pin list determines —
 // the bounding box and its dimensions, the pin mask and count, and
-// spineNorm — and returns the distinct pin regions in first-seen order.
-// It allocates a mask over the whole bounding box, so a decoder calls it
-// only after input it has read bounds that box.
-func (ns *netState) setPins(pins []geom.Point) []geom.Point {
+// spineNorm. It allocates a mask over the whole bounding box, so a decoder
+// calls it only after input it has read bounds that box.
+func (ns *netState) setPins(pins []geom.Point) {
 	ns.bbox = geom.RectFromPoints(pins)
 	ns.w, ns.h = ns.bbox.Width(), ns.bbox.Height()
 	ns.pinMask = make([]bool, ns.w*ns.h)
 	ns.npins = 0
-	distinct := make([]geom.Point, 0, len(pins))
 	for _, p := range pins {
 		if v := ns.vertex(p.X, p.Y); !ns.pinMask[v] {
 			ns.pinMask[v] = true
 			ns.npins++
-			distinct = append(distinct, p)
 		}
 	}
 	ns.spineNorm = max(float64(ns.w+ns.h)/2, 1)
-	return distinct
 }
 
 // numEdges is the edge count of the net's full connection graph — the
@@ -454,21 +465,22 @@ func (r *Router) pushNet(items *[]item, idx int) {
 	}
 }
 
-// buildSpine rasterizes the estimated RSMT topology into the bbox (each
-// topology edge embedded as a horizontal-then-vertical L) and computes every
-// local vertex's BFS distance from that spine.
-func (n *netState) buildSpine(pins []geom.Point) {
+// buildSpine rasterizes the estimated RSMT topology — points and the
+// edges between them, from steiner.Scratch.Estimate — into the bbox (each
+// topology edge embedded as a horizontal-then-vertical L) and computes
+// every local vertex's BFS distance from that spine. The BFS runs in
+// *queue, which it grows as needed and leaves for the next net.
+func (n *netState) buildSpine(points []geom.Point, edges [][2]int, queue *[]int32) {
 	n.spineDist = make([]int32, n.w*n.h)
 	for i := range n.spineDist {
 		n.spineDist[i] = -1
 	}
-	points, edges := steiner.Topology(pins)
-	queue := make([]int, 0, n.w*n.h)
+	q := (*queue)[:0]
 	mark := func(p geom.Point) {
 		v := n.vertex(p.X, p.Y)
 		if n.spineDist[v] < 0 {
 			n.spineDist[v] = 0
-			queue = append(queue, v)
+			q = append(q, int32(v))
 		}
 	}
 	for _, p := range points {
@@ -495,8 +507,8 @@ func (n *netState) buildSpine(pins []geom.Point) {
 			}
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
+	for head := 0; head < len(q); head++ {
+		v := int(q[head])
 		vx, vy := v%n.w, v/n.w
 		for _, nb := range [4][2]int{{vx - 1, vy}, {vx + 1, vy}, {vx, vy - 1}, {vx, vy + 1}} {
 			if nb[0] < 0 || nb[0] >= n.w || nb[1] < 0 || nb[1] >= n.h {
@@ -505,10 +517,11 @@ func (n *netState) buildSpine(pins []geom.Point) {
 			nv := nb[1]*n.w + nb[0]
 			if n.spineDist[nv] < 0 {
 				n.spineDist[nv] = n.spineDist[v] + 1
-				queue = append(queue, nv)
+				q = append(q, int32(nv))
 			}
 		}
 	}
+	*queue = q
 }
 
 // spineFactor returns the f(WL) multiplier for an edge between local

@@ -18,25 +18,32 @@ import (
 // and initial edge weights stay serial on every arm (they are
 // prefix-dependent), so Amdahl bounds the pooled arms by the fraction of
 // construction that is pure per-net work; the bench exists to track that
-// fraction, not to assert a speedup on any particular host.
+// fraction, not to assert a speedup on any particular host. The
+// wide-cold arm seeds the benchmark's wide-cold design (ibm05 at scale 2,
+// 14,822 nets) with the serial pool.
 func BenchmarkSeeding(b *testing.B) {
 	g, err := grid.New(16, 16, 100, 100, 3, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	nets := randomNets(7, 2000, 16, 16)
+	wideGrid, wideNets := wideColdNets(b)
 	arms := []struct {
 		name string
+		g    *grid.Grid
+		nets []Net
 		pool Pool
 	}{
-		{"serial", nil},
-		{"workers1", engine.New(engine.Config{Workers: 1})},
-		{"workers4", engine.New(engine.Config{Workers: 4})},
+		{"serial", g, nets, nil},
+		{"workers1", g, nets, engine.New(engine.Config{Workers: 1})},
+		{"workers4", g, nets, engine.New(engine.Config{Workers: 4})},
+		{"wide-cold", wideGrid, wideNets, nil},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewRouterOn(context.Background(), g, Config{ShieldAware: true}, nets, arm.pool); err != nil {
+				if _, err := NewRouterOn(context.Background(), arm.g, Config{ShieldAware: true}, arm.nets, arm.pool); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -337,21 +337,3 @@ func (r *Router) aliveEdges(ns *netState) iter.Seq[Edge] {
 		}
 	}
 }
-
-// trackRegions returns the grid indices of the regions where net ns holds
-// a horizontal (h) and a vertical (v) track — both ends of every surviving
-// edge — each sorted ascending and de-duplicated. Ascending index order is
-// the (y, x) scan order.
-func (r *Router) trackRegions(ns *netState) (h, v []int) {
-	for e := range r.aliveEdges(ns) {
-		i, j := r.g.Index(e.From), r.g.Index(e.To)
-		if e.Horizontal() {
-			h = append(h, i, j)
-		} else {
-			v = append(v, i, j)
-		}
-	}
-	slices.Sort(h)
-	slices.Sort(v)
-	return slices.Compact(h), slices.Compact(v)
-}

@@ -176,7 +176,7 @@ func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, cap
 func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, groups [][]int, tileIDs []int, wins []geom.Rect, clean []*tileSnap) ([]tileSnap, error) {
 	tiles := make([]tileSnap, len(groups))
 	var views []*view
-	var seeds [][]item                  // per view: its share of the seeded items
+	var counts []int                    // per view: its share of the seeded items
 	var live []int                      // view index -> group index
 	owner := make([]int32, len(r.nets)) // net index -> view index
 	for gi, members := range groups {
@@ -191,22 +191,18 @@ func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, gro
 			items += r.nets[ni].numEdges()
 		}
 		views = append(views, newView(r, wins[gi]))
-		seeds = append(seeds, make([]item, 0, items))
+		counts = append(counts, items)
 		live = append(live, gi)
 	}
 
-	// Split the seeded items across the live views' queues. The total
-	// order on items (see item.order) makes each view's pop sequence
-	// independent of how the global slice was interleaved.
+	// Split the seeded items across the live views' queues, in place. The
+	// total order on items (see item.order) makes each view's pop sequence
+	// independent of how its share is arranged.
 	ssp := cfg.Trace.Start(cfg.Lane, "route", "queue split").Arg("shards", int64(len(views)))
-	for _, it := range r.seeded {
-		vi := owner[it.net]
-		seeds[vi] = append(seeds[vi], it)
+	for vi, seed := range splitItems(r.seeded, owner, counts) {
+		views[vi].pq.init(seed)
 	}
-	r.seeded = nil
-	for vi, v := range views {
-		v.pq.init(seeds[vi])
-	}
+	r.free, r.seeded = r.seeded[:0], nil
 	ssp.End()
 	pops := r.pops
 
@@ -351,8 +347,9 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 	comps := r.components(ripped)
 	stats.ReconcileComponents += len(comps)
 	cviews := make([]*view, len(comps))
-	seeds := make([][]item, len(comps))
+	counts := make([]int, len(comps))
 	compOf := make(map[int]int, len(ripped))
+	total := 0
 	for ci, members := range comps {
 		if len(members) > stats.LargestComponent {
 			stats.LargestComponent = len(members)
@@ -361,13 +358,25 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 		for _, ni := range members[1:] {
 			win = unionRect(win, r.nets[ni].bbox)
 		}
-		items := 0
 		for _, ni := range members {
 			compOf[ni] = ci
-			items += r.nets[ni].numEdges()
+			counts[ci] += r.nets[ni].numEdges()
 		}
 		cviews[ci] = newView(r, win)
-		seeds[ci] = make([]item, 0, items)
+		total += counts[ci]
+	}
+	// The items go in the tile drains' freed array when they fit, which
+	// from scratch they always do: each component's share is a subslice
+	// capped at its count, so no queue reaches into its neighbour's.
+	buf := r.free
+	if cap(buf) < total {
+		buf = make([]item, 0, total)
+	}
+	seeds := make([][]item, len(comps))
+	off := 0
+	for ci, n := range counts {
+		seeds[ci] = buf[off : off : off+n]
+		off += n
 	}
 	for _, ni := range ripped {
 		r.reseed(ni, &seeds[compOf[ni]])
@@ -384,7 +393,39 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 	for _, v := range cviews {
 		v.merge(&r.base)
 	}
+	r.free = buf
 	return nil
+}
+
+// splitItems partitions items in place so that each view's items, by
+// owner[net], are contiguous in view order (counts[vi] of them, which must
+// add up to len(items)), and returns view vi's share as a subslice capped
+// at its own length. The cap matters: radixQueue.init carves its last,
+// partly filled chunk from spare capacity, so an uncapped share would let
+// one view's queue write over the next view's items.
+func splitItems(items []item, owner []int32, counts []int) [][]item {
+	bound := make([]int, len(counts)+1) // view vi's share is items[bound[vi]:bound[vi+1]]
+	for vi, n := range counts {
+		bound[vi+1] = bound[vi] + n
+	}
+	// Settle each view's slots in turn: an item that belongs to a later
+	// view swaps into that view's next unsettled slot, so every swap
+	// settles one item for good.
+	next := slices.Clone(bound[:len(counts)])
+	shares := make([][]item, len(counts))
+	for vi := range counts {
+		for next[vi] < bound[vi+1] {
+			it := items[next[vi]]
+			if ov := owner[it.net]; int(ov) != vi {
+				items[next[vi]], items[next[ov]] = items[next[ov]], it
+				next[ov]++
+				continue
+			}
+			next[vi]++
+		}
+		shares[vi] = items[bound[vi]:bound[vi+1]:bound[vi+1]]
+	}
+	return shares
 }
 
 // components groups the ripped nets into bounding-box-overlap connected
@@ -444,28 +485,69 @@ func (r *Router) components(nets []int) [][]int {
 // overflowNets returns, in ascending net order, the nets whose trees hold a
 // track in a region whose exact usage exceeds capacity in that direction.
 // These are the candidates boundary reconciliation re-routes.
+//
+// A net holds a track in a direction at both end regions of every
+// surviving edge in it, however many of its edges meet there. So a first
+// pass counts, per region and direction, the nets holding a track there:
+// a net's edge ends bump the count only where the region's stamp — one
+// plus the last net counted — is not the net's own. Then each net's edge
+// ends are tested against those counts, once to size the result exactly
+// and once to fill it.
 func (r *Router) overflowNets() []int {
-	useH := make([]int, r.g.NumRegions())
-	useV := make([]int, r.g.NumRegions())
-	tracks := make([][2][]int, len(r.nets)) // per net: [H regions, V regions]
+	nr := r.g.NumRegions()
+	use := make([]int32, 4*nr) // [H use | V use | H stamp | V stamp] per region
+	limit := [2]int32{int32(r.g.HC), int32(r.g.VC)}
 	for ni := range r.nets {
-		h, v := r.trackRegions(&r.nets[ni])
-		tracks[ni] = [2][]int{h, v}
-		for _, i := range h {
-			useH[i]++
-		}
-		for _, i := range v {
-			useV[i]++
+		stamp := int32(ni + 1)
+		r.trackEnds(&r.nets[ni], func(k int) bool {
+			if use[2*nr+k] != stamp {
+				use[2*nr+k] = stamp
+				use[k]++
+			}
+			return false
+		})
+	}
+	over := func(ni int) bool {
+		return r.trackEnds(&r.nets[ni], func(k int) bool { return use[k] > limit[k/nr] })
+	}
+	n := 0
+	for ni := range r.nets {
+		if over(ni) {
+			n++
 		}
 	}
-	var out []int
-	for ni, t := range tracks {
-		if slices.ContainsFunc(t[0], func(i int) bool { return useH[i] > r.g.HC }) ||
-			slices.ContainsFunc(t[1], func(i int) bool { return useV[i] > r.g.VC }) {
+	out := make([]int, 0, n)
+	for ni := range r.nets {
+		if over(ni) {
 			out = append(out, ni)
 		}
 	}
 	return out
+}
+
+// trackEnds calls f on both end regions of each of net ns's surviving
+// edges — k is the region's grid index for a horizontal edge and the
+// number of regions plus it for a vertical one — and stops at the first
+// call that returns true, which it reports.
+func (r *Router) trackEnds(ns *netState, f func(k int) bool) bool {
+	cols, nr := r.g.Cols, r.g.NumRegions()
+	e := 0
+	for y := ns.bbox.MinY; y <= ns.bbox.MaxY; y++ {
+		for x := ns.bbox.MinX; x < ns.bbox.MaxX; x, e = x+1, e+1 {
+			if i := y*cols + x; ns.aliveH[e] && (f(i) || f(i+1)) {
+				return true
+			}
+		}
+	}
+	e = 0
+	for y := ns.bbox.MinY; y < ns.bbox.MaxY; y++ {
+		for x := ns.bbox.MinX; x <= ns.bbox.MaxX; x, e = x+1, e+1 {
+			if i := nr + y*cols + x; ns.aliveV[e] && (f(i) || f(i+cols)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // reseed rips up net ni — its surviving edges release their utilization

@@ -20,11 +20,17 @@ package route
 // allocates is no larger than the spine array it read. Tile windows must
 // match their delta arrays and member indices must lie inside the net
 // slice, so malformed input surfaces as an error, not as memory
-// corruption three phases later. A net's RSMT length and every tile delta
-// must be finite: a resumed drain's weights read them as decoded, and a
-// NaN weight has no place in the drain's total order (item.order). The
-// other floats only have to equal the resume's own config, grid and
-// validated nets.
+// corruption three phases later. A resumed drain's weights read a net's
+// RSMT length, its spine distances and the tile deltas as decoded, so
+// each must be one a run could have written. The RSMT length must be
+// finite: a NaN weight has no place in the drain's total order
+// (item.order). A spine distance is a BFS distance inside the net's box
+// from a spine through its pins, so it lies in [0, w+h−2] and is 0 at a
+// pin region. A drain only releases what its members' full graphs added,
+// at most one track and one unit of rate sum per member per region and
+// direction, so a tile delta of an m-member tile lies in [−2m, 0] (twice
+// the bound, for slack; NaN and infinities fail it too). The other floats
+// only have to equal the resume's own config, grid and validated nets.
 
 import (
 	"encoding/binary"
@@ -453,6 +459,12 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 			break
 		}
 		ns.setPins(s.pins)
+		for v, d := range ns.spineDist {
+			if d < 0 || int(d) > w+h-2 || ns.pinMask[v] && d != 0 {
+				r.fail("net %d: spine distance %d at local vertex %d, want [0, %d] and 0 at a pin", ns.id, d, v, w+h-2)
+				break
+			}
+		}
 	}
 
 	ntl := r.count("tile snapshot", 12) // id, member count, window, six arrays
@@ -488,12 +500,16 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 			break
 		}
 		t.cols = t.rect.Width() // derived, not on the wire
+		lo := -2 * float64(len(t.members))
 		for _, a := range t.arrays() {
 			if len(*a) != t.rect.Cells() {
 				r.fail("tile %d: delta arrays inconsistent with %d-cell window", t.tile, t.rect.Cells())
 			}
 			for _, v := range *a {
-				r.finite("tile delta", v)
+				if !(lo <= v && v <= 0) {
+					r.fail("tile %d: delta %g outside [%g, 0]", t.tile, v, lo)
+					break
+				}
 			}
 		}
 	}

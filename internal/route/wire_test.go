@@ -246,6 +246,75 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsImpossibleValues: a finite value a run cannot write
+// is a wire error too. A tile delta is a sum of its members' releases, so
+// it lies in [−2m, 0] for m members; a spine distance lies in [0, w+h−2]
+// and is 0 at a pin region. Before these checks, a state with every tile
+// delta at 1e308 decoded and resumed to other trees.
+func TestDecodeRejectsImpossibleValues(t *testing.T) {
+	_, _, _, ds := wireFixture(t, 4, 8, 16)
+	k := slices.IndexFunc(ds.snaps, func(s netSnap) bool { return s.ns.w > 1 && s.ns.h > 1 })
+	if k < 0 {
+		t.Fatal("fixture has no net spanning both directions; it drifted")
+	}
+	last := len(ds.tiles) - 1
+	m := float64(len(ds.tiles[last].members))
+	tileDelta := func(v float64) func(*DrainState) {
+		return func(d *DrainState) {
+			d.tiles = slices.Clone(ds.tiles)
+			tl := &d.tiles[last]
+			tl.sumSH = slices.Clone(tl.sumSH)
+			tl.sumSH[len(tl.sumSH)/2] = v
+		}
+	}
+	spine := func(at func(ns *netState) int, v int32) func(*DrainState) {
+		return func(d *DrainState) {
+			d.snaps = slices.Clone(ds.snaps)
+			ns := &d.snaps[k].ns
+			ns.spineDist = slices.Clone(ns.spineDist)
+			ns.spineDist[at(ns)] = v
+		}
+	}
+	offPin := func(ns *netState) int { return slices.Index(ns.pinMask, false) }
+	onPin := func(ns *netState) int { return slices.Index(ns.pinMask, true) }
+	for _, c := range []struct {
+		name string
+		mut  func(*DrainState)
+	}{
+		{"tile delta positive", tileDelta(1e-300)},
+		{"tile delta below -2m", tileDelta(-2*m - 0.5)},
+		{"every tile delta 1e308", func(d *DrainState) {
+			d.tiles = slices.Clone(ds.tiles)
+			for i := range d.tiles {
+				for _, a := range d.tiles[i].arrays() {
+					*a = slices.Clone(*a)
+					for j := range *a {
+						(*a)[j] = 1e308
+					}
+				}
+			}
+		}},
+		{"spine distance negative", spine(offPin, -1)},
+		{"spine distance past w+h-2", spine(offPin, int32(ds.snaps[k].ns.w+ds.snaps[k].ns.h-1))},
+		{"spine distance non-zero at a pin", spine(onPin, 1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mut := *ds
+			c.mut(&mut)
+			if _, _, err := DecodeDrainState(mut.AppendWire(nil)); err == nil {
+				t.Fatal("decoded without error")
+			}
+		})
+	}
+	t.Run("tile delta at -2m", func(t *testing.T) {
+		mut := *ds
+		tileDelta(-2 * m)(&mut)
+		if _, _, err := DecodeDrainState(mut.AppendWire(nil)); err != nil {
+			t.Fatalf("the bound itself is rejected: %v", err)
+		}
+	})
+}
+
 // FuzzDecodeResult: DecodeResult never panics, and whatever it accepts
 // re-encodes to bytes that decode and re-encode to themselves.
 func FuzzDecodeResult(f *testing.F) {

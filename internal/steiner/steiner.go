@@ -8,10 +8,14 @@
 //   - 4 to MaxExactPins: iterated 1-Steiner over the Hanan grid
 //     (Kahng–Robins), optimal or near-optimal at these sizes;
 //   - larger nets: rectilinear minimum spanning tree, a ≤ 1.5-approximation.
+//
+// One call, Scratch.Estimate, returns both what the router needs from a
+// net: the length that normalizes f(WL) and the tree skeleton its spine is
+// drawn from, out of a single run of the heuristic.
 package steiner
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -22,145 +26,111 @@ import (
 // for small n.
 const MaxExactPins = 10
 
-// Length returns the estimated RSMT length of pts in grid units.
-func Length(pts []geom.Point) int {
-	pts = dedup(pts)
-	switch {
-	case len(pts) <= 1:
-		return 0
-	case len(pts) <= 3:
-		return geom.HPWL(pts)
-	case len(pts) <= MaxExactPins:
-		return iterated1Steiner(pts)
-	default:
-		return mstLength(pts)
-	}
+// Scratch is the working memory of Estimate. The zero value is ready; its
+// buffers grow to the largest net estimated and are reused after that, so
+// an estimate on a warm Scratch allocates nothing. A Scratch serves one
+// goroutine at a time.
+type Scratch struct {
+	pts    []geom.Point // distinct pins in first-seen order, then Steiner points
+	cands  []geom.Point // the Hanan-grid points that are not pins
+	xs, ys []int
+	dist   []int
+	parent []int
+	inTree []bool
+	edges  [][2]int
 }
 
-// LengthMicron returns the physical RSMT estimate when horizontal and
-// vertical grid edges have different physical lengths: points are in region
-// coordinates, cellW/cellH the region dimensions. It runs the grid-unit
-// estimator on the point set and scales each direction by the bounding-box
-// share of that direction, an adequate approximation for weight
-// normalization.
-func LengthMicron(pts []geom.Point, cellW, cellH geom.Micron) geom.Micron {
-	pts = dedup(pts)
-	if len(pts) <= 1 {
-		return 0
+// Estimate returns the estimated RSMT of pins (region coordinates, repeats
+// ignored) on a grid of cellW × cellH regions: its physical length, and its
+// skeleton — the distinct pins in first-seen order followed by any Steiner
+// points the 1-Steiner heuristic adds, with the rectilinear MST over those
+// points as index pairs. The ID router embeds each edge as an L-path to
+// form a spine field: candidate routing edges far from the spine are poor
+// tree material and get deleted first. The slices are s's own, valid until
+// its next Estimate.
+//
+// The length is the grid-unit estimate scaled per direction by the
+// bounding box's share of that direction, an adequate approximation for
+// weight normalization. For 4 to MaxExactPins pins the grid-unit estimate
+// is the MST length the 1-Steiner loop ends on, which is the MST the
+// edges come from; past MaxExactPins one Prim run gives both.
+func (s *Scratch) Estimate(pins []geom.Point, cellW, cellH geom.Micron) (length geom.Micron, points []geom.Point, edges [][2]int) {
+	s.pts = s.pts[:0]
+	for _, p := range pins {
+		if !containsPoint(s.pts, p) {
+			s.pts = append(s.pts, p)
+		}
 	}
-	bb := geom.RectFromPoints(pts)
-	total := Length(pts)
+	n := len(s.pts)
+	if n <= 1 {
+		s.edges = s.edges[:0]
+		return 0, s.pts, s.edges
+	}
+	bb := geom.RectFromPoints(s.pts)
+	var total int
+	switch {
+	case n <= 3:
+		total = geom.HPWL(s.pts)
+		s.mst(s.pts, true)
+	case n <= MaxExactPins:
+		total = s.iterated1Steiner()
+		s.mst(s.pts, true)
+	default:
+		total = s.mst(s.pts, true)
+	}
 	span := bb.HalfPerimeter()
-	if span == 0 {
-		return 0
-	}
 	// Apportion the estimated length between directions in proportion to the
 	// bounding box sides, then scale.
 	hShare := float64(bb.Width()-1) / float64(span)
 	vShare := float64(bb.Height()-1) / float64(span)
-	return geom.Micron(float64(total) * (hShare*float64(cellW) + vShare*float64(cellH)))
+	return geom.Micron(float64(total) * (hShare*float64(cellW) + vShare*float64(cellH))), s.pts, s.edges
 }
 
-func dedup(pts []geom.Point) []geom.Point {
-	if len(pts) < 2 {
-		return pts
-	}
-	seen := make(map[geom.Point]bool, len(pts))
-	out := make([]geom.Point, 0, len(pts))
-	for _, p := range pts {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+// iterated1Steiner repeatedly adds to s.pts the Hanan-grid point that most
+// reduces the MST length, until no candidate helps, and returns that
+// length. Candidates are tried in Hanan order and only a strictly larger
+// gain replaces the best. Added Steiner points with tree degree ≤ 2 are
+// useless and pruned implicitly by the gain test.
+func (s *Scratch) iterated1Steiner() int {
+	current := s.mst(s.pts, false)
+	s.hanan()
+	// Every added point is a distinct candidate and a trial appends one
+	// more, so this capacity keeps the appends below in place.
+	s.pts = slices.Grow(s.pts, len(s.cands)+1)
+	for {
+		bestGain, bestIdx := 0, -1
+		for ci, c := range s.cands {
+			if containsPoint(s.pts, c) {
+				continue
+			}
+			trial := s.mst(append(s.pts, c), false)
+			if gain := current - trial; gain > bestGain {
+				bestGain, bestIdx = gain, ci
+			}
 		}
+		if bestIdx < 0 {
+			return current
+		}
+		s.pts = append(s.pts, s.cands[bestIdx])
+		current -= bestGain
 	}
-	return out
 }
 
-// Topology returns the estimated RSMT skeleton of pts: the pins plus any
-// Steiner points the 1-Steiner heuristic adds, and the MST edges over that
-// point set as index pairs. The ID router embeds each edge as an L-path to
-// form a spine field — candidate routing edges far from the spine are poor
-// tree material and get deleted first.
-func Topology(pts []geom.Point) (points []geom.Point, edges [][2]int) {
-	points = dedup(pts)
-	if len(points) == 0 {
-		return nil, nil
-	}
-	if len(points) > 3 && len(points) <= MaxExactPins {
-		current := mstLength(points)
-		cands := hananPoints(points)
-		for {
-			bestGain, bestIdx := 0, -1
-			for ci, c := range cands {
-				if containsPoint(points, c) {
-					continue
-				}
-				trial := mstLength(append(points, c))
-				if gain := current - trial; gain > bestGain {
-					bestGain, bestIdx = gain, ci
-				}
-			}
-			if bestIdx < 0 {
-				break
-			}
-			points = append(points, cands[bestIdx])
-			current -= bestGain
-		}
-	}
-	return points, mstEdges(points)
-}
-
-// mstEdges returns the rectilinear MST of pts as index pairs (Prim).
-func mstEdges(pts []geom.Point) [][2]int {
-	n := len(pts)
-	if n < 2 {
-		return nil
-	}
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, n)
-	parent := make([]int, n)
-	inTree := make([]bool, n)
-	for i := range dist {
-		dist[i] = inf
-		parent[i] = -1
-	}
-	dist[0] = 0
-	edges := make([][2]int, 0, n-1)
-	for range pts {
-		best, bestD := -1, inf
-		for i := 0; i < n; i++ {
-			if !inTree[i] && dist[i] < bestD {
-				best, bestD = i, dist[i]
-			}
-		}
-		inTree[best] = true
-		if parent[best] >= 0 {
-			edges = append(edges, [2]int{parent[best], best})
-		}
-		for i := 0; i < n; i++ {
-			if !inTree[i] {
-				if d := pts[best].Manhattan(pts[i]); d < dist[i] {
-					dist[i] = d
-					parent[i] = best
-				}
-			}
-		}
-	}
-	return edges
-}
-
-// mstLength returns the rectilinear MST length via Prim's algorithm (dense
-// O(n²), fine for net-sized point sets).
-func mstLength(pts []geom.Point) int {
+// mst returns the rectilinear MST length of pts via Prim's algorithm (dense
+// O(n²), fine for net-sized point sets); withEdges also leaves the tree in
+// s.edges as index pairs, in the order vertices join it.
+func (s *Scratch) mst(pts []geom.Point, withEdges bool) int {
+	s.edges = s.edges[:0]
 	n := len(pts)
 	if n < 2 {
 		return 0
 	}
 	const inf = int(^uint(0) >> 1)
-	dist := make([]int, n)
-	inTree := make([]bool, n)
+	dist, parent, inTree := grow(&s.dist, n), grow(&s.parent, n), grow(&s.inTree, n)
 	for i := range dist {
 		dist[i] = inf
+		parent[i] = -1
+		inTree[i] = false
 	}
 	dist[0] = 0
 	total := 0
@@ -173,10 +143,14 @@ func mstLength(pts []geom.Point) int {
 		}
 		inTree[best] = true
 		total += bestD
+		if withEdges && parent[best] >= 0 {
+			s.edges = append(s.edges, [2]int{parent[best], best})
+		}
 		for i := 0; i < n; i++ {
 			if !inTree[i] {
 				if d := pts[best].Manhattan(pts[i]); d < dist[i] {
 					dist[i] = d
+					parent[i] = best
 				}
 			}
 		}
@@ -184,30 +158,14 @@ func mstLength(pts []geom.Point) int {
 	return total
 }
 
-// iterated1Steiner repeatedly adds the Hanan-grid point that most reduces
-// the MST length, until no candidate helps. Added Steiner points with tree
-// degree ≤ 2 are useless and pruned implicitly by the gain test.
-func iterated1Steiner(pins []geom.Point) int {
-	pts := append([]geom.Point(nil), pins...)
-	current := mstLength(pts)
-	cands := hananPoints(pins)
-	for {
-		bestGain, bestIdx := 0, -1
-		for ci, c := range cands {
-			if containsPoint(pts, c) {
-				continue
-			}
-			trial := mstLength(append(pts, c))
-			if gain := current - trial; gain > bestGain {
-				bestGain, bestIdx = gain, ci
-			}
-		}
-		if bestIdx < 0 {
-			return current
-		}
-		pts = append(pts, cands[bestIdx])
-		current -= bestGain
+// grow returns *buf resliced to n elements, reallocating only when its
+// capacity is short. The contents are not cleared.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 func containsPoint(pts []geom.Point, q geom.Point) bool {
@@ -219,36 +177,24 @@ func containsPoint(pts []geom.Point, q geom.Point) bool {
 	return false
 }
 
-// hananPoints returns the Hanan grid of the pins: all intersections of
-// horizontal and vertical lines through pins, excluding the pins themselves.
-func hananPoints(pins []geom.Point) []geom.Point {
-	xs := make([]int, 0, len(pins))
-	ys := make([]int, 0, len(pins))
-	for _, p := range pins {
-		xs = append(xs, p.X)
-		ys = append(ys, p.Y)
+// hanan sets s.cands to the Hanan grid of the pins in s.pts: all
+// intersections of horizontal and vertical lines through pins, excluding
+// the pins themselves, x-major in ascending coordinates.
+func (s *Scratch) hanan() {
+	s.xs, s.ys = s.xs[:0], s.ys[:0]
+	for _, p := range s.pts {
+		s.xs = append(s.xs, p.X)
+		s.ys = append(s.ys, p.Y)
 	}
-	xs = uniqInts(xs)
-	ys = uniqInts(ys)
-	var out []geom.Point
-	for _, x := range xs {
-		for _, y := range ys {
-			p := geom.Point{X: x, Y: y}
-			if !containsPoint(pins, p) {
-				out = append(out, p)
+	slices.Sort(s.xs)
+	slices.Sort(s.ys)
+	s.xs, s.ys = slices.Compact(s.xs), slices.Compact(s.ys)
+	s.cands = s.cands[:0]
+	for _, x := range s.xs {
+		for _, y := range s.ys {
+			if p := (geom.Point{X: x, Y: y}); !containsPoint(s.pts, p) {
+				s.cands = append(s.cands, p)
 			}
 		}
 	}
-	return out
-}
-
-func uniqInts(v []int) []int {
-	sort.Ints(v)
-	out := v[:0]
-	for i, x := range v {
-		if i == 0 || x != v[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
