@@ -19,6 +19,11 @@ import (
 	"repro/internal/tech"
 )
 
+// maxSegs bounds -segs: the densest region of the wide ibm05 design holds
+// about 54 tracks, and the pair loop below is quadratic in the count, so
+// the bound keeps a mistyped count from running for hours.
+const maxSegs = 1 << 10
+
 func main() {
 	log.SetFlags(0)
 	segs := flag.Int("segs", 12, "net segments in the region")
@@ -26,8 +31,8 @@ func main() {
 	kth := flag.Float64("kth", 0.6, "inductive bound for every segment")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
-	if *segs < 0 {
-		log.Fatalf("-segs %d: want a non-negative count", *segs)
+	if *segs < 0 || *segs > maxSegs {
+		log.Fatalf("-segs %d: want a count in [0, %d]", *segs, maxSegs)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))

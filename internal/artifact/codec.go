@@ -25,6 +25,10 @@ package artifact
 // payload encoding, or the Fingerprint field set changes shape. Old files
 // then read as counted corrupt misses and are overwritten by fresh seals —
 // a disk cache needs no migration path, only safe rejection.
+//
+// Encode sizes the envelope before writing it (the payloads' WireSize is
+// the same grammar as their AppendWire), so it allocates its output once,
+// at its exact length.
 
 import (
 	"bytes"
@@ -36,7 +40,7 @@ import (
 )
 
 // wireVersion is the on-disk format generation.
-const wireVersion = 4
+const wireVersion = 5
 
 // wireMagic opens every artifact file; a wrong magic fails fast with a
 // clearer error than a checksum mismatch.
@@ -59,15 +63,22 @@ func Encode(a *Artifact) ([]byte, error) {
 	if got := Fingerprint(a.res); got != a.sum {
 		return nil, fmt.Errorf("artifact %s: refusing to encode mutated result (fingerprint %s, sealed %s)", a.key, got, a.sum)
 	}
-	buf := append([]byte(nil), wireMagic...)
-	buf = binary.AppendUvarint(buf, wireVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, a.key[0])
-	buf = binary.LittleEndian.AppendUint64(buf, a.key[1])
-	buf = binary.LittleEndian.AppendUint64(buf, a.sum[0])
-	buf = binary.LittleEndian.AppendUint64(buf, a.sum[1])
+	var head [len("GSINOART") + binary.MaxVarintLen64 + 32]byte
+	h := append(head[:0], wireMagic...)
+	h = binary.AppendUvarint(h, wireVersion)
+	h = binary.LittleEndian.AppendUint64(h, a.key[0])
+	h = binary.LittleEndian.AppendUint64(h, a.key[1])
+	h = binary.LittleEndian.AppendUint64(h, a.sum[0])
+	h = binary.LittleEndian.AppendUint64(h, a.sum[1])
+	size := len(h) + a.res.WireSize() + a.drain.WireSize() + 8
+	buf := append(make([]byte, 0, size), h...)
 	buf = a.res.AppendWire(buf)
 	buf = a.drain.AppendWire(buf)
-	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable)), nil
+	buf = binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
+	if len(buf) != size {
+		return nil, fmt.Errorf("artifact %s: encoded %d bytes, sized %d", a.key, len(buf), size)
+	}
+	return buf, nil
 }
 
 // Decode parses a wire-format artifact and reseals it. The returned

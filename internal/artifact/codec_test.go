@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc64"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/route"
 )
 
@@ -55,6 +57,49 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := b.Result(); err != nil {
 		t.Fatalf("decoded artifact failed seal verification: %v", err)
+	}
+}
+
+// encoded keeps the output of TestEncodeAllocatesOnce's encodes on the
+// heap.
+var encoded []byte
+
+// TestEncodeAllocatesOnce: Encode sizes the artifact before writing it, so
+// its output is one array of exactly its length, and an encode allocates
+// as often for 40 nets as for 400 on the same grid.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	g := testGrid(t, 16, 16)
+	allocs := make([]float64, 2)
+	for k, n := range []int{40, 400} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		nets := make([]route.Net, n)
+		for i := range nets {
+			pins := make([]geom.Point, 2+rng.Intn(3))
+			for j := range pins {
+				pins[j] = geom.Point{X: rng.Intn(16), Y: rng.Intn(16)}
+			}
+			nets[i] = route.Net{ID: i, Pins: pins, Rate: 0.3}
+		}
+		r, err := route.NewRouter(g, route.Config{ShieldAware: true}, nets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ds, err := r.RunShardedState(context.Background(), nil, route.ShardConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := Seal(KeyFor(g, route.Config{ShieldAware: true}, route.ShardConfig{}, nets), res, ds)
+		allocs[k] = testing.AllocsPerRun(5, func() {
+			if encoded, err = Encode(a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(encoded) != cap(encoded) {
+			t.Fatalf("%d nets: encoded %d bytes into an array of %d", n, len(encoded), cap(encoded))
+		}
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 2 {
+		t.Fatalf("Encode allocated %v times on 40 nets and %v on 400, want the same and at most 2", allocs[0], allocs[1])
 	}
 }
 
@@ -144,7 +189,8 @@ func TestDecodeAllocatesLinearly(t *testing.T) {
 	}
 	const filler = 1 << 16
 	claim := func(head []byte) []byte { return append(binary.AppendUvarint(head, filler), make([]byte, filler)...) }
-	// A drain state of no nets and no tiles ends in their two zero counts.
+	// A drain state of no nets and no tiles ends in its net, pin and tile
+	// counts, all zero.
 	r, err := route.NewRouter(testGrid(t, 8, 8), route.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +200,7 @@ func TestDecodeAllocatesLinearly(t *testing.T) {
 		t.Fatal(err)
 	}
 	header := empty.AppendWire(nil)
-	header = header[:len(header)-2]
+	header = header[:len(header)-3]
 	crafted := [][]byte{
 		envelope(claim(nil)),
 		envelope(claim(append(res.AppendWire(nil), header...))),

@@ -51,14 +51,21 @@ type chipState struct {
 	routed *route.Result
 }
 
-// routeNetsFor converts a design's netlist into router requests.
+// routeNetsFor converts a design's netlist into router requests. Every
+// net's pin regions are carved from one array, each capped at its own.
 func routeNetsFor(d *Design) []route.Net {
 	g := d.Grid
 	nets := d.Nets.Nets
 	sens := d.Nets.Sensitivity
+	n := 0
+	for i := range nets {
+		n += len(nets[i].Pins)
+	}
+	all := make([]geom.Point, n)
 	out := make([]route.Net, len(nets))
 	for i := range nets {
-		pins := make([]geom.Point, len(nets[i].Pins))
+		pins := all[:len(nets[i].Pins):len(nets[i].Pins)]
+		all = all[len(pins):]
 		for j, p := range nets[i].Pins {
 			pins[j] = g.RegionOf(p.Loc)
 		}

@@ -16,7 +16,7 @@ import (
 // from the first pin over the net's surviving edges with e masked, which
 // reports whether some pin went unreached. It needs no precondition, so it
 // is the oracle view.disconnectsPins is checked against.
-func disconnectsPinsBFS(ns *netState, e int, horz bool) bool {
+func disconnectsPinsBFS(ns *graph, e int, horz bool) bool {
 	if ns.npins <= 1 {
 		return false
 	}
@@ -37,11 +37,11 @@ func disconnectsPinsBFS(ns *netState, e int, horz bool) bool {
 		queue = queue[1:]
 		vx, vy := v%ns.w, v/ns.w
 		try := func(nv int, edgeIdx int, edgeHorz bool) {
-			alive := ns.aliveV
+			flags := ns.flagsV
 			if edgeHorz {
-				alive = ns.aliveH
+				flags = ns.flagsH
 			}
-			if !alive[edgeIdx] || (edgeHorz == horz && edgeIdx == e) {
+			if flags[edgeIdx]&edgeDeleted != 0 || (edgeHorz == horz && edgeIdx == e) {
 				return
 			}
 			if !visited[nv] {
@@ -121,7 +121,7 @@ func TestBridgeTestMatchesBFS(t *testing.T) {
 			}
 			v.stamp = math.MaxUint32 - 1
 		}
-		ns := &r.nets[0]
+		ns := r.graph(0)
 		for changed := true; ; {
 			type edge struct {
 				e    int
@@ -129,22 +129,22 @@ func TestBridgeTestMatchesBFS(t *testing.T) {
 			}
 			var candidates []edge
 			for _, horz := range []bool{true, false} {
-				alive, frozen := ns.aliveV, ns.frozenV
+				flags := ns.flagsV
 				if horz {
-					alive, frozen = ns.aliveH, ns.frozenH
+					flags = ns.flagsH
 				}
-				for e := range alive {
-					if !alive[e] {
+				for e, f := range flags {
+					if f&edgeDeleted != 0 {
 						continue
 					}
 					if changed {
-						got, want := v.disconnectsPins(ns, e, horz), disconnectsPinsBFS(ns, e, horz)
+						got, want := v.disconnectsPins(ns.netState, e, horz), disconnectsPinsBFS(&ns, e, horz)
 						if got != want {
 							t.Fatalf("trial %d, net %v: edge %d (horizontal %v): bridge test %v, BFS %v", trial, net.Pins, e, horz, got, want)
 						}
 						checked++
 					}
-					if !frozen[e] {
+					if f&edgeFrozen == 0 {
 						candidates = append(candidates, edge{e, horz})
 					}
 				}
@@ -153,16 +153,12 @@ func TestBridgeTestMatchesBFS(t *testing.T) {
 				break
 			}
 			c := candidates[rng.Intn(len(candidates))]
-			alive, frozen := ns.aliveV, ns.frozenV
-			if c.horz {
-				alive, frozen = ns.aliveH, ns.frozenH
-			}
 			// A freeze leaves the graph, and so every answer, as it was.
-			changed = !v.disconnectsPins(ns, c.e, c.horz)
+			changed = !v.disconnectsPins(ns.netState, c.e, c.horz)
 			if changed {
-				alive[c.e] = false
+				r.flags[ns.flag(c.e, c.horz)] = edgeDeleted
 			} else {
-				frozen[c.e] = true
+				r.flags[ns.flag(c.e, c.horz)] = edgeFrozen
 			}
 		}
 	}
@@ -251,7 +247,7 @@ func TestComponentsMatchPairwise(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(60)
 		maxSide := 1 + rng.Intn(12)
-		r := &Router{g: g, nets: make([]netState, n)}
+		r := &Router{g: g, netSlabs: netSlabs{nets: make([]netState, n)}}
 		bboxes := make([]geom.Rect, n)
 		for i := range bboxes {
 			w, h := 1+rng.Intn(maxSide), 1+rng.Intn(maxSide)

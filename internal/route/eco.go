@@ -36,9 +36,9 @@ import (
 //     invalidated groups their freshly drained windows, clean groups their
 //     captured ones, both through window.merge — so the float-addition
 //     order into the base matches from-scratch exactly.
-//   - The same builder (drainState) captures the edited netlist's
-//     snapshot, and reconciliation and extraction run on bit-identical
-//     global state via the shared finishSharded tail.
+//   - The same capture (drainState) snapshots the edited netlist, and
+//     reconciliation and extraction run on bit-identical global state
+//     via the shared finishSharded tail.
 //
 // The edit set is derived, not declared: resume diffs the given nets
 // against the snapshot's raw pin lists, so a caller cannot under-report
@@ -56,48 +56,29 @@ type ECOStats struct {
 	NetsReused   int // nets restored from the snapshot
 }
 
-// netSnap freezes one net's post-drain deletion state plus the raw input
-// pin list that produced it. The alive/frozen arrays are private clones;
-// pinMask, spineDist and the other constructed fields are shared with the
-// originating router, which never mutates them after construction.
-type netSnap struct {
-	ns   netState
-	pins []geom.Point
+// restore fills net i's constructed state from its snapshot in prev,
+// where the net has the same definition: its RSMT length, pin count, pin
+// mask and spine distances and, unless fresh, its post-drain edge flags.
+// A fresh restore leaves the flags zero, the full connection graph a
+// re-drain starts from, so it is field for field what build makes for
+// the unchanged net without the Steiner estimate and BFS. The router's
+// record keeps its own offsets, and nothing of prev is written.
+func (s *netSlabs) restore(i int, prev *netSlabs, fresh bool) {
+	ns, ps := &s.nets[i], &prev.nets[i]
+	ns.rsmtUM, ns.npins = ps.rsmtUM, ps.npins
+	nv, ne := ns.w*ns.h, ns.numEdges()
+	copy(s.pinMask[ns.vert:ns.vert+nv], prev.pinMask[ps.vert:ps.vert+nv])
+	copy(s.spine[ns.vert:ns.vert+nv], prev.spine[ps.vert:ps.vert+nv])
+	if !fresh {
+		copy(s.flags[ns.edgeH:ns.edgeH+ne], prev.flags[ps.edgeH:ps.edgeH+ne])
+	}
 }
 
-// clone copies ns with private copies of the arrays deletion mutates.
-func (ns *netState) clone() netState {
-	c := *ns
-	c.aliveH = slices.Clone(ns.aliveH)
-	c.aliveV = slices.Clone(ns.aliveV)
-	c.frozenH = slices.Clone(ns.frozenH)
-	c.frozenV = slices.Clone(ns.frozenV)
-	return c
-}
-
-// restoreFresh returns the net's pre-drain state — alive everywhere,
-// frozen nowhere — reusing the immutable constructed fields (pin mask,
-// spine, RSMT estimate) instead of re-running makeNetState. The result is
-// field-for-field what makeNetState produces for the unchanged net.
-func (s *netSnap) restoreFresh() netState {
-	ns := s.ns.clone()
-	ns.resetEdges()
-	return ns
-}
-
-// snapMatches reports whether net n is definitionally identical to the
-// snapshot: same ID, same rate, and the same raw pin list (order and
+// matches reports whether net n is definitionally identical to snapshot
+// net i: same ID, same rate, and the same raw pin list (order and
 // duplicates included — spine construction is order-sensitive).
-func snapMatches(s *netSnap, n *Net) bool {
-	if s.ns.id != n.ID || s.ns.rate != n.Rate || len(s.pins) != len(n.Pins) {
-		return false
-	}
-	for i := range s.pins {
-		if s.pins[i] != n.Pins[i] {
-			return false
-		}
-	}
-	return true
+func (s *netSlabs) matches(i int, n *Net) bool {
+	return s.nets[i].id == n.ID && s.nets[i].rate == n.Rate && slices.Equal(s.pins[i], n.Pins)
 }
 
 // tileSnap freezes one tile group's drain outcome: its members and the
@@ -112,14 +93,16 @@ type tileSnap struct {
 
 // DrainState is the resumable snapshot of a sharded run, captured after
 // every group's drain has merged but before reconciliation. It is
-// immutable: resumes clone what they mutate, so one snapshot serves any
-// number of deltas. Callers treat it as opaque; internal/artifact stores
-// it alongside the sealed Result.
+// immutable: resumes copy what they mutate, so one snapshot serves any
+// number of deltas. Its nets' records, pins, pin mask and spine
+// distances are the capturing router's, which nothing writes after
+// seeding; its flags slab is its own. Callers treat it as opaque;
+// internal/artifact stores it alongside the sealed Result.
 type DrainState struct {
 	cfg  Config    // resolved router config the snapshot was produced under
 	grid grid.Grid // the grid it was routed on, which fixes the tiling
 
-	snaps []netSnap
+	netSlabs
 	tiles []tileSnap
 }
 
@@ -178,27 +161,24 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 	// edited netlist as clean or invalidated.
 	isp := scfg.Trace.Start(scfg.Lane, "route", "eco invalidate").Arg("nets", int64(len(nets)))
 	edited := make([]bool, len(nets))
-	bboxes := make([]geom.Rect, len(nets))
 	var dirtyRects []geom.Rect
 	for i := range nets {
-		if i < len(prev.snaps) && snapMatches(&prev.snaps[i], &nets[i]) {
-			bboxes[i] = prev.snaps[i].ns.bbox
+		if i < len(prev.nets) && prev.matches(i, &nets[i]) {
 			continue
 		}
 		edited[i] = true
 		es.EditedNets++
-		bboxes[i] = geom.RectFromPoints(nets[i].Pins)
-		dirtyRects = append(dirtyRects, bboxes[i])
-		if i < len(prev.snaps) {
-			dirtyRects = append(dirtyRects, prev.snaps[i].ns.bbox)
+		dirtyRects = append(dirtyRects, r.nets[i].bbox)
+		if i < len(prev.nets) {
+			dirtyRects = append(dirtyRects, prev.nets[i].bbox)
 		}
 	}
-	for i := len(nets); i < len(prev.snaps); i++ {
+	for i := len(nets); i < len(prev.nets); i++ {
 		es.EditedNets++
-		dirtyRects = append(dirtyRects, prev.snaps[i].ns.bbox)
+		dirtyRects = append(dirtyRects, prev.nets[i].bbox)
 	}
 
-	groups, tileIDs, wins := partitionRects(bboxes, g.Cols, g.Rows)
+	groups, tileIDs, wins := r.partition()
 	prevTiles := make(map[int]*tileSnap, len(prev.tiles))
 	for ti := range prev.tiles {
 		prevTiles[prev.tiles[ti].tile] = &prev.tiles[ti]
@@ -226,17 +206,15 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 
 	// Per-net state: edited nets construct from scratch, unedited nets in
 	// invalidated groups restore their pre-drain state, everything else
-	// restores post-drain — a clone, so a resume never writes into the
-	// snapshot (a DrainState may be resumed any number of times). Only
-	// re-draining nets are seeded.
-	err := r.seed(ctx, pool, func(i int, sc *seedScratch) netState {
-		switch {
-		case edited[i]:
-			return r.makeNetState(nets[i], sc)
-		case redrain[i]:
-			return prev.snaps[i].restoreFresh()
+	// restores post-drain — copies into the router's own slabs, so a
+	// resume never writes into the snapshot (a DrainState may be resumed
+	// any number of times). Only re-draining nets are seeded.
+	err := r.seed(ctx, pool, func(i int, sc *seedScratch) {
+		if edited[i] {
+			r.build(i, sc)
+			return
 		}
-		return prev.snaps[i].ns.clone()
+		r.restore(i, &prev.netSlabs, redrain[i])
 	}, redrain)
 	if err != nil {
 		return nil, nil, es, err
@@ -245,7 +223,7 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 	if err != nil {
 		return nil, nil, es, err
 	}
-	ds := r.drainState(tiles, prev, redrain)
+	ds := r.drainState(tiles)
 	res, err := r.finishSharded(ctx, pool, scfg, groups)
 	if err != nil {
 		return nil, nil, es, err

@@ -21,7 +21,7 @@ func (r *Router) overflowNetsByRegions() []int {
 	useV := make([]int, r.g.NumRegions())
 	tracks := make([][2][]int, len(r.nets)) // per net: [H regions, V regions]
 	for ni := range r.nets {
-		h, v := r.trackRegions(&r.nets[ni])
+		h, v := r.trackRegions(ni)
 		tracks[ni] = [2][]int{h, v}
 		for _, i := range h {
 			useH[i]++
@@ -40,12 +40,12 @@ func (r *Router) overflowNetsByRegions() []int {
 	return out
 }
 
-// trackRegions returns the grid indices of the regions where net ns holds
+// trackRegions returns the grid indices of the regions where net ni holds
 // a horizontal (h) and a vertical (v) track — both ends of every surviving
 // edge — each sorted ascending and de-duplicated. Ascending index order is
 // the (y, x) scan order.
-func (r *Router) trackRegions(ns *netState) (h, v []int) {
-	for e := range r.aliveEdges(ns) {
+func (r *Router) trackRegions(ni int) (h, v []int) {
+	for e := range r.graph(ni).aliveEdges() {
 		i, j := r.g.Index(e.From), r.g.Index(e.To)
 		if e.Horizontal() {
 			h = append(h, i, j)
@@ -60,8 +60,8 @@ func (r *Router) trackRegions(ns *netState) (h, v []int) {
 
 // drainedRouter seeds a router with nNets random nets on a cols×rows grid
 // of capacity hc×vc and runs its tile drains and merge, leaving the state
-// reconciliation starts from.
-func drainedRouter(t testing.TB, seed int64, cols, rows, hc, vc, nNets int) *Router {
+// reconciliation starts from; it returns the router and the drained tiles.
+func drainedRouter(t testing.TB, seed int64, cols, rows, hc, vc, nNets int) (*Router, []tileSnap) {
 	t.Helper()
 	g, err := grid.New(cols, rows, 100, 80, hc, vc)
 	if err != nil {
@@ -72,10 +72,11 @@ func drainedRouter(t testing.TB, seed int64, cols, rows, hc, vc, nNets int) *Rou
 		t.Fatal(err)
 	}
 	groups, tileIDs, wins := r.partition()
-	if _, err := r.drainTiles(context.Background(), serialPool{}, ShardConfig{}, groups, tileIDs, wins, nil); err != nil {
+	tiles, err := r.drainTiles(context.Background(), serialPool{}, ShardConfig{}, groups, tileIDs, wins, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return r, tiles
 }
 
 // TestOverflowNetsMatchesTrackRegions pins overflowNets to its oracle on
@@ -87,7 +88,7 @@ func TestOverflowNetsMatchesTrackRegions(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		cols, rows := 1+rng.Intn(20), 1+rng.Intn(20)
 		hc, vc := 1+rng.Intn(4), 1+rng.Intn(4)
-		r := drainedRouter(t, int64(trial), cols, rows, hc, vc, 1+rng.Intn(200))
+		r, _ := drainedRouter(t, int64(trial), cols, rows, hc, vc, 1+rng.Intn(200))
 		for round := 0; ; round++ {
 			got, want := r.overflowNets(), r.overflowNetsByRegions()
 			if !slices.Equal(got, want) {
@@ -111,8 +112,8 @@ func TestOverflowNetsMatchesTrackRegions(t *testing.T) {
 // of times on 100 nets as on 1,600 — its counts per region and its
 // result, nothing per net.
 func TestOverflowNetsAllocsFlat(t *testing.T) {
-	small := drainedRouter(t, 3, 16, 16, 2, 2, 100)
-	large := drainedRouter(t, 3, 16, 16, 2, 2, 1600)
+	small, _ := drainedRouter(t, 3, 16, 16, 2, 2, 100)
+	large, _ := drainedRouter(t, 3, 16, 16, 2, 2, 1600)
 	for _, r := range []*Router{small, large} {
 		if len(r.overflowNets()) == 0 {
 			t.Fatalf("no overflow on %d nets; the fixture drifted", len(r.nets))

@@ -171,31 +171,28 @@ func (r *Result) Validate(g *grid.Grid, nets []Net) error {
 	return nil
 }
 
-// netState is the per-net connection graph during deletion. Its pins
-// determine bbox, w, h, pinMask, npins and spineNorm (setPins), so a
-// DrainState stores only the rest.
+// netState is one net's record during deletion. Its pins determine its
+// box, dimensions, pin count and spine norm (place, markPins); the RSMT
+// length is the Steiner estimate's, and the offsets place its arrays in
+// the router's slabs (netSlabs).
 type netState struct {
 	id   int
 	bbox geom.Rect
 	w, h int // bbox dims in regions
 
-	pinMask []bool // per local vertex
-	npins   int
-
-	aliveH []bool // local horizontal edges: (w-1)*h
-	aliveV []bool // local vertical edges: w*(h-1)
-
-	frozenH []bool
-	frozenV []bool
+	npins int
 
 	rsmtUM geom.Micron // RSMT estimate for f(WL) normalization
 	rate   float64
 
-	// spineDist[v] is the BFS distance from local vertex v to the net's
-	// estimated RSMT spine; the f(WL) term grows with it, so edges far from
-	// the spine are deleted first and the surviving tree stays short.
-	spineDist []int32
+	// spineNorm scales the f(WL) term's distance from the spine (spineFactor).
 	spineNorm float64
+
+	// vert is the slab index of the net's local vertex 0 in pinMask and
+	// spine; edgeH and edgeV are those of its local horizontal and
+	// vertical edge 0 in flags, where its w*(h-1) vertical edges follow
+	// its (w-1)*h horizontal ones.
+	vert, edgeH, edgeV int
 }
 
 func (n *netState) vertex(x, y int) int { return (y-n.bbox.MinY)*n.w + (x - n.bbox.MinX) }
@@ -206,18 +203,123 @@ func (n *netState) hEdge(x, y int) int { return (y-n.bbox.MinY)*(n.w-1) + (x - n
 // vEdge returns the local index of the vertical edge between (x,y)-(x,y+1).
 func (n *netState) vEdge(x, y int) int { return (y-n.bbox.MinY)*n.w + (x - n.bbox.MinX) }
 
+// numH and numV count the net's local horizontal and vertical edges;
+// numEdges is their sum, the edges of its full connection graph and the
+// items pushNet seeds.
+func (n *netState) numH() int     { return (n.w - 1) * n.h }
+func (n *netState) numV() int     { return n.w * (n.h - 1) }
+func (n *netState) numEdges() int { return n.numH() + n.numV() }
+
+// place sets the fields box determines and puts the net's ranges at the
+// slab ends verts and edges, which it advances past them.
+func (n *netState) place(box geom.Rect, verts, edges *int) {
+	n.bbox = box
+	n.w, n.h = box.Width(), box.Height()
+	n.spineNorm = max(float64(n.w+n.h)/2, 1)
+	n.vert, n.edgeH, n.edgeV = *verts, *edges, *edges+n.numH()
+	*verts += n.w * n.h
+	*edges += n.numEdges()
+}
+
+// Edge flags. A zero flag is an alive, unfrozen edge, so a net's range of
+// a fresh flags slab is its full connection graph.
+const (
+	edgeDeleted uint8 = 1 << iota // deleted by a drain
+	edgeFrozen                    // a bridge between pins, kept
+)
+
+// netSlabs is every net's deletion state: a record per net and, per kind
+// of array, one slab the records index by offset. Nets own consecutive
+// ranges in net order, so each slab is the concatenation of the nets'
+// arrays. Drains and rip-ups write only flags: the records, pins, pin
+// mask and spine distances are fixed once seeding has filled them, so a
+// DrainState shares them with the router that captured it.
+type netSlabs struct {
+	nets []netState
+
+	// pins keeps each net's input pin list (as given, duplicates and
+	// order included) so DrainState snapshots can later detect whether a
+	// net's definition changed — spine construction is order-sensitive,
+	// so resume compares raw pin lists, not canonicalized sets.
+	pins [][]geom.Point
+
+	flags   []uint8 // per local edge: edgeDeleted, edgeFrozen
+	pinMask []bool  // per local vertex: a pin region
+	// spine holds, per local vertex, the BFS distance to the net's
+	// estimated RSMT spine; the f(WL) term grows with it, so edges far
+	// from the spine are deleted first and the surviving tree stays short.
+	spine []int32
+}
+
+// layout sets every net's id, rate, pins, bounding box and slab offsets,
+// in net order, and allocates the slabs at the exact sizes the boxes
+// give: one counting pass, since the pins alone determine the boxes.
+func (s *netSlabs) layout(nets []Net) {
+	s.nets = make([]netState, len(nets))
+	s.pins = make([][]geom.Point, len(nets))
+	verts, edges := 0, 0
+	for i := range nets {
+		ns := &s.nets[i]
+		ns.id, ns.rate = nets[i].ID, nets[i].Rate
+		ns.place(geom.RectFromPoints(nets[i].Pins), &verts, &edges)
+		s.pins[i] = nets[i].Pins
+	}
+	s.flags = make([]uint8, edges)
+	s.pinMask = make([]bool, verts)
+	s.spine = make([]int32, verts)
+}
+
+// markPins sets net i's pin mask, its range of the slab, and its pin
+// count from its pins.
+func (s *netSlabs) markPins(i int) {
+	ns := &s.nets[i]
+	mask := s.pinMask[ns.vert : ns.vert+ns.w*ns.h]
+	ns.npins = 0
+	for _, p := range s.pins[i] {
+		if v := ns.vertex(p.X, p.Y); !mask[v] {
+			mask[v] = true
+			ns.npins++
+		}
+	}
+}
+
+// graph is one net's connection graph: its record and its ranges of the
+// slabs, each capped at its own length. Walks over a whole net read it;
+// the drain step indexes the slabs through the record (netState.flag).
+type graph struct {
+	*netState
+	flagsH, flagsV []uint8 // per local horizontal and vertical edge
+	pinMask        []bool
+	spine          []int32
+}
+
+func (s *netSlabs) graph(i int) graph {
+	ns := &s.nets[i]
+	v, n := ns.edgeV+ns.numV(), ns.vert+ns.w*ns.h
+	return graph{netState: ns,
+		flagsH:  s.flags[ns.edgeH:ns.edgeV:ns.edgeV],
+		flagsV:  s.flags[ns.edgeV:v:v],
+		pinMask: s.pinMask[ns.vert:n:n],
+		spine:   s.spine[ns.vert:n:n],
+	}
+}
+
+// flag returns the flags-slab index of the net's local edge e: the hot
+// paths index the slabs through the record, where graph would cut four
+// ranges per pop.
+func (n *netState) flag(e int, horz bool) int {
+	if horz {
+		return n.edgeH + e
+	}
+	return n.edgeV + e
+}
+
 // Router carries the shared deletion state.
 type Router struct {
 	g   *grid.Grid
 	cfg Config
 
-	nets []netState
-
-	// inPins keeps each net's input pin list (as given, duplicates and
-	// order included) so DrainState snapshots can later detect whether a
-	// net's definition changed — spine construction is order-sensitive, so
-	// resume compares raw pin lists, not canonicalized sets.
-	inPins [][]geom.Point
+	netSlabs
 
 	// seedChunks records how construction was chunked (RunStats.SeedChunks).
 	seedChunks int
@@ -279,36 +381,33 @@ func NewRouterOn(ctx context.Context, g *grid.Grid, cfg Config, nets []Net, pool
 		return nil, err
 	}
 	r := newRouter(g, cfg.withDefaults(), nets)
-	if err := r.seed(ctx, orSerial(pool, nil, 0), func(i int, sc *seedScratch) netState { return r.makeNetState(nets[i], sc) }, nil); err != nil {
+	if err := r.seed(ctx, orSerial(pool, nil, 0), r.build, nil); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// newRouter allocates the deletion state for nets on g, with the base
-// utilization zeroed and the canonical seeding chunk count.
+// newRouter allocates the deletion state for nets on g — the records and
+// slabs laid out, the base utilization zeroed — with the canonical
+// seeding chunk count.
 func newRouter(g *grid.Grid, cfg Config, nets []Net) *Router {
 	r := &Router{
 		g: g, cfg: cfg,
-		nets:       make([]netState, len(nets)),
-		inPins:     make([][]geom.Point, len(nets)),
 		seedChunks: (len(nets) + seedChunk - 1) / seedChunk,
 		base:       newWindow(g.Bounds()),
 	}
-	for i := range nets {
-		r.inPins[i] = nets[i].Pins
-	}
+	r.layout(nets)
 	return r
 }
 
 // seed constructs every net's state — the one seeding path of a fresh
 // router and an ECO resume. It splits into two parts:
 //
-//   - Pure per-net work: build(i, sc) returns net i's state (a fresh
-//     connection graph, or one restored from a snapshot), working in sc,
-//     its chunk's scratch. It reads only immutable inputs and writes a
-//     disjoint slot, so it runs chunked on the pool (the bulk of seeding
-//     cost: Steiner estimate + BFS per net).
+//   - Pure per-net work: build(i, sc) fills net i's record and slab
+//     ranges (a fresh connection graph, or one restored from a snapshot),
+//     working in sc, its chunk's scratch. It reads only immutable inputs
+//     and writes disjoint ranges, so it runs chunked on the pool (the
+//     bulk of seeding cost: Steiner estimate + BFS per net).
 //   - Order-dependent work, serial in ascending net order: every net's
 //     expected utilization goes into the base, and the nets push selects
 //     (nil: all) put their edges in r.seeded with initial weights. Net i's
@@ -316,14 +415,14 @@ func newRouter(g *grid.Grid, cfg Config, nets []Net) *Router {
 //
 // The split makes the seeded Router byte-identical to serial construction
 // at any worker count.
-func (r *Router) seed(ctx context.Context, pool Pool, build func(i int, sc *seedScratch) netState, push []bool) error {
+func (r *Router) seed(ctx context.Context, pool Pool, build func(i int, sc *seedScratch), push []bool) error {
 	tasks := make([]func() error, r.seedChunks)
 	for c := range tasks {
 		lo, hi := c*seedChunk, min((c+1)*seedChunk, len(r.nets))
 		tasks[c] = func() error {
 			sc := new(seedScratch)
 			for i := lo; i < hi; i++ {
-				r.nets[i] = build(i, sc)
+				build(i, sc)
 			}
 			return nil
 		}
@@ -348,8 +447,8 @@ func (r *Router) seed(ctx context.Context, pool Pool, build func(i int, sc *seed
 }
 
 // seedScratch is one seed chunk's working memory, reused by each net it
-// builds: the Steiner estimate's buffers and buildSpine's BFS queue. Only
-// what a net keeps is allocated per net.
+// builds: the Steiner estimate's buffers and buildSpine's BFS queue.
+// Nothing is allocated per net: what a net keeps lives in the slabs.
 type seedScratch struct {
 	est   steiner.Scratch
 	queue []int32
@@ -377,55 +476,17 @@ func validateNets(g *grid.Grid, nets []Net) error {
 	return nil
 }
 
-// makeNetState builds one net's connection graph — the pure per-net part
-// of seeding — in sc. It reads only the immutable grid, so disjoint nets
-// can be constructed concurrently.
-func (r *Router) makeNetState(net Net, sc *seedScratch) netState {
-	ns := netState{id: net.ID, rate: net.Rate}
-	ns.setPins(net.Pins)
-	w, h := ns.w, ns.h
-	ns.aliveH, ns.frozenH = make([]bool, (w-1)*h), make([]bool, (w-1)*h)
-	ns.aliveV, ns.frozenV = make([]bool, w*(h-1)), make([]bool, w*(h-1))
-	length, points, edges := sc.est.Estimate(net.Pins, r.g.CellW, r.g.CellH)
-	ns.rsmtUM = length
-	ns.buildSpine(points, edges, &sc.queue)
-	ns.resetEdges()
-	return ns
-}
-
-// setPins sets the fields of ns that its non-empty pin list determines —
-// the bounding box and its dimensions, the pin mask and count, and
-// spineNorm. It allocates a mask over the whole bounding box, so a decoder
-// calls it only after input it has read bounds that box.
-func (ns *netState) setPins(pins []geom.Point) {
-	ns.bbox = geom.RectFromPoints(pins)
-	ns.w, ns.h = ns.bbox.Width(), ns.bbox.Height()
-	ns.pinMask = make([]bool, ns.w*ns.h)
-	ns.npins = 0
-	for _, p := range pins {
-		if v := ns.vertex(p.X, p.Y); !ns.pinMask[v] {
-			ns.pinMask[v] = true
-			ns.npins++
-		}
-	}
-	ns.spineNorm = max(float64(ns.w+ns.h)/2, 1)
-}
-
-// numEdges is the edge count of the net's full connection graph — the
-// items pushNet seeds.
-func (ns *netState) numEdges() int { return len(ns.aliveH) + len(ns.aliveV) }
-
-// resetEdges makes every edge alive and unfrozen — the full connection
-// graph a net starts deletion from.
-func (ns *netState) resetEdges() {
-	for i := range ns.aliveH {
-		ns.aliveH[i] = true
-		ns.frozenH[i] = false
-	}
-	for i := range ns.aliveV {
-		ns.aliveV[i] = true
-		ns.frozenV[i] = false
-	}
+// build constructs net i's connection graph — the pure per-net part of
+// seeding — in sc: its pin mask, RSMT estimate and spine distances. Its
+// flags stay zero, the full connection graph. It reads only the
+// immutable grid and writes only net i's record and ranges, so disjoint
+// nets can be constructed concurrently.
+func (r *Router) build(i int, sc *seedScratch) {
+	r.markPins(i)
+	length, points, edges := sc.est.Estimate(r.pins[i], r.g.CellW, r.g.CellH)
+	r.nets[i].rsmtUM = length
+	g := r.graph(i)
+	g.buildSpine(points, edges, &sc.queue)
 }
 
 // bumpNet adds net idx's full-connection-graph expected utilization to the
@@ -454,13 +515,13 @@ func (r *Router) pushNet(items *[]item, idx int) {
 	for y := bbox.MinY; y <= bbox.MaxY; y++ {
 		for x := bbox.MinX; x < bbox.MaxX; x++ {
 			*items = append(*items, item{net: int32(idx), edge: packEdge(ns.hEdge(x, y), true),
-				key: r.edgeWeight(idx, x, y, true, nil)})
+				key: r.edgeWeight(ns, x, y, true, nil)})
 		}
 	}
 	for y := bbox.MinY; y < bbox.MaxY; y++ {
 		for x := bbox.MinX; x <= bbox.MaxX; x++ {
 			*items = append(*items, item{net: int32(idx), edge: packEdge(ns.vEdge(x, y), false),
-				key: r.edgeWeight(idx, x, y, false, nil)})
+				key: r.edgeWeight(ns, x, y, false, nil)})
 		}
 	}
 }
@@ -470,16 +531,15 @@ func (r *Router) pushNet(items *[]item, idx int) {
 // topology edge embedded as a horizontal-then-vertical L) and computes
 // every local vertex's BFS distance from that spine. The BFS runs in
 // *queue, which it grows as needed and leaves for the next net.
-func (n *netState) buildSpine(points []geom.Point, edges [][2]int, queue *[]int32) {
-	n.spineDist = make([]int32, n.w*n.h)
-	for i := range n.spineDist {
-		n.spineDist[i] = -1
+func (n *graph) buildSpine(points []geom.Point, edges [][2]int, queue *[]int32) {
+	for i := range n.spine {
+		n.spine[i] = -1
 	}
 	q := (*queue)[:0]
 	mark := func(p geom.Point) {
 		v := n.vertex(p.X, p.Y)
-		if n.spineDist[v] < 0 {
-			n.spineDist[v] = 0
+		if n.spine[v] < 0 {
+			n.spine[v] = 0
 			q = append(q, int32(v))
 		}
 	}
@@ -515,8 +575,8 @@ func (n *netState) buildSpine(points []geom.Point, edges [][2]int, queue *[]int3
 				continue
 			}
 			nv := nb[1]*n.w + nb[0]
-			if n.spineDist[nv] < 0 {
-				n.spineDist[nv] = n.spineDist[v] + 1
+			if n.spine[nv] < 0 {
+				n.spine[nv] = n.spine[v] + 1
 				q = append(q, int32(nv))
 			}
 		}
@@ -524,11 +584,11 @@ func (n *netState) buildSpine(points []geom.Point, edges [][2]int, queue *[]int3
 	*queue = q
 }
 
-// spineFactor returns the f(WL) multiplier for an edge between local
-// vertices a and b: 1 on the spine, growing with distance from it.
-func (n *netState) spineFactor(a, b int) float64 {
-	d := float64(n.spineDist[a]+n.spineDist[b]) / 2
-	return 1 + 2*d/n.spineNorm
+// spineFactor returns the f(WL) multiplier for an edge between net ns's
+// local vertices a and b: 1 on the spine, growing with distance from it.
+func (r *Router) spineFactor(ns *netState, a, b int) float64 {
+	d := float64(r.spine[ns.vert+a]+r.spine[ns.vert+b]) / 2
+	return 1 + 2*d/ns.spineNorm
 }
 
 // regionHU returns the expected horizontal utilization of region (x,y) —
@@ -578,63 +638,62 @@ func (r *Router) regionVU(x, y int, ownNns, ownRate float64, v *view) float64 {
 	return vu
 }
 
-// ownH counts net ns's surviving horizontal edges incident to region (x,y),
-// each contributing 0.5 expected tracks.
-func (ns *netState) ownH(x, y int) float64 {
+// ownH counts net ns's surviving horizontal edges incident to region
+// (x,y), each contributing 0.5 expected tracks.
+func (r *Router) ownH(ns *netState, x, y int) float64 {
 	n := 0.0
 	if y >= ns.bbox.MinY && y <= ns.bbox.MaxY {
-		if x > ns.bbox.MinX && x <= ns.bbox.MaxX && ns.aliveH[ns.hEdge(x-1, y)] {
+		if x > ns.bbox.MinX && x <= ns.bbox.MaxX && r.flags[ns.edgeH+ns.hEdge(x-1, y)]&edgeDeleted == 0 {
 			n += 0.5
 		}
-		if x >= ns.bbox.MinX && x < ns.bbox.MaxX && ns.aliveH[ns.hEdge(x, y)] {
+		if x >= ns.bbox.MinX && x < ns.bbox.MaxX && r.flags[ns.edgeH+ns.hEdge(x, y)]&edgeDeleted == 0 {
 			n += 0.5
 		}
 	}
 	return n
 }
 
-func (ns *netState) ownV(x, y int) float64 {
+func (r *Router) ownV(ns *netState, x, y int) float64 {
 	n := 0.0
 	if x >= ns.bbox.MinX && x <= ns.bbox.MaxX {
-		if y > ns.bbox.MinY && y <= ns.bbox.MaxY && ns.aliveV[ns.vEdge(x, y-1)] {
+		if y > ns.bbox.MinY && y <= ns.bbox.MaxY && r.flags[ns.edgeV+ns.vEdge(x, y-1)]&edgeDeleted == 0 {
 			n += 0.5
 		}
-		if y >= ns.bbox.MinY && y < ns.bbox.MaxY && ns.aliveV[ns.vEdge(x, y)] {
+		if y >= ns.bbox.MinY && y < ns.bbox.MaxY && r.flags[ns.edgeV+ns.vEdge(x, y)]&edgeDeleted == 0 {
 			n += 0.5
 		}
 	}
 	return n
 }
 
-// edgeWeight evaluates Formula (2) for the edge of net netIdx anchored at
+// edgeWeight evaluates Formula (2) for the edge of net ns anchored at
 // region (x,y) in the given direction (the edge spans (x,y)-(x+1,y) or
 // (x,y)-(x,y+1)). Utilization reads go through v's deltas when v is
 // non-nil; a nil view reads the base arrays alone (net seeding time).
-func (r *Router) edgeWeight(netIdx, x, y int, horz bool, v *view) float64 {
-	ns := &r.nets[netIdx]
+func (r *Router) edgeWeight(ns *netState, x, y int, horz bool, v *view) float64 {
 	var lenUM geom.Micron
 	var d1, d2, o1, o2 float64
 	var va, vb int
 	if horz {
 		lenUM = r.g.CellW
 		cap := float64(r.g.HC)
-		hu1 := r.regionHU(x, y, ns.ownH(x, y), ns.rate, v)
-		hu2 := r.regionHU(x+1, y, ns.ownH(x+1, y), ns.rate, v)
+		hu1 := r.regionHU(x, y, r.ownH(ns, x, y), ns.rate, v)
+		hu2 := r.regionHU(x+1, y, r.ownH(ns, x+1, y), ns.rate, v)
 		d1, d2 = hu1/cap, hu2/cap
 		o1, o2 = relOver(hu1, cap), relOver(hu2, cap)
 		va, vb = ns.vertex(x, y), ns.vertex(x+1, y)
 	} else {
 		lenUM = r.g.CellH
 		cap := float64(r.g.VC)
-		vu1 := r.regionVU(x, y, ns.ownV(x, y), ns.rate, v)
-		vu2 := r.regionVU(x, y+1, ns.ownV(x, y+1), ns.rate, v)
+		vu1 := r.regionVU(x, y, r.ownV(ns, x, y), ns.rate, v)
+		vu2 := r.regionVU(x, y+1, r.ownV(ns, x, y+1), ns.rate, v)
 		d1, d2 = vu1/cap, vu2/cap
 		o1, o2 = relOver(vu1, cap), relOver(vu2, cap)
 		va, vb = ns.vertex(x, y), ns.vertex(x, y+1)
 	}
 	fwl := 0.0
 	if ns.rsmtUM > 0 {
-		fwl = float64(lenUM) / float64(ns.rsmtUM) * ns.spineFactor(va, vb)
+		fwl = float64(lenUM) / float64(ns.rsmtUM) * r.spineFactor(ns, va, vb)
 	}
 	den := d1
 	if d2 > den {

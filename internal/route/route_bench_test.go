@@ -161,3 +161,35 @@ func BenchmarkDrainWideCold(b *testing.B) {
 	b.ReportMetric(float64(pops)/float64(b.N), "pops")
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(pops), "ns/pop")
 }
+
+// BenchmarkCaptureWideCold times GSINO's Phase I on the wide-cold design
+// with the serial pool, seeding excluded, with and without the drain-state
+// capture every artifact carries: its arms differ by that capture alone,
+// so their B/op and allocs differ by what one costs.
+func BenchmarkCaptureWideCold(b *testing.B) {
+	g, nets := wideColdNets(b)
+	ctx := context.Background()
+	arms := []struct {
+		name string
+		run  func(r *Router) error
+	}{
+		{"RunSharded", func(r *Router) error { _, err := r.RunSharded(ctx, nil, ShardConfig{}); return err }},
+		{"RunShardedState", func(r *Router) error { _, _, err := r.RunShardedState(ctx, nil, ShardConfig{}); return err }},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r, err := NewRouter(g, Config{ShieldAware: true}, nets)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := arm.run(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

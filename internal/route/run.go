@@ -101,10 +101,15 @@ type view struct {
 	// local vertex is visited by the current test when its mark equals
 	// stamp (the search from the edge's first endpoint) or stamp+1 (from
 	// its second); older marks are stale. qa and qb hold capacity for a
-	// whole bounding box, so the searches never reallocate.
+	// whole bounding box, so the searches never reallocate. flagsH,
+	// flagsV and pinMask are the tested net's ranges of the router's
+	// slabs.
 	mark   []uint32
 	stamp  uint32
 	qa, qb []int32
+
+	flagsH, flagsV []uint8
+	pinMask        []bool
 }
 
 func newView(r *Router, rect geom.Rect) *view { return &view{window: newWindow(rect), r: r} }
@@ -135,32 +140,29 @@ func (v *view) drain() {
 		v.pops++
 		ns := &r.nets[it.net]
 		e, horz := it.unpack()
-		alive, frozen := ns.aliveV, ns.frozenV
-		if horz {
-			alive, frozen = ns.aliveH, ns.frozenH
-		}
-		if !alive[e] || frozen[e] {
+		f := ns.flag(e, horz)
+		if r.flags[f] != 0 { // deleted or frozen
 			continue
 		}
-		x, y := r.edgeOrigin(ns, e, horz)
-		w := r.edgeWeight(int(it.net), x, y, horz, v)
+		x, y := ns.edgeOrigin(e, horz)
+		w := r.edgeWeight(ns, x, y, horz, v)
 		if w < it.key-weightSlack {
 			it.key = w
 			v.pq.push(it)
 			continue
 		}
 		if v.disconnectsPins(ns, e, horz) {
-			frozen[e] = true
+			r.flags[f] = edgeFrozen
 			continue
 		}
 		// Delete the edge and release its expected utilization.
-		alive[e] = false
+		r.flags[f] = edgeDeleted
 		v.bumpEdge(x, y, horz, ns.rate, -0.5)
 	}
 }
 
 // edgeOrigin recovers the global anchor region (x, y) of a local edge index.
-func (r *Router) edgeOrigin(ns *netState, e int, horz bool) (int, int) {
+func (ns *netState) edgeOrigin(e int, horz bool) (int, int) {
 	if horz {
 		return ns.bbox.MinX + e%(ns.w-1), ns.bbox.MinY + e/(ns.w-1)
 	}
@@ -172,7 +174,7 @@ func (r *Router) edgeOrigin(ns *netState, e int, horz bool) (int, int) {
 //
 // It needs the precondition that the pins are connected before the
 // deletion. Every net in a queue starts from its full connection graph
-// (makeNetState, restoreFresh, reseed) and drain deletes no edge this test
+// (build, a fresh restore, reseed) and drain deletes no edge this test
 // rejects, so the precondition holds at every pop. Then the deletion
 // disconnects the pins exactly when e is a bridge with pins on both sides.
 // Two searches grow from e's endpoints in lockstep, one vertex each per
@@ -185,6 +187,10 @@ func (v *view) disconnectsPins(ns *netState, e int, horz bool) bool {
 	if ns.npins <= 1 {
 		return false
 	}
+	r := v.r
+	v.flagsH = r.flags[ns.edgeH:ns.edgeV]
+	v.flagsV = r.flags[ns.edgeV : ns.edgeV+ns.numV()]
+	v.pinMask = r.pinMask[ns.vert : ns.vert+ns.w*ns.h]
 	if n := ns.w * ns.h; len(v.mark) < n {
 		v.mark = make([]uint32, n)
 		v.qa, v.qb = make([]int32, 0, n), make([]int32, 0, n)
@@ -206,10 +212,10 @@ func (v *view) disconnectsPins(ns *netState, e int, horz bool) bool {
 	sa := bridgeSearch{stamp: v.stamp, q: append(v.qa[:0], int32(a))}
 	sb := bridgeSearch{stamp: v.stamp + 1, q: append(v.qb[:0], int32(b))}
 	v.mark[a], v.mark[b] = sa.stamp, sb.stamp
-	if ns.pinMask[a] {
+	if v.pinMask[a] {
 		sa.pins = 1
 	}
-	if ns.pinMask[b] {
+	if v.pinMask[b] {
 		sb.pins = 1
 	}
 	for {
@@ -247,22 +253,22 @@ func (v *view) expand(ns *netState, s *bridgeSearch, other uint32, eh, ev int) b
 	s.head++
 	ux, uy := u%ns.w, u/ns.w
 	if ux > 0 {
-		if e := u - uy - 1; e != eh && ns.aliveH[e] && v.visit(ns, s, u-1, other) {
+		if e := u - uy - 1; e != eh && v.flagsH[e]&edgeDeleted == 0 && v.visit(s, u-1, other) {
 			return true
 		}
 	}
 	if ux < ns.w-1 {
-		if e := u - uy; e != eh && ns.aliveH[e] && v.visit(ns, s, u+1, other) {
+		if e := u - uy; e != eh && v.flagsH[e]&edgeDeleted == 0 && v.visit(s, u+1, other) {
 			return true
 		}
 	}
 	if uy > 0 {
-		if e := u - ns.w; e != ev && ns.aliveV[e] && v.visit(ns, s, u-ns.w, other) {
+		if e := u - ns.w; e != ev && v.flagsV[e]&edgeDeleted == 0 && v.visit(s, u-ns.w, other) {
 			return true
 		}
 	}
 	if uy < ns.h-1 {
-		if e := u; e != ev && ns.aliveV[e] && v.visit(ns, s, u+ns.w, other) {
+		if e := u; e != ev && v.flagsV[e]&edgeDeleted == 0 && v.visit(s, u+ns.w, other) {
 			return true
 		}
 	}
@@ -272,7 +278,7 @@ func (v *view) expand(ns *netState, s *bridgeSearch, other uint32, eh, ev int) b
 // visit reaches local vertex nv from search s: it reports true when the
 // opposite search (stamp other) got there first, and otherwise queues nv
 // for s unless s already has.
-func (v *view) visit(ns *netState, s *bridgeSearch, nv int, other uint32) bool {
+func (v *view) visit(s *bridgeSearch, nv int, other uint32) bool {
 	switch v.mark[nv] {
 	case s.stamp:
 		return false
@@ -281,55 +287,47 @@ func (v *view) visit(ns *netState, s *bridgeSearch, nv int, other uint32) bool {
 	}
 	v.mark[nv] = s.stamp
 	s.q = append(s.q, int32(nv))
-	if ns.pinMask[nv] {
+	if v.pinMask[nv] {
 		s.pins++
 	}
 	return false
 }
 
 // extract materializes every net's surviving edges into its tree, in one
-// serial pass. The trees share one backing array, each capped at its own
-// edges.
+// serial pass. The trees share one backing array, sized by one count over
+// the flags slab, each capped at its own edges.
 func (r *Router) extract() *Result {
 	n := 0
-	for i := range r.nets {
-		n += countTrue(r.nets[i].aliveH) + countTrue(r.nets[i].aliveV)
+	for _, f := range r.flags {
+		if f&edgeDeleted == 0 {
+			n++
+		}
 	}
 	edges := make([]Edge, 0, n)
 	res := &Result{Trees: make([]Tree, len(r.nets))}
 	for i := range r.nets {
 		lo := len(edges)
-		edges = slices.AppendSeq(edges, r.aliveEdges(&r.nets[i]))
+		edges = slices.AppendSeq(edges, r.graph(i).aliveEdges())
 		res.Trees[i] = Tree{Net: r.nets[i].id, Edges: edges[lo:len(edges):len(edges)]}
 	}
 	return res
 }
 
-func countTrue(b []bool) int {
-	n := 0
-	for _, v := range b {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
-// aliveEdges yields net ns's surviving edges: horizontal ones first, each
+// aliveEdges yields the net's surviving edges: horizontal ones first, each
 // direction in local index order.
-func (r *Router) aliveEdges(ns *netState) iter.Seq[Edge] {
+func (ns graph) aliveEdges() iter.Seq[Edge] {
 	return func(yield func(Edge) bool) {
-		for e, alive := range ns.aliveH {
-			if alive {
-				x, y := r.edgeOrigin(ns, e, true)
+		for e, f := range ns.flagsH {
+			if f&edgeDeleted == 0 {
+				x, y := ns.edgeOrigin(e, true)
 				if !yield(Edge{From: geom.Point{X: x, Y: y}, To: geom.Point{X: x + 1, Y: y}}) {
 					return
 				}
 			}
 		}
-		for e, alive := range ns.aliveV {
-			if alive {
-				x, y := r.edgeOrigin(ns, e, false)
+		for e, f := range ns.flagsV {
+			if f&edgeDeleted == 0 {
+				x, y := ns.edgeOrigin(e, false)
 				if !yield(Edge{From: geom.Point{X: x, Y: y}, To: geom.Point{X: x, Y: y + 1}}) {
 					return
 				}

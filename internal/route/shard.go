@@ -154,7 +154,7 @@ func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, cap
 	}
 	var ds *DrainState
 	if capture {
-		ds = r.drainState(tiles, nil, nil)
+		ds = r.drainState(tiles)
 	}
 	res, err := r.finishSharded(ctx, pool, cfg, groups)
 	if err != nil {
@@ -231,23 +231,13 @@ func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, gro
 }
 
 // drainState captures the resumable snapshot right after drainTiles'
-// merge: the tiles it returned and every net's deletion state. A resume
-// passes prev and its re-drain flags; nets that did not re-drain keep
-// prev's (immutable) snapshot entries.
-func (r *Router) drainState(tiles []tileSnap, prev *DrainState, redrain []bool) *DrainState {
-	ds := &DrainState{
-		cfg:   r.cfg,
-		grid:  *r.g,
-		snaps: make([]netSnap, len(r.nets)),
-		tiles: tiles,
-	}
-	for i := range r.nets {
-		if prev != nil && !redrain[i] {
-			ds.snaps[i] = prev.snaps[i]
-		} else {
-			ds.snaps[i] = netSnap{ns: r.nets[i].clone(), pins: r.inPins[i]}
-		}
-	}
+// merge: the tiles it returned and every net's deletion state. It shares
+// the router's records, pins, pin mask and spine distances, which nothing
+// writes after seeding, and owns one clone of the flags slab, which
+// reconciliation goes on to write.
+func (r *Router) drainState(tiles []tileSnap) *DrainState {
+	ds := &DrainState{cfg: r.cfg, grid: *r.g, netSlabs: r.netSlabs, tiles: tiles}
+	ds.flags = slices.Clone(r.flags)
 	return ds
 }
 
@@ -289,25 +279,17 @@ func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, 
 // partition groups net indices by the tile containing their bounding-box
 // center. Groups are emitted in tile scan order with their nets in input
 // order, paired with their tile indices and windows (the union of their
-// members' bounding boxes); empty tiles are dropped.
-func (r *Router) partition() ([][]int, []int, []geom.Rect) {
-	bboxes := make([]geom.Rect, len(r.nets))
-	for i := range r.nets {
-		bboxes[i] = r.nets[i].bbox
-	}
-	return partitionRects(bboxes, r.g.Cols, r.g.Rows)
-}
-
-// partitionRects is partition over bare bounding boxes — the single
-// implementation, shared with the ECO resume path, which must classify
-// tiles before any net state exists.
-func partitionRects(bboxes []geom.Rect, cols, rows int) (groups [][]int, tileIDs []int, wins []geom.Rect) {
+// members' bounding boxes); empty tiles are dropped. It reads only the
+// boxes layout sets, so an ECO resume classifies tiles with it before
+// any net is seeded.
+func (r *Router) partition() (groups [][]int, tileIDs []int, wins []geom.Rect) {
+	cols, rows := r.g.Cols, r.g.Rows
 	tileCols, tileRows := tiling(cols, rows)
 	tileW := (cols + tileCols - 1) / tileCols
 	tileH := (rows + tileRows - 1) / tileRows
 	tiles := make([][]int, tileCols*tileRows)
-	for ni := range bboxes {
-		b := bboxes[ni]
+	for ni := range r.nets {
+		b := r.nets[ni].bbox
 		tx := min(((b.MinX+b.MaxX)/2)/tileW, tileCols-1)
 		ty := min(((b.MinY+b.MaxY)/2)/tileH, tileRows-1)
 		t := ty*tileCols + tx
@@ -317,9 +299,9 @@ func partitionRects(bboxes []geom.Rect, cols, rows int) (groups [][]int, tileIDs
 		if len(nets) == 0 {
 			continue
 		}
-		win := bboxes[nets[0]]
+		win := r.nets[nets[0]].bbox
 		for _, ni := range nets[1:] {
-			win = unionRect(win, bboxes[ni])
+			win = unionRect(win, r.nets[ni].bbox)
 		}
 		groups = append(groups, nets)
 		tileIDs = append(tileIDs, t)
@@ -499,7 +481,7 @@ func (r *Router) overflowNets() []int {
 	limit := [2]int32{int32(r.g.HC), int32(r.g.VC)}
 	for ni := range r.nets {
 		stamp := int32(ni + 1)
-		r.trackEnds(&r.nets[ni], func(k int) bool {
+		r.trackEnds(ni, func(k int) bool {
 			if use[2*nr+k] != stamp {
 				use[2*nr+k] = stamp
 				use[k]++
@@ -508,7 +490,7 @@ func (r *Router) overflowNets() []int {
 		})
 	}
 	over := func(ni int) bool {
-		return r.trackEnds(&r.nets[ni], func(k int) bool { return use[k] > limit[k/nr] })
+		return r.trackEnds(ni, func(k int) bool { return use[k] > limit[k/nr] })
 	}
 	n := 0
 	for ni := range r.nets {
@@ -525,16 +507,17 @@ func (r *Router) overflowNets() []int {
 	return out
 }
 
-// trackEnds calls f on both end regions of each of net ns's surviving
+// trackEnds calls f on both end regions of each of net ni's surviving
 // edges — k is the region's grid index for a horizontal edge and the
 // number of regions plus it for a vertical one — and stops at the first
 // call that returns true, which it reports.
-func (r *Router) trackEnds(ns *netState, f func(k int) bool) bool {
+func (r *Router) trackEnds(ni int, f func(k int) bool) bool {
 	cols, nr := r.g.Cols, r.g.NumRegions()
+	ns := r.graph(ni)
 	e := 0
 	for y := ns.bbox.MinY; y <= ns.bbox.MaxY; y++ {
 		for x := ns.bbox.MinX; x < ns.bbox.MaxX; x, e = x+1, e+1 {
-			if i := y*cols + x; ns.aliveH[e] && (f(i) || f(i+1)) {
+			if i := y*cols + x; ns.flagsH[e]&edgeDeleted == 0 && (f(i) || f(i+1)) {
 				return true
 			}
 		}
@@ -542,7 +525,7 @@ func (r *Router) trackEnds(ns *netState, f func(k int) bool) bool {
 	e = 0
 	for y := ns.bbox.MinY; y < ns.bbox.MaxY; y++ {
 		for x := ns.bbox.MinX; x <= ns.bbox.MaxX; x, e = x+1, e+1 {
-			if i := nr + y*cols + x; ns.aliveV[e] && (f(i) || f(i+cols)) {
+			if i := nr + y*cols + x; ns.flagsV[e]&edgeDeleted == 0 && (f(i) || f(i+cols)) {
 				return true
 			}
 		}
@@ -551,15 +534,16 @@ func (r *Router) trackEnds(ns *netState, f func(k int) bool) bool {
 }
 
 // reseed rips up net ni — its surviving edges release their utilization
-// from the base, every edge resets, and bumpNet and pushNet leave it
+// from the base, every edge flag clears, and bumpNet and pushNet leave it
 // exactly as seeding did: the full connection graph's utilization in the
 // base and its edges in items with fresh base weights.
 func (r *Router) reseed(ni int, items *[]item) {
-	ns := &r.nets[ni]
-	for e := range r.aliveEdges(ns) {
+	ns := r.graph(ni)
+	for e := range ns.aliveEdges() {
 		r.base.bumpEdge(e.From.X, e.From.Y, e.Horizontal(), ns.rate, -0.5)
 	}
-	ns.resetEdges()
+	clear(ns.flagsH)
+	clear(ns.flagsV)
 	r.bumpNet(ni)
 	r.pushNet(items, ni)
 }

@@ -14,24 +14,24 @@ func TestSpineFieldZeroOnTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := &r.nets[0]
+	ns := r.graph(0)
 	for _, p := range pins {
-		if d := ns.spineDist[ns.vertex(p.X, p.Y)]; d != 0 {
+		if d := ns.spine[ns.vertex(p.X, p.Y)]; d != 0 {
 			t.Errorf("pin %v has spine distance %d, want 0", p, d)
 		}
 	}
 	// Every bbox vertex must have a finite distance.
-	for v, d := range ns.spineDist {
+	for v, d := range ns.spine {
 		if d < 0 {
 			t.Fatalf("vertex %d unreachable from spine", v)
 		}
 	}
 	// The factor grows monotonically with distance and is 1 on the spine.
-	if f := ns.spineFactor(ns.vertex(1, 1), ns.vertex(2, 1)); f != 1 {
+	if f := r.spineFactor(ns.netState, ns.vertex(1, 1), ns.vertex(2, 1)); f != 1 {
 		t.Errorf("on-spine factor = %g, want 1", f)
 	}
-	far := ns.spineFactor(ns.vertex(8, 8), ns.vertex(8, 7))
-	near := ns.spineFactor(ns.vertex(4, 2), ns.vertex(4, 3))
+	far := r.spineFactor(ns.netState, ns.vertex(8, 8), ns.vertex(8, 7))
+	near := r.spineFactor(ns.netState, ns.vertex(4, 2), ns.vertex(4, 3))
 	if far <= near {
 		t.Errorf("far factor %g not above near factor %g", far, near)
 	}
@@ -75,22 +75,22 @@ func TestWeightsMonotoneUnderDeletion(t *testing.T) {
 	}
 	var probes []probe
 	for ni := range r.nets {
-		ns := &r.nets[ni]
-		for e, alive := range ns.aliveH {
-			if alive {
-				x, y := r.edgeOrigin(ns, e, true)
-				probes = append(probes, probe{ni, x, y, true, r.edgeWeight(ni, x, y, true, nil)})
+		ns := r.graph(ni)
+		for e, f := range ns.flagsH {
+			if f&edgeDeleted == 0 {
+				x, y := ns.edgeOrigin(e, true)
+				probes = append(probes, probe{ni, x, y, true, r.edgeWeight(ns.netState, x, y, true, nil)})
 			}
 		}
 	}
 	res := r.Run()
 	for _, p := range probes {
-		ns := &r.nets[p.net]
+		ns := r.graph(p.net)
 		// Only check surviving edges (deleted ones have no defined weight).
-		if !ns.aliveH[ns.hEdge(p.x, p.y)] {
+		if ns.flagsH[ns.hEdge(p.x, p.y)]&edgeDeleted != 0 {
 			continue
 		}
-		if w := r.edgeWeight(p.net, p.x, p.y, p.horz, nil); w > p.initial+1e-9 {
+		if w := r.edgeWeight(ns.netState, p.x, p.y, p.horz, nil); w > p.initial+1e-9 {
 			t.Fatalf("edge weight rose from %g to %g", p.initial, w)
 		}
 	}

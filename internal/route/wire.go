@@ -6,107 +6,133 @@ package route
 // bit patterns for floats (a decoded artifact must be *bit*-identical to
 // the sealed one — the determinism contract is byte equality, and resumed
 // ECO merges replay float additions whose order and operands must match
-// exactly), and bit-packed booleans for the per-net edge masks.
+// exactly), and the edge-flag slab packed two bits per edge. One writer
+// (wireWriter) both appends the grammar and sizes it, so an encoder can
+// allocate its output once, at its exact length (WireSize).
 //
 // Versioning, checksumming, and fingerprint verification live one layer
 // up, in internal/artifact's envelope (codec.go). This layer's own
 // obligation is narrower but absolute: decoding NEVER panics, never
-// fabricates a structurally invalid state, and allocates O(input). Every
-// count is checked against the least input its elements could occupy
-// before allocation. A net snapshot carries no field its pins determine:
-// the decoder reads every array first, checks each length against the
-// pins' bounding box (inside the grid), and only then derives the box,
-// pin mask, pin count and spine norm (netState.setPins), so the mask it
-// allocates is no larger than the spine array it read. Tile windows must
-// match their delta arrays and member indices must lie inside the net
-// slice, so malformed input surfaces as an error, not as memory
-// corruption three phases later. A resumed drain's weights read a net's
-// RSMT length, its spine distances and the tile deltas as decoded, so
-// each must be one a run could have written. The RSMT length must be
-// finite: a NaN weight has no place in the drain's total order
-// (item.order). A spine distance is a BFS distance inside the net's box
-// from a spine through its pins, so it lies in [0, w+h−2] and is 0 at a
-// pin region. A drain only releases what its members' full graphs added,
-// at most one track and one unit of rate sum per member per region and
-// direction, so a tile delta of an m-member tile lies in [−2m, 0] (twice
-// the bound, for slack; NaN and infinities fail it too). The other floats
-// only have to equal the resume's own config, grid and validated nets.
+// fabricates a structurally invalid state, and allocates O(input), in a
+// few arrays per tile and none per net or tree. Every count is
+// checked against the least input its elements could occupy before
+// allocation, and the totals a section declares (a result's edges, a
+// drain state's pins) must be used up exactly. A drain state stores no
+// field a net's pins determine: its nets' records come first, and each
+// record's pins fix the net's bounding box, which must lie inside the
+// grid. Those boxes size the flags and spine slabs, so each box's cells
+// are counted against the input still unread, one byte per spine
+// distance at least, before anything is allocated for them; then the
+// decoder derives the pin masks (netSlabs.markPins) and reads the
+// flags and spine distances into their slabs. Tile windows must match
+// their delta arrays and member indices must lie inside the net slice, so
+// malformed input surfaces as an error, not as memory corruption three
+// phases later. A resumed drain's weights read a net's RSMT length, its
+// spine distances and the tile deltas as decoded, so each must be one a
+// run could have written. The RSMT length must be finite: a NaN weight
+// has no place in the drain's total order (item.order). A spine distance
+// is a BFS distance inside the net's box from a spine through its pins,
+// so it lies in [0, w+h−2] and is 0 at a pin region. A drain only
+// releases what its members' full graphs added, at most one track and
+// one unit of rate sum per member per region and direction, so a tile
+// delta of an m-member tile lies in [−2m, 0] (twice the bound, for slack;
+// NaN and infinities fail it too). The other floats only have to equal
+// the resume's own config, grid and validated nets.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/geom"
 )
 
-// ---- append helpers ----
+// ---- writer ----
 
-func wireU(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
-func wireI(buf []byte, v int) []byte    { return binary.AppendVarint(buf, int64(v)) }
-
-func wireF(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// wireWriter is the one encoder of the wire grammar. Appending, it
+// extends buf; sizing, it only adds up in n the bytes it would append, so
+// WireSize and AppendWire cannot disagree.
+type wireWriter struct {
+	buf    []byte
+	sizing bool
+	n      int
 }
 
-func wireBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
+func (w *wireWriter) uvarint(v uint64) {
+	if w.sizing {
+		w.n += (bits.Len64(v|1) + 6) / 7
+		return
 	}
-	return append(buf, 0)
+	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
-// wireBools appends a length prefix and the values packed 8 per byte, LSB
-// first.
-func wireBools(buf []byte, b []bool) []byte {
-	buf = wireU(buf, uint64(len(b)))
-	var acc byte
-	var k uint
-	for _, v := range b {
-		if v {
-			acc |= 1 << k
-		}
-		if k++; k == 8 {
-			buf = append(buf, acc)
-			acc, k = 0, 0
-		}
+// int writes v zigzag-encoded, as binary.AppendVarint does.
+func (w *wireWriter) int(v int) {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
 	}
-	if k > 0 {
-		buf = append(buf, acc)
-	}
-	return buf
+	w.uvarint(ux)
 }
 
-func wireF64s(buf []byte, s []float64) []byte {
-	buf = wireU(buf, uint64(len(s)))
+func (w *wireWriter) f64(v float64) {
+	if w.sizing {
+		w.n += 8
+		return
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+}
+
+func (w *wireWriter) bool(v bool) {
+	switch {
+	case w.sizing:
+		w.n++
+	case v:
+		w.buf = append(w.buf, 1)
+	default:
+		w.buf = append(w.buf, 0)
+	}
+}
+
+// f64s writes a length prefix and the values.
+func (w *wireWriter) f64s(s []float64) {
+	w.uvarint(uint64(len(s)))
+	if w.sizing {
+		w.n += 8 * len(s)
+		return
+	}
 	for _, v := range s {
-		buf = wireF(buf, v)
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 	}
-	return buf
 }
 
-func wireI32s(buf []byte, s []int32) []byte {
-	buf = wireU(buf, uint64(len(s)))
-	for _, v := range s {
-		buf = binary.AppendVarint(buf, int64(v))
+// flags writes edge flags packed four per byte, two bits each, the first
+// flag in the lowest bits. Its length is the reader's to know.
+func (w *wireWriter) flags(f []uint8) {
+	if w.sizing {
+		w.n += (len(f) + 3) / 4
+		return
 	}
-	return buf
+	for i := 0; i < len(f); i += 4 {
+		var b byte
+		for j, v := range f[i:min(i+4, len(f))] {
+			b |= v << (2 * j)
+		}
+		w.buf = append(w.buf, b)
+	}
 }
 
-func wireRect(buf []byte, r geom.Rect) []byte {
-	buf = wireI(buf, r.MinX)
-	buf = wireI(buf, r.MinY)
-	buf = wireI(buf, r.MaxX)
-	return wireI(buf, r.MaxY)
+func (w *wireWriter) point(p geom.Point) {
+	w.int(p.X)
+	w.int(p.Y)
 }
 
-func wirePoints(buf []byte, pts []geom.Point) []byte {
-	buf = wireU(buf, uint64(len(pts)))
-	for _, p := range pts {
-		buf = wireI(buf, p.X)
-		buf = wireI(buf, p.Y)
-	}
-	return buf
+func (w *wireWriter) rect(r geom.Rect) {
+	w.int(r.MinX)
+	w.int(r.MinY)
+	w.int(r.MaxX)
+	w.int(r.MaxY)
 }
 
 // ---- bounds-checked reader ----
@@ -203,19 +229,25 @@ func (r *wireReader) bool(what string) bool {
 	return b == 1
 }
 
-func (r *wireReader) bools(what string) []bool {
-	n := r.uvarint(what)
+// flags reads n edge flags packed four per byte (wireWriter.flags). The
+// padding bits of a last, partly filled byte must be zero, so an encoding
+// is the only one of its state.
+func (r *wireReader) flags(n int) []uint8 {
+	nb := (n + 3) / 4
 	if r.err != nil {
 		return nil
 	}
-	nb := (n + 7) / 8
-	if nb > uint64(len(r.data)) {
-		r.fail("%s of %d bits exceeds %d remaining bytes", what, n, len(r.data))
+	if nb > len(r.data) {
+		r.fail("flags of %d edges exceed %d remaining bytes", n, len(r.data))
 		return nil
 	}
-	out := make([]bool, n)
+	out := make([]uint8, n)
 	for i := range out {
-		out[i] = r.data[i/8]&(1<<(i%8)) != 0
+		out[i] = r.data[i/4] >> (2 * (i % 4)) & 3
+	}
+	if n%4 != 0 && r.data[nb-1]>>(2*(n%4)) != 0 {
+		r.fail("flags padding bits set")
+		return nil
 	}
 	r.data = r.data[nb:]
 	return out
@@ -238,23 +270,6 @@ func (r *wireReader) f64s(what string) []float64 {
 	return out
 }
 
-func (r *wireReader) i32s(what string) []int32 {
-	n := r.count(what, 1)
-	out := make([]int32, n)
-	for i := range out {
-		v := r.int(what)
-		if r.err != nil {
-			return nil
-		}
-		if int(int32(v)) != v {
-			r.fail("%s element %d overflows int32", what, v)
-			return nil
-		}
-		out[i] = int32(v)
-	}
-	return out
-}
-
 func (r *wireReader) rect(what string) geom.Rect {
 	return geom.Rect{
 		MinX: r.int(what), MinY: r.int(what),
@@ -262,61 +277,81 @@ func (r *wireReader) rect(what string) geom.Rect {
 	}
 }
 
-func (r *wireReader) points(what string) []geom.Point {
-	n := r.count(what, 2)
-	out := make([]geom.Point, n)
-	for i := range out {
-		out[i] = geom.Point{X: r.int(what), Y: r.int(what)}
-	}
-	return out
+func (r *wireReader) point(what string) geom.Point {
+	return geom.Point{X: r.int(what), Y: r.int(what)}
 }
 
 // ---- Result ----
 
 // AppendWire appends res's wire encoding to buf and returns the extended
-// slice: each tree's net and edges, then the run stats.
+// slice: the tree count and their total edge count, each tree's net and
+// edges, then the run stats.
 func (res *Result) AppendWire(buf []byte) []byte {
-	buf = wireU(buf, uint64(len(res.Trees)))
+	w := wireWriter{buf: buf}
+	res.encode(&w)
+	return w.buf
+}
+
+// WireSize returns the length of res's wire encoding.
+func (res *Result) WireSize() int {
+	w := wireWriter{sizing: true}
+	res.encode(&w)
+	return w.n
+}
+
+func (res *Result) encode(w *wireWriter) {
+	edges := 0
+	for i := range res.Trees {
+		edges += len(res.Trees[i].Edges)
+	}
+	w.uvarint(uint64(len(res.Trees)))
+	w.uvarint(uint64(edges))
 	for i := range res.Trees {
 		t := &res.Trees[i]
-		buf = wireI(buf, t.Net)
-		buf = wireU(buf, uint64(len(t.Edges)))
+		w.int(t.Net)
+		w.uvarint(uint64(len(t.Edges)))
 		for _, e := range t.Edges {
-			buf = wireI(buf, e.From.X)
-			buf = wireI(buf, e.From.Y)
-			buf = wireI(buf, e.To.X)
-			buf = wireI(buf, e.To.Y)
+			w.point(e.From)
+			w.point(e.To)
 		}
 	}
 	st := &res.Stats
-	buf = wireI(buf, st.Shards)
-	buf = wireI(buf, st.LargestShard)
-	buf = wireI(buf, st.Reconciled)
-	buf = wireI(buf, st.ReconcileRounds)
-	buf = wireI(buf, st.SeedChunks)
-	buf = wireI(buf, st.ReconcileComponents)
-	return wireI(buf, st.LargestComponent)
+	w.int(st.Shards)
+	w.int(st.LargestShard)
+	w.int(st.Reconciled)
+	w.int(st.ReconcileRounds)
+	w.int(st.SeedChunks)
+	w.int(st.ReconcileComponents)
+	w.int(st.LargestComponent)
 }
 
 // DecodeResult decodes a Result from the front of data, returning it and
-// the unconsumed tail. Malformed input of any shape returns an error;
-// semantic integrity (the decoded bytes being the sealed bytes) is the
-// caller's fingerprint check.
+// the unconsumed tail. Every tree's edges are carved from one array of
+// the declared total, as extract lays them out. Malformed input of any
+// shape returns an error; semantic integrity (the decoded bytes being the
+// sealed bytes) is the caller's fingerprint check.
 func DecodeResult(data []byte) (*Result, []byte, error) {
 	r := &wireReader{data: data}
 	nt := r.count("tree", 2) // net, edge count
+	edges := make([]Edge, r.count("edge", 4))
 	trees := make([]Tree, nt)
 	for i := 0; i < nt && r.err == nil; i++ {
 		t := &trees[i]
 		t.Net = r.int("tree net")
-		ne := r.count("edge", 4)
-		t.Edges = make([]Edge, ne)
-		for j := 0; j < ne && r.err == nil; j++ {
-			t.Edges[j] = Edge{
-				From: geom.Point{X: r.int("edge"), Y: r.int("edge")},
-				To:   geom.Point{X: r.int("edge"), Y: r.int("edge")},
-			}
+		ne := r.uvarint("tree edge count")
+		if r.err == nil && ne > uint64(len(edges)) {
+			r.fail("tree %d: %d edges past the %d declared ones left", i, ne, len(edges))
 		}
+		if r.err != nil {
+			break
+		}
+		t.Edges, edges = edges[:ne:ne], edges[ne:]
+		for j := range t.Edges {
+			t.Edges[j] = Edge{From: r.point("edge"), To: r.point("edge")}
+		}
+	}
+	if r.err == nil && len(edges) != 0 {
+		r.fail("%d declared edges in no tree", len(edges))
 	}
 	stats := RunStats{
 		Shards:              r.int("stats"),
@@ -341,49 +376,72 @@ func DecodeResult(data []byte) (*Result, []byte, error) {
 const maxWireDim = 1 << 20
 
 // AppendWire appends ds's wire encoding to buf and returns the extended
-// slice. The encoding is complete: DecodeDrainState reconstructs a state
-// that resumes bit-identically to the original (wire_test.go proves it).
+// slice: the router config and grid; the net and pin counts; each net's
+// id, rate, RSMT length and pins; the flags slab; the spine slab; and
+// each tile's id, members, window and six delta arrays. The slabs go out
+// whole: nets own consecutive ranges in net order, which the decoder
+// lays out again from the pins. The encoding is complete:
+// DecodeDrainState reconstructs a state that resumes bit-identically to
+// the original (wire_test.go proves it).
 func (ds *DrainState) AppendWire(buf []byte) []byte {
+	w := wireWriter{buf: buf}
+	ds.encode(&w)
+	return w.buf
+}
+
+// WireSize returns the length of ds's wire encoding.
+func (ds *DrainState) WireSize() int {
+	w := wireWriter{sizing: true}
+	ds.encode(&w)
+	return w.n
+}
+
+func (ds *DrainState) encode(w *wireWriter) {
 	c := &ds.cfg
-	buf = wireF(buf, c.Alpha)
-	buf = wireF(buf, c.Beta)
-	buf = wireF(buf, c.Gamma)
-	buf = wireBool(buf, c.ShieldAware)
+	w.f64(c.Alpha)
+	w.f64(c.Beta)
+	w.f64(c.Gamma)
+	w.bool(c.ShieldAware)
 	g := &ds.grid
-	buf = wireI(buf, g.Cols)
-	buf = wireI(buf, g.Rows)
-	buf = wireF(buf, float64(g.CellW))
-	buf = wireF(buf, float64(g.CellH))
-	buf = wireI(buf, g.HC)
-	buf = wireI(buf, g.VC)
-	buf = wireU(buf, uint64(len(ds.snaps)))
-	for i := range ds.snaps {
-		s := &ds.snaps[i]
-		ns := &s.ns
-		buf = wireI(buf, ns.id)
-		buf = wireF(buf, ns.rate)
-		buf = wirePoints(buf, s.pins)
-		buf = wireBools(buf, ns.aliveH)
-		buf = wireBools(buf, ns.aliveV)
-		buf = wireBools(buf, ns.frozenH)
-		buf = wireBools(buf, ns.frozenV)
-		buf = wireF(buf, float64(ns.rsmtUM))
-		buf = wireI32s(buf, ns.spineDist)
+	w.int(g.Cols)
+	w.int(g.Rows)
+	w.f64(float64(g.CellW))
+	w.f64(float64(g.CellH))
+	w.int(g.HC)
+	w.int(g.VC)
+	pins := 0
+	for _, p := range ds.pins {
+		pins += len(p)
 	}
-	buf = wireU(buf, uint64(len(ds.tiles)))
+	w.uvarint(uint64(len(ds.nets)))
+	w.uvarint(uint64(pins))
+	for i := range ds.nets {
+		ns := &ds.nets[i]
+		w.int(ns.id)
+		w.f64(ns.rate)
+		w.f64(float64(ns.rsmtUM))
+		w.uvarint(uint64(len(ds.pins[i])))
+		for _, p := range ds.pins[i] {
+			w.point(p)
+		}
+	}
+	w.flags(ds.flags)
+	for _, d := range ds.spine {
+		w.int(int(d))
+	}
+	w.uvarint(uint64(len(ds.tiles)))
 	for i := range ds.tiles {
 		t := &ds.tiles[i]
-		buf = wireI(buf, t.tile)
-		buf = wireU(buf, uint64(len(t.members)))
+		w.int(t.tile)
+		w.uvarint(uint64(len(t.members)))
 		for _, m := range t.members {
-			buf = wireI(buf, m)
+			w.int(m)
 		}
-		buf = wireRect(buf, t.rect)
+		w.rect(t.rect)
 		for _, a := range t.arrays() {
-			buf = wireF64s(buf, *a)
+			w.f64s(*a)
 		}
 	}
-	return buf
 }
 
 // checkWireRect validates that rect lies inside the cols×rows grid.
@@ -424,46 +482,69 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 		}
 	}
 
-	nsn := r.count("net snapshot", 23) // id, rate, pin count, four masks, rsmt, spine
-	ds.snaps = make([]netSnap, nsn)
-	for i := 0; i < nsn && r.err == nil; i++ {
-		s := &ds.snaps[i]
-		ns := &s.ns
+	// The records, and each net's pins carved from one array of the
+	// declared total.
+	nn := r.count("net", 20) // id, rate, rsmt, pin count, a pin
+	pins := make([]geom.Point, r.count("pin", 2))
+	s := &ds.netSlabs
+	s.nets = make([]netState, nn)
+	s.pins = make([][]geom.Point, nn)
+	verts, edges := 0, 0
+	for i := 0; i < nn && r.err == nil; i++ {
+		ns := &s.nets[i]
 		ns.id = r.int("net id")
 		ns.rate = r.f64("net rate")
-		s.pins = r.points("net pin")
-		ns.aliveH = r.bools("aliveH")
-		ns.aliveV = r.bools("aliveV")
-		ns.frozenH = r.bools("frozenH")
-		ns.frozenV = r.bools("frozenV")
 		ns.rsmtUM = geom.Micron(r.f64("net rsmt"))
 		r.finite("net rsmt", float64(ns.rsmtUM))
-		ns.spineDist = r.i32s("spine dist")
+		np := r.uvarint("net pin count")
+		if r.err == nil && (np == 0 || np > uint64(len(pins))) {
+			r.fail("net %d: %d pins, want 1 to the %d declared ones left", ns.id, np, len(pins))
+		}
 		if r.err != nil {
 			break
 		}
-		if len(s.pins) == 0 {
-			r.fail("net %d has no pins", ns.id)
-			break
+		s.pins[i], pins = pins[:np:np], pins[np:]
+		for j := range s.pins[i] {
+			s.pins[i][j] = r.point("net pin")
 		}
-		box := geom.RectFromPoints(s.pins)
+		box := geom.RectFromPoints(s.pins[i])
 		checkWireRect(r, box, g.Cols, g.Rows, "net")
 		if r.err != nil {
 			break
 		}
-		w, h := box.Width(), box.Height()
-		if len(ns.spineDist) != w*h ||
-			len(ns.aliveH) != (w-1)*h || len(ns.aliveV) != w*(h-1) ||
-			len(ns.frozenH) != len(ns.aliveH) || len(ns.frozenV) != len(ns.aliveV) {
-			r.fail("net %d: array lengths inconsistent with its pins' %dx%d box", ns.id, w, h)
-			break
+		ns.place(box, &verts, &edges)
+		// Every vertex takes a spine distance of a byte or more, so a box
+		// whose cells the unread input cannot back fails here, before
+		// anything is allocated for it.
+		if verts > len(r.data) {
+			r.fail("net %d: its box takes the nets' vertices to %d, past the %d bytes left", ns.id, verts, len(r.data))
 		}
-		ns.setPins(s.pins)
-		for v, d := range ns.spineDist {
-			if d < 0 || int(d) > w+h-2 || ns.pinMask[v] && d != 0 {
-				r.fail("net %d: spine distance %d at local vertex %d, want [0, %d] and 0 at a pin", ns.id, d, v, w+h-2)
+	}
+	if r.err == nil && len(pins) != 0 {
+		r.fail("%d declared pins in no net", len(pins))
+	}
+	if r.err == nil && verts+(edges+3)/4 > len(r.data) {
+		r.fail("flags of %d edges and spine of %d vertices exceed %d remaining bytes", edges, verts, len(r.data))
+	}
+
+	// The slabs, and the pin masks the pins determine.
+	s.flags = r.flags(edges)
+	if r.err == nil {
+		s.pinMask = make([]bool, verts)
+		s.spine = make([]int32, verts)
+	}
+	for i := 0; i < nn && r.err == nil; i++ {
+		s.markPins(i)
+		ns := s.graph(i)
+		for v := range ns.spine {
+			d := r.int("spine dist")
+			if r.err == nil && (d < 0 || d > ns.w+ns.h-2 || ns.pinMask[v] && d != 0) {
+				r.fail("net %d: spine distance %d at local vertex %d, want [0, %d] and 0 at a pin", ns.id, d, v, ns.w+ns.h-2)
+			}
+			if r.err != nil {
 				break
 			}
+			ns.spine[v] = int32(d)
 		}
 	}
 
@@ -490,8 +571,8 @@ func DecodeDrainState(data []byte) (*DrainState, []byte, error) {
 			break
 		}
 		for _, m := range t.members {
-			if m < 0 || m >= len(ds.snaps) {
-				r.fail("tile %d: member %d outside %d nets", t.tile, m, len(ds.snaps))
+			if m < 0 || m >= len(s.nets) {
+				r.fail("tile %d: member %d outside %d nets", t.tile, m, len(s.nets))
 				break
 			}
 		}

@@ -3,10 +3,12 @@ package route
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -36,10 +38,14 @@ func wireFixture(t testing.TB, seed int64, dim, nNets int) (*grid.Grid, []Net, *
 	return g, nets, res, ds
 }
 
-// TestResultWireRoundTrip: encode/decode reproduces the Result exactly.
+// TestResultWireRoundTrip: encode/decode reproduces the Result exactly,
+// and WireSize is the encoding's length.
 func TestResultWireRoundTrip(t *testing.T) {
 	_, _, res, _ := wireFixture(t, 1, 16, 80)
 	buf := res.AppendWire(nil)
+	if n := res.WireSize(); n != len(buf) {
+		t.Fatalf("WireSize %d, encoding %d bytes", n, len(buf))
+	}
 	dec, rest, err := DecodeResult(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +59,14 @@ func TestResultWireRoundTrip(t *testing.T) {
 }
 
 // TestDrainWireRoundTrip: encode/decode reproduces the DrainState exactly
-// (reflect.DeepEqual reaches every unexported field).
+// (reflect.DeepEqual reaches every unexported field), and WireSize is the
+// encoding's length.
 func TestDrainWireRoundTrip(t *testing.T) {
 	_, _, _, ds := wireFixture(t, 2, 16, 80)
 	buf := ds.AppendWire(nil)
+	if n := ds.WireSize(); n != len(buf) {
+		t.Fatalf("WireSize %d, encoding %d bytes", n, len(buf))
+	}
 	dec, rest, err := DecodeDrainState(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +112,9 @@ func TestDecodedDrainResumesIdentically(t *testing.T) {
 		if !reflect.DeepEqual(refDS, gotDS) {
 			t.Fatalf("workers %d: chained drain states diverged", workers)
 		}
+		if n, size := len(gotDS.AppendWire(nil)), gotDS.WireSize(); n != size {
+			t.Fatalf("workers %d: chained state encodes to %d bytes, sized %d", workers, n, size)
+		}
 	}
 }
 
@@ -142,8 +155,8 @@ func DecodeDrainBytes(data []byte) error  { _, _, err := DecodeDrainState(data);
 // TestDecodersAllocateLinearly: a decode allocates at most 64 bytes per
 // input byte plus 1 MiB, for the fixture encodings, about 512 truncations
 // of each, and crafted inputs that claim far more than they hold — counts
-// of one element per remaining byte, and a net whose pins span a
-// 2^20 x 2^20 grid with no arrays behind them, whose pin mask alone
+// and totals of one element per remaining byte, and a net whose pins span
+// a 2^20 x 2^20 grid with no slabs behind them, whose pin mask alone
 // would take a terabyte. Not parallel: TotalAlloc is process-wide.
 func TestDecodersAllocateLinearly(t *testing.T) {
 	_, _, res, ds := wireFixture(t, 4, 8, 16)
@@ -164,19 +177,23 @@ func TestDecodersAllocateLinearly(t *testing.T) {
 	}
 
 	const filler = 1 << 16
-	claim := func(head []byte) []byte { return append(wireU(head, filler), make([]byte, filler)...) }
-	// A state with no nets and no tiles ends in their two zero counts.
+	uv := binary.AppendUvarint
+	claim := func(head []byte) []byte { return append(uv(head, filler), make([]byte, filler)...) }
+	// A state with no nets and no tiles ends in its net, pin and tile
+	// counts, all zero.
 	header := (&DrainState{cfg: ds.cfg, grid: ds.grid}).AppendWire(nil)
-	header = header[: len(header)-2 : len(header)-2]
+	header = header[: len(header)-3 : len(header)-3]
 	corner := geom.Point{X: maxWireDim - 1, Y: maxWireDim - 1}
 	huge := ds.grid
 	huge.Cols, huge.Rows = maxWireDim, maxWireDim
-	bigGrid := &DrainState{cfg: ds.cfg, grid: huge,
-		snaps: []netSnap{{ns: netState{rate: 0.3}, pins: []geom.Point{{}, corner}}}}
+	bigGrid := &DrainState{cfg: ds.cfg, grid: huge, netSlabs: netSlabs{
+		nets: []netState{{rate: 0.3}}, pins: [][]geom.Point{{{}, corner}}}}
 	inputs = append(inputs,
 		input{"tree count", DecodeResultBytes, claim(nil), true},
+		input{"edge count", DecodeResultBytes, claim(uv(nil, 0)), true},
 		input{"net count", DecodeDrainBytes, claim(header), true},
-		input{"tile count", DecodeDrainBytes, claim(wireU(header, 0)), true},
+		input{"pin count", DecodeDrainBytes, claim(uv(header, 0)), true},
+		input{"tile count", DecodeDrainBytes, claim(uv(uv(header, 0), 0)), true},
 		input{"pin box", DecodeDrainBytes, bigGrid.AppendWire(nil), true},
 	)
 
@@ -194,14 +211,74 @@ func TestDecodersAllocateLinearly(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsPinMismatch: a net snapshot's arrays must be sized for
-// the bounding box of its pin list. A resume restores the snapshot and
-// re-drains the net over that box: arrays sized for a wider one would
-// send the connectivity search outside the pin mask.
+// TestDecodersAllocsFlat: a decode allocates a fixed number of arrays per
+// tile and none per net or tree. Drain states of 128 and 1,280 two-pin
+// nets on an 8x8 grid, anchored region by region so that both fill its 64
+// tiles, decode in as many allocations, and so do their results. The
+// collector stays off while they are counted, since a cycle can add a
+// runtime allocation of its own. Not parallel: the setting is process-wide.
+func TestDecodersAllocsFlat(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g, err := grid.New(8, 8, 100, 100, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := func(n int) (*Result, *DrainState) {
+		nets := make([]Net, n)
+		for i := range nets {
+			x, y := i%8, i/8%8
+			far := geom.Point{X: min(x+1, 7), Y: y}
+			if i%2 == 1 {
+				far = geom.Point{X: x, Y: min(y+1, 7)}
+			}
+			nets[i] = Net{ID: i, Pins: []geom.Point{{X: x, Y: y}, far}, Rate: 0.3}
+		}
+		r, err := NewRouter(g, Config{ShieldAware: true}, nets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ds, err := r.RunShardedState(context.Background(), nil, ShardConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.tiles) != 64 {
+			t.Fatalf("%d nets fill %d tiles, want 64", n, len(ds.tiles))
+		}
+		return res, ds
+	}
+	smallRes, small := route(128)
+	largeRes, large := route(1280)
+	for _, c := range []struct {
+		name         string
+		decode       func([]byte) error
+		small, large []byte
+	}{
+		{"result", DecodeResultBytes, smallRes.AppendWire(nil), largeRes.AppendWire(nil)},
+		{"drain state", DecodeDrainBytes, small.AppendWire(nil), large.AppendWire(nil)},
+	} {
+		count := func(data []byte) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if err := c.decode(data); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := count(c.small), count(c.large); a != b {
+			t.Errorf("%s: decoding %d bytes allocated %v times, %d bytes %v times", c.name, len(c.small), a, len(c.large), b)
+		}
+	}
+}
+
+// TestDecodeRejectsPinMismatch: the decoder sizes a net's flags and spine
+// distances by the bounding box of its pin list. A resume restores the
+// snapshot and re-drains the net over that box, so arrays sized for a
+// wider box would send the connectivity search outside the pin mask. A
+// state whose pins no longer span its arrays encodes slabs the decoder
+// reads out of step, and fails.
 func TestDecodeRejectsPinMismatch(t *testing.T) {
 	_, _, _, ds := wireFixture(t, 4, 8, 16)
-	k := slices.IndexFunc(ds.snaps, func(s netSnap) bool {
-		return geom.RectFromPoints(s.pins[:1]) != s.ns.bbox
+	k := slices.IndexFunc(ds.pins, func(pins []geom.Point) bool {
+		return geom.RectFromPoints(pins[:1]) != geom.RectFromPoints(pins)
 	})
 	if k < 0 {
 		t.Fatal("fixture has no multi-region net; it drifted")
@@ -211,8 +288,8 @@ func TestDecodeRejectsPinMismatch(t *testing.T) {
 	}
 	t.Run("bbox wider than pins", func(t *testing.T) {
 		mut := *ds
-		mut.snaps = slices.Clone(ds.snaps)
-		mut.snaps[k].pins = mut.snaps[k].pins[:1]
+		mut.pins = slices.Clone(ds.pins)
+		mut.pins[k] = mut.pins[k][:1]
 		if _, _, err := DecodeDrainState(mut.AppendWire(nil)); err == nil {
 			t.Fatal("decoded without error")
 		}
@@ -227,8 +304,8 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		t.Run(fmt.Sprintf("rsmt %g", v), func(t *testing.T) {
 			mut := *ds
-			mut.snaps = slices.Clone(ds.snaps)
-			mut.snaps[len(mut.snaps)-1].ns.rsmtUM = geom.Micron(v)
+			mut.nets = slices.Clone(ds.nets)
+			mut.nets[len(mut.nets)-1].rsmtUM = geom.Micron(v)
 			if _, _, err := DecodeDrainState(mut.AppendWire(nil)); err == nil {
 				t.Fatal("decoded without error")
 			}
@@ -253,7 +330,7 @@ func TestDecodeRejectsNonFinite(t *testing.T) {
 // delta at 1e308 decoded and resumed to other trees.
 func TestDecodeRejectsImpossibleValues(t *testing.T) {
 	_, _, _, ds := wireFixture(t, 4, 8, 16)
-	k := slices.IndexFunc(ds.snaps, func(s netSnap) bool { return s.ns.w > 1 && s.ns.h > 1 })
+	k := slices.IndexFunc(ds.nets, func(ns netState) bool { return ns.w > 1 && ns.h > 1 })
 	if k < 0 {
 		t.Fatal("fixture has no net spanning both directions; it drifted")
 	}
@@ -267,16 +344,15 @@ func TestDecodeRejectsImpossibleValues(t *testing.T) {
 			tl.sumSH[len(tl.sumSH)/2] = v
 		}
 	}
-	spine := func(at func(ns *netState) int, v int32) func(*DrainState) {
+	spine := func(at func(ns *graph) int, v int32) func(*DrainState) {
 		return func(d *DrainState) {
-			d.snaps = slices.Clone(ds.snaps)
-			ns := &d.snaps[k].ns
-			ns.spineDist = slices.Clone(ns.spineDist)
-			ns.spineDist[at(ns)] = v
+			ns := ds.graph(k)
+			d.spine = slices.Clone(ds.spine)
+			d.spine[ns.vert+at(&ns)] = v
 		}
 	}
-	offPin := func(ns *netState) int { return slices.Index(ns.pinMask, false) }
-	onPin := func(ns *netState) int { return slices.Index(ns.pinMask, true) }
+	offPin := func(ns *graph) int { return slices.Index(ns.pinMask, false) }
+	onPin := func(ns *graph) int { return slices.Index(ns.pinMask, true) }
 	for _, c := range []struct {
 		name string
 		mut  func(*DrainState)
@@ -295,7 +371,7 @@ func TestDecodeRejectsImpossibleValues(t *testing.T) {
 			}
 		}},
 		{"spine distance negative", spine(offPin, -1)},
-		{"spine distance past w+h-2", spine(offPin, int32(ds.snaps[k].ns.w+ds.snaps[k].ns.h-1))},
+		{"spine distance past w+h-2", spine(offPin, int32(ds.nets[k].w+ds.nets[k].h-1))},
 		{"spine distance non-zero at a pin", spine(onPin, 1)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -316,7 +392,8 @@ func TestDecodeRejectsImpossibleValues(t *testing.T) {
 }
 
 // FuzzDecodeResult: DecodeResult never panics, and whatever it accepts
-// re-encodes to bytes that decode and re-encode to themselves.
+// re-encodes, in WireSize bytes, to bytes that decode and re-encode to
+// themselves.
 func FuzzDecodeResult(f *testing.F) {
 	for _, seed := range []int64{1, 4} {
 		_, _, res, _ := wireFixture(f, seed, 8, 16)
@@ -328,6 +405,9 @@ func FuzzDecodeResult(f *testing.F) {
 			return
 		}
 		enc := res.AppendWire(nil)
+		if n := res.WireSize(); n != len(enc) {
+			t.Fatalf("WireSize %d, encoding %d bytes", n, len(enc))
+		}
 		again, rest, err := DecodeResult(enc)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("re-encoding does not decode: %v (%d bytes left)", err, len(rest))
@@ -339,10 +419,11 @@ func FuzzDecodeResult(f *testing.F) {
 }
 
 // FuzzDecodeDrainState: DecodeDrainState never panics, whatever it
-// accepts re-encodes to a fixed point, and an accepted state is safe to
-// resume from — resuming it on the serial pool, against the fixture
-// netlist with one net moved to span the grid (so every tile re-drains
-// from restored net state), returns or errors but never panics.
+// accepts re-encodes, in WireSize bytes, to a fixed point, and an
+// accepted state is safe to resume from — resuming it on the serial
+// pool, against the fixture netlist with one net moved to span the grid
+// (so every tile re-drains from restored net state), returns or errors
+// but never panics.
 func FuzzDecodeDrainState(f *testing.F) {
 	g, nets, _, ds := wireFixture(f, 4, 8, 16)
 	cfg := Config{ShieldAware: true}
@@ -360,6 +441,9 @@ func FuzzDecodeDrainState(f *testing.F) {
 			return
 		}
 		enc := ds.AppendWire(nil)
+		if n := ds.WireSize(); n != len(enc) {
+			t.Fatalf("WireSize %d, encoding %d bytes", n, len(enc))
+		}
 		again, rest, err := DecodeDrainState(enc)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("re-encoding does not decode: %v (%d bytes left)", err, len(rest))
