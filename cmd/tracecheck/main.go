@@ -7,7 +7,10 @@
 // With -summary it then prints, in place of its one-line verdict, where
 // the time went: self time per (lane, span name), largest first, as a
 // table or, with -json, as a JSON array. A span's self time is its
-// duration minus the union of the spans nested inside it on the same lane.
+// duration minus the union of the spans nested inside it on the same lane;
+// its wait (wait ms, wait_ms) is the part of that self time during which a
+// span on another lane is open, such as a flow span waiting for the worker
+// lanes it dispatched to.
 //
 // Usage:
 //
@@ -31,7 +34,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracecheck: ")
 	need := flag.String("need", "", "comma-separated span-name substrings that must each match some complete event")
-	summary := flag.Bool("summary", false, "print self time per (lane, span name), largest first, instead of the verdict line")
+	summary := flag.Bool("summary", false, "print self time and wait per (lane, span name), largest first, instead of the verdict line")
 	asJSON := flag.Bool("json", false, "with -summary, print the fold as a JSON array")
 	flag.Parse()
 	if flag.NArg() != 1 {

@@ -9,22 +9,29 @@ import (
 )
 
 // spanSelf is one row of the -summary fold: the complete spans of one
-// name on one lane, with their summed durations and self times.
+// name on one lane, with their summed durations, self times and waits.
 type spanSelf struct {
 	Lane    string  `json:"lane"`
 	Tid     int     `json:"tid"`
 	Span    string  `json:"span"`
 	Count   int     `json:"count"`
 	SelfMs  float64 `json:"self_ms"`
+	WaitMs  float64 `json:"wait_ms"`
 	TotalMs float64 `json:"total_ms"`
 }
+
+// interval is a span's extent in trace microseconds.
+type interval struct{ lo, hi float64 }
 
 // summarize folds a Chrome trace into self time per (lane, span name),
 // sorted by self time, largest first. A span's self time is its duration
 // minus the union of the intervals of the spans nested inside it on the
 // same lane; nested spans may overlap each other (concurrent children),
 // so overlap is not subtracted twice. Of two spans with the same
-// interval, the earlier in the file is the parent.
+// interval, the earlier in the file is the parent. Its wait is the part
+// of its self time during which a span on another lane is open: a flow
+// span whose work runs on worker lanes waits for it rather than spending
+// it.
 func summarize(data []byte) ([]spanSelf, error) {
 	var f struct {
 		TraceEvents []struct {
@@ -68,8 +75,20 @@ func summarize(data []byte) ([]spanSelf, error) {
 		slices.SortFunc(spans, func(a, b span) int {
 			return cmp.Or(cmp.Compare(a.lo, b.lo), cmp.Compare(b.hi, a.hi), cmp.Compare(a.idx, b.idx))
 		})
+		var others []interval
+		for t, o := range lanes {
+			if t != tid {
+				for _, c := range o {
+					others = append(others, interval{c.lo, c.hi})
+				}
+			}
+		}
+		others = union(others)
 		for k, s := range spans {
-			covered, runLo, runHi := 0.0, 0.0, 0.0
+			// Self time is the gaps between the runs of nested spans; the
+			// wait sums each gap's overlap with the other lanes.
+			covered, runLo, runHi, wait := 0.0, 0.0, 0.0, 0.0
+			gapLo := s.lo
 			open := false
 			for _, c := range spans[k+1:] {
 				if c.lo > s.hi {
@@ -83,14 +102,18 @@ func summarize(data []byte) ([]spanSelf, error) {
 					runLo, runHi, open = c.lo, c.hi, true
 				case c.lo > runHi:
 					covered += runHi - runLo
-					runLo, runHi = c.lo, c.hi
+					wait += overlap(others, gapLo, runLo)
+					gapLo, runLo, runHi = runHi, c.lo, c.hi
 				default:
 					runHi = max(runHi, c.hi)
 				}
 			}
 			if open {
 				covered += runHi - runLo
+				wait += overlap(others, gapLo, runLo)
+				gapLo = runHi
 			}
+			wait += overlap(others, gapLo, s.hi)
 			r := rows[key{tid, s.name}]
 			if r == nil {
 				lane, ok := laneNames[tid]
@@ -102,6 +125,7 @@ func summarize(data []byte) ([]spanSelf, error) {
 			}
 			r.Count++
 			r.SelfMs += (s.hi - s.lo - covered) / 1e3
+			r.WaitMs += wait / 1e3
 			r.TotalMs += (s.hi - s.lo) / 1e3
 		}
 	}
@@ -116,17 +140,42 @@ func summarize(data []byte) ([]spanSelf, error) {
 	return out, nil
 }
 
+// union returns the union of ivs as disjoint intervals, ascending.
+func union(ivs []interval) []interval {
+	slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
+	out := ivs[:0]
+	for _, iv := range ivs {
+		if n := len(out); n > 0 && iv.lo <= out[n-1].hi {
+			out[n-1].hi = max(out[n-1].hi, iv.hi)
+		} else {
+			out = append(out, iv)
+		}
+	}
+	return out
+}
+
+// overlap returns the length of [lo, hi] covered by the disjoint,
+// ascending intervals ivs.
+func overlap(ivs []interval, lo, hi float64) float64 {
+	sum := 0.0
+	i, _ := slices.BinarySearchFunc(ivs, lo, func(iv interval, lo float64) int { return cmp.Compare(iv.hi, lo) })
+	for ; i < len(ivs) && ivs[i].lo < hi; i++ {
+		sum += max(0, min(hi, ivs[i].hi)-max(lo, ivs[i].lo))
+	}
+	return sum
+}
+
 // writeSummary prints the fold as a table, one row per (lane, span name).
 func writeSummary(w io.Writer, rows []spanSelf) error {
 	width := len("lane")
 	for _, r := range rows {
 		width = max(width, len(r.Lane))
 	}
-	if _, err := fmt.Fprintf(w, "%10s %10s %7s  %-*s  %s\n", "self ms", "total ms", "count", width, "lane", "span"); err != nil {
+	if _, err := fmt.Fprintf(w, "%10s %10s %10s %7s  %-*s  %s\n", "self ms", "wait ms", "total ms", "count", width, "lane", "span"); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%10.3f %10.3f %7d  %-*s  %s\n", r.SelfMs, r.TotalMs, r.Count, width, r.Lane, r.Span); err != nil {
+		if _, err := fmt.Fprintf(w, "%10.3f %10.3f %10.3f %7d  %-*s  %s\n", r.SelfMs, r.WaitMs, r.TotalMs, r.Count, width, r.Lane, r.Span); err != nil {
 			return err
 		}
 	}

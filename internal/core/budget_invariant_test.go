@@ -48,7 +48,7 @@ func TestCongestionRedistributionPreservesTotals(t *testing.T) {
 			total := func(net int) float64 {
 				s := 0.0
 				for _, term := range st.terms[net] {
-					s += float64(term.inst.lens[term.seg]) * term.inst.segs[term.seg].Kth
+					s += float64(term.inst.lens[term.seg]) * term.inst.Segs[term.seg].Kth
 				}
 				return s
 			}
@@ -74,7 +74,7 @@ func TestCongestionRedistributionPreservesTotals(t *testing.T) {
 					l := float64(term.inst.lens[term.seg])
 					lo += l * floor
 					hi += l * ceil
-					k := term.inst.segs[term.seg].Kth
+					k := term.inst.Segs[term.seg].Kth
 					if k < floor || k > ceil {
 						t.Fatalf("net %d: redistributed Kth %g outside [%g, %g]", net, k, floor, ceil)
 					}
@@ -127,11 +127,11 @@ func TestRedistributionMixedPinning(t *testing.T) {
 	r := &Runner{design: &Design{Grid: g}, budgeter: b}
 
 	instA := &regionInst{key: instKey{region: 0, horz: true},
-		segs: make([]sino.Seg, 100), lens: make([]geom.Micron, 100)} // density 1.0 → phi 1.5
+		Instance: sino.Instance{Segs: make([]sino.Seg, 100)}, lens: make([]geom.Micron, 100)} // density 1.0 → phi 1.5
 	instB := &regionInst{key: instKey{region: 1, horz: true},
-		segs: make([]sino.Seg, 1), lens: make([]geom.Micron, 1)} // density 0.01 → phi 0.51
-	instA.segs[0] = sino.Seg{Net: 0, Kth: 2.814}
-	instB.segs[0] = sino.Seg{Net: 0, Kth: 2.814}
+		Instance: sino.Instance{Segs: make([]sino.Seg, 1)}, lens: make([]geom.Micron, 1)} // density 0.01 → phi 0.51
+	instA.Segs[0] = sino.Seg{Net: 0, Kth: 2.814}
+	instB.Segs[0] = sino.Seg{Net: 0, Kth: 2.814}
 	instA.lens[0], instB.lens[0] = 1, 1
 	st := &chipState{r: r, terms: [][]segTerm{{
 		{inst: instA, seg: 0},
@@ -140,7 +140,7 @@ func TestRedistributionMixedPinning(t *testing.T) {
 
 	st.redistributeByCongestion()
 
-	kA, kB := instA.segs[0].Kth, instB.segs[0].Kth
+	kA, kB := instA.Segs[0].Kth, instB.Segs[0].Kth
 	got := kA + kB // unit lengths
 	if want := 5.628; math.Abs(got-want) > 1e-9 {
 		t.Errorf("mixed-pin redistribution total = %.12g (terms %.6g + %.6g), want preserved %.12g",

@@ -150,7 +150,7 @@ func syntheticState(rng *rand.Rand, nNets, nInsts, maxDeg int) *chipState {
 		deg := 1 + rng.Intn(maxDeg)
 		for d := 0; d < deg; d++ {
 			in := insts[rng.Intn(nInsts)]
-			in.segs = append(in.segs, sino.Seg{Net: net})
+			in.Segs = append(in.Segs, sino.Seg{Net: net})
 			in.lens = append(in.lens, geom.Micron(1+rng.Intn(500)))
 			in.k = append(in.k, rng.Float64()*2)
 			st.terms[net] = append(st.terms[net], segTerm{inst: in, seg: len(in.k) - 1})

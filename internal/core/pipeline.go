@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/keff"
 	"repro/internal/route"
 	"repro/internal/sino"
 )
@@ -30,14 +29,17 @@ type segTerm struct {
 // regionInst is the mutable per-region-direction state shared by Phase II
 // and Phase III.
 type regionInst struct {
-	key  instKey
-	ord  int           // index in chipState.orderd — the conflict-graph id
-	segs []sino.Seg    // segment list (Kth mutable during refinement)
+	key instKey
+	ord int // index in chipState.orderd — the conflict-graph id
+
+	// Instance is the solver's instance, passed to every job on it: Segs
+	// is the segment list (Kth mutable during refinement), Rel the
+	// sensitivity snapshot taken by the Phase II solve.
+	sino.Instance
 	lens []geom.Micron // per-segment length inside this region
 
 	sol *sino.Solution
-	k   []float64      // per-segment total coupling under sol
-	rel *keff.Relation // sensitivity snapshot, taken by the Phase II solve
+	k   []float64 // per-segment total coupling under sol
 }
 
 // chipState is a routed, SINO-solved chip.
@@ -185,14 +187,14 @@ func (st *chipState) redistributeByCongestion() {
 		for i, t := range terms {
 			var den float64
 			if t.inst.key.horz {
-				den = float64(len(t.inst.segs)) / float64(g.HC)
+				den = float64(len(t.inst.Segs)) / float64(g.HC)
 			} else {
-				den = float64(len(t.inst.segs)) / float64(g.VC)
+				den = float64(len(t.inst.Segs)) / float64(g.VC)
 			}
 			phis[i] = 0.5 + den // congested regions earn looser bounds
 			l := float64(t.inst.lens[t.seg])
 			weighted += l * phis[i]
-			uniformTotal += l * t.inst.segs[t.seg].Kth
+			uniformTotal += l * t.inst.Segs[t.seg].Kth
 		}
 		if weighted <= 0 {
 			continue
@@ -235,7 +237,7 @@ func (st *chipState) redistributeByCongestion() {
 			scale = sLo // target at or below the all-floor total: saturate low
 		}
 		for i, t := range terms {
-			t.inst.segs[t.seg].Kth = st.r.budgeter.Clamp(phis[i] * scale)
+			t.inst.Segs[t.seg].Kth = st.r.budgeter.Clamp(phis[i] * scale)
 		}
 	}
 }
@@ -310,6 +312,7 @@ func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 	inst := make([]*regionInst, nslots)
 	segs := make([]sino.Seg, nsegs)
 	lens := make([]geom.Micron, nsegs)
+	sens := r.sens.Sensitive
 	k, off := 0, 0
 	for s, c := range count {
 		if c == 0 {
@@ -318,7 +321,8 @@ func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 		end := off + int(c)
 		in := &insts[k]
 		*in = regionInst{key: instKey{region: s / 2, horz: s%2 == 0}, ord: k,
-			segs: segs[off:off:end], lens: lens[off:off:end]}
+			Instance: sino.Instance{Segs: segs[off:off:end], Sensitive: sens, Model: r.model},
+			lens:     lens[off:off:end]}
 		st.orderd[k], inst[s] = in, in
 		k, off = k+1, end
 	}
@@ -385,8 +389,8 @@ func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 			if in.key.horz != horz {
 				continue
 			}
-			for j := range in.segs {
-				n := in.segs[j].Net
+			for j := range in.Segs {
+				n := in.Segs[j].Net
 				st.terms[n] = append(st.terms[n], segTerm{inst: in, seg: j})
 			}
 		}
@@ -395,24 +399,17 @@ func (r *Runner) buildState(res *route.Result, mode budgetMode) *chipState {
 }
 
 func (st *chipState) addSeg(in *regionInst, net int, l geom.Micron, kth float64) {
-	in.segs = append(in.segs, sino.Seg{Net: net, Kth: kth, Rate: st.r.sens.Rate(net)})
+	in.Segs = append(in.Segs, sino.Seg{Net: net, Kth: kth, Rate: st.r.sens.Rate(net)})
 	in.lens = append(in.lens, l)
 }
 
-// instFor wraps a segment list into a solver instance — the single
-// construction site for every solve the chip issues (Phase II batches,
-// refinement repairs, pass-2 speculation). rel, when non-nil, is the
-// sensitivity snapshot of segments with the same nets in the same order.
-func (st *chipState) instFor(segs []sino.Seg, rel *keff.Relation) *sino.Instance {
-	return &sino.Instance{Segs: segs, Sensitive: st.r.sens.Sensitive, Model: st.r.model, Rel: rel}
-}
-
-// job builds the engine job for one instance. Every job passes the
-// instance's sensitivity snapshot, which its Phase II solve took on a
-// worker and apply kept, so no instance is hashed twice; a repair also
-// starts from the totals the instance holds.
+// job builds the engine job for one instance, on the instance it
+// carries. Every job passes the instance's sensitivity snapshot, which its
+// Phase II solve took on a worker and apply kept, so no instance is hashed
+// twice; a repair also starts from the totals the instance holds, and
+// writes its final totals back into them.
 func (st *chipState) job(in *regionInst, mode engine.Mode) engine.Job {
-	j := engine.Job{Inst: st.instFor(in.segs, in.rel), Mode: mode}
+	j := engine.Job{Inst: &in.Instance, Mode: mode}
 	if mode == engine.ModeRepair {
 		j.Prev, j.K = in.sol, in.k
 	}
@@ -423,7 +420,7 @@ func (st *chipState) job(in *regionInst, mode engine.Mode) engine.Job {
 // relation the solve ran on (nil from the ID+NO solver, which the flow
 // never re-solves).
 func (in *regionInst) apply(res engine.Result) {
-	in.sol, in.k, in.rel = res.Sol, res.Check.K, res.Rel
+	in.sol, in.k, in.Rel = res.Sol, res.Check.K, res.Rel
 }
 
 // solveAll runs the per-region solver for every instance — Phase II,
@@ -477,7 +474,7 @@ func (st *chipState) violating() []int {
 func (st *chipState) usage() *grid.Usage {
 	u := grid.NewUsage(st.r.design.Grid)
 	for _, in := range st.orderd {
-		demand := float64(len(in.segs))
+		demand := float64(len(in.Segs))
 		if in.sol != nil {
 			demand = float64(in.sol.NumTracks())
 		}
@@ -505,7 +502,7 @@ func (st *chipState) shieldCount() int {
 func (st *chipState) segCount() int {
 	n := 0
 	for _, in := range st.orderd {
-		n += len(in.segs)
+		n += len(in.Segs)
 	}
 	return n
 }

@@ -57,7 +57,7 @@ func (st *chipState) refine(ctx context.Context) (refineStats, error) {
 
 // density returns an instance's track demand over capacity.
 func (st *chipState) density(in *regionInst) float64 {
-	tracks := len(in.segs)
+	tracks := len(in.Segs)
 	if in.sol != nil {
 		tracks = in.sol.NumTracks()
 	}
@@ -87,9 +87,12 @@ const refineShrink = 0.7
 func (st *chipState) repairNet(ctx context.Context, net int, w *engine.Worker) (fixed bool, resolves int, touched []*regionInst, err error) {
 	kFloor := st.r.budgeter.Clamp(0)
 
-	tried := make(map[*regionInst]int)
-	seen := make(map[*regionInst]bool)
-	for inner := 0; inner < 3*len(st.terms[net])+8; inner++ {
+	// Per term of the net (one per instance it crosses): the repairs that
+	// failed to lower its segment's K, and whether touched lists it.
+	terms := st.terms[net]
+	tried := make([]uint8, len(terms))
+	seen := make([]bool, len(terms))
+	for inner := 0; inner < 3*len(terms)+8; inner++ {
 		if err := ctx.Err(); err != nil {
 			return false, resolves, touched, err // cancellation stops mid-net, not mid-solve
 		}
@@ -98,53 +101,53 @@ func (st *chipState) repairNet(ctx context.Context, net int, w *engine.Worker) (
 			return true, resolves, touched, nil
 		}
 		ratio := st.lskb[net] / lsk * refineShrink
-		t := st.leastCongestedTightenable(net, kFloor, tried)
-		if t == nil {
+		ti := st.leastCongestedTightenable(net, kFloor, tried)
+		if ti < 0 {
 			break // every segment at the floor or exhausted
 		}
-		in := t.inst
-		target := in.k[t.seg] * ratio
-		if cur := in.segs[t.seg].Kth; target >= cur {
+		in, seg := terms[ti].inst, terms[ti].seg
+		target := in.k[seg] * ratio
+		if cur := in.Segs[seg].Kth; target >= cur {
 			target = cur * refineShrink
 		}
 		if target < kFloor {
 			target = kFloor
 		}
-		before := in.k[t.seg]
-		in.segs[t.seg].Kth = target
+		before := in.k[seg]
+		in.Segs[seg].Kth = target
 		res := w.Do(st.job(in, engine.ModeRepair))
 		if res.Err != nil {
 			return false, resolves, touched, res.Err
 		}
 		in.apply(res)
 		resolves++
-		if !seen[in] {
-			seen[in] = true
+		if !seen[ti] {
+			seen[ti] = true
 			touched = append(touched, in)
 		}
-		if in.k[t.seg] >= before*(1-1e-9) {
+		if in.k[seg] >= before*(1-1e-9) {
 			// The solver could not reduce this segment further; stop
 			// revisiting it once it has had a couple of chances.
-			tried[in]++
+			tried[ti]++
 		}
 	}
 	return false, resolves, touched, nil
 }
 
-// leastCongestedTightenable picks the net's segment in the least congested
-// region whose bound is still above the floor, skipping instances that have
-// repeatedly failed to improve.
-func (st *chipState) leastCongestedTightenable(net int, kFloor float64, tried map[*regionInst]int) *segTerm {
-	var best *segTerm
+// leastCongestedTightenable returns the position, in the net's terms, of
+// its segment in the least congested region whose bound is still above
+// the floor, skipping terms that have repeatedly failed to improve (tried,
+// by term); -1 when there is none.
+func (st *chipState) leastCongestedTightenable(net int, kFloor float64, tried []uint8) int {
+	best := -1
 	bestDen := 0.0
-	for i := range st.terms[net] {
-		t := &st.terms[net][i]
-		if t.inst.segs[t.seg].Kth <= kFloor*(1+1e-9) || tried[t.inst] >= 2 {
+	for i, t := range st.terms[net] {
+		if t.inst.Segs[t.seg].Kth <= kFloor*(1+1e-9) || tried[i] >= 2 {
 			continue
 		}
 		den := st.density(t.inst)
-		if best == nil || den < bestDen {
-			best, bestDen = t, den
+		if best < 0 || den < bestDen {
+			best, bestDen = i, den
 		}
 	}
 	return best
@@ -169,13 +172,13 @@ type relaxPlan struct {
 // wave treats as an immutable snapshot.
 func (st *chipState) speculateRelax(tr *violTracker, in *regionInst, w *engine.Worker) (relaxPlan, error) {
 	p := relaxPlan{in: in}
-	kth := make([]float64, len(in.segs))
-	for i := range in.segs {
-		kth[i] = in.segs[i].Kth
+	kth := make([]float64, len(in.Segs))
+	for i := range in.Segs {
+		kth[i] = in.Segs[i].Kth
 	}
 	changed := false
-	for i := range in.segs {
-		net := in.segs[i].Net
+	for i := range in.Segs {
+		net := in.Segs[i].Net
 		slack := st.lskb[net] - tr.lsk[net]
 		if slack <= 0 || in.lens[i] <= 0 {
 			continue
@@ -190,11 +193,12 @@ func (st *chipState) speculateRelax(tr *violTracker, in *regionInst, w *engine.W
 	if !changed {
 		return p, nil
 	}
-	segs := append([]sino.Seg(nil), in.segs...)
-	for i := range segs {
-		segs[i].Kth = kth[i]
+	inst := in.Instance
+	inst.Segs = append([]sino.Seg(nil), in.Segs...)
+	for i := range inst.Segs {
+		inst.Segs[i].Kth = kth[i]
 	}
-	res := w.Do(engine.Job{Inst: st.instFor(segs, in.rel), Mode: engine.ModeSolve})
+	res := w.Do(engine.Job{Inst: &inst, Mode: engine.ModeSolve})
 	if res.Err != nil {
 		return p, res.Err
 	}
@@ -216,14 +220,14 @@ func (st *chipState) speculateRelax(tr *violTracker, in *regionInst, w *engine.W
 // Reports whether the plan was kept.
 func (st *chipState) acceptOrRevert(tr *violTracker, p *relaxPlan) bool {
 	in := p.in
-	oldKth := make([]float64, len(in.segs))
-	for i := range in.segs {
-		oldKth[i] = in.segs[i].Kth
+	oldKth := make([]float64, len(in.Segs))
+	for i := range in.Segs {
+		oldKth[i] = in.Segs[i].Kth
 	}
 	oldSol, oldK := in.sol, in.k
 
-	for i := range in.segs {
-		in.segs[i].Kth = p.kth[i]
+	for i := range in.Segs {
+		in.Segs[i].Kth = p.kth[i]
 	}
 	in.sol, in.k = p.sol, p.k
 	if in.sol.NumShields() < oldSol.NumShields() {
@@ -233,8 +237,8 @@ func (st *chipState) acceptOrRevert(tr *violTracker, p *relaxPlan) bool {
 			return true // accepted
 		}
 		// Revert, and re-flush so the tracker tracks the restored state.
-		for i := range in.segs {
-			in.segs[i].Kth = oldKth[i]
+		for i := range in.Segs {
+			in.Segs[i].Kth = oldKth[i]
 		}
 		in.sol, in.k = oldSol, oldK
 		tr.touchInst(in)
@@ -243,8 +247,8 @@ func (st *chipState) acceptOrRevert(tr *violTracker, p *relaxPlan) bool {
 	}
 	// Shields not reduced: revert without touching the tracker — the
 	// restored state is byte-identical to what the tracker last flushed.
-	for i := range in.segs {
-		in.segs[i].Kth = oldKth[i]
+	for i := range in.Segs {
+		in.Segs[i].Kth = oldKth[i]
 	}
 	in.sol, in.k = oldSol, oldK
 	return false

@@ -53,7 +53,7 @@ func TestRefineCancelMidRun(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for i, in := range st.orderd {
-		if in.sol == nil || len(in.k) != len(in.segs) || in.sol.NumTracks() < len(in.segs) {
+		if in.sol == nil || len(in.k) != len(in.Segs) || in.sol.NumTracks() < len(in.Segs) {
 			t.Fatalf("instance %d left torn by cancellation", i)
 		}
 	}

@@ -115,9 +115,9 @@ type instSnap struct {
 func snapshotState(st *chipState) []instSnap {
 	snaps := make([]instSnap, len(st.orderd))
 	for i, in := range st.orderd {
-		s := instSnap{kth: make([]float64, len(in.segs)), k: append([]float64(nil), in.k...)}
-		for j := range in.segs {
-			s.kth[j] = in.segs[j].Kth
+		s := instSnap{kth: make([]float64, len(in.Segs)), k: append([]float64(nil), in.k...)}
+		for j := range in.Segs {
+			s.kth[j] = in.Segs[j].Kth
 		}
 		if in.sol != nil {
 			s.sol = &sino.Solution{Tracks: append([]int(nil), in.sol.Tracks...)}
@@ -129,8 +129,8 @@ func snapshotState(st *chipState) []instSnap {
 
 func restoreState(st *chipState, snaps []instSnap) {
 	for i, in := range st.orderd {
-		for j := range in.segs {
-			in.segs[j].Kth = snaps[i].kth[j]
+		for j := range in.Segs {
+			in.Segs[j].Kth = snaps[i].kth[j]
 		}
 		if snaps[i].sol != nil {
 			in.sol = &sino.Solution{Tracks: append([]int(nil), snaps[i].sol.Tracks...)}
@@ -144,8 +144,8 @@ func restoreState(st *chipState, snaps []instSnap) {
 // instEqualsSnap reports whether the instance's mutable state matches the
 // snapshot exactly (bounds, track assignment, couplings, bit for bit).
 func instEqualsSnap(in *regionInst, s *instSnap) bool {
-	for j := range in.segs {
-		if in.segs[j].Kth != s.kth[j] {
+	for j := range in.Segs {
+		if in.Segs[j].Kth != s.kth[j] {
 			return false
 		}
 	}
@@ -204,7 +204,9 @@ func TestRefineEliminatesViolations(t *testing.T) {
 func checkHeldTotals(t *testing.T, st *chipState, when string) {
 	t.Helper()
 	for _, in := range st.orderd {
-		want := st.instFor(in.segs, nil).TotalK(in.sol)
+		fresh := in.Instance
+		fresh.Rel = nil
+		want := fresh.TotalK(in.sol)
 		if len(in.k) != len(want) {
 			t.Fatalf("%s: instance %d holds %d totals for %d segments", when, in.ord, len(in.k), len(want))
 		}
@@ -260,10 +262,10 @@ func TestHeldTotalsMatchSolutions(t *testing.T) {
 func TestKeptRelationsMatchSnapshots(t *testing.T) {
 	eachRefineState(t, func(st *chipState, when string) {
 		for _, in := range st.orderd {
-			if in.rel == nil {
+			if in.Rel == nil {
 				t.Fatalf("%s: instance %d kept no relation", when, in.ord)
 			}
-			if want := sino.NewRelation(in.segs, st.r.sens.Sensitive); !reflect.DeepEqual(in.rel, want) {
+			if want := sino.NewRelation(in.Segs, st.r.sens.Sensitive); !reflect.DeepEqual(in.Rel, want) {
 				t.Fatalf("%s: instance %d keeps a relation unlike its segments' snapshot", when, in.ord)
 			}
 		}
@@ -570,8 +572,8 @@ func TestTreeBudgetTighterForLongNets(t *testing.T) {
 		if manh.wl[i] < d.Nets.Nets[i].MaxSinkDistance() {
 			continue
 		}
-		mk := manh.terms[i][0].inst.segs[manh.terms[i][0].seg].Kth
-		tk := tree.terms[i][0].inst.segs[tree.terms[i][0].seg].Kth
+		mk := manh.terms[i][0].inst.Segs[manh.terms[i][0].seg].Kth
+		tk := tree.terms[i][0].inst.Segs[tree.terms[i][0].seg].Kth
 		if tk > mk*(1+1e-9) {
 			t.Fatalf("net %d: tree budget %g looser than Manhattan %g", i, tk, mk)
 		}

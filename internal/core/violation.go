@@ -62,8 +62,8 @@ func (t *violTracker) count() int { return t.n }
 // refresh. Call it for each instance a repair or relaxation mutated, then
 // flush once at the barrier.
 func (t *violTracker) touchInst(in *regionInst) {
-	for i := range in.segs {
-		if net := in.segs[i].Net; !t.dirtyMark[net] {
+	for i := range in.Segs {
+		if net := in.Segs[i].Net; !t.dirtyMark[net] {
 			t.dirtyMark[net] = true
 			t.dirty = append(t.dirty, net)
 		}

@@ -66,15 +66,15 @@ func TestViolTrackerOracleRandomEdits(t *testing.T) {
 			pending := 0
 			for step := 0; step < 60; step++ {
 				in := st.orderd[rng.Intn(len(st.orderd))]
-				if len(in.segs) == 0 || in.sol == nil {
+				if len(in.Segs) == 0 || in.sol == nil {
 					continue
 				}
-				seg := rng.Intn(len(in.segs))
+				seg := rng.Intn(len(in.Segs))
 				if rng.Intn(2) == 0 {
 					// Repair-style edit: tighten one bound, shield-insert.
-					in.segs[seg].Kth *= 0.6 + 0.3*rng.Float64()
-					if in.segs[seg].Kth < 0.05 {
-						in.segs[seg].Kth = 0.05
+					in.Segs[seg].Kth *= 0.6 + 0.3*rng.Float64()
+					if in.Segs[seg].Kth < 0.05 {
+						in.Segs[seg].Kth = 0.05
 					}
 					res := w.Do(st.job(in, engine.ModeRepair))
 					if res.Err != nil {
@@ -83,7 +83,7 @@ func TestViolTrackerOracleRandomEdits(t *testing.T) {
 					in.apply(res)
 				} else {
 					// Relax-style edit: loosen one bound, full re-solve.
-					in.segs[seg].Kth *= 1 + 0.4*rng.Float64()
+					in.Segs[seg].Kth *= 1 + 0.4*rng.Float64()
 					res := w.Do(st.job(in, engine.ModeSolve))
 					if res.Err != nil {
 						t.Fatal(res.Err)

@@ -52,7 +52,8 @@ const (
 	// ModeRepair improves an existing solution by shield insertion only
 	// (sino.Repair) — Phase III pass 1's cheap re-solve. Job.Prev is
 	// repaired in place, starting from its totals Job.K, and returned as
-	// the result solution.
+	// the result solution; the repaired totals are written back into
+	// Job.K, which the result's Check.K is.
 	ModeRepair
 )
 
@@ -150,8 +151,8 @@ type Engine struct {
 	ctlLane  obs.Lane   // batch-level spans (Run/RunTasks/RunOn calls)
 	jobLanes []obs.Lane // per-worker job/task spans; nil when untraced
 
-	runMu sync.Mutex   // serializes Run calls
-	evals []*sino.Eval // one per worker, reused across calls; nil without a model
+	runMu sync.Mutex // serializes Run calls
+	pool  []Worker   // one per worker, reused across calls; nil without a model
 
 	jobs    atomic.Uint64
 	tasks   atomic.Uint64
@@ -186,9 +187,9 @@ func New(cfg Config) *Engine {
 	e.model = cfg.Model
 	// Each worker's evaluator buffers persist across every Run and RunOn
 	// batch it serves; slot w is touched by one drain goroutine per batch.
-	e.evals = make([]*sino.Eval, w)
-	for i := range e.evals {
-		e.evals[i] = sino.NewEval()
+	e.pool = make([]Worker, w)
+	for i := range e.pool {
+		e.pool[i] = Worker{e: e, ev: sino.NewEval()}
 	}
 	return e
 }
@@ -210,8 +211,8 @@ func (e *Engine) EvalStats() sino.EvalStats {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
 	var s sino.EvalStats
-	for _, ev := range e.evals {
-		s = s.Add(ev.Stats())
+	for i := range e.pool {
+		s = s.Add(e.pool[i].ev.Stats())
 	}
 	return s
 }
@@ -296,7 +297,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 			return
 		}
 		jsp := e.trace.Start(e.workerLane(w), "job", jobs[i].Mode.String()).Arg("job", int64(i))
-		results[i] = e.solveJob(&jobs[i], e.evals[w])
+		results[i] = e.solveJob(&jobs[i], &e.pool[w])
 		jsp.End()
 	})
 	bsp.End()
@@ -304,13 +305,15 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 }
 
 // Worker is one pool worker's private solve context: its pooled
-// incremental evaluator. RunOn hands a Worker to each task it schedules; tasks solve
-// instances through Do instead of calling Run (the pool is already held
-// for the duration of the batch). A Worker must not be used from more than
-// one goroutine at a time.
+// incremental evaluator and the instance each job is copied into, with the
+// engine's model swapped in. RunOn hands a Worker to each task it
+// schedules; tasks solve instances through Do instead of calling Run (the
+// pool is already held for the duration of the batch). A Worker must not
+// be used from more than one goroutine at a time.
 type Worker struct {
-	e  *Engine
-	ev *sino.Eval
+	e    *Engine
+	ev   *sino.Eval
+	inst sino.Instance
 }
 
 // Do solves one job with this worker's private resources — the single-job
@@ -318,7 +321,7 @@ type Worker struct {
 // exactly (model swap, panic conversion, counters), so a job solved
 // through Do is bit-identical to the same job solved through Run.
 func (w *Worker) Do(job Job) Result {
-	return w.e.solveJob(&job, w.ev)
+	return w.e.solveJob(&job, w)
 }
 
 // RunOn executes tasks on the bounded pool, handing each the executing
@@ -341,16 +344,12 @@ func (e *Engine) RunOn(ctx context.Context, tasks []func(*Worker) error) error {
 	}
 	e.waves.Add(1)
 	errs := make([]error, len(tasks))
-	workers := make([]*Worker, e.workers) // each slot touched by one goroutine
 	bsp := e.trace.Start(e.ctlLane, "engine", "wave").Arg("tasks", int64(len(tasks)))
 	e.drain(len(tasks), func(w, i int) {
 		if ctx.Err() != nil {
 			return // drain remaining indices without running them
 		}
-		if workers[w] == nil {
-			workers[w] = &Worker{e: e, ev: e.evals[w]}
-		}
-		wk := workers[w]
+		wk := &e.pool[w]
 		tsp := e.trace.Start(e.workerLane(w), "wave", "wave task").Arg("task", int64(i))
 		errs[i] = e.runTask(func() error { return tasks[i](wk) })
 		tsp.End()
@@ -417,9 +416,9 @@ func (e *Engine) runTask(task func() error) (err error) {
 	return task()
 }
 
-// solveJob runs one job on one worker, converting solver panics (invalid
-// instances) into per-job errors. ev is the worker's pooled evaluator.
-func (e *Engine) solveJob(job *Job, ev *sino.Eval) (res Result) {
+// solveJob runs one job on worker w, converting solver panics (invalid
+// instances) into per-job errors.
+func (e *Engine) solveJob(job *Job, w *Worker) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("engine: %s job panicked: %v", job.Mode, r)}
@@ -435,17 +434,18 @@ func (e *Engine) solveJob(job *Job, ev *sino.Eval) (res Result) {
 	if job.Inst == nil {
 		return Result{Err: fmt.Errorf("engine: %s job has no instance", job.Mode)}
 	}
-	// Shallow copy so swapping in the engine's model never races with the
-	// caller's view of the instance.
-	inst := *job.Inst
-	inst.Model = e.model
+	// Shallow copy into the worker's instance, so swapping in the engine's
+	// model never races with the caller's view of the instance.
+	w.inst = *job.Inst
+	w.inst.Model = e.model
+	inst, ev := &w.inst, w.ev
 
 	switch job.Mode {
 	case ModeSolve:
-		sol, chk := sino.SolveWith(ev, &inst)
+		sol, chk := sino.SolveWith(ev, inst)
 		return Result{Sol: sol, Check: chk, Rel: ev.Relation()}
 	case ModeNetOrder:
-		sol, chk := sino.NetOrderOnly(&inst)
+		sol, chk := sino.NetOrderOnly(inst)
 		return Result{Sol: sol, Check: chk}
 	case ModeRepair:
 		if job.Prev == nil {
@@ -454,7 +454,7 @@ func (e *Engine) solveJob(job *Job, ev *sino.Eval) (res Result) {
 		if len(job.K) != len(inst.Segs) {
 			return Result{Err: fmt.Errorf("engine: repair job has %d totals for %d segments", len(job.K), len(inst.Segs))}
 		}
-		chk := sino.RepairWith(ev, &inst, job.Prev, job.K)
+		chk := sino.RepairWith(ev, inst, job.Prev, job.K)
 		return Result{Sol: job.Prev, Check: chk, Rel: ev.Relation()}
 	default:
 		return Result{Err: fmt.Errorf("engine: unknown mode %d", int(job.Mode))}

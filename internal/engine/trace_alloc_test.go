@@ -28,3 +28,26 @@ func BenchmarkUntracedJobSpan(b *testing.B) {
 		e.trace.Start(e.workerLane(0), "job", ModeSolve.String()).Arg("job", int64(i)).End()
 	}
 }
+
+// TestRepairJobAllocations pins what an engine repair job allocates
+// through Worker.Do: a repair that inserts no shield allocates only the
+// report it returns. The worker copies the job's instance into its own
+// before swapping in the engine's model, and the repair writes its totals
+// into the job's K.
+func TestRepairJobAllocations(t *testing.T) {
+	jobs := makeJobs(1, ModeSolve)
+	w := &newFor(1, jobs).pool[0]
+	base := w.Do(jobs[0])
+	if base.Err != nil || !base.Check.Feasible() {
+		t.Fatalf("fixture solve: %v, feasible %v", base.Err, base.Check != nil && base.Check.Feasible())
+	}
+	inst := *jobs[0].Inst
+	inst.Rel = base.Rel
+	job := Job{Inst: &inst, Mode: ModeRepair, Prev: base.Sol, K: base.Check.K}
+	if got := testing.AllocsPerRun(100, func() { w.Do(job) }); got != 1 {
+		t.Errorf("repair job through Worker.Do: %v allocations, want 1 (its report)", got)
+	}
+	if res := w.Do(job); res.Err != nil || &res.Check.K[0] != &job.K[0] || res.Sol != base.Sol {
+		t.Errorf("repair job did not repair in place into its totals: %+v", res)
+	}
+}

@@ -39,24 +39,31 @@ const Shield = -1
 // K_ij factors into terms of each wire alone — its current split and
 // effective loop inductance, functions of its two return distances — and
 // nine partial mutuals between the two wires and their returns, all read
-// from one distance-indexed row. Return distances from a shield table are
-// 1…backgroundReturn, and in-cutoff pairs reach mutuals at most
-// pairCutoff + 2·backgroundReturn pitches apart, so NewModel builds both
-// tables once (about 4 KB); a pair evaluation is then nine row reads and
-// a dozen flops. A Model is immutable and safe for concurrent use.
+// from one row indexed by signed separation. Return distances from a
+// shield table are 1…backgroundReturn, so a pair d tracks apart reads
+// mutuals at most |d| + 2·backgroundReturn pitches apart; NewModel builds
+// both tables once (about 5.5 KB), and a pair within inRowSep is then
+// nine row reads and a dozen flops. A Model is immutable and safe for
+// concurrent use.
 type Model struct {
 	tech *tech.Technology
 
-	mu    [rowLen]float64 // mu[d] = partial mutual at d track pitches; mu[0] = Lself
+	// row[uint8(x+rowMid)] is the partial mutual at a signed separation
+	// of x pitches, |x| < rowMid: the row mirrored over negative
+	// separations, row[rowMid] = Lself.
+	row   [2 * rowMid]float64
 	wires [backgroundReturn * backgroundReturn]wire
 }
 
 // NewModel returns a Model over t, its tables built.
 func NewModel(t *tech.Technology) *Model {
 	m := &Model{tech: t}
-	m.mu[0] = t.LSelf(refLength)
-	for d := 1; d < rowLen; d++ {
-		m.mu[d] = m.farMutual(d)
+	for i := range m.row {
+		if x := i - rowMid; x == 0 {
+			m.row[i] = t.LSelf(refLength)
+		} else {
+			m.row[i] = m.far(x)
+		}
 	}
 	for l := 1; l <= backgroundReturn; l++ {
 		for r := 1; r <= backgroundReturn; r++ {
@@ -93,31 +100,26 @@ const backgroundReturn = 12
 // AllTotals and TotalCoupling skip pairs beyond the cutoff.
 const pairCutoff = 4 * backgroundReturn
 
-// rowLen covers every mutual an in-cutoff pair with capped returns reads:
-// a wire's return to the far side of its partner's, |d| + 2·12 pitches.
-const rowLen = pairCutoff + 2*backgroundReturn + 1
+// rowMid is the row's zero separation: the row covers separations
+// −rowMid…rowMid−1, so a uint8 index cannot leave it.
+const rowMid = 128
 
-// mutualAt returns the partial mutual inductance between two parallel wires
-// d track pitches apart (d = 0 returns the self-inductance). Distances past
-// the row — sidePull's partners beyond the cutoff, or returns beyond the
-// background rail — are computed by the same formula the row was built
-// with, so they carry the same bits a longer row would.
-func (m *Model) mutualAt(d int) float64 {
-	if d < 0 {
-		d = -d
-	}
-	if uint(d) < rowLen {
-		return m.mu[d]
-	}
-	return m.farMutual(d)
-}
+// inRowSep is the largest track separation whose pairs read only the
+// row: a wire's return to the far side of its partner's lies |d| + 2·12
+// pitches away. Every in-cutoff pair is in the row; sidePull's far
+// partners may not be.
+const inRowSep = rowMid - 1 - 2*backgroundReturn
 
-// farMutual computes the partial mutual at d > 0 pitches. It stays out of
-// line so that mutualAt, called nine times per pair, inlines.
-//
-//go:noinline
-func (m *Model) farMutual(d int) float64 {
-	return m.tech.LMutual(float64(d)*m.tech.Pitch(), refLength)
+// at returns the partial mutual at a signed separation of x pitches,
+// |x| < rowMid. The index wraps into the row instead of leaving it, so
+// the read has neither a sign branch nor a bounds check.
+func (m *Model) at(x int) float64 { return m.row[uint8(x+rowMid)] }
+
+// far computes the partial mutual at a signed separation of x ≠ 0
+// pitches by the formula the row is built with, so a read past the row
+// carries the bits a longer row would.
+func (m *Model) far(x int) float64 {
+	return m.tech.LMutual(float64(max(x, -x))*m.tech.Pitch(), refLength)
 }
 
 // wire holds the terms of K_ij that depend on one wire alone.
@@ -131,9 +133,9 @@ type wire struct {
 // inductances Lloop = 2·(L − M(return)) — the tighter loop carries more —
 // floored at 1e-3·L.
 func (m *Model) wireAt(l, r int) wire {
-	ls := m.mu[0]
+	ls := m.at(0)
 	loop := func(d int) float64 {
-		ll := 2 * (ls - m.mutualAt(d))
+		ll := 2 * (ls - m.at(d))
 		if ll < 1e-3*ls {
 			ll = 1e-3 * ls
 		}
@@ -150,22 +152,36 @@ func (m *Model) wireTerms(l, r int) *wire {
 	return &m.wires[(l-1)*backgroundReturn+r-1]
 }
 
-// pair is K_ij for signal tracks d = tj − ti apart, wire i returning il and
-// ir pitches to its left and right, wire j jl and jr, with their terms wi
-// and wj. It averages the loop-to-loop mutual over the four return
-// combinations (a, b), weighted by both current splits:
+// pair is K_ij for signal tracks d = tj − ti apart, |d| ≤ inRowSep, wire
+// i returning il and ir pitches to its left and right, wire j jl and jr,
+// with their terms wi and wj: the in-row kernel every totals pass runs,
+// its nine mutuals read from the row.
+func (m *Model) pair(d, il, ir, jl, jr int, wi, wj *wire) float64 {
+	return loopK(wi, wj, m.at(d), m.at(jl-d), m.at(d+jr), m.at(d+il), m.at(ir-d),
+		m.at(d+il-jl), m.at(d+il+jr), m.at(d-ir-jl), m.at(d-ir+jr))
+}
+
+// pairFar is pair for |d| > inRowSep, whose reads leave the row: the same
+// nine separations, each mutual computed by the formula.
+func (m *Model) pairFar(d, il, ir, jl, jr int, wi, wj *wire) float64 {
+	return loopK(wi, wj, m.far(d), m.far(jl-d), m.far(d+jr), m.far(d+il), m.far(ir-d),
+		m.far(d+il-jl), m.far(d+il+jr), m.far(d-ir-jl), m.far(d-ir+jr))
+}
+
+// loopK combines a pair's nine partial mutuals into K_ij: md between the
+// wires, mjl and mjr from wire i to j's returns, mil and mir from i's
+// returns to wire j, and mab between i's return a and j's return b. It
+// averages the loop-to-loop mutual over the four return combinations
+// (a, b), weighted by both current splits:
 //
 //	Mloop(a, b) = M(w_i,w_j) − M(w_i,s_j^b) − M(s_i^a,w_j) + M(s_i^a,s_j^b)
 //	K_ij = |Σ w_i^a·w_j^b·Mloop(a, b)| / √(Leff_i·Leff_j)
-func (m *Model) pair(d, il, ir, jl, jr int, wi, wj *wire) float64 {
-	md := m.mutualAt(d)
-	mjl, mjr := m.mutualAt(jl-d), m.mutualAt(d+jr) // wire i to j's returns
-	mil, mir := m.mutualAt(d+il), m.mutualAt(ir-d) // i's returns to wire j
+func loopK(wi, wj *wire, md, mjl, mjr, mil, mir, mll, mlr, mrl, mrr float64) float64 {
 	var mloop float64
-	mloop += wi.w[0] * wj.w[0] * (md - mjl - mil + m.mutualAt(d+il-jl))
-	mloop += wi.w[0] * wj.w[1] * (md - mjr - mil + m.mutualAt(d+il+jr))
-	mloop += wi.w[1] * wj.w[0] * (md - mjl - mir + m.mutualAt(d-ir-jl))
-	mloop += wi.w[1] * wj.w[1] * (md - mjr - mir + m.mutualAt(d-ir+jr))
+	mloop += wi.w[0] * wj.w[0] * (md - mjl - mil + mll)
+	mloop += wi.w[0] * wj.w[1] * (md - mjr - mil + mlr)
+	mloop += wi.w[1] * wj.w[0] * (md - mjl - mir + mrl)
+	mloop += wi.w[1] * wj.w[1] * (md - mjr - mir + mrr)
 	k := math.Abs(mloop) / math.Sqrt(wi.leff*wj.leff)
 	if k >= 1 {
 		k = 0.999999

@@ -252,20 +252,20 @@ func TestPairCutoff(t *testing.T) {
 
 func TestMutualMemoConsistency(t *testing.T) {
 	m := model()
-	// Force extension out of order and check against direct formulas.
-	v7 := m.mutualAt(7)
-	v3 := m.mutualAt(3)
+	// The mirrored row against the direct formulas, on both sides of 0.
+	v7 := m.at(7)
+	v3 := m.at(3)
 	tc := tech.Default()
 	want3 := tc.LMutual(3*tc.Pitch(), 1e-3)
 	want7 := tc.LMutual(7*tc.Pitch(), 1e-3)
 	if math.Abs(v3-want3) > 1e-18 || math.Abs(v7-want7) > 1e-18 {
-		t.Errorf("memoized mutuals diverge from formulas: got (%g,%g) want (%g,%g)", v3, v7, want3, want7)
+		t.Errorf("row mutuals diverge from formulas: got (%g,%g) want (%g,%g)", v3, v7, want3, want7)
 	}
-	if m.mutualAt(-3) != v3 {
-		t.Error("mutualAt not symmetric in sign")
+	if m.at(-3) != v3 {
+		t.Error("mutual row not symmetric in sign")
 	}
-	if m.mutualAt(0) != tc.LSelf(1e-3) {
-		t.Error("mutualAt(0) != LSelf")
+	if m.at(0) != tc.LSelf(1e-3) {
+		t.Error("mutual row at 0 != LSelf")
 	}
 }
 
@@ -285,8 +285,8 @@ func TestCloneIsIndependentAndEquivalent(t *testing.T) {
 		}
 	}
 	// The clone holds its own tables, not views of the original's.
-	clone.mu[3], clone.wires[0].leff = 0, 0
-	if m.mu[3] == 0 || m.wires[0].leff == 0 {
+	clone.row[rowMid+3], clone.wires[0].leff = 0, 0
+	if m.row[rowMid+3] == 0 || m.wires[0].leff == 0 {
 		t.Error("writing the clone's tables changed the original's")
 	}
 }

@@ -91,37 +91,77 @@ func oracleTotals(o *oracleModel, tr []int, shields [][2]int, sensitive func(a, 
 
 // TestPairMatchesOracleExhaustive sweeps every geometry a shield table can
 // produce within the pair cutoff: separations ±1…48 and each of the four
-// return distances 1…12, 1,990,656 in all. Pair must return the oracle's
-// bits.
+// return distances 1…12, 1,990,656 in all. Pair, and the in-row kernel
+// pair that AllTotalsInto and TrackTotal call, must return the oracle's
+// bits. Pair then switches from the row to the formula past inRowSep:
+// every return geometry at separations ±95…±110 must match through Pair,
+// through pair while the row holds it and through pairFar, and far
+// partners to ±400 through Pair on a grid of returns.
 func TestPairMatchesOracleExhaustive(t *testing.T) {
 	m := NewModel(tech.Default())
 	o := &oracleModel{Tech: tech.Default()}
 	const ti, bg = 0, backgroundReturn
-	n := 0
-	for d := -pairCutoff; d <= pairCutoff; d++ {
-		if d == 0 {
-			continue
-		}
-		tj := ti + d
-		for il := 1; il <= bg; il++ {
-			for ir := 1; ir <= bg; ir++ {
-				si := [2]int{ti - il, ti + ir}
-				for jl := 1; jl <= bg; jl++ {
-					for jr := 1; jr <= bg; jr++ {
-						sj := [2]int{tj - jl, tj + jr}
-						want := o.pairCouplingAt(ti, tj, si, sj)
-						if got := m.Pair(ti, tj, si, sj); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("Pair d=%d returns (%d,%d) (%d,%d) = %v, oracle %v", d, il, ir, jl, jr, got, want)
+	// sweep calls check for every separation in ds and every return
+	// geometry from rets, and returns how many it checked.
+	sweep := func(ds, rets []int, check func(d, il, ir, jl, jr int, want float64)) int {
+		n := 0
+		for _, d := range ds {
+			tj := ti + d
+			for _, il := range rets {
+				for _, ir := range rets {
+					si := [2]int{ti - il, ti + ir}
+					for _, jl := range rets {
+						for _, jr := range rets {
+							check(d, il, ir, jl, jr, o.pairCouplingAt(ti, tj, si, [2]int{tj - jl, tj + jr}))
+							n++
 						}
-						n++
 					}
 				}
 			}
 		}
+		return n
 	}
+	same := func(what string, d, il, ir, jl, jr int, got, want float64) {
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Helper()
+			t.Fatalf("%s d=%d returns (%d,%d) (%d,%d) = %v, oracle %v", what, d, il, ir, jl, jr, got, want)
+		}
+	}
+	pairOf := func(d, il, ir, jl, jr int) float64 {
+		return m.Pair(ti, ti+d, [2]int{ti - il, ti + ir}, [2]int{ti + d - jl, ti + d + jr})
+	}
+	seps := func(lo, hi int) []int {
+		var ds []int
+		for d := lo; d <= hi; d++ {
+			ds = append(ds, -d, d)
+		}
+		return ds
+	}
+	var all []int
+	for r := 1; r <= bg; r++ {
+		all = append(all, r)
+	}
+
+	n := sweep(seps(1, pairCutoff), all, func(d, il, ir, jl, jr int, want float64) {
+		same("Pair", d, il, ir, jl, jr, pairOf(d, il, ir, jl, jr), want)
+		same("pair", d, il, ir, jl, jr, m.pair(d, il, ir, jl, jr, m.wireTerms(il, ir), m.wireTerms(jl, jr)), want)
+	})
 	if n != 2*pairCutoff*bg*bg*bg*bg {
 		t.Fatalf("swept %d geometries", n)
 	}
+
+	sweep(seps(95, 110), all, func(d, il, ir, jl, jr int, want float64) {
+		wi, wj := m.wireTerms(il, ir), m.wireTerms(jl, jr)
+		same("Pair", d, il, ir, jl, jr, pairOf(d, il, ir, jl, jr), want)
+		same("pairFar", d, il, ir, jl, jr, m.pairFar(d, il, ir, jl, jr, wi, wj), want)
+		if d <= inRowSep && -d <= inRowSep {
+			same("pair", d, il, ir, jl, jr, m.pair(d, il, ir, jl, jr, wi, wj), want)
+		}
+	})
+
+	sweep(seps(111, 400), []int{1, 2, 7, bg}, func(d, il, ir, jl, jr int, want float64) {
+		same("Pair", d, il, ir, jl, jr, pairOf(d, il, ir, jl, jr), want)
+	})
 }
 
 // TestCouplerCacheBeyondCutoff covers the single-pair callers that reach

@@ -2,15 +2,21 @@ package keff
 
 // This file holds the pair-summing entry points the incremental SINO
 // evaluator (internal/sino) runs in its inner loops. Each evaluates pairs
-// from the model's tables (wireTerms, mutualAt) through the one kernel,
-// pair, with the fixed wire's terms read once per row.
+// from the model's tables (wireTerms, the mutual row) through the one
+// kernel, with the fixed wire's terms read once per row. The totals
+// passes only sum in-cutoff pairs, so they always run the in-row pair.
 
 // Pair returns K_ij for signal tracks at positions ti and tj given each
 // wire's left/right return conductors, as ShieldTableInto produces them
-// (return distances within the background return).
+// (return distances within the background return). Separations past
+// inRowSep take pairFar.
 func (m *Model) Pair(ti, tj int, si, sj [2]int) float64 {
 	il, ir, jl, jr := ti-si[0], si[1]-ti, tj-sj[0], sj[1]-tj
-	return m.pair(tj-ti, il, ir, jl, jr, m.wireTerms(il, ir), m.wireTerms(jl, jr))
+	d, wi, wj := tj-ti, m.wireTerms(il, ir), m.wireTerms(jl, jr)
+	if d <= inRowSep && -d <= inRowSep {
+		return m.pair(d, il, ir, jl, jr, wi, wj)
+	}
+	return m.pairFar(d, il, ir, jl, jr, wi, wj)
 }
 
 // TrackTotal returns the total coupling K of the signal track at position

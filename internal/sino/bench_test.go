@@ -88,9 +88,9 @@ func benchPolishBody(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Bind + Load + polish is the per-job shape an engine worker pays.
+		// Bind + load + polish is the per-job shape an engine worker pays.
 		ev.Bind(in)
-		if err := ev.Load(padded); err != nil {
+		if err := ev.load(padded.Tracks, nil); err != nil {
 			b.Fatal(err)
 		}
 		ev.polish()

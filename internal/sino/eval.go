@@ -48,6 +48,8 @@ type Eval struct {
 	k       []float64 // per-segment coupling totals, bit-equal to TotalK
 	kt      []float64 // scratch: per-track totals for full recomputes
 
+	build buildScratch // a solve's construction, which the solve then loads
+
 	capPairs int // adjacent sensitive pairs (capacitive violations)
 	nShields int
 	nOver    int // segments with k > Kth
@@ -114,19 +116,16 @@ func (e *Eval) Bind(in *Instance) {
 // so a caller may keep it for later solves of the same segments.
 func (e *Eval) Relation() *keff.Relation { return e.rel }
 
-// Load resets the evaluator to solution s, rebuilding every maintained
-// quantity from scratch. It reports structural problems (missing,
-// duplicated, or unknown segments); on error the evaluator must be
-// Loaded again before use.
-func (e *Eval) Load(s *Solution) error { return e.load(s, nil) }
-
-// load is Load taking s's per-segment totals from k when non-nil (see
-// RepairWith) instead of summing them; the over-bound count is recounted
-// against the bound instance's bounds either way.
-func (e *Eval) load(s *Solution, k []float64) error {
+// load resets the evaluator to the track stack tracks, rebuilding every
+// maintained quantity: its per-segment totals are taken from k when
+// non-nil (see RepairWith) and summed otherwise, and the over-bound count
+// is recounted against the bound instance's bounds either way. It reports
+// structural problems (missing, duplicated, or unknown segments); on error
+// the evaluator must be loaded again before use.
+func (e *Eval) load(tracks []int, k []float64) error {
 	n := len(e.in.Segs)
 	e.stats.Loads++
-	e.tracks = append(e.tracks[:0], s.Tracks...)
+	e.tracks = append(e.tracks[:0], tracks...)
 	e.pos = growInts(e.pos, n)
 	for i := range e.pos {
 		e.pos[i] = -1
@@ -189,8 +188,13 @@ func (e *Eval) Solution() *Solution {
 // Check builds the verification report of the current solution, equal
 // field by field to Instance.verify on it — including the exact K bits —
 // without the from-scratch pair summation.
-func (e *Eval) Check() *Check {
-	c := &Check{WorstSeg: -1}
+func (e *Eval) Check() *Check { return e.check(make([]float64, len(e.k))) }
+
+// check is Check copying the totals into k, len(e.k), which the report
+// keeps as its K.
+func (e *Eval) check(k []float64) *Check {
+	c := &Check{WorstSeg: -1, K: k}
+	copy(k, e.k)
 	prev := -1
 	for t, v := range e.tracks {
 		if v == Shield {
@@ -202,7 +206,6 @@ func (e *Eval) Check() *Check {
 		}
 		prev = t
 	}
-	c.K = append([]float64(nil), e.k...)
 	for i, k := range c.K {
 		kth := e.in.Segs[i].Kth
 		if k > kth {

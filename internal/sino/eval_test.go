@@ -87,7 +87,7 @@ func runEditScript(t *testing.T, in *Instance, n int, rate float64, seed int64) 
 	rng := rand.New(rand.NewSource(seed * 31))
 	e := NewEval()
 	e.Bind(in)
-	if err := e.Load(randomSolution(n, rate, rng)); err != nil {
+	if err := e.load(randomSolution(n, rate, rng).Tracks, nil); err != nil {
 		t.Fatalf("n=%d rate=%g: load: %v", n, rate, err)
 	}
 	assertEvalMatchesVerify(t, in, e, "after load")
@@ -306,11 +306,11 @@ func TestEvalLoadReportsStructuralErrors(t *testing.T) {
 		{"duplicate segment", []int{0, 1, 1, 2}},
 		{"unknown segment", []int{0, 1, 2, 7}},
 	} {
-		if err := e.Load(&Solution{Tracks: c.tracks}); err == nil {
+		if err := e.load(c.tracks, nil); err == nil {
 			t.Errorf("%s: want error", c.name)
 		}
 	}
-	if err := e.Load(&Solution{Tracks: []int{2, Shield, 0, 1}}); err != nil {
+	if err := e.load([]int{2, Shield, 0, 1}, nil); err != nil {
 		t.Errorf("valid solution rejected: %v", err)
 	}
 }

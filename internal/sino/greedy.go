@@ -2,7 +2,7 @@ package sino
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/keff"
 )
@@ -19,20 +19,20 @@ func Solve(in *Instance) (*Solution, *Check) {
 
 // SolveWith is Solve running on a caller-supplied evaluator, whose buffers
 // it reuses — the form solver pools use (the engine keeps one evaluator per
-// worker). The evaluator is left bound to in.
+// worker). The construction and the solve work in the evaluator's arrays;
+// only the returned solution and report are allocated. The evaluator is
+// left bound to in.
 func SolveWith(e *Eval, in *Instance) (*Solution, *Check) {
 	if err := in.Validate(); err != nil {
 		panic(err.Error())
 	}
 	e.Bind(in)
-	s := in.construct(true, e.rel)
-	if err := e.Load(s); err != nil {
+	if err := e.load(in.construct(true, e.rel, &e.build), nil); err != nil {
 		panic(err.Error()) // unreachable: construct places every segment once
 	}
 	e.repairK()
 	e.polish()
-	e.store(s)
-	return s, e.Check()
+	return e.Solution(), e.Check()
 }
 
 // NetOrderOnly runs the NO baseline: pure net ordering, no shields, greedily
@@ -44,37 +44,55 @@ func NetOrderOnly(in *Instance) (*Solution, *Check) {
 		panic(err.Error())
 	}
 	rel := in.relation()
-	s := in.construct(false, rel)
+	s := &Solution{Tracks: in.construct(false, rel, &buildScratch{tracks: make([]int, 0, len(in.Segs))})}
 	improveOrdering(s, rel)
 	return s, in.verify(s, rel)
 }
 
-// construct builds an initial sequence. Segments are taken in decreasing
-// conflict-degree order; at each step the highest-degree segment not
-// sensitive to the last placed one is appended. When every remaining
-// segment conflicts, a shield is appended (withShields) or the
-// least-conflicting segment is accepted (ordering-only). rel is the
-// instance's relation; a segment's conflict degree is its row's popcount.
-func (in *Instance) construct(withShields bool, rel *keff.Relation) *Solution {
+// buildScratch holds construct's working arrays and the sequence it
+// builds: the pooled evaluator keeps one, so a solve reuses them.
+type buildScratch struct {
+	deg, order []int
+	placed     []bool
+	tracks     []int
+}
+
+// construct builds an initial sequence into sc.tracks and returns it.
+// Segments are taken in decreasing conflict-degree order; at each step the
+// highest-degree segment not sensitive to the last placed one is
+// appended. When every remaining segment conflicts, a shield is appended
+// (withShields) or the least-conflicting segment is accepted
+// (ordering-only). rel is the instance's relation; a segment's conflict
+// degree is its row's popcount. sc's arrays are grown as needed.
+func (in *Instance) construct(withShields bool, rel *keff.Relation, sc *buildScratch) []int {
 	n := len(in.Segs)
-	deg := make([]int, n)
-	order := make([]int, n)
+	sc.deg, sc.order = growInts(sc.deg, n), growInts(sc.order, n)
+	deg, order := sc.deg, sc.order
 	for i := range order {
 		deg[i] = rel.Degree(i)
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := deg[order[a]], deg[order[b]]
-		if da != db {
-			return da > db
+	slices.SortFunc(order, func(a, b int) int {
+		if deg[a] != deg[b] {
+			return deg[b] - deg[a]
 		}
 		// Tie-break: tighter bound first, so constrained segments get
 		// favorable (edge) positions.
-		return in.Segs[order[a]].Kth < in.Segs[order[b]].Kth
+		switch ka, kb := in.Segs[a].Kth, in.Segs[b].Kth; {
+		case ka < kb:
+			return -1
+		case ka > kb:
+			return 1
+		}
+		return 0
 	})
 
-	placed := make([]bool, n)
-	tracks := make([]int, 0, n)
+	if cap(sc.placed) < n {
+		sc.placed = make([]bool, n)
+	}
+	placed := sc.placed[:n]
+	clear(placed)
+	tracks := sc.tracks[:0]
 	last := Shield // nothing yet; shields clear adjacency
 	for count := 0; count < n; {
 		pick := -1
@@ -109,7 +127,8 @@ func (in *Instance) construct(withShields bool, rel *keff.Relation) *Solution {
 		last = pick
 		count++
 	}
-	return &Solution{Tracks: tracks}
+	sc.tracks = tracks
+	return tracks
 }
 
 // repairK inserts shields until every segment meets its inductive bound or
@@ -187,7 +206,10 @@ func Repair(in *Instance, s *Solution) *Check {
 // RepairWith is Repair on a caller-supplied evaluator (see SolveWith),
 // given k, s's per-segment totals: the Check.K of the solve or repair
 // that produced s. Totals do not depend on the bounds, so a check taken
-// under other Kth values serves, and the load skips its totals pass.
+// under other Kth values serves, and the load skips its totals pass. The
+// repair writes its final totals back into k, which the returned report
+// holds as its K, so a repair that inserts no shield allocates only that
+// report.
 func RepairWith(e *Eval, in *Instance, s *Solution, k []float64) *Check {
 	if err := in.Validate(); err != nil {
 		panic(err.Error())
@@ -196,12 +218,12 @@ func RepairWith(e *Eval, in *Instance, s *Solution, k []float64) *Check {
 		panic(fmt.Sprintf("sino: repair given %d totals for %d segments", len(k), len(in.Segs)))
 	}
 	e.Bind(in)
-	if err := e.load(s, k); err != nil {
+	if err := e.load(s.Tracks, k); err != nil {
 		return in.verify(s, e.rel)
 	}
 	e.repairK()
 	e.store(s)
-	return e.Check()
+	return e.check(k)
 }
 
 // polish removes shields that are no longer needed. Each removal probe

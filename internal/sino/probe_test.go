@@ -143,7 +143,7 @@ func TestProbeScansWholeWindow(t *testing.T) {
 
 	ref := NewEval()
 	ref.Bind(in)
-	if err := ref.Load(s); err != nil {
+	if err := ref.load(s.Tracks, nil); err != nil {
 		t.Fatal(err)
 	}
 	ref.polishReference()
@@ -160,7 +160,7 @@ func comparePolish(t *testing.T, in *Instance, s *Solution, name string) {
 	ref, got := NewEval(), NewEval()
 	for _, e := range []*Eval{ref, got} {
 		e.Bind(in)
-		if err := e.Load(s); err != nil {
+		if err := e.load(s.Tracks, nil); err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
 		if !e.Feasible() {

@@ -164,7 +164,7 @@ func TestSolutionClone(t *testing.T) {
 	in := testInstance(2, 0, 1, 1)
 	e := NewEval()
 	e.Bind(in)
-	if err := e.Load(&Solution{Tracks: []int{0, Shield, 1}}); err != nil {
+	if err := e.load([]int{0, Shield, 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c := e.Solution()
