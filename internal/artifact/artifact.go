@@ -22,7 +22,9 @@ package artifact
 
 import (
 	"fmt"
+	"sync"
 
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/keff"
 	"repro/internal/route"
@@ -49,6 +51,17 @@ func (k Key) String() string { return fmt.Sprintf("%016x%016x", k[0], k[1]) }
 // observational and excluded. Two problems with equal keys route
 // byte-identically.
 func KeyFor(g *grid.Grid, cfg route.Config, _ route.ShardConfig, nets []route.Net) Key {
+	return KeyOf(g, cfg, len(nets), func(i int) (int, float64, []geom.Point) {
+		return nets[i].ID, nets[i].Rate, nets[i].Pins
+	})
+}
+
+// KeyOf is KeyFor over n nets that the caller need not hold as route.Nets:
+// net(i) returns net i's ID, rate and pin regions, which KeyOf reads before
+// it asks for net i+1, so a caller may return the same buffer every time.
+// Both hash the same fields in the same order, so equal problems get
+// equal keys whichever form derives them.
+func KeyOf(g *grid.Grid, cfg route.Config, n int, net func(i int) (id int, rate float64, pins []geom.Point)) Key {
 	cfg = cfg.Resolved()
 	h := keff.NewHash()
 	h.Int(keyVersion)
@@ -62,12 +75,13 @@ func KeyFor(g *grid.Grid, cfg route.Config, _ route.ShardConfig, nets []route.Ne
 	h.F64(cfg.Beta)
 	h.F64(cfg.Gamma)
 	h.Bool(cfg.ShieldAware)
-	h.Int(len(nets))
-	for i := range nets {
-		h.Int(nets[i].ID)
-		h.F64(nets[i].Rate)
-		h.Int(len(nets[i].Pins))
-		for _, p := range nets[i].Pins {
+	h.Int(n)
+	for i := 0; i < n; i++ {
+		id, rate, pins := net(i)
+		h.Int(id)
+		h.F64(rate)
+		h.Int(len(pins))
+		for _, p := range pins {
 			h.Int(p.X)
 			h.Int(p.Y)
 		}
@@ -105,11 +119,19 @@ func Fingerprint(res *route.Result) Key {
 
 // Artifact is one sealed routing outcome: the Result, the resumable
 // DrainState, and the fingerprint taken at Seal time.
+//
+// A sealed artifact holds its drain state; a decoded one (Decode) holds
+// the drain section's wire bytes instead, and decodes them on the first
+// Drain call, so a load whose caller never resumes never decodes them.
 type Artifact struct {
-	key   Key
-	res   *route.Result
-	drain *route.DrainState
-	sum   Key
+	key Key
+	res *route.Result
+	sum Key
+
+	drainWire []byte    // Decode's undecoded drain section; nil in a sealed artifact
+	drainOnce sync.Once // guards the decode of drainWire into drain
+	drain     *route.DrainState
+	drainErr  error
 }
 
 // Seal freezes a routing result and the drain state captured with it
@@ -134,7 +156,28 @@ func (a *Artifact) Result() (*route.Result, error) {
 	return a.res, nil
 }
 
-// Drain returns the artifact's resumable drain state. DrainState is
-// immutable by construction (resumes clone what they touch), so no
-// fingerprint check is needed.
-func (a *Artifact) Drain() *route.DrainState { return a.drain }
+// Drain returns the artifact's resumable drain state. A sealed artifact
+// returns the state it was sealed with. A decoded one decodes its drain
+// section on the first call, once, whichever goroutines call: every call
+// returns that state, or that decode's error. The envelope's checksum
+// covered the section, so an error means its writer put malformed bytes
+// there; the Result, decoded and fingerprinted by Decode, stands either
+// way. DrainState is immutable by construction (resumes clone what they
+// touch), so no fingerprint check is needed.
+func (a *Artifact) Drain() (*route.DrainState, error) {
+	a.drainOnce.Do(func() {
+		if a.drain != nil {
+			return // sealed with its state
+		}
+		ds, rest, err := route.DecodeDrainState(a.drainWire)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%d trailing bytes", len(rest))
+		}
+		if err != nil {
+			a.drainErr = fmt.Errorf("artifact %s: drain section: %w", a.key, err)
+			return
+		}
+		a.drain = ds
+	})
+	return a.drain, a.drainErr
+}

@@ -21,6 +21,14 @@ package artifact
 // is resealed. Any failure is an error the caller treats as a cache miss;
 // none is a panic or a silently wrong artifact.
 //
+// The drain-state payload is the envelope's tail, so Decode needs no
+// length for it: it keeps those bytes, checksummed with the rest, and
+// Artifact.Drain decodes them on first use with the same decoder and the
+// same defenses. A run that never resumes (a warm disk hit) never decodes
+// them; a malformed drain section surfaces as Drain's error, not as a
+// failed load, and the ECO path then discards the artifact
+// (Store.Discard) and routes from scratch.
+//
 // Version discipline: wireVersion bumps whenever the envelope, the route
 // payload encoding, or the Fingerprint field set changes shape. Old files
 // then read as counted corrupt misses and are overwritten by fresh seals —
@@ -28,7 +36,8 @@ package artifact
 //
 // Encode sizes the envelope before writing it (the payloads' WireSize is
 // the same grammar as their AppendWire), so it allocates its output once,
-// at its exact length.
+// at its exact length. A decoded artifact re-encodes its drain section
+// from the bytes it kept, decoded or not.
 
 import (
 	"bytes"
@@ -70,10 +79,19 @@ func Encode(a *Artifact) ([]byte, error) {
 	h = binary.LittleEndian.AppendUint64(h, a.key[1])
 	h = binary.LittleEndian.AppendUint64(h, a.sum[0])
 	h = binary.LittleEndian.AppendUint64(h, a.sum[1])
-	size := len(h) + a.res.WireSize() + a.drain.WireSize() + 8
+	size := len(h) + a.res.WireSize() + 8
+	if a.drainWire != nil {
+		size += len(a.drainWire)
+	} else {
+		size += a.drain.WireSize()
+	}
 	buf := append(make([]byte, 0, size), h...)
 	buf = a.res.AppendWire(buf)
-	buf = a.drain.AppendWire(buf)
+	if a.drainWire != nil {
+		buf = append(buf, a.drainWire...)
+	} else {
+		buf = a.drain.AppendWire(buf)
+	}
 	buf = binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
 	if len(buf) != size {
 		return nil, fmt.Errorf("artifact %s: encoded %d bytes, sized %d", a.key, len(buf), size)
@@ -85,8 +103,10 @@ func Encode(a *Artifact) ([]byte, error) {
 // artifact is exactly as trustworthy as a freshly sealed one: the
 // checksum proves the bytes arrived intact, the version proves this code
 // wrote them, and the fingerprint re-hash proves the decoded Result is
-// the one that was sealed. The caller must still compare Key() against
-// the key it asked for — the filename is not part of the checksum.
+// the one that was sealed. Its drain section is kept undecoded, in data,
+// until Drain asks for it, so the caller must not modify data afterwards.
+// The caller must still compare Key() against the key it asked for — the
+// filename is not part of the checksum.
 func Decode(data []byte) (*Artifact, error) {
 	if len(data) < wireMinLen {
 		return nil, fmt.Errorf("artifact: wire data truncated (%d bytes)", len(data))
@@ -121,15 +141,10 @@ func Decode(data []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact %s: %w", key, err)
 	}
-	drain, rest, err := route.DecodeDrainState(rest)
-	if err != nil {
-		return nil, fmt.Errorf("artifact %s: %w", key, err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("artifact %s: %d trailing bytes", key, len(rest))
-	}
 	if got := Fingerprint(res); got != sum {
 		return nil, fmt.Errorf("artifact %s: decoded result fingerprint %s, sealed %s", key, got, sum)
 	}
-	return &Artifact{key: key, res: res, drain: drain, sum: sum}, nil
+	// rest, the drain section, is a non-nil slice of body even when empty:
+	// Encode tells a decoded artifact by it.
+	return &Artifact{key: key, res: res, drainWire: rest, sum: sum}, nil
 }

@@ -49,9 +49,11 @@ var (
 )
 
 // BenchmarkCodec measures the artifact codec on the wide-cold design's
-// artifact: Encode (the seal check, the size pass and the write) and
-// Decode (checksum, both payload decoders and the fingerprint re-hash).
-// It reports the artifact's length, B/op and allocations per op.
+// artifact: Encode (the seal check, the size pass and the write), Decode
+// (checksum, the result decoder and the fingerprint re-hash: what a warm
+// disk hit pays) and Decode followed by Drain (the drain-state decoder
+// too: what an ECO resume from a disk base pays). It reports the
+// artifact's length, B/op and allocations per op.
 func BenchmarkCodec(b *testing.B) {
 	a := wideArtifact(b)
 	data, err := Encode(a)
@@ -73,6 +75,19 @@ func BenchmarkCodec(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			if benchArt, err = Decode(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(data)), "artifact-B")
+	})
+	b.Run("decode+drain", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if benchArt, err = Decode(data); err != nil {
+				b.Fatal(err)
+			}
+			if _, err = benchArt.Drain(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -52,7 +52,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(b.res, a.res) {
 		t.Fatal("decoded result differs")
 	}
-	if !reflect.DeepEqual(b.drain, a.drain) {
+	ds, err := b.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ds, a.drain) {
 		t.Fatal("decoded drain state differs")
 	}
 	if _, err := b.Result(); err != nil {
@@ -163,11 +167,14 @@ func TestCodecRefusesMutatedEncode(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocatesLinearly: Decode allocates at most 64 bytes per
-// input byte plus 1 MiB, for the fixture encoding, about 512
-// truncations of it, and envelopes with a valid checksum around
-// payloads that claim one tree, or one drain-state net, per remaining
-// byte. Not parallel: TotalAlloc is process-wide.
+// TestDecodeAllocatesLinearly: Decode, and Drain on what it accepts (the
+// whole decode a resume pays), allocate at most 64 bytes per input byte
+// plus 1 MiB, for the fixture encoding, about 512 truncations of it, and
+// envelopes with a valid checksum around payloads that claim one tree, or
+// one drain-state net, per remaining byte. The second envelope carries
+// the fingerprint of the result in front of its drain section, so Decode
+// accepts it and the claim reaches the drain decoder. Not parallel:
+// TotalAlloc is process-wide.
 func TestDecodeAllocatesLinearly(t *testing.T) {
 	a := sealedFixture(t)
 	res, err := a.Result()
@@ -182,9 +189,12 @@ func TestDecodeAllocatesLinearly(t *testing.T) {
 	for i := len(data); i >= 0; i -= len(data)/512 + 1 {
 		inputs = append(inputs, data[:i])
 	}
-	envelope := func(payload []byte) []byte {
+	envelope := func(sum Key, payload []byte) []byte {
 		buf := binary.AppendUvarint(append([]byte(nil), wireMagic...), wireVersion)
-		buf = append(append(buf, make([]byte, 32)...), payload...) // key, fingerprint
+		buf = append(buf, make([]byte, 16)...) // key
+		buf = binary.LittleEndian.AppendUint64(buf, sum[0])
+		buf = binary.LittleEndian.AppendUint64(buf, sum[1])
+		buf = append(buf, payload...)
 		return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf, crcTable))
 	}
 	const filler = 1 << 16
@@ -202,18 +212,26 @@ func TestDecodeAllocatesLinearly(t *testing.T) {
 	header := empty.AppendWire(nil)
 	header = header[:len(header)-3]
 	crafted := [][]byte{
-		envelope(claim(nil)),
-		envelope(claim(append(res.AppendWire(nil), header...))),
+		envelope(Key{}, claim(nil)),
+		envelope(Fingerprint(res), claim(append(res.AppendWire(nil), header...))),
+	}
+	decode := func(data []byte) error {
+		art, err := Decode(data)
+		if err != nil {
+			return err
+		}
+		_, err = art.Drain()
+		return err
 	}
 	for _, data := range crafted {
-		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "count") {
+		if err := decode(data); err == nil || !strings.Contains(err.Error(), "count") {
 			t.Fatalf("crafted envelope rejected for the wrong reason: %v", err)
 		}
 	}
 	for _, data := range append(inputs, crafted...) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		Decode(data)
+		decode(data)
 		runtime.ReadMemStats(&after)
 		if n, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(data))+1<<20; n > limit {
 			t.Errorf("%d input bytes allocated %d bytes, limit %d", len(data), n, limit)
@@ -221,9 +239,11 @@ func TestDecodeAllocatesLinearly(t *testing.T) {
 	}
 }
 
-// FuzzDecode: Decode never panics, and whatever it accepts re-encodes to
-// exactly the input bytes. Seeds are the encodings of the fixture and of
-// an empty netlist's route.
+// FuzzDecode: Decode never panics, whatever it accepts re-encodes to
+// exactly the input bytes, and its drain section then either decodes
+// (Drain) to a state that, sealed with the decoded result, re-encodes to
+// the input again, or fails Drain with an error. Seeds are the encodings
+// of the fixture and of an empty netlist's route.
 func FuzzDecode(f *testing.F) {
 	g := testGrid(f, 8, 8)
 	r, err := route.NewRouter(g, route.Config{}, nil)
@@ -253,6 +273,20 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !bytes.Equal(enc, data) {
 			t.Fatal("re-encoding differs from the accepted input")
+		}
+		ds, err := art.Drain()
+		if err != nil {
+			return
+		}
+		res, err := art.Result()
+		if err != nil {
+			t.Fatalf("decoded artifact failed seal verification: %v", err)
+		}
+		if enc, err = Encode(Seal(art.Key(), res, ds)); err != nil {
+			t.Fatalf("decoded drain state does not encode: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatal("re-encoding the decoded drain state differs from the accepted input")
 		}
 	})
 }

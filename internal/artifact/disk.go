@@ -37,7 +37,7 @@ import (
 type DiskStats struct {
 	Hits        uint64 // loads that decoded and verified a cached artifact
 	Misses      uint64 // loads finding no cache file (clean cold miss)
-	Corrupt     uint64 // loads rejected by the envelope checks and degraded to a miss
+	Corrupt     uint64 // loads the envelope checks degraded to a miss, and files Store.Discard removed
 	Writes      uint64 // artifacts written through
 	WriteErrors uint64 // failed write-throughs (the run proceeds, just unpersisted)
 }
@@ -115,6 +115,14 @@ func (d *DiskStore) Load(key Key) *Artifact {
 	d.hits.Add(1)
 	sp.Arg("hit", 1).Arg("bytes", int64(len(data))).End()
 	return art
+}
+
+// discard removes key's file and counts it Corrupt (Store.Discard). A
+// failed removal is not an error: the file's drain section fails again on
+// its next use.
+func (d *DiskStore) discard(key Key) {
+	d.corrupt.Add(1)
+	os.Remove(d.path(key))
 }
 
 // Save writes the artifact through atomically: temp file in the cache

@@ -1,13 +1,17 @@
 package artifact
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/route"
@@ -58,7 +62,11 @@ func TestDiskStoreSaveLoad(t *testing.T) {
 	if got == nil {
 		t.Fatal("saved artifact did not load")
 	}
-	if !reflect.DeepEqual(got.res, a.res) || !reflect.DeepEqual(got.drain, a.drain) {
+	gotDS, err := got.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.res, a.res) || !reflect.DeepEqual(gotDS, a.drain) {
 		t.Fatal("loaded artifact differs from saved")
 	}
 	other := KeyFor(testGrid(t, 8, 8), route.Config{ShieldAware: true}, route.ShardConfig{}, testNets())
@@ -224,8 +232,8 @@ func TestStorePeekDiskFallthrough(t *testing.T) {
 	if got == nil {
 		t.Fatal("Peek missed a warm directory")
 	}
-	if got.Drain() == nil {
-		t.Fatal("Peek dropped the drain state")
+	if ds, err := got.Drain(); err != nil || ds == nil {
+		t.Fatalf("Peek dropped the drain state: %v", err)
 	}
 	if s.Len() != 1 {
 		t.Fatal("Peek did not publish the disk load into memory")
@@ -261,4 +269,152 @@ func TestDiskStoreSaveRejectsMutation(t *testing.T) {
 	if files := artFiles(t, dir); len(files) != 0 {
 		t.Fatalf("cache files appeared: %v", files)
 	}
+}
+
+// TestDiskHitDecodesNoDrainState: a disk hit decodes the Result and keeps
+// the drain section as bytes. Decode allocates what the Result decoder
+// does plus the artifact itself, and the artifact the store serves still
+// holds no drain state; the first Drain call decodes it, and concurrent
+// callers all receive that one state.
+func TestDiskHitDecodesNoDrainState(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	a := sealedFixture(t)
+	data, err := Encode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := len(wireMagic) + len(binary.AppendUvarint(nil, wireVersion)) + 32
+	result := testing.AllocsPerRun(20, func() {
+		if _, _, err := route.DecodeResult(data[head:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	whole := testing.AllocsPerRun(20, func() {
+		if _, err := Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if whole != result+1 {
+		t.Errorf("Decode: %v allocations, want the Result decoder's %v and the artifact", whole, result)
+	}
+
+	dir := t.TempDir()
+	d, err := NewDiskStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Save(a); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(0).WithDisk(d)
+	got, served, err := s.Do(context.Background(), a.Key(), func(context.Context) (*Artifact, error) {
+		return nil, errors.New("warm directory routed")
+	})
+	if err != nil || !served {
+		t.Fatalf("disk hit: served %v, err %v", served, err)
+	}
+	if got.drain != nil || got.drainWire == nil {
+		t.Fatal("a disk hit decoded the drain state")
+	}
+	states := make([]*route.DrainState, 4)
+	var wg sync.WaitGroup
+	for i := range states {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ds, err := got.Drain()
+			if err != nil {
+				t.Error(err)
+			}
+			states[i] = ds
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(states[0], a.drain) {
+		t.Fatal("decoded drain state differs from the sealed one")
+	}
+	for _, ds := range states[1:] {
+		if ds != states[0] {
+			t.Fatal("concurrent Drain calls decoded more than once")
+		}
+	}
+}
+
+// TestDrainSectionMalformed: an envelope whose checksum, version and
+// fingerprint hold but whose drain section does not decode — cut to half
+// its length, or followed by a byte the state does not account for —
+// loads, serves its Result, and re-encodes to its own bytes; only Drain
+// fails, with the same error on every call.
+func TestDrainSectionMalformed(t *testing.T) {
+	a := sealedFixture(t)
+	data, err := Encode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := data[:len(data)-8]
+	for name, section := range map[string][]byte{
+		"truncated": body[:len(body)-a.drain.WireSize()/2],
+		"trailing":  append(body[:len(body):len(body)], 0),
+	} {
+		bad := append([]byte(nil), section...)
+		bad = binary.LittleEndian.AppendUint64(bad, crc64.Checksum(bad, crcTable))
+		got, err := Decode(bad)
+		if err != nil {
+			t.Fatalf("%s: Decode refused an envelope whose Result is intact: %v", name, err)
+		}
+		if res, err := got.Result(); err != nil || !reflect.DeepEqual(res, a.res) {
+			t.Fatalf("%s: Result of a malformed drain section's envelope: %v", name, err)
+		}
+		if enc, err := Encode(got); err != nil || !bytes.Equal(enc, bad) {
+			t.Fatalf("%s: re-encoding the malformed envelope: %v", name, err)
+		}
+		ds, err := got.Drain()
+		if err == nil || ds != nil {
+			t.Fatalf("%s: Drain decoded a malformed drain section", name)
+		}
+		if _, again := got.Drain(); again != err {
+			t.Fatalf("%s: second Drain call: %v, want the first call's %v", name, again, err)
+		}
+	}
+}
+
+// TestStoreDiscard: Discard drops a key from the memory tier and removes
+// its file, counting it Corrupt, so the next Do for the key computes and
+// writes the file back.
+func TestStoreDiscard(t *testing.T) {
+	a := sealedFixture(t)
+	dir := t.TempDir()
+	d, err := NewDiskStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Save(a); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(0).WithDisk(d)
+	if s.Peek(a.Key()) == nil || s.Len() != 1 {
+		t.Fatal("Peek did not load the saved artifact into memory")
+	}
+	s.Discard(a.Key())
+	if s.Len() != 0 {
+		t.Error("Discard left the artifact in memory")
+	}
+	if _, err := os.Stat(d.path(a.Key())); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Discard left the file on disk: %v", err)
+	}
+	before := s.Stats()
+	if before.Disk.Corrupt != 1 {
+		t.Errorf("Discard counted %d corrupt, want 1", before.Disk.Corrupt)
+	}
+	computed := false
+	if _, served, err := s.Do(context.Background(), a.Key(), func(context.Context) (*Artifact, error) {
+		computed = true
+		return a, nil
+	}); err != nil || served || !computed {
+		t.Fatalf("Do after Discard: served %v, computed %v, err %v", served, computed, err)
+	}
+	if st := s.Stats().Sub(before); st.Disk.Writes != 1 || st.Disk.Misses != 1 {
+		t.Errorf("Do after Discard: disk stats %+v, want one miss and one write", st.Disk)
+	}
+	NewStore(0).Discard(a.Key()) // a memory-only store, the key absent: no effect
 }

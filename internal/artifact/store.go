@@ -221,6 +221,24 @@ func (s *Store) Peek(key Key) *Artifact {
 	return art
 }
 
+// Discard drops key from both tiers. An ECO resume calls it when the
+// artifact's drain section fails to decode (Artifact.Drain): its Result
+// verified at load, so its file would otherwise keep loading as a hit
+// with a drain state no resume can use. The disk copy is removed and
+// counted Corrupt, and the next compute of key writes it through again.
+func (s *Store) Discard(key Key) {
+	s.mu.Lock()
+	if el, ok := s.entries[key]; ok {
+		s.lru.Remove(el)
+		delete(s.entries, key)
+	}
+	disk := s.disk
+	s.mu.Unlock()
+	if disk != nil {
+		disk.discard(key)
+	}
+}
+
 // Len returns the number of cached artifacts.
 func (s *Store) Len() int {
 	s.mu.Lock()

@@ -108,8 +108,8 @@ func TestCachedArtifactsSurviveFlows(t *testing.T) {
 		if _, err := art.Result(); err != nil {
 			t.Errorf("shieldAware=%v: cached artifact mutated by the flows: %v", shield, err)
 		}
-		if art.Drain() == nil {
-			t.Errorf("shieldAware=%v: artifact carries no drain state for ECO resume", shield)
+		if ds, err := art.Drain(); err != nil || ds == nil {
+			t.Errorf("shieldAware=%v: artifact carries no drain state for ECO resume: %v", shield, err)
 		}
 	}
 }
@@ -139,6 +139,33 @@ func TestBuildStateDoesNotMutateResult(t *testing.T) {
 	_ = st.outcome(FlowGSINO)
 	if artifact.Fingerprint(res) != fp {
 		t.Fatal("buildState/solveAll/refine mutated the routed result")
+	}
+}
+
+// TestDesignKeyMatchesKeyFor pins the ECO base key: designKey, which
+// hashes a design's nets without building their route.Nets, equals
+// artifact.KeyFor over routeNetsFor, for both router configs, on designs
+// before and after an edit, and the two configs keep distinct keys.
+func TestDesignKeyMatchesKeyFor(t *testing.T) {
+	base := smallDesign(t, 80, 0.4, 5)
+	edited, err := ApplyDelta(base, testDelta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Design{base, edited} {
+		nets := routeNetsFor(d)
+		keys := map[artifact.Key]bool{}
+		for _, shield := range []bool{false, true} {
+			cfg := route.Config{ShieldAware: shield}
+			want := artifact.KeyFor(d.Grid, cfg, route.ShardConfig{}, nets)
+			if got := designKey(d, cfg); got != want {
+				t.Errorf("%d nets, shieldAware=%v: designKey %s, KeyFor %s", len(nets), shield, got, want)
+			}
+			keys[want] = true
+		}
+		if len(keys) != 2 {
+			t.Errorf("%d nets: both router configs hash to one key", len(nets))
+		}
 	}
 }
 
@@ -313,6 +340,10 @@ func FuzzECOResume(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	baseDS, err := art.Drain()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, text []byte) {
 		delta, err := artifact.ParseDelta(text)
 		if err != nil {
@@ -323,7 +354,7 @@ func FuzzECOResume(f *testing.F) {
 			return
 		}
 		nets := routeNetsFor(edited)
-		got, gotDS, _, err := route.RunShardedResume(ctx, g, cfg, nets, nil, scfg, art.Drain())
+		got, gotDS, _, err := route.RunShardedResume(ctx, g, cfg, nets, nil, scfg, baseDS)
 		if err != nil {
 			t.Fatalf("resume: %v", err)
 		}

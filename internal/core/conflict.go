@@ -1,9 +1,6 @@
 package core
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Phase III pass 1's parallel decomposition rests on a conflict graph over
 // the violating nets: two nets conflict iff their routes share a region
@@ -79,6 +76,17 @@ func churn(prev, next []conflictNode) (dropped, added int) {
 	return dropped + len(prev) - i, added + len(next) - j
 }
 
+// colorBuf is colorConflicts' working storage, which the chip state keeps
+// across pass-1 waves, so that a wave colors without allocating once the
+// buffers have grown to the largest wave: the nodes in severity order,
+// the member lists of the classes, and one bitset row per class over the
+// instance ids.
+type colorBuf struct {
+	order   []conflictNode
+	classes [][]conflictNode
+	used    []uint64 // class c's occupied instance ids: used[c*words:][:words]
+}
+
 // colorConflicts greedily partitions nodes into classes whose members are
 // pairwise instance-disjoint. Nodes are considered in a deterministic
 // severity order — ratio descending, net id ascending on ties — and each
@@ -88,14 +96,18 @@ func churn(prev, next []conflictNode) (dropped, added int) {
 // member order within each class, are a pure function of the node set:
 // permuting the input never changes the output. Each class marks the
 // instances its members occupy in a bitset over the instance ids
-// (regionInst.ord), all classes' bitsets in one array.
-func colorConflicts(nodes []conflictNode) [][]conflictNode {
-	order := append([]conflictNode(nil), nodes...)
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].ratio != order[b].ratio {
-			return order[a].ratio > order[b].ratio
+// (regionInst.ord), all classes' bitsets in one array. The classes live
+// in buf, so they are valid until its next call.
+func colorConflicts(nodes []conflictNode, buf *colorBuf) [][]conflictNode {
+	order := append(buf.order[:0], nodes...)
+	slices.SortFunc(order, func(a, b conflictNode) int {
+		if a.ratio != b.ratio {
+			if a.ratio > b.ratio {
+				return -1
+			}
+			return 1
 		}
-		return order[a].net < order[b].net
+		return a.net - b.net
 	})
 	words := 0 // per class
 	for _, nd := range nodes {
@@ -103,21 +115,21 @@ func colorConflicts(nodes []conflictNode) [][]conflictNode {
 			words = max(words, t.inst.ord/64+1)
 		}
 	}
-	var (
-		classes [][]conflictNode
-		used    []uint64 // class c's occupied instance ids: used[c*words:][:words]
-	)
+	classes, used := buf.classes[:0], buf.used[:0]
 	for _, nd := range order {
 		c := 0
 		for ; c < len(classes); c++ {
-			set := used[c*words:]
-			if !slices.ContainsFunc(nd.terms, func(t segTerm) bool { return set[t.inst.ord/64]&(1<<(t.inst.ord%64)) != 0 }) {
+			if !occupies(used[c*words:], nd.terms) {
 				break
 			}
 		}
 		if c == len(classes) {
-			classes = append(classes, nil)
-			used = append(used, make([]uint64, words)...)
+			// A new class reuses the member list an earlier wave left in
+			// its slot, and takes a cleared bitset row.
+			classes = slices.Grow(classes, 1)[:c+1]
+			classes[c] = classes[c][:0]
+			used = slices.Grow(used, words)[:(c+1)*words]
+			clear(used[c*words:])
 		}
 		classes[c] = append(classes[c], nd)
 		set := used[c*words:]
@@ -125,5 +137,16 @@ func colorConflicts(nodes []conflictNode) [][]conflictNode {
 			set[t.inst.ord/64] |= 1 << (t.inst.ord % 64)
 		}
 	}
+	buf.order, buf.classes, buf.used = order, classes, used
 	return classes
+}
+
+// occupies reports whether any of terms' instances is marked in set.
+func occupies(set []uint64, terms []segTerm) bool {
+	for _, t := range terms {
+		if set[t.inst.ord/64]&(1<<(t.inst.ord%64)) != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
@@ -119,14 +120,14 @@ func FuzzRefineConflictGraph(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		nodes := randomNodes(rng, n, m, d)
 
-		classes := colorConflicts(nodes)
+		classes := colorConflicts(nodes, new(colorBuf))
 		checkColoring(t, nodes, classes)
 
 		// Coloring must be a pure function of the node set: shuffling the
 		// input changes nothing, down to the order within each class.
 		shuffled := append([]conflictNode(nil), nodes...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		if !reflect.DeepEqual(classes, colorConflicts(shuffled)) {
+		if !reflect.DeepEqual(classes, colorConflicts(shuffled, new(colorBuf))) {
 			t.Fatal("coloring depends on input order")
 		}
 	})
@@ -330,8 +331,8 @@ func runWaveScript(t *testing.T, seed int64, nNets, nInsts, maxDeg uint8, script
 		if err := sameNodes(retired(nodes), retired(scratch)); err != nil {
 			t.Fatalf("step %d: waveNodes against the from-scratch sweep: %v", step, err)
 		}
-		want := colorConflicts(scratch)
-		if got := colorConflicts(nodes); !reflect.DeepEqual(got, want) {
+		want := colorConflicts(scratch, new(colorBuf))
+		if got := colorConflicts(nodes, new(colorBuf)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: waveNodes color into %d classes, the from-scratch sweep into %d", step, len(got), len(want))
 		}
 		checkColoring(t, nodes, want)
@@ -474,9 +475,34 @@ func TestColorConflictsMatchesMapForm(t *testing.T) {
 			}
 		}
 		rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
-		if got, want := colorConflicts(nodes), colorConflictsMap(nodes); !reflect.DeepEqual(got, want) {
+		if got, want := colorConflicts(nodes, new(colorBuf)), colorConflictsMap(nodes); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: %d nodes colored into %d classes, oracle %d", trial, len(nodes), len(got), len(want))
 		}
+	}
+}
+
+// TestColorConflictsReusedBuffer: coloring through one buffer kept across
+// waves of every size, as the chip state keeps it, gives each wave the
+// classes a fresh buffer gives, and once the buffer has grown a wave's
+// coloring allocates nothing.
+func TestColorConflictsReusedBuffer(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(31))
+	var buf colorBuf
+	var largest []conflictNode
+	for trial := 0; trial < 200; trial++ {
+		nodes := randomNodes(rng, rng.Intn(201), 1+rng.Intn(300), 1+rng.Intn(10))
+		// Compared as lists: an empty wave's classes may be nil or empty.
+		if got, want := colorConflicts(nodes, &buf), colorConflicts(nodes, new(colorBuf)); len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: a reused buffer colored %d nodes into %d classes, a fresh one into %d", trial, len(nodes), len(got), len(want))
+		}
+		if len(nodes) > len(largest) {
+			largest = nodes
+		}
+	}
+	colorConflicts(largest, &buf)
+	if allocs := testing.AllocsPerRun(20, func() { colorConflicts(largest, &buf) }); allocs != 0 {
+		t.Errorf("warm colorConflicts of %d nodes: %v allocations, want 0", len(largest), allocs)
 	}
 }
 
@@ -491,7 +517,7 @@ func TestColorConflictsSeverityOrder(t *testing.T) {
 		{net: 2, ratio: 5.0, terms: footprint(insts, 2)},
 		{net: 0, ratio: 1.5, terms: footprint(insts, 0)}, // conflicts with net 3
 	}
-	classes := colorConflicts(nodes)
+	classes := colorConflicts(nodes, new(colorBuf))
 	if len(classes) != 2 {
 		t.Fatalf("got %d classes, want 2", len(classes))
 	}
@@ -560,7 +586,7 @@ func TestConflictWaveIsInstanceDisjoint(t *testing.T) {
 	if len(nodes) == 0 {
 		t.Fatal("fixture has no violators")
 	}
-	classes := colorConflicts(nodes)
+	classes := colorConflicts(nodes, new(colorBuf))
 	wave := classes[0]
 	used := make(map[int]int)
 	for _, nd := range wave {

@@ -271,19 +271,13 @@ type Runner struct {
 	trace *obs.Tracer
 	lane  obs.Lane
 
-	// eco, when set (NewECORunner), lets routeAll resume from the base
-	// design's warm artifact instead of routing the edited design from
-	// scratch; ecoLast holds the most recent resume's accounting until the
-	// flow collects it into its Outcome.
-	eco     *ecoResume
+	// ecoBase, when set (NewECORunner), is the unedited base design:
+	// routeAll resumes from its warm artifact, found under designKey,
+	// instead of routing the edited design from scratch; ecoLast holds the
+	// most recent resume's accounting until the flow collects it into its
+	// Outcome.
+	ecoBase *Design
 	ecoLast route.ECOStats
-}
-
-// ecoResume is the incremental-re-solve context of an ECO runner: the
-// routing requests of the unedited base design, from which routeAll
-// derives the warm artifact's key.
-type ecoResume struct {
-	baseNets []route.Net
 }
 
 // NewRunner validates the design and prepares shared state.
@@ -367,7 +361,7 @@ func NewECORunner(base *Design, delta artifact.Delta, p Params) (*Runner, error)
 	if err != nil {
 		return nil, err
 	}
-	r.eco = &ecoResume{baseNets: routeNetsFor(base)}
+	r.ecoBase = base
 	return r, nil
 }
 

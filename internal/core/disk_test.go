@@ -7,6 +7,11 @@ package core
 // corrupted under it.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc64"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,6 +20,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/route"
 )
 
@@ -279,7 +285,11 @@ func TestForgedArtifactRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := disk.Save(artifact.Seal(art.Key(), res, art.Drain())); err != nil {
+			ds, err := art.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := disk.Save(artifact.Seal(art.Key(), res, ds)); err != nil {
 				t.Fatal(err)
 			}
 			fp, _ := diskParams(t, forgedDir, 1)
@@ -292,5 +302,156 @@ func TestForgedArtifactRejected(t *testing.T) {
 				t.Fatalf("forged artifact: err = %v, want an error naming key %s", err, art.Key())
 			}
 		})
+	}
+}
+
+// breakDrainSections rewrites every artifact file in dir with its drain
+// section cut to half its length under a valid checksum, so that each
+// still loads (Decode reads only the Result) while its drain state does
+// not decode, and returns the files it rewrote.
+func breakDrainSections(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.art"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := artifact.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := art.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]byte(nil), data[:len(data)-8-ds.WireSize()/2]...)
+		bad = binary.LittleEndian.AppendUint64(bad, crc64.Checksum(bad, crc64.MakeTable(crc64.ECMA)))
+		broken, err := artifact.Decode(bad)
+		if err != nil {
+			t.Fatalf("%s: the cut envelope no longer loads: %v", f, err)
+		}
+		if _, err := broken.Drain(); err == nil {
+			t.Fatalf("%s: the cut drain section still decodes", f)
+		}
+		if err := os.WriteFile(f, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// TestMalformedDrainSection: a directory whose artifacts pass every
+// envelope check but carry drain sections that do not decode. A warm run
+// never reads a drain state, so it is a disk hit with the cold run's
+// outcomes. An ECO runner over the directory decodes its base's drain
+// section (recording a drain decode span), finds it malformed, discards
+// the base from its store (counted Corrupt, the file removed) and routes
+// the edited design from scratch, with the from-scratch outcomes and no
+// resume. The base's next run then misses, recomputes, and writes every
+// base file back whole.
+func TestMalformedDrainSection(t *testing.T) {
+	dir := t.TempDir()
+	base := smallDesign(t, 80, 0.4, 2)
+	coldP, _ := diskParams(t, dir, 1)
+	cold, err := NewRunner(base, coldP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var coldOut []*Outcome
+	for _, f := range allFlows {
+		o, err := cold.Run(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldOut = append(coldOut, o)
+	}
+	baseFiles := breakDrainSections(t, dir)
+	if len(baseFiles) != 2 {
+		t.Fatalf("broke %d artifact files, want the 2 routes of the three flows", len(baseFiles))
+	}
+	runBase := func(what string) artifact.Stats {
+		p, store := diskParams(t, dir, 2)
+		r, err := NewRunner(base, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range allFlows {
+			o, err := r.Run(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameReport(t, what, o, coldOut[i])
+		}
+		return store.Stats()
+	}
+
+	if ws := runBase("warm over malformed drain sections vs cold"); ws.Misses != 0 || ws.Disk.Hits != 2 || ws.Disk.Corrupt != 0 {
+		t.Errorf("warm run stats = %+v, want 2 disk hits and nothing routed", ws)
+	}
+
+	delta := testDelta()
+	edited, err := ApplyDelta(base, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewRunner(edited, Params{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecoP, ecoStore := diskParams(t, dir, 2)
+	ecoP.Trace = obs.New()
+	eco, err := NewECORunner(base, delta, ecoP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range allFlows {
+		eo, err := eco.Run(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ro, err := ref.Run(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReport(t, "ECO over a malformed base drain section vs scratch", eo, ro)
+		if eo.ECO != (route.ECOStats{}) {
+			t.Errorf("%s: resumed from a base whose drain state does not decode: %+v", f, eo.ECO)
+		}
+	}
+	if es := ecoStore.Stats(); es.Misses != 2 || es.Disk.Hits != 2 || es.Disk.Corrupt != 2 {
+		t.Errorf("ECO run stats = %+v, want both bases loaded and discarded and both edited routes computed", es)
+	}
+	var buf bytes.Buffer
+	if err := ecoP.Trace.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !obs.TraceHasSpan(buf.Bytes(), "drain decode") {
+		t.Error("the ECO runner recorded no drain decode span")
+	}
+	for _, f := range baseFiles {
+		if _, err := os.Stat(f); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: a discarded base file is still on disk (%v)", filepath.Base(f), err)
+		}
+	}
+
+	if hs := runBase("base rerun after the discard vs cold"); hs.Misses != 2 || hs.Disk.Writes != 2 {
+		t.Errorf("base rerun stats = %+v, want both routes recomputed and written back", hs)
+	}
+	for _, f := range baseFiles {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatalf("%s: the base file was not written back: %v", filepath.Base(f), err)
+		}
+		art, err := artifact.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := art.Drain(); err != nil {
+			t.Errorf("%s: the rewritten base's drain section: %v", filepath.Base(f), err)
+		}
 	}
 }

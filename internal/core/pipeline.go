@@ -51,6 +51,8 @@ type chipState struct {
 	terms  [][]segTerm // per net: its instance memberships
 	lskb   []float64   // per net LSK budget
 	routed *route.Result
+
+	colors colorBuf // Phase III pass 1's wave coloring, reused across waves
 }
 
 // routeNetsFor converts a design's netlist into router requests. Every
@@ -79,6 +81,21 @@ func routeNetsFor(d *Design) []route.Net {
 // netsForRouting converts the runner's netlist into router requests.
 func (r *Runner) netsForRouting() []route.Net { return routeNetsFor(r.design) }
 
+// designKey is artifact.KeyFor(d.Grid, cfg, _, routeNetsFor(d)) without
+// the route.Net array: each net's pin regions are hashed from one buffer
+// that every net reuses.
+func designKey(d *Design, cfg route.Config) artifact.Key {
+	g, nets, sens := d.Grid, d.Nets.Nets, d.Nets.Sensitivity
+	var pins []geom.Point
+	return artifact.KeyOf(g, cfg, len(nets), func(i int) (int, float64, []geom.Point) {
+		pins = pins[:0]
+		for _, p := range nets[i].Pins {
+			pins = append(pins, g.RegionOf(p.Loc))
+		}
+		return i, sens.Rate(i), pins
+	})
+}
+
 // routeAll runs the ID router — Phase I — sharded across the engine's
 // worker pool, with router seeding itself chunked onto the same pool
 // (route.NewRouterOn). The tile decomposition and the seeding chunking
@@ -91,9 +108,12 @@ func (r *Runner) netsForRouting() []route.Net { return routeNetsFor(r.design) }
 // publishes for every later flow, runner, or batch cell with the same
 // problem. An ECO runner additionally probes for its base design's warm
 // artifact and, when present, re-solves only the invalidated tiles
-// (route.RunShardedResume). All three paths return identical bytes, and
-// whatever the store returns is checked against the design's grid and nets
-// before any later phase indexes it.
+// (route.RunShardedResume) from its drain state. A base whose drain
+// section does not decode is discarded from the store (counted Corrupt,
+// so the base's next compute writes it back), and the route runs from
+// scratch. All three paths return identical bytes, and whatever the store
+// returns is checked against the design's grid and nets before any later
+// phase indexes it.
 func (r *Runner) routeAll(ctx context.Context, shieldAware bool) (*route.Result, error) {
 	cfg := route.Config{
 		Alpha: r.params.Alpha, Beta: r.params.Beta, Gamma: r.params.Gamma,
@@ -115,15 +135,24 @@ func (r *Runner) routeAll(ctx context.Context, shieldAware bool) (*route.Result,
 	key := artifact.KeyFor(r.design.Grid, cfg, scfg, nets)
 	lsp := r.trace.Start(r.lane, "route", "artifact lookup")
 	art, _, err := store.Do(ctx, key, func(ctx context.Context) (*artifact.Artifact, error) {
-		if r.eco != nil {
-			baseKey := artifact.KeyFor(r.design.Grid, cfg, scfg, r.eco.baseNets)
+		if r.ecoBase != nil {
+			baseKey := designKey(r.ecoBase, cfg)
 			if base := store.Peek(baseKey); base != nil {
-				res, ds, es, err := route.RunShardedResume(ctx, r.design.Grid, cfg, nets, r.eng, scfg, base.Drain())
+				dsp := r.trace.Start(r.lane, "route", "drain decode")
+				baseDS, err := base.Drain()
 				if err != nil {
-					return nil, err
+					dsp = dsp.Arg("corrupt", 1)
+					store.Discard(baseKey)
 				}
-				r.ecoLast = es
-				return artifact.Seal(key, res, ds), nil
+				dsp.End()
+				if err == nil {
+					res, ds, es, err := route.RunShardedResume(ctx, r.design.Grid, cfg, nets, r.eng, scfg, baseDS)
+					if err != nil {
+						return nil, err
+					}
+					r.ecoLast = es
+					return artifact.Seal(key, res, ds), nil
+				}
 			}
 		}
 		ssp := r.trace.Start(r.lane, "route", "router seeding")
@@ -420,7 +449,7 @@ func (st *chipState) job(in *regionInst, mode engine.Mode) engine.Job {
 // relation the solve ran on (nil from the ID+NO solver, which the flow
 // never re-solves).
 func (in *regionInst) apply(res engine.Result) {
-	in.sol, in.k, in.Rel = res.Sol, res.Check.K, res.Rel
+	in.sol, in.k, in.Rel = res.Sol, res.K, res.Rel
 }
 
 // solveAll runs the per-region solver for every instance — Phase II,

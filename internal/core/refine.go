@@ -202,7 +202,7 @@ func (st *chipState) speculateRelax(tr *violTracker, in *regionInst, w *engine.W
 	if res.Err != nil {
 		return p, res.Err
 	}
-	p.changed, p.kth, p.sol, p.k = true, kth, res.Sol, res.Check.K
+	p.changed, p.kth, p.sol, p.k = true, kth, res.Sol, res.K
 	return p, nil
 }
 

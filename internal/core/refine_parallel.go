@@ -30,7 +30,7 @@ func (st *chipState) refinePass1(ctx context.Context, tr *violTracker, unfixable
 	dropped, added := 0, 0
 	nodes := waveNodes(tr, unfixable)
 	for wave := 0; wave < maxWaves && len(nodes) > 0; wave++ {
-		classes := colorConflicts(nodes)
+		classes := colorConflicts(nodes, &st.colors)
 		if len(classes) > stats.MaxColors {
 			stats.MaxColors = len(classes)
 		}

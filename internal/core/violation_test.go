@@ -119,7 +119,7 @@ func TestRepairNetTouchesEveryMutation(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		r, st := ibmRefineFixture(t, 16, 0.5, seed, Params{})
 		tr := st.newViolTracker()
-		wave := colorConflicts(waveNodes(tr, make([]bool, len(st.terms))))[0]
+		wave := colorConflicts(waveNodes(tr, make([]bool, len(st.terms))), new(colorBuf))[0]
 		w := poolWorker(t, r.eng)
 		mutated := 0
 		for _, nd := range wave {

@@ -50,10 +50,10 @@ const (
 	// the ID+NO flow.
 	ModeNetOrder
 	// ModeRepair improves an existing solution by shield insertion only
-	// (sino.Repair) — Phase III pass 1's cheap re-solve. Job.Prev is
+	// (sino.RepairWith) — Phase III pass 1's cheap re-solve. Job.Prev is
 	// repaired in place, starting from its totals Job.K, and returned as
 	// the result solution; the repaired totals are written back into
-	// Job.K, which the result's Check.K is.
+	// Job.K, which is the result's K. A repair builds no report.
 	ModeRepair
 )
 
@@ -77,13 +77,16 @@ type Job struct {
 	Inst *sino.Instance
 	Mode Mode
 	Prev *sino.Solution // ModeRepair only: the solution to improve in place
-	K    []float64      // ModeRepair only: Prev's per-segment totals, the Check.K that produced it
+	K    []float64      // ModeRepair only: Prev's per-segment totals, the Result.K that produced it
 }
 
-// Result is one job's outcome. Sol and Check are nil when Err is set.
+// Result is one job's outcome. Sol and K are nil when Err is set.
 type Result struct {
-	Sol   *sino.Solution
-	Check *sino.Check // verification of Sol; Check.K are the per-segment totals
+	Sol *sino.Solution
+	// K holds Sol's per-segment totals in every mode: the report's totals
+	// for a solve or a net-order, the job's K, repaired in place, for a
+	// repair.
+	K []float64
 	// Rel is the sensitivity relation a solve or repair ran on: the job's
 	// Inst.Rel, or the snapshot the worker took when that was nil. Later
 	// jobs on the same segments may pass it as Inst.Rel; it is nil for
@@ -443,10 +446,10 @@ func (e *Engine) solveJob(job *Job, w *Worker) (res Result) {
 	switch job.Mode {
 	case ModeSolve:
 		sol, chk := sino.SolveWith(ev, inst)
-		return Result{Sol: sol, Check: chk, Rel: ev.Relation()}
+		return Result{Sol: sol, K: chk.K, Rel: ev.Relation()}
 	case ModeNetOrder:
 		sol, chk := sino.NetOrderOnly(inst)
-		return Result{Sol: sol, Check: chk}
+		return Result{Sol: sol, K: chk.K}
 	case ModeRepair:
 		if job.Prev == nil {
 			return Result{Err: fmt.Errorf("engine: repair job has no previous solution")}
@@ -454,8 +457,10 @@ func (e *Engine) solveJob(job *Job, w *Worker) (res Result) {
 		if len(job.K) != len(inst.Segs) {
 			return Result{Err: fmt.Errorf("engine: repair job has %d totals for %d segments", len(job.K), len(inst.Segs))}
 		}
-		chk := sino.RepairWith(ev, inst, job.Prev, job.K)
-		return Result{Sol: job.Prev, Check: chk, Rel: ev.Relation()}
+		if err := sino.RepairWith(ev, inst, job.Prev, job.K); err != nil {
+			return Result{Err: fmt.Errorf("engine: repair job: %w", err)}
+		}
+		return Result{Sol: job.Prev, K: job.K, Rel: ev.Relation()}
 	default:
 		return Result{Err: fmt.Errorf("engine: unknown mode %d", int(job.Mode))}
 	}

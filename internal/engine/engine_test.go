@@ -57,8 +57,11 @@ func solutionsEqual(a, b Result) bool {
 			return false
 		}
 	}
-	for i := range a.Check.K {
-		if a.Check.K[i] != b.Check.K[i] {
+	if len(a.K) != len(b.K) {
+		return false
+	}
+	for i := range a.K {
+		if a.K[i] != b.K[i] {
 			return false
 		}
 	}
@@ -104,7 +107,7 @@ func TestRepairMode(t *testing.T) {
 			Inst: &sino.Instance{Segs: segs, Sensitive: jobs[i].Inst.Sensitive, Model: jobs[i].Inst.Model},
 			Mode: ModeRepair,
 			Prev: base[i].Sol,
-			K:    base[i].Check.K,
+			K:    base[i].K,
 		}
 	}
 	res, err := newFor(4, repairs).Run(context.Background(), repairs)
@@ -118,9 +121,9 @@ func TestRepairMode(t *testing.T) {
 		if res[i].Sol != base[i].Sol {
 			t.Errorf("repair job %d did not repair in place", i)
 		}
-		if len(res[i].Check.K) != len(repairs[i].Inst.Segs) {
-			t.Errorf("repair job %d: Check.K has %d entries, want %d",
-				i, len(res[i].Check.K), len(repairs[i].Inst.Segs))
+		if &res[i].K[0] != &repairs[i].K[0] || len(res[i].K) != len(repairs[i].Inst.Segs) {
+			t.Errorf("repair job %d: K has %d entries, want the job's %d totals repaired in place",
+				i, len(res[i].K), len(repairs[i].Inst.Segs))
 		}
 	}
 }
@@ -138,7 +141,7 @@ func TestRepairJobNeedsTotals(t *testing.T) {
 	if err := FirstError(base); err != nil {
 		t.Fatal(err)
 	}
-	k := base[0].Check.K
+	k := base[0].K
 	for _, c := range []struct {
 		name string
 		k    []float64
@@ -160,12 +163,46 @@ func TestRepairJobNeedsTotals(t *testing.T) {
 		if strings.Contains(res[0].Err.Error(), "panicked") {
 			t.Errorf("%s totals: refused by a panic: %v", c.name, res[0].Err)
 		}
-		if !solutionsEqual(Result{Sol: prev, Check: base[0].Check}, base[0]) {
+		if !solutionsEqual(Result{Sol: prev, K: base[0].K}, base[0]) {
 			t.Errorf("%s totals: refused repair modified the solution", c.name)
 		}
 		if st := e.Stats(); st.Jobs != 1 || st.Errors != 1 {
 			t.Errorf("%s totals: stats %+v, want 1 job and 1 error", c.name, st)
 		}
+	}
+}
+
+// TestRepairJobRejectsInvalidSolution: a repair of a structurally invalid
+// solution (a segment repeated, another missing) is a job error from the
+// repair itself, not a recovered panic, and leaves the solution and its
+// totals untouched.
+func TestRepairJobRejectsInvalidSolution(t *testing.T) {
+	jobs := makeJobs(1, ModeSolve)
+	base, err := newFor(1, jobs).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := FirstError(base); err != nil {
+		t.Fatal(err)
+	}
+	tracks := append([]int(nil), base[0].Sol.Tracks...)
+	for i, v := range tracks {
+		if v != sino.Shield && v != 0 {
+			tracks[i] = 0 // segment 0 twice, segment v never
+			break
+		}
+	}
+	prev := &sino.Solution{Tracks: append([]int(nil), tracks...)}
+	k := append([]float64(nil), base[0].K...)
+	res, err := newFor(1, jobs).Run(context.Background(), []Job{{Inst: jobs[0].Inst, Mode: ModeRepair, Prev: prev, K: k}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err == nil || strings.Contains(res[0].Err.Error(), "panicked") {
+		t.Fatalf("invalid solution: repair job error %v, want the repair's own", res[0].Err)
+	}
+	if !reflect.DeepEqual(prev.Tracks, tracks) || !reflect.DeepEqual(k, base[0].K) {
+		t.Fatal("a refused repair modified the solution or its totals")
 	}
 }
 
@@ -292,7 +329,7 @@ func TestCacheIsolationBetweenEngines(t *testing.T) {
 			t.Fatalf("engine %d: %v", i, errs[i])
 		}
 		for j := range want {
-			if !reflect.DeepEqual(got[i][j].Sol, want[j].Sol) || !reflect.DeepEqual(got[i][j].Check, want[j].Check) {
+			if !reflect.DeepEqual(got[i][j].Sol, want[j].Sol) || !reflect.DeepEqual(got[i][j].K, want[j].K) {
 				t.Fatalf("engine %d job %d differs from a lone engine's solve", i, j)
 			}
 		}
@@ -328,8 +365,14 @@ func ExampleEngine() {
 	res, _ := e.Run(context.Background(), []Job{
 		{Inst: &sino.Instance{Segs: segs, Sensitive: sens.Sensitive, Model: model}, Mode: ModeSolve},
 	})
-	fmt.Println("feasible:", res[0].Check.Feasible())
-	// Output: feasible: true
+	over := 0
+	for i, k := range res[0].K {
+		if k > segs[i].Kth {
+			over++
+		}
+	}
+	fmt.Println("segments over their bound:", over)
+	// Output: segments over their bound: 0
 }
 
 func TestRunTasks(t *testing.T) {

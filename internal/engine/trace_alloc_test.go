@@ -30,24 +30,28 @@ func BenchmarkUntracedJobSpan(b *testing.B) {
 }
 
 // TestRepairJobAllocations pins what an engine repair job allocates
-// through Worker.Do: a repair that inserts no shield allocates only the
-// report it returns. The worker copies the job's instance into its own
-// before swapping in the engine's model, and the repair writes its totals
-// into the job's K.
+// through Worker.Do: a repair that inserts no shield allocates nothing.
+// The worker copies the job's instance into its own before swapping in
+// the engine's model, the repair writes its totals into the job's K, and
+// it builds no report.
 func TestRepairJobAllocations(t *testing.T) {
 	jobs := makeJobs(1, ModeSolve)
 	w := &newFor(1, jobs).pool[0]
 	base := w.Do(jobs[0])
-	if base.Err != nil || !base.Check.Feasible() {
-		t.Fatalf("fixture solve: %v, feasible %v", base.Err, base.Check != nil && base.Check.Feasible())
+	if base.Err != nil {
+		t.Fatalf("fixture solve: %v", base.Err)
 	}
+	tracks := len(base.Sol.Tracks)
 	inst := *jobs[0].Inst
 	inst.Rel = base.Rel
-	job := Job{Inst: &inst, Mode: ModeRepair, Prev: base.Sol, K: base.Check.K}
-	if got := testing.AllocsPerRun(100, func() { w.Do(job) }); got != 1 {
-		t.Errorf("repair job through Worker.Do: %v allocations, want 1 (its report)", got)
+	job := Job{Inst: &inst, Mode: ModeRepair, Prev: base.Sol, K: base.K}
+	if got := testing.AllocsPerRun(100, func() { w.Do(job) }); got != 0 {
+		t.Errorf("repair job through Worker.Do: %v allocations, want 0", got)
 	}
-	if res := w.Do(job); res.Err != nil || &res.Check.K[0] != &job.K[0] || res.Sol != base.Sol {
+	if res := w.Do(job); res.Err != nil || &res.K[0] != &job.K[0] || res.Sol != base.Sol {
 		t.Errorf("repair job did not repair in place into its totals: %+v", res)
+	}
+	if len(base.Sol.Tracks) != tracks {
+		t.Fatalf("the fixture repair inserted %d shields, want none", len(base.Sol.Tracks)-tracks)
 	}
 }

@@ -158,10 +158,6 @@ func taintAssign(info *types.Info, tainted map[types.Object]bool, lhs, rhs []ast
 				}
 				continue
 			}
-			if call, ok := r.(*ast.CallExpr); ok && isSealedCall(info, call) {
-				mark(lhs[i])
-				continue
-			}
 			// Derived binding: trees := res.Trees, t := trees[0]. Only
 			// reference-like values alias sealed memory — a struct or
 			// scalar copy is the caller's own to mutate.
@@ -198,22 +194,19 @@ func isSealedCall(info *types.Info, call *ast.CallExpr) bool {
 	return pkgPath == ArtifactPkg && name == "Artifact"
 }
 
-// sealedRoot reports whether e's access chain is rooted in sealed data:
-// a tainted identifier or directly in a sealed accessor call
-// (a.Drain().Tiles[0]).
+// sealedRoot reports whether e's access chain is rooted in a tainted
+// identifier. Result and Drain both return an error beside their data, so
+// their data reaches a chain only through one (d, err := a.Drain()).
 func sealedRoot(info *types.Info, tainted map[types.Object]bool, e ast.Expr) bool {
-	root := lintutil.RootExpr(e)
-	if id, ok := root.(*ast.Ident); ok {
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		return obj != nil && tainted[obj]
+	id, ok := lintutil.RootExpr(e).(*ast.Ident)
+	if !ok {
+		return false
 	}
-	if call, ok := root.(*ast.CallExpr); ok {
-		return isSealedCall(info, call)
+	obj := info.Uses[id]
+	if obj == nil {
+		obj = info.Defs[id]
 	}
-	return false
+	return obj != nil && tainted[obj]
 }
 
 // isSealedWrite reports whether lhs writes *through* sealed data — a

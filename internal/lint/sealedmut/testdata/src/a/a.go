@@ -34,7 +34,7 @@ func pointerAliasWrite(a *artifact.Artifact) {
 }
 
 func drainOverwrite(a *artifact.Artifact) {
-	d := a.Drain()
+	d, _ := a.Drain()
 	*d = route.DrainState{} // want `write through sealed artifact data`
 }
 

@@ -1,14 +1,17 @@
 package sino
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestSolveAndRepairAllocations pins what a solve and a repair allocate on
 // a warm pooled evaluator, bound to an instance that carries its relation.
 // A solve allocates its solution (the struct and its tracks, at their
 // final length) and its report (the struct and its totals): construction
 // and the solve's working stack live on the evaluator. A repair that
-// inserts no shield allocates its report alone: it writes its totals into
-// the array it was given, which the report holds as its K.
+// inserts no shield allocates nothing: it builds no report, and writes its
+// totals into the array it was given.
 func TestSolveAndRepairAllocations(t *testing.T) {
 	in := testInstance(30, 0.5, 0.7, 3)
 	in.Rel = NewRelation(in.Segs, in.Sensitive)
@@ -22,14 +25,13 @@ func TestSolveAndRepairAllocations(t *testing.T) {
 	}
 
 	tracks := append([]int(nil), sol.Tracks...)
-	if got := testing.AllocsPerRun(100, func() { RepairWith(ev, in, sol, chk.K) }); got != 1 {
-		t.Errorf("warm RepairWith inserting no shield: %v allocations, want 1 (its report)", got)
-	}
-	rep := RepairWith(ev, in, sol, chk.K)
-	if &rep.K[0] != &chk.K[0] {
-		t.Error("repair report does not hold the totals array it was given")
+	if got := testing.AllocsPerRun(100, func() { RepairWith(ev, in, sol, chk.K) }); got != 0 {
+		t.Errorf("warm RepairWith inserting no shield: %v allocations, want 0", got)
 	}
 	if len(sol.Tracks) != len(tracks) {
 		t.Fatalf("repair of a feasible solution inserted shields: %v → %v", tracks, sol.Tracks)
+	}
+	if want := in.TotalK(sol); !reflect.DeepEqual(chk.K, want) {
+		t.Errorf("repair left totals %v in the array it was given, want %v", chk.K, want)
 	}
 }

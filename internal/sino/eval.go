@@ -33,7 +33,7 @@ import (
 //
 //	e := sino.NewEval()
 //	sol, chk := sino.SolveWith(e, in)
-//	chk = sino.RepairWith(e, tighter, sol, chk.K)
+//	err := sino.RepairWith(e, tighter, sol, chk.K) // sol and chk.K repaired in place
 //
 // An Eval is reusable across instances (Bind resets it) and is designed to
 // be pooled one per solver worker: its buffers persist across solves. It
@@ -188,13 +188,9 @@ func (e *Eval) Solution() *Solution {
 // Check builds the verification report of the current solution, equal
 // field by field to Instance.verify on it — including the exact K bits —
 // without the from-scratch pair summation.
-func (e *Eval) Check() *Check { return e.check(make([]float64, len(e.k))) }
-
-// check is Check copying the totals into k, len(e.k), which the report
-// keeps as its K.
-func (e *Eval) check(k []float64) *Check {
-	c := &Check{WorstSeg: -1, K: k}
-	copy(k, e.k)
+func (e *Eval) Check() *Check {
+	c := &Check{WorstSeg: -1, K: make([]float64, len(e.k))}
+	copy(c.K, e.k)
 	prev := -1
 	for t, v := range e.tracks {
 		if v == Shield {

@@ -172,9 +172,11 @@ func TestSolveWithPooledEvaluatorMatchesFresh(t *testing.T) {
 		for i := range tight.Segs {
 			tight.Segs[i].Kth *= 0.7
 		}
-		rChk := RepairWith(ev, tight, rs, pooledChk.K)
+		if err := RepairWith(ev, tight, rs, pooledChk.K); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		fChk := Repair(tight, fs)
-		if !reflect.DeepEqual(rs, fs) || !reflect.DeepEqual(rChk, fChk) {
+		if !reflect.DeepEqual(rs, fs) || !reflect.DeepEqual(ev.Check(), fChk) || !reflect.DeepEqual(pooledChk.K, fChk.K) {
 			t.Fatalf("seed %d: pooled repair differs", seed)
 		}
 	}
@@ -241,8 +243,9 @@ func TestRepairSkipsUselessSideInsertion(t *testing.T) {
 	}
 }
 
-// TestRepairRejectsStructurallyInvalid documents RepairWith's contract for
-// broken inputs: no repair, oracle report returned.
+// TestRepairRejectsStructurallyInvalid documents the repairs' contract for
+// broken inputs: no repair; Repair returns the oracle report, RepairWith
+// an error, with the totals it was given untouched.
 func TestRepairRejectsStructurallyInvalid(t *testing.T) {
 	in := testInstance(3, 0.5, 0.7, 1)
 	s := &Solution{Tracks: []int{0, 1, 1}} // segment 2 missing, 1 duplicated
@@ -252,6 +255,13 @@ func TestRepairRejectsStructurallyInvalid(t *testing.T) {
 	}
 	if len(s.Tracks) != 3 {
 		t.Fatalf("structurally invalid solution must not be modified: %v", s.Tracks)
+	}
+	k := []float64{1, 2, 3}
+	if err := RepairWith(NewEval(), in, s, k); err == nil {
+		t.Fatal("RepairWith accepted a structurally invalid solution")
+	}
+	if !reflect.DeepEqual(s.Tracks, []int{0, 1, 1}) || !reflect.DeepEqual(k, []float64{1, 2, 3}) {
+		t.Fatalf("RepairWith modified a structurally invalid solution: tracks %v, totals %v", s.Tracks, k)
 	}
 }
 

@@ -192,25 +192,32 @@ func (e *Eval) repairK() {
 // Repair improves an existing solution in place toward feasibility by
 // shield insertion only, without reordering or polish — the cheap re-solve
 // used by Phase III refinement, where bounds change a little at a time and
-// the existing ordering is worth keeping. A structurally invalid solution
-// is returned unrepaired with its verify report — there is no meaningful
+// the existing ordering is worth keeping — and returns the verification
+// report of the repaired solution. A structurally invalid solution is
+// returned unrepaired with its verify report — there is no meaningful
 // repair for a broken track assignment.
 func Repair(in *Instance, s *Solution) *Check {
 	c := in.verify(s, nil)
 	if c.Structural != nil {
 		return c
 	}
-	return RepairWith(NewEval(), in, s, c.K)
+	e := NewEval()
+	if err := RepairWith(e, in, s, c.K); err != nil {
+		panic(err.Error()) // unreachable: verify found s structurally valid
+	}
+	return e.Check()
 }
 
 // RepairWith is Repair on a caller-supplied evaluator (see SolveWith),
-// given k, s's per-segment totals: the Check.K of the solve or repair
-// that produced s. Totals do not depend on the bounds, so a check taken
-// under other Kth values serves, and the load skips its totals pass. The
-// repair writes its final totals back into k, which the returned report
-// holds as its K, so a repair that inserts no shield allocates only that
-// report.
-func RepairWith(e *Eval, in *Instance, s *Solution, k []float64) *Check {
+// given k, s's per-segment totals: the Check.K of the solve that produced
+// s, or the k of an earlier repair of it. Totals do not depend on the
+// bounds, so totals taken under other Kth values serve, and the load
+// skips its totals pass. The repair writes its final totals back into k
+// and builds no report: the caller owns s and k, which now describe the
+// repaired solution, so a repair that inserts no shield allocates
+// nothing. The only error is a structurally invalid s (a segment missing,
+// repeated or unknown), which is left unrepaired with k untouched.
+func RepairWith(e *Eval, in *Instance, s *Solution, k []float64) error {
 	if err := in.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -219,11 +226,12 @@ func RepairWith(e *Eval, in *Instance, s *Solution, k []float64) *Check {
 	}
 	e.Bind(in)
 	if err := e.load(s.Tracks, k); err != nil {
-		return in.verify(s, e.rel)
+		return err
 	}
 	e.repairK()
 	e.store(s)
-	return e.check(k)
+	copy(k, e.k)
+	return nil
 }
 
 // polish removes shields that are no longer needed. Each removal probe

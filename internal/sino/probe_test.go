@@ -230,9 +230,15 @@ func TestRelationMatchesSensitive(t *testing.T) {
 			return &c
 		}
 		ws, gs := cloneSolution(wantSol), cloneSolution(gotSol)
-		wantRep := RepairWith(ev, tight(in), ws, wantChk.K)
-		gotRep := RepairWith(ev, tight(&snap), gs, gotChk.K)
-		if !reflect.DeepEqual(gs, ws) || !reflect.DeepEqual(gotRep, wantRep) {
+		if err := RepairWith(ev, tight(in), ws, wantChk.K); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		wantRep := ev.Check()
+		if err := RepairWith(ev, tight(&snap), gs, gotChk.K); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		gotRep := ev.Check()
+		if !reflect.DeepEqual(gs, ws) || !reflect.DeepEqual(gotRep, wantRep) || !reflect.DeepEqual(gotChk.K, wantChk.K) {
 			t.Fatalf("seed %d: repair with a relation differs", seed)
 		}
 	}
@@ -304,8 +310,10 @@ func TestRepairWithHeldTotalsMatchesRepair(t *testing.T) {
 		}
 		ws, gs := cloneSolution(sol), cloneSolution(sol)
 		want := Repair(&tight, ws)
-		got := RepairWith(ev, &tight, gs, chk.K)
-		if !reflect.DeepEqual(gs, ws) || !reflect.DeepEqual(got, want) {
+		if err := RepairWith(ev, &tight, gs, chk.K); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := ev.Check(); !reflect.DeepEqual(gs, ws) || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(chk.K, want.K) {
 			t.Fatalf("seed %d: repair from held totals differs:\nheld  %v\nfresh %v", seed, gs.Tracks, ws.Tracks)
 		}
 	}
