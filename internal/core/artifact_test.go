@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/artifact"
 	"repro/internal/geom"
@@ -166,6 +168,43 @@ func TestDesignKeyMatchesKeyFor(t *testing.T) {
 		if len(keys) != 2 {
 			t.Errorf("%d nets: both router configs hash to one key", len(nets))
 		}
+	}
+}
+
+// TestWarmHitBuildsNoNets: a lookup that hits the in-memory store keys
+// and validates the cached result from the design's netlist, so it
+// allocates less than the route.Net array (records and pin regions) that
+// only a compute builds. The hit must also return the cached result.
+func TestWarmHitBuildsNoNets(t *testing.T) {
+	d := smallDesign(t, 400, 0.4, 11)
+	r, err := NewRunner(d, Params{Artifacts: artifact.NewStore(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cold, err := r.routeAll(ctx, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netBytes := uint64(0)
+	for _, n := range routeNetsFor(d) {
+		netBytes += uint64(unsafe.Sizeof(n)) + uint64(len(n.Pins))*uint64(unsafe.Sizeof(geom.Point{}))
+	}
+	const hits = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hits; i++ {
+		warm, err := r.routeAll(ctx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm != cold {
+			t.Fatal("a warm lookup returned a result other than the cached one")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perHit := (after.TotalAlloc - before.TotalAlloc) / hits; perHit >= netBytes {
+		t.Errorf("a warm hit allocates %d B, want less than the %d B of the design's route.Net array", perHit, netBytes)
 	}
 }
 

@@ -36,14 +36,16 @@ func (st *chipState) conflictNodes(unfixable []bool) []conflictNode {
 	return nodes
 }
 
-// waveNodes derives the next wave's graph from the flushed tracker: one
-// node per net tr holds violating that is not unfixable, ascending by net,
-// its severity read from the tracked LSK and its footprint from the net's
-// terms, which refinement never changes. The derivation is one O(nets)
-// scan, and every value it reads is the one a from-scratch sweep
-// (conflictNodes) computes, bit for bit.
-func waveNodes(tr *violTracker, unfixable []bool) []conflictNode {
-	nodes := make([]conflictNode, 0, tr.count())
+// waveNodes derives the next wave's graph from the flushed tracker into
+// buf, whose contents it replaces, and returns it: one node per net tr
+// holds violating that is not unfixable, ascending by net, its severity
+// read from the tracked LSK and its footprint from the net's terms, which
+// refinement never changes. The derivation is one O(nets) scan, and every
+// value it reads is the one a from-scratch sweep (conflictNodes)
+// computes, bit for bit. Once buf has grown to the wave it allocates
+// nothing.
+func waveNodes(tr *violTracker, unfixable []bool, buf []conflictNode) []conflictNode {
+	nodes := buf[:0]
 	for net, v := range tr.viol {
 		if v && !unfixable[net] {
 			nodes = append(nodes, conflictNode{net: net, ratio: tr.lsk[net] / tr.st.lskb[net], terms: tr.st.terms[net]})

@@ -301,7 +301,9 @@ func sameNodes(got, want []retiredNode) error {
 // once did, and against conflictNodes' from-scratch sweep: the same nets,
 // ratio bits and footprints, and the same coloring. The churn summed over
 // consecutive derivations must equal the live graph's dropped and added
-// counters. It returns those sums.
+// counters. Like pass 1, it derives into two lists in turn, so each
+// derivation overwrites the list of the wave before the one churn reads.
+// It returns those sums.
 //
 // Each edit is three bytes (a, b, c). By a%4 it sets one coupling of
 // instance b to an arbitrary value, raises every coupling of net b (how a
@@ -320,7 +322,10 @@ func runWaveScript(t *testing.T, seed int64, nNets, nInsts, maxDeg uint8, script
 	tr := st.newViolTracker()
 	unfixable := make([]bool, n)
 	g := newConflictGraph(st, tr, make(map[int]bool))
-	nodes := waveNodes(tr, unfixable)
+	var waves [2][]conflictNode
+	nodes := waveNodes(tr, unfixable, waves[0])
+	waves[0] = nodes
+	barrier := 0
 
 	check := func(step int) {
 		t.Helper()
@@ -378,7 +383,9 @@ func runWaveScript(t *testing.T, seed int64, nNets, nInsts, maxDeg uint8, script
 			g.refresh(tr, net)
 		}
 		marked = marked[:0]
-		next := waveNodes(tr, unfixable)
+		barrier++
+		next := waveNodes(tr, unfixable, waves[barrier%2])
+		waves[barrier%2] = next
 		dd, aa := churn(nodes, next)
 		dropped, added, nodes = dropped+dd, added+aa, next
 		check(step)
@@ -400,6 +407,26 @@ func FuzzWaveNodes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nNets, nInsts, maxDeg uint8, script []byte) {
 		runWaveScript(t, seed, nNets, nInsts, maxDeg, script)
 	})
+}
+
+// TestWaveNodesReusedBuffer: once a derivation's list has grown to the
+// wave, deriving the wave again into it allocates nothing and gives the
+// nodes a fresh list gives.
+func TestWaveNodesReusedBuffer(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	st := syntheticState(rand.New(rand.NewSource(41)), 60, 40, 4)
+	tr := st.newViolTracker()
+	unfixable := make([]bool, len(st.terms))
+	buf := waveNodes(tr, unfixable, nil)
+	if len(buf) == 0 {
+		t.Fatal("fixture has no violating net")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { buf = waveNodes(tr, unfixable, buf) }); allocs != 0 {
+		t.Errorf("warm waveNodes of %d nodes: %v allocations, want 0", len(buf), allocs)
+	}
+	if err := sameNodes(retired(buf), retired(waveNodes(tr, unfixable, nil))); err != nil {
+		t.Fatalf("a reused list against a fresh one: %v", err)
+	}
 }
 
 // churnSeed is a script whose barriers both drop vertices and add them:

@@ -53,6 +53,9 @@ type chipState struct {
 	routed *route.Result
 
 	colors colorBuf // Phase III pass 1's wave coloring, reused across waves
+	// waves holds pass 1's wave graphs: wave w's in waves[w%2], so the
+	// next wave's derivation leaves the one churn compares it with.
+	waves [2][]conflictNode
 }
 
 // routeNetsFor converts a design's netlist into router requests. Every
@@ -81,19 +84,26 @@ func routeNetsFor(d *Design) []route.Net {
 // netsForRouting converts the runner's netlist into router requests.
 func (r *Runner) netsForRouting() []route.Net { return routeNetsFor(r.design) }
 
-// designKey is artifact.KeyFor(d.Grid, cfg, _, routeNetsFor(d)) without
-// the route.Net array: each net's pin regions are hashed from one buffer
-// that every net reuses.
-func designKey(d *Design, cfg route.Config) artifact.Key {
+// designNets returns net(i): design net i as the router sees it — its
+// id, rate and pin regions — in the form artifact.KeyOf and
+// route.Result.Validate read, without the route.Net array. Every call
+// reuses one pin buffer, so each net's pins are valid until the next call.
+func designNets(d *Design) func(i int) (int, float64, []geom.Point) {
 	g, nets, sens := d.Grid, d.Nets.Nets, d.Nets.Sensitivity
 	var pins []geom.Point
-	return artifact.KeyOf(g, cfg, len(nets), func(i int) (int, float64, []geom.Point) {
+	return func(i int) (int, float64, []geom.Point) {
 		pins = pins[:0]
 		for _, p := range nets[i].Pins {
 			pins = append(pins, g.RegionOf(p.Loc))
 		}
 		return i, sens.Rate(i), pins
-	})
+	}
+}
+
+// designKey is artifact.KeyFor(d.Grid, cfg, _, routeNetsFor(d)), hashed
+// from designNets.
+func designKey(d *Design, cfg route.Config) artifact.Key {
+	return artifact.KeyOf(d.Grid, cfg, len(d.Nets.Nets), designNets(d))
 }
 
 // routeAll runs the ID router — Phase I — sharded across the engine's
@@ -131,10 +141,10 @@ func (r *Runner) routeAll(ctx context.Context, shieldAware bool) (*route.Result,
 		return router.RunSharded(ctx, r.eng, scfg)
 	}
 
-	nets := r.netsForRouting()
-	key := artifact.KeyFor(r.design.Grid, cfg, scfg, nets)
+	key := designKey(r.design, cfg)
 	lsp := r.trace.Start(r.lane, "route", "artifact lookup")
 	art, _, err := store.Do(ctx, key, func(ctx context.Context) (*artifact.Artifact, error) {
+		nets := r.netsForRouting()
 		if r.ecoBase != nil {
 			baseKey := designKey(r.ecoBase, cfg)
 			if base := store.Peek(baseKey); base != nil {
@@ -175,7 +185,7 @@ func (r *Runner) routeAll(ctx context.Context, shieldAware bool) (*route.Result,
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Validate(r.design.Grid, nets); err != nil {
+	if err := res.Validate(r.design.Grid, len(r.design.Nets.Nets), designNets(r.design)); err != nil {
 		return nil, fmt.Errorf("core: routing artifact %s: %w", key, err)
 	}
 	return res, nil

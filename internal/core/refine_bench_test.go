@@ -81,7 +81,9 @@ func benchRefineBarrier(b *testing.B, workers int, recompute bool) {
 	_, st, _ := benchRefineState(b, workers)
 	tr := st.newViolTracker()
 	unfixable := make([]bool, len(st.terms))
-	nodes := waveNodes(tr, unfixable)
+	var waves [2][]conflictNode
+	nodes := waveNodes(tr, unfixable, waves[0])
+	waves[0] = nodes
 	// A representative wave's mutation set: each batch net re-solved its
 	// least-congested instance or two — touch one instance per violator.
 	batch := make([]*regionInst, 0, 8)
@@ -98,7 +100,8 @@ func benchRefineBarrier(b *testing.B, workers int, recompute bool) {
 			}
 			tr.flush()
 		}
-		next := waveNodes(tr, unfixable)
+		next := waveNodes(tr, unfixable, waves[(i+1)%2])
+		waves[(i+1)%2] = next
 		dropped, added := churn(nodes, next)
 		churnSink += dropped + added
 		nodes = next

@@ -28,7 +28,8 @@ import (
 func (st *chipState) refinePass1(ctx context.Context, tr *violTracker, unfixable []bool, stats *refineStats) error {
 	maxWaves := 4*tr.count() + 16
 	dropped, added := 0, 0
-	nodes := waveNodes(tr, unfixable)
+	nodes := waveNodes(tr, unfixable, st.waves[0])
+	st.waves[0] = nodes
 	for wave := 0; wave < maxWaves && len(nodes) > 0; wave++ {
 		classes := colorConflicts(nodes, &st.colors)
 		if len(classes) > stats.MaxColors {
@@ -85,7 +86,8 @@ func (st *chipState) refinePass1(ctx context.Context, tr *violTracker, unfixable
 			}
 		}
 		tr.flush()
-		next := waveNodes(tr, unfixable)
+		next := waveNodes(tr, unfixable, st.waves[(wave+1)%2])
+		st.waves[(wave+1)%2] = next
 		d, a := churn(nodes, next)
 		dropped, added, nodes = dropped+d, added+a, next
 		bsp.End()

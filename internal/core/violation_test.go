@@ -119,7 +119,7 @@ func TestRepairNetTouchesEveryMutation(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		r, st := ibmRefineFixture(t, 16, 0.5, seed, Params{})
 		tr := st.newViolTracker()
-		wave := colorConflicts(waveNodes(tr, make([]bool, len(st.terms))), new(colorBuf))[0]
+		wave := colorConflicts(waveNodes(tr, make([]bool, len(st.terms)), nil), new(colorBuf))[0]
 		w := poolWorker(t, r.eng)
 		mutated := 0
 		for _, nd := range wave {
@@ -155,7 +155,7 @@ func TestRepairNetTouchesEveryMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkTrackerOracle(t, st, tr)
-		if err := sameNodes(retired(waveNodes(tr, unfixable)), retired(st.conflictNodes(unfixable))); err != nil {
+		if err := sameNodes(retired(waveNodes(tr, unfixable, nil)), retired(st.conflictNodes(unfixable))); err != nil {
 			t.Fatalf("seed %d: graph derived after pass 1 against the from-scratch sweep: %v", seed, err)
 		}
 	}

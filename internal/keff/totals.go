@@ -24,24 +24,22 @@ func (m *Model) Pair(ti, tj int, si, sj [2]int) float64 {
 // taken in ascending track order with the lower position as the first
 // operand. That is exactly the accumulation order AllTotals uses for the
 // same position, so the result is bit-identical to AllTotals(...)[ti] —
-// the property the incremental evaluator's windowed updates rest on.
-// Every net id in tr must be below rel.Len().
+// the property the incremental evaluator's windowed updates rest on. The
+// partners on each side are selected first (Relation.Partners), left
+// then right, and the kernel runs over them. Every net id in tr must be
+// below rel.Len().
 func (m *Model) TrackTotal(tr []int, shields [][2]int, ti int, rel *Relation) float64 {
 	il, ir := ti-shields[ti][0], shields[ti][1]-ti
 	wt := m.wireTerms(il, ir)
-	row := rel.row(tr[ti])
+	var buf [pairCutoff]int
 	sum := 0.0
-	hi := min(ti+pairCutoff, len(tr)-1)
-	for q := max(ti-pairCutoff, 0); q <= hi; q++ {
-		if q == ti || tr[q] == Shield || !inRow(row, tr[q]) {
-			continue
-		}
+	for _, q := range rel.Partners(tr[ti], tr, max(ti-pairCutoff, 0), ti-1, buf[:]) {
 		ql, qr := q-shields[q][0], shields[q][1]-q
-		if q < ti {
-			sum += m.pair(ti-q, ql, qr, il, ir, m.wireTerms(ql, qr), wt)
-		} else {
-			sum += m.pair(q-ti, il, ir, ql, qr, wt, m.wireTerms(ql, qr))
-		}
+		sum += m.pair(ti-q, ql, qr, il, ir, m.wireTerms(ql, qr), wt)
+	}
+	for _, q := range rel.Partners(tr[ti], tr, ti+1, min(ti+pairCutoff, len(tr)-1), buf[:]) {
+		ql, qr := q-shields[q][0], shields[q][1]-q
+		sum += m.pair(q-ti, il, ir, ql, qr, wt, m.wireTerms(ql, qr))
 	}
 	return sum
 }
@@ -49,23 +47,21 @@ func (m *Model) TrackTotal(tr []int, shields [][2]int, ti int, rel *Relation) fl
 // AllTotalsInto computes every track position's total coupling into out
 // (len(tr), zeroed here), evaluating each pair once — the allocation-free
 // core of AllTotals, for callers that maintain their own shield table and
-// output buffer. The fixed track's row of rel is sliced once per row, so
-// each partner test is a shift and mask. Every net id in tr must be below
-// rel.Len().
+// output buffer. Each row selects the fixed track's partners among the
+// next pairCutoff positions first (Relation.Partners, into a stack
+// buffer) and then runs the kernel over them in ascending order, so the
+// pairs, their operands and the accumulation order are those of a
+// per-pair test. Every net id in tr must be below rel.Len().
 func (m *Model) AllTotalsInto(tr []int, shields [][2]int, rel *Relation, out []float64) {
 	clear(out)
+	var buf [pairCutoff]int
 	for i := range tr {
 		if tr[i] == Shield {
 			continue
 		}
-		row := rel.row(tr[i])
 		il, ir := i-shields[i][0], shields[i][1]-i
 		wi := m.wireTerms(il, ir)
-		jMax := min(i+pairCutoff, len(tr)-1)
-		for j := i + 1; j <= jMax; j++ {
-			if tr[j] == Shield || !inRow(row, tr[j]) {
-				continue
-			}
+		for _, j := range rel.Partners(tr[i], tr, i+1, min(i+pairCutoff, len(tr)-1), buf[:]) {
 			jl, jr := j-shields[j][0], shields[j][1]-j
 			k := m.pair(j-i, il, ir, jl, jr, wi, m.wireTerms(jl, jr))
 			out[i] += k

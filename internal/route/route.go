@@ -141,22 +141,26 @@ type RunStats struct {
 	LargestComponent    int
 }
 
-// Validate checks that res fits the grid and net list it is used with:
+// Validate checks that res fits the grid and the n nets it is used with:
 // one tree per net, carrying that net's id; every edge a unit step inside
 // the grid; and no edgeless tree for a net whose pins span regions, since
-// Phase II places an edgeless net in its first pin's region. A router
-// builds such results by construction. A decoded artifact's checksum and
-// fingerprint prove only that its bytes are the ones sealed, so a result
-// read back from a store is validated before anything indexes it.
-func (r *Result) Validate(g *grid.Grid, nets []Net) error {
-	if len(r.Trees) != len(nets) {
-		return fmt.Errorf("route: result has %d trees for %d nets", len(r.Trees), len(nets))
+// Phase II places an edgeless net in its first pin's region. net(i)
+// returns net i's id and pin regions, as artifact.KeyOf takes them (its
+// rate is not read), and the pins are read before the next call, so a
+// caller need not hold its nets as Nets. A router builds such results by
+// construction. A decoded artifact's checksum and fingerprint prove only
+// that its bytes are the ones sealed, so a result read back from a store
+// is validated before anything indexes it.
+func (r *Result) Validate(g *grid.Grid, n int, net func(i int) (id int, rate float64, pins []geom.Point)) error {
+	if len(r.Trees) != n {
+		return fmt.Errorf("route: result has %d trees for %d nets", len(r.Trees), n)
 	}
 	b := g.Bounds()
 	for i := range r.Trees {
 		t := &r.Trees[i]
-		if t.Net != nets[i].ID {
-			return fmt.Errorf("route: tree %d carries net %d, want %d", i, t.Net, nets[i].ID)
+		id, _, pins := net(i)
+		if t.Net != id {
+			return fmt.Errorf("route: tree %d carries net %d, want %d", i, t.Net, id)
 		}
 		for _, e := range t.Edges {
 			dx, dy := e.To.X-e.From.X, e.To.Y-e.From.Y
@@ -164,7 +168,7 @@ func (r *Result) Validate(g *grid.Grid, nets []Net) error {
 				return fmt.Errorf("route: tree %d edge %v-%v is not a unit step inside the %dx%d grid", i, e.From, e.To, g.Cols, g.Rows)
 			}
 		}
-		if pins := nets[i].Pins; len(t.Edges) == 0 && slices.ContainsFunc(pins, func(p geom.Point) bool { return p != pins[0] }) {
+		if len(t.Edges) == 0 && slices.ContainsFunc(pins, func(p geom.Point) bool { return p != pins[0] }) {
 			return fmt.Errorf("route: tree %d has no edges but its net's pins span regions", i)
 		}
 	}

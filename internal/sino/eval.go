@@ -47,6 +47,7 @@ type Eval struct {
 	pos     []int     // segment index -> track position
 	k       []float64 // per-segment coupling totals, bit-equal to TotalK
 	kt      []float64 // scratch: per-track totals for full recomputes
+	mates   []int     // scratch: sidePull's selected partners, one per segment
 
 	build buildScratch // a solve's construction, which the solve then loads
 
@@ -150,7 +151,8 @@ func (e *Eval) load(tracks []int, k []float64) error {
 		}
 	}
 	e.shields = e.in.Model.ShieldTableInto(e.tracks, e.shields)
-	e.capPairs = e.capCount()
+	e.capPairs = capPairCount(e.tracks, e.rel)
+	e.mates = growInts(e.mates, n)
 
 	e.k = growFloats(e.k, n)
 	if k != nil {
@@ -284,8 +286,7 @@ func (e *Eval) removeAt(at int) int {
 func (e *Eval) tryRemoveShield(at int) bool {
 	e.stats.Edits++
 	if at > 0 && at+1 < len(e.tracks) {
-		l, r := e.tracks[at-1], e.tracks[at+1]
-		if l != Shield && r != Shield && e.rel.Has(l, r) {
+		if e.rel.Bit(e.tracks[at-1], e.tracks[at+1]) != 0 {
 			e.stats.Rollbacks++
 			return false
 		}
@@ -364,7 +365,7 @@ func (e *Eval) swapAny(a, b int) {
 		e.pos[v] = b
 	}
 	e.shields = e.in.Model.ShieldTableInto(e.tracks, e.shields)
-	e.capPairs = e.capCount()
+	e.capPairs = capPairCount(e.tracks, e.rel)
 	lo, _ := e.in.Model.AffectedRange(len(e.tracks), a)
 	_, hi := e.in.Model.AffectedRange(len(e.tracks), b)
 	e.recompute(lo, hi)
@@ -373,7 +374,7 @@ func (e *Eval) swapAny(a, b int) {
 // refreshAround recounts the capacitive pairs after an insert/remove edit
 // at position at and recomputes the affected window.
 func (e *Eval) refreshAround(at int) {
-	e.capPairs = e.capCount()
+	e.capPairs = capPairCount(e.tracks, e.rel)
 	e.recompute(e.in.Model.AffectedRange(len(e.tracks), at))
 }
 
@@ -423,18 +424,14 @@ func (e *Eval) setK(seg int, nk float64) {
 	e.k[seg] = nk
 }
 
-// capCount recounts adjacent sensitive pairs through the relation.
-func (e *Eval) capCount() int {
-	n := 0
-	prev := Shield
-	for _, v := range e.tracks {
-		if v == Shield {
-			prev = Shield
-			continue
-		}
-		if prev != Shield && e.rel.Has(prev, v) {
-			n++
-		}
+// capPairCount counts the adjacent sensitive pairs of a track stack: the
+// capacitive violations, and the NO objective. It adds each adjacency's
+// bit (Relation.Bit, 0 beside a shield or a region wall) instead of
+// branching on it.
+func capPairCount(tracks []int, rel *keff.Relation) int {
+	n, prev := 0, Shield
+	for _, v := range tracks {
+		n += rel.Bit(prev, v)
 		prev = v
 	}
 	return n
@@ -454,32 +451,23 @@ func capSwapDelta(tracks []int, t int, rel *keff.Relation) int {
 	if t+2 < len(tracks) {
 		q = tracks[t+2]
 	}
-	pair := func(x, y int) int {
-		if x != Shield && y != Shield && rel.Has(x, y) {
-			return 1
-		}
-		return 0
-	}
-	return pair(p, b) + pair(a, q) - pair(p, a) - pair(b, q)
+	return rel.Bit(p, b) + rel.Bit(a, q) - rel.Bit(p, a) - rel.Bit(b, q)
 }
 
 // sidePull sums the segment at track position pos's couplings to sensitive
 // segments on each side — the insertion-side heuristic of repairK. Values
 // and accumulation order match the historical implementation (operand
 // order (pos, t), ascending t), so side choices are unchanged; the shield
-// table replaces its per-pair layout rebuild and neighbor scans.
+// table replaces its per-pair layout rebuild and neighbor scans. Each
+// side's partners are selected first (Relation.Partners, into the
+// evaluator's mates buffer) and then summed.
 func (e *Eval) sidePull(pos int) (left, right float64) {
-	seg := e.tracks[pos]
-	for t, other := range e.tracks {
-		if t == pos || other == Shield || !e.rel.Has(seg, other) {
-			continue
-		}
-		k := e.in.Model.Pair(pos, t, e.shields[pos], e.shields[t])
-		if t < pos {
-			left += k
-		} else {
-			right += k
-		}
+	seg, m := e.tracks[pos], e.in.Model
+	for _, t := range e.rel.Partners(seg, e.tracks, 0, pos-1, e.mates) {
+		left += m.Pair(pos, t, e.shields[pos], e.shields[t])
+	}
+	for _, t := range e.rel.Partners(seg, e.tracks, pos+1, len(e.tracks)-1, e.mates) {
+		right += m.Pair(pos, t, e.shields[pos], e.shields[t])
 	}
 	return left, right
 }

@@ -255,30 +255,13 @@ func (e *Eval) polish() {
 	}
 }
 
-// capPairCount counts adjacent sensitive pairs in O(n), the NO objective.
-func capPairCount(s *Solution, rel *keff.Relation) int {
-	n := 0
-	prev := Shield
-	for _, seg := range s.Tracks {
-		if seg == Shield {
-			prev = Shield
-			continue
-		}
-		if prev != Shield && rel.Has(prev, seg) {
-			n++
-		}
-		prev = seg
-	}
-	return n
-}
-
 // improveOrdering hill-climbs adjacent swaps to reduce the number of
 // adjacent sensitive pairs (the NO objective). A swap only affects the two
 // adjacencies beside the pair, so each probe is the O(1) capSwapDelta
 // instead of an O(n) recount; accepted swaps are exactly those the
 // recounting climber accepted (delta < 0 ⇔ new count < current).
 func improveOrdering(s *Solution, rel *keff.Relation) {
-	current := capPairCount(s, rel)
+	current := capPairCount(s.Tracks, rel)
 	for pass := 0; pass < 4 && current > 0; pass++ {
 		improved := false
 		for t := 0; t+1 < len(s.Tracks); t++ {

@@ -55,14 +55,14 @@ type Instance struct {
 
 // NewRelation snapshots sensitive (by net identifiers) over segs: the
 // relation by segment index that Instance.Rel holds. It depends only on
-// the segments' nets, so it stays valid while their bounds change.
+// the segments' nets, so it stays valid while their bounds change. Each
+// answer's bit is ORed into the rows (Relation.SetIf) rather than
+// branched on: the paper draws the relation at random.
 func NewRelation(segs []Seg, sensitive func(a, b int) bool) *keff.Relation {
 	r := keff.NewRelation(len(segs))
 	for i := range segs {
 		for j := i + 1; j < len(segs); j++ {
-			if sensitive(segs[i].Net, segs[j].Net) {
-				r.Set(i, j)
-			}
+			r.SetIf(i, j, sensitive(segs[i].Net, segs[j].Net))
 		}
 	}
 	return r

@@ -150,9 +150,9 @@ func TestNetOrderReducesCapPairs(t *testing.T) {
 	for i := range identity.Tracks {
 		identity.Tracks[i] = i
 	}
-	before := capPairCount(identity, in.relation())
+	before := capPairCount(identity.Tracks, in.relation())
 	sol, _ := NetOrderOnly(in)
-	after := capPairCount(sol, in.relation())
+	after := capPairCount(sol.Tracks, in.relation())
 	if after > before {
 		t.Errorf("NO increased adjacent sensitive pairs: %d -> %d", before, after)
 	}
