@@ -143,7 +143,8 @@ type Outcome struct {
 	Route route.RunStats
 
 	// Eval reports the engine's pooled incremental evaluators' activity
-	// during this flow (binds, loads, incremental edits, rollbacks). Like
+	// during this flow (binds, loads, incremental edits, rollbacks, and the
+	// pair values their full-layout passes computed and carried). Like
 	// every surfaced counter it is worker-count invariant.
 	Eval sino.EvalStats
 
@@ -231,8 +232,8 @@ func (o *Outcome) Detail(prefix string) string {
 	fmt.Fprintf(&b, "%sengine: %d workers, %d instances solved (%d tracks), %d tasks in %d waves\n",
 		prefix, e.Workers, e.Jobs, e.Tracks, e.Tasks, e.Waves)
 	v := o.Eval
-	fmt.Fprintf(&b, "%seval pool: %d binds, %d loads, %d incremental edits, %d rollbacks\n",
-		prefix, v.Binds, v.Loads, v.Edits, v.Rollbacks)
+	fmt.Fprintf(&b, "%seval pool: %d binds, %d loads, %d incremental edits, %d rollbacks; full passes: %d pair values computed, %d carried\n",
+		prefix, v.Binds, v.Loads, v.Edits, v.Rollbacks, v.PairsComputed, v.PairsCarried)
 	r := o.Route
 	fmt.Fprintf(&b, "%sphase I: %d routing shards (largest %d nets), seeding in %d chunks, %d nets reconciled in %d rounds (%d components, largest %d)\n",
 		prefix, r.Shards, r.LargestShard, r.SeedChunks,

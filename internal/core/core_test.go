@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/route"
+	"repro/internal/sino"
 )
 
 // smallDesign builds a compact random design for flow tests.
@@ -184,6 +186,51 @@ func TestDeterministicOutcomes(t *testing.T) {
 	}
 }
 
+// TestEvalStatsInvariant requires a GSINO flow's evaluator counters, the
+// full passes' pair counts included, to be identical at 1 and 4 workers
+// and with the artifact store off and on, a warm second run included:
+// they count the work of the solve schedule, which neither setting moves.
+// The flow must carry pair values over shield insertions, or the
+// counters would hold nothing to compare.
+func TestEvalStatsInvariant(t *testing.T) {
+	p, err := ibm.ProfileByName("ibm01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckt, err := ibm.Generate(p, ibm.Options{Seed: 2, Scale: 16, SensRate: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Design{Name: "ibm01", Nets: ckt.Nets, Grid: ckt.Grid, Rate: 0.5}
+	var ref *sino.EvalStats
+	for _, workers := range []int{1, 4} {
+		for _, store := range []bool{false, true} {
+			params := Params{Workers: workers}
+			if store {
+				params.Artifacts = artifact.NewStore(0)
+			}
+			r, err := NewRunner(d, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < 2; run++ {
+				o, err := r.Run(FlowGSINO)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					if o.Eval.PairsComputed == 0 || o.Eval.PairsCarried == 0 {
+						t.Fatalf("fixture carries no pair values: %+v", o.Eval)
+					}
+					ref = &o.Eval
+				} else if o.Eval != *ref {
+					t.Errorf("workers %d, store %v, run %d: eval stats %+v, want %+v", workers, store, run, o.Eval, *ref)
+				}
+			}
+		}
+	}
+}
+
 func TestOverheadHelpers(t *testing.T) {
 	base := &Outcome{Area: grid.Area{W: 100, H: 100}, TotalWL: 1000}
 	o := &Outcome{Area: grid.Area{W: 110, H: 100}, TotalWL: 1100}
@@ -221,8 +268,10 @@ func TestOutcomeDetail(t *testing.T) {
 	o.Refinements = 184
 	o.Refine = RefineStats{Waves: 6, MaxWave: 2, MaxColors: 7, Relaxed: 2, Accepted: 1, Reverted: 1}
 	o.Artifact.Disk.Hits = 1
+	o.Eval = sino.EvalStats{Binds: 9, Loads: 8, Edits: 7, Rollbacks: 6, PairsComputed: 500, PairsCarried: 300}
 	d = o.Detail("  ")
 	for _, want := range []string{
+		"eval pool: 9 binds, 8 loads, 7 incremental edits, 6 rollbacks; full passes: 500 pair values computed, 300 carried\n",
 		"phases: route 13ms, order 17ms, refine 4ms (total 37ms)",
 		"engine: 4 workers, 344 instances solved (8580 tracks), 55 tasks in 7 waves\n",
 		"phase I: 40 routing shards (largest 38 nets)",

@@ -30,7 +30,7 @@ type violTracker struct {
 	n    int       // violating-net count
 
 	dirtyMark []bool // nets awaiting refresh
-	dirty     []int  // their ids, in touch order
+	dirty     []int  // their ids, in touch order; sized for every net once
 
 	refreshes int // net LSK refreshes performed by flush (RefineStats.Refreshed)
 }
@@ -43,6 +43,7 @@ func (st *chipState) newViolTracker() *violTracker {
 		lsk:       make([]float64, len(st.terms)),
 		viol:      make([]bool, len(st.terms)),
 		dirtyMark: make([]bool, len(st.terms)),
+		dirty:     make([]int, 0, len(st.terms)),
 	}
 	for i := range st.terms {
 		t.lsk[i] = st.lskOf(i)

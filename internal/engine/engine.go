@@ -207,9 +207,9 @@ func (e *Engine) workerLane(w int) obs.Lane {
 }
 
 // EvalStats sums the pooled per-worker incremental evaluators' counters
-// (binds, loads, edits, rollbacks — see sino.EvalStats). It acquires the
-// run lock so the counters are read quiescent: call it between batches,
-// not from inside a running task.
+// (binds, loads, edits, rollbacks, pair values — see sino.EvalStats). It
+// acquires the run lock so the counters are read quiescent: call it
+// between batches, not from inside a running task.
 func (e *Engine) EvalStats() sino.EvalStats {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
@@ -291,6 +291,18 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	}
 	if e.model == nil {
 		return nil, errNoModel
+	}
+
+	// Size each worker's evaluator for the batch's largest instance once,
+	// where a fresh evaluator would grow at each new largest instance.
+	most := 0
+	for i := range jobs {
+		if jobs[i].Inst != nil && jobs[i].Mode != ModeNetOrder {
+			most = max(most, len(jobs[i].Inst.Segs))
+		}
+	}
+	for w := range min(e.workers, len(jobs)) {
+		e.pool[w].ev.Reserve(most)
 	}
 
 	bsp := e.trace.Start(e.ctlLane, "engine", "solve batch").Arg("jobs", int64(len(jobs)))

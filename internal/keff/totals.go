@@ -1,10 +1,12 @@
 package keff
 
 // This file holds the pair-summing entry points the incremental SINO
-// evaluator (internal/sino) runs in its inner loops. Each evaluates pairs
-// from the model's tables (wireTerms, the mutual row) through the one
-// kernel, with the fixed wire's terms read once per row. The totals
-// passes only sum in-cutoff pairs, so they always run the in-row pair.
+// evaluator (internal/sino) runs in its inner loops, and the from-scratch
+// totals pass its full-layout passes (rows.go) are held to. Each
+// evaluates pairs from the model's tables (wireTerms, the mutual row)
+// through the one kernel, with the fixed wire's terms read once per row.
+// The totals passes only sum in-cutoff pairs, so they always run the
+// in-row pair.
 
 // Pair returns K_ij for signal tracks at positions ti and tj given each
 // wire's left/right return conductors, as ShieldTableInto produces them
@@ -46,12 +48,13 @@ func (m *Model) TrackTotal(tr []int, shields [][2]int, ti int, rel *Relation) fl
 
 // AllTotalsInto computes every track position's total coupling into out
 // (len(tr), zeroed here), evaluating each pair once — the allocation-free
-// core of AllTotals, for callers that maintain their own shield table and
-// output buffer. Each row selects the fixed track's partners among the
-// next pairCutoff positions first (Relation.Partners, into a stack
-// buffer) and then runs the kernel over them in ascending order, so the
-// pairs, their operands and the accumulation order are those of a
-// per-pair test. Every net id in tr must be below rel.Len().
+// core of AllTotals, the from-scratch reference that SINO's verify runs
+// and that SelectTotalsInto and KeptTotalsInto equal bit for bit. Each
+// row selects the fixed track's partners among the next pairCutoff
+// positions first (Relation.Partners, into a stack buffer) and then runs
+// the kernel over them in ascending order, so the pairs, their operands
+// and the accumulation order are those of a per-pair test. Every net id
+// in tr must be below rel.Len().
 func (m *Model) AllTotalsInto(tr []int, shields [][2]int, rel *Relation, out []float64) {
 	clear(out)
 	var buf [pairCutoff]int
@@ -70,15 +73,12 @@ func (m *Model) AllTotalsInto(tr []int, shields [][2]int, rel *Relation, out []f
 	}
 }
 
-// ShieldTableInto fills out (grown as needed, returned) with each
-// position's nearest return conductors — the reusable-buffer form of the
-// table AllTotals precomputes.
+// ShieldTableInto fills out (grown as needed, to at least twice its
+// capacity, and returned) with each position's nearest return conductors
+// — the reusable-buffer form of the table AllTotals precomputes.
 func (m *Model) ShieldTableInto(tr []int, out [][2]int) [][2]int {
 	n := len(tr)
-	if cap(out) < n {
-		out = make([][2]int, n)
-	}
-	out = out[:n]
+	out = grow(out, n)
 	last := -1
 	for i := 0; i < n; i++ {
 		out[i][0] = max(last, i-backgroundReturn)

@@ -2,6 +2,7 @@ package sino
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -33,5 +34,34 @@ func TestSolveAndRepairAllocations(t *testing.T) {
 	}
 	if want := in.TotalK(sol); !reflect.DeepEqual(chk.K, want) {
 		t.Errorf("repair left totals %v in the array it was given, want %v", chk.K, want)
+	}
+}
+
+// TestReserveSizesOnce solves and repairs instances of growing size on an
+// evaluator reserved for the largest of them, as an engine worker is for
+// its batch, and requires that no buffer indexed by segment or by track
+// is reallocated.
+func TestReserveSizesOnce(t *testing.T) {
+	ev := NewEval()
+	ev.Reserve(40)
+	caps := func() []int {
+		b := &ev.build
+		return []int{cap(ev.pos), cap(ev.k), cap(ev.mates), cap(ev.tracks), cap(ev.shields), cap(ev.kt),
+			cap(b.deg), cap(b.order), cap(b.placed), cap(b.tracks)}
+	}
+	want := caps()
+	for n := 5; n <= 40; n += 5 {
+		in := testInstance(n, 0.5, 0.6, int64(n))
+		sol, chk := SolveWith(ev, in)
+		tight := &Instance{Segs: append([]Seg(nil), in.Segs...), Sensitive: in.Sensitive, Model: in.Model}
+		for i := range tight.Segs {
+			tight.Segs[i].Kth *= 0.7
+		}
+		if err := RepairWith(ev, tight, sol, chk.K); err != nil {
+			t.Fatal(err)
+		}
+		if got := caps(); !slices.Equal(got, want) {
+			t.Fatalf("%d segments: buffer capacities %v, reserved %v", n, got, want)
+		}
 	}
 }

@@ -49,6 +49,12 @@ type Eval struct {
 	kt      []float64 // scratch: per-track totals for full recomputes
 	mates   []int     // scratch: sidePull's selected partners, one per segment
 
+	// rows is the kept selection of the stack's sensitive pairs and their
+	// values, which full-layout passes select and shield insertions keep;
+	// kept reports that it describes the current stack.
+	rows keff.PartnerRows
+	kept bool
+
 	build buildScratch // a solve's construction, which the solve then loads
 
 	capPairs int // adjacent sensitive pairs (capacitive violations)
@@ -74,6 +80,11 @@ type EvalStats struct {
 	Loads     uint64 // solution loads — an O(n·cutoff) rebuild, or O(n) from held totals
 	Edits     uint64 // incremental ops: inserts, removes, swaps (O(window) each)
 	Rollbacks uint64 // one-level undo restores (O(n) integer rebuild)
+
+	// The full-layout passes' pair values: evaluated by the kernel, and
+	// carried over a shield insertion from the kept rows.
+	PairsComputed uint64
+	PairsCarried  uint64
 }
 
 // Add returns the fieldwise sum.
@@ -81,6 +92,7 @@ func (s EvalStats) Add(o EvalStats) EvalStats {
 	return EvalStats{
 		Binds: s.Binds + o.Binds, Loads: s.Loads + o.Loads,
 		Edits: s.Edits + o.Edits, Rollbacks: s.Rollbacks + o.Rollbacks,
+		PairsComputed: s.PairsComputed + o.PairsComputed, PairsCarried: s.PairsCarried + o.PairsCarried,
 	}
 }
 
@@ -89,6 +101,7 @@ func (s EvalStats) Sub(o EvalStats) EvalStats {
 	return EvalStats{
 		Binds: s.Binds - o.Binds, Loads: s.Loads - o.Loads,
 		Edits: s.Edits - o.Edits, Rollbacks: s.Rollbacks - o.Rollbacks,
+		PairsComputed: s.PairsComputed - o.PairsComputed, PairsCarried: s.PairsCarried - o.PairsCarried,
 	}
 }
 
@@ -109,7 +122,25 @@ func (e *Eval) Bind(in *Instance) {
 	e.stats.Binds++
 	e.rel = in.relation()
 	e.tracks = e.tracks[:0]
+	e.kept = false
 	e.capPairs, e.nShields, e.nOver = 0, 0, 0
+}
+
+// Reserve sizes the evaluator's buffers for instances of up to n
+// segments, between solves: those indexed by segment hold n, and those
+// indexed by track, which shields lengthen, 2n. A worker that reserves
+// once for the largest instance of a batch allocates each buffer once,
+// where growing with each new largest instance would allocate it again
+// and again. The buffers sized by a stack's pairs still grow as they
+// need. Every solve binds and loads its instance afterwards, as always.
+func (e *Eval) Reserve(n int) {
+	e.kept = false
+	b := &e.build
+	e.pos, e.k, e.mates = grow(e.pos, n), grow(e.k, n), grow(e.mates, n)
+	b.deg, b.order, b.placed = grow(b.deg, n), grow(b.order, n), grow(b.placed, n)
+	e.tracks, b.tracks = grow(e.tracks, 2*n)[:0], grow(b.tracks, 2*n)[:0]
+	e.shields, e.kt = grow(e.shields, 2*n), grow(e.kt, 2*n)
+	e.rows.Reserve(n)
 }
 
 // Relation returns the sensitivity relation of the bound instance: its
@@ -119,15 +150,17 @@ func (e *Eval) Relation() *keff.Relation { return e.rel }
 
 // load resets the evaluator to the track stack tracks, rebuilding every
 // maintained quantity: its per-segment totals are taken from k when
-// non-nil (see RepairWith) and summed otherwise, and the over-bound count
-// is recounted against the bound instance's bounds either way. It reports
-// structural problems (missing, duplicated, or unknown segments); on error
-// the evaluator must be loaded again before use.
+// non-nil (see RepairWith) and summed otherwise, by a full pass that
+// selects the kept rows, and the over-bound count is recounted against
+// the bound instance's bounds either way. It reports structural problems
+// (missing, duplicated, or unknown segments); on error the evaluator must
+// be loaded again before use.
 func (e *Eval) load(tracks []int, k []float64) error {
 	n := len(e.in.Segs)
 	e.stats.Loads++
+	e.kept = false
 	e.tracks = append(e.tracks[:0], tracks...)
-	e.pos = growInts(e.pos, n)
+	e.pos = grow(e.pos, n)
 	for i := range e.pos {
 		e.pos[i] = -1
 	}
@@ -152,14 +185,13 @@ func (e *Eval) load(tracks []int, k []float64) error {
 	}
 	e.shields = e.in.Model.ShieldTableInto(e.tracks, e.shields)
 	e.capPairs = capPairCount(e.tracks, e.rel)
-	e.mates = growInts(e.mates, n)
+	e.mates = grow(e.mates, n)
 
-	e.k = growFloats(e.k, n)
+	e.k = grow(e.k, n)
 	if k != nil {
 		copy(e.k, k)
 	} else {
-		e.kt = growFloats(e.kt, len(e.tracks))
-		e.in.Model.AllTotalsInto(e.tracks, e.shields, e.rel, e.kt)
+		e.selectTotals()
 		for t, v := range e.tracks {
 			if v != Shield {
 				e.k[v] = e.kt[t]
@@ -232,6 +264,7 @@ func (e *Eval) mark() {
 // shield table) rebuild in O(n) integer work.
 func (e *Eval) rollback() {
 	e.stats.Rollbacks++
+	e.kept = false
 	e.tracks = append(e.tracks[:0], e.mTracks...)
 	e.k = append(e.k[:0], e.mK...)
 	e.capPairs, e.nShields, e.nOver = e.mCap, e.mShields, e.mOver
@@ -243,27 +276,52 @@ func (e *Eval) rollback() {
 	e.shields = e.in.Model.ShieldTableInto(e.tracks, e.shields)
 }
 
-// insertAt inserts track value v (segment index or Shield) at position at.
+// insertAt inserts track value v (segment index or Shield) at position
+// at. Only the adjacencies beside at change, so the capacitive count
+// moves by capAround; a shield keeps the kept rows, a segment does not.
 func (e *Eval) insertAt(at, v int) {
 	e.stats.Edits++
 	e.splice(at, v)
+	e.capPairs += e.capAround(at)
+	shieldAt := -1
 	if v == Shield {
 		e.nShields++
+		shieldAt = at
 	}
-	e.refreshAround(at)
+	lo, hi := e.in.Model.AffectedRange(len(e.tracks), at)
+	e.recompute(lo, hi, shieldAt)
 }
 
 // removeAt removes the track at position at and returns its value.
 func (e *Eval) removeAt(at int) int {
 	e.stats.Edits++
+	e.capPairs -= e.capAround(at)
 	v := e.cut(at)
 	if v == Shield {
 		e.nShields--
 	} else {
 		e.pos[v] = -1
 	}
-	e.refreshAround(at)
+	lo, hi := e.in.Model.AffectedRange(len(e.tracks), at)
+	e.recompute(lo, hi, -1)
 	return v
+}
+
+// capAround returns the adjacent sensitive pairs the track at position at
+// forms with its neighbours, less the pair those neighbours would form
+// without it: what inserting it added to the capacitive count, and what
+// removing it takes away. A shield forms none, so it only takes away the
+// adjacency it splits.
+func (e *Eval) capAround(at int) int {
+	p, q := Shield, Shield
+	if at > 0 {
+		p = e.tracks[at-1]
+	}
+	if at+1 < len(e.tracks) {
+		q = e.tracks[at+1]
+	}
+	v := e.tracks[at]
+	return e.rel.Bit(p, v) + e.rel.Bit(v, q) - e.rel.Bit(p, q)
 }
 
 // tryRemoveShield removes the shield at position at if the solution stays
@@ -292,8 +350,9 @@ func (e *Eval) tryRemoveShield(at int) bool {
 		}
 	}
 	e.cut(at)
+	e.kept = false
 	lo, hi := e.in.Model.AffectedRange(len(e.tracks), at)
-	e.kt = growFloats(e.kt, len(e.tracks))
+	e.kt = grow(e.kt, len(e.tracks))
 	for d := 0; at-1-d >= lo || at+d <= hi; d++ {
 		for _, p := range [2]int{at - 1 - d, at + d} {
 			if p < lo || p > hi || e.tracks[p] == Shield {
@@ -368,38 +427,24 @@ func (e *Eval) swapAny(a, b int) {
 	e.capPairs = capPairCount(e.tracks, e.rel)
 	lo, _ := e.in.Model.AffectedRange(len(e.tracks), a)
 	_, hi := e.in.Model.AffectedRange(len(e.tracks), b)
-	e.recompute(lo, hi)
+	e.recompute(lo, hi, -1)
 }
 
-// refreshAround recounts the capacitive pairs after an insert/remove edit
-// at position at and recomputes the affected window.
-func (e *Eval) refreshAround(at int) {
-	e.capPairs = capPairCount(e.tracks, e.rel)
-	e.recompute(e.in.Model.AffectedRange(len(e.tracks), at))
-}
-
-// recompute refreshes the totals of every signal track in [lo, hi].
-// Positions whose geometry did not change recompute to the exact same
-// bits, so over-covering is harmless; when the window spans most of the
-// stack the pair-once full pass is cheaper than per-track sums (which
-// visit each in-window pair from both endpoints) and is used instead.
-func (e *Eval) recompute(lo, hi int) {
+// recompute refreshes the totals of every signal track in [lo, hi] after
+// an edit; shieldAt is the position of the shield the edit inserted, or
+// −1 for any other edit. Positions whose geometry did not change
+// recompute to the exact same bits, so over-covering is harmless. When
+// the window spans most of the stack a pair-once full pass is cheaper
+// than per-track sums (which visit each in-window pair from both
+// endpoints) and is used instead: after a shield insertion with the rows
+// kept, the kept pass (keff.KeptTotalsInto), which evaluates only the
+// pairs the shield moved; otherwise a pass that selects the rows anew. A
+// windowed pass leaves the rows behind the stack.
+func (e *Eval) recompute(lo, hi, shieldAt int) {
 	nt := len(e.tracks)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > nt-1 {
-		hi = nt - 1
-	}
-	if 2*(hi-lo+1) >= nt {
-		e.kt = growFloats(e.kt, nt)
-		e.in.Model.AllTotalsInto(e.tracks, e.shields, e.rel, e.kt)
-		for t, v := range e.tracks {
-			if v != Shield {
-				e.setK(v, e.kt[t])
-			}
-		}
-	} else {
+	lo, hi = max(lo, 0), min(hi, nt-1)
+	if 2*(hi-lo+1) < nt {
+		e.kept = false
 		for p := lo; p <= hi; p++ {
 			v := e.tracks[p]
 			if v == Shield {
@@ -407,7 +452,29 @@ func (e *Eval) recompute(lo, hi int) {
 			}
 			e.setK(v, e.in.Model.TrackTotal(e.tracks, e.shields, p, e.rel))
 		}
+		return
 	}
+	if e.kept && shieldAt >= 0 {
+		e.kt = grow(e.kt, nt)
+		computed, carried := e.in.Model.KeptTotalsInto(&e.rows, e.tracks, e.shields, shieldAt, e.kt)
+		e.stats.PairsComputed += uint64(computed)
+		e.stats.PairsCarried += uint64(carried)
+	} else {
+		e.selectTotals()
+	}
+	for t, v := range e.tracks {
+		if v != Shield {
+			e.setK(v, e.kt[t])
+		}
+	}
+}
+
+// selectTotals runs a full pass that selects the kept rows anew, leaving
+// each position's total in kt.
+func (e *Eval) selectTotals() {
+	e.kt = grow(e.kt, len(e.tracks))
+	e.stats.PairsComputed += uint64(e.in.Model.SelectTotalsInto(&e.rows, e.tracks, e.shields, e.rel, e.kt))
+	e.kept = true
 }
 
 // setK updates one segment's total and the over-bound counter.
@@ -472,18 +539,13 @@ func (e *Eval) sidePull(pos int) (left, right float64) {
 	return left, right
 }
 
-// growInts returns s resized to n, reallocating only when needed.
-func growInts(s []int, n int) []int {
+// grow returns s resized to n. When its capacity is short it reallocates
+// to at least twice that capacity, so a pooled buffer serving growing
+// instances reallocates a logarithmic number of times, not once per new
+// largest instance. The contents are not kept: every caller rewrites them.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growFloats returns s resized to n, reallocating only when needed.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }

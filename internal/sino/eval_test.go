@@ -61,7 +61,8 @@ func assertEvalMatchesVerify(t *testing.T, in *Instance, e *Eval, ctx string) {
 }
 
 // TestEvalMatchesVerifyOnEditScripts replays random edit scripts — shield
-// insertions and removals, adjacent and arbitrary swaps, relocations, and
+// insertions and removals, adjacent and arbitrary swaps, relocations,
+// mark/rollback cycles, and bursts of shield insertions alone and inside
 // mark/rollback cycles — through the incremental evaluator, asserting
 // after every operation that per-segment K totals (exact bits), the
 // cap-pair count, and feasibility match a fresh brute-force Verify of the
@@ -69,8 +70,11 @@ func assertEvalMatchesVerify(t *testing.T, in *Instance, e *Eval, ctx string) {
 func TestEvalMatchesVerifyOnEditScripts(t *testing.T) {
 	// The window spans the small layouts whole; the 260-segment instances
 	// are wider than the ±61-track window, so they exercise the truly
-	// windowed per-track recompute path.
-	sizes := []int{1, 2, 3, 5, 8, 13, 20, 28, 34, 40, 260}
+	// windowed per-track recompute path. The 150-segment instances lie
+	// between: an edit near the middle takes a full pass and one near an
+	// end a windowed one, so the kept rows are dropped and selected again
+	// between shield insertions.
+	sizes := []int{1, 2, 3, 5, 8, 13, 20, 28, 34, 40, 150, 260}
 	rates := []float64{0.1, 0.3, 0.5, 0.8}
 	for _, n := range sizes {
 		for _, rate := range rates {
@@ -144,6 +148,52 @@ func runEditScript(t *testing.T, in *Instance, n int, rate float64, seed int64) 
 		}
 		assertEvalMatchesVerify(t, in, e, "after step")
 	}
+
+	// Insertion bursts, alone and inside mark/rollback cycles: the kept
+	// rows carry pair values from one shield insertion to the next, and a
+	// rollback must drop them.
+	for round := 0; round < steps/5; round++ {
+		cycle := rng.Intn(2) == 0
+		before := e.Solution()
+		if cycle {
+			e.mark()
+		}
+		for b := 1 + rng.Intn(6); b > 0; b-- {
+			e.InsertShield(insertionPoint(e.tracks, rng))
+			assertEvalMatchesVerify(t, in, e, "after a burst insertion")
+		}
+		if cycle {
+			e.rollback()
+			if !reflect.DeepEqual(e.Solution(), before) {
+				t.Fatalf("n=%d rate=%g round %d: rollback did not restore tracks", n, rate, round)
+			}
+			assertEvalMatchesVerify(t, in, e, "after a burst's rollback")
+			e.InsertShield(insertionPoint(e.tracks, rng))
+			assertEvalMatchesVerify(t, in, e, "after an insertion past a rollback")
+		}
+	}
+}
+
+// insertionPoint draws a shield insertion point in tracks: either end,
+// beside an existing shield on either side, or anywhere.
+func insertionPoint(tracks []int, rng *rand.Rand) int {
+	switch rng.Intn(4) {
+	case 0:
+		return 0
+	case 1:
+		return len(tracks)
+	case 2:
+		var beside []int
+		for p, v := range tracks {
+			if v == Shield {
+				beside = append(beside, p, p+1)
+			}
+		}
+		if len(beside) > 0 {
+			return beside[rng.Intn(len(beside))]
+		}
+	}
+	return rng.Intn(len(tracks) + 1)
 }
 
 // TestSolveWithPooledEvaluatorMatchesFresh solves a stream of different

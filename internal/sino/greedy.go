@@ -66,7 +66,7 @@ type buildScratch struct {
 // degree is its row's popcount. sc's arrays are grown as needed.
 func (in *Instance) construct(withShields bool, rel *keff.Relation, sc *buildScratch) []int {
 	n := len(in.Segs)
-	sc.deg, sc.order = growInts(sc.deg, n), growInts(sc.order, n)
+	sc.deg, sc.order = grow(sc.deg, n), grow(sc.order, n)
 	deg, order := sc.deg, sc.order
 	for i := range order {
 		deg[i] = rel.Degree(i)
@@ -87,10 +87,8 @@ func (in *Instance) construct(withShields bool, rel *keff.Relation, sc *buildScr
 		return 0
 	})
 
-	if cap(sc.placed) < n {
-		sc.placed = make([]bool, n)
-	}
-	placed := sc.placed[:n]
+	sc.placed = grow(sc.placed, n)
+	placed := sc.placed
 	clear(placed)
 	tracks := sc.tracks[:0]
 	last := Shield // nothing yet; shields clear adjacency

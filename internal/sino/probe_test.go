@@ -153,6 +153,34 @@ func TestProbeScansWholeWindow(t *testing.T) {
 	comparePolish(t, in, s, "far bound")
 }
 
+// TestInsertionsAfterPolish inserts shields after a polish pass that
+// removed some, as an annealing walk does after its greedy solve. The
+// accepted probes cut shields out of the stack the load selected its kept
+// rows on, so the first insertion must select them again rather than
+// carry their values.
+func TestInsertionsAfterPolish(t *testing.T) {
+	for _, n := range []int{8, 21, 55, 89} {
+		in := testInstance(n, 0.5, 1, int64(n))
+		rng := rand.New(rand.NewSource(int64(n)))
+		s := paddedSolution(in, n/2+2, rng)
+		boundTo(in, s, 0, 20, rng)
+		e := NewEval()
+		e.Bind(in)
+		if err := e.load(s.Tracks, nil); err != nil {
+			t.Fatal(err)
+		}
+		padded := e.nShields
+		e.polish()
+		if e.nShields == padded {
+			t.Fatalf("n=%d: polish removed no shield; the fixture no longer cuts the stack", n)
+		}
+		for b := 0; b < 6; b++ {
+			e.InsertShield(insertionPoint(e.tracks, rng))
+			assertEvalMatchesVerify(t, in, e, fmt.Sprintf("n=%d: insertion %d after polish", n, b))
+		}
+	}
+}
+
 // comparePolish polishes s both ways on fresh evaluators and compares
 // everything the evaluator maintains.
 func comparePolish(t *testing.T, in *Instance, s *Solution, name string) {
@@ -181,7 +209,12 @@ func comparePolish(t *testing.T, in *Instance, s *Solution, name string) {
 		t.Fatalf("%s: counters (cap %d, shields %d, over %d), reference (%d, %d, %d)", name,
 			got.capPairs, got.nShields, got.nOver, ref.capPairs, ref.nShields, ref.nOver)
 	}
-	if got.Stats() != ref.Stats() {
+	// The probe counts as the reference's edit and rollback do. The pair
+	// counters count full-layout passes, which the probe replaces with
+	// per-track sums, so they differ by design and are not compared.
+	gs, rs := got.Stats(), ref.Stats()
+	gs.PairsComputed, gs.PairsCarried = rs.PairsComputed, rs.PairsCarried
+	if gs != rs {
 		t.Fatalf("%s: stats %+v, reference %+v", name, got.Stats(), ref.Stats())
 	}
 	assertEvalMatchesVerify(t, in, got, name)
