@@ -53,8 +53,11 @@ func (m *Model) TrackTotal(tr []int, shields [][2]int, ti int, rel *Relation) fl
 // row selects the fixed track's partners among the next pairCutoff
 // positions first (Relation.Partners, into a stack buffer) and then runs
 // the kernel over them in ascending order, so the pairs, their operands
-// and the accumulation order are those of a per-pair test. Every net id
-// in tr must be below rel.Len().
+// and the accumulation order are those of a per-pair test. A row's own
+// total is summed in a register, as the kept passes sum theirs: the
+// partners all lie to its right, so no other write reaches out[i] while
+// its row runs, and the additions are the same in the same order. Every
+// net id in tr must be below rel.Len().
 func (m *Model) AllTotalsInto(tr []int, shields [][2]int, rel *Relation, out []float64) {
 	clear(out)
 	var buf [pairCutoff]int
@@ -64,12 +67,14 @@ func (m *Model) AllTotalsInto(tr []int, shields [][2]int, rel *Relation, out []f
 		}
 		il, ir := i-shields[i][0], shields[i][1]-i
 		wi := m.wireTerms(il, ir)
+		sum := out[i]
 		for _, j := range rel.Partners(tr[i], tr, i+1, min(i+pairCutoff, len(tr)-1), buf[:]) {
 			jl, jr := j-shields[j][0], shields[j][1]-j
 			k := m.pair(j-i, il, ir, jl, jr, wi, m.wireTerms(jl, jr))
-			out[i] += k
+			sum += k
 			out[j] += k
 		}
+		out[i] = sum
 	}
 }
 

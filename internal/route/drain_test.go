@@ -15,7 +15,7 @@ import (
 // disconnectsPinsBFS is the reference bridge test: a breadth-first search
 // from the first pin over the net's surviving edges with e masked, which
 // reports whether some pin went unreached. It needs no precondition, so it
-// is the oracle view.disconnectsPins is checked against.
+// is the oracle bridge.disconnectsPins is checked against.
 func disconnectsPinsBFS(ns *graph, e int, horz bool) bool {
 	if ns.npins <= 1 {
 		return false
@@ -89,19 +89,19 @@ func randomBridgeNet(rng *rand.Rand) Net {
 
 // TestBridgeTestMatchesBFS drives random deletion scripts with the real
 // predicate: each step picks a random alive, unfrozen edge and deletes it
-// unless view.disconnectsPins says the pins would come apart, in which
+// unless bridge.disconnectsPins says the pins would come apart, in which
 // case it freezes it, as drain does. After every deletion the endpoint
 // bridge test must agree with the whole-component BFS on every alive
-// edge. One view serves every net, as one drains many, so its scratch is
-// reused across sizes, and every tenth net starts with the stamp about to
-// wrap.
+// edge. One scratch serves every net, as a lent workspace serves every
+// net of every view it drains, so it is reused across sizes, and every
+// tenth net starts with the stamp about to wrap.
 func TestBridgeTestMatchesBFS(t *testing.T) {
 	g, err := grid.New(16, 16, 100, 100, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(11))
-	var v *view
+	var br bridge
 	checked := 0
 	for trial := 0; trial < 120; trial++ {
 		net := randomBridgeNet(rng)
@@ -109,17 +109,13 @@ func TestBridgeTestMatchesBFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v == nil {
-			v = newView(r, g.Bounds())
-		}
-		v.r = r
 		if trial%10 == 9 {
 			// The net's first test wraps the stamp, over marks that an
 			// earlier epoch left with the first stamp after the wrap.
-			for i := range v.mark {
-				v.mark[i] = 2
+			for i := range br.mark {
+				br.mark[i] = 2
 			}
-			v.stamp = math.MaxUint32 - 1
+			br.stamp = math.MaxUint32 - 1
 		}
 		ns := r.graph(0)
 		for changed := true; ; {
@@ -138,7 +134,7 @@ func TestBridgeTestMatchesBFS(t *testing.T) {
 						continue
 					}
 					if changed {
-						got, want := v.disconnectsPins(ns.netState, e, horz), disconnectsPinsBFS(&ns, e, horz)
+						got, want := br.disconnectsPins(r, ns.netState, e, horz), disconnectsPinsBFS(&ns, e, horz)
 						if got != want {
 							t.Fatalf("trial %d, net %v: edge %d (horizontal %v): bridge test %v, BFS %v", trial, net.Pins, e, horz, got, want)
 						}
@@ -154,7 +150,7 @@ func TestBridgeTestMatchesBFS(t *testing.T) {
 			}
 			c := candidates[rng.Intn(len(candidates))]
 			// A freeze leaves the graph, and so every answer, as it was.
-			changed = !v.disconnectsPins(ns.netState, c.e, c.horz)
+			changed = !br.disconnectsPins(r, ns.netState, c.e, c.horz)
 			if changed {
 				r.flags[ns.flag(c.e, c.horz)] = edgeDeleted
 			} else {
@@ -168,8 +164,9 @@ func TestBridgeTestMatchesBFS(t *testing.T) {
 }
 
 // TestDrainStepZeroAlloc guards the drain step's allocation-free contract:
-// once a view has tested edges of a net and its queue has run a while,
-// testing again, popping and re-pushing at a lower key allocate nothing.
+// once a workspace has tested edges of a net and its queue has run a
+// while, testing again, popping and re-pushing at a lower key allocate
+// nothing.
 func TestDrainStepZeroAlloc(t *testing.T) {
 	g, err := grid.New(16, 16, 100, 100, 4, 4)
 	if err != nil {
@@ -179,21 +176,74 @@ func TestDrainStepZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := newView(r, g.Bounds())
-	v.pq.init(r.seeded)
+	var ws workspace
+	ws.pq.init(r.seeded)
 	ns := &r.nets[0]
 	step := func() {
-		it := v.pq.pop()
+		it := ws.pq.pop()
 		e, horz := it.unpack()
-		v.disconnectsPins(ns, e, horz)
+		ws.disconnectsPins(r, ns, e, horz)
 		it.key -= 0.25
-		v.pq.push(it)
+		ws.pq.push(it)
 	}
 	for i := 0; i < 2000; i++ {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Errorf("%v allocs per drain step, want 0", allocs)
+	}
+}
+
+// TestWarmWorkspaceDrainsWithoutAllocating: a workspace that has drained
+// a design's tile views drains them again, each after another view, with
+// no allocation — its queue takes its spare chunks, and its chunk index
+// and bridge scratch are already big enough — so a route allocates its
+// drains' working memory once per lent workspace, not once per view. Each
+// pass ends with the first pass's flags and windows.
+func TestWarmWorkspaceDrainsWithoutAllocating(t *testing.T) {
+	r, wins, owner, counts := tileRouter(t)
+	shares := splitItems(r.seeded, owner, counts)
+	items := make([][]item, len(shares)) // each share as split: a drain scrambles it
+	views := make([]*view, len(shares))
+	for vi, share := range shares {
+		items[vi] = slices.Clone(share)
+		views[vi] = newView(r, wins[vi], nil)
+	}
+	flags := slices.Clone(r.flags)
+	var ws workspace
+	drainAll := func() {
+		copy(r.flags, flags)
+		for vi, v := range views {
+			for _, a := range v.arrays() {
+				clear(*a)
+			}
+			copy(shares[vi], items[vi])
+			v.seed = shares[vi]
+			v.drain(&ws)
+		}
+	}
+	drainAll()
+	if len(views) < 2 || len(ws.pq.spare)+len(ws.pq.chunks) == 0 {
+		t.Fatal("the fixture drifted: too few views, or no chunk allocated")
+	}
+	wantFlags := slices.Clone(r.flags)
+	wantWins := make([]window, len(views))
+	for vi, v := range views {
+		wantWins[vi] = v.window
+		for _, a := range wantWins[vi].arrays() {
+			*a = slices.Clone(*a)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, drainAll); allocs != 0 {
+		t.Errorf("%v allocs per pass over %d views on a warm workspace, want 0", allocs, len(views))
+	}
+	if !slices.Equal(r.flags, wantFlags) {
+		t.Error("a pass on the warm workspace left other flags than the first pass")
+	}
+	for vi, v := range views {
+		if !sameWindow(&v.window, &wantWins[vi]) {
+			t.Errorf("view %d: a pass on the warm workspace left another window than the first pass", vi)
+		}
 	}
 }
 
@@ -268,35 +318,70 @@ func TestComponentsMatchPairwise(t *testing.T) {
 	}
 }
 
-// TestSplitSharesNeverOverrun: splitItems hands each view exactly its own
-// items, and capped at them, so a full drain of any view never writes the
-// items just past its share — the next view's, or for the last view spare
-// capacity — however its queue reuses its chunks. Each view in turn drains
-// with the chunk past its share poisoned.
-func TestSplitSharesNeverOverrun(t *testing.T) {
+// tileRouter seeds a router for 600 random nets on a 24×24 grid of
+// capacity 2 and groups them by tile, as drainTiles does: it returns the
+// router, each group's window, each net's group and each group's item
+// count, splitItems' arguments.
+func tileRouter(t *testing.T) (r *Router, wins []geom.Rect, owner []int32, counts []int) {
+	t.Helper()
 	g, err := grid.New(24, 24, 100, 100, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(g, Config{ShieldAware: true}, randomNets(5, 600, 24, 24))
+	r, err = NewRouter(g, Config{ShieldAware: true}, randomNets(5, 600, 24, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
 	groups, _, wins := r.partition()
-	owner := make([]int32, len(r.nets))
-	counts := make([]int, len(groups))
+	owner = make([]int32, len(r.nets))
+	counts = make([]int, len(groups))
 	for vi, members := range groups {
 		for _, ni := range members {
 			owner[ni] = int32(vi)
 			counts[vi] += r.nets[ni].numEdges()
 		}
 	}
+	return r, wins, owner, counts
+}
+
+// sameWindow reports whether two windows cover one rectangle with the
+// same values, bit for bit.
+func sameWindow(a, b *window) bool {
+	if a.rect != b.rect {
+		return false
+	}
+	as, bs := a.arrays(), b.arrays()
+	for k := range as {
+		if !slices.EqualFunc(*as[k], *bs[k], func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSplitSharesNeverOverrun: splitItems hands each view exactly its own
+// items, and capped at them, so a full drain of any view never writes the
+// items just past its share — the next view's, or for the last view spare
+// capacity — however its queue reuses its chunks. Every view drains in
+// turn on one shared workspace, as the serial pool lends it, with the
+// chunk past its share poisoned. Sharing the workspace shows nowhere:
+// each view's window, and in the end the flags, equal a twin router's
+// whose views each drain on a fresh workspace. The bridge stamp keeps
+// counting from view to view: no mark is ever newer than the stamp, so
+// no mark a view leaves can pass for one of the next view's tests. And
+// the lent queue keeps only chunks it allocated: none of its spares lies
+// in the seeded array, which reconciliation carves again.
+func TestSplitSharesNeverOverrun(t *testing.T) {
+	r, wins, owner, counts := tileRouter(t)
+	twin, _, _, _ := tileRouter(t)
 	n := len(r.seeded)
 	backing := make([]item, n+chunkLen)
 	copy(backing, r.seeded)
 	want := slices.Clone(r.seeded)
 	shares := splitItems(backing[:n], owner, counts)
+	twinShares := splitItems(twin.seeded, owner, counts)
 
+	var ws workspace
 	var got []item
 	poison := item{net: -1, edge: -1, key: -1}
 	end := 0
@@ -313,15 +398,39 @@ func TestSplitSharesNeverOverrun(t *testing.T) {
 		for i := range past {
 			past[i] = poison
 		}
-		v := newView(r, wins[vi])
-		v.pq.init(share)
-		v.drain()
+		v := newView(r, wins[vi], share)
+		v.drain(&ws)
 		for i, it := range past {
 			if it != poison {
 				t.Fatalf("draining view %d (%d items) wrote %+v at %d past its share", vi, len(share), it, i)
 			}
 		}
 		copy(past, saved)
+		if m := slices.Max(ws.mark); m > ws.stamp+1 {
+			t.Fatalf("after view %d the workspace holds a mark %d newer than its stamp %d", vi, m, ws.stamp)
+		}
+		tv := newView(twin, wins[vi], twinShares[vi])
+		tv.drain(new(workspace))
+		if v.pops != tv.pops || !sameWindow(&v.window, &tv.window) {
+			t.Fatalf("view %d drained on the shared workspace (%d pops) differs from its drain on a fresh one (%d pops)", vi, v.pops, tv.pops)
+		}
+	}
+	if !slices.Equal(r.flags, twin.flags) {
+		t.Fatal("the flags after draining on the shared workspace differ from those after fresh ones")
+	}
+
+	ws.pq.init(nil) // the last view's allocated chunks become spares too
+	if len(ws.pq.spare) == 0 {
+		t.Fatal("the queue allocated no chunk; the fixture drifted")
+	}
+	inBacking := make(map[*item]bool, len(backing))
+	for i := range backing {
+		inBacking[&backing[i]] = true
+	}
+	for _, c := range ws.pq.spare {
+		if inBacking[&c[0]] {
+			t.Fatal("a chunk carved from a share is among the workspace's spares")
+		}
 	}
 	byEdge := func(a, b item) int { return cmp.Or(cmp.Compare(a.net, b.net), cmp.Compare(a.edge, b.edge)) }
 	slices.SortFunc(got, byEdge)

@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // order returns the item's position in the pop order as a 128-bit number,
@@ -68,6 +69,12 @@ const (
 // Live items never exceed the seeded count, so the chunks in use never
 // exceed the seeded slice's by more than one partly filled chunk per
 // non-empty bucket: that bounds the spare chunks a drain allocates.
+//
+// One queue serves seed after seed (a workspace's, lent to drain after
+// drain): init keeps the bucket array, the chunk index and every chunk
+// the queue allocated, and drops the chunks it carved, which alias the
+// caller's array and go back to it. The items a queue pops never depend
+// on which chunks it holds, only on item.order.
 type radixQueue struct {
 	baseHi, baseLo uint64
 	n              int // live items
@@ -75,9 +82,17 @@ type radixQueue struct {
 	buckets  [numBuckets]bucket
 	nonEmpty [(numBuckets + 63) / 64]uint64 // bit b set when bucket b holds items
 
-	chunks []*[chunkLen]item // every chunk the queue owns, by id
+	chunks []*[chunkLen]item // every chunk the queue holds, by id
 	next   []int32           // per chunk: the next chunk of its bucket or of the free list, -1 at the end
 	free   int32             // head of the free list, -1 when empty
+
+	// carved counts the chunks init carved from the seed, ids 0 to
+	// carved-1; every later id is a chunk the queue allocated. spare holds
+	// the allocated chunks no id holds, which the next chunk taken comes
+	// from. A carved chunk never enters spare: it aliases the caller's
+	// array, which the router reuses once the drain is done.
+	carved int32
+	spare  []*[chunkLen]item
 }
 
 // bucket is a stack of chunks: head is partly filled (fill items), every
@@ -88,29 +103,30 @@ type bucket struct {
 }
 
 // init makes the queue hold exactly the items of seed, and takes over its
-// backing array. Every item starts in the top bucket, unsorted, which the
-// first pop sorts out, so pushes must follow a pop.
+// backing array until the next init. Every item starts in the top bucket,
+// unsorted, which the first pop sorts out, so pushes must follow a pop.
+// The chunks the queue allocated for an earlier seed become spares.
 func (q *radixQueue) init(seed []item) {
+	q.spare = append(q.spare, q.chunks[q.carved:]...)
 	full := len(seed) / chunkLen
-	*q = radixQueue{
-		n:      len(seed),
-		chunks: make([]*[chunkLen]item, 0, full+1),
-		next:   make([]int32, 0, full+1),
-		free:   -1,
-	}
+	q.chunks, q.next = slices.Grow(q.chunks[:0], full+1), slices.Grow(q.next[:0], full+1)
+	q.baseHi, q.baseLo, q.n, q.free = 0, 0, len(seed), -1
 	for i := range q.buckets {
-		q.buckets[i].head = -1
+		q.buckets[i] = bucket{head: -1}
 	}
+	clear(q.nonEmpty[:])
 	bk := &q.buckets[top]
 	for k := 0; k < full; k++ {
 		q.link(bk, (*[chunkLen]item)(seed[k*chunkLen:(k+1)*chunkLen]), chunkLen)
 	}
+	q.carved = int32(full)
 	if rest := seed[full*chunkLen:]; len(rest) > 0 {
 		var c *[chunkLen]item
 		if cap(rest) >= chunkLen {
 			c = (*[chunkLen]item)(rest[:chunkLen])
+			q.carved++
 		} else {
-			c = new([chunkLen]item)
+			c = q.spareChunk()
 			copy(c[:], rest)
 		}
 		q.link(bk, c, int32(len(rest)))
@@ -118,6 +134,17 @@ func (q *radixQueue) init(seed []item) {
 	if bk.head >= 0 {
 		q.nonEmpty[top/64] |= 1 << (top % 64)
 	}
+}
+
+// spareChunk returns a spare chunk, or a new one when there is none.
+func (q *radixQueue) spareChunk() *[chunkLen]item {
+	n := len(q.spare)
+	if n == 0 {
+		return new([chunkLen]item)
+	}
+	c := q.spare[n-1]
+	q.spare = q.spare[:n-1]
+	return c
 }
 
 // link puts chunk c, holding fill items, on top of bucket bk.
@@ -150,7 +177,7 @@ func (q *radixQueue) add(it item, hi, lo uint64) {
 	if bk.head < 0 || bk.fill == chunkLen {
 		c := q.free
 		if c < 0 {
-			q.chunks = append(q.chunks, new([chunkLen]item))
+			q.chunks = append(q.chunks, q.spareChunk())
 			q.next = append(q.next, -1)
 			c = int32(len(q.chunks) - 1)
 		} else {

@@ -42,6 +42,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -342,6 +343,19 @@ type Router struct {
 
 	// pops counts the items every drain has popped so far (trace only).
 	pops int
+
+	// lent holds the workspaces no pool task is using (borrow, giveBack).
+	lentMu sync.Mutex
+	lent   []*workspace
+
+	// viewOf maps a net to the view that drains it: drainTiles and each
+	// reconciliation round set it for the nets they hand out.
+	viewOf []int32
+
+	// overUse and overNets are overflowNets' counts and result, kept
+	// across rounds.
+	overUse  []int32
+	overNets []int
 }
 
 // item is a queue entry (lazy: may be stale). edge packs the net-local
@@ -409,9 +423,10 @@ func newRouter(g *grid.Grid, cfg Config, nets []Net) *Router {
 //
 //   - Pure per-net work: build(i, sc) fills net i's record and slab
 //     ranges (a fresh connection graph, or one restored from a snapshot),
-//     working in sc, its chunk's scratch. It reads only immutable inputs
-//     and writes disjoint ranges, so it runs chunked on the pool (the
-//     bulk of seeding cost: Steiner estimate + BFS per net).
+//     working in sc, the scratch of the workspace its chunk borrowed. It
+//     reads only immutable inputs and writes disjoint ranges, so it runs
+//     chunked on the pool (the bulk of seeding cost: Steiner estimate +
+//     BFS per net).
 //   - Order-dependent work, serial in ascending net order: every net's
 //     expected utilization goes into the base, and the nets push selects
 //     (nil: all) put their edges in r.seeded with initial weights. Net i's
@@ -424,10 +439,11 @@ func (r *Router) seed(ctx context.Context, pool Pool, build func(i int, sc *seed
 	for c := range tasks {
 		lo, hi := c*seedChunk, min((c+1)*seedChunk, len(r.nets))
 		tasks[c] = func() error {
-			sc := new(seedScratch)
+			ws := r.borrow()
 			for i := lo; i < hi; i++ {
-				build(i, sc)
+				build(i, &ws.seed)
 			}
+			r.giveBack(ws)
 			return nil
 		}
 	}
@@ -450,9 +466,10 @@ func (r *Router) seed(ctx context.Context, pool Pool, build func(i int, sc *seed
 	return nil
 }
 
-// seedScratch is one seed chunk's working memory, reused by each net it
-// builds: the Steiner estimate's buffers and buildSpine's BFS queue.
-// Nothing is allocated per net: what a net keeps lives in the slabs.
+// seedScratch is a seed chunk's working memory, reused by each net it
+// builds and, in a lent workspace, by the chunks after it: the Steiner
+// estimate's buffers and buildSpine's BFS queue. Nothing is allocated per
+// net: what a net keeps lives in the slabs.
 type seedScratch struct {
 	est   steiner.Scratch
 	queue []int32

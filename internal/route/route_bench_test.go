@@ -110,11 +110,18 @@ func BenchmarkReconcile(b *testing.B) {
 // design: ibm05 at scale 2, sensitivity rate 0.3, seed 1.
 func wideColdNets(tb testing.TB) (*grid.Grid, []Net) {
 	tb.Helper()
-	profile, err := ibm.ProfileByName("ibm05")
+	return ibmNets(tb, "ibm05", 2, 0.3)
+}
+
+// ibmNets returns the routing requests of a generated circuit at a scale
+// and sensitivity rate, seed 1, with each net's rate as the flows set it.
+func ibmNets(tb testing.TB, circuit string, scale int, rate float64) (*grid.Grid, []Net) {
+	tb.Helper()
+	profile, err := ibm.ProfileByName(circuit)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ckt, err := ibm.Generate(profile, ibm.Options{Seed: 1, Scale: 2, SensRate: 0.3})
+	ckt, err := ibm.Generate(profile, ibm.Options{Seed: 1, Scale: scale, SensRate: rate})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -84,26 +84,51 @@ func (w *window) merge(base *window) {
 }
 
 // view is one deletion context: the router's frozen base plus a private
-// delta window, and the queue of edges it is responsible for.
+// delta window, and the items it is responsible for.
 //
 // Sequential Run uses a single view spanning the whole grid. RunSharded
 // gives every tile group its own view, so concurrent drains never write
 // shared memory: a group reads the base (immutable while drains run) plus
 // only its own deltas, which is exactly the frozen-foreign-state semantics
-// the determinism argument in shard.go builds on.
+// the determinism argument in shard.go builds on. A view owns only what
+// outlives its drain (its window, which a DrainState captures per tile)
+// and its share of the seeded items; it drains in a workspace its router
+// lends for the drain.
 type view struct {
 	window
 	r    *Router
-	pq   radixQueue
-	pops int // items drain popped
+	seed []item // the view's share of the items, until its drain takes them
+	pops int    // items drain popped
+}
 
-	// Bridge-test scratch, reused across pops (see disconnectsPins). A
-	// local vertex is visited by the current test when its mark equals
-	// stamp (the search from the edge's first endpoint) or stamp+1 (from
-	// its second); older marks are stale. qa and qb hold capacity for a
-	// whole bounding box, so the searches never reallocate. flagsH,
-	// flagsV and pinMask are the tested net's ranges of the router's
-	// slabs.
+func newView(r *Router, rect geom.Rect, seed []item) *view {
+	return &view{window: newWindow(rect), r: r, seed: seed}
+}
+
+// workspace is what a Phase I pool task works in while it runs: a drain's
+// radix queue and bridge-test scratch, or a seed chunk's scratch. A router
+// lends one to each task (borrow) and takes it back when the task ends
+// (giveBack), so a route allocates one workspace per task running at once
+// — at most the pool's worker count — not one per tile, component or
+// chunk. Nothing a task leaves in one reaches a result: the queue pops in
+// item.order's total order whatever chunks it holds, a bridge test reads
+// only marks its own stamps wrote, and a seed chunk's estimate and BFS
+// overwrite what they read.
+type workspace struct {
+	pq radixQueue
+	bridge
+	seed seedScratch
+}
+
+// bridge is the bridge test's scratch, reused across tests (see
+// disconnectsPins). A local vertex is visited by the current test when
+// its mark equals stamp (the search from the edge's first endpoint) or
+// stamp+1 (from its second); older marks are stale. The stamp lives with
+// the marks and keeps counting across views and nets, and a wrap clears
+// the marks. qa and qb hold capacity for a whole bounding box, so the
+// searches never reallocate. flagsH, flagsV and pinMask are the tested
+// net's ranges of the router's slabs.
+type bridge struct {
 	mark   []uint32
 	stamp  uint32
 	qa, qb []int32
@@ -112,31 +137,60 @@ type view struct {
 	pinMask        []bool
 }
 
-func newView(r *Router, rect geom.Rect) *view { return &view{window: newWindow(rect), r: r} }
+// borrow lends a workspace: one a finished task gave back, or a new one.
+// Pool tasks carry no worker identity, so the router keeps the returned
+// workspaces on a list that lentMu guards.
+func (r *Router) borrow() *workspace {
+	r.lentMu.Lock()
+	defer r.lentMu.Unlock()
+	n := len(r.lent)
+	if n == 0 {
+		return new(workspace)
+	}
+	ws := r.lent[n-1]
+	r.lent = r.lent[:n-1]
+	return ws
+}
+
+// giveBack returns a workspace borrow lent, for the next task.
+func (r *Router) giveBack(ws *workspace) {
+	r.lentMu.Lock()
+	r.lent = append(r.lent, ws)
+	r.lentMu.Unlock()
+}
 
 // Run executes the iterative deletion to the fixpoint and extracts each
 // net's Steiner tree. It is the sequential reference algorithm: one queue,
 // one view spanning the grid. A Router is single-use — call exactly one of
 // Run or RunSharded, once.
 func (r *Router) Run() *Result {
-	v := newView(r, r.g.Bounds())
-	v.pq.init(r.seeded)
+	v := newView(r, r.g.Bounds(), r.seeded)
 	r.seeded = nil
-	v.drain()
+	v.drainLent()
 	v.merge(&r.base)
 	res := r.extract()
 	res.Stats = RunStats{Shards: 1, LargestShard: len(r.nets), SeedChunks: r.seedChunks}
 	return res
 }
 
-// drain pops the view's queue to its fixpoint, deleting the highest-weight
-// deletable edge of the view's nets each step. A stale item goes back at
-// its recomputed weight, which is below its key by more than the slack, so
-// it sorts after itself: the radix queue's monotone rule holds.
-func (v *view) drain() {
-	r := v.r
-	for v.pq.len() > 0 {
-		it := v.pq.pop()
+// drainLent drains v in a workspace its router lends for the drain.
+func (v *view) drainLent() {
+	ws := v.r.borrow()
+	v.drain(ws)
+	v.r.giveBack(ws)
+}
+
+// drain puts the view's items in ws's queue and pops it to its fixpoint,
+// deleting the highest-weight deletable edge of the view's nets each step.
+// A stale item goes back at its recomputed weight, which is below its key
+// by more than the slack, so it sorts after itself: the radix queue's
+// monotone rule holds.
+func (v *view) drain(ws *workspace) {
+	r, pq := v.r, &ws.pq
+	pq.init(v.seed)
+	v.seed = nil
+	for pq.len() > 0 {
+		it := pq.pop()
 		v.pops++
 		ns := &r.nets[it.net]
 		e, horz := it.unpack()
@@ -148,10 +202,10 @@ func (v *view) drain() {
 		w := r.edgeWeight(ns, x, y, horz, v)
 		if w < it.key-weightSlack {
 			it.key = w
-			v.pq.push(it)
+			pq.push(it)
 			continue
 		}
-		if v.disconnectsPins(ns, e, horz) {
+		if ws.disconnectsPins(r, ns, e, horz) {
 			r.flags[f] = edgeFrozen
 			continue
 		}
@@ -181,24 +235,23 @@ func (ns *netState) edgeOrigin(e int, horz bool) (int, int) {
 // step, with e masked. If they meet, e is no bridge. Otherwise the side
 // whose search runs out first is a whole component, and with p pins on it
 // the deletion disconnects iff 0 < p < npins. The work is proportional to
-// the smaller side, and the scratch is the view's, so a warm view
-// allocates nothing.
-func (v *view) disconnectsPins(ns *netState, e int, horz bool) bool {
+// the smaller side, and the scratch is br's, so warm scratch allocates
+// nothing.
+func (br *bridge) disconnectsPins(r *Router, ns *netState, e int, horz bool) bool {
 	if ns.npins <= 1 {
 		return false
 	}
-	r := v.r
-	v.flagsH = r.flags[ns.edgeH:ns.edgeV]
-	v.flagsV = r.flags[ns.edgeV : ns.edgeV+ns.numV()]
-	v.pinMask = r.pinMask[ns.vert : ns.vert+ns.w*ns.h]
-	if n := ns.w * ns.h; len(v.mark) < n {
-		v.mark = make([]uint32, n)
-		v.qa, v.qb = make([]int32, 0, n), make([]int32, 0, n)
+	br.flagsH = r.flags[ns.edgeH:ns.edgeV]
+	br.flagsV = r.flags[ns.edgeV : ns.edgeV+ns.numV()]
+	br.pinMask = r.pinMask[ns.vert : ns.vert+ns.w*ns.h]
+	if n := ns.w * ns.h; len(br.mark) < n {
+		br.mark = make([]uint32, n)
+		br.qa, br.qb = make([]int32, 0, n), make([]int32, 0, n)
 	}
-	v.stamp += 2
-	if v.stamp == 0 { // wrapped: every mark may look current
-		clear(v.mark)
-		v.stamp = 2
+	br.stamp += 2
+	if br.stamp == 0 { // wrapped: every mark may look current
+		clear(br.mark)
+		br.stamp = 2
 	}
 	// Endpoints: a vertical edge's index is its lower vertex's; a
 	// horizontal one skips one index per row.
@@ -209,26 +262,26 @@ func (v *view) disconnectsPins(ns *netState, e int, horz bool) bool {
 		b = a + 1
 		eh, ev = e, -1
 	}
-	sa := bridgeSearch{stamp: v.stamp, q: append(v.qa[:0], int32(a))}
-	sb := bridgeSearch{stamp: v.stamp + 1, q: append(v.qb[:0], int32(b))}
-	v.mark[a], v.mark[b] = sa.stamp, sb.stamp
-	if v.pinMask[a] {
+	sa := bridgeSearch{stamp: br.stamp, q: append(br.qa[:0], int32(a))}
+	sb := bridgeSearch{stamp: br.stamp + 1, q: append(br.qb[:0], int32(b))}
+	br.mark[a], br.mark[b] = sa.stamp, sb.stamp
+	if br.pinMask[a] {
 		sa.pins = 1
 	}
-	if v.pinMask[b] {
+	if br.pinMask[b] {
 		sb.pins = 1
 	}
 	for {
 		if sa.head == len(sa.q) {
 			return 0 < sa.pins && sa.pins < ns.npins
 		}
-		if v.expand(ns, &sa, sb.stamp, eh, ev) {
+		if br.expand(ns, &sa, sb.stamp, eh, ev) {
 			return false
 		}
 		if sb.head == len(sb.q) {
 			return 0 < sb.pins && sb.pins < ns.npins
 		}
-		if v.expand(ns, &sb, sa.stamp, eh, ev) {
+		if br.expand(ns, &sb, sa.stamp, eh, ev) {
 			return false
 		}
 	}
@@ -248,27 +301,27 @@ type bridgeSearch struct {
 // edges other than the masked one (horizontal index eh or vertical index
 // ev; -1 masks nothing). It reports whether a neighbour carries other, the
 // opposite search's stamp: the two searches met.
-func (v *view) expand(ns *netState, s *bridgeSearch, other uint32, eh, ev int) bool {
+func (br *bridge) expand(ns *netState, s *bridgeSearch, other uint32, eh, ev int) bool {
 	u := int(s.q[s.head])
 	s.head++
 	ux, uy := u%ns.w, u/ns.w
 	if ux > 0 {
-		if e := u - uy - 1; e != eh && v.flagsH[e]&edgeDeleted == 0 && v.visit(s, u-1, other) {
+		if e := u - uy - 1; e != eh && br.flagsH[e]&edgeDeleted == 0 && br.visit(s, u-1, other) {
 			return true
 		}
 	}
 	if ux < ns.w-1 {
-		if e := u - uy; e != eh && v.flagsH[e]&edgeDeleted == 0 && v.visit(s, u+1, other) {
+		if e := u - uy; e != eh && br.flagsH[e]&edgeDeleted == 0 && br.visit(s, u+1, other) {
 			return true
 		}
 	}
 	if uy > 0 {
-		if e := u - ns.w; e != ev && v.flagsV[e]&edgeDeleted == 0 && v.visit(s, u-ns.w, other) {
+		if e := u - ns.w; e != ev && br.flagsV[e]&edgeDeleted == 0 && br.visit(s, u-ns.w, other) {
 			return true
 		}
 	}
 	if uy < ns.h-1 {
-		if e := u; e != ev && v.flagsV[e]&edgeDeleted == 0 && v.visit(s, u+ns.w, other) {
+		if e := u; e != ev && br.flagsV[e]&edgeDeleted == 0 && br.visit(s, u+ns.w, other) {
 			return true
 		}
 	}
@@ -278,16 +331,16 @@ func (v *view) expand(ns *netState, s *bridgeSearch, other uint32, eh, ev int) b
 // visit reaches local vertex nv from search s: it reports true when the
 // opposite search (stamp other) got there first, and otherwise queues nv
 // for s unless s already has.
-func (v *view) visit(s *bridgeSearch, nv int, other uint32) bool {
-	switch v.mark[nv] {
+func (br *bridge) visit(s *bridgeSearch, nv int, other uint32) bool {
+	switch br.mark[nv] {
 	case s.stamp:
 		return false
 	case other:
 		return true
 	}
-	v.mark[nv] = s.stamp
+	br.mark[nv] = s.stamp
 	s.q = append(s.q, int32(nv))
-	if v.pinMask[nv] {
+	if br.pinMask[nv] {
 		s.pins++
 	}
 	return false

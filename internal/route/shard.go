@@ -62,7 +62,8 @@ func orSerial(pool Pool, trace *obs.Tracer, lane obs.Lane) Pool {
 // drainViews drains every view to its fixpoint as one pool batch, task i
 // labelled label(i) when tracing, and adds their pops to their router's
 // count. Views write only their private deltas and read the base, which no
-// drain writes, so the drains are independent.
+// drain writes, so the drains are independent; each drains in a workspace
+// its router lends for the task.
 func drainViews(ctx context.Context, pool Pool, trace *obs.Tracer, cat string, views []*view, label func(i int) string) error {
 	var labels []string
 	if trace.Enabled() {
@@ -73,7 +74,7 @@ func drainViews(ctx context.Context, pool Pool, trace *obs.Tracer, cat string, v
 	}
 	tasks := make([]func() error, len(views))
 	for i, v := range views {
-		tasks[i] = func() error { v.drain(); return nil }
+		tasks[i] = func() error { v.drainLent(); return nil }
 	}
 	if err := pool.RunTasks(ctx, cat, labels, tasks); err != nil {
 		return err
@@ -175,10 +176,9 @@ func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, cap
 // tiles, one per group, are what a DrainState captures.
 func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, groups [][]int, tileIDs []int, wins []geom.Rect, clean []*tileSnap) ([]tileSnap, error) {
 	tiles := make([]tileSnap, len(groups))
-	var views []*view
-	var counts []int                    // per view: its share of the seeded items
-	var live []int                      // view index -> group index
-	owner := make([]int32, len(r.nets)) // net index -> view index
+	var counts []int // per view: its share of the seeded items
+	var live []int   // view index -> group index
+	owner := r.viewIndex()
 	for gi, members := range groups {
 		if clean != nil && clean[gi] != nil {
 			tiles[gi] = *clean[gi]
@@ -187,23 +187,24 @@ func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, gro
 		// The seeded items are exactly the live groups' nets' edges.
 		items := 0
 		for _, ni := range members {
-			owner[ni] = int32(len(views))
+			owner[ni] = int32(len(live))
 			items += r.nets[ni].numEdges()
 		}
-		views = append(views, newView(r, wins[gi]))
 		counts = append(counts, items)
 		live = append(live, gi)
 	}
 
-	// Split the seeded items across the live views' queues, in place. The
-	// total order on items (see item.order) makes each view's pop sequence
+	// Split the seeded items across the live views, in place. The total
+	// order on items (see item.order) makes each view's pop sequence
 	// independent of how its share is arranged.
-	ssp := cfg.Trace.Start(cfg.Lane, "route", "queue split").Arg("shards", int64(len(views)))
-	for vi, seed := range splitItems(r.seeded, owner, counts) {
-		views[vi].pq.init(seed)
-	}
+	ssp := cfg.Trace.Start(cfg.Lane, "route", "queue split").Arg("shards", int64(len(live)))
+	shares := splitItems(r.seeded, owner, counts)
 	r.free, r.seeded = r.seeded[:0], nil
 	ssp.End()
+	views := make([]*view, len(live))
+	for vi, seed := range shares {
+		views[vi] = newView(r, wins[live[vi]], seed)
+	}
 	pops := r.pops
 
 	name := "shard"
@@ -279,26 +280,51 @@ func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, 
 // partition groups net indices by the tile containing their bounding-box
 // center. Groups are emitted in tile scan order with their nets in input
 // order, paired with their tile indices and windows (the union of their
-// members' bounding boxes); empty tiles are dropped. It reads only the
-// boxes layout sets, so an ECO resume classifies tiles with it before
-// any net is seeded.
+// members' bounding boxes); empty tiles are dropped. The groups are
+// consecutive ranges of one member array, filled by a counting sort. It
+// reads only the boxes layout sets, so an ECO resume classifies tiles
+// with it before any net is seeded.
 func (r *Router) partition() (groups [][]int, tileIDs []int, wins []geom.Rect) {
 	cols, rows := r.g.Cols, r.g.Rows
 	tileCols, tileRows := tiling(cols, rows)
 	tileW := (cols + tileCols - 1) / tileCols
 	tileH := (rows + tileRows - 1) / tileRows
-	tiles := make([][]int, tileCols*tileRows)
-	for ni := range r.nets {
+	tileOf := func(ni int) int {
 		b := r.nets[ni].bbox
 		tx := min(((b.MinX+b.MaxX)/2)/tileW, tileCols-1)
 		ty := min(((b.MinY+b.MaxY)/2)/tileH, tileRows-1)
-		t := ty*tileCols + tx
-		tiles[t] = append(tiles[t], ni)
+		return ty*tileCols + tx
 	}
-	for t, nets := range tiles {
-		if len(nets) == 0 {
+	// end[t] counts tile t's nets, then holds where its range ends: each
+	// net is placed at its tile's cursor, which starts where the range
+	// before it ends.
+	end := make([]int, tileCols*tileRows)
+	for ni := range r.nets {
+		end[tileOf(ni)]++
+	}
+	nonEmpty, sum := 0, 0
+	for t, n := range end {
+		if n > 0 {
+			nonEmpty++
+		}
+		end[t] = sum
+		sum += n
+	}
+	members := make([]int, len(r.nets))
+	for ni := range r.nets {
+		t := tileOf(ni)
+		members[end[t]] = ni
+		end[t]++
+	}
+	groups = make([][]int, 0, nonEmpty)
+	tileIDs = make([]int, 0, nonEmpty)
+	wins = make([]geom.Rect, 0, nonEmpty)
+	lo := 0
+	for t, hi := range end {
+		if hi == lo {
 			continue
 		}
+		nets := members[lo:hi:hi]
 		win := r.nets[nets[0]].bbox
 		for _, ni := range nets[1:] {
 			win = unionRect(win, r.nets[ni].bbox)
@@ -306,6 +332,7 @@ func (r *Router) partition() (groups [][]int, tileIDs []int, wins []geom.Rect) {
 		groups = append(groups, nets)
 		tileIDs = append(tileIDs, t)
 		wins = append(wins, win)
+		lo = hi
 	}
 	return groups, tileIDs, wins
 }
@@ -330,7 +357,7 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 	stats.ReconcileComponents += len(comps)
 	cviews := make([]*view, len(comps))
 	counts := make([]int, len(comps))
-	compOf := make(map[int]int, len(ripped))
+	compOf := r.viewIndex()
 	total := 0
 	for ci, members := range comps {
 		if len(members) > stats.LargestComponent {
@@ -341,10 +368,10 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 			win = unionRect(win, r.nets[ni].bbox)
 		}
 		for _, ni := range members {
-			compOf[ni] = ci
+			compOf[ni] = int32(ci)
 			counts[ci] += r.nets[ni].numEdges()
 		}
-		cviews[ci] = newView(r, win)
+		cviews[ci] = newView(r, win, nil)
 		total += counts[ci]
 	}
 	// The items go in the tile drains' freed array when they fit, which
@@ -364,7 +391,7 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 		r.reseed(ni, &seeds[compOf[ni]])
 	}
 	for ci, v := range cviews {
-		v.pq.init(seeds[ci])
+		v.seed = seeds[ci]
 	}
 	err := drainViews(ctx, pool, cfg.Trace, "reconcile", cviews, func(ci int) string {
 		return fmt.Sprintf("reconcile %d comp %d (%d nets)", round, ci, len(comps[ci]))
@@ -377,6 +404,16 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 	}
 	r.free = buf
 	return nil
+}
+
+// viewIndex returns the router's net-to-view array, allocated on first
+// use: each caller sets the entries of the nets it hands out and reads
+// only those.
+func (r *Router) viewIndex() []int32 {
+	if r.viewOf == nil {
+		r.viewOf = make([]int32, len(r.nets))
+	}
+	return r.viewOf
 }
 
 // splitItems partitions items in place so that each view's items, by
@@ -466,18 +503,24 @@ func (r *Router) components(nets []int) [][]int {
 
 // overflowNets returns, in ascending net order, the nets whose trees hold a
 // track in a region whose exact usage exceeds capacity in that direction.
-// These are the candidates boundary reconciliation re-routes.
+// These are the candidates boundary reconciliation re-routes. The result
+// is the router's, valid until the next call.
 //
 // A net holds a track in a direction at both end regions of every
 // surviving edge in it, however many of its edges meet there. So a first
 // pass counts, per region and direction, the nets holding a track there:
 // a net's edge ends bump the count only where the region's stamp — one
 // plus the last net counted — is not the net's own. Then each net's edge
-// ends are tested against those counts, once to size the result exactly
-// and once to fill it.
+// ends are tested against those counts, once. The counts and the result
+// live on the router, so a round after the first reuses them.
 func (r *Router) overflowNets() []int {
 	nr := r.g.NumRegions()
-	use := make([]int32, 4*nr) // [H use | V use | H stamp | V stamp] per region
+	if r.overUse == nil {
+		r.overUse = make([]int32, 4*nr) // [H use | V use | H stamp | V stamp] per region
+	} else {
+		clear(r.overUse)
+	}
+	use := r.overUse
 	limit := [2]int32{int32(r.g.HC), int32(r.g.VC)}
 	for ni := range r.nets {
 		stamp := int32(ni + 1)
@@ -489,21 +532,13 @@ func (r *Router) overflowNets() []int {
 			return false
 		})
 	}
-	over := func(ni int) bool {
-		return r.trackEnds(ni, func(k int) bool { return use[k] > limit[k/nr] })
-	}
-	n := 0
+	out := r.overNets[:0]
 	for ni := range r.nets {
-		if over(ni) {
-			n++
-		}
-	}
-	out := make([]int, 0, n)
-	for ni := range r.nets {
-		if over(ni) {
+		if r.trackEnds(ni, func(k int) bool { return use[k] > limit[k/nr] }) {
 			out = append(out, ni)
 		}
 	}
+	r.overNets = out
 	return out
 }
 

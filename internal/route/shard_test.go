@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -276,5 +277,90 @@ func TestSerialPoolTraceTaxonomy(t *testing.T) {
 		if !found {
 			t.Errorf("no nil-pool task span starting %q in %q", want, serial)
 		}
+	}
+}
+
+// FuzzLentDrains: which workspace a task borrows never shows in a route.
+// A random small netlist, with random rates, routes from seeding on
+// twice: on the serial pool, where every seed chunk, tile drain and
+// reconcile component runs in the one workspace the router lends, and on
+// a 4-worker engine, where up to four are lent and each task takes
+// whichever was given back last. The Result and DrainState wire bytes
+// must be equal.
+func FuzzLentDrains(f *testing.F) {
+	f.Add(int64(1), uint8(16), uint8(16), uint16(300), uint8(2), true)
+	f.Add(int64(2), uint8(20), uint8(9), uint16(280), uint8(1), false)
+	f.Add(int64(3), uint8(5), uint8(30), uint16(40), uint8(3), true)
+	eng := engine.New(engine.Config{Workers: 4})
+	f.Fuzz(func(t *testing.T, seed int64, cols, rows uint8, n uint16, capacity uint8, aware bool) {
+		c, w, h := 1+int(capacity)%4, 1+int(cols)%32, 1+int(rows)%32
+		g, err := grid.New(w, h, 100, 80, c, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets := randomNets(seed, 1+int(n)%600, w, h)
+		rng := rand.New(rand.NewSource(seed))
+		for i := range nets {
+			nets[i].Rate = rng.Float64()
+		}
+		route := func(pool Pool) (res, ds []byte) {
+			r, err := NewRouterOn(context.Background(), g, Config{ShieldAware: aware}, nets, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, state, err := r.RunShardedState(context.Background(), pool, ShardConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got.AppendWire(nil), state.AppendWire(nil)
+		}
+		res, ds := route(nil)
+		pres, pds := route(eng)
+		if !bytes.Equal(res, pres) {
+			t.Fatal("the Result on the engine differs from the serial pool's")
+		}
+		if !bytes.Equal(ds, pds) {
+			t.Fatal("the DrainState on the engine differs from the serial pool's")
+		}
+	})
+}
+
+// TestUnshieldedRouteIgnoresRates pins a redundancy of the flows: with
+// ShieldAware off, a net's rate enters only the utilization's rate sums,
+// and only the shield estimate reads those, so the route is the same at
+// any rates. ibm01 at scale 16 has the same pins at sensitivity rates 0.3
+// and 0.5, and its unshielded routes (ID+NO's and iSINO's) have the same
+// Result wire bytes at both: a tables grid routes each such circuit twice
+// for one result. The shield-aware route (GSINO's) reads the rates and
+// differs.
+func TestUnshieldedRouteIgnoresRates(t *testing.T) {
+	g, low := ibmNets(t, "ibm01", 16, 0.3)
+	_, high := ibmNets(t, "ibm01", 16, 0.5)
+	for i := range low {
+		if !slices.Equal(low[i].Pins, high[i].Pins) || low[i].Rate == high[i].Rate {
+			t.Fatalf("net %d: the fixture drifted: pins %v and %v, rates %v and %v", i, low[i].Pins, high[i].Pins, low[i].Rate, high[i].Rate)
+		}
+	}
+	route := func(aware bool, nets []Net) ([]byte, RunStats) {
+		r, err := NewRouter(g, Config{ShieldAware: aware}, nets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.RunSharded(context.Background(), nil, ShardConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.AppendWire(nil), res.Stats
+	}
+	a, stats := route(false, low)
+	if b, _ := route(false, high); !bytes.Equal(a, b) {
+		t.Error("unshielded routes at rates 0.3 and 0.5 differ")
+	}
+	if stats.Reconciled == 0 {
+		t.Error("nothing was reconciled; the fixture drifted")
+	}
+	c, _ := route(true, low)
+	if d, _ := route(true, high); bytes.Equal(c, d) {
+		t.Error("shield-aware routes at rates 0.3 and 0.5 are equal; the test shows nothing")
 	}
 }
