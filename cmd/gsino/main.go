@@ -28,6 +28,11 @@ import (
 	"repro/internal/obs"
 )
 
+// maxWorkers bounds -workers: the engine allocates a worker record per
+// requested worker before anything runs, so a mistyped count must fail
+// here rather than exhaust memory.
+const maxWorkers = 1 << 10
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gsino: ")
@@ -59,8 +64,8 @@ func main() {
 	if !(*vth > 0) || math.IsInf(*vth, 1) { // NaN fails *vth > 0
 		log.Fatalf("-vth %g is not a finite positive voltage", *vth)
 	}
-	if *workers < 0 {
-		log.Fatalf("-workers %d is negative (0 selects one per CPU)", *workers)
+	if *workers < 0 || *workers > maxWorkers {
+		log.Fatalf("-workers %d: want a count in [0, %d] (0 selects one per CPU)", *workers, maxWorkers)
 	}
 	flowList, err := parseFlows(*flows)
 	if err != nil {

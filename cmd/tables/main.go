@@ -35,6 +35,11 @@ import (
 	"repro/internal/sched"
 )
 
+// maxWorkers bounds -workers: each cell's engine allocates a worker record
+// per worker of its share before anything runs, so a mistyped count must
+// fail here rather than exhaust memory.
+const maxWorkers = 1 << 10
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tables: ")
@@ -55,8 +60,8 @@ func main() {
 	if *jobs < 0 {
 		log.Fatalf("-jobs %d is negative (0 selects one per CPU)", *jobs)
 	}
-	if *workers < 0 {
-		log.Fatalf("-workers %d is negative (0 selects one per CPU)", *workers)
+	if *workers < 0 || *workers > maxWorkers {
+		log.Fatalf("-workers %d: want a count in [0, %d] (0 selects one per CPU)", *workers, maxWorkers)
 	}
 	var csvFile *os.File
 	if *csvPath != "" {

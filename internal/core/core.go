@@ -235,9 +235,9 @@ func (o *Outcome) Detail(prefix string) string {
 	fmt.Fprintf(&b, "%seval pool: %d binds, %d loads, %d incremental edits, %d rollbacks; full passes: %d pair values computed, %d carried\n",
 		prefix, v.Binds, v.Loads, v.Edits, v.Rollbacks, v.PairsComputed, v.PairsCarried)
 	r := o.Route
-	fmt.Fprintf(&b, "%sphase I: %d routing shards (largest %d nets), seeding in %d chunks, %d nets reconciled in %d rounds (%d components, largest %d)\n",
+	fmt.Fprintf(&b, "%sphase I: %d routing shards (largest %d nets), seeding in %d chunks, %d nets reconciled in %d rounds (largest round %d nets)\n",
 		prefix, r.Shards, r.LargestShard, r.SeedChunks,
-		r.Reconciled, r.ReconcileRounds, r.ReconcileComponents, r.LargestComponent)
+		r.Reconciled, r.ReconcileRounds, r.LargestComponent)
 	if a := o.Artifact; a.Hits+a.Misses > 0 {
 		fmt.Fprintf(&b, "%sartifacts: %d hits, %d misses, %d evictions\n",
 			prefix, a.Hits, a.Misses, a.Evictions)

@@ -378,10 +378,10 @@ func (e *Engine) RunOn(ctx context.Context, tasks []func(*Worker) error) error {
 
 // RunTasks executes arbitrary function jobs on the engine's bounded pool —
 // the generic counterpart of Run for workloads that are not SINO instances
-// (Phase I seeding chunks, shard drains, reconcile components, extraction
-// chunks). Tasks must not share mutable state with each other. RunTasks
-// returns the first task error in submission order, or the context's error
-// on cancellation (unstarted tasks are skipped); it implements route.Pool.
+// (Phase I seeding chunks, shard drains, reconciliation drains). Tasks must
+// not share mutable state with each other. RunTasks returns the first task
+// error in submission order, or the context's error on cancellation
+// (unstarted tasks are skipped); it implements route.Pool.
 //
 // Each task's span is named labels[i] (falling back to cat when labels is
 // nil or empty at i) under category cat. Labels are display-only; callers

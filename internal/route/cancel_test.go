@@ -12,8 +12,8 @@ import (
 
 // cancelPool wraps a Pool and cancels the run's context immediately before
 // delegating task batch number `at`. Every router fan-out (seeding chunks,
-// shard drains, reconcile components, extraction) reaches it through the
-// one RunTasks door, so the batch count is predictable.
+// shard drains, reconciliation drains) reaches it through the one RunTasks
+// door, so the batch count is predictable.
 type cancelPool struct {
 	inner  Pool
 	cancel context.CancelFunc
@@ -73,8 +73,8 @@ func TestNewRouterOnCancelSerial(t *testing.T) {
 }
 
 // twoClusterOverflow builds a design with two bbox-disjoint groups of
-// parallel nets, each overflowing its row capacity — so reconciliation
-// sees two connected components and takes the pooled concurrent path.
+// parallel nets, each overflowing its row capacity, so reconciliation rips
+// up both groups in one round.
 func twoClusterOverflow(t *testing.T) (*grid.Grid, []Net) {
 	t.Helper()
 	g, err := grid.New(8, 7, 100, 100, 1, 1)
@@ -118,9 +118,9 @@ func TestRunShardedCancelMidReconcile(t *testing.T) {
 }
 
 // TestTwoClusterReconcileComponents pins the fixture the cancellation test
-// rides on: the two net groups really do reconcile as two disjoint
-// components, and the component-sharded rounds still finish with valid
-// trees and byte-identical results at any worker count.
+// rides on: both net groups reconcile, each round drains once, over all
+// 12 nets in the largest, and the rounds finish with valid trees and
+// byte-identical results at any worker count.
 func TestTwoClusterReconcileComponents(t *testing.T) {
 	g, nets := twoClusterOverflow(t)
 	run := func(pool Pool) *Result {
@@ -136,13 +136,13 @@ func TestTwoClusterReconcileComponents(t *testing.T) {
 	}
 	ref := run(nil)
 	if ref.Stats.ReconcileRounds == 0 {
-		t.Fatal("fixture did not reconcile; it no longer exercises the component path")
+		t.Fatal("fixture did not reconcile; it no longer exercises the reconciliation drain")
 	}
-	if ref.Stats.ReconcileComponents < 2 {
-		t.Fatalf("reconciliation saw %d components, want >= 2 disjoint clusters", ref.Stats.ReconcileComponents)
+	if ref.Stats.ReconcileComponents != ref.Stats.ReconcileRounds {
+		t.Fatalf("%d reconciliation drains in %d rounds, want one per round", ref.Stats.ReconcileComponents, ref.Stats.ReconcileRounds)
 	}
-	if ref.Stats.LargestComponent > 6 {
-		t.Fatalf("largest component %d nets; clusters should stay disjoint at 6", ref.Stats.LargestComponent)
+	if ref.Stats.LargestComponent != 12 {
+		t.Fatalf("largest round %d nets, want both clusters' 12", ref.Stats.LargestComponent)
 	}
 	for _, workers := range []int{1, 4} {
 		got := run(engine.New(engine.Config{Workers: workers}))
@@ -150,7 +150,7 @@ func TestTwoClusterReconcileComponents(t *testing.T) {
 	}
 	for i, tree := range ref.Trees {
 		if !tree.IsTree() || !tree.Connected(nets[i].Pins) {
-			t.Fatalf("net %d: invalid route after component-sharded reconciliation", i)
+			t.Fatalf("net %d: invalid route after reconciliation", i)
 		}
 	}
 }

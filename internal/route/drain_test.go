@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -243,77 +242,6 @@ func TestWarmWorkspaceDrainsWithoutAllocating(t *testing.T) {
 	for vi, v := range views {
 		if !sameWindow(&v.window, &wantWins[vi]) {
 			t.Errorf("view %d: a pass on the warm workspace left another window than the first pass", vi)
-		}
-	}
-}
-
-// componentsPairwise is the reference for Router.components: union-find
-// over every pair of ripped nets whose bounding boxes intersect.
-func componentsPairwise(bboxes []geom.Rect, nets []int) [][]int {
-	parent := make([]int, len(nets))
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			x = parent[x]
-		}
-		return x
-	}
-	for i := range nets {
-		for j := i + 1; j < len(nets); j++ {
-			if bboxes[nets[i]].Intersects(bboxes[nets[j]]) {
-				if ri, rj := find(i), find(j); ri != rj {
-					parent[max(ri, rj)] = min(ri, rj)
-				}
-			}
-		}
-	}
-	index := map[int]int{}
-	var out [][]int
-	for i, ni := range nets {
-		root := find(i)
-		ci, ok := index[root]
-		if !ok {
-			ci = len(out)
-			index[root] = ci
-			out = append(out, nil)
-		}
-		out[ci] = append(out[ci], ni)
-	}
-	return out
-}
-
-// TestComponentsMatchPairwise checks the cell-cover grouping against the
-// pairwise one on random bounding boxes — from single cells to most of the
-// grid, dense and sparse — over random ascending subsets: same components,
-// same order, same member order.
-func TestComponentsMatchPairwise(t *testing.T) {
-	g, err := grid.New(24, 18, 100, 100, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(60)
-		maxSide := 1 + rng.Intn(12)
-		r := &Router{g: g, netSlabs: netSlabs{nets: make([]netState, n)}}
-		bboxes := make([]geom.Rect, n)
-		for i := range bboxes {
-			w, h := 1+rng.Intn(maxSide), 1+rng.Intn(maxSide)
-			x, y := rng.Intn(g.Cols-w+1), rng.Intn(g.Rows-h+1)
-			bboxes[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + w - 1, MaxY: y + h - 1}
-			r.nets[i].bbox = bboxes[i]
-		}
-		var ripped []int
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) > 0 {
-				ripped = append(ripped, i)
-			}
-		}
-		got, want := r.components(ripped), componentsPairwise(bboxes, ripped)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: components %v, pairwise %v", trial, got, want)
 		}
 	}
 }

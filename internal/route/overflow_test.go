@@ -98,7 +98,7 @@ func TestOverflowNetsMatchesTrackRegions(t *testing.T) {
 				break
 			}
 			overflowed++
-			if err := r.reconcileRound(context.Background(), serialPool{}, ShardConfig{}, round, got, &RunStats{}); err != nil {
+			if err := r.reconcileRound(context.Background(), serialPool{}, ShardConfig{}, round, got); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -135,9 +135,11 @@ type RunStats struct {
 	// SeedChunks is the chunk count per-net graph construction fanned out
 	// over (ceil(nets/seedChunk), identical with or without a pool).
 	SeedChunks int
-	// ReconcileComponents counts the boundary-overflow connected
-	// components reconciled across all rounds; LargestComponent is the
-	// net count of the biggest one (the serial grain of reconciliation).
+	// ReconcileComponents counts the reconciliation drains, one per
+	// round, so it equals ReconcileRounds; LargestComponent is the net
+	// count of the largest round (the serial grain of reconciliation).
+	// The route wire, artifact.Fingerprint and the benchmark read both
+	// under these names.
 	ReconcileComponents int
 	LargestComponent    int
 }
@@ -347,10 +349,6 @@ type Router struct {
 	// lent holds the workspaces no pool task is using (borrow, giveBack).
 	lentMu sync.Mutex
 	lent   []*workspace
-
-	// viewOf maps a net to the view that drains it: drainTiles and each
-	// reconciliation round set it for the nets they hand out.
-	viewOf []int32
 
 	// overUse and overNets are overflowNets' counts and result, kept
 	// across rounds.

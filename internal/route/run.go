@@ -25,13 +25,16 @@ type window struct {
 	nnsV, sumSV, sumS2V []float64
 }
 
+// newWindow returns a zeroed window over rect whose six arrays are capped
+// ranges of one allocation.
 func newWindow(rect geom.Rect) window {
 	n := rect.Cells()
-	return window{
-		rect: rect, cols: rect.Width(),
-		nnsH: make([]float64, n), sumSH: make([]float64, n), sumS2H: make([]float64, n),
-		nnsV: make([]float64, n), sumSV: make([]float64, n), sumS2V: make([]float64, n),
+	w := window{rect: rect, cols: rect.Width()}
+	all := make([]float64, 6*n)
+	for k, a := range w.arrays() {
+		*a = all[k*n : (k+1)*n : (k+1)*n]
 	}
+	return w
 }
 
 // arrays lists the six arrays in wire order.

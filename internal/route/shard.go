@@ -93,10 +93,11 @@ func drainViews(ctx context.Context, pool Pool, trace *obs.Tracer, cat string, v
 // any worker count.
 type ShardConfig struct {
 	// Trace, when enabled, records Phase I spans: one per pool task (seed
-	// chunk, shard drain, reconcile component), named and on the executing
-	// worker's lane, plus the serial sections — queue split, delta merge,
-	// each reconciliation round, and tree extraction — on Lane. The delta
-	// merge and each round carry the items their drains popped.
+	// chunk, shard drain, reconciliation drain), named and on the
+	// executing worker's lane, plus the serial sections — queue split,
+	// delta merge, each reconciliation round, and tree extraction — on
+	// Lane. The delta merge and each round carry the items their drains
+	// popped.
 	// Tracing never changes the routing result.
 	Trace *obs.Tracer
 
@@ -175,10 +176,10 @@ func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, cap
 // group re-drains) and its drain spans are named "eco shard". The returned
 // tiles, one per group, are what a DrainState captures.
 func (r *Router) drainTiles(ctx context.Context, pool Pool, cfg ShardConfig, groups [][]int, tileIDs []int, wins []geom.Rect, clean []*tileSnap) ([]tileSnap, error) {
+	owner := make([]int32, len(r.nets)) // net -> live view
 	tiles := make([]tileSnap, len(groups))
 	var counts []int // per view: its share of the seeded items
 	var live []int   // view index -> group index
-	owner := r.viewIndex()
 	for gi, members := range groups {
 		if clean != nil && clean[gi] != nil {
 			tiles[gi] = *clean[gi]
@@ -260,10 +261,12 @@ func (r *Router) finishSharded(ctx context.Context, pool Pool, cfg ShardConfig, 
 			return nil, err
 		}
 		stats.ReconcileRounds++
+		stats.ReconcileComponents++
 		stats.Reconciled += len(ripped)
+		stats.LargestComponent = max(stats.LargestComponent, len(ripped))
 		rsp := cfg.Trace.Start(cfg.Lane, "route", "reconcile").Arg("round", int64(round)).Arg("nets", int64(len(ripped)))
 		pops := r.pops
-		err := r.reconcileRound(ctx, pool, cfg, round, ripped, &stats)
+		err := r.reconcileRound(ctx, pool, cfg, round, ripped)
 		rsp.Arg("pops", int64(r.pops-pops)).End()
 		if err != nil {
 			return nil, err
@@ -337,83 +340,44 @@ func (r *Router) partition() (groups [][]int, tileIDs []int, wins []geom.Rect) {
 	return groups, tileIDs, wins
 }
 
-// reconcileRound rips up and re-routes one round's overflowed nets,
-// sharded by boundary-region connected components: ripped nets whose
-// bounding boxes transitively overlap form one component, and distinct
-// components touch disjoint region sets — a net's deletion loop reads
-// utilization and writes deltas only inside its own bounding box — so
-// independent overflow clusters reconcile concurrently with the same
-// total-order tie-breaks (DESIGN.md §10: the pop sequence of a merged
-// queue restricted to one component equals that component's own pop
-// sequence, because foreign components never change its weights).
+// reconcileRound rips up and re-routes one round's overflowed nets. Rip-up
+// is serial in ascending net order: reseed writes the shared base arrays
+// and computes fresh base weights, so its order is part of the algorithm
+// definition. The ripped nets then drain as one view over the union of
+// their bounding boxes, a one-task pool batch, whose window merges into the
+// base. The items go in the tile drains' freed array when they fit, which
+// from scratch they always do: a round re-seeds some of the nets seeding
+// pushed.
 //
-// Rip-up stays serial in ascending net order: reseed writes the shared
-// base arrays and computes fresh base weights, so its order is part of
-// the algorithm definition. Delta merges run serially in component order;
-// components' nonzero deltas occupy disjoint regions, so merge order
-// cannot change a sum.
-func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig, round int, ripped []int, stats *RunStats) error {
-	comps := r.components(ripped)
-	stats.ReconcileComponents += len(comps)
-	cviews := make([]*view, len(comps))
-	counts := make([]int, len(comps))
-	compOf := r.viewIndex()
-	total := 0
-	for ci, members := range comps {
-		if len(members) > stats.LargestComponent {
-			stats.LargestComponent = len(members)
-		}
-		win := r.nets[members[0]].bbox
-		for _, ni := range members[1:] {
-			win = unionRect(win, r.nets[ni].bbox)
-		}
-		for _, ni := range members {
-			compOf[ni] = int32(ci)
-			counts[ci] += r.nets[ni].numEdges()
-		}
-		cviews[ci] = newView(r, win, nil)
-		total += counts[ci]
+// Bounding-box-disjoint clusters of ripped nets drain in that one queue as
+// they would drain alone (DESIGN.md §10): a net's deletion loop reads
+// utilization and writes deltas only inside its own box, so the pop
+// sequence of the merged queue restricted to one cluster is that cluster's
+// own sequence under the total order on items.
+func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig, round int, ripped []int) error {
+	win := r.nets[ripped[0]].bbox
+	items := 0
+	for _, ni := range ripped {
+		win = unionRect(win, r.nets[ni].bbox)
+		items += r.nets[ni].numEdges()
 	}
-	// The items go in the tile drains' freed array when they fit, which
-	// from scratch they always do: each component's share is a subslice
-	// capped at its count, so no queue reaches into its neighbour's.
-	buf := r.free
-	if cap(buf) < total {
-		buf = make([]item, 0, total)
-	}
-	seeds := make([][]item, len(comps))
-	off := 0
-	for ci, n := range counts {
-		seeds[ci] = buf[off : off : off+n]
-		off += n
+	seed := r.free[:0]
+	if cap(seed) < items {
+		seed = make([]item, 0, items)
 	}
 	for _, ni := range ripped {
-		r.reseed(ni, &seeds[compOf[ni]])
+		r.reseed(ni, &seed)
 	}
-	for ci, v := range cviews {
-		v.seed = seeds[ci]
-	}
-	err := drainViews(ctx, pool, cfg.Trace, "reconcile", cviews, func(ci int) string {
-		return fmt.Sprintf("reconcile %d comp %d (%d nets)", round, ci, len(comps[ci]))
+	v := newView(r, win, seed)
+	err := drainViews(ctx, pool, cfg.Trace, "reconcile", []*view{v}, func(int) string {
+		return fmt.Sprintf("reconcile %d (%d nets)", round, len(ripped))
 	})
 	if err != nil {
 		return err
 	}
-	for _, v := range cviews {
-		v.merge(&r.base)
-	}
-	r.free = buf
+	v.merge(&r.base)
+	r.free = seed
 	return nil
-}
-
-// viewIndex returns the router's net-to-view array, allocated on first
-// use: each caller sets the entries of the nets it hands out and reads
-// only those.
-func (r *Router) viewIndex() []int32 {
-	if r.viewOf == nil {
-		r.viewOf = make([]int32, len(r.nets))
-	}
-	return r.viewOf
 }
 
 // splitItems partitions items in place so that each view's items, by
@@ -445,60 +409,6 @@ func splitItems(items []item, owner []int32, counts []int) [][]item {
 		shares[vi] = items[bound[vi]:bound[vi+1]:bound[vi+1]]
 	}
 	return shares
-}
-
-// components groups the ripped nets into bounding-box-overlap connected
-// components. The grouping is deterministic: components are ordered by
-// their smallest member and members ascend within each (the input is
-// ascending). Two cell rectangles intersect exactly when they share a
-// cell, so each net unites with the first ripped net that covered each
-// cell of its bounding box: the cost is the nets' total bounding-box
-// area, not the pair count.
-func (r *Router) components(nets []int) [][]int {
-	parent := make([]int, len(nets))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	cover := make([]int32, r.g.NumRegions()) // 1 + first covering position in nets, 0 for none
-	for i, ni := range nets {
-		b := r.nets[ni].bbox
-		for y := b.MinY; y <= b.MaxY; y++ {
-			for c := y*r.g.Cols + b.MinX; c <= y*r.g.Cols+b.MaxX; c++ {
-				if cover[c] == 0 {
-					cover[c] = int32(i + 1)
-					continue
-				}
-				ri, rj := find(int(cover[c]-1)), find(i)
-				if ri != rj {
-					if rj < ri {
-						ri, rj = rj, ri
-					}
-					parent[rj] = ri
-				}
-			}
-		}
-	}
-	groups := make(map[int]int) // root -> component index
-	var out [][]int
-	for i, ni := range nets {
-		root := find(i)
-		ci, ok := groups[root]
-		if !ok {
-			ci = len(out)
-			groups[root] = ci
-			out = append(out, nil)
-		}
-		out[ci] = append(out[ci], ni)
-	}
-	return out
 }
 
 // overflowNets returns, in ascending net order, the nets whose trees hold a

@@ -192,6 +192,95 @@ func TestRunShardedReconciliationBounded(t *testing.T) {
 	}
 }
 
+// benchReconcileNets lays out `clusters` bbox-disjoint rows of six
+// parallel nets on a 16-column grid of the returned row count, each row
+// overflowing unit capacity, so one reconciliation round rips up every
+// cluster.
+func benchReconcileNets(clusters int) (int, []Net) {
+	rows := 4*clusters + 1
+	var nets []Net
+	for c := 0; c < clusters; c++ {
+		y := 4*c + 1
+		for i := 0; i < 6; i++ {
+			nets = append(nets, Net{ID: len(nets), Pins: []geom.Point{{X: 0, Y: y}, {X: 15, Y: y}}})
+		}
+	}
+	return rows, nets
+}
+
+// TestReconcileClustersRouteAlone pins what lets a reconciliation round
+// drain all its ripped nets in one queue: clusters of ripped nets whose
+// bounding boxes are disjoint route there exactly as each would alone. A
+// net's weights read utilization only inside its own box, and the queue's
+// total order ranks one cluster's items the same whatever else it holds.
+// Each design is clusters of six nets, each cluster overflowing unit
+// capacity; every cluster, routed alone with its nets renumbered from 0,
+// must reconcile, and its trees must equal its trees in the whole design,
+// on the serial pool and on a 4-worker engine. The parallel nets of the
+// first two designs are straight lines, every edge a bridge, so the third
+// design's nets span three rows, where a route has edges to choose.
+func TestReconcileClustersRouteAlone(t *testing.T) {
+	twoG, twoNets := twoClusterOverflow(t)
+	rows, eightNets := benchReconcileNets(8)
+	eightG, err := grid.New(16, rows, 100, 100, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bandG, err := grid.New(16, 13, 100, 100, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bandNets []Net
+	for c := 0; c < 3; c++ {
+		for i := 0; i < 6; i++ {
+			pins := []geom.Point{{X: i, Y: 4*c + 1}, {X: 15 - i, Y: 4*c + 3}}
+			bandNets = append(bandNets, Net{ID: len(bandNets), Pins: pins, Rate: 0.3})
+		}
+	}
+	designs := []struct {
+		name string
+		g    *grid.Grid
+		nets []Net
+	}{
+		{"twoClusterOverflow", twoG, twoNets},
+		{"benchReconcileNets(8)", eightG, eightNets},
+		{"three-row bands", bandG, bandNets},
+	}
+	route := func(g *grid.Grid, nets []Net, pool Pool) *Result {
+		r, err := NewRouter(g, Config{ShieldAware: true}, nets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.RunSharded(context.Background(), pool, ShardConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	eng := engine.New(engine.Config{Workers: 4})
+	for _, d := range designs {
+		for _, pool := range []Pool{nil, eng} {
+			whole := route(d.g, d.nets, pool)
+			for c := 0; c < len(d.nets)/6; c++ {
+				cluster := make([]Net, 6)
+				for i := range cluster {
+					cluster[i] = d.nets[6*c+i]
+					cluster[i].ID = i
+				}
+				alone := route(d.g, cluster, pool)
+				if alone.Stats.ReconcileRounds == 0 {
+					t.Fatalf("%s cluster %d: routed alone, it did not reconcile; the fixture drifted", d.name, c)
+				}
+				for i, tree := range alone.Trees {
+					if want := whole.Trees[6*c+i].Edges; !reflect.DeepEqual(tree.Edges, want) {
+						t.Fatalf("%s cluster %d net %d (pool %T): routed alone %v, in the whole design %v", d.name, c, i, pool, tree.Edges, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRunShardedContextCancel verifies a cancelled context aborts the run.
 func TestRunShardedContextCancel(t *testing.T) {
 	g, err := grid.New(8, 8, 100, 100, 8, 8)
@@ -210,7 +299,7 @@ func TestRunShardedContextCancel(t *testing.T) {
 }
 
 // poolSpanNames returns the sorted names of the shard-drain and
-// reconcile-component task spans in tr.
+// reconciliation-drain task spans in tr.
 func poolSpanNames(t *testing.T, tr *obs.Tracer) []string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -269,7 +358,7 @@ func TestSerialPoolTraceTaxonomy(t *testing.T) {
 	if !reflect.DeepEqual(serial, pooled) {
 		t.Errorf("nil-pool task spans %q, engine %q", serial, pooled)
 	}
-	for _, want := range []string{"shard 0 ", "eco shard ", "reconcile 0 comp 0 "} {
+	for _, want := range []string{"shard 0 ", "eco shard ", "reconcile 0 ("} {
 		found := false
 		for _, name := range serial {
 			found = found || strings.HasPrefix(name, want)
